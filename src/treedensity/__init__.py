@@ -25,6 +25,7 @@ from .counting import (
 from .errors import (
     BudgetError,
     CacheError,
+    ConsistencyError,
     ParseError,
     PreconditionError,
     SingularityError,
@@ -131,5 +132,6 @@ __all__ = [
     "BudgetError",
     "SingularityError",
     "CacheError",
+    "ConsistencyError",
     "__version__",
 ]

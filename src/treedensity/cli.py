@@ -12,8 +12,9 @@ One executable, ``treedensity``, with a subcommand per task:
   simplex functional.
 * ``cache``: inspect or clear persisted frontier files.
 
-Exit codes: 0 success, 2 invalid input (parse or precondition failures),
-3 refused resource budget, 4 I/O failure. Reports are rendered
+Exit codes: 0 success, 1 a verification found a counterexample or an
+internal consistency check failed, 2 invalid input (parse or precondition
+failures), 3 refused resource budget, 4 I/O failure. Reports are rendered
 deterministically, so rerunning a command with the same arguments produces
 byte-identical output files.
 """
@@ -35,6 +36,7 @@ from .counting import caterpillar_counts, count_copies, count_copies_brute
 from .errors import (
     BudgetError,
     CacheError,
+    ConsistencyError,
     ParseError,
     PreconditionError,
     SingularityError,
@@ -186,7 +188,12 @@ def _cmd_limits(args) -> int:
     r = args.r
     value = limit_density_complete(r, args.k, args.d)
     if r == 2:
-        assert value == liminf_density(args.d, args.k)
+        liminf = liminf_density(args.d, args.k)
+        if value != liminf:
+            raise ConsistencyError(
+                f"limit density for d={args.d}, k={args.k}: complete-tree limit {value}, "
+                f"liminf formula {liminf}"
+            )
     report = SearchReport(
         mode="limits",
         params={"d": args.d, "k": args.k, "r": r},
@@ -267,9 +274,19 @@ def _random_majorization_pair(rng: random.Random, d: int, k: int):
     return simplex_mod.majorization_pair(a, b)
 
 
+def _require_positive(value: int, flag: str) -> None:
+    # a verdict over zero checks would pass vacuously
+    if value < 1:
+        raise PreconditionError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_simplex(args) -> int:
     start = time.perf_counter()
     d, k = args.d, args.k
+    if args.mode == "sup":
+        _require_positive(args.eps_steps, "--eps-steps")
+    elif args.mode in ("bound-sample", "muirhead"):
+        _require_positive(args.samples, "--samples")
     if args.mode == "min":
         result = simplex_mod.minimize_F(
             d, k, starts=args.starts, budget=args.budget, seed=args.seed
@@ -300,9 +317,13 @@ def _cmd_simplex(args) -> int:
             (str(eps), v, decimal_str(v), decimal_str(bound - v))
             for eps, v in zip(schedule, values)
         ]
-        ok = all(v < bound for v in values) and all(
-            values[i] < values[i + 1] for i in range(len(values) - 1)
-        )
+        if k == 3:
+            # F is 1/3 on every edge point (0, ..., 0, eps, 1 - eps)
+            ok = all(v == bound for v in values)
+        else:
+            ok = all(v < bound for v in values) and all(
+                values[i] < values[i + 1] for i in range(len(values) - 1)
+            )
         report = SearchReport(
             mode="simplex-sup",
             params={"d": d, "k": k, "bound": str(bound)},
@@ -494,6 +515,9 @@ def main(argv=None) -> int:
     except BudgetError as err:
         print(f"refused: {err}", file=sys.stderr)
         return 3
+    except ConsistencyError as err:
+        print(f"error: consistency check failed: {err}", file=sys.stderr)
+        return 1
     except (OSError, CacheError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4

@@ -8,7 +8,9 @@ induced tree is isomorphic to D; the density of D in T divides c(D, T) by the
 number of subsets of that size, so it always lands in [0, 1].
 
 Two independent routes to c(D, T) live here. ``count_copies_brute`` walks
-every subset and is the ground truth at small sizes. ``count_copies`` runs a
+every subset and is the ground truth at small sizes; it reads each induced
+code straight off the depths at which consecutive chosen leaves meet, so it
+shares nothing with the recursion. ``count_copies`` runs a
 branch decomposition: a copy of D either sits inside a single branch of T, or
 its root is the root of T and each branch of D is induced inside a distinct
 branch of T. The cross term enumerates, per choice of |D|-many branches of T,
@@ -23,14 +25,15 @@ extremal search loops on.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
-from .trees import Tree, leaf, node
+from .trees import Tree, _code_key, leaf, node
 
 __all__ = [
     "induced_subtree",
@@ -97,6 +100,62 @@ def _check_subset_budget(n: int, k: int, max_subsets: int, force: bool) -> None:
         )
 
 
+def _adjacent_lca_depths(t: Tree) -> list[int]:
+    """Depth of LCA(leaf l, leaf l + 1) for l = 0..n-2, leaves in the
+    depth-first order of :func:`induced_subtree`."""
+    depths: list[int] = []
+    stack = [(t, 0)]
+    after_leaf = False
+    while stack:
+        u, depth = stack.pop()
+        if after_leaf:
+            # the first vertex entered after leaf l is a child of LCA(l, l + 1)
+            depths.append(depth - 1)
+            after_leaf = False
+        if u.is_leaf:
+            after_leaf = True
+        else:
+            stack.extend((c, depth + 1) for c in reversed(u.children))
+    return depths
+
+
+def _close(codes: list[str]) -> str:
+    return "(" + "".join(sorted(codes, key=_code_key)) + ")"
+
+
+def _induced_codes(t: Tree, k: int) -> Iterator[str]:
+    """Canonical code of the tree induced by each k-subset of t's leaves, in
+    ``itertools.combinations`` order, without building Tree objects.
+
+    Consecutive chosen leaves a < b meet at depth min(adj[a:b]). The induced
+    tree's internal vertices are exactly those meeting points, so a stack of
+    open vertices (depths strictly increasing) assembles it left to right.
+    """
+    adj = _adjacent_lca_depths(t)
+    for subset in combinations(range(t.leaf_count), k):
+        depths: list[int] = []
+        kids: list[list[str]] = []
+        cur = "*"
+        for a, b in zip(subset, subset[1:]):
+            h = min(adj[a:b])
+            while depths and depths[-1] > h:
+                depths.pop()
+                group = kids.pop()
+                group.append(cur)
+                cur = _close(group)
+            if depths and depths[-1] == h:
+                kids[-1].append(cur)
+            else:
+                depths.append(h)
+                kids.append([cur])
+            cur = "*"
+        while kids:
+            group = kids.pop()
+            group.append(cur)
+            cur = _close(group)
+        yield cur
+
+
 def count_copies_brute(
     d_pattern: Tree,
     t: Tree,
@@ -115,11 +174,7 @@ def count_copies_brute(
         return 0
     _check_subset_budget(n, k, max_subsets, force)
     target = d_pattern.code
-    return sum(
-        1
-        for subset in combinations(range(n), k)
-        if induced_subtree(t, subset).code == target
-    )
+    return sum(1 for code in _induced_codes(t, k) if code == target)
 
 
 def brute_copy_profile(
@@ -139,11 +194,7 @@ def brute_copy_profile(
     if k > n:
         return {}
     _check_subset_budget(n, k, max_subsets, force)
-    tally: dict[str, int] = {}
-    for subset in combinations(range(n), k):
-        code = induced_subtree(t, subset).code
-        tally[code] = tally.get(code, 0) + 1
-    return tally
+    return dict(Counter(_induced_codes(t, k)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Every error raised deliberately by this library derives from TreeDensityError,
 so callers can catch one base class. The CLI maps the subclasses onto its
-exit codes (2 for bad input, 3 for refused budgets, 4 for I/O trouble).
+exit codes (1 for a failed internal consistency check, 2 for bad input,
+3 for refused budgets, 4 for I/O trouble).
 """
 
 from __future__ import annotations
@@ -42,3 +43,11 @@ class SingularityError(TreeDensityError, ZeroDivisionError):
 
 class CacheError(TreeDensityError, RuntimeError):
     """A persisted frontier cache file could not be read back consistently."""
+
+
+class ConsistencyError(TreeDensityError, RuntimeError):
+    """Two independent computations of the same quantity disagreed.
+
+    The message names the quantity and both values. Unlike ``assert``, the
+    check survives ``python -O``.
+    """

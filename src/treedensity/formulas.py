@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import PreconditionError
+from .errors import ConsistencyError, PreconditionError
 
 __all__ = [
     "star_copies",
@@ -47,7 +47,7 @@ def _check_caterpillar_size(r: int, k: int) -> int:
 
 def _exact_int(value: Fraction, what: str) -> int:
     if value.denominator != 1:
-        raise AssertionError(f"{what} must be integral, got {value}")
+        raise ConsistencyError(f"{what} must be integral, got {value}")
     return value.numerator
 
 

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from . import frontier as frontier_mod
 from .counting import caterpillar_counts
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, ConsistencyError, PreconditionError
 from .formulas import liminf_density
 from .reporting import SearchReport
 from .trees import Tree, is_strictly_d_ary, leaf, make_even_binary, node, parse_tree
@@ -136,7 +136,11 @@ def _tree_level(n: int, d: int, strict: bool, max_trees: int) -> tuple[Tree, ...
                     built.append(node(kids))
         built.sort(key=lambda t: (len(t.code), t.code))
         level = tuple(built)
-    assert len(level) == total
+    if len(level) != total:
+        raise ConsistencyError(
+            f"{'strictly ' if strict else ''}{d}-ary trees with {n} leaves: "
+            f"enumerated {len(level)}, counted {total}"
+        )
     _level_cache[key] = level
     return level
 
@@ -180,6 +184,14 @@ class MinRecord:
     trees_scanned: int
 
 
+def _check_witness(code: str, k: int, expected: int) -> None:
+    recount = caterpillar_counts(parse_tree(code), k)[k]
+    if recount != expected:
+        raise ConsistencyError(
+            f"{k}-caterpillar count of witness {code}: reported {expected}, recounted {recount}"
+        )
+
+
 def _min_record(
     n: int, d: int, k: int, *, strict: bool, max_trees: int
 ) -> MinRecord:
@@ -202,7 +214,7 @@ def _min_record(
         )
     # Witness sanity: re-counting the reported codes must reproduce the count.
     for code in codes[:4]:
-        assert caterpillar_counts(parse_tree(code), k)[k] == best
+        _check_witness(code, k, best)
     return MinRecord(n, k, best, Fraction(best, comb(n, k)), tuple(codes), ties, scanned)
 
 
@@ -292,7 +304,7 @@ def search_min_report(
             entry = fronts.argmin_entry(n)
             c = entry.vector[-1]
             if entry.witness is not None:
-                assert caterpillar_counts(parse_tree(entry.witness), k)[k] == c
+                _check_witness(entry.witness, k, c)
             q = Fraction(c, comb(n, k))
             rows.append((n, c, q.numerator, q.denominator, entry.witness or ""))
     else:

@@ -8,11 +8,12 @@ the functional of interest is
 It is the limiting object behind caterpillar densities: the numerator tracks
 splits that pair one leaf against a (k-1)-block, the denominator renormalizes
 by everything that is not concentrated in a single coordinate. Facts this
-module lets you verify numerically: F never exceeds 1/k on the simplex, the
-supremum 1/k is approached (never attained) along boundary points
-(0, ..., 0, eps, 1 - eps) as eps shrinks, and the minimum sits at the uniform
-point with value (d - 1) / (d^(k-1) - 1). For d = 2 and k = 3 the functional
-is identically 1/3.
+module lets you verify numerically: F never exceeds 1/k on the simplex, and
+the minimum sits at the uniform point with value (d - 1) / (d^(k-1) - 1).
+For k = 3, F equals eps (1 - eps) / (3 eps (1 - eps)) = 1/3 at every boundary
+point (0, ..., 0, eps, 1 - eps), for every d, so the supremum is attained
+there; for d = 2 the functional is identically 1/3. For k >= 4 the supremum
+1/k is approached, never attained, along those points as eps shrinks.
 
 Evaluation is exact over the rationals whenever the input coordinates are
 ints or Fractions; otherwise it runs in mpmath arithmetic at the caller's
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 import mpmath
@@ -125,16 +126,24 @@ def eval_F(d: int, k: int, point):
         raise PreconditionError(f"need k >= 2, got {k!r}")
     sp = _coerce_point(d, point)
     xs = sp.coords
+    if sp.exact:
+        # Clear denominators: with L the lcm of the coordinate denominators,
+        # a_i = x_i L are integers summing to L, and since
+        # sum_{i != j} x_j x_i^(k-1) = sum_i x_i^(k-1) (1 - x_i),
+        # F = sum_i a_i^(k-1) (L - a_i) / (L^k - sum_i a_i^k).
+        scale = lcm(*(x.denominator for x in xs))
+        a = [x.numerator * (scale // x.denominator) for x in xs]
+        powers = [ai ** (k - 1) for ai in a]
+        den = scale**k - sum(p * ai for p, ai in zip(powers, a))
+        if den == 0:
+            raise SingularityError("denominator vanishes at a simplex corner")
+        return Fraction(sum(p * (scale - ai) for p, ai in zip(powers, a)), den)
     powers = [x ** (k - 1) for x in xs]
     den = 1 - sum(p * x for p, x in zip(powers, xs))
     num = 0
     for i in range(d):
         for j in range(i + 1, d):
             num += xs[i] * powers[j] + xs[j] * powers[i]
-    if sp.exact:
-        if den == 0:
-            raise SingularityError("denominator vanishes at a simplex corner")
-        return Fraction(num, den)
     if den == 0:
         raise SingularityError("denominator vanishes at a simplex corner")
     return num / den
@@ -150,9 +159,10 @@ def uniform_min_value(d: int, k: int) -> Fraction:
 def sup_boundary_scan(d: int, k: int, eps_schedule: Sequence) -> list[Fraction]:
     """Exact values of F at (0, ..., 0, eps, 1 - eps) for each eps.
 
-    Every eps must lie in (0, 1/2]. The values approach (but stay below) 1/k
-    as eps decreases; asserting that is left to the caller since this
-    function just evaluates.
+    Every eps must lie in (0, 1/2]. For k = 3 every value equals 1/3 = 1/k;
+    for k >= 4 the values increase towards (but stay below) 1/k as eps
+    decreases. Asserting either is left to the caller since this function
+    just evaluates.
     """
     values = []
     for eps in eps_schedule:

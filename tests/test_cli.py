@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import treedensity
+from treedensity import search
 from treedensity.cli import main
 
 
@@ -122,6 +124,20 @@ def test_search_min_range_jsonl(capsys):
     assert [r["min_count"] for r in rows] == [0, 2, 6, 16, 32]
 
 
+def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
+    real = search.caterpillar_counts
+    monkeypatch.setattr(
+        search, "caterpillar_counts", lambda t, k: {k: real(t, k)[k] + 1}
+    )
+    code, out, err = run_cli(
+        capsys, "search-min", "--d", "2", "--k", "4", "--n", "8", "--method", "pareto"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: consistency check failed: 4-caterpillar count of witness")
+    assert "Traceback" not in err
+
+
 def test_search_min_requires_a_range(capsys):
     code, _, err = run_cli(capsys, "search-min", "--d", "2", "--k", "4")
     assert code == 2 and "--n" in err
@@ -189,6 +205,38 @@ def test_simplex_sup_scan(capsys):
     rows = out.splitlines()[1:]
     assert rows[0].split(",")[:2] == ["1/2", "1/7"]
     assert len(rows) == 6
+    # k >= 4 keeps the strict rule: increasing and below 1/4
+    values = [Fraction(r.split(",")[1]) for r in rows]
+    assert all(a < b < Fraction(1, 4) for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_simplex_sup_k3_attains_the_bound(capsys, d):
+    code, out, err = run_cli(
+        capsys,
+        "simplex",
+        "--d", d, "--k", "3",
+        "--mode", "sup",
+        "--eps-steps", "8",
+        "--format", "csv",
+    )
+    assert code == 0, err
+    rows = [r.split(",") for r in out.splitlines()[1:]]
+    assert len(rows) == 8
+    assert all(r[1] == "1/3" and r[3] == "0" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [("sup", "--eps-steps"), ("bound-sample", "--samples"), ("muirhead", "--samples")],
+)
+def test_simplex_refuses_zero_checks(capsys, mode, flag):
+    code, out, err = run_cli(
+        capsys, "simplex", "--d", "3", "--k", "4", "--mode", mode, flag, "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be >= 1, got 0" in err
 
 
 def test_simplex_bound_sample(capsys):

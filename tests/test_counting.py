@@ -1,5 +1,6 @@
 """Copy counting: brute-force oracle, branch recursion, caterpillar vectors."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
@@ -94,12 +95,38 @@ def test_brute_budget_and_force():
     assert count_copies_brute(f23, t, max_subsets=100, force=True) > 0
 
 
+def _reference_profile(t, k):
+    """{code: copies} over every k-subset, built with induced_subtree."""
+    return Counter(
+        induced_subtree(t, s).code for s in combinations(range(t.leaf_count), k)
+    )
+
+
+def test_brute_matches_induced_subtree_reference():
+    patterns = list(enumerate_trees(6, 4))
+    hosts = list(enumerate_trees(7, 4)) + [
+        make_caterpillar(2, 12),
+        parse_tree("((**)(***)(*(**)(****)))"),
+    ]
+    for t in hosts:
+        ref = _reference_profile(t, 6)
+        for p in patterns:
+            assert count_copies_brute(p, t) == ref[p.code], (p.code, t.code)
+
+
 def test_brute_profile_sums_to_binomial():
     t = parse_tree("((**)(*(**))(**))")
     for k in range(1, 5):
         profile = brute_copy_profile(t, k)
         assert sum(profile.values()) == comb(t.leaf_count, k)
     assert brute_copy_profile(t, 9) == {}
+    for t in (make_caterpillar(2, 12), parse_tree("((**)(***)(*(**)(****)))")):
+        for k in range(1, 7):
+            profile = brute_copy_profile(t, k)
+            assert sum(profile.values()) == comb(t.leaf_count, k)
+            assert profile == _reference_profile(t, k)
+            for code, copies in profile.items():
+                assert count_copies_brute(parse_tree(code), t) == copies
     with pytest.raises(PreconditionError):
         brute_copy_profile(t, 0)
 

@@ -83,7 +83,7 @@ def test_caterpillar_copies_domain_errors():
 
 
 def test_integrality_holds_across_the_valid_range():
-    # _exact_int would raise AssertionError if any formula went non-integral
+    # _exact_int would raise ConsistencyError if any formula went non-integral
     for d in range(2, 6):
         for r in range(2, d + 1):
             for h in range(0, 7):

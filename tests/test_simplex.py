@@ -117,13 +117,55 @@ def test_eval_F_bounds_on_sampled_points():
             assert lo <= v <= hi
 
 
+def _reference_F(k, xs):
+    """F written out over the pairs, in plain Fraction arithmetic."""
+    d = len(xs)
+    num = sum(
+        xs[i] * xs[j] ** (k - 1) + xs[j] * xs[i] ** (k - 1)
+        for i in range(d)
+        for j in range(i + 1, d)
+    )
+    return num / (1 - sum(x**k for x in xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.lists(
+        st.tuples(st.integers(0, 60), st.integers(1, 60)), min_size=2, max_size=6
+    ).filter(lambda ws: any(n for n, _ in ws)),
+)
+def test_eval_F_matches_the_pairwise_formula(k, weights):
+    # each coordinate brings its own denominator; zero weights put the point
+    # on the boundary, a single nonzero weight puts it at a corner
+    qs = [Fraction(n, m) for n, m in weights]
+    xs = tuple(q / sum(qs) for q in qs)
+    if max(xs) == 1:
+        with pytest.raises(SingularityError):
+            eval_F(len(xs), k, xs)
+    else:
+        v = eval_F(len(xs), k, xs)
+        assert isinstance(v, Fraction) and v == _reference_F(k, xs)
+
+
+def test_eval_F_is_singular_at_every_corner():
+    for d in range(2, 7):
+        for k in range(2, 9):
+            for i in range(d):
+                corner = tuple(Fraction(int(j == i)) for j in range(d))
+                with pytest.raises(SingularityError):
+                    eval_F(d, k, corner)
+
+
 # ---------------------------------------------------------------------------
 # boundary supremum
 
 
 def test_sup_scan_flat_case_sits_at_the_bound():
-    vals = sup_boundary_scan(2, 3, [Fraction(1, 2), Fraction(1, 5), Fraction(1, 100)])
-    assert vals == [Fraction(1, 3)] * 3
+    # for k = 3, F is 1/3 on every edge point, whatever d is
+    for d in range(2, 7):
+        vals = sup_boundary_scan(d, 3, [Fraction(1, 2), Fraction(1, 5), Fraction(1, 100)])
+        assert vals == [Fraction(1, 3)] * 3
 
 
 def test_sup_scan_increases_toward_the_bound():
