@@ -283,6 +283,9 @@ def _require_positive(value: int, flag: str) -> None:
 def _cmd_simplex(args) -> int:
     start = time.perf_counter()
     d, k = args.d, args.k
+    if args.mode in ("sup", "bound-sample") and k < 3:
+        # F is identically 1 at k = 2, so the 1/k bounds do not apply
+        raise PreconditionError(f"--mode {args.mode} needs k >= 3, got k={k}")
     if args.mode == "sup":
         _require_positive(args.eps_steps, "--eps-steps")
     elif args.mode in ("bound-sample", "muirhead"):

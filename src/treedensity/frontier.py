@@ -1,23 +1,26 @@
-"""Pareto-frontier dynamic program for minimum caterpillar counts.
+"""Single-vector dynamic program for minimum caterpillar counts.
 
 The combiner in :func:`treedensity.counting.combine_caterpillar_counts` is
 monotone: raising any branch count c_j(T_i) can only raise the counts of the
-combined tree. So when minimizing c_k over all d-ary trees with n leaves, a
-branch whose count vector (c_3, ..., c_k) is componentwise dominated by
-another branch of the same leaf count can never help and may be discarded.
-(c_2 is C(n, 2) for every n-leaf tree, so it carries no information and is
-not stored.)
+combined tree. (c_2 is C(n, 2) for every n-leaf tree, so it is not stored.)
 
-The DP therefore keeps, per leaf count n, only the Pareto-minimal count
-vectors over all d-ary trees with n leaves, each with a provenance pointer
-for reconstructing one witness tree. Level n is built by combining frontier
-entries over every branch-size multiset of n into 2..d parts; pruning uses
-weak dominance after a lexicographic sort, which both deduplicates and keeps
-the frontier deterministic. The minimum of the last coordinate over a level
-is the exact minimum of c_k among all d-ary trees with that many leaves.
+Suppose every leaf count s < n has a count vector (c_3, ..., c_k) that is
+componentwise minimal over the d-ary trees with s leaves. An n-leaf tree
+whose root has branch sizes s_1..s_m is then, in every coordinate, at least
+the candidate combined from those sizes' minimal vectors, and each candidate
+is a real tree. So each coordinate's minimum over all n-leaf trees is its
+minimum over the candidates, one per multiset of 2..d sizes summing to n. If
+one candidate attains every coordinate minimum at once, its vector is
+componentwise minimal for n and the induction goes on. The DP checks exactly
+that at each level and raises ``ConsistencyError`` when it fails, so keeping
+one vector and one root split per level is exact, not a heuristic: the Pareto
+frontier over all d-ary trees holds one vector at every level built. The
+candidates are evaluated a column (one c_j) at a time, and the DP keeps the
+first, in generation order, that attains every column minimum.
 
-Frontiers can be persisted as JSON lines, one file per (d, k, n), which makes
-long sweeps resumable and their outputs byte-reproducible.
+Levels can be persisted as JSON lines, one file per (d, k, n) holding the
+vector and one witness tree, which makes long sweeps resumable and their
+outputs byte-reproducible.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import chain, groupby, islice
 from math import comb
+from operator import add, mul
 from pathlib import Path
 from typing import Sequence
 
 from .counting import combine_caterpillar_counts
-from .errors import BudgetError, CacheError, PreconditionError
+from .errors import BudgetError, CacheError, ConsistencyError, PreconditionError
 
 __all__ = [
     "FrontierEntry",
@@ -39,13 +43,10 @@ __all__ = [
     "ParetoDP",
     "pareto_min_counts",
     "pareto_minimal",
-    "DEFAULT_FRONTIER_CAP",
     "DEFAULT_CANDIDATE_CAP",
 ]
 
-DEFAULT_FRONTIER_CAP = 10**6
 DEFAULT_CANDIDATE_CAP = 5 * 10**6
-_WITNESS_CAP = 10_000  # above this many entries, only the argmin gets a witness string
 
 
 def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
@@ -69,79 +70,77 @@ def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
 
 @dataclass(frozen=True)
 class FrontierEntry:
-    """One Pareto-minimal count vector (c_3..c_k) with an optional witness code."""
+    """The minimal count vector (c_3..c_k) of one level, with a witness code."""
 
     n: int
     vector: tuple[int, ...]
-    witness: str | None
-
-
-class _Level:
-    __slots__ = ("vectors", "parents", "witnesses")
-
-    def __init__(self, vectors, parents=None, witnesses=None):
-        self.vectors: list[tuple[int, ...]] = vectors
-        # parents[i] is a tuple of (branch_size, branch_index) pairs, or None
-        # when the level was loaded from cache and carries witness strings.
-        self.parents = parents
-        self.witnesses = witnesses
+    witness: str
 
 
 class ParetoFrontiers:
-    """Per-leaf-count Pareto frontiers produced by :class:`ParetoDP`."""
+    """Per-leaf-count minimal count vectors produced by :class:`ParetoDP`.
+
+    Levels are stored column-wise by leaf count s (index 0 unused): ``_c2[s]``
+    is C(s, 2), ``_cols[j - 3][s]`` is c_j, and ``_split[s]`` the root branch
+    sizes of the witness (None where the code is known: s = 1 or cached).
+    """
 
     def __init__(self, k: int, d: int):
         self.k = k
         self.d = d
-        self._levels: dict[int, _Level] = {}
-        self._witness_memo: dict[tuple[int, int], str | None] = {}
+        self._c2 = [0]
+        self._cols: list[list[int]] = [[0] for _ in range(k - 2)]
+        self._split: list[tuple[int, ...] | None] = [None]
+        self._witnesses: dict[int, str] = {}
+
+    def _append(self, vector, split=None, witness=None) -> None:
+        n = len(self._c2)
+        self._c2.append(comb(n, 2))
+        for col, c in zip(self._cols, vector):
+            col.append(c)
+        self._split.append(split)
+        if witness is not None:
+            self._witnesses[n] = witness
+
+    def _counts(self, n: int) -> tuple[int, ...]:
+        """(c_2, c_3, ..., c_k) of level n."""
+        if not 1 <= n <= self.max_n():
+            raise KeyError(n)
+        return (self._c2[n], *(col[n] for col in self._cols))
+
+    def _witness(self, n: int) -> str:
+        memo = self._witnesses
+        todo: set[int] = set()
+        stack = [n]
+        while stack:
+            s = stack.pop()
+            if s not in memo and s not in todo:
+                todo.add(s)
+                stack.extend(self._split[s])
+        # every branch of a split is smaller than the level it splits
+        for s in sorted(todo):
+            parts = sorted((memo[p] for p in self._split[s]), key=lambda c: (len(c), c))
+            memo[s] = "(" + "".join(parts) + ")"
+        return memo[n]
 
     def max_n(self) -> int:
-        return max(self._levels) if self._levels else 0
+        return len(self._c2) - 1
 
     def frontier_size(self, n: int) -> int:
-        return len(self._levels[n].vectors)
+        return len(self.vectors(n))
 
     def vectors(self, n: int) -> list[tuple[int, ...]]:
-        return list(self._levels[n].vectors)
+        return [self._counts(n)[1:]]
 
     def min_count(self, n: int) -> int:
         """Exact minimum of c_k over d-ary trees with n leaves."""
-        return min(v[-1] for v in self._levels[n].vectors)
-
-    def argmin_index(self, n: int) -> int:
-        level = self._levels[n]
-        return min(range(len(level.vectors)), key=lambda i: (level.vectors[i][-1], level.vectors[i]))
-
-    def witness_code(self, n: int, i: int) -> str | None:
-        key = (n, i)
-        if key in self._witness_memo:
-            return self._witness_memo[key]
-        level = self._levels[n]
-        if level.witnesses is not None:
-            code = level.witnesses[i]
-        elif n == 1:
-            code = "*"
-        else:
-            parts = [self.witness_code(size, idx) for size, idx in level.parents[i]]
-            if any(p is None for p in parts):
-                code = None
-            else:
-                parts.sort(key=lambda c: (len(c), c))
-                code = "(" + "".join(parts) + ")"
-        self._witness_memo[key] = code
-        return code
+        return self._counts(n)[-1]
 
     def entries(self, n: int) -> list[FrontierEntry]:
-        level = self._levels[n]
-        return [
-            FrontierEntry(n, vec, self.witness_code(n, i))
-            for i, vec in enumerate(level.vectors)
-        ]
+        return [self.argmin_entry(n)]
 
     def argmin_entry(self, n: int) -> FrontierEntry:
-        i = self.argmin_index(n)
-        return FrontierEntry(n, self._levels[n].vectors[i], self.witness_code(n, i))
+        return FrontierEntry(n, self._counts(n)[1:], self._witness(n))
 
 
 def _partitions_into_parts(n: int, m: int):
@@ -160,7 +159,7 @@ def _partitions_into_parts(n: int, m: int):
 
 
 class ParetoDP:
-    """Builds caterpillar-count frontiers level by level.
+    """Builds minimal caterpillar-count vectors level by level.
 
     ``run(n_max)`` fills levels 1..n_max and may be called repeatedly with
     growing bounds; existing levels are reused. With a ``cache_dir`` the
@@ -173,10 +172,8 @@ class ParetoDP:
         k: int,
         d: int = 2,
         *,
-        frontier_cap: int = DEFAULT_FRONTIER_CAP,
         candidate_cap: int = DEFAULT_CANDIDATE_CAP,
         cache_dir: str | os.PathLike | None = None,
-        witness_cap: int = _WITNESS_CAP,
     ):
         if not isinstance(k, int) or k < 3:
             raise PreconditionError(f"caterpillar size must be an integer >= 3, got {k!r}")
@@ -184,9 +181,7 @@ class ParetoDP:
             raise PreconditionError(f"arity bound must be an integer >= 2, got {d!r}")
         self.k = k
         self.d = d
-        self.frontier_cap = frontier_cap
         self.candidate_cap = candidate_cap
-        self.witness_cap = witness_cap
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.frontiers = ParetoFrontiers(k, d)
 
@@ -196,116 +191,123 @@ class ParetoDP:
         assert self.cache_dir is not None
         return self.cache_dir / f"frontier_d{self.d}_k{self.k}_n{n}.jsonl"
 
-    def _load_level(self, n: int) -> _Level | None:
+    def _load_level(self, n: int) -> tuple[tuple[int, ...], str] | None:
         if self.cache_dir is None:
             return None
         path = self._cache_file(n)
         if not path.exists():
             return None
-        vectors: list[tuple[int, ...]] = []
-        witnesses: list[str | None] = []
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    vec = tuple(int(x) for x in obj["vector"])
-                    if obj["n"] != n or len(vec) != self.k - 2:
-                        raise CacheError(
-                            f"cache file {path} does not match (k={self.k}, n={n})"
-                        )
-                    vectors.append(vec)
-                    witnesses.append(obj.get("witness"))
+                objs = [json.loads(line) for line in fh if line.strip()]
+            if len(objs) != 1:
+                raise CacheError(f"frontier cache file {path} holds {len(objs)} entries, not 1")
+            obj = objs[0]
+            vec = tuple(int(x) for x in obj["vector"])
+            witness = obj.get("witness")
+            if obj["n"] != n or len(vec) != self.k - 2:
+                raise CacheError(f"cache file {path} does not match (k={self.k}, n={n})")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise CacheError(f"corrupt frontier cache file {path}: {err}") from err
-        if not vectors:
-            raise CacheError(f"frontier cache file {path} holds no entries")
-        return _Level(vectors, witnesses=witnesses)
+        if not isinstance(witness, str) or witness.count("*") != n:
+            raise CacheError(
+                f"cache file {path} holds witness {witness!r}, not a code with {n} leaves"
+            )
+        return vec, witness
 
     def _store_level(self, n: int) -> None:
         if self.cache_dir is None:
             return
-        level = self.frontiers._levels[n]
-        argmin = self.frontiers.argmin_index(n)
-        include_all = len(level.vectors) <= self.witness_cap
-        lines = []
-        for i, vec in enumerate(level.vectors):
-            witness = (
-                self.frontiers.witness_code(n, i) if include_all or i == argmin else None
-            )
-            lines.append(
-                json.dumps(
-                    {"n": n, "vector": list(vec), "witness": witness},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
+        entry = self.frontiers.argmin_entry(n)
+        line = json.dumps(
+            {"n": n, "vector": list(entry.vector), "witness": entry.witness},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_file(n)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+            fh.write(line + "\n")
         os.replace(tmp, path)
 
     # -- the DP proper ------------------------------------------------------
 
-    def _candidates(self, n: int):
-        levels = self.frontiers._levels
-        vectors: list[tuple[int, ...]] = []
-        parents: list[tuple[tuple[int, int], ...]] = []
-        for m in range(2, min(self.d, n) + 1):
-            for sizes in _partitions_into_parts(n, m):
-                # Group equal branch sizes so unordered branch multisets are
-                # enumerated once each (the combiner is symmetric).
-                groups: list[tuple[int, int]] = []
-                for s in sizes:
-                    if groups and groups[-1][0] == s:
-                        groups[-1] = (s, groups[-1][1] + 1)
-                    else:
-                        groups.append((s, 1))
-                index_pools = [
-                    combinations_with_replacement(range(len(levels[s].vectors)), cnt)
-                    for s, cnt in groups
-                ]
-                for pick in product(*index_pools):
-                    parts = []
-                    parent = []
-                    for (s, _), idxs in zip(groups, pick):
-                        for idx in idxs:
-                            vec = levels[s].vectors[idx]
-                            parts.append((s, (comb(s, 2),) + vec))
-                            parent.append((s, idx))
-                    combined = combine_caterpillar_counts(parts, self.k)
-                    vectors.append(combined[1:])
-                    parents.append(tuple(parent))
-                    if len(vectors) > self.candidate_cap:
-                        raise BudgetError(
-                            f"level n={n} produced more than {self.candidate_cap} "
-                            f"candidate vectors; raise candidate_cap to continue"
-                        )
-        return vectors, parents
+    def _columns(self, n: int):
+        """Candidate columns of level n, and its splits into 3..d parts.
+
+        Column j - 3 holds c_j of every candidate in generation order: the
+        binary splits (a, n - a), a = 1..n//2, then the m-part partitions of
+        n, m = 3..d, in ``_partitions_into_parts`` order.
+        """
+        h = n // 2
+        room = max(0, self.candidate_cap + 1 - h)
+        parts = (_partitions_into_parts(n, m) for m in range(3, min(self.d, n) + 1))
+        multi = list(islice(chain.from_iterable(parts), room))
+        if h + len(multi) > self.candidate_cap:
+            raise BudgetError(
+                f"level n={n} produced more than {self.candidate_cap} "
+                f"candidate vectors; raise candidate_cap to continue"
+            )
+        fronts = self.frontiers
+        weights = range(n, 0, -1)  # n - s for s = 0..n-1
+        # terms[j - 3][s] = c_j(s) + (n - s) c_{j-1}(s): branch s's share of c_j
+        terms = []
+        below = fronts._c2
+        for col in fronts._cols:
+            terms.append(list(map(add, col[:n], map(mul, weights, below[:n]))))
+            below = col
+        columns = [list(map(add, f[1 : h + 1], reversed(f[n - h :]))) for f in terms]
+        for _, group in groupby(multi, len):
+            picks = list(zip(*group))  # picks[i][p]: size of branch i in partition p
+            for column, f in zip(columns, terms):
+                acc = map(f.__getitem__, picks[0])
+                for sizes in picks[1:]:
+                    acc = map(add, acc, map(f.__getitem__, sizes))
+                column.extend(acc)
+        return columns, multi
+
+    def _select(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Level n's minimal vector and the root split of its first candidate."""
+        columns, multi = self._columns(n)
+        mins = tuple(map(min, columns))
+        i = -1
+        while True:
+            try:
+                i = columns[-1].index(mins[-1], i + 1)
+            except ValueError:
+                vectors = list(zip(*columns))
+                a, b = pareto_minimal(vectors)[:2]
+                raise ConsistencyError(
+                    f"no candidate at d={self.d}, k={self.k}, n={n} attains every "
+                    f"coordinate minimum; {vectors[a]} and {vectors[b]} are incomparable"
+                ) from None
+            if all(col[i] == m for col, m in zip(columns, mins)):
+                break
+        h = n // 2
+        split = (i + 1, n - i - 1) if i < h else multi[i - h]
+        parts = [(s, self.frontiers._counts(s)) for s in split]
+        recount = combine_caterpillar_counts(parts, self.k)[1:]
+        if recount != mins:
+            raise ConsistencyError(
+                f"counts of split {split} at d={self.d}, k={self.k}, n={n}: "
+                f"columns give {mins}, recombined {recount}"
+            )
+        return mins, split
 
     def _build_level(self, n: int) -> None:
-        levels = self.frontiers._levels
-        if n in levels:
+        fronts = self.frontiers
+        if n <= fronts.max_n():
             return
         loaded = self._load_level(n)
         if loaded is not None:
-            levels[n] = loaded
+            vector, witness = loaded
+            fronts._append(vector, witness=witness)
             return
         if n == 1:
-            levels[n] = _Level([(0,) * (self.k - 2)], witnesses=["*"])
+            fronts._append((0,) * (self.k - 2), witness="*")
         else:
-            vectors, parents = self._candidates(n)
-            keep = pareto_minimal(vectors)
-            if len(keep) > self.frontier_cap:
-                raise BudgetError(
-                    f"frontier at n={n} holds {len(keep)} entries, above the cap "
-                    f"of {self.frontier_cap}; raise frontier_cap to continue"
-                )
-            levels[n] = _Level([vectors[i] for i in keep], parents=[parents[i] for i in keep])
+            fronts._append(*self._select(n))
         self._store_level(n)
 
     def run(self, n_max: int) -> ParetoFrontiers:
@@ -322,14 +324,14 @@ def pareto_min_counts(
     d: int = 2,
     *,
     allow_general_d: bool = False,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
     cache_dir: str | os.PathLike | None = None,
 ) -> ParetoFrontiers:
-    """Frontiers (and thus exact minimum c_k) for every leaf count up to n_max.
+    """Minimal count vectors (and thus exact minimum c_k) for every leaf count
+    up to n_max.
 
     The binary case is the supported default. Hosts with d > 2 use the same
-    DP over branch-size compositions but have seen far less use; opt in with
+    DP over branch-size partitions but have seen far less use; opt in with
     ``allow_general_d=True``.
     """
     if d > 2 and not allow_general_d:
@@ -337,11 +339,5 @@ def pareto_min_counts(
             f"the frontier DP defaults to binary hosts; pass allow_general_d=True "
             f"to run with d={d}"
         )
-    dp = ParetoDP(
-        k,
-        d,
-        frontier_cap=frontier_cap,
-        candidate_cap=candidate_cap,
-        cache_dir=cache_dir,
-    )
+    dp = ParetoDP(k, d, candidate_cap=candidate_cap, cache_dir=cache_dir)
     return dp.run(n_max)

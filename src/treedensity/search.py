@@ -303,10 +303,9 @@ def search_min_report(
         for n in range(n_min, n_max + 1):
             entry = fronts.argmin_entry(n)
             c = entry.vector[-1]
-            if entry.witness is not None:
-                _check_witness(entry.witness, k, c)
+            _check_witness(entry.witness, k, c)
             q = Fraction(c, comb(n, k))
-            rows.append((n, c, q.numerator, q.denominator, entry.witness or ""))
+            rows.append((n, c, q.numerator, q.denominator, entry.witness))
     else:
         for n in range(n_min, n_max + 1):
             if strict and (n - 1) % (d - 1) != 0:

@@ -239,6 +239,14 @@ def test_simplex_refuses_zero_checks(capsys, mode, flag):
     assert f"{flag} must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("mode", ["sup", "bound-sample"])
+def test_simplex_bounds_refuse_k2(capsys, mode):
+    code, out, err = run_cli(capsys, "simplex", "--d", "3", "--k", "2", "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert "k >= 3, got k=2" in err
+
+
 def test_simplex_bound_sample(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from treedensity import (
     BudgetError,
     CacheError,
+    ConsistencyError,
+    FrontierEntry,
     ParetoDP,
     PreconditionError,
     caterpillar_counts,
@@ -15,6 +17,8 @@ from treedensity import (
     pareto_min_counts,
     parse_tree,
 )
+from treedensity import frontier
+from treedensity.cli import main as cli_main
 from treedensity.frontier import _partitions_into_parts, pareto_minimal
 
 
@@ -132,9 +136,122 @@ def test_dp_budget_refusals():
     with pytest.raises(BudgetError) as exc:
         ParetoDP(5, 2, candidate_cap=3).run(8)
     assert "candidate" in str(exc.value)
-    with pytest.raises(BudgetError) as exc:
-        ParetoDP(5, 2, frontier_cap=0).run(4)
-    assert "frontier" in str(exc.value)
+
+
+# Vectors and witnesses produced by the general Pareto-frontier DP, which kept
+# candidate lists pruned by ``pareto_minimal`` at every level.
+GOLDEN = {
+    (2, 5): [
+        ((0, 0, 0), "*"),
+        ((0, 0, 0), "(**)"),
+        ((1, 0, 0), "(*(**))"),
+        ((4, 0, 0), "((**)(**))"),
+        ((10, 2, 0), "((**)(*(**)))"),
+        ((20, 6, 0), "((*(**))(*(**)))"),
+        ((35, 16, 0), "((*(**))((**)(**)))"),
+        ((56, 32, 0), "(((**)(**))((**)(**)))"),
+        ((84, 62, 8), "(((**)(**))((**)(*(**))))"),
+        ((120, 104, 20), "(((**)(*(**)))((**)(*(**))))"),
+        ((165, 168, 42), "(((**)(*(**)))((*(**))(*(**))))"),
+        ((220, 252, 72), "(((*(**))(*(**)))((*(**))(*(**))))"),
+        ((286, 372, 138), "(((*(**))(*(**)))((*(**))((**)(**))))"),
+        ((364, 522, 224), "(((*(**))((**)(**)))((*(**))((**)(**))))"),
+        ((455, 720, 352), "(((*(**))((**)(**)))(((**)(**))((**)(**))))"),
+        ((560, 960, 512), "((((**)(**))((**)(**)))(((**)(**))((**)(**))))"),
+        ((680, 1270, 792), "((((**)(**))((**)(**)))(((**)(**))((**)(*(**)))))"),
+        ((816, 1636, 1132), "((((**)(**))((**)(*(**))))(((**)(**))((**)(*(**)))))"),
+        ((969, 2086, 1584), "((((**)(**))((**)(*(**))))(((**)(*(**)))((**)(*(**)))))"),
+        ((1140, 2608, 2120), "((((**)(*(**)))((**)(*(**))))(((**)(*(**)))((**)(*(**)))))"),
+        ((1330, 3242, 2886), "((((**)(*(**)))((**)(*(**))))(((**)(*(**)))((*(**))(*(**)))))"),
+        ((1540, 3966, 3780), "((((**)(*(**)))((*(**))(*(**))))(((**)(*(**)))((*(**))(*(**)))))"),
+        ((1771, 4820, 4902), "((((**)(*(**)))((*(**))(*(**))))(((*(**))(*(**)))((*(**))(*(**)))))"),
+        ((2024, 5784, 6192), "((((*(**))(*(**)))((*(**))(*(**))))(((*(**))(*(**)))((*(**))(*(**)))))"),
+    ],
+    (3, 4): [
+        ((0, 0), "*"),
+        ((0, 0), "(**)"),
+        ((0, 0), "(***)"),
+        ((2, 0), "(**(**))"),
+        ((6, 0), "(**(***))"),
+        ((12, 0), "((**)(**)(**))"),
+        ((22, 0), "((**)(**)(***))"),
+        ((36, 0), "((**)(***)(***))"),
+        ((54, 0), "((***)(***)(***))"),
+        ((80, 12), "((***)(***)(**(**)))"),
+        ((112, 28), "((***)(**(**))(**(**)))"),
+        ((150, 48), "((**(**))(**(**))(**(**)))"),
+        ((198, 84), "((**(**))(**(**))(**(***)))"),
+        ((254, 128), "((**(**))(**(***))(**(***)))"),
+        ((318, 180), "((**(***))(**(***))(**(***)))"),
+        ((394, 252), "((**(***))(**(***))((**)(**)(**)))"),
+    ],
+    (4, 4): [
+        ((0, 0), "*"),
+        ((0, 0), "(**)"),
+        ((0, 0), "(***)"),
+        ((0, 0), "(****)"),
+        ((3, 0), "(***(**))"),
+        ((8, 0), "(**(**)(**))"),
+        ((15, 0), "(*(**)(**)(**))"),
+        ((24, 0), "((**)(**)(**)(**))"),
+        ((39, 0), "((**)(**)(**)(***))"),
+        ((58, 0), "((**)(**)(***)(***))"),
+        ((81, 0), "((**)(***)(***)(***))"),
+        ((108, 0), "((***)(***)(***)(***))"),
+        ((144, 0), "((***)(***)(***)(****))"),
+        ((186, 0), "((***)(***)(****)(****))"),
+    ],
+}
+
+
+@pytest.mark.parametrize("d, k", sorted(GOLDEN))
+def test_dp_matches_recorded_frontier_dp(d, k):
+    expected = GOLDEN[(d, k)]
+    fronts = pareto_min_counts(len(expected), k, d, allow_general_d=True)
+    for n, (vector, witness) in enumerate(expected, start=1):
+        assert fronts.argmin_entry(n) == FrontierEntry(n, vector, witness), n
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 12), (3, 10), (4, 10), (5, 10)])
+def test_dp_vectors_are_exhaustive_componentwise_minima(d, n_max):
+    for k in range(3, 7):
+        fronts = pareto_min_counts(n_max, k, d, allow_general_d=True)
+        for n in range(1, n_max + 1):
+            attained = [caterpillar_counts(t, k).counts[1:] for t in enumerate_trees(n, d)]
+            minima = tuple(map(min, zip(*attained)))
+            assert fronts.vectors(n) == [minima], (k, n)
+            assert fronts.min_count(n) == minima[-1]
+            witness = parse_tree(fronts.argmin_entry(n).witness)
+            assert witness.code == fronts.argmin_entry(n).witness
+            assert caterpillar_counts(witness, k).counts[1:] == minima
+
+
+def test_incomparable_candidates_are_a_consistency_error(monkeypatch):
+    dp = ParetoDP(4, 3)
+    dp.run(5)
+    # two candidates, (1, 2) and (2, 1), neither of which attains both minima
+    monkeypatch.setattr(dp, "_columns", lambda n: ([[1, 2], [2, 1]], []))
+    with pytest.raises(ConsistencyError) as exc:
+        dp.run(6)
+    message = str(exc.value)
+    assert "d=3, k=4, n=6" in message
+    assert "(1, 2)" in message and "(2, 1)" in message
+    assert dp.frontiers.max_n() == 5
+
+
+def test_recombine_mismatch_is_a_consistency_error(monkeypatch, capsys):
+    real = frontier.combine_caterpillar_counts
+
+    def off_by_one(parts, k):
+        counts = real(parts, k)
+        return counts[:-1] + (counts[-1] + 1,)
+
+    monkeypatch.setattr(frontier, "combine_caterpillar_counts", off_by_one)
+    with pytest.raises(ConsistencyError) as exc:
+        ParetoDP(4, 2).run(6)
+    assert "n=2" in str(exc.value)
+    assert cli_main(["conjecture", "--k", "4", "--n-max", "6"]) == 1
+    assert "consistency check failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +315,28 @@ def test_cache_corruption_is_reported(tmp_path):
     target.write_text("")
     with pytest.raises(CacheError):
         ParetoDP(4, 2, cache_dir=tmp_path).run(5)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # more than one entry
+        ['{"n":5,"vector":[10,2],"witness":"((**)(*(**)))"}'] * 2,
+        # witness not a string
+        ['{"n":5,"vector":[10,2],"witness":null}'],
+        ['{"n":5,"vector":[10,2],"witness":5}'],
+        # witness with the wrong leaf count
+        ['{"n":5,"vector":[10,2],"witness":"(*(**))"}'],
+    ],
+)
+def test_cache_file_must_hold_one_entry_with_a_witness(tmp_path, lines):
+    ParetoDP(4, 2, cache_dir=tmp_path).run(5)
+    target = tmp_path / "frontier_d2_k4_n5.jsonl"
+    assert target.read_text() == '{"n":5,"vector":[10,2],"witness":"((**)(*(**)))"}\n'
+    target.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(CacheError) as exc:
+        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
+    assert str(target) in str(exc.value)
 
 
 def test_frontier_sizes_stay_small_for_binary():
