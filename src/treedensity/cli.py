@@ -96,7 +96,8 @@ def _build_tree(args, role: str) -> Tree:
         r, k = _int_pair(spec, f"--{role}-caterpillar")
         return make_caterpillar(r, k)
     n = getattr(args, f"{key}_even")
-    assert n is not None
+    if n is None:
+        raise PreconditionError(f"no {role} tree given")
     return make_even_binary(n)
 
 

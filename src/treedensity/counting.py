@@ -19,7 +19,9 @@ the distinct ways to assign D's branch isomorphism classes to them
 
 ``caterpillar_counts`` specializes the recursion to binary caterpillar
 patterns of every size up to k in one bottom-up pass, which is what the
-extremal search loops on.
+extremal search loops on. ``caterpillar_counts_of_code`` runs the same
+combine straight off a bracket code, without building Tree objects, which is
+how reported witnesses are recounted.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, compress, count
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from operator import not_
+from typing import Iterable, Iterator, NoReturn, Sequence
 
-from .errors import BudgetError, PreconditionError
-from .trees import Tree, _code_key, leaf, node
+from .errors import BudgetError, ConsistencyError, PreconditionError
+from .trees import Tree, _code_key, leaf, node, parse_tree
 
 __all__ = [
     "induced_subtree",
@@ -47,6 +50,7 @@ __all__ = [
     "CountVector",
     "caterpillar_counts",
     "combine_caterpillar_counts",
+    "caterpillar_counts_of_code",
     "DEFAULT_SUBSET_CAP",
 ]
 
@@ -87,7 +91,8 @@ def induced_subtree(t: Tree, leaves: Iterable[int]) -> Tree:
         return node(kids)
 
     result = go(t, 0)
-    assert result is not None
+    if result is None:
+        raise ConsistencyError(f"{len(sel)} leaves of a {t.leaf_count}-leaf tree induced no tree")
     return result
 
 
@@ -405,3 +410,65 @@ def caterpillar_counts(t: Tree, k: int) -> CountVector:
                 parts = [(c.leaf_count, _cat_cache[(c.code, k)]) for c in u.children]
                 _cat_cache[ukey] = combine_caterpillar_counts(parts, k)
     return CountVector(t.leaf_count, k, _cat_cache[key])
+
+
+_DEPTH_STEP = {"(": 1, "*": 0, ")": -1}
+
+
+def _malformed(code: str) -> NoReturn:
+    parse_tree(code)  # raises ParseError naming the offset of the first fault
+    raise ConsistencyError(f"parse_tree accepts {code!r}, which the code reader refused")
+
+
+def caterpillar_counts_of_code(
+    code: str, k: int, memo: dict[str, tuple[int, int, tuple[int, ...]]]
+) -> tuple[int, int, tuple[int, ...]]:
+    """(leaf count, largest outdegree, (c_2, ..., c_k)) of the tree a bracket
+    code describes, read off its characters without building Tree objects.
+
+    Children may appear in any order. Each vertex is split where the depth
+    inside it returns to 0, and its children's vectors are joined by
+    :func:`combine_caterpillar_counts`; an explicit stack replaces recursion,
+    so the depth of the tree is unbounded. ``memo`` maps exact code strings
+    (as written, not canonicalized) to results for this k; the caller owns it
+    and must not share one between values of k. Only well-formed codes enter
+    it. Malformed text raises ParseError or StructureError with the offset
+    :func:`parse_tree` reports.
+    """
+    if k < 2:
+        raise PreconditionError(f"need k >= 2, got {k}")
+    memo.setdefault("*", (1, 0, (0,) * (k - 1)))
+    pending: dict[str, list[str]] = {}
+    stack = [code]
+    while stack:
+        sub = stack.pop()
+        if sub in memo or sub in pending:
+            continue
+        if not (sub.startswith("(") and sub.endswith(")")):
+            _malformed(code)
+        # Children end where the depth inside sub returns to 0. The piece
+        # between two such points is "*" or a bracketed group, unless the
+        # depth dipped below 0: then the piece starts with ")" and fails the
+        # check above when it comes off the stack.
+        inside = sub[1:-1]
+        ends = compress(count(1), map(not_, accumulate(map(_DEPTH_STEP.__getitem__, inside))))
+        try:
+            cuts = [next(ends, 0)]
+            # a known code after the first child is the only other child
+            cuts.extend([len(inside)] if inside[cuts[0] :] in memo else ends)
+        except KeyError:
+            _malformed(code)
+        if len(cuts) < 2 or cuts[-1] != len(inside):
+            _malformed(code)
+        kids = [inside[a:b] for a, b in zip([0] + cuts, cuts)]
+        pending[sub] = kids
+        stack.extend(kids)
+    # a vertex's code is longer than each of its children's
+    for sub in sorted(pending, key=len):
+        parts = [memo[c] for c in pending[sub]]
+        memo[sub] = (
+            sum(p[0] for p in parts),
+            max(len(parts), *(p[1] for p in parts)),
+            combine_caterpillar_counts([(p[0], p[2]) for p in parts], k),
+        )
+    return memo[code]

@@ -20,7 +20,8 @@ first, in generation order, that attains every column minimum.
 
 Levels can be persisted as JSON lines, one file per (d, k, n) holding the
 vector and one witness tree, which makes long sweeps resumable and their
-outputs byte-reproducible.
+outputs byte-reproducible. A loaded level is trusted only after its witness
+is recounted from its characters and matches the stored vector.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from operator import add, mul
 from pathlib import Path
 from typing import Sequence
 
-from .counting import combine_caterpillar_counts
-from .errors import BudgetError, CacheError, ConsistencyError, PreconditionError
+from .counting import caterpillar_counts_of_code, combine_caterpillar_counts
+from .errors import BudgetError, CacheError, ConsistencyError, ParseError, PreconditionError
 
 __all__ = [
     "FrontierEntry",
@@ -188,10 +189,17 @@ class ParetoDP:
     # -- cache helpers -----------------------------------------------------
 
     def _cache_file(self, n: int) -> Path:
-        assert self.cache_dir is not None
+        if self.cache_dir is None:
+            raise PreconditionError("this DP has no cache directory")
         return self.cache_dir / f"frontier_d{self.d}_k{self.k}_n{n}.jsonl"
 
-    def _load_level(self, n: int) -> tuple[tuple[int, ...], str] | None:
+    def _load_level(self, n: int, memo: dict) -> tuple[tuple[int, ...], str] | None:
+        """Level n from its cache file, or None if there is none.
+
+        The witness is recounted with :func:`caterpillar_counts_of_code`
+        (sharing ``memo``), and any disagreement with n, d or the stored
+        vector raises CacheError naming the file.
+        """
         if self.cache_dir is None:
             return None
         path = self._cache_file(n)
@@ -209,9 +217,20 @@ class ParetoDP:
                 raise CacheError(f"cache file {path} does not match (k={self.k}, n={n})")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise CacheError(f"corrupt frontier cache file {path}: {err}") from err
-        if not isinstance(witness, str) or witness.count("*") != n:
+        if not isinstance(witness, str):
+            raise CacheError(f"cache file {path} holds witness {witness!r}, not a code")
+        try:
+            leaves, outdegree, counts = caterpillar_counts_of_code(witness, self.k, memo)
+        except ParseError as err:
+            raise CacheError(f"cache file {path} holds a malformed witness: {err}") from None
+        if leaves != n or outdegree > self.d:
             raise CacheError(
-                f"cache file {path} holds witness {witness!r}, not a code with {n} leaves"
+                f"cache file {path} holds witness {witness!r} with {leaves} leaves and "
+                f"outdegree {outdegree}, not a {self.d}-ary tree with {n} leaves"
+            )
+        if counts[1:] != vec:
+            raise CacheError(
+                f"cache file {path} stores vector {vec}, but its witness recounts to {counts[1:]}"
             )
         return vec, witness
 
@@ -295,11 +314,11 @@ class ParetoDP:
             )
         return mins, split
 
-    def _build_level(self, n: int) -> None:
+    def _build_level(self, n: int, memo: dict) -> None:
         fronts = self.frontiers
         if n <= fronts.max_n():
             return
-        loaded = self._load_level(n)
+        loaded = self._load_level(n, memo)
         if loaded is not None:
             vector, witness = loaded
             fronts._append(vector, witness=witness)
@@ -313,8 +332,9 @@ class ParetoDP:
     def run(self, n_max: int) -> ParetoFrontiers:
         if not isinstance(n_max, int) or n_max < 1:
             raise PreconditionError(f"n_max must be an integer >= 1, got {n_max!r}")
+        memo: dict = {}  # witness recounts of the cached levels share subtrees
         for n in range(1, n_max + 1):
-            self._build_level(n)
+            self._build_level(n, memo)
         return self.frontiers
 
 

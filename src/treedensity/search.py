@@ -24,11 +24,11 @@ from math import comb
 from typing import Iterator
 
 from . import frontier as frontier_mod
-from .counting import caterpillar_counts
-from .errors import BudgetError, ConsistencyError, PreconditionError
+from .counting import caterpillar_counts, caterpillar_counts_of_code, combine_caterpillar_counts
+from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError
 from .formulas import liminf_density
 from .reporting import SearchReport
-from .trees import Tree, is_strictly_d_ary, leaf, make_even_binary, node, parse_tree
+from .trees import Tree, leaf, node
 
 __all__ = [
     "count_trees",
@@ -184,12 +184,21 @@ class MinRecord:
     trees_scanned: int
 
 
-def _check_witness(code: str, k: int, expected: int) -> None:
-    recount = caterpillar_counts(parse_tree(code), k)[k]
-    if recount != expected:
-        raise ConsistencyError(
-            f"{k}-caterpillar count of witness {code}: reported {expected}, recounted {recount}"
-        )
+def _check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict) -> None:
+    """Recount a reported witness from its own characters: it must have n
+    leaves, no outdegree above d, and ``expected`` k-caterpillar copies.
+    ``memo`` is passed to :func:`caterpillar_counts_of_code`."""
+    what = f"{k}-caterpillar count of witness {code}"
+    try:
+        leaves, outdegree, counts = caterpillar_counts_of_code(code, k, memo)
+    except ParseError as err:
+        raise ConsistencyError(f"{what}: malformed code, {err}") from None
+    if leaves != n:
+        raise ConsistencyError(f"{what}: the witness has {leaves} leaves, not {n}")
+    if outdegree > d:
+        raise ConsistencyError(f"{what}: the witness has outdegree {outdegree} > d = {d}")
+    if counts[-1] != expected:
+        raise ConsistencyError(f"{what}: reported {expected}, recounted {counts[-1]}")
 
 
 def _min_record(
@@ -213,8 +222,9 @@ def _min_record(
             f"no {'strictly ' if strict else ''}{d}-ary tree with {n} leaves exists"
         )
     # Witness sanity: re-counting the reported codes must reproduce the count.
+    memo: dict = {}
     for code in codes[:4]:
-        _check_witness(code, k, best)
+        _check_witness(code, n, d, k, best, memo)
     return MinRecord(n, k, best, Fraction(best, comb(n, k)), tuple(codes), ties, scanned)
 
 
@@ -300,10 +310,11 @@ def search_min_report(
         fronts = frontier_mod.pareto_min_counts(
             n_max, k, d, allow_general_d=allow_general_d, cache_dir=cache_dir
         )
+        memo: dict = {}  # rows share the recounts of identical subtree codes
         for n in range(n_min, n_max + 1):
             entry = fronts.argmin_entry(n)
             c = entry.vector[-1]
-            _check_witness(entry.witness, k, c)
+            _check_witness(entry.witness, n, d, k, c, memo)
             q = Fraction(c, comb(n, k))
             rows.append((n, c, q.numerator, q.denominator, entry.witness))
     else:
@@ -323,6 +334,17 @@ def search_min_report(
     )
 
 
+def _even_split_counts(k: int, n_max: int) -> list[tuple[int, ...]]:
+    """(c_2, ..., c_k) of the even-split binary tree (``make_even_binary``)
+    for every n = 1..n_max, at index n, by its leaf-count recurrence
+    E(n) = combine(E(ceil(n/2)), E(floor(n/2)))."""
+    even = [(), (0,) * (k - 1)]
+    for n in range(2, n_max + 1):
+        a, b = (n + 1) // 2, n // 2
+        even.append(combine_caterpillar_counts([(a, even[a]), (b, even[b])], k))
+    return even
+
+
 def verify_even_conjecture(
     k: int, n_max: int, *, cache_dir=None
 ) -> SearchReport:
@@ -330,8 +352,8 @@ def verify_even_conjecture(
     the exact minimum k-caterpillar count among binary trees with n leaves.
 
     The minimum comes from the Pareto frontier DP; the even tree's count is
-    computed independently by the branch recursion. The report's verdict is
-    true only if they agree at every n.
+    computed independently by :func:`_even_split_counts`. The report's
+    verdict is true only if they agree at every n.
     """
     if not isinstance(k, int) or k < 3:
         raise PreconditionError(f"caterpillar size must be an integer >= 3, got {k!r}")
@@ -339,11 +361,12 @@ def verify_even_conjecture(
         raise PreconditionError(f"need n_max >= k, got {n_max!r}")
     start = time.perf_counter()
     fronts = frontier_mod.pareto_min_counts(n_max, k, 2, cache_dir=cache_dir)
+    even = _even_split_counts(k, n_max)
     rows = []
     all_ok = True
     for n in range(k, n_max + 1):
         dp_min = fronts.min_count(n)
-        even_count = caterpillar_counts(make_even_binary(n), k)[k]
+        even_count = even[n][-1]
         ok = dp_min == even_count
         all_ok = all_ok and ok
         rows.append((n, dp_min, even_count, ok))

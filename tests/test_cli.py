@@ -125,10 +125,13 @@ def test_search_min_range_jsonl(capsys):
 
 
 def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
-    real = search.caterpillar_counts
-    monkeypatch.setattr(
-        search, "caterpillar_counts", lambda t, k: {k: real(t, k)[k] + 1}
-    )
+    real = search.caterpillar_counts_of_code
+
+    def one_too_many(code, k, memo):
+        leaves, outdegree, counts = real(code, k, memo)
+        return leaves, outdegree, counts[:-1] + (counts[-1] + 1,)
+
+    monkeypatch.setattr(search, "caterpillar_counts_of_code", one_too_many)
     code, out, err = run_cli(
         capsys, "search-min", "--d", "2", "--k", "4", "--n", "8", "--method", "pareto"
     )

@@ -12,6 +12,7 @@ from treedensity import (
     BudgetError,
     CopyEngine,
     CountVector,
+    ParseError,
     PreconditionError,
     brute_copy_profile,
     caterpillar_counts,
@@ -26,7 +27,7 @@ from treedensity import (
     make_even_binary,
     parse_tree,
 )
-from treedensity.counting import branch_pattern
+from treedensity.counting import branch_pattern, caterpillar_counts_of_code
 from treedensity.search import enumerate_trees
 
 
@@ -297,3 +298,64 @@ def test_combine_agrees_with_direct_computation():
             (c.leaf_count, caterpillar_counts(c, k).counts) for c in t.children
         ]
         assert combine_caterpillar_counts(parts, k) == caterpillar_counts(t, k).counts
+
+
+# ---------------------------------------------------------------------------
+# reading counts straight off bracket codes
+
+
+def _random_code(rnd, n, d):
+    """A random tree with n leaves and outdegrees 2..d, children in random
+    order."""
+    if n == 1:
+        return "*"
+    m = rnd.randint(2, min(d, n))
+    cuts = sorted(rnd.sample(range(1, n), m - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return "(" + "".join(_random_code(rnd, s, d) for s in sizes) + ")"
+
+
+_CODE_MEMOS: dict = {}  # one memo per k, shared across draws
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2, max_value=7),
+)
+def test_counts_of_code_match_the_tree(rnd, d, n, k):
+    code = _random_code(rnd, n, d)
+    t = parse_tree(code)
+    leaves, outdegree, counts = caterpillar_counts_of_code(
+        code, k, _CODE_MEMOS.setdefault(k, {})
+    )
+    assert leaves == t.leaf_count == n
+    assert outdegree == max(u.outdegree for u in t.subtrees())
+    assert counts == caterpillar_counts(t, k).counts
+
+
+def test_counts_of_code_have_no_depth_limit():
+    t = make_caterpillar(2, 1500)
+    assert caterpillar_counts_of_code(t.code, 5, {}) == (
+        1500, 2, caterpillar_counts(t, 5).counts
+    )
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["", "*)", "**", "(*", "(()", "()", "(*)", "(**)*", "(**))", "(*x*)", "((**)(*)*)",
+     "((**)(**)", "(*)(**)", ")(**)("],
+)
+def test_counts_of_malformed_code_name_the_offset(code):
+    with pytest.raises(ParseError) as expected:
+        parse_tree(code)
+    memo = {}
+    with pytest.raises(ParseError) as exc:
+        caterpillar_counts_of_code(code, 4, memo)
+    assert type(exc.value) is type(expected.value)
+    assert exc.value.offset == expected.value.offset
+    assert str(exc.value) == str(expected.value)
+    # nothing from a malformed code enters the memo
+    assert set(memo) == {"*"}

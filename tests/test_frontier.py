@@ -327,9 +327,15 @@ def test_cache_corruption_is_reported(tmp_path):
         ['{"n":5,"vector":[10,2],"witness":5}'],
         # witness with the wrong leaf count
         ['{"n":5,"vector":[10,2],"witness":"(*(**))"}'],
+        # a vector the witness does not recount to
+        ['{"n":5,"vector":[10,3],"witness":"((**)(*(**)))"}'],
+        # a ternary witness at d = 2, stored with its own counts
+        ['{"n":5,"vector":[9,0],"witness":"((***)(**))"}'],
+        # a malformed witness with 5 leaves
+        ['{"n":5,"vector":[10,2],"witness":"((**)(*(**))"}'],
     ],
 )
-def test_cache_file_must_hold_one_entry_with_a_witness(tmp_path, lines):
+def test_cache_file_must_hold_one_entry_with_a_witness(tmp_path, lines, capsys):
     ParetoDP(4, 2, cache_dir=tmp_path).run(5)
     target = tmp_path / "frontier_d2_k4_n5.jsonl"
     assert target.read_text() == '{"n":5,"vector":[10,2],"witness":"((**)(*(**)))"}\n'
@@ -337,6 +343,9 @@ def test_cache_file_must_hold_one_entry_with_a_witness(tmp_path, lines):
     with pytest.raises(CacheError) as exc:
         ParetoDP(4, 2, cache_dir=tmp_path).run(5)
     assert str(target) in str(exc.value)
+    argv = ["search-min", "--d", "2", "--k", "4", "--n", "5", "--cache-dir", str(tmp_path)]
+    assert cli_main(argv) == 4
+    assert str(target) in capsys.readouterr().err
 
 
 def test_frontier_sizes_stay_small_for_binary():

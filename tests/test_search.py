@@ -8,6 +8,7 @@ import pytest
 
 from treedensity import (
     BudgetError,
+    ConsistencyError,
     PreconditionError,
     caterpillar_counts,
     count_trees,
@@ -16,12 +17,14 @@ from treedensity import (
     is_strictly_d_ary,
     leaf,
     liminf_density,
+    make_even_binary,
     min_density_exhaustive,
     parse_tree,
     search_min_report,
     verify_even_conjecture,
     verify_monotone_min,
 )
+from treedensity.search import _check_witness, _even_split_counts
 
 # minimum k-caterpillar counts among binary hosts, from an independent
 # brute-force prototype over full enumerations
@@ -224,6 +227,31 @@ def test_verify_even_conjecture_small_range(tmp_path):
         verify_even_conjecture(2, 20)
     with pytest.raises(PreconditionError):
         verify_even_conjecture(4, 3)
+
+
+def test_even_split_recurrence_matches_the_even_tree():
+    for k in range(3, 9):
+        even = _even_split_counts(k, 200)
+        assert len(even) == 201
+        for n in range(1, 201):
+            assert even[n] == caterpillar_counts(make_even_binary(n), k).counts, (k, n)
+
+
+@pytest.mark.parametrize(
+    "code, fault",
+    [
+        ("((**)(*(**)))", "reported 3, recounted 2"),
+        ("(*(**))", "the witness has 3 leaves, not 5"),
+        ("((***)(**))", "the witness has outdegree 3 > d = 2"),
+        ("((**)(*(**))", "malformed code, unbalanced '(': input ended inside a group (offset 12)"),
+        ("((**)(*(*)))", "malformed code, internal vertex with exactly one child (offset 9)"),
+    ],
+)
+def test_witness_check_rejects(code, fault):
+    _check_witness("((**)(*(**)))", 5, 2, 4, 2, {})
+    with pytest.raises(ConsistencyError) as exc:
+        _check_witness(code, 5, 2, 4, 3, {})
+    assert str(exc.value) == f"4-caterpillar count of witness {code}: {fault}"
 
 
 def test_verify_monotone_min_binary(tmp_path):
