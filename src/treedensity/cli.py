@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import search as search_mod
 from . import simplex as simplex_mod
-from .counting import caterpillar_counts, count_copies, count_copies_brute
+from .counting import count_copies, count_copies_brute
 from .errors import (
     BudgetError,
     CacheError,

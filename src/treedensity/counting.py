@@ -17,11 +17,12 @@ branch of T. The cross term enumerates, per choice of |D|-many branches of T,
 the distinct ways to assign D's branch isomorphism classes to them
 (:func:`branch_pattern` precomputes those assignments).
 
-``caterpillar_counts`` specializes the recursion to binary caterpillar
-patterns of every size up to k in one bottom-up pass, which is what the
-extremal search loops on. ``caterpillar_counts_of_code`` runs the same
-combine straight off a bracket code, without building Tree objects, which is
-how reported witnesses are recounted.
+``CopyEngine`` and ``caterpillar_counts`` share one bottom-up walk over a
+host's distinct subtrees, fewest leaves first, so no count recurses over the
+host's depth. No memo lives at module level: an engine owns its rows
+(``count_copies`` and ``density`` build one per call), and the caller owns
+``caterpillar_counts``'s. ``caterpillar_counts_of_code`` runs the caterpillar
+combine straight off a bracket code, which is how witnesses are recounted.
 """
 
 from __future__ import annotations
@@ -72,28 +73,30 @@ def induced_subtree(t: Tree, leaves: Iterable[int]) -> Tree:
             f"leaf indices must lie in [0, {t.leaf_count - 1}], got {sel[0]}..{sel[-1]}"
         )
 
-    def go(u: Tree, base: int) -> Tree | None:
-        lo = bisect_left(sel, base)
-        hi = bisect_left(sel, base + u.leaf_count)
-        if lo == hi:
-            return None
-        if u.is_leaf:
-            return leaf()
-        kids = []
-        off = base
-        for c in u.children:
-            sub = go(c, off)
-            if sub is not None:
-                kids.append(sub)
-            off += c.leaf_count
-        if len(kids) == 1:
-            return kids[0]  # suppress the pass-through vertex
-        return node(kids)
-
-    result = go(t, 0)
-    if result is None:
+    # Depth-first with an explicit stack. An int on the stack closes a vertex
+    # from that many finished children; a vertex with one child holding
+    # chosen leaves is suppressed, and that child's tree stands in for it.
+    done: list[Tree] = []
+    stack: list = [(t, 0)]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, int):
+            done[-top:] = [node(done[-top:])]
+        elif top[0].is_leaf:
+            done.append(leaf())
+        else:
+            u, base = top
+            live = []
+            for c in u.children:
+                if bisect_left(sel, base) < bisect_left(sel, base + c.leaf_count):
+                    live.append((c, base))
+                base += c.leaf_count
+            if len(live) > 1:
+                stack.append(len(live))
+            stack.extend(reversed(live))
+    if len(done) != 1:
         raise ConsistencyError(f"{len(sel)} leaves of a {t.leaf_count}-leaf tree induced no tree")
-    return result
+    return done[0]
 
 
 def _check_subset_budget(n: int, k: int, max_subsets: int, force: bool) -> None:
@@ -256,55 +259,72 @@ def branch_pattern(d_pattern: Tree) -> BranchPattern:
     return BranchPattern(d_pattern.children, tuple(reps), tuple(mults), assignments)
 
 
-class CopyEngine:
-    """Memoized copy counter over (pattern, tree) pairs.
+def _internal_subtrees(t: Tree, known) -> list[Tree]:
+    """The distinct internal subtrees of ``t`` whose codes ``known`` lacks,
+    fewest leaves first. Memos are filled in this order, so the walk need
+    not descend below a known code."""
+    found: dict[str, Tree] = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.children and u.code not in known and u.code not in found:
+            found[u.code] = u
+            stack.extend(u.children)
+    return sorted(found.values(), key=lambda u: u.leaf_count)
 
-    One engine instance shares its memo across queries, which matters when
-    sweeping many trees with overlapping subtrees. The memo is keyed by
-    canonical codes and only ever grows; call :meth:`clear` to reset.
+
+class CopyEngine:
+    """Copy counter that fills one row of counts per host subtree.
+
+    A pattern's distinct internal shapes are numbered fewest leaves first,
+    and each shape's branch assignments are written as shape numbers, with
+    -1 for a leaf. The row of a host subtree u holds c(S, u) for every shape
+    S, then u's leaf count, the count of the one-leaf pattern. Rows are
+    filled bottom-up: the sum of the children's rows plus the cross term.
+
+    The memo, one table of rows per pattern code, belongs to the instance and
+    only ever grows, so an engine sweeping trees with shared subtrees pays
+    for each once; call :meth:`clear` to reset it.
     """
 
     def __init__(self):
-        self._memo: dict[tuple[str, str], int] = {}
-        self._patterns: dict[str, BranchPattern] = {}
+        self._memo: dict[str, tuple[list, dict[str, list[int]]]] = {}
 
     def clear(self) -> None:
         self._memo.clear()
-        self._patterns.clear()
-
-    def _pattern(self, d_pattern: Tree) -> BranchPattern:
-        bp = self._patterns.get(d_pattern.code)
-        if bp is None:
-            bp = branch_pattern(d_pattern)
-            self._patterns[d_pattern.code] = bp
-        return bp
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
-        if d_pattern.is_leaf:
-            return t.leaf_count
-        if d_pattern.leaf_count > t.leaf_count or t.is_leaf:
-            return 0
-        key = (d_pattern.code, t.code)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for branch in t.children:
-            total += self.count(d_pattern, branch)
-        bp = self._pattern(d_pattern)
-        r = len(bp.branches)
-        if r <= len(t.children):
-            for host_branches in combinations(t.children, r):
-                for assignment in bp.assignments:
-                    prod = 1
-                    for shape, host in zip(assignment, host_branches):
-                        prod *= self.count(shape, host)
-                        if not prod:
-                            break
-                    total += prod
-        self._memo[key] = total
-        return total
+        if d_pattern.code not in self._memo:
+            shapes = _internal_subtrees(d_pattern, ())
+            index = {s.code: i for i, s in enumerate(shapes)} | {"*": -1}
+            plan = [
+                (s.leaf_count, s.outdegree,
+                 [[index[b.code] for b in a] for a in branch_pattern(s).assignments])
+                for s in shapes
+            ]
+            self._memo[d_pattern.code] = (plan, {"*": [0] * len(shapes) + [1]})
+        plan, rows = self._memo[d_pattern.code]
+        for u in _internal_subtrees(t, rows):
+            kids = [rows[c.code] for c in u.children]
+            row = [sum(col) for col in zip(*kids)]
+            for i, (size, r, assignments) in enumerate(plan):
+                if size > u.leaf_count:
+                    break  # this shape and the larger ones stay at 0
+                if r > len(kids):
+                    continue
+                for hosts in combinations(kids, r):
+                    for assignment in assignments:
+                        prod = 1
+                        for j, host in zip(assignment, hosts):
+                            prod *= host[j]
+                            if not prod:
+                                break
+                        row[i] += prod
+            rows[u.code] = row
+        # the pattern is its own largest shape, and a one-leaf pattern has no
+        # shapes, so either way its number is len(plan) - 1
+        return rows[t.code][len(plan) - 1]
 
     def density(self, d_pattern: Tree, t: Tree) -> Fraction:
         k = d_pattern.leaf_count
@@ -316,17 +336,14 @@ class CopyEngine:
         return Fraction(self.count(d_pattern, t), comb(n, k))
 
 
-_default_engine = CopyEngine()
-
-
 def count_copies(d_pattern: Tree, t: Tree) -> int:
-    """c(D, T) via the branch decomposition, memoized in a shared engine."""
-    return _default_engine.count(d_pattern, t)
+    """c(D, T) via the branch decomposition, in a fresh engine."""
+    return CopyEngine().count(d_pattern, t)
 
 
 def density(d_pattern: Tree, t: Tree) -> Fraction:
     """c(D, T) / C(|T|, |D|) as an exact fraction. Requires |T| >= |D|."""
-    return _default_engine.density(d_pattern, t)
+    return CopyEngine().density(d_pattern, t)
 
 
 @dataclass(frozen=True)
@@ -378,38 +395,24 @@ def combine_caterpillar_counts(
     return tuple(out)
 
 
-_cat_cache: dict[tuple[str, int], tuple[int, ...]] = {}
-
-
-def caterpillar_counts(t: Tree, k: int) -> CountVector:
+def caterpillar_counts(t: Tree, k: int, memo: dict | None = None) -> CountVector:
     """CountVector of binary caterpillar copies in ``t`` for sizes 2..k.
 
-    Runs bottom-up over the distinct subtrees of ``t`` and memoizes per
-    (subtree code, k) at module level, so sweeps over many related trees pay
-    for each shape once.
+    Runs the engine's bottom-up walk, combining each subtree's vector from
+    its children's. ``memo`` maps subtree codes to (c_2, ..., c_k) for this
+    k; the caller owns it, passes one to let related trees share shapes, and
+    must not share it between values of k or with
+    :func:`caterpillar_counts_of_code`. Without one a fresh dict is used.
     """
     if k < 2:
         raise PreconditionError(f"need k >= 2, got {k}")
-    key = (t.code, k)
-    if key not in _cat_cache:
-        distinct: dict[str, Tree] = {}
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            if u.code not in distinct:
-                distinct[u.code] = u
-                stack.extend(u.children)
-        leaf_vec = (0,) * (k - 1)
-        for u in sorted(distinct.values(), key=lambda v: v.leaf_count):
-            ukey = (u.code, k)
-            if ukey in _cat_cache:
-                continue
-            if u.is_leaf:
-                _cat_cache[ukey] = leaf_vec
-            else:
-                parts = [(c.leaf_count, _cat_cache[(c.code, k)]) for c in u.children]
-                _cat_cache[ukey] = combine_caterpillar_counts(parts, k)
-    return CountVector(t.leaf_count, k, _cat_cache[key])
+    if memo is None:
+        memo = {}
+    memo.setdefault("*", (0,) * (k - 1))
+    for u in _internal_subtrees(t, memo):
+        parts = [(c.leaf_count, memo[c.code]) for c in u.children]
+        memo[u.code] = combine_caterpillar_counts(parts, k)
+    return CountVector(t.leaf_count, k, memo[t.code])
 
 
 _DEPTH_STEP = {"(": 1, "*": 0, ")": -1}

@@ -73,29 +73,25 @@ def count_trees(n: int, d: int, strict: bool = False) -> int:
 
     ``strict`` restricts every internal outdegree to exactly d. Branch
     multisets are counted with multiset coefficients, so this matches the
-    length of :func:`enumerate_trees` without materializing any tree.
+    length of :func:`enumerate_trees` without materializing any tree. The
+    counts of sizes 1..n are filled in order, so n has no depth limit.
     """
     _check_n_d(n, d)
-    if n == 1:
-        return 1
-    key = (n, d, strict)
-    cached = _count_cache.get(key)
-    if cached is not None:
-        return cached
-    total = 0
-    arities = (d,) if strict else range(2, min(d, n) + 1)
-    for m in arities:
-        if m > n:
+    for size in range(1, n + 1):
+        if (size, d, strict) in _count_cache:
             continue
-        for groups in _grouped_partitions(n, m):
-            ways = 1
-            for size, cnt in groups:
-                ways *= comb(count_trees(size, d, strict) + cnt - 1, cnt)
-                if not ways:
-                    break
-            total += ways
-    _count_cache[key] = total
-    return total
+        total = 1 if size == 1 else 0
+        arities = (d,) if strict else range(2, min(d, size) + 1)
+        for m in arities:  # no partition of size has more than size parts
+            for groups in _grouped_partitions(size, m):
+                ways = 1
+                for part, cnt in groups:
+                    ways *= comb(_count_cache[(part, d, strict)] + cnt - 1, cnt)
+                    if not ways:
+                        break
+                total += ways
+        _count_cache[(size, d, strict)] = total
+    return _count_cache[(n, d, strict)]
 
 
 _level_cache: dict[tuple[int, int, bool], tuple[Tree, ...]] = {}
@@ -121,9 +117,7 @@ def _tree_level(n: int, d: int, strict: bool, max_trees: int) -> tuple[Tree, ...
 
         built: list[Tree] = []
         arities = (d,) if strict else range(2, min(d, n) + 1)
-        for m in arities:
-            if m > n:
-                continue
+        for m in arities:  # no partition of n has more than n parts
             for groups in _grouped_partitions(n, m):
                 pools = [
                     combinations_with_replacement(_tree_level(s, d, strict, max_trees), cnt)
@@ -208,9 +202,10 @@ def _min_record(
     codes: list[str] = []
     ties = 0
     scanned = 0
+    level_memo: dict = {}  # the level's trees share their subtrees' vectors
     for t in enumerate_trees(n, d, strict, max_trees=max_trees):
         scanned += 1
-        c = caterpillar_counts(t, k)[k]
+        c = caterpillar_counts(t, k, level_memo)[k]
         if best is None or c < best:
             best, codes, ties = c, [t.code], 1
         elif c == best:
@@ -221,7 +216,8 @@ def _min_record(
         raise PreconditionError(
             f"no {'strictly ' if strict else ''}{d}-ary tree with {n} leaves exists"
         )
-    # Witness sanity: re-counting the reported codes must reproduce the count.
+    # Witness sanity: re-counting the reported codes must reproduce the count,
+    # from their own characters and a memo of their own.
     memo: dict = {}
     for code in codes[:4]:
         _check_witness(code, n, d, k, best, memo)

@@ -40,6 +40,15 @@ def test_count_pattern_in_complete_tree(capsys):
     assert cells[2:8] == ["3", "8", "56", "1", "1", "1"]
 
 
+def test_count_on_a_deep_caterpillar_host(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--pattern-caterpillar", "2,3", "--tree-caterpillar", "2,3000",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == "4495501000"
+
+
 def test_count_brute_agrees_with_recursion(capsys):
     args = ("--pattern", "(*(**))", "--tree-even", "9", "--format", "csv")
     _, out_fast, _ = run_cli(capsys, "count", *args)
@@ -334,6 +343,17 @@ def test_exit_code_for_budget_refusal(capsys):
         capsys, "enumerate", "--n", "18", "--d", "2", "--max-trees", "100"
     )
     assert code == 3 and err.startswith("refused:") and "56011" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "1500", "--d", "2"],
+     ["search-min", "--d", "2", "--k", "4", "--n", "1200", "--method", "exhaustive"]],
+)
+def test_budget_refusal_of_a_deep_size(capsys, argv):
+    # counting the trees of a large size must not recurse once per leaf
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and err.startswith("refused:")
 
 
 def test_exit_code_for_unwritable_output(capsys, tmp_path):

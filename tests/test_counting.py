@@ -1,5 +1,7 @@
 """Copy counting: brute-force oracle, branch recursion, caterpillar vectors."""
 
+import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -71,6 +73,13 @@ def test_induced_subtree_size_matches_selection():
     t = make_even_binary(9)
     for subset in combinations(range(9), 4):
         assert induced_subtree(t, subset).leaf_count == 4
+
+
+def test_induced_subtree_has_no_depth_limit():
+    depth = 3 * sys.getrecursionlimit()
+    t = make_caterpillar(2, depth + 1)
+    assert induced_subtree(t, [0, depth]).code == "(**)"
+    assert induced_subtree(t, range(depth + 1)) == t
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +231,46 @@ def test_normalization_over_all_patterns():
                 for t in enumerate_trees(n, d):
                     total = sum(engine.count(p, t) for p in patterns)
                     assert total == comb(n, k), (d, k, t.code)
+
+
+def test_engine_reuses_rows_for_a_host_and_its_branches():
+    rnd = random.Random(7)
+    patterns = [p for k in range(1, 6) for p in enumerate_trees(k, 3)]
+    host = parse_tree(_random_code(rnd, 40, 3))
+    engine = CopyEngine()
+    for t in [host, *host.subtrees()]:
+        for p in patterns:
+            assert engine.count(p, t) == CopyEngine().count(p, t), (p.code, t.code)
+
+
+# hosts three times deeper than the interpreter's recursion limit
+DEEP = 3 * sys.getrecursionlimit()
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["binary", "ternary"])
+def deep_caterpillar(request):
+    r = request.param
+    host = make_caterpillar(r, DEEP * (r - 1) + 1)
+    _, _, counts = caterpillar_counts_of_code(host.code, 6, {})
+    return r, host, counts
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_counters_on_deep_caterpillar_hosts(deep_caterpillar, k):
+    r, host, counts = deep_caterpillar
+    n = host.leaf_count
+    pattern = make_caterpillar(2, k)
+    found = {
+        CopyEngine().count(pattern, host),
+        count_copies(pattern, host),
+        caterpillar_counts(host, k)[k],
+    }
+    assert found == {counts[k - 2]}
+    if k == 3:
+        # binary: every triple induces the caterpillar; ternary: the star
+        # (***) takes the triples that meet at one vertex
+        star = count_copies(parse_tree("(***)"), host) if r == 3 else 0
+        assert counts[1] + star == comb(n, 3)
 
 
 # ---------------------------------------------------------------------------
