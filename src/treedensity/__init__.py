@@ -19,6 +19,7 @@ from .counting import (
     combine_caterpillar_counts,
     count_copies,
     count_copies_brute,
+    count_report,
     density,
     induced_subtree,
 )
@@ -39,12 +40,14 @@ from .formulas import (
     caterpillar_copies_complete,
     liminf_density,
     limit_density_complete,
+    limits_report,
     star_copies,
 )
-from .frontier import FrontierEntry, ParetoDP, ParetoFrontiers, pareto_min_counts
+from .frontier import FrontierEntry, ParetoDP, ParetoFrontiers, cache_report, pareto_min_counts
 from .reporting import SearchReport, render_report
 from .search import (
     count_trees,
+    enumerate_report,
     enumerate_trees,
     min_density_exhaustive,
     search_min_report,
@@ -58,7 +61,11 @@ from .simplex import (
     minimize_F,
     muirhead_check,
     majorization_pair,
+    simplex_bound_sample_report,
+    simplex_min_report,
+    simplex_muirhead_report,
     simplex_point,
+    simplex_sup_report,
     sup_boundary_scan,
     uniform_min_value,
 )
@@ -93,6 +100,7 @@ __all__ = [
     "count_copies_brute",
     "brute_copy_profile",
     "density",
+    "count_report",
     "caterpillar_counts",
     "combine_caterpillar_counts",
     "CopyEngine",
@@ -104,8 +112,10 @@ __all__ = [
     "bk_coefficient",
     "bk_lower_bound",
     "asymptotic_min_copies",
+    "limits_report",
     "count_trees",
     "enumerate_trees",
+    "enumerate_report",
     "min_density_exhaustive",
     "search_min_report",
     "verify_even_conjecture",
@@ -114,6 +124,7 @@ __all__ = [
     "ParetoDP",
     "ParetoFrontiers",
     "pareto_min_counts",
+    "cache_report",
     "SimplexPoint",
     "simplex_point",
     "eval_F",
@@ -123,6 +134,10 @@ __all__ = [
     "uniform_min_value",
     "muirhead_check",
     "majorization_pair",
+    "simplex_min_report",
+    "simplex_sup_report",
+    "simplex_bound_sample_report",
+    "simplex_muirhead_report",
     "SearchReport",
     "render_report",
     "TreeDensityError",

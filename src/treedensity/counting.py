@@ -27,6 +27,7 @@ combine straight off a bracket code, which is how witnesses are recounted.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from operator import not_
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import BudgetError, ConsistencyError, PreconditionError
+from .reporting import SearchReport, decimal_str
 from .trees import Tree, _code_key, leaf, node, parse_tree
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "CopyEngine",
     "count_copies",
     "density",
+    "count_report",
     "CountVector",
     "caterpillar_counts",
     "combine_caterpillar_counts",
@@ -344,6 +347,35 @@ def count_copies(d_pattern: Tree, t: Tree) -> int:
 def density(d_pattern: Tree, t: Tree) -> Fraction:
     """c(D, T) / C(|T|, |D|) as an exact fraction. Requires |T| >= |D|."""
     return CopyEngine().density(d_pattern, t)
+
+
+def count_report(
+    d_pattern: Tree, t: Tree, *, mode: str = "count", brute: bool = False, force: bool = False
+) -> SearchReport:
+    """One-row report of c(D, T) and, when |T| >= |D|, its density.
+
+    The count is taken once, by the recursion or (``brute``) the oracle, and
+    the density is formed from it. ``mode`` "density" refuses hosts with
+    fewer leaves than the pattern; "count" leaves their density cells blank.
+    """
+    start = time.perf_counter()
+    c = count_copies_brute(d_pattern, t, force=force) if brute else count_copies(d_pattern, t)
+    k, n = d_pattern.leaf_count, t.leaf_count
+    if mode == "density" and n < k:
+        raise PreconditionError(f"density needs a host with at least {k} leaves, got {n}")
+    dens: tuple = ("", "", "")
+    if n >= k:
+        q = Fraction(c, comb(n, k))
+        dens = (q.numerator, q.denominator, decimal_str(q))
+    return SearchReport(
+        mode=mode,
+        params={"pattern": d_pattern.code, "tree_leaves": n,
+                "method": "brute" if brute else "recursion"},
+        columns=("pattern_code", "tree_code", "pattern_leaves", "tree_leaves", "count",
+                 "density_num", "density_den", "density_decimal"),
+        rows=[(d_pattern.code, t.code, k, n, c, *dens)],
+        wall_time=time.perf_counter() - start,
+    )
 
 
 @dataclass(frozen=True)

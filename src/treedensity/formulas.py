@@ -4,6 +4,7 @@ Everything here is a direct evaluation (no tree is ever built): copy counts
 of stars and caterpillars inside complete d-ary trees, the limiting densities
 those counts approach as the host tree grows, and the coefficient of the
 leading term of the minimum caterpillar count over all d-ary hosts.
+``limits_report`` renders one limit, cross-checked between two closed forms.
 
 Counts are returned as Python ints and densities as ``fractions.Fraction``;
 any formula whose value must be integral is checked for integrality before
@@ -12,10 +13,12 @@ returning, so a wrong edit fails loudly instead of silently truncating.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import comb, factorial
 
 from .errors import ConsistencyError, PreconditionError
+from .reporting import SearchReport, decimal_str
 
 __all__ = [
     "star_copies",
@@ -25,6 +28,7 @@ __all__ = [
     "bk_coefficient",
     "bk_lower_bound",
     "asymptotic_min_copies",
+    "limits_report",
 ]
 
 
@@ -146,3 +150,28 @@ def asymptotic_min_copies(d: int, k: int, n: int) -> Fraction:
     if not isinstance(n, int) or n < 0:
         raise PreconditionError(f"leaf count must be an integer >= 0, got {n!r}")
     return bk_coefficient(d, k) * n**k
+
+
+def limits_report(d: int, k: int, r: int = 2) -> SearchReport:
+    """One-row report of :func:`limit_density_complete`, exact and decimal.
+
+    For binary caterpillars (r = 2) the value is also computed by
+    :func:`liminf_density`, an independent closed form, and any
+    disagreement raises ConsistencyError with both values.
+    """
+    start = time.perf_counter()
+    value = limit_density_complete(r, k, d)
+    if r == 2:
+        liminf = liminf_density(d, k)
+        if value != liminf:
+            raise ConsistencyError(
+                f"limit density for d={d}, k={k}: complete-tree limit {value}, "
+                f"liminf formula {liminf}"
+            )
+    return SearchReport(
+        mode="limits",
+        params={"d": d, "k": k, "r": r},
+        columns=("d", "k", "r", "exact", "decimal"),
+        rows=[(d, k, r, value, decimal_str(value))],
+        wall_time=time.perf_counter() - start,
+    )

@@ -22,6 +22,7 @@ Levels can be persisted as JSON lines, one file per (d, k, n) holding the
 vector and one witness tree, which makes long sweeps resumable and their
 outputs byte-reproducible. A loaded level is trusted only after its witness
 is recounted from its characters and matches the stored vector.
+``cache_report`` lists or clears those files.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Sequence
 
 from .counting import caterpillar_counts_of_code, combine_caterpillar_counts
 from .errors import BudgetError, CacheError, ConsistencyError, ParseError, PreconditionError
+from .reporting import SearchReport
 
 __all__ = [
     "FrontierEntry",
@@ -44,10 +46,12 @@ __all__ = [
     "ParetoDP",
     "pareto_min_counts",
     "pareto_minimal",
+    "cache_report",
     "DEFAULT_CANDIDATE_CAP",
 ]
 
 DEFAULT_CANDIDATE_CAP = 5 * 10**6
+_CACHE_GLOB = "frontier_*.jsonl"  # every name ParetoDP._cache_file makes
 
 
 def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
@@ -128,17 +132,14 @@ class ParetoFrontiers:
         return len(self._c2) - 1
 
     def frontier_size(self, n: int) -> int:
-        return len(self.vectors(n))
-
-    def vectors(self, n: int) -> list[tuple[int, ...]]:
-        return [self._counts(n)[1:]]
+        """Vectors kept at level n: always 1, since the DP raises
+        ConsistencyError at any level whose frontier would hold more.
+        Kept as a method so per-level statistics can read it."""
+        return 1
 
     def min_count(self, n: int) -> int:
         """Exact minimum of c_k over d-ary trees with n leaves."""
         return self._counts(n)[-1]
-
-    def entries(self, n: int) -> list[FrontierEntry]:
-        return [self.argmin_entry(n)]
 
     def argmin_entry(self, n: int) -> FrontierEntry:
         return FrontierEntry(n, self._counts(n)[1:], self._witness(n))
@@ -361,3 +362,20 @@ def pareto_min_counts(
         )
     dp = ParetoDP(k, d, candidate_cap=candidate_cap, cache_dir=cache_dir)
     return dp.run(n_max)
+
+
+def cache_report(cache_dir: str | os.PathLike, *, clear: bool = False) -> SearchReport:
+    """Number and total bytes of the frontier cache files in ``cache_dir``,
+    after deleting every one of them when ``clear`` is set."""
+    cache_dir = Path(cache_dir)
+    files = sorted(cache_dir.glob(_CACHE_GLOB)) if cache_dir.is_dir() else []
+    if clear:
+        for f in files:
+            f.unlink()
+        files = []
+    return SearchReport(
+        mode="cache",
+        params={"cleared": clear},
+        columns=("path", "files", "bytes"),
+        rows=[(str(cache_dir), len(files), sum(f.stat().st_size for f in files))],
+    )

@@ -33,6 +33,7 @@ from .trees import Tree, leaf, node
 __all__ = [
     "count_trees",
     "enumerate_trees",
+    "enumerate_report",
     "min_density_exhaustive",
     "search_min_report",
     "verify_even_conjecture",
@@ -156,6 +157,22 @@ def enumerate_trees(
             f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
         )
     return iter(_tree_level(n, d, strict, max_trees))
+
+
+def enumerate_report(
+    n: int, d: int, strict: bool = False, *, max_trees: int = DEFAULT_TREE_CAP
+) -> SearchReport:
+    """The codes of :func:`enumerate_trees`, one indexed row per tree."""
+    start = time.perf_counter()
+    trees = enumerate_trees(n, d, strict, max_trees=max_trees)
+    rows = [(i, t.code) for i, t in enumerate(trees)]
+    return SearchReport(
+        mode="enumerate",
+        params={"n": n, "d": d, "strict": strict},
+        columns=("index", "code"),
+        rows=rows,
+        wall_time=time.perf_counter() - start,
+    )
 
 
 _ARGMIN_KEEP = 1000  # witnesses stored per record before truncation

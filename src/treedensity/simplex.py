@@ -20,21 +20,25 @@ ints or Fractions; otherwise it runs in mpmath arithmetic at the caller's
 working precision. ``minimize_F`` uses a seeded multi-start Nelder-Mead at
 128-bit precision (a log barrier keeps iterates interior, then a barrier-free
 polish removes its bias). Muirhead-style majorization comparisons and the
-power-sum decomposition used to bound F live here too.
+power-sum decomposition used to bound F live here too, as do the functions
+that build the reports of the ``simplex`` command's four modes.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, lcm
+from operator import lt, sub
 from typing import Iterable, Sequence
 
 import mpmath
 
 from .errors import PreconditionError, SingularityError
+from .reporting import SearchReport, decimal_str
 
 __all__ = [
     "SimplexPoint",
@@ -48,12 +52,17 @@ __all__ = [
     "uniform_min_value",
     "MajorizationPair",
     "majorization_pair",
+    "random_majorization_pair",
     "symmetrized_power_sum",
     "muirhead_check",
     "exponent_compositions",
     "exponent_compositions_core",
     "multinomial",
     "verify_power_sum_decomposition",
+    "simplex_min_report",
+    "simplex_sup_report",
+    "simplex_bound_sample_report",
+    "simplex_muirhead_report",
 ]
 
 _EXACT_TYPES = (int, Fraction)
@@ -138,15 +147,23 @@ def eval_F(d: int, k: int, point):
         if den == 0:
             raise SingularityError("denominator vanishes at a simplex corner")
         return Fraction(sum(p * (scale - ai) for p, ai in zip(powers, a)), den)
+    num, den = _F_terms_mp(k, xs)
+    if den == 0:
+        raise SingularityError("denominator vanishes at a simplex corner")
+    return num / den
+
+
+def _F_terms_mp(k: int, xs):
+    """(numerator, denominator) of F at real ``xs``: powers, then 1 - sum p x,
+    then the i < j pairs, one fixed order so every mpmath F rounds alike."""
+    d = len(xs)
     powers = [x ** (k - 1) for x in xs]
     den = 1 - sum(p * x for p, x in zip(powers, xs))
     num = 0
     for i in range(d):
         for j in range(i + 1, d):
             num += xs[i] * powers[j] + xs[j] * powers[i]
-    if den == 0:
-        raise SingularityError("denominator vanishes at a simplex corner")
-    return num / den
+    return num, den
 
 
 def uniform_min_value(d: int, k: int) -> Fraction:
@@ -161,8 +178,8 @@ def sup_boundary_scan(d: int, k: int, eps_schedule: Sequence) -> list[Fraction]:
 
     Every eps must lie in (0, 1/2]. For k = 3 every value equals 1/3 = 1/k;
     for k >= 4 the values increase towards (but stay below) 1/k as eps
-    decreases. Asserting either is left to the caller since this function
-    just evaluates.
+    decreases. This function only evaluates; :func:`simplex_sup_report`
+    turns the values into a verdict by that rule.
     """
     values = []
     for eps in eps_schedule:
@@ -172,6 +189,73 @@ def sup_boundary_scan(d: int, k: int, eps_schedule: Sequence) -> list[Fraction]:
         coords = (Fraction(0),) * (d - 2) + (e, 1 - e)
         values.append(eval_F(d, k, coords))
     return values
+
+
+def _require_bound_k(mode: str, k: int) -> None:
+    # F is identically 1 at k = 2, so the 1/k bounds do not apply
+    if k < 3:
+        raise PreconditionError(f"--mode {mode} needs k >= 3, got k={k}")
+
+
+def _require_positive(value: int, flag: str) -> None:
+    # a verdict over zero checks would pass vacuously
+    if value < 1:
+        raise PreconditionError(f"{flag} must be >= 1, got {value}")
+
+
+def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
+    """F along (0, ..., 0, eps, 1 - eps) for eps = 1/2, 1/4, ..., 2^-eps_steps.
+
+    The verdict holds at k = 3 when every value equals 1/3 exactly, and at
+    k >= 4 when the values stay below 1/k and increase strictly.
+    """
+    start = time.perf_counter()
+    _require_bound_k("sup", k)
+    _require_positive(eps_steps, "--eps-steps")
+    schedule = [Fraction(1, 2**t) for t in range(1, eps_steps + 1)]
+    values = sup_boundary_scan(d, k, schedule)
+    bound = Fraction(1, k)
+    if k == 3:
+        # F is 1/3 on every edge point (0, ..., 0, eps, 1 - eps)
+        ok = all(v == bound for v in values)
+    else:
+        ok = all(v < bound for v in values) and all(map(lt, values, values[1:]))
+    return SearchReport(
+        mode="simplex-sup",
+        params={"d": d, "k": k, "bound": str(bound)},
+        columns=("eps", "value", "value_decimal", "gap_to_bound"),
+        rows=[
+            (str(e), v, decimal_str(v), decimal_str(bound - v)) for e, v in zip(schedule, values)
+        ],
+        all_ok=ok,
+        wall_time=time.perf_counter() - start,
+    )
+
+
+def simplex_bound_sample_report(
+    d: int, k: int, *, samples: int = 1000, seed: int = 0
+) -> SearchReport:
+    """Check uniform_min_value(d, k) <= F <= 1/k exactly at ``samples``
+    seeded random interior points, each drawn and then evaluated in turn."""
+    start = time.perf_counter()
+    _require_bound_k("bound-sample", k)
+    _require_positive(samples, "--samples")
+    rng = random.Random(seed)
+    lower, upper = uniform_min_value(d, k), Fraction(1, k)
+    rows = []
+    for i in range(samples):
+        pt = random_interior_point(d, rng)
+        v = eval_F(d, k, pt)
+        rows.append((i, ";".join(map(str, pt.coords)), v, lower <= v <= upper))
+    return SearchReport(
+        mode="simplex-bound-sample",
+        params={"d": d, "k": k, "seed": seed, "samples": samples,
+                "lower": str(lower), "upper": str(upper)},
+        columns=("index", "point", "value", "within_bounds"),
+        rows=rows,
+        all_ok=all(row[-1] for row in rows),
+        wall_time=time.perf_counter() - start,
+    )
 
 
 # -- numerical minimization ---------------------------------------------------
@@ -256,22 +340,16 @@ def _full_point(y):
     return x
 
 
-def _barrier_objective(d, k, mu):
+def _barrier_objective(k, mu):
     inf = mpmath.inf
 
     def f(y):
         x = _full_point(y)
         if any(c <= 0 for c in x):
             return inf
-        powers = [c ** (k - 1) for c in x]
-        den = 1 - sum(p * c for p, c in zip(powers, x))
+        num, den = _F_terms_mp(k, x)
         if den <= 0:
             return inf
-        num = sum(
-            x[i] * powers[j] + x[j] * powers[i]
-            for i in range(d)
-            for j in range(i + 1, d)
-        )
         val = num / den
         if mu:
             val -= mu * sum(mpmath.log(c) for c in x)
@@ -291,7 +369,7 @@ def tangent_stationarity(d: int, k: int, point, h=1e-5):
     hh = mpmath.mpf(h)
     u = 1 / mpmath.sqrt(2)
     worst = mpmath.mpf(0)
-    obj = _barrier_objective(d, k, 0)
+    obj = _barrier_objective(k, 0)
     for i, j in combinations(range(d), 2):
         plus = list(xs)
         minus = list(xs)
@@ -328,8 +406,8 @@ def minimize_F(
     rng = random.Random(seed)
     with mpmath.workprec(prec):
         mu = mpmath.mpf("1e-6")
-        rough = _barrier_objective(d, k, mu)
-        polish = _barrier_objective(d, k, 0)
+        rough = _barrier_objective(k, mu)
+        polish = _barrier_objective(k, 0)
         stage1_budget = budget // (2 * starts)
         evals_total = 0
         best_y = None
@@ -355,6 +433,24 @@ def minimize_F(
         value = polish(y)
         resid = tangent_stationarity(d, k, point, h=mpmath.mpf("1e-5"))
     return MinimizeResult(point, value, resid, evals_total, converged)
+
+
+def simplex_min_report(
+    d: int, k: int, *, starts: int = 8, budget: int = 100_000, seed: int = 0
+) -> SearchReport:
+    """:func:`minimize_F` as a one-row report; the verdict is ``converged``."""
+    start = time.perf_counter()
+    res = minimize_F(d, k, starts=starts, budget=budget, seed=seed)
+    point = ";".join(decimal_str(float(c)) for c in res.point.coords)
+    value, resid = decimal_str(float(res.value)), f"{float(res.stationarity):.3e}"
+    return SearchReport(
+        mode="simplex-min",
+        params={"d": d, "k": k, "seed": seed, "starts": starts},
+        columns=("d", "k", "point", "value", "stationarity", "converged"),
+        rows=[(d, k, point, value, resid, res.converged)],
+        all_ok=res.converged,
+        wall_time=time.perf_counter() - start,
+    )
 
 
 # -- majorization and power-sum identities ------------------------------------
@@ -412,6 +508,56 @@ def muirhead_check(pair: MajorizationPair, values: Sequence) -> bool:
     if any(v <= 0 for v in values):
         raise PreconditionError("majorization comparison needs positive values")
     return symmetrized_power_sum(pair.a, values) >= symmetrized_power_sum(pair.b, values)
+
+
+def random_majorization_pair(rng: random.Random, d: int, k: int) -> MajorizationPair:
+    """A seeded pair of d-part exponent vectors summing to k, a majorizing b.
+
+    b is a random composition of k, sorted, with no part equal to k. a is b
+    after up to three moves of one unit onto an earlier part at least as
+    large, and each such move keeps a majorizing b.
+    """
+    while True:
+        cuts = sorted(rng.randint(0, k) for _ in range(d - 1))
+        b = tuple(sorted(map(sub, cuts + [k], [0] + cuts), reverse=True))
+        if b[0] < k:
+            break
+    a = list(b)
+    for _ in range(rng.randint(0, 3)):
+        donors = [i for i in range(d) if a[i] >= 1 and any(a[j] >= a[i] for j in range(i))]
+        if not donors:
+            break
+        j = rng.choice(donors)
+        receivers = [i for i in range(j) if a[i] >= a[j]]
+        i = rng.choice(receivers)
+        a[i] += 1
+        a[j] -= 1
+        a.sort(reverse=True)
+    return majorization_pair(a, b)
+
+
+def simplex_muirhead_report(
+    d: int, k: int, *, samples: int = 1000, seed: int = 0
+) -> SearchReport:
+    """:func:`muirhead_check` at ``samples`` seeded pairs, each drawn before
+    its d positive rational values."""
+    start = time.perf_counter()
+    _require_positive(samples, "--samples")
+    rng = random.Random(seed)
+    rows = []
+    for i in range(samples):
+        pair = random_majorization_pair(rng, d, k)
+        values = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(d)]
+        cells = (";".join(map(str, seq)) for seq in (pair.a, pair.b, values))
+        rows.append((i, *cells, muirhead_check(pair, values)))
+    return SearchReport(
+        mode="simplex-muirhead",
+        params={"d": d, "k": k, "seed": seed, "samples": samples},
+        columns=("index", "majorant", "majorized", "values", "holds"),
+        rows=rows,
+        all_ok=all(row[-1] for row in rows),
+        wall_time=time.perf_counter() - start,
+    )
 
 
 def multinomial(k: int, parts: Sequence[int]) -> int:

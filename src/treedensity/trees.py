@@ -230,9 +230,6 @@ def make_complete(d: int, h: int, leaf_cap: int = DEFAULT_LEAF_CAP) -> Tree:
     return t
 
 
-_even_cache: dict[int, Tree] = {1: _LEAF}
-
-
 def make_even_binary(n: int) -> Tree:
     """The n-leaf binary tree that splits as evenly as possible at every vertex.
 
@@ -242,8 +239,13 @@ def make_even_binary(n: int) -> Tree:
     """
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"leaf count must be an integer >= 1, got {n!r}")
-    t = _even_cache.get(n)
-    if t is None:
-        t = node([make_even_binary((n + 1) // 2), make_even_binary(n // 2)])
-        _even_cache[n] = t
-    return t
+    # halving n yields at most two sizes per level, so 2 log2(n) in all
+    sizes = set()
+    level = {n}
+    while level:
+        sizes |= level
+        level = {h for s in level if s > 1 for h in ((s + 1) // 2, s // 2)}
+    built: dict[int, Tree] = {}
+    for s in sorted(sizes):
+        built[s] = _LEAF if s == 1 else node([built[(s + 1) // 2], built[s // 2]])
+    return built[n]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import treedensity
-from treedensity import search
+from treedensity import ConsistencyError, formulas, search
 from treedensity.cli import main
 
 
@@ -100,6 +100,22 @@ def test_limits_reports_exact_and_decimal(capsys):
     )
     assert code == 0
     assert out.splitlines()[1].split(",")[:3] == ["3", "5", "3"]
+
+
+def test_limits_cross_check_failure_exits_1(capsys, monkeypatch):
+    # limits_report compares two independent closed forms; a wrong
+    # liminf formula must fail the report, naming both values
+    real = formulas.liminf_density
+    monkeypatch.setattr(formulas, "liminf_density", lambda d, k: 2 * real(d, k))
+    with pytest.raises(ConsistencyError):
+        formulas.limits_report(3, 4)
+    code, out, err = run_cli(capsys, "limits", "--d", "3", "--k", "4")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: consistency check failed: limit density for d=3, k=4: "
+        "complete-tree limit 3/13, liminf formula 6/13\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,9 @@ def test_dp_frontier_vectors_are_real_trees():
         attained = {
             caterpillar_counts(t, 5).counts[1:] for t in enumerate_trees(n, 2)
         }
-        for vec in fronts.vectors(n):
-            assert vec in attained, (n, vec)
-        assert fronts.frontier_size(n) == len(fronts.vectors(n))
+        vec = fronts.argmin_entry(n).vector
+        assert vec in attained, (n, vec)
+        assert fronts.frontier_size(n) == 1
 
 
 def test_dp_witnesses_recount():
@@ -219,7 +219,7 @@ def test_dp_vectors_are_exhaustive_componentwise_minima(d, n_max):
         for n in range(1, n_max + 1):
             attained = [caterpillar_counts(t, k).counts[1:] for t in enumerate_trees(n, d)]
             minima = tuple(map(min, zip(*attained)))
-            assert fronts.vectors(n) == [minima], (k, n)
+            assert fronts.argmin_entry(n).vector == minima, (k, n)
             assert fronts.min_count(n) == minima[-1]
             witness = parse_tree(fronts.argmin_entry(n).witness)
             assert witness.code == fronts.argmin_entry(n).witness
@@ -267,7 +267,7 @@ def test_cache_roundtrip_and_resume(tmp_path):
     # and extends the sweep past the cached range
     second = ParetoDP(4, 2, cache_dir=tmp_path).run(12)
     for n in range(1, 11):
-        assert second.vectors(n) == first.vectors(n)
+        assert second.argmin_entry(n).vector == first.argmin_entry(n).vector
         assert second.argmin_entry(n) == first.argmin_entry(n)
     assert second.min_count(12) == _exhaustive_min(12, 2, 4)
 

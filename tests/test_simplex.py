@@ -15,9 +15,11 @@ from treedensity import (
     minimize_F,
     muirhead_check,
     simplex_point,
+    simplex_sup_report,
     sup_boundary_scan,
     uniform_min_value,
 )
+from treedensity import simplex
 from treedensity.simplex import (
     exponent_compositions,
     exponent_compositions_core,
@@ -183,6 +185,41 @@ def test_sup_scan_domain():
     with pytest.raises(PreconditionError):
         sup_boundary_scan(3, 4, [Fraction(0)])
     assert sup_boundary_scan(4, 5, [Fraction(1, 2)])[0] <= Fraction(1, 5)
+
+
+def test_sup_report_verdict_at_k3():
+    # the values sit on the bound, so only the k = 3 rule can pass them
+    rep = simplex_sup_report(3, 3, 4)
+    assert rep.all_ok is True
+    assert rep.params["bound"] == "1/3"
+    assert [row[0] for row in rep.rows] == ["1/2", "1/4", "1/8", "1/16"]
+    assert [row[1] for row in rep.rows] == [Fraction(1, 3)] * 4
+
+
+def test_sup_report_verdict_at_k4():
+    rep = simplex_sup_report(3, 4, 4)
+    assert rep.all_ok is True
+    assert [row[1] for row in rep.rows] == [
+        Fraction(1, 7), Fraction(5, 29), Fraction(25, 121), Fraction(113, 497)
+    ]
+    assert rep.rows[0][3] == "0.107142857143"  # 1/4 - 1/7
+
+
+@pytest.mark.parametrize("k, values", [
+    (3, [Fraction(1, 3), Fraction(1, 3) - Fraction(1, 10**9)]),  # one value off the bound
+    (4, [Fraction(1, 5), Fraction(1, 5)]),  # not strictly increasing
+    (4, [Fraction(1, 5), Fraction(1, 4)]),  # reaches the bound
+])
+def test_sup_report_verdict_fails(monkeypatch, k, values):
+    monkeypatch.setattr(simplex, "sup_boundary_scan", lambda d, k, schedule: values)
+    assert simplex_sup_report(3, k, len(values)).all_ok is False
+
+
+def test_sup_report_refusals():
+    with pytest.raises(PreconditionError, match="needs k >= 3"):
+        simplex_sup_report(3, 2)
+    with pytest.raises(PreconditionError, match="--eps-steps must be >= 1"):
+        simplex_sup_report(3, 4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ BOUNDED_RECURSION = {
     "frontier._partitions_into_parts.rec": "one level per part, at most d",
     "simplex.exponent_compositions.rec": "one level per coordinate, at most d",
     "counting._distinct_sequences.rec": "one level per root branch of the pattern",
-    "trees.make_even_binary": "halves n at each level, so log2(n) deep",
     "search._tree_level": "sizes whose tree count is under max_trees",
 }
 
@@ -60,3 +59,20 @@ def test_no_recursion_over_input_size_in_the_package():
         )
     }
     assert found == set(BOUNDED_RECURSION)
+
+
+def test_cli_only_wires_arguments():
+    # every report is built by a library function, so the command line
+    # neither constructs one nor needs the modules that do report arithmetic
+    path = Path(treedensity.__file__).parent / "cli.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+    builds = [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.Call)
+        and "SearchReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
+    assert builds == []
+    assert imported & {"fractions", "math", "random", "time"} == set()
