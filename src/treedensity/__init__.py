@@ -34,7 +34,6 @@ from .errors import (
     TreeDensityError,
 )
 from .formulas import (
-    asymptotic_min_copies,
     bk_coefficient,
     bk_lower_bound,
     caterpillar_copies_complete,
@@ -49,7 +48,6 @@ from .search import (
     count_trees,
     enumerate_report,
     enumerate_trees,
-    min_density_exhaustive,
     search_min_report,
     verify_even_conjecture,
     verify_monotone_min,
@@ -79,7 +77,6 @@ from .trees import (
     make_even_binary,
     node,
     parse_tree,
-    serialize,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +86,6 @@ __all__ = [
     "leaf",
     "node",
     "parse_tree",
-    "serialize",
     "is_d_ary",
     "is_strictly_d_ary",
     "make_caterpillar",
@@ -111,12 +107,10 @@ __all__ = [
     "liminf_density",
     "bk_coefficient",
     "bk_lower_bound",
-    "asymptotic_min_copies",
     "limits_report",
     "count_trees",
     "enumerate_trees",
     "enumerate_report",
-    "min_density_exhaustive",
     "search_min_report",
     "verify_even_conjecture",
     "verify_monotone_min",

@@ -225,23 +225,21 @@ class BranchPattern:
 
 
 def _distinct_sequences(mults: Sequence[int]):
-    total = sum(mults)
-    remaining = list(mults)
-    seq: list[int] = []
-
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
+    """Every distinct arrangement of ``mults[c]`` copies of each class c, in
+    lexicographic order, by repeated next-permutation of the sorted classes."""
+    seq = [c for c, m in enumerate(mults) for _ in range(m)]
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for ci in range(len(remaining)):
-            if remaining[ci]:
-                remaining[ci] -= 1
-                seq.append(ci)
-                yield from rec()
-                seq.pop()
-                remaining[ci] += 1
-
-    yield from rec()
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
 def branch_pattern(d_pattern: Tree) -> BranchPattern:

@@ -27,7 +27,6 @@ __all__ = [
     "liminf_density",
     "bk_coefficient",
     "bk_lower_bound",
-    "asymptotic_min_copies",
     "limits_report",
 ]
 
@@ -142,14 +141,6 @@ def bk_lower_bound(d: int, k: int, n: int) -> Fraction:
     if not isinstance(n, int) or n < 0:
         raise PreconditionError(f"leaf count must be an integer >= 0, got {n!r}")
     return bk_coefficient(d, k) * n**k - Fraction(n ** (k - 1), factorial(k - 1))
-
-
-def asymptotic_min_copies(d: int, k: int, n: int) -> Fraction:
-    """Leading term b_k n^k of the minimum k-caterpillar count over d-ary
-    trees with n leaves; equals liminf_density(d, k) * n^k / k!."""
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError(f"leaf count must be an integer >= 0, got {n!r}")
-    return bk_coefficient(d, k) * n**k
 
 
 def limits_report(d: int, k: int, r: int = 2) -> SearchReport:

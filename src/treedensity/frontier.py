@@ -146,18 +146,31 @@ class ParetoFrontiers:
 
 
 def _partitions_into_parts(n: int, m: int):
-    """Nondecreasing positive integer m-tuples summing to n."""
-
-    def rec(remaining, parts_left, minimum):
-        if parts_left == 1:
-            if remaining >= minimum:
-                yield (remaining,)
+    """Nondecreasing positive integer m-tuples summing to n, in lexicographic
+    order. For each head (the first m - 2 parts) the last two parts run
+    through every split of what remains; then the rightmost head part that
+    can still grow does, and the head parts after it take its new value."""
+    if n < m:
+        return
+    if m == 1:
+        yield (n,)
+        return
+    head = [1] * (m - 2)
+    while True:
+        rest = n - sum(head)
+        low = head[-1] if head else 1
+        top = rest // 2
+        pairs = zip(range(low, top + 1), range(rest - low, rest - top - 1, -1))
+        yield from map(tuple(head).__add__, pairs)
+        before = sum(head)  # sum(head[:i]) as i moves left
+        for i in range(m - 3, -1, -1):
+            before -= head[i]
+            v = head[i] + 1
+            if v * (m - i) <= n - before:  # room for the two last parts too
+                head[i:] = [v] * (m - 2 - i)
+                break
+        else:
             return
-        for first in range(minimum, remaining // parts_left + 1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(n, m, 1)
 
 
 class ParetoDP:

@@ -1,10 +1,11 @@
 """Enumeration of d-ary trees and extremal searches over them.
 
 ``enumerate_trees`` streams every isomorphism type of d-ary tree with a given
-leaf count exactly once, built bottom-up from cached smaller levels, so that
-exhaustive minimization (``min_density_exhaustive``) is a straight scan.
-``count_trees`` evaluates the same recurrence without building anything and
-is used both for budget refusals and as a cross-check on the enumerator.
+leaf count exactly once. Each call builds the smaller levels bottom-up and
+keeps nothing afterwards, so the exhaustive branch of ``search_min_report``
+is a straight scan. ``count_trees`` evaluates the same recurrence without
+building anything and is used both for budget refusals and as a cross-check
+on the enumerator.
 
 The two verification sweeps wrap the searches into reports:
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Iterator
 
@@ -34,7 +36,6 @@ __all__ = [
     "count_trees",
     "enumerate_trees",
     "enumerate_report",
-    "min_density_exhaustive",
     "search_min_report",
     "verify_even_conjecture",
     "verify_monotone_min",
@@ -53,91 +54,47 @@ def _check_n_d(n: int, d: int) -> None:
         raise PreconditionError(f"arity bound must be an integer >= 2, got {d!r}")
 
 
-def _grouped_partitions(n: int, m: int):
-    """Partitions of n into m nondecreasing positive parts, as (size, count)
-    run-length groups."""
-    for sizes in frontier_mod._partitions_into_parts(n, m):
-        groups: list[tuple[int, int]] = []
-        for s in sizes:
-            if groups and groups[-1][0] == s:
-                groups[-1] = (s, groups[-1][1] + 1)
-            else:
-                groups.append((s, 1))
-        yield groups
+def _root_splits(size: int, d: int, strict: bool):
+    """The branch sizes of a root with ``size`` leaves: every partition of
+    size into 2..d parts (exactly d if ``strict``), in partition order, as
+    [part, multiplicity] runs."""
+    arities = (d,) if strict else range(2, min(d, size) + 1)
+    for m in arities:
+        for parts in frontier_mod._partitions_into_parts(size, m):
+            runs: list[list[int]] = []
+            for part in parts:
+                if runs and runs[-1][0] == part:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([part, 1])
+            yield runs
 
 
-_count_cache: dict[tuple[int, int, bool], int] = {}
+def _tree_counts(n: int, d: int, strict: bool) -> list[int]:
+    """``counts[s]`` for s = 0..n: the number of d-ary trees with s leaves.
+    A root's branches form a multiset, so each run of c branches of size s
+    contributes the multiset coefficient C(counts[s] + c - 1, c)."""
+    counts = [0, 1]
+    for size in range(2, n + 1):
+        total = 0
+        for runs in _root_splits(size, d, strict):
+            ways = 1
+            for part, cnt in runs:
+                ways *= comb(counts[part] + cnt - 1, cnt)
+            total += ways
+        counts.append(total)
+    return counts
 
 
 def count_trees(n: int, d: int, strict: bool = False) -> int:
     """Number of isomorphism types of d-ary trees with n leaves.
 
-    ``strict`` restricts every internal outdegree to exactly d. Branch
-    multisets are counted with multiset coefficients, so this matches the
-    length of :func:`enumerate_trees` without materializing any tree. The
-    counts of sizes 1..n are filled in order, so n has no depth limit.
+    ``strict`` restricts every internal outdegree to exactly d. The counts of
+    sizes 1..n are filled in order without materializing any tree, so this
+    matches the length of :func:`enumerate_trees` and n has no depth limit.
     """
     _check_n_d(n, d)
-    for size in range(1, n + 1):
-        if (size, d, strict) in _count_cache:
-            continue
-        total = 1 if size == 1 else 0
-        arities = (d,) if strict else range(2, min(d, size) + 1)
-        for m in arities:  # no partition of size has more than size parts
-            for groups in _grouped_partitions(size, m):
-                ways = 1
-                for part, cnt in groups:
-                    ways *= comb(_count_cache[(part, d, strict)] + cnt - 1, cnt)
-                    if not ways:
-                        break
-                total += ways
-        _count_cache[(size, d, strict)] = total
-    return _count_cache[(n, d, strict)]
-
-
-_level_cache: dict[tuple[int, int, bool], tuple[Tree, ...]] = {}
-
-
-def _tree_level(n: int, d: int, strict: bool, max_trees: int) -> tuple[Tree, ...]:
-    key = (n, d, strict)
-    # budget first, even on a warm cache: the refusal contract must not
-    # depend on what earlier calls happened to enumerate
-    total = count_trees(n, d, strict)
-    if total > max_trees:
-        raise BudgetError(
-            f"enumerating {total} {'strictly ' if strict else ''}{d}-ary trees "
-            f"with {n} leaves exceeds the cap of {max_trees}"
-        )
-    cached = _level_cache.get(key)
-    if cached is not None:
-        return cached
-    if n == 1:
-        level: tuple[Tree, ...] = (leaf(),)
-    else:
-        from itertools import combinations_with_replacement, product
-
-        built: list[Tree] = []
-        arities = (d,) if strict else range(2, min(d, n) + 1)
-        for m in arities:  # no partition of n has more than n parts
-            for groups in _grouped_partitions(n, m):
-                pools = [
-                    combinations_with_replacement(_tree_level(s, d, strict, max_trees), cnt)
-                    for s, cnt in groups
-                ]
-                for pick in product(*pools):
-                    kids: list[Tree] = []
-                    for chunk in pick:
-                        kids.extend(chunk)
-                    built.append(node(kids))
-        built.sort(key=lambda t: (len(t.code), t.code))
-        level = tuple(built)
-    if len(level) != total:
-        raise ConsistencyError(
-            f"{'strictly ' if strict else ''}{d}-ary trees with {n} leaves: "
-            f"enumerated {len(level)}, counted {total}"
-        )
-    _level_cache[key] = level
-    return level
+    return _tree_counts(n, d, strict)[n]
 
 
 def enumerate_trees(
@@ -146,17 +103,38 @@ def enumerate_trees(
     """Every d-ary tree with n leaves, one representative per isomorphism
     type, in a fixed (code-sorted) order.
 
-    Levels are cached, so repeated sweeps over the same sizes are cheap.
     Refuses with BudgetError, naming the count, when more than ``max_trees``
-    trees would be generated at any level. Strictly d-ary trees exist only
-    for n = 1 mod (d - 1); asking for other sizes in strict mode is an error.
+    trees have n leaves; no smaller size has more. Otherwise every level
+    1..n is built afresh, smallest first, from the levels below it. Strictly
+    d-ary trees exist only for n = 1 mod (d - 1); asking for other sizes in
+    strict mode is an error.
     """
     _check_n_d(n, d)
     if strict and (n - 1) % (d - 1) != 0:
         raise PreconditionError(
             f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
         )
-    return iter(_tree_level(n, d, strict, max_trees))
+    counts = _tree_counts(n, d, strict)
+    if counts[n] > max_trees:
+        raise BudgetError(
+            f"enumerating {counts[n]} {'strictly ' if strict else ''}{d}-ary trees "
+            f"with {n} leaves exceeds the cap of {max_trees}"
+        )
+    levels: list[list[Tree]] = [[], [leaf()]]
+    for size in range(2, n + 1):
+        level = []
+        for runs in _root_splits(size, d, strict):
+            pools = [combinations_with_replacement(levels[part], cnt) for part, cnt in runs]
+            for pick in product(*pools):
+                level.append(node([t for chunk in pick for t in chunk]))
+        if len(level) != counts[size]:
+            raise ConsistencyError(
+                f"{'strictly ' if strict else ''}{d}-ary trees with {size} leaves: "
+                f"enumerated {len(level)}, counted {counts[size]}"
+            )
+        level.sort(key=lambda t: (len(t.code), t.code))
+        levels.append(level)
+    return iter(levels[n])
 
 
 def enumerate_report(
@@ -175,24 +153,13 @@ def enumerate_report(
     )
 
 
-_ARGMIN_KEEP = 1000  # witnesses stored per record before truncation
-
-
 @dataclass(frozen=True)
 class MinRecord:
-    """Minimum k-caterpillar count among the searched n-leaf trees.
+    """Minimum k-caterpillar count among the n-leaf trees searched, and the
+    first tree in enumeration order that attains it."""
 
-    ``argmin_codes`` lists every witness attaining the minimum in enumeration
-    order (truncated to the first 1000; ``argmin_total`` is the true count).
-    """
-
-    n: int
-    k: int
     min_count: int
-    density: Fraction
-    argmin_codes: tuple[str, ...]
-    argmin_total: int
-    trees_scanned: int
+    witness: str
 
 
 def _check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict) -> None:
@@ -217,70 +184,23 @@ def _min_record(
 ) -> MinRecord:
     best: int | None = None
     codes: list[str] = []
-    ties = 0
-    scanned = 0
     level_memo: dict = {}  # the level's trees share their subtrees' vectors
     for t in enumerate_trees(n, d, strict, max_trees=max_trees):
-        scanned += 1
         c = caterpillar_counts(t, k, level_memo)[k]
         if best is None or c < best:
-            best, codes, ties = c, [t.code], 1
-        elif c == best:
-            ties += 1
-            if ties <= _ARGMIN_KEEP:
-                codes.append(t.code)
+            best, codes = c, [t.code]
+        elif c == best and len(codes) < 4:
+            codes.append(t.code)
     if best is None:
         raise PreconditionError(
             f"no {'strictly ' if strict else ''}{d}-ary tree with {n} leaves exists"
         )
-    # Witness sanity: re-counting the reported codes must reproduce the count,
-    # from their own characters and a memo of their own.
+    # Witness sanity: re-counting the first tied codes must reproduce the
+    # count, from their own characters and a memo of their own.
     memo: dict = {}
-    for code in codes[:4]:
+    for code in codes:
         _check_witness(code, n, d, k, best, memo)
-    return MinRecord(n, k, best, Fraction(best, comb(n, k)), tuple(codes), ties, scanned)
-
-
-def min_density_exhaustive(
-    n: int,
-    d: int,
-    k: int,
-    *,
-    strict: bool = False,
-    max_trees: int = DEFAULT_TREE_CAP,
-) -> SearchReport:
-    """Scan every d-ary (or strictly d-ary) tree with n leaves and report the
-    minimum k-caterpillar count and density, with one witness code."""
-    if not isinstance(k, int) or k < 2:
-        raise PreconditionError(f"caterpillar size must be an integer >= 2, got {k!r}")
-    _check_n_d(n, d)
-    if n < k:
-        raise PreconditionError(f"need n >= k, got n={n} < k={k}")
-    start = time.perf_counter()
-    rec = _min_record(n, d, k, strict=strict, max_trees=max_trees)
-    report = SearchReport(
-        mode="search-min-strict" if strict else "search-min",
-        params={"d": d, "k": k, "n": n, "method": "exhaustive"},
-        columns=SEARCH_COLUMNS,
-        rows=[
-            (
-                rec.n,
-                rec.min_count,
-                rec.density.numerator,
-                rec.density.denominator,
-                rec.argmin_codes[0],
-            )
-        ],
-        wall_time=time.perf_counter() - start,
-    )
-    report.notes.append(
-        f"{rec.trees_scanned} trees scanned, {rec.argmin_total} attain the minimum"
-    )
-    if rec.argmin_total > 1:
-        shown = ";".join(rec.argmin_codes)
-        suffix = "" if rec.argmin_total <= len(rec.argmin_codes) else " (truncated)"
-        report.notes.append(f"argmin codes: {shown}{suffix}")
-    return report
+    return MinRecord(best, codes[0])
 
 
 def search_min_report(
@@ -313,7 +233,7 @@ def search_min_report(
     if method not in ("pareto", "exhaustive"):
         raise PreconditionError(f"unknown search method {method!r}")
     start = time.perf_counter()
-    rows = []
+    minima: list[tuple[int, int, str]] = []  # (n, minimum count, witness)
     if method == "pareto":
         if strict and d > 2:
             raise PreconditionError(
@@ -326,18 +246,18 @@ def search_min_report(
         memo: dict = {}  # rows share the recounts of identical subtree codes
         for n in range(n_min, n_max + 1):
             entry = fronts.argmin_entry(n)
-            c = entry.vector[-1]
-            _check_witness(entry.witness, n, d, k, c, memo)
-            q = Fraction(c, comb(n, k))
-            rows.append((n, c, q.numerator, q.denominator, entry.witness))
+            _check_witness(entry.witness, n, d, k, entry.vector[-1], memo)
+            minima.append((n, entry.vector[-1], entry.witness))
     else:
         for n in range(n_min, n_max + 1):
             if strict and (n - 1) % (d - 1) != 0:
                 continue  # no strictly d-ary tree of this size
             rec = _min_record(n, d, k, strict=strict, max_trees=max_trees)
-            rows.append(
-                (rec.n, rec.min_count, rec.density.numerator, rec.density.denominator, rec.argmin_codes[0])
-            )
+            minima.append((n, rec.min_count, rec.witness))
+    rows = []
+    for n, c, code in minima:
+        q = Fraction(c, comb(n, k))
+        rows.append((n, c, q.numerator, q.denominator, code))
     return SearchReport(
         mode="search-min-strict" if strict else "search-min",
         params={"d": d, "k": k, "n_min": n_min, "n_max": n_max, "method": method},

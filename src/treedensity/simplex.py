@@ -30,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm
 from operator import lt, sub
 from typing import Iterable, Sequence
@@ -575,18 +575,13 @@ def exponent_compositions(d: int, k: int) -> list[tuple[int, ...]]:
     to k (no corner terms), in lexicographic order."""
     if d < 2 or k < 1:
         raise PreconditionError(f"need d >= 2 and k >= 1, got d={d!r}, k={k!r}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == d - 1:
-            v = prefix + (remaining,)
-            if k not in v:
-                out.append(v)
-            return
-        for c in range(remaining + 1):
-            rec(prefix + (c,), remaining - c)
-
-    rec((), k)
+    # the d - 1 cut points of 0..k into d consecutive gaps, in lexicographic
+    # order, give the gap vectors in lexicographic order
+    out = []
+    for cuts in combinations_with_replacement(range(k + 1), d - 1):
+        v = tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
+        if k not in v:
+            out.append(v)
     return out
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "leaf",
     "node",
     "parse_tree",
-    "serialize",
     "is_d_ary",
     "is_strictly_d_ary",
     "make_caterpillar",
@@ -159,11 +158,6 @@ def parse_tree(text: str) -> Tree:
     if root is None:
         raise ParseError("empty input", 0)
     return root
-
-
-def serialize(t: Tree) -> str:
-    """Canonical code of ``t``; inverse of :func:`parse_tree`."""
-    return t.code
 
 
 def _check_degree(d: int) -> None:

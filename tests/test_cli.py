@@ -49,6 +49,13 @@ def test_count_on_a_deep_caterpillar_host(capsys):
     assert out.splitlines()[1].split(",")[4] == "4495501000"
 
 
+def test_count_of_a_wide_star_in_itself(capsys):
+    star = "(" + "*" * 1200 + ")"
+    code, out, _ = run_cli(capsys, "count", "--pattern", star, "--tree", star, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2:5] == ["1200", "1200", "1"]
+
+
 def test_count_brute_agrees_with_recursion(capsys):
     args = ("--pattern", "(*(**))", "--tree-even", "9", "--format", "csv")
     _, out_fast, _ = run_cli(capsys, "count", *args)

@@ -4,7 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -169,6 +169,10 @@ def test_branch_pattern_assignment_counts():
                 )
                 assert len(bp.assignments) == expect
                 assert len(set(bp.assignments)) == expect
+                # in lexicographic order of the class indices
+                classes = [c for c, m in enumerate(bp.multiplicities) for _ in range(m)]
+                indices = [tuple(map(bp.class_reps.index, a)) for a in bp.assignments]
+                assert indices == sorted(set(permutations(classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +275,14 @@ def test_counters_on_deep_caterpillar_hosts(deep_caterpillar, k):
         # (***) takes the triples that meet at one vertex
         star = count_copies(parse_tree("(***)"), host) if r == 3 else 0
         assert counts[1] + star == comb(n, 3)
+
+
+def test_pattern_as_wide_as_three_recursion_limits():
+    star = parse_tree("(" + "*" * DEEP + ")")
+    assert count_copies(star, star) == 1
+    assert CopyEngine().count(star, star) == 1
+    # a binary host has no vertex with three children
+    assert count_copies(star, make_caterpillar(2, DEEP)) == 0
 
 
 # ---------------------------------------------------------------------------

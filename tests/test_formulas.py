@@ -7,7 +7,6 @@ import pytest
 
 from treedensity import (
     PreconditionError,
-    asymptotic_min_copies,
     bk_coefficient,
     bk_lower_bound,
     caterpillar_copies_complete,
@@ -167,10 +166,11 @@ def test_bk_lower_bound_values():
 
 
 def test_asymptotic_leading_term():
+    # the leading term b_k n^k of the minimum k-caterpillar count
     for n in (0, 1, 7, 100):
-        assert asymptotic_min_copies(2, 3, n) == Fraction(n**3, 6)
-        assert asymptotic_min_copies(3, 3, n) == Fraction(n**3, 8)
-    assert asymptotic_min_copies(2, 4, 10) == liminf_density(2, 4) * 10**4 / factorial(4)
+        assert bk_coefficient(2, 3) * n**3 == Fraction(n**3, 6)
+        assert bk_coefficient(3, 3) * n**3 == Fraction(n**3, 8)
+    assert bk_coefficient(2, 4) * 10**4 == liminf_density(2, 4) * 10**4 / factorial(4)
 
 
 def test_density_error_shrinks_like_the_closed_form():

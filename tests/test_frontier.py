@@ -1,6 +1,7 @@
 """Pareto-frontier DP: pruning soundness, caching, and budget refusals."""
 
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +73,11 @@ def test_partitions_into_parts():
     assert list(_partitions_into_parts(5, 2)) == [(1, 4), (2, 3)]
     assert list(_partitions_into_parts(6, 3)) == [(1, 1, 4), (1, 2, 3), (2, 2, 2)]
     assert list(_partitions_into_parts(2, 3)) == []
+    # every partition, in lexicographic order, against a generate-and-filter
+    for n in range(1, 21):
+        for m in range(1, 6):
+            expect = [t for t in combinations_with_replacement(range(1, n + 1), m) if sum(t) == n]
+            assert list(_partitions_into_parts(n, m)) == expect, (n, m)
 
 
 # ---------------------------------------------------------------------------

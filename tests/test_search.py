@@ -18,7 +18,6 @@ from treedensity import (
     leaf,
     liminf_density,
     make_even_binary,
-    min_density_exhaustive,
     parse_tree,
     search_min_report,
     verify_even_conjecture,
@@ -136,12 +135,16 @@ def test_enumeration_domain_errors():
 # exhaustive minimum search
 
 
-def test_min_density_exhaustive_spot_cases():
-    rep = min_density_exhaustive(4, 2, 4)
+def _exhaustive(n, d, k, **kw):
+    return search_min_report(d, k, n, n, method="exhaustive", **kw)
+
+
+def test_exhaustive_search_spot_cases():
+    rep = _exhaustive(4, 2, 4)
     assert rep.mode == "search-min"
     assert rep.rows == [(4, 0, 0, 1, "((**)(**))")]
 
-    rep = min_density_exhaustive(5, 2, 4)
+    rep = _exhaustive(5, 2, 4)
     (n, c, num, den, code) = rep.rows[0]
     assert (n, c) == (5, 2)
     assert Fraction(num, den) == Fraction(2, comb(5, 4))
@@ -149,29 +152,27 @@ def test_min_density_exhaustive_spot_cases():
     assert caterpillar_counts(parse_tree(code), 4)[4] == 2
 
     # with k=3 every binary host has c_3 = C(n, 3), so everything ties
-    rep = min_density_exhaustive(4, 2, 3)
+    rep = _exhaustive(4, 2, 3)
     assert rep.rows[0][1] == comb(4, 3)
-    assert rep.notes[0] == "2 trees scanned, 2 attain the minimum"
-    assert "argmin codes: ((**)(**));(*(*(**)))" in rep.notes[1]
 
 
-def test_min_density_exhaustive_matches_frozen_minima():
+def test_exhaustive_search_matches_frozen_minima():
     for n, c in MIN_C4.items():
         if n <= 11:
-            assert min_density_exhaustive(n, 2, 4).rows[0][1] == c
+            assert _exhaustive(n, 2, 4).rows[0][1] == c
 
 
-def test_min_density_exhaustive_errors():
+def test_exhaustive_search_errors():
     with pytest.raises(PreconditionError):
-        min_density_exhaustive(3, 2, 4)  # n < k
+        _exhaustive(3, 2, 4)  # n < k
     with pytest.raises(PreconditionError):
-        min_density_exhaustive(4, 2, 1)
+        _exhaustive(4, 2, 1)
     with pytest.raises(BudgetError):
-        min_density_exhaustive(14, 2, 4, max_trees=100)
+        _exhaustive(14, 2, 4, max_trees=100)
 
 
 def test_strict_exhaustive_search():
-    rep = min_density_exhaustive(7, 3, 3, strict=True)
+    rep = _exhaustive(7, 3, 3, strict=True)
     assert rep.mode == "search-min-strict"
     n, c, num, den, code = rep.rows[0]
     assert n == 7 and is_strictly_d_ary(parse_tree(code), 3)

@@ -1,9 +1,20 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import treedensity
+from treedensity import (
+    caterpillar_counts,
+    count_copies,
+    count_trees,
+    enumerate_trees,
+    make_caterpillar,
+    make_complete,
+    search_min_report,
+)
 
 
 def test_no_assert_statements_in_the_package():
@@ -18,13 +29,9 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-# Self-calling functions the package keeps, each with what bounds its depth.
-BOUNDED_RECURSION = {
-    "frontier._partitions_into_parts.rec": "one level per part, at most d",
-    "simplex.exponent_compositions.rec": "one level per coordinate, at most d",
-    "counting._distinct_sequences.rec": "one level per root branch of the pattern",
-    "search._tree_level": "sizes whose tree count is under max_trees",
-}
+# Self-calling functions the package keeps, each with what bounds its depth:
+# none, so no input can exhaust the interpreter's stack.
+BOUNDED_RECURSION: dict[str, str] = {}
 
 
 def _self_calls(body, prefix: str, in_class: bool):
@@ -48,8 +55,8 @@ def _self_calls(body, prefix: str, in_class: bool):
 
 
 def test_no_recursion_over_input_size_in_the_package():
-    # a tree as deep as the interpreter's recursion limit must not crash a
-    # count, so only recursions with a small bound on their depth remain
+    # a tree as deep or as wide as the interpreter's recursion limit must
+    # not crash a count, so no function calls itself
     root = Path(treedensity.__file__).parent
     found = {
         call
@@ -76,3 +83,31 @@ def test_cli_only_wires_arguments():
     imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
     assert builds == []
     assert imported & {"fractions", "math", "random", "time"} == set()
+
+
+def _module_state():
+    """Size of every module-level dict, list and set in the package."""
+    modules = [treedensity] + [
+        importlib.import_module(f"treedensity.{info.name}")
+        for info in pkgutil.iter_modules(treedensity.__path__)
+    ]
+    return {
+        f"{module.__name__}.{name}": len(value)
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_library_calls_leave_no_module_state():
+    # every memo belongs to a call or to an object its caller holds; the
+    # arguments (d = 7) are ones no other test uses, so no memo is warm yet
+    before = _module_state()
+    assert count_trees(16, 7) > 0
+    assert len(list(enumerate_trees(9, 7))) == count_trees(9, 7)
+    search_min_report(7, 4, 4, 9, method="exhaustive")
+    search_min_report(7, 4, 4, 14, method="pareto", allow_general_d=True)
+    host = make_complete(7, 2)
+    assert count_copies(make_caterpillar(7, 13), host) > 0
+    assert caterpillar_counts(host, 3)[3] > 0
+    assert _module_state() == before

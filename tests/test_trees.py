@@ -18,7 +18,6 @@ from treedensity import (
     make_even_binary,
     node,
     parse_tree,
-    serialize,
 )
 from treedensity.search import enumerate_trees
 
@@ -37,7 +36,7 @@ def test_parse_canonicalizes_child_order():
 
 def test_serialize_round_trip_examples():
     for code in ["*", "(**)", "(*(**))", "((**)(**))", "(*(*(**)))", "(**(***))"]:
-        assert serialize(parse_tree(code)) == code
+        assert parse_tree(code).code == code
 
 
 @pytest.mark.parametrize(
@@ -94,8 +93,8 @@ def test_round_trip_random_trees(n, seed):
         return node([build(cut), build(m - cut)])
 
     t = build(n)
-    assert parse_tree(serialize(t)) == t
-    assert serialize(parse_tree(serialize(t))) == serialize(t)
+    assert parse_tree(t.code) == t
+    assert parse_tree(parse_tree(t.code).code).code == t.code
 
 
 def test_is_d_ary_examples():
