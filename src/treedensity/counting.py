@@ -9,7 +9,8 @@ number of subsets of that size, so it always lands in [0, 1].
 
 Two independent routes to c(D, T) live here. ``count_copies_brute`` walks
 every subset and is the ground truth at small sizes; it reads each induced
-code straight off the depths at which consecutive chosen leaves meet, so it
+code straight off the depths at which consecutive chosen leaves meet, taken
+from a range-minimum table built once per host, and builds no Tree, so it
 shares nothing with the recursion. ``count_copies`` runs a
 branch decomposition: a copy of D either sits inside a single branch of T, or
 its root is the root of T and each branch of D is induced inside a distinct
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .reporting import SearchReport, decimal_str
-from .trees import Tree, _code_key, leaf, node, parse_tree
+from .trees import Tree, leaf, node, parse_tree
 
 __all__ = [
     "induced_subtree",
@@ -130,25 +131,48 @@ def _adjacent_lca_depths(t: Tree) -> list[int]:
     return depths
 
 
+def _range_minima(values: list[int]) -> list[tuple[list[int], int]]:
+    """Sparse table of ``values``: entry L - 1, for 1 <= L <= len(values),
+    is (row, w) with w the largest power of two <= L and row[i] =
+    min(values[i : i + w]), so min(values[a:b]) with b - a = L is
+    min(row[a], row[b - w]). The rows, one per power of two, hold
+    O(n log n) integers."""
+    rows = [values]
+    w = 1
+    while 2 * w <= len(values):
+        prev = rows[-1]
+        rows.append([x if x < y else y for x, y in zip(prev, prev[w:])])
+        w *= 2
+    return [(rows[L.bit_length() - 1], 1 << (L.bit_length() - 1))
+            for L in range(1, len(values) + 1)]
+
+
 def _close(codes: list[str]) -> str:
-    return "(" + "".join(sorted(codes, key=_code_key)) + ")"
+    # a stable sort by length after one by code leaves (length, code) order
+    codes.sort()
+    codes.sort(key=len)
+    return "(" + "".join(codes) + ")"
 
 
 def _induced_codes(t: Tree, k: int) -> Iterator[str]:
     """Canonical code of the tree induced by each k-subset of t's leaves, in
     ``itertools.combinations`` order, without building Tree objects.
 
-    Consecutive chosen leaves a < b meet at depth min(adj[a:b]). The induced
-    tree's internal vertices are exactly those meeting points, so a stack of
-    open vertices (depths strictly increasing) assembles it left to right.
+    Consecutive chosen leaves a < b meet at depth min(adj[a:b]), read off a
+    sparse table built once per host. The induced tree's internal vertices
+    are exactly those meeting points, so a stack of open vertices (depths
+    strictly increasing) assembles it left to right.
     """
-    adj = _adjacent_lca_depths(t)
+    spans = _range_minima(_adjacent_lca_depths(t))
     for subset in combinations(range(t.leaf_count), k):
         depths: list[int] = []
         kids: list[list[str]] = []
         cur = "*"
         for a, b in zip(subset, subset[1:]):
-            h = min(adj[a:b])
+            row, w = spans[b - a - 1]
+            h = row[a]
+            if row[b - w] < h:
+                h = row[b - w]
             while depths and depths[-1] > h:
                 depths.pop()
                 group = kids.pop()

@@ -2,10 +2,11 @@
 
 ``enumerate_trees`` streams every isomorphism type of d-ary tree with a given
 leaf count exactly once. Each call builds the smaller levels bottom-up and
-keeps nothing afterwards, so the exhaustive branch of ``search_min_report``
-is a straight scan. ``count_trees`` evaluates the same recurrence without
-building anything and is used both for budget refusals and as a cross-check
-on the enumerator.
+keeps nothing afterwards. The exhaustive branch of ``search_min_report``
+builds the levels once per report, up to its largest leaf count, and scans
+each level it reports on. ``count_trees`` evaluates the same recurrence
+without building anything and is used both for budget refusals and as a
+cross-check on the enumerator.
 
 The two verification sweeps wrap the searches into reports:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, islice, product
 from math import comb
 from typing import Iterator
 
@@ -70,12 +71,13 @@ def _root_splits(size: int, d: int, strict: bool):
             yield runs
 
 
-def _tree_counts(n: int, d: int, strict: bool) -> list[int]:
-    """``counts[s]`` for s = 0..n: the number of d-ary trees with s leaves.
+def _count_sequence(d: int, strict: bool) -> Iterator[int]:
+    """The number of d-ary trees with s leaves for s = 1, 2, ... in turn.
     A root's branches form a multiset, so each run of c branches of size s
     contributes the multiset coefficient C(counts[s] + c - 1, c)."""
     counts = [0, 1]
-    for size in range(2, n + 1):
+    yield 1
+    for size in count(2):
         total = 0
         for runs in _root_splits(size, d, strict):
             ways = 1
@@ -83,7 +85,12 @@ def _tree_counts(n: int, d: int, strict: bool) -> list[int]:
                 ways *= comb(counts[part] + cnt - 1, cnt)
             total += ways
         counts.append(total)
-    return counts
+        yield total
+
+
+def _tree_counts(n: int, d: int, strict: bool) -> list[int]:
+    """``counts[s]`` for s = 0..n: the number of d-ary trees with s leaves."""
+    return [0, *islice(_count_sequence(d, strict), n)]
 
 
 def count_trees(n: int, d: int, strict: bool = False) -> int:
@@ -95,6 +102,36 @@ def count_trees(n: int, d: int, strict: bool = False) -> int:
     """
     _check_n_d(n, d)
     return _tree_counts(n, d, strict)[n]
+
+
+def _refuse_over_cap(counts: list[int], n: int, d: int, strict: bool, max_trees: int) -> None:
+    if counts[n] > max_trees:
+        raise BudgetError(
+            f"enumerating {counts[n]} {'strictly ' if strict else ''}{d}-ary trees "
+            f"with {n} leaves exceeds the cap of {max_trees}"
+        )
+
+
+def _tree_levels(n: int, d: int, strict: bool, counts: list[int]) -> list[list[Tree]]:
+    """``levels[s]`` for s = 0..n: every d-ary tree with s leaves, sorted by
+    code, each level built from the ones below it and checked against
+    ``counts`` (from :func:`_tree_counts`). The caller owns the levels."""
+    levels: list[list[Tree]] = [[], [leaf()]]
+    for size in range(2, n + 1):
+        level = []
+        for runs in _root_splits(size, d, strict):
+            pools = [combinations_with_replacement(levels[part], cnt) for part, cnt in runs]
+            for pick in product(*pools):
+                level.append(node([t for chunk in pick for t in chunk]))
+        if len(level) != counts[size]:
+            raise ConsistencyError(
+                f"{'strictly ' if strict else ''}{d}-ary trees with {size} leaves: "
+                f"enumerated {len(level)}, counted {counts[size]}"
+            )
+        items = [(len(t.code), t.code, t) for t in level]
+        items.sort()
+        levels.append([t for _, _, t in items])
+    return levels
 
 
 def enumerate_trees(
@@ -115,26 +152,8 @@ def enumerate_trees(
             f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
         )
     counts = _tree_counts(n, d, strict)
-    if counts[n] > max_trees:
-        raise BudgetError(
-            f"enumerating {counts[n]} {'strictly ' if strict else ''}{d}-ary trees "
-            f"with {n} leaves exceeds the cap of {max_trees}"
-        )
-    levels: list[list[Tree]] = [[], [leaf()]]
-    for size in range(2, n + 1):
-        level = []
-        for runs in _root_splits(size, d, strict):
-            pools = [combinations_with_replacement(levels[part], cnt) for part, cnt in runs]
-            for pick in product(*pools):
-                level.append(node([t for chunk in pick for t in chunk]))
-        if len(level) != counts[size]:
-            raise ConsistencyError(
-                f"{'strictly ' if strict else ''}{d}-ary trees with {size} leaves: "
-                f"enumerated {len(level)}, counted {counts[size]}"
-            )
-        level.sort(key=lambda t: (len(t.code), t.code))
-        levels.append(level)
-    return iter(levels[n])
+    _refuse_over_cap(counts, n, d, strict, max_trees)
+    return iter(_tree_levels(n, d, strict, counts)[n])
 
 
 def enumerate_report(
@@ -180,13 +199,14 @@ def _check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict)
 
 
 def _min_record(
-    n: int, d: int, k: int, *, strict: bool, max_trees: int
+    level: list[Tree], n: int, d: int, k: int, strict: bool, memo: dict
 ) -> MinRecord:
+    """The minimum over one level; ``memo`` is :func:`caterpillar_counts`'s,
+    shared by the levels of one report."""
     best: int | None = None
     codes: list[str] = []
-    level_memo: dict = {}  # the level's trees share their subtrees' vectors
-    for t in enumerate_trees(n, d, strict, max_trees=max_trees):
-        c = caterpillar_counts(t, k, level_memo)[k]
+    for t in level:
+        c = caterpillar_counts(t, k, memo)[k]
         if best is None or c < best:
             best, codes = c, [t.code]
         elif c == best and len(codes) < 4:
@@ -197,9 +217,9 @@ def _min_record(
         )
     # Witness sanity: re-counting the first tied codes must reproduce the
     # count, from their own characters and a memo of their own.
-    memo: dict = {}
+    recount_memo: dict = {}
     for code in codes:
-        _check_witness(code, n, d, k, best, memo)
+        _check_witness(code, n, d, k, best, recount_memo)
     return MinRecord(best, codes[0])
 
 
@@ -249,10 +269,21 @@ def search_min_report(
             _check_witness(entry.witness, n, d, k, entry.vector[-1], memo)
             minima.append((n, entry.vector[-1], entry.witness))
     else:
-        for n in range(n_min, n_max + 1):
-            if strict and (n - 1) % (d - 1) != 0:
-                continue  # no strictly d-ary tree of this size
-            rec = _min_record(n, d, k, strict=strict, max_trees=max_trees)
+        # Sizes with no strictly d-ary tree (n != 1 mod d - 1) are skipped.
+        # Counting stops at the first size over the cap; else the levels are
+        # built once, up to the largest size, and shared by every row.
+        step = d - 1 if strict else 1
+        sizes = range(n_min + (1 - n_min) % step, n_max + 1, step)
+        top = sizes[-1] if sizes else 0
+        counts = [0]
+        for n, c in zip(range(1, top + 1), _count_sequence(d, strict)):
+            counts.append(c)
+            if n in sizes:
+                _refuse_over_cap(counts, n, d, strict, max_trees)
+        levels = _tree_levels(top, d, strict, counts)
+        level_memo: dict = {}  # smaller levels' trees are subtrees of larger ones
+        for n in sizes:
+            rec = _min_record(levels[n], n, d, k, strict, level_memo)
             minima.append((n, rec.min_count, rec.witness))
     rows = []
     for n, c, code in minima:

@@ -11,6 +11,13 @@ Codes use a bracket grammar: a leaf is ``*`` and an internal vertex is
 For example ``(*(**))`` is the three-leaf tree whose root has a leaf child
 and a cherry child.
 
+Every builder closes a vertex the same way: it sorts the children's
+(length, code, tree) items, joins their codes once and hands both to the
+constructor, so no key function runs per child. A builder keeps a dict of
+the codes it has built, local to the call, and returns the same object for
+a repeated shape; nothing is kept between calls, and equality and hashing
+go by code, so trees from different calls compare as before.
+
 The builders at the bottom construct the recurring families used elsewhere:
 caterpillars (make_caterpillar), complete trees (make_complete) and the
 recursively even-split binary tree (make_even_binary).
@@ -18,6 +25,7 @@ recursively even-split binary tree (make_even_binary).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ParseError, PreconditionError, StructureError
@@ -38,38 +46,38 @@ __all__ = [
 DEFAULT_LEAF_CAP = 10**7
 
 
-def _code_key(code: str):
-    # Children are ordered by length first so that small subtrees sort in
-    # front of large ones regardless of bracket/star byte values.
-    return (len(code), code)
-
-
 class Tree:
     """Immutable rooted tree in canonical child order.
 
     Instances should be obtained through :func:`leaf`, :func:`node`,
     :func:`parse_tree` or one of the family builders rather than by calling
     the class directly; those entry points enforce the structural
-    invariants (no outdegree-one vertices, children sorted).
+    invariants (no outdegree-one vertices, children sorted) and pass the
+    vertex's code, which the constructor stores unchecked.
     """
 
     __slots__ = ("children", "leaf_count", "code", "_max_out", "_min_internal_out", "_hash")
 
-    def __init__(self, children: tuple["Tree", ...]):
+    def __init__(self, children: tuple["Tree", ...], code: str):
         self.children = children
+        self.code = code
+        self._hash = hash(code)
         if not children:
             self.leaf_count = 1
-            self.code = "*"
             self._max_out = 0
             self._min_internal_out = 0  # sentinel: no internal vertex below
-        else:
-            self.leaf_count = sum(c.leaf_count for c in children)
-            self.code = "(" + "".join(c.code for c in children) + ")"
-            out = len(children)
-            self._max_out = max(out, max(c._max_out for c in children))
-            mins = [c._min_internal_out for c in children if c._min_internal_out]
-            self._min_internal_out = min([out] + mins)
-        self._hash = hash(self.code)
+            return
+        leaves = 0
+        top = low = len(children)
+        for c in children:
+            leaves += c.leaf_count
+            if c._max_out > top:
+                top = c._max_out
+            if 0 < c._min_internal_out < low:
+                low = c._min_internal_out
+        self.leaf_count = leaves
+        self._max_out = top
+        self._min_internal_out = low
 
     @property
     def is_leaf(self) -> bool:
@@ -101,7 +109,28 @@ class Tree:
         return f"Tree({self.code!r})"
 
 
-_LEAF = Tree(())
+_LEAF = Tree((), "*")
+_LEAF_ITEM = (1, "*", _LEAF)
+_CODE = itemgetter(1)
+_TREE = itemgetter(2)
+
+
+def _vertex(items: list[tuple[int, str, Tree]], built: dict) -> tuple[int, str, Tree]:
+    """The (len(code), code, tree) item of the internal vertex over the
+    children's items, taken from ``built`` when its code is there already.
+
+    Sorting the items puts the children in canonical order: shorter codes
+    first, so small subtrees lead whatever the byte values of brackets and
+    stars, ties broken by the code. The sort runs in C with no key function;
+    items with equal codes compare equal, since their trees are one object
+    or equal by code, so Tree needs no ordering.
+    """
+    items.sort()
+    code = "(" + "".join(map(_CODE, items)) + ")"
+    item = built.get(code)
+    if item is None:
+        item = built[code] = (len(code), code, Tree(tuple(map(_TREE, items)), code))
+    return item
 
 
 def leaf() -> Tree:
@@ -111,10 +140,10 @@ def leaf() -> Tree:
 
 def node(children: Iterable[Tree]) -> Tree:
     """Internal vertex over the given children (two or more), canonicalized."""
-    kids = tuple(sorted(children, key=lambda t: _code_key(t.code)))
-    if len(kids) < 2:
+    items = [(len(c.code), c.code, c) for c in children]
+    if len(items) < 2:
         raise PreconditionError("an internal vertex needs at least two children")
-    return Tree(kids)
+    return _vertex(items, {})[2]
 
 
 def parse_tree(text: str) -> Tree:
@@ -125,39 +154,47 @@ def parse_tree(text: str) -> Tree:
     malformed text and StructureError for well-bracketed text that describes
     an invalid vertex (no children or a single child); both carry the byte
     offset of the offending character.
+
+    One pass over the text closes each vertex by sorting its children's
+    (length, code, tree) items and joining their codes once. Within one call
+    equal subtrees are one object: a dict local to the call maps each code to
+    its item, so a repeated shape is built once. Nothing outlives the call,
+    and trees from different calls are still equal exactly when their codes
+    are.
     """
-    stack: list[list[Tree]] = []
-    root: Tree | None = None
+    built: dict[str, tuple[int, str, Tree]] = {}
+    stack: list[list[tuple[int, str, Tree]]] = []
+    root = None
     for i, ch in enumerate(text):
-        if root is not None:
-            raise ParseError("trailing input after a complete tree", i)
-        if ch == "(":
+        if ch == "*":
+            if not stack:
+                root = _LEAF_ITEM
+                break
+            stack[-1].append(_LEAF_ITEM)
+        elif ch == "(":
             stack.append([])
-        elif ch == "*":
-            if stack:
-                stack[-1].append(_LEAF)
-            else:
-                root = _LEAF
         elif ch == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", i)
-            kids = stack.pop()
-            if len(kids) == 0:
+            items = stack.pop()
+            if len(items) < 2:
+                if items:
+                    raise StructureError("internal vertex with exactly one child", i)
                 raise StructureError("internal vertex with no children", i)
-            if len(kids) == 1:
-                raise StructureError("internal vertex with exactly one child", i)
-            t = node(kids)
-            if stack:
-                stack[-1].append(t)
-            else:
-                root = t
+            item = _vertex(items, built)
+            if not stack:
+                root = item
+                break
+            stack[-1].append(item)
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
-    if stack:
-        raise ParseError("unbalanced '(': input ended inside a group", len(text))
     if root is None:
+        if stack:
+            raise ParseError("unbalanced '(': input ended inside a group", len(text))
         raise ParseError("empty input", 0)
-    return root
+    if i + 1 < len(text):
+        raise ParseError("trailing input after a complete tree", i + 1)
+    return root[2]
 
 
 def _check_degree(d: int) -> None:
@@ -196,11 +233,11 @@ def make_caterpillar(r: int, k: int) -> Tree:
             f"no {r}-ary caterpillar with {k} leaves: k must be 1 or satisfy "
             f"k >= {r} and k % {r - 1} == 1"
         )
-    t = Tree((_LEAF,) * r)
-    pad = (_LEAF,) * (r - 1)
-    for _ in range((k - r) // (r - 1)):
-        t = node((t,) + pad)
-    return t
+    built: dict = {}
+    item = _LEAF_ITEM
+    for _ in range((k - 1) // (r - 1)):
+        item = _vertex([item] + [_LEAF_ITEM] * (r - 1), built)
+    return item[2]
 
 
 def make_complete(d: int, h: int, leaf_cap: int = DEFAULT_LEAF_CAP) -> Tree:
@@ -218,10 +255,11 @@ def make_complete(d: int, h: int, leaf_cap: int = DEFAULT_LEAF_CAP) -> Tree:
         raise BudgetError(
             f"complete tree would have {n} leaves, above the cap of {leaf_cap}"
         )
-    t = _LEAF
+    built: dict = {}
+    item = _LEAF_ITEM
     for _ in range(h):
-        t = Tree((t,) * d)
-    return t
+        item = _vertex([item] * d, built)
+    return item[2]
 
 
 def make_even_binary(n: int) -> Tree:
@@ -239,7 +277,8 @@ def make_even_binary(n: int) -> Tree:
     while level:
         sizes |= level
         level = {h for s in level if s > 1 for h in ((s + 1) // 2, s // 2)}
-    built: dict[int, Tree] = {}
-    for s in sorted(sizes):
-        built[s] = _LEAF if s == 1 else node([built[(s + 1) // 2], built[s // 2]])
-    return built[n]
+    built: dict = {}
+    items = {1: _LEAF_ITEM}
+    for s in sorted(sizes - {1}):
+        items[s] = _vertex([items[(s + 1) // 2], items[s // 2]], built)
+    return items[n][2]

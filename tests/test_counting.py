@@ -141,6 +141,39 @@ def test_brute_profile_sums_to_binomial():
         brute_copy_profile(t, 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=2, max_value=4),
+       st.integers(min_value=2, max_value=12))
+def test_brute_profile_matches_induced_subtree_on_random_hosts(rnd, d, n):
+    t = parse_tree(_random_code(rnd, n, d))
+    for k in range(2, min(6, n) + 1):
+        assert brute_copy_profile(t, k) == _reference_profile(t, k), (t.code, k)
+
+
+def test_brute_orders_equal_length_siblings_by_code():
+    # the star's branch comes first in the host, but the 3-caterpillar that
+    # three leaves of the other branch induce has a code of the same length
+    # that sorts in front of the star's
+    t = parse_tree("((*****)(**(**)))")
+    assert t.code == "((*****)(**(**)))"
+    profile = brute_copy_profile(t, 8)
+    assert profile == _reference_profile(t, 8)
+    assert profile["((*(**))(*****))"] == 2
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 12])
+def test_brute_profile_at_the_range_table_edges(n):
+    # the host has n - 1 adjacent meeting depths, a power of two (n = 5, 9)
+    # or not; k = 2 asks for spans of every length, and k = n for spans one
+    # leaf wide only, read from the table's first row
+    for t in (make_caterpillar(2, n), make_even_binary(n),
+              parse_tree(_random_code(random.Random(n), n, 3))):
+        for k in (2, n - 1, n):
+            assert brute_copy_profile(t, k) == _reference_profile(t, k), (t.code, k)
+        assert brute_copy_profile(t, n) == {t.code: 1}
+        assert count_copies_brute(t, t) == 1
+
+
 # ---------------------------------------------------------------------------
 # branch patterns
 

@@ -23,6 +23,7 @@ from treedensity import (
     verify_even_conjecture,
     verify_monotone_min,
 )
+from treedensity import search
 from treedensity.search import _check_witness, _even_split_counts
 
 # minimum k-caterpillar counts among binary hosts, from an independent
@@ -177,6 +178,61 @@ def test_strict_exhaustive_search():
     n, c, num, den, code = rep.rows[0]
     assert n == 7 and is_strictly_d_ary(parse_tree(code), 3)
     assert caterpillar_counts(parse_tree(code), 3)[3] == c
+
+
+def test_exhaustive_search_recounts_four_tied_witnesses_per_size(monkeypatch):
+    # with k = 3 every binary tree ties, so each size recounts the first
+    # min(4, count) trees of its level, in enumeration order
+    checked = []
+    real = search._check_witness
+
+    def spy(code, n, *args):
+        checked.append((n, code))
+        return real(code, n, *args)
+
+    monkeypatch.setattr(search, "_check_witness", spy)
+    rep = search_min_report(2, 3, 3, 8, method="exhaustive")
+    assert [r[1] for r in rep.rows] == [comb(n, 3) for n in range(3, 9)]
+    assert checked == [
+        (n, t.code) for n in range(3, 9) for t in list(enumerate_trees(n, 2))[:4]
+    ]
+    assert len(checked) == 1 + 2 + 3 + 4 + 4 + 4
+
+
+@pytest.mark.parametrize("d, k, n_min, n_max, strict", [
+    (3, 4, 4, 9, False), (2, 5, 5, 12, False), (3, 3, 3, 11, True), (4, 4, 5, 10, True),
+])
+def test_exhaustive_range_matches_its_sizes_one_by_one(d, k, n_min, n_max, strict):
+    rows = search_min_report(d, k, n_min, n_max, method="exhaustive", strict=strict).rows
+    single = [
+        row
+        for n in range(n_min, n_max + 1)
+        if not strict or (n - 1) % (d - 1) == 0
+        for row in _exhaustive(n, d, k, strict=strict).rows
+    ]
+    assert rows == single and rows
+
+
+@pytest.mark.parametrize("d, k, n_min, n_max, strict, cap, first", [
+    (3, 4, 4, 400, False, 3000, 11),
+    (3, 4, 5, 41, True, 50, 17),
+    (2, 4, 13, 14, False, 500, 13),
+])
+def test_exhaustive_range_refuses_at_its_first_size_over_the_cap(
+    d, k, n_min, n_max, strict, cap, first
+):
+    # the same refusal as enumerating that size alone; counting stops there,
+    # so a far n_max costs nothing
+    with pytest.raises(BudgetError) as alone:
+        enumerate_trees(first, d, strict, max_trees=cap)
+    with pytest.raises(BudgetError) as ranged:
+        search_min_report(d, k, n_min, n_max, method="exhaustive", strict=strict, max_trees=cap)
+    assert str(ranged.value) == str(alone.value)
+    assert f"with {first} leaves" in str(alone.value)
+
+
+def test_strict_exhaustive_range_without_a_size_is_empty():
+    assert search_min_report(3, 4, 1000, 1000, method="exhaustive", strict=True).rows == []
 
 
 # ---------------------------------------------------------------------------

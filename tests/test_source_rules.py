@@ -7,12 +7,15 @@ from pathlib import Path
 
 import treedensity
 from treedensity import (
+    brute_copy_profile,
     caterpillar_counts,
     count_copies,
+    count_copies_brute,
     count_trees,
     enumerate_trees,
     make_caterpillar,
     make_complete,
+    parse_tree,
     search_min_report,
 )
 
@@ -85,6 +88,21 @@ def test_cli_only_wires_arguments():
     assert imported & {"fractions", "math", "random", "time"} == set()
 
 
+def test_only_the_tree_module_constructs_trees():
+    # Tree() stores the children and code it is given unchecked, so only the
+    # builders in trees.py, which sort the children first, may call it
+    root = Path(treedensity.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "trees.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and "Tree" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+
+
 def _module_state():
     """Size of every module-level dict, list and set in the package."""
     modules = [treedensity] + [
@@ -110,4 +128,10 @@ def test_library_calls_leave_no_module_state():
     host = make_complete(7, 2)
     assert count_copies(make_caterpillar(7, 13), host) > 0
     assert caterpillar_counts(host, 3)[3] > 0
+    # the parser's intern dict and the oracle's range table belong to a call
+    small = parse_tree("((*******)(*(**)(**))(****(***)))")
+    assert small.leaf_count == 19
+    star = make_caterpillar(7, 7)
+    assert count_copies_brute(star, small) == count_copies(star, small) == 1
+    assert sum(brute_copy_profile(small, 4).values()) == 3876
     assert _module_state() == before

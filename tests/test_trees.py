@@ -39,6 +39,9 @@ def test_serialize_round_trip_examples():
         assert parse_tree(code).code == code
 
 
+DEEP = "(*" * 2999 + "(**)" + ")" * 2999  # the 3000-leaf binary caterpillar
+
+
 @pytest.mark.parametrize(
     "text, err, offset",
     [
@@ -51,12 +54,104 @@ def test_serialize_round_trip_examples():
         ("(*)", StructureError, 2),
         ("()", StructureError, 1),
         ("((*)*)", StructureError, 3),
+        pytest.param(DEEP[:-1], ParseError, len(DEEP) - 1, id="deep-tree-missing-its-last-close"),
+        pytest.param("(" * 3000 + "**", ParseError, 3002, id="deep-open-run"),
+        pytest.param("(*" * 3000 + "(*)" + ")" * 3000, StructureError, 6002,
+                     id="single-child-under-a-deep-spine"),
+        pytest.param(DEEP + "*", ParseError, len(DEEP), id="leaf-after-a-deep-tree"),
+        pytest.param(DEEP + ")", ParseError, len(DEEP), id="close-after-a-deep-tree"),
+        pytest.param(DEEP + "x", ParseError, len(DEEP), id="letter-after-a-deep-tree"),
+        ("(*(**" + "x", ParseError, 5),
     ],
 )
 def test_parse_errors_carry_offsets(text, err, offset):
     with pytest.raises(err) as exc:
         parse_tree(text)
     assert exc.value.offset == offset
+
+
+def _reference(text):
+    """(code, leaves, internal outdegrees) of well-formed bracket text, by
+    sorting the children's code strings at each closing bracket: strings
+    only, no Tree, and an explicit stack, so any depth is fine."""
+    stack = [[]]
+    outdegrees = set()
+    for ch in text:
+        if ch == "(":
+            stack.append([])
+        elif ch == "*":
+            stack[-1].append("*")
+        else:
+            kids = sorted(stack.pop(), key=lambda c: (len(c), c))
+            outdegrees.add(len(kids))
+            stack[-1].append("(" + "".join(kids) + ")")
+    (code,) = stack[0]
+    return code, text.count("*"), outdegrees
+
+
+def _check_against_reference(text):
+    t = parse_tree(text)
+    code, leaves, outdegrees = _reference(text)
+    assert t.code == code
+    assert t.leaf_count == leaves
+    for d in range(2, max(outdegrees, default=2) + 2):
+        assert is_d_ary(t, d) == (max(outdegrees, default=0) <= d)
+        assert is_strictly_d_ary(t, d) == (outdegrees <= {d})
+    return t
+
+
+def _random_text(rng, n, d):
+    """Bracket text of a random tree with n leaves and outdegrees in 2..d,
+    children in random order, written with an explicit stack."""
+    out, stack = [], [n]
+    while stack:
+        item = stack.pop()
+        if item == ")" or item == 1:
+            out.append("*" if item == 1 else ")")
+            continue
+        m = rng.randint(2, min(d, item))
+        cuts = sorted(rng.sample(range(1, item), m - 1))
+        out.append("(")
+        stack.append(")")
+        stack.extend(b - a for a, b in zip([0] + cuts, cuts + [item]))
+    return "".join(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=0))
+def test_parse_matches_the_string_reference(n, d, seed):
+    _check_against_reference(_random_text(random.Random(seed), n, d))
+
+
+def test_parse_matches_the_string_reference_on_a_deep_caterpillar():
+    # a binary caterpillar 10**4 vertices deep, the leaf at each spine vertex
+    # on a random side of the next one; every 1000th spine vertex carries a
+    # second leaf, so the tree is 3-ary and not 2-ary
+    rng = random.Random(9)
+    head, tail = [], []
+    for depth in range(10**4):
+        extra = 2 if depth % 1000 == 500 else 1
+        before = rng.randint(0, extra)
+        head.append("(" + "*" * before)
+        tail.append("*" * (extra - before) + ")")
+    text = "".join(head) + "(**)" + "".join(reversed(tail))
+    t = _check_against_reference(text)
+    assert t.leaf_count == 10**4 + 12
+    assert is_d_ary(t, 3) and not is_d_ary(t, 2) and not is_strictly_d_ary(t, 3)
+
+
+def test_equal_subtrees_of_one_parse_are_one_object():
+    rng = random.Random(4)
+    for text in [_shuffled_text(make_complete(3, 4), rng), _random_text(rng, 400, 3)]:
+        t = parse_tree(text)
+        first = {}
+        for u in t.subtrees():
+            assert first.setdefault(u.code, u) is u
+        assert len(first) < sum(1 for _ in t.subtrees())
+    # interning is per call; equality stays by code across calls
+    a, b = parse_tree("((**)(**))"), parse_tree("((**)(**))")
+    assert a == b and hash(a) == hash(b) and a is not b
 
 
 def test_node_rejects_single_child():
