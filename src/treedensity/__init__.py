@@ -3,11 +3,12 @@
 The package answers three kinds of questions about rooted d-ary trees:
 
 * counting: how many leaf subsets of a host tree induce a given pattern
-  (exact integers, via brute force or a memoized branch recursion);
+  (exact integers, via brute force or a bottom-up pass over the host's
+  distinct subtrees);
 * closed forms: copy counts and limiting densities of stars and caterpillars
   in complete trees, plus the leading coefficient of the minimum count;
 * extremal search: which trees minimize caterpillar counts (exhaustive scans
-  and a Pareto-frontier dynamic program), and numerical verification of the
+  and a minimum-count dynamic program), and numerical verification of the
   simplex-functional bounds that govern the limiting behavior.
 """
 
@@ -42,7 +43,7 @@ from .formulas import (
     limits_report,
     star_copies,
 )
-from .frontier import FrontierEntry, ParetoDP, ParetoFrontiers, cache_report, pareto_min_counts
+from .frontier import ParetoDP, cache_report
 from .reporting import SearchReport, render_report
 from .search import (
     count_trees,
@@ -114,10 +115,7 @@ __all__ = [
     "search_min_report",
     "verify_even_conjecture",
     "verify_monotone_min",
-    "FrontierEntry",
     "ParetoDP",
-    "ParetoFrontiers",
-    "pareto_min_counts",
     "cache_report",
     "SimplexPoint",
     "simplex_point",

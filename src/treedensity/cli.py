@@ -145,7 +145,7 @@ def _search_min(a):
         n_max = a.n_max
     return search_min_report(
         a.d, a.k, n_min, n_max, method=a.method, strict=a.strict, max_trees=a.max_trees,
-        cache_dir=_resolve_cache_dir(a), allow_general_d=a.general_d,
+        cache_dir=_resolve_cache_dir(a),
     )
 
 
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
     p.add_argument("--cache-dir")
     p.add_argument(
-        "--general-d", action="store_true", help="allow the pareto method on hosts with d > 2"
+        "--general-d", action="store_true", help="accepted and ignored: pareto runs for every d"
     )
     finish(p, _search_min)
 

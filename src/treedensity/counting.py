@@ -430,8 +430,9 @@ def combine_caterpillar_counts(
 
         c_j = sum_i c_j(T_i) + sum_i (n - n_i) * c_{j-1}(T_i).
 
-    The output is monotone in every input coordinate, which is what lets a
-    Pareto frontier search discard dominated branch vectors safely.
+    The output is monotone in every input coordinate, which is what lets the
+    minimum-count DP build each level from the minimal vectors of the smaller
+    ones.
     """
     if k < 2:
         raise PreconditionError(f"need k >= 2, got {k}")

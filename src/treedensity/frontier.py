@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from math import comb
 from operator import add, mul
@@ -41,10 +40,7 @@ from .errors import BudgetError, CacheError, ConsistencyError, ParseError, Preco
 from .reporting import SearchReport
 
 __all__ = [
-    "FrontierEntry",
-    "ParetoFrontiers",
     "ParetoDP",
-    "pareto_min_counts",
     "pareto_minimal",
     "cache_report",
     "DEFAULT_CANDIDATE_CAP",
@@ -71,78 +67,6 @@ def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
         kept.append(v)
         kept_idx.append(i)
     return kept_idx
-
-
-@dataclass(frozen=True)
-class FrontierEntry:
-    """The minimal count vector (c_3..c_k) of one level, with a witness code."""
-
-    n: int
-    vector: tuple[int, ...]
-    witness: str
-
-
-class ParetoFrontiers:
-    """Per-leaf-count minimal count vectors produced by :class:`ParetoDP`.
-
-    Levels are stored column-wise by leaf count s (index 0 unused): ``_c2[s]``
-    is C(s, 2), ``_cols[j - 3][s]`` is c_j, and ``_split[s]`` the root branch
-    sizes of the witness (None where the code is known: s = 1 or cached).
-    """
-
-    def __init__(self, k: int, d: int):
-        self.k = k
-        self.d = d
-        self._c2 = [0]
-        self._cols: list[list[int]] = [[0] for _ in range(k - 2)]
-        self._split: list[tuple[int, ...] | None] = [None]
-        self._witnesses: dict[int, str] = {}
-
-    def _append(self, vector, split=None, witness=None) -> None:
-        n = len(self._c2)
-        self._c2.append(comb(n, 2))
-        for col, c in zip(self._cols, vector):
-            col.append(c)
-        self._split.append(split)
-        if witness is not None:
-            self._witnesses[n] = witness
-
-    def _counts(self, n: int) -> tuple[int, ...]:
-        """(c_2, c_3, ..., c_k) of level n."""
-        if not 1 <= n <= self.max_n():
-            raise KeyError(n)
-        return (self._c2[n], *(col[n] for col in self._cols))
-
-    def _witness(self, n: int) -> str:
-        memo = self._witnesses
-        todo: set[int] = set()
-        stack = [n]
-        while stack:
-            s = stack.pop()
-            if s not in memo and s not in todo:
-                todo.add(s)
-                stack.extend(self._split[s])
-        # every branch of a split is smaller than the level it splits
-        for s in sorted(todo):
-            parts = sorted((memo[p] for p in self._split[s]), key=lambda c: (len(c), c))
-            memo[s] = "(" + "".join(parts) + ")"
-        return memo[n]
-
-    def max_n(self) -> int:
-        return len(self._c2) - 1
-
-    def frontier_size(self, n: int) -> int:
-        """Vectors kept at level n: always 1, since the DP raises
-        ConsistencyError at any level whose frontier would hold more.
-        Kept as a method so per-level statistics can read it."""
-        return 1
-
-    def min_count(self, n: int) -> int:
-        """Exact minimum of c_k over d-ary trees with n leaves."""
-        return self._counts(n)[-1]
-
-    def argmin_entry(self, n: int) -> FrontierEntry:
-        return FrontierEntry(n, self._counts(n)[1:], self._witness(n))
 
 
 def _partitions_into_parts(n: int, m: int):
@@ -174,12 +98,17 @@ def _partitions_into_parts(n: int, m: int):
 
 
 class ParetoDP:
-    """Builds minimal caterpillar-count vectors level by level.
+    """Minimal caterpillar-count vectors over d-ary trees, level by level.
 
-    ``run(n_max)`` fills levels 1..n_max and may be called repeatedly with
-    growing bounds; existing levels are reused. With a ``cache_dir`` the
-    levels are read from and written to JSON-lines files keyed by (d, k, n),
-    so an interrupted sweep resumes where it stopped.
+    ``run(n_max)`` fills levels 1..n_max, may be called repeatedly with
+    growing bounds (existing levels are reused) and returns the DP itself;
+    ``min_count``, ``vector`` and ``witness`` then read any level built. With
+    a ``cache_dir`` the levels are read from and written to JSON-lines files
+    keyed by (d, k, n), so an interrupted sweep resumes where it stopped.
+
+    Levels are stored column-wise by leaf count s (index 0 unused): ``_c2[s]``
+    is C(s, 2), ``_cols[j - 3][s]`` is c_j, and ``_split[s]`` the root branch
+    sizes of the witness (None where the code is known: s = 1 or cached).
     """
 
     def __init__(
@@ -198,7 +127,62 @@ class ParetoDP:
         self.d = d
         self.candidate_cap = candidate_cap
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.frontiers = ParetoFrontiers(k, d)
+        self._c2 = [0]
+        self._cols: list[list[int]] = [[0] for _ in range(k - 2)]
+        self._split: list[tuple[int, ...] | None] = [None]
+        self._witnesses: dict[int, str] = {}
+
+    # -- levels --------------------------------------------------------------
+
+    def _append(self, vector, split=None, witness=None) -> None:
+        n = len(self._c2)
+        self._c2.append(comb(n, 2))
+        for col, c in zip(self._cols, vector):
+            col.append(c)
+        self._split.append(split)
+        if witness is not None:
+            self._witnesses[n] = witness
+
+    def _counts(self, n: int) -> tuple[int, ...]:
+        """(c_2, c_3, ..., c_k) of level n."""
+        if not 1 <= n <= self.max_n():
+            raise KeyError(n)
+        return (self._c2[n], *(col[n] for col in self._cols))
+
+    def max_n(self) -> int:
+        """The largest leaf count built so far."""
+        return len(self._c2) - 1
+
+    def frontier_size(self, n: int) -> int:
+        """Vectors kept at level n: always 1, since the DP raises
+        ConsistencyError at any level whose frontier would hold more. Its only
+        reader is the benchmark's tracer, ``perfbench/spans.py``."""
+        return 1
+
+    def min_count(self, n: int) -> int:
+        """Exact minimum of c_k over d-ary trees with n leaves."""
+        return self._counts(n)[-1]
+
+    def vector(self, n: int) -> tuple[int, ...]:
+        """(c_3, ..., c_k) of level n, each the minimum over its trees."""
+        return self._counts(n)[1:]
+
+    def witness(self, n: int) -> str:
+        """Code of a d-ary tree with n leaves whose counts are ``vector(n)``,
+        built from the root splits and memoized per level."""
+        memo = self._witnesses
+        todo: set[int] = set()
+        stack = [n]
+        while stack:
+            s = stack.pop()
+            if s not in memo and s not in todo:
+                todo.add(s)
+                stack.extend(self._split[s])
+        # every branch of a split is smaller than the level it splits
+        for s in sorted(todo):
+            parts = sorted((memo[p] for p in self._split[s]), key=lambda c: (len(c), c))
+            memo[s] = "(" + "".join(parts) + ")"
+        return memo[n]
 
     # -- cache helpers -----------------------------------------------------
 
@@ -251,9 +235,8 @@ class ParetoDP:
     def _store_level(self, n: int) -> None:
         if self.cache_dir is None:
             return
-        entry = self.frontiers.argmin_entry(n)
         line = json.dumps(
-            {"n": n, "vector": list(entry.vector), "witness": entry.witness},
+            {"n": n, "vector": list(self.vector(n)), "witness": self.witness(n)},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -282,12 +265,11 @@ class ParetoDP:
                 f"level n={n} produced more than {self.candidate_cap} "
                 f"candidate vectors; raise candidate_cap to continue"
             )
-        fronts = self.frontiers
         weights = range(n, 0, -1)  # n - s for s = 0..n-1
         # terms[j - 3][s] = c_j(s) + (n - s) c_{j-1}(s): branch s's share of c_j
         terms = []
-        below = fronts._c2
-        for col in fronts._cols:
+        below = self._c2
+        for col in self._cols:
             terms.append(list(map(add, col[:n], map(mul, weights, below[:n]))))
             below = col
         columns = [list(map(add, f[1 : h + 1], reversed(f[n - h :]))) for f in terms]
@@ -319,7 +301,7 @@ class ParetoDP:
                 break
         h = n // 2
         split = (i + 1, n - i - 1) if i < h else multi[i - h]
-        parts = [(s, self.frontiers._counts(s)) for s in split]
+        parts = [(s, self._counts(s)) for s in split]
         recount = combine_caterpillar_counts(parts, self.k)[1:]
         if recount != mins:
             raise ConsistencyError(
@@ -329,52 +311,26 @@ class ParetoDP:
         return mins, split
 
     def _build_level(self, n: int, memo: dict) -> None:
-        fronts = self.frontiers
-        if n <= fronts.max_n():
+        if n <= self.max_n():
             return
         loaded = self._load_level(n, memo)
         if loaded is not None:
             vector, witness = loaded
-            fronts._append(vector, witness=witness)
+            self._append(vector, witness=witness)
             return
         if n == 1:
-            fronts._append((0,) * (self.k - 2), witness="*")
+            self._append((0,) * (self.k - 2), witness="*")
         else:
-            fronts._append(*self._select(n))
+            self._append(*self._select(n))
         self._store_level(n)
 
-    def run(self, n_max: int) -> ParetoFrontiers:
+    def run(self, n_max: int) -> ParetoDP:
         if not isinstance(n_max, int) or n_max < 1:
             raise PreconditionError(f"n_max must be an integer >= 1, got {n_max!r}")
         memo: dict = {}  # witness recounts of the cached levels share subtrees
         for n in range(1, n_max + 1):
             self._build_level(n, memo)
-        return self.frontiers
-
-
-def pareto_min_counts(
-    n_max: int,
-    k: int,
-    d: int = 2,
-    *,
-    allow_general_d: bool = False,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    cache_dir: str | os.PathLike | None = None,
-) -> ParetoFrontiers:
-    """Minimal count vectors (and thus exact minimum c_k) for every leaf count
-    up to n_max.
-
-    The binary case is the supported default. Hosts with d > 2 use the same
-    DP over branch-size partitions but have seen far less use; opt in with
-    ``allow_general_d=True``.
-    """
-    if d > 2 and not allow_general_d:
-        raise PreconditionError(
-            f"the frontier DP defaults to binary hosts; pass allow_general_d=True "
-            f"to run with d={d}"
-        )
-    dp = ParetoDP(k, d, candidate_cap=candidate_cap, cache_dir=cache_dir)
-    return dp.run(n_max)
+        return self
 
 
 def cache_report(cache_dir: str | os.PathLike, *, clear: bool = False) -> SearchReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
@@ -85,7 +85,6 @@ class SearchReport:
     rows: list[tuple]
     all_ok: bool | None = None
     wall_time: float = 0.0
-    notes: list[str] = field(default_factory=list)
 
     def cell_rows(self) -> list[list[str]]:
         return [[render_cell(v) for v in row] for row in self.rows]
@@ -133,8 +132,6 @@ def render_pretty(report: SearchReport) -> str:
     out.append("-" * len(header.rstrip()))
     for row in cells:
         out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    for note in report.notes:
-        out.append(f"note: {note}")
     if report.all_ok is not None:
         out.append(f"verdict: {'all checks passed' if report.all_ok else 'CHECK FAILED'}")
     return "".join(line + "\n" for line in out)

@@ -11,8 +11,8 @@ cross-check on the enumerator.
 The two verification sweeps wrap the searches into reports:
 
 * ``verify_even_conjecture`` compares the exact minimum caterpillar count per
-  leaf count (from the Pareto frontier DP) against the recursively even-split
-  binary tree.
+  leaf count (from the minimum-count DP, ``frontier.ParetoDP``) against the
+  recursively even-split binary tree.
 * ``verify_monotone_min`` checks that the minimum caterpillar density is
   nondecreasing in the leaf count and never exceeds its closed-form limit.
 """
@@ -20,7 +20,6 @@ The two verification sweeps wrap the searches into reports:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice, product
 from math import comb
@@ -172,15 +171,6 @@ def enumerate_report(
     )
 
 
-@dataclass(frozen=True)
-class MinRecord:
-    """Minimum k-caterpillar count among the n-leaf trees searched, and the
-    first tree in enumeration order that attains it."""
-
-    min_count: int
-    witness: str
-
-
 def _check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict) -> None:
     """Recount a reported witness from its own characters: it must have n
     leaves, no outdegree above d, and ``expected`` k-caterpillar copies.
@@ -200,9 +190,10 @@ def _check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict)
 
 def _min_record(
     level: list[Tree], n: int, d: int, k: int, strict: bool, memo: dict
-) -> MinRecord:
-    """The minimum over one level; ``memo`` is :func:`caterpillar_counts`'s,
-    shared by the levels of one report."""
+) -> tuple[int, str]:
+    """The minimum k-caterpillar count over one level, and the code of the
+    first tree in enumeration order that attains it. ``memo`` is
+    :func:`caterpillar_counts`'s, shared by the levels of one report."""
     best: int | None = None
     codes: list[str] = []
     for t in level:
@@ -220,7 +211,7 @@ def _min_record(
     recount_memo: dict = {}
     for code in codes:
         _check_witness(code, n, d, k, best, recount_memo)
-    return MinRecord(best, codes[0])
+    return best, codes[0]
 
 
 def search_min_report(
@@ -233,13 +224,12 @@ def search_min_report(
     strict: bool = False,
     max_trees: int = DEFAULT_TREE_CAP,
     cache_dir=None,
-    allow_general_d: bool = False,
 ) -> SearchReport:
     """Minimum count/density per leaf count over n_min..n_max.
 
     ``method`` is "exhaustive", "pareto", or "auto" (pareto for binary hosts,
-    exhaustive otherwise). The pareto route scales to large n but covers the
-    non-strict family only.
+    exhaustive otherwise). The pareto route runs ``frontier.ParetoDP`` for any d;
+    it scales to large n but covers the non-strict family only.
     """
     if not isinstance(k, int) or k < 2:
         raise PreconditionError(f"caterpillar size must be an integer >= 2, got {k!r}")
@@ -260,14 +250,12 @@ def search_min_report(
                 "the pareto method covers the non-strict family; use exhaustive "
                 "for strictly d-ary hosts with d > 2"
             )
-        fronts = frontier_mod.pareto_min_counts(
-            n_max, k, d, allow_general_d=allow_general_d, cache_dir=cache_dir
-        )
+        dp = frontier_mod.ParetoDP(k, d, cache_dir=cache_dir).run(n_max)
         memo: dict = {}  # rows share the recounts of identical subtree codes
         for n in range(n_min, n_max + 1):
-            entry = fronts.argmin_entry(n)
-            _check_witness(entry.witness, n, d, k, entry.vector[-1], memo)
-            minima.append((n, entry.vector[-1], entry.witness))
+            minimum, code = dp.min_count(n), dp.witness(n)
+            _check_witness(code, n, d, k, minimum, memo)
+            minima.append((n, minimum, code))
     else:
         # Sizes with no strictly d-ary tree (n != 1 mod d - 1) are skipped.
         # Counting stops at the first size over the cap; else the levels are
@@ -283,8 +271,7 @@ def search_min_report(
         levels = _tree_levels(top, d, strict, counts)
         level_memo: dict = {}  # smaller levels' trees are subtrees of larger ones
         for n in sizes:
-            rec = _min_record(levels[n], n, d, k, strict, level_memo)
-            minima.append((n, rec.min_count, rec.witness))
+            minima.append((n, *_min_record(levels[n], n, d, k, strict, level_memo)))
     rows = []
     for n, c, code in minima:
         q = Fraction(c, comb(n, k))
@@ -315,7 +302,7 @@ def verify_even_conjecture(
     """Check, for every n up to n_max, that the even-split binary tree attains
     the exact minimum k-caterpillar count among binary trees with n leaves.
 
-    The minimum comes from the Pareto frontier DP; the even tree's count is
+    The minimum comes from the minimum-count DP; the even tree's count is
     computed independently by :func:`_even_split_counts`. The report's
     verdict is true only if they agree at every n.
     """
@@ -324,12 +311,12 @@ def verify_even_conjecture(
     if not isinstance(n_max, int) or n_max < k:
         raise PreconditionError(f"need n_max >= k, got {n_max!r}")
     start = time.perf_counter()
-    fronts = frontier_mod.pareto_min_counts(n_max, k, 2, cache_dir=cache_dir)
+    dp = frontier_mod.ParetoDP(k, 2, cache_dir=cache_dir).run(n_max)
     even = _even_split_counts(k, n_max)
     rows = []
     all_ok = True
     for n in range(k, n_max + 1):
-        dp_min = fronts.min_count(n)
+        dp_min = dp.min_count(n)
         even_count = even[n][-1]
         ok = dp_min == even_count
         all_ok = all_ok and ok
@@ -367,7 +354,6 @@ def verify_monotone_min(
         method=method,
         max_trees=max_trees,
         cache_dir=cache_dir,
-        allow_general_d=True,
     )
     start = time.perf_counter()
     limit = liminf_density(d, k)

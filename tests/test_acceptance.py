@@ -16,6 +16,7 @@ import pytest
 
 from treedensity import (
     CopyEngine,
+    ParetoDP,
     bk_lower_bound,
     caterpillar_copies_complete,
     caterpillar_counts,
@@ -26,7 +27,6 @@ from treedensity import (
     make_caterpillar,
     make_complete,
     minimize_F,
-    pareto_min_counts,
     search_min_report,
     star_copies,
     sup_boundary_scan,
@@ -253,8 +253,8 @@ def _criterion_6() -> SearchReport:
     rows = []
     all_ok = True
     for k in (4, 5):
-        fronts = pareto_min_counts(16, k)
-        dp_ok = all(fronts.min_count(n) == exhaustive[k][n] for n in range(k, 17))
+        dp = ParetoDP(k).run(16)
+        dp_ok = all(dp.min_count(n) == exhaustive[k][n] for n in range(k, 17))
         sweep = verify_even_conjecture(k, 100)
         all_ok = all_ok and dp_ok and bool(sweep.all_ok)
         rows.append((k, "frontier matches exhaustive, n <= 16", dp_ok))

@@ -179,11 +179,12 @@ def test_search_min_requires_a_range(capsys):
 
 
 def test_search_min_general_d_gate(capsys):
+    # --general-d is accepted and changes nothing: pareto runs for every d
     args = ("search-min", "--d", "3", "--k", "4", "--n", "8", "--method", "pareto")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2 and "allow_general_d" in err
-    code, out, _ = run_cli(capsys, *args, "--general-d", "--format", "csv")
-    assert code == 0
+    without = run_cli(capsys, *args, "--format", "csv")
+    assert without == run_cli(capsys, *args, "--general-d", "--format", "csv")
+    code, out, err = without
+    assert code == 0 and err == ""
     # star-built ternary hosts dodge the binary 4-caterpillar entirely
     assert out.splitlines()[1].split(",")[1] == "0"
 

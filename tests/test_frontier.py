@@ -1,4 +1,5 @@
-"""Pareto-frontier DP: pruning soundness, caching, and budget refusals."""
+"""Minimum-count DP: pruning soundness, closed-form anchors, caching and
+budget refusals."""
 
 import json
 from itertools import combinations_with_replacement
@@ -10,12 +11,11 @@ from treedensity import (
     BudgetError,
     CacheError,
     ConsistencyError,
-    FrontierEntry,
     ParetoDP,
     PreconditionError,
+    caterpillar_copies_complete,
     caterpillar_counts,
     enumerate_trees,
-    pareto_min_counts,
     parse_tree,
 )
 from treedensity import frontier
@@ -90,44 +90,38 @@ def _exhaustive_min(n, d, k):
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_dp_matches_exhaustive_binary(k):
-    fronts = pareto_min_counts(12, k)
+    dp = ParetoDP(k).run(12)
     for n in range(k, 13):
-        assert fronts.min_count(n) == _exhaustive_min(n, 2, k), n
+        assert dp.min_count(n) == _exhaustive_min(n, 2, k), n
 
 
 def test_dp_matches_exhaustive_ternary():
-    fronts = pareto_min_counts(10, 4, 3, allow_general_d=True)
+    dp = ParetoDP(4, 3).run(10)
     for n in range(4, 11):
-        assert fronts.min_count(n) == _exhaustive_min(n, 3, 4), n
+        assert dp.min_count(n) == _exhaustive_min(n, 3, 4), n
 
 
 def test_dp_frontier_vectors_are_real_trees():
     # every frontier vector must be attained by an actual binary tree
-    fronts = pareto_min_counts(10, 5)
+    dp = ParetoDP(5).run(10)
     for n in range(1, 11):
         attained = {
             caterpillar_counts(t, 5).counts[1:] for t in enumerate_trees(n, 2)
         }
-        vec = fronts.argmin_entry(n).vector
+        vec = dp.vector(n)
         assert vec in attained, (n, vec)
-        assert fronts.frontier_size(n) == 1
+        assert dp.frontier_size(n) == 1
 
 
 def test_dp_witnesses_recount():
-    fronts = pareto_min_counts(16, 4)
-    assert fronts.max_n() == 16
+    dp = ParetoDP(4).run(16)
+    assert dp.max_n() == 16
     for n in range(4, 17):
-        entry = fronts.argmin_entry(n)
-        assert entry.witness is not None
-        t = parse_tree(entry.witness)
+        witness = dp.witness(n)
+        assert witness is not None
+        t = parse_tree(witness)
         assert t.leaf_count == n
-        assert caterpillar_counts(t, 4)[4] == entry.vector[-1] == fronts.min_count(n)
-
-
-def test_general_d_needs_opt_in():
-    with pytest.raises(PreconditionError) as exc:
-        pareto_min_counts(8, 4, 3)
-    assert "allow_general_d" in str(exc.value)
+        assert caterpillar_counts(t, 4)[4] == dp.vector(n)[-1] == dp.min_count(n)
 
 
 def test_dp_argument_errors():
@@ -213,23 +207,47 @@ GOLDEN = {
 @pytest.mark.parametrize("d, k", sorted(GOLDEN))
 def test_dp_matches_recorded_frontier_dp(d, k):
     expected = GOLDEN[(d, k)]
-    fronts = pareto_min_counts(len(expected), k, d, allow_general_d=True)
+    dp = ParetoDP(k, d).run(len(expected))
     for n, (vector, witness) in enumerate(expected, start=1):
-        assert fronts.argmin_entry(n) == FrontierEntry(n, vector, witness), n
+        assert (dp.vector(n), dp.witness(n)) == (vector, witness), n
 
 
 @pytest.mark.parametrize("d, n_max", [(2, 12), (3, 10), (4, 10), (5, 10)])
 def test_dp_vectors_are_exhaustive_componentwise_minima(d, n_max):
     for k in range(3, 7):
-        fronts = pareto_min_counts(n_max, k, d, allow_general_d=True)
+        dp = ParetoDP(k, d).run(n_max)
         for n in range(1, n_max + 1):
             attained = [caterpillar_counts(t, k).counts[1:] for t in enumerate_trees(n, d)]
             minima = tuple(map(min, zip(*attained)))
-            assert fronts.argmin_entry(n).vector == minima, (k, n)
-            assert fronts.min_count(n) == minima[-1]
-            witness = parse_tree(fronts.argmin_entry(n).witness)
-            assert witness.code == fronts.argmin_entry(n).witness
+            assert dp.vector(n) == minima, (k, n)
+            assert dp.min_count(n) == minima[-1]
+            witness = parse_tree(dp.witness(n))
+            assert witness.code == dp.witness(n)
             assert caterpillar_counts(witness, k).counts[1:] == minima
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the DP's minima for d > 2
+
+ANCHORS = [(d, k, n_max) for d, n_max in [(3, 81), (4, 64)] for k in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("d, k, n_max", ANCHORS)
+def test_dp_minimum_is_zero_exactly_up_to_d_to_the_k_minus_2(d, k, n_max):
+    # a tree of height k - 2 holds no k-caterpillar, and a root-to-leaf path
+    # through k - 1 internal vertices yields one
+    dp = ParetoDP(k, d).run(n_max)
+    for n in range(k, n_max + 1):
+        assert (dp.min_count(n) == 0) == (n <= d ** (k - 2)), n
+
+
+@pytest.mark.parametrize("d, k, n_max", ANCHORS)
+def test_dp_minimum_at_d_to_the_h_is_the_complete_tree_count(d, k, n_max):
+    dp = ParetoDP(k, d).run(n_max)
+    heights = [h for h in range(1, n_max.bit_length()) if k <= d**h <= n_max]
+    assert heights
+    for h in heights:
+        assert dp.min_count(d**h) == caterpillar_copies_complete(2, k, d, h), h
 
 
 def test_incomparable_candidates_are_a_consistency_error(monkeypatch):
@@ -242,7 +260,7 @@ def test_incomparable_candidates_are_a_consistency_error(monkeypatch):
     message = str(exc.value)
     assert "d=3, k=4, n=6" in message
     assert "(1, 2)" in message and "(2, 1)" in message
-    assert dp.frontiers.max_n() == 5
+    assert dp.max_n() == 5
 
 
 def test_recombine_mismatch_is_a_consistency_error(monkeypatch, capsys):
@@ -273,13 +291,12 @@ def test_cache_roundtrip_and_resume(tmp_path):
     # and extends the sweep past the cached range
     second = ParetoDP(4, 2, cache_dir=tmp_path).run(12)
     for n in range(1, 11):
-        assert second.argmin_entry(n).vector == first.argmin_entry(n).vector
-        assert second.argmin_entry(n) == first.argmin_entry(n)
+        assert second.vector(n) == first.vector(n)
+        assert second.witness(n) == first.witness(n)
     assert second.min_count(12) == _exhaustive_min(12, 2, 4)
 
     # cached witnesses survive the round trip
-    entry = second.argmin_entry(8)
-    assert caterpillar_counts(parse_tree(entry.witness), 4)[4] == entry.vector[-1]
+    assert caterpillar_counts(parse_tree(second.witness(8)), 4)[4] == second.vector(8)[-1]
 
 
 def test_cache_files_are_byte_deterministic(tmp_path):
@@ -357,10 +374,10 @@ def test_cache_file_must_hold_one_entry_with_a_witness(tmp_path, lines, capsys):
 def test_frontier_sizes_stay_small_for_binary():
     # the even-split tree dominates every coordinate at once in the observed
     # range, so frontiers collapse to single entries
-    fronts = pareto_min_counts(40, 4)
-    assert all(fronts.frontier_size(n) == 1 for n in range(1, 41))
+    dp = ParetoDP(4).run(40)
+    assert all(dp.frontier_size(n) == 1 for n in range(1, 41))
 
 
 def test_larger_sweep_spot_value():
-    fronts = pareto_min_counts(40, 5)
-    assert fronts.min_count(40) == 108560
+    dp = ParetoDP(5).run(40)
+    assert dp.min_count(40) == 108560

@@ -17,7 +17,6 @@ def _sample_report(wall_time=0.0):
         rows=[(4, Fraction(1, 3), True, "x"), (5, Fraction(2, 5), False, "y z")],
         all_ok=False,
         wall_time=wall_time,
-        notes=["first note"],
     )
 
 
@@ -72,7 +71,6 @@ def test_render_pretty():
     lines = text.splitlines()
     assert lines[0] == "mode: demo"
     assert lines[1] == "params: d=2, k=4"
-    assert "note: first note" in lines
     assert lines[-1] == "verdict: CHECK FAILED"
     assert not any(line != line.rstrip() for line in lines)
 

@@ -124,7 +124,7 @@ def test_library_calls_leave_no_module_state():
     assert count_trees(16, 7) > 0
     assert len(list(enumerate_trees(9, 7))) == count_trees(9, 7)
     search_min_report(7, 4, 4, 9, method="exhaustive")
-    search_min_report(7, 4, 4, 14, method="pareto", allow_general_d=True)
+    search_min_report(7, 4, 4, 14, method="pareto")
     host = make_complete(7, 2)
     assert count_copies(make_caterpillar(7, 13), host) > 0
     assert caterpillar_counts(host, 3)[3] > 0
