@@ -28,7 +28,6 @@ combine straight off a bracket code, which is how witnesses are recounted.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -40,13 +39,12 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import BudgetError, ConsistencyError, PreconditionError
 from .reporting import SearchReport, decimal_str
-from .trees import Tree, leaf, node, parse_tree
+from .trees import Tree, join_codes, leaf, node, parse_tree
 
 __all__ = [
     "induced_subtree",
     "count_copies_brute",
     "brute_copy_profile",
-    "BranchPattern",
     "branch_pattern",
     "CopyEngine",
     "count_copies",
@@ -147,13 +145,6 @@ def _range_minima(values: list[int]) -> list[tuple[list[int], int]]:
             for L in range(1, len(values) + 1)]
 
 
-def _close(codes: list[str]) -> str:
-    # a stable sort by length after one by code leaves (length, code) order
-    codes.sort()
-    codes.sort(key=len)
-    return "(" + "".join(codes) + ")"
-
-
 def _induced_codes(t: Tree, k: int) -> Iterator[str]:
     """Canonical code of the tree induced by each k-subset of t's leaves, in
     ``itertools.combinations`` order, without building Tree objects.
@@ -177,7 +168,7 @@ def _induced_codes(t: Tree, k: int) -> Iterator[str]:
                 depths.pop()
                 group = kids.pop()
                 group.append(cur)
-                cur = _close(group)
+                cur = join_codes(group)
             if depths and depths[-1] == h:
                 kids[-1].append(cur)
             else:
@@ -187,7 +178,7 @@ def _induced_codes(t: Tree, k: int) -> Iterator[str]:
         while kids:
             group = kids.pop()
             group.append(cur)
-            cur = _close(group)
+            cur = join_codes(group)
         yield cur
 
 
@@ -232,22 +223,6 @@ def brute_copy_profile(
     return dict(Counter(_induced_codes(t, k)))
 
 
-@dataclass(frozen=True)
-class BranchPattern:
-    """Root branch structure of a pattern D, preprocessed for the cross term.
-
-    ``class_reps`` lists the distinct branch shapes (canonical order) and
-    ``multiplicities`` how often each occurs. ``assignments`` holds every
-    distinct sequence of branch shapes of length ``len(branches)``; its size
-    is the multinomial coefficient r! / (m_1! ... m_c!).
-    """
-
-    branches: tuple[Tree, ...]
-    class_reps: tuple[Tree, ...]
-    multiplicities: tuple[int, ...]
-    assignments: tuple[tuple[Tree, ...], ...]
-
-
 def _distinct_sequences(mults: Sequence[int]):
     """Every distinct arrangement of ``mults[c]`` copies of each class c, in
     lexicographic order, by repeated next-permutation of the sorted classes."""
@@ -266,8 +241,12 @@ def _distinct_sequences(mults: Sequence[int]):
         seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
-def branch_pattern(d_pattern: Tree) -> BranchPattern:
-    """Precompute branch classes and distinct assignments for a pattern root."""
+def branch_pattern(d_pattern: Tree) -> tuple[tuple[Tree, ...], ...]:
+    """The cross term's assignments for a pattern root: every distinct
+    sequence of its r branch shapes, one per position, in lexicographic order
+    with the shapes numbered in canonical child order. :class:`CopyEngine`
+    lays each onto r host branches taken in order. For shape classes of
+    sizes m_1..m_c there are r! / (m_1! ... m_c!) of them."""
     if d_pattern.is_leaf:
         raise PreconditionError("a leaf has no branch structure")
     reps: list[Tree] = []
@@ -278,10 +257,7 @@ def branch_pattern(d_pattern: Tree) -> BranchPattern:
         else:
             reps.append(b)
             mults.append(1)
-    assignments = tuple(
-        tuple(reps[ci] for ci in idx_seq) for idx_seq in _distinct_sequences(mults)
-    )
-    return BranchPattern(d_pattern.children, tuple(reps), tuple(mults), assignments)
+    return tuple(tuple(reps[ci] for ci in idx_seq) for idx_seq in _distinct_sequences(mults))
 
 
 def _internal_subtrees(t: Tree, known) -> list[Tree]:
@@ -309,14 +285,11 @@ class CopyEngine:
 
     The memo, one table of rows per pattern code, belongs to the instance and
     only ever grows, so an engine sweeping trees with shared subtrees pays
-    for each once; call :meth:`clear` to reset it.
+    for each once; a fresh engine starts empty.
     """
 
     def __init__(self):
         self._memo: dict[str, tuple[list, dict[str, list[int]]]] = {}
-
-    def clear(self) -> None:
-        self._memo.clear()
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
@@ -325,7 +298,7 @@ class CopyEngine:
             index = {s.code: i for i, s in enumerate(shapes)} | {"*": -1}
             plan = [
                 (s.leaf_count, s.outdegree,
-                 [[index[b.code] for b in a] for a in branch_pattern(s).assignments])
+                 [[index[b.code] for b in a] for a in branch_pattern(s)])
                 for s in shapes
             ]
             self._memo[d_pattern.code] = (plan, {"*": [0] * len(shapes) + [1]})
@@ -380,7 +353,6 @@ def count_report(
     the density is formed from it. ``mode`` "density" refuses hosts with
     fewer leaves than the pattern; "count" leaves their density cells blank.
     """
-    start = time.perf_counter()
     c = count_copies_brute(d_pattern, t, force=force) if brute else count_copies(d_pattern, t)
     k, n = d_pattern.leaf_count, t.leaf_count
     if mode == "density" and n < k:
@@ -396,7 +368,6 @@ def count_report(
         columns=("pattern_code", "tree_code", "pattern_leaves", "tree_leaves", "count",
                  "density_num", "density_den", "density_decimal"),
         rows=[(d_pattern.code, t.code, k, n, c, *dens)],
-        wall_time=time.perf_counter() - start,
     )
 
 

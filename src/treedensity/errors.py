@@ -29,6 +29,12 @@ class PreconditionError(TreeDensityError, ValueError):
     """An argument violated a documented precondition."""
 
 
+def require_int(value, minimum: int, what: str) -> None:
+    """Raise PreconditionError unless ``value`` is an int >= ``minimum``."""
+    if not isinstance(value, int) or value < minimum:
+        raise PreconditionError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 class BudgetError(TreeDensityError, RuntimeError):
     """Work was refused because it would exceed a configured resource cap.
 

@@ -13,11 +13,10 @@ returning, so a wrong edit fails loudly instead of silently truncating.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, require_int
 from .reporting import SearchReport, decimal_str
 
 __all__ = [
@@ -32,10 +31,8 @@ __all__ = [
 
 
 def _check_r_d(r: int, d: int) -> None:
-    if not isinstance(r, int) or r < 2:
-        raise PreconditionError(f"pattern arity must be an integer >= 2, got {r!r}")
-    if not isinstance(d, int) or d < r:
-        raise PreconditionError(f"host arity must be an integer >= {r}, got {d!r}")
+    require_int(r, 2, "pattern arity")
+    require_int(d, r, "host arity")
 
 
 def _check_caterpillar_size(r: int, k: int) -> int:
@@ -64,8 +61,7 @@ def star_copies(r: int, d: int, h: int) -> int:
         C(d, r) / (d^r - d) * (d^(r h) - d^h).
     """
     _check_r_d(r, d)
-    if not isinstance(h, int) or h < 0:
-        raise PreconditionError(f"height must be an integer >= 0, got {h!r}")
+    require_int(h, 0, "height")
     value = Fraction(comb(d, r) * (d ** (r * h) - d**h), d**r - d)
     return _exact_int(value, "star copy count")
 
@@ -84,8 +80,7 @@ def caterpillar_copies_complete(r: int, k: int, d: int, h: int) -> int:
     """
     _check_r_d(r, d)
     q = _check_caterpillar_size(r, k)
-    if not isinstance(h, int) or h < 1:
-        raise PreconditionError(f"height must be an integer >= 1, got {h!r}")
+    require_int(h, 1, "height")
     s = r - 1
     value = Fraction(comb(d, r)) ** q * Fraction(r, d) ** (q - 1) * d ** (h - 1)
     for i in range(1, q + 1):
@@ -117,8 +112,7 @@ def liminf_density(d: int, k: int) -> Fraction:
     Algebraically identical to ``limit_density_complete(2, k, d)``.
     """
     _check_r_d(2, d)
-    if not isinstance(k, int) or k < 2:
-        raise PreconditionError(f"caterpillar size must be an integer >= 2, got {k!r}")
+    require_int(k, 2, "caterpillar size")
     value = Fraction(factorial(k), 2) * (d - 1) ** (k - 1)
     for j in range(1, k):
         value /= d**j - 1
@@ -138,8 +132,7 @@ def bk_coefficient(d: int, k: int) -> Fraction:
 def bk_lower_bound(d: int, k: int, n: int) -> Fraction:
     """Lower bound b_k n^k - n^(k-1) / (k - 1)! valid for the k-caterpillar
     count of every strictly d-ary tree with n leaves."""
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError(f"leaf count must be an integer >= 0, got {n!r}")
+    require_int(n, 0, "leaf count")
     return bk_coefficient(d, k) * n**k - Fraction(n ** (k - 1), factorial(k - 1))
 
 
@@ -150,7 +143,6 @@ def limits_report(d: int, k: int, r: int = 2) -> SearchReport:
     :func:`liminf_density`, an independent closed form, and any
     disagreement raises ConsistencyError with both values.
     """
-    start = time.perf_counter()
     value = limit_density_complete(r, k, d)
     if r == 2:
         liminf = liminf_density(d, k)
@@ -164,5 +156,4 @@ def limits_report(d: int, k: int, r: int = 2) -> SearchReport:
         params={"d": d, "k": k, "r": r},
         columns=("d", "k", "r", "exact", "decimal"),
         rows=[(d, k, r, value, decimal_str(value))],
-        wall_time=time.perf_counter() - start,
     )

@@ -36,8 +36,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .counting import caterpillar_counts_of_code, combine_caterpillar_counts
-from .errors import BudgetError, CacheError, ConsistencyError, ParseError, PreconditionError
+from .errors import (
+    BudgetError, CacheError, ConsistencyError, ParseError, PreconditionError, require_int,
+)
 from .reporting import SearchReport
+from .trees import join_codes
 
 __all__ = [
     "ParetoDP",
@@ -119,10 +122,8 @@ class ParetoDP:
         candidate_cap: int = DEFAULT_CANDIDATE_CAP,
         cache_dir: str | os.PathLike | None = None,
     ):
-        if not isinstance(k, int) or k < 3:
-            raise PreconditionError(f"caterpillar size must be an integer >= 3, got {k!r}")
-        if not isinstance(d, int) or d < 2:
-            raise PreconditionError(f"arity bound must be an integer >= 2, got {d!r}")
+        require_int(k, 3, "caterpillar size")
+        require_int(d, 2, "arity bound")
         self.k = k
         self.d = d
         self.candidate_cap = candidate_cap
@@ -180,8 +181,7 @@ class ParetoDP:
                 stack.extend(self._split[s])
         # every branch of a split is smaller than the level it splits
         for s in sorted(todo):
-            parts = sorted((memo[p] for p in self._split[s]), key=lambda c: (len(c), c))
-            memo[s] = "(" + "".join(parts) + ")"
+            memo[s] = join_codes([memo[p] for p in self._split[s]])
         return memo[n]
 
     # -- cache helpers -----------------------------------------------------
@@ -325,8 +325,7 @@ class ParetoDP:
         self._store_level(n)
 
     def run(self, n_max: int) -> ParetoDP:
-        if not isinstance(n_max, int) or n_max < 1:
-            raise PreconditionError(f"n_max must be an integer >= 1, got {n_max!r}")
+        require_int(n_max, 1, "n_max")
         memo: dict = {}  # witness recounts of the cached levels share subtrees
         for n in range(1, n_max + 1):
             self._build_level(n, memo)

@@ -4,10 +4,9 @@ A SearchReport is a small table plus context: which mode produced it, the
 parameters, column names, rows, and an overall verdict where one applies.
 Rendering is bit-stable by construction. Cells are converted to text through
 one function (:func:`render_cell`) with fixed formatting rules, fractions are
-printed as ``num/den``, reals through a 12-significant-digit decimal path,
-and no timestamps or timings ever enter rendered output. The ``wall_time``
-field on the report is informational only; emitters skip it so that two runs
-with the same configuration produce identical bytes.
+printed as ``num/den``, reals through a 12-significant-digit decimal path.
+A report holds no timestamps or timings, so two runs with the same
+configuration produce identical bytes.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ class SearchReport:
 
     ``rows`` hold raw values (ints, Fractions, bools, strings); conversion to
     text happens at render time. ``all_ok`` is None for modes that have no
-    verdict semantics. ``wall_time`` is seconds spent producing the report
-    and is deliberately excluded from every rendering.
+    verdict semantics.
     """
 
     mode: str
@@ -84,7 +82,6 @@ class SearchReport:
     columns: tuple[str, ...]
     rows: list[tuple]
     all_ok: bool | None = None
-    wall_time: float = 0.0
 
     def cell_rows(self) -> list[list[str]]:
         return [[render_cell(v) for v in row] for row in self.rows]
@@ -99,13 +96,9 @@ def render_csv(report: SearchReport) -> str:
 
 
 def _jsonable(value) -> Any:
-    if isinstance(value, Fraction):
-        return fraction_str(value)
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, float):
-        return decimal_str(value)
-    return str(value)
+    return render_cell(value)
 
 
 def render_jsonl(report: SearchReport) -> str:

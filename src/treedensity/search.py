@@ -1,12 +1,11 @@
 """Enumeration of d-ary trees and extremal searches over them.
 
 ``enumerate_trees`` streams every isomorphism type of d-ary tree with a given
-leaf count exactly once. Each call builds the smaller levels bottom-up and
-keeps nothing afterwards. The exhaustive branch of ``search_min_report``
-builds the levels once per report, up to its largest leaf count, and scans
-each level it reports on. ``count_trees`` evaluates the same recurrence
-without building anything and is used both for budget refusals and as a
-cross-check on the enumerator.
+leaf count exactly once. It and the exhaustive branch of
+``search_min_report`` share one path: count the sizes, refuse the first one
+over the tree cap, then build every level up to the largest, bottom-up, and
+keep nothing after the call. ``count_trees`` runs the same count without
+building anything, and the count cross-checks every level built.
 
 The two verification sweeps wrap the searches into reports:
 
@@ -19,7 +18,6 @@ The two verification sweeps wrap the searches into reports:
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, islice, product
 from math import comb
@@ -27,7 +25,7 @@ from typing import Iterator
 
 from . import frontier as frontier_mod
 from .counting import caterpillar_counts, caterpillar_counts_of_code, combine_caterpillar_counts
-from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError
+from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
 from .formulas import liminf_density
 from .reporting import SearchReport
 from .trees import Tree, leaf, node
@@ -45,13 +43,6 @@ __all__ = [
 DEFAULT_TREE_CAP = 10**6
 
 SEARCH_COLUMNS = ("n", "min_count", "min_density_num", "min_density_den", "argmin_code")
-
-
-def _check_n_d(n: int, d: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"leaf count must be an integer >= 1, got {n!r}")
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError(f"arity bound must be an integer >= 2, got {d!r}")
 
 
 def _root_splits(size: int, d: int, strict: bool):
@@ -87,11 +78,6 @@ def _count_sequence(d: int, strict: bool) -> Iterator[int]:
         yield total
 
 
-def _tree_counts(n: int, d: int, strict: bool) -> list[int]:
-    """``counts[s]`` for s = 0..n: the number of d-ary trees with s leaves."""
-    return [0, *islice(_count_sequence(d, strict), n)]
-
-
 def count_trees(n: int, d: int, strict: bool = False) -> int:
     """Number of isomorphism types of d-ary trees with n leaves.
 
@@ -99,24 +85,28 @@ def count_trees(n: int, d: int, strict: bool = False) -> int:
     sizes 1..n are filled in order without materializing any tree, so this
     matches the length of :func:`enumerate_trees` and n has no depth limit.
     """
-    _check_n_d(n, d)
-    return _tree_counts(n, d, strict)[n]
+    require_int(n, 1, "leaf count")
+    require_int(d, 2, "arity bound")
+    return next(islice(_count_sequence(d, strict), n - 1, None))
 
 
-def _refuse_over_cap(counts: list[int], n: int, d: int, strict: bool, max_trees: int) -> None:
-    if counts[n] > max_trees:
-        raise BudgetError(
-            f"enumerating {counts[n]} {'strictly ' if strict else ''}{d}-ary trees "
-            f"with {n} leaves exceeds the cap of {max_trees}"
-        )
-
-
-def _tree_levels(n: int, d: int, strict: bool, counts: list[int]) -> list[list[Tree]]:
-    """``levels[s]`` for s = 0..n: every d-ary tree with s leaves, sorted by
-    code, each level built from the ones below it and checked against
-    ``counts`` (from :func:`_tree_counts`). The caller owns the levels."""
+def _tree_levels(sizes: range, d: int, strict: bool, max_trees: int) -> list[list[Tree]]:
+    """``levels[s]`` for s = 0..max(sizes): every d-ary tree with s leaves,
+    sorted by code, each level built from the ones below it and checked
+    against :func:`_count_sequence`. The sizes are counted first, and the
+    first of ``sizes`` with more than ``max_trees`` trees is refused with
+    BudgetError naming its count. The caller owns the levels."""
+    top = sizes[-1] if sizes else 0
+    counts = [0]
+    for n, c in zip(range(1, top + 1), _count_sequence(d, strict)):
+        counts.append(c)
+        if n in sizes and c > max_trees:
+            raise BudgetError(
+                f"enumerating {c} {'strictly ' if strict else ''}{d}-ary trees "
+                f"with {n} leaves exceeds the cap of {max_trees}"
+            )
     levels: list[list[Tree]] = [[], [leaf()]]
-    for size in range(2, n + 1):
+    for size in range(2, top + 1):
         level = []
         for runs in _root_splits(size, d, strict):
             pools = [combinations_with_replacement(levels[part], cnt) for part, cnt in runs]
@@ -145,21 +135,19 @@ def enumerate_trees(
     d-ary trees exist only for n = 1 mod (d - 1); asking for other sizes in
     strict mode is an error.
     """
-    _check_n_d(n, d)
+    require_int(n, 1, "leaf count")
+    require_int(d, 2, "arity bound")
     if strict and (n - 1) % (d - 1) != 0:
         raise PreconditionError(
             f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
         )
-    counts = _tree_counts(n, d, strict)
-    _refuse_over_cap(counts, n, d, strict, max_trees)
-    return iter(_tree_levels(n, d, strict, counts)[n])
+    return iter(_tree_levels(range(n, n + 1), d, strict, max_trees)[n])
 
 
 def enumerate_report(
     n: int, d: int, strict: bool = False, *, max_trees: int = DEFAULT_TREE_CAP
 ) -> SearchReport:
     """The codes of :func:`enumerate_trees`, one indexed row per tree."""
-    start = time.perf_counter()
     trees = enumerate_trees(n, d, strict, max_trees=max_trees)
     rows = [(i, t.code) for i, t in enumerate(trees)]
     return SearchReport(
@@ -167,7 +155,6 @@ def enumerate_report(
         params={"n": n, "d": d, "strict": strict},
         columns=("index", "code"),
         rows=rows,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -231,9 +218,9 @@ def search_min_report(
     exhaustive otherwise). The pareto route runs ``frontier.ParetoDP`` for any d;
     it scales to large n but covers the non-strict family only.
     """
-    if not isinstance(k, int) or k < 2:
-        raise PreconditionError(f"caterpillar size must be an integer >= 2, got {k!r}")
-    _check_n_d(n_max, d)
+    require_int(k, 2, "caterpillar size")
+    require_int(n_max, 1, "leaf count")
+    require_int(d, 2, "arity bound")
     if n_min < k:
         raise PreconditionError(f"need n_min >= k, got {n_min} < {k}")
     if n_min > n_max:
@@ -242,7 +229,6 @@ def search_min_report(
         method = "pareto" if d == 2 and k >= 3 else "exhaustive"
     if method not in ("pareto", "exhaustive"):
         raise PreconditionError(f"unknown search method {method!r}")
-    start = time.perf_counter()
     minima: list[tuple[int, int, str]] = []  # (n, minimum count, witness)
     if method == "pareto":
         if strict and d > 2:
@@ -258,17 +244,11 @@ def search_min_report(
             minima.append((n, minimum, code))
     else:
         # Sizes with no strictly d-ary tree (n != 1 mod d - 1) are skipped.
-        # Counting stops at the first size over the cap; else the levels are
-        # built once, up to the largest size, and shared by every row.
+        # The levels are built once, up to the largest size, and shared by
+        # every row.
         step = d - 1 if strict else 1
         sizes = range(n_min + (1 - n_min) % step, n_max + 1, step)
-        top = sizes[-1] if sizes else 0
-        counts = [0]
-        for n, c in zip(range(1, top + 1), _count_sequence(d, strict)):
-            counts.append(c)
-            if n in sizes:
-                _refuse_over_cap(counts, n, d, strict, max_trees)
-        levels = _tree_levels(top, d, strict, counts)
+        levels = _tree_levels(sizes, d, strict, max_trees)
         level_memo: dict = {}  # smaller levels' trees are subtrees of larger ones
         for n in sizes:
             minima.append((n, *_min_record(levels[n], n, d, k, strict, level_memo)))
@@ -281,7 +261,6 @@ def search_min_report(
         params={"d": d, "k": k, "n_min": n_min, "n_max": n_max, "method": method},
         columns=SEARCH_COLUMNS,
         rows=rows,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -306,11 +285,9 @@ def verify_even_conjecture(
     computed independently by :func:`_even_split_counts`. The report's
     verdict is true only if they agree at every n.
     """
-    if not isinstance(k, int) or k < 3:
-        raise PreconditionError(f"caterpillar size must be an integer >= 3, got {k!r}")
+    require_int(k, 3, "caterpillar size")
     if not isinstance(n_max, int) or n_max < k:
         raise PreconditionError(f"need n_max >= k, got {n_max!r}")
-    start = time.perf_counter()
     dp = frontier_mod.ParetoDP(k, 2, cache_dir=cache_dir).run(n_max)
     even = _even_split_counts(k, n_max)
     rows = []
@@ -327,7 +304,6 @@ def verify_even_conjecture(
         columns=("n", "min_count", "even_count", "verdict"),
         rows=rows,
         all_ok=all_ok,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -342,8 +318,7 @@ def verify_monotone_min(
 ) -> SearchReport:
     """Check that the minimum k-caterpillar density over d-ary trees is
     nondecreasing in n and stays at or below its closed-form limit."""
-    if not isinstance(k, int) or k < 3:
-        raise PreconditionError(f"caterpillar size must be an integer >= 3, got {k!r}")
+    require_int(k, 3, "caterpillar size")
     if not isinstance(n_max, int) or n_max < k:
         raise PreconditionError(f"need n_max >= k, got {n_max!r}")
     base = search_min_report(
@@ -355,7 +330,6 @@ def verify_monotone_min(
         max_trees=max_trees,
         cache_dir=cache_dir,
     )
-    start = time.perf_counter()
     limit = liminf_density(d, k)
     rows = []
     all_ok = True
@@ -373,5 +347,4 @@ def verify_monotone_min(
         columns=("n", "min_count", "min_density_num", "min_density_den", "nondecreasing", "le_liminf"),
         rows=rows,
         all_ok=all_ok,
-        wall_time=base.wall_time + time.perf_counter() - start,
     )

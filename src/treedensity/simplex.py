@@ -27,7 +27,6 @@ that build the reports of the ``simplex`` command's four modes.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -209,7 +208,6 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     The verdict holds at k = 3 when every value equals 1/3 exactly, and at
     k >= 4 when the values stay below 1/k and increase strictly.
     """
-    start = time.perf_counter()
     _require_bound_k("sup", k)
     _require_positive(eps_steps, "--eps-steps")
     schedule = [Fraction(1, 2**t) for t in range(1, eps_steps + 1)]
@@ -228,7 +226,6 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
             (str(e), v, decimal_str(v), decimal_str(bound - v)) for e, v in zip(schedule, values)
         ],
         all_ok=ok,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -237,7 +234,6 @@ def simplex_bound_sample_report(
 ) -> SearchReport:
     """Check uniform_min_value(d, k) <= F <= 1/k exactly at ``samples``
     seeded random interior points, each drawn and then evaluated in turn."""
-    start = time.perf_counter()
     _require_bound_k("bound-sample", k)
     _require_positive(samples, "--samples")
     rng = random.Random(seed)
@@ -254,7 +250,6 @@ def simplex_bound_sample_report(
         columns=("index", "point", "value", "within_bounds"),
         rows=rows,
         all_ok=all(row[-1] for row in rows),
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -439,7 +434,6 @@ def simplex_min_report(
     d: int, k: int, *, starts: int = 8, budget: int = 100_000, seed: int = 0
 ) -> SearchReport:
     """:func:`minimize_F` as a one-row report; the verdict is ``converged``."""
-    start = time.perf_counter()
     res = minimize_F(d, k, starts=starts, budget=budget, seed=seed)
     point = ";".join(decimal_str(float(c)) for c in res.point.coords)
     value, resid = decimal_str(float(res.value)), f"{float(res.stationarity):.3e}"
@@ -449,7 +443,6 @@ def simplex_min_report(
         columns=("d", "k", "point", "value", "stationarity", "converged"),
         rows=[(d, k, point, value, resid, res.converged)],
         all_ok=res.converged,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -541,7 +534,6 @@ def simplex_muirhead_report(
 ) -> SearchReport:
     """:func:`muirhead_check` at ``samples`` seeded pairs, each drawn before
     its d positive rational values."""
-    start = time.perf_counter()
     _require_positive(samples, "--samples")
     rng = random.Random(seed)
     rows = []
@@ -556,7 +548,6 @@ def simplex_muirhead_report(
         columns=("index", "majorant", "majorized", "values", "holds"),
         rows=rows,
         all_ok=all(row[-1] for row in rows),
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -13,10 +13,11 @@ and a cherry child.
 
 Every builder closes a vertex the same way: it sorts the children's
 (length, code, tree) items, joins their codes once and hands both to the
-constructor, so no key function runs per child. A builder keeps a dict of
-the codes it has built, local to the call, and returns the same object for
-a repeated shape; nothing is kept between calls, and equality and hashing
-go by code, so trees from different calls compare as before.
+constructor, so no key function runs per child. :func:`join_codes` closes a
+vertex from its children's codes alone, in the same order. A builder keeps
+a dict of the codes it has built, local to the call, and returns the same
+object for a repeated shape; nothing is kept between calls, and equality and
+hashing go by code, so trees from different calls compare as before.
 
 The builders at the bottom construct the recurring families used elsewhere:
 caterpillars (make_caterpillar), complete trees (make_complete) and the
@@ -25,16 +26,17 @@ recursively even-split binary tree (make_even_binary).
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, ParseError, PreconditionError, StructureError
+from .errors import BudgetError, ParseError, PreconditionError, StructureError, require_int
 
 __all__ = [
     "Tree",
     "leaf",
     "node",
     "parse_tree",
+    "join_codes",
     "is_d_ary",
     "is_strictly_d_ary",
     "make_caterpillar",
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_LEAF_CAP = 10**7
+_LEAF_COUNT = attrgetter("leaf_count")
 
 
 class Tree:
@@ -56,28 +59,12 @@ class Tree:
     vertex's code, which the constructor stores unchecked.
     """
 
-    __slots__ = ("children", "leaf_count", "code", "_max_out", "_min_internal_out", "_hash")
+    __slots__ = ("children", "leaf_count", "code")
 
     def __init__(self, children: tuple["Tree", ...], code: str):
         self.children = children
         self.code = code
-        self._hash = hash(code)
-        if not children:
-            self.leaf_count = 1
-            self._max_out = 0
-            self._min_internal_out = 0  # sentinel: no internal vertex below
-            return
-        leaves = 0
-        top = low = len(children)
-        for c in children:
-            leaves += c.leaf_count
-            if c._max_out > top:
-                top = c._max_out
-            if 0 < c._min_internal_out < low:
-                low = c._min_internal_out
-        self.leaf_count = leaves
-        self._max_out = top
-        self._min_internal_out = low
+        self.leaf_count = sum(map(_LEAF_COUNT, children)) or 1  # 0 only for a leaf
 
     @property
     def is_leaf(self) -> bool:
@@ -103,7 +90,7 @@ class Tree:
         return self.code == other.code
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.code)  # a str caches its hash
 
     def __repr__(self) -> str:
         return f"Tree({self.code!r})"
@@ -197,23 +184,41 @@ def parse_tree(text: str) -> Tree:
     return root[2]
 
 
-def _check_degree(d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError(f"arity bound must be an integer >= 2, got {d!r}")
+def join_codes(codes: list[str]) -> str:
+    """Code of the vertex whose children have ``codes``: sorts the list in
+    place into canonical order (shortest first, ties by code) and brackets
+    the joined codes."""
+    # a stable sort by length after one by code leaves (length, code) order
+    codes.sort()
+    codes.sort(key=len)
+    return "(" + "".join(codes) + ")"
+
+
+def _outdegrees(t: Tree) -> set[int]:
+    """The outdegrees of ``t``'s internal vertices. Each distinct subtree is
+    walked once, so a tree of shared shapes costs its shapes, not its size."""
+    seen: set[str] = set()
+    found: set[int] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.children and u.code not in seen:
+            seen.add(u.code)
+            found.add(len(u.children))
+            stack.extend(u.children)
+    return found
 
 
 def is_d_ary(t: Tree, d: int) -> bool:
     """True when every internal vertex of ``t`` has outdegree between 2 and d."""
-    _check_degree(d)
-    return t._max_out <= d
+    require_int(d, 2, "arity bound")
+    return max(_outdegrees(t), default=0) <= d
 
 
 def is_strictly_d_ary(t: Tree, d: int) -> bool:
     """True when every internal vertex of ``t`` has outdegree exactly d."""
-    _check_degree(d)
-    if t.is_leaf:
-        return True
-    return t._max_out == d and t._min_internal_out == d
+    require_int(d, 2, "arity bound")
+    return _outdegrees(t) <= {d}
 
 
 def make_caterpillar(r: int, k: int) -> Tree:
@@ -225,7 +230,7 @@ def make_caterpillar(r: int, k: int) -> Tree:
     k >= r with k congruent to 1 modulo r - 1; anything else raises
     PreconditionError.
     """
-    _check_degree(r)
+    require_int(r, 2, "arity bound")
     if k == 1:
         return _LEAF
     if k < r or (k - 1) % (r - 1) != 0:
@@ -247,7 +252,7 @@ def make_complete(d: int, h: int, leaf_cap: int = DEFAULT_LEAF_CAP) -> Tree:
     level share one Tree object, so the cap bounds leaf count as seen by
     counting routines, not memory.
     """
-    _check_degree(d)
+    require_int(d, 2, "arity bound")
     if h < 0:
         raise PreconditionError(f"height must be >= 0, got {h}")
     n = d**h
@@ -269,8 +274,7 @@ def make_even_binary(n: int) -> Tree:
     branches are themselves even-split trees. For n a power of two this is
     the complete binary tree.
     """
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"leaf count must be an integer >= 1, got {n!r}")
+    require_int(n, 1, "leaf count")
     # halving n yields at most two sizes per level, so 2 log2(n) in all
     sizes = set()
     level = {n}

@@ -179,13 +179,9 @@ def test_brute_profile_at_the_range_table_edges(n):
 
 
 def test_branch_pattern_classes():
-    bp = branch_pattern(parse_tree("((**)(**))"))
-    assert len(bp.class_reps) == 1 and bp.multiplicities == (2,)
-    assert len(bp.assignments) == 1
-
-    bp = branch_pattern(parse_tree("(*(**))"))
-    assert bp.multiplicities == (1, 1)
-    assert len(bp.assignments) == 2
+    cherry = parse_tree("(**)")
+    assert branch_pattern(parse_tree("((**)(**))")) == ((cherry, cherry),)
+    assert branch_pattern(parse_tree("(*(**))")) == ((leaf(), cherry), (cherry, leaf()))
 
     with pytest.raises(PreconditionError):
         branch_pattern(leaf())
@@ -196,15 +192,16 @@ def test_branch_pattern_assignment_counts():
     for d in (2, 3):
         for n in range(2, 8):
             for t in enumerate_trees(n, d):
-                bp = branch_pattern(t)
-                expect = factorial(len(bp.branches)) // prod(
-                    factorial(m) for m in bp.multiplicities
+                assignments = branch_pattern(t)
+                reps = list(dict.fromkeys(t.children))  # one per shape, canonical order
+                classes = [reps.index(b) for b in t.children]
+                expect = factorial(len(classes)) // prod(
+                    factorial(m) for m in Counter(classes).values()
                 )
-                assert len(bp.assignments) == expect
-                assert len(set(bp.assignments)) == expect
+                assert len(assignments) == expect
+                assert len(set(assignments)) == expect
                 # in lexicographic order of the class indices
-                classes = [c for c, m in enumerate(bp.multiplicities) for _ in range(m)]
-                indices = [tuple(map(bp.class_reps.index, a)) for a in bp.assignments]
+                indices = [tuple(map(reps.index, a)) for a in assignments]
                 assert indices == sorted(set(permutations(classes)))
 
 

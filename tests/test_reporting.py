@@ -9,14 +9,13 @@ from treedensity import SearchReport, render_report
 from treedensity.reporting import decimal_str, fraction_str, render_cell
 
 
-def _sample_report(wall_time=0.0):
+def _sample_report():
     return SearchReport(
         mode="demo",
         params={"k": 4, "d": 2},
         columns=("n", "ratio", "ok", "label"),
         rows=[(4, Fraction(1, 3), True, "x"), (5, Fraction(2, 5), False, "y z")],
         all_ok=False,
-        wall_time=wall_time,
     )
 
 
@@ -73,12 +72,6 @@ def test_render_pretty():
     assert lines[1] == "params: d=2, k=4"
     assert lines[-1] == "verdict: CHECK FAILED"
     assert not any(line != line.rstrip() for line in lines)
-
-
-def test_wall_time_never_reaches_any_rendering():
-    fast, slow = _sample_report(wall_time=0.001), _sample_report(wall_time=99.5)
-    for fmt in ("csv", "jsonl", "pretty"):
-        assert render_report(fast, fmt) == render_report(slow, fmt)
 
 
 def test_unknown_format_is_rejected():

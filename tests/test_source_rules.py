@@ -103,15 +103,29 @@ def test_only_the_tree_module_constructs_trees():
     assert found == []
 
 
-def _module_state():
-    """Size of every module-level dict, list and set in the package."""
-    modules = [treedensity] + [
+def _package_modules():
+    return [treedensity] + [
         importlib.import_module(f"treedensity.{info.name}")
         for info in pkgutil.iter_modules(treedensity.__path__)
     ]
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves a stale export fails here, not only at import *
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in _package_modules()
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert stale == []
+
+
+def _module_state():
+    """Size of every module-level dict, list and set in the package."""
     return {
         f"{module.__name__}.{name}": len(value)
-        for module in modules
+        for module in _package_modules()
         for name, value in vars(module).items()
         if not name.startswith("__") and isinstance(value, (dict, list, set))
     }

@@ -19,6 +19,7 @@ from treedensity import (
     node,
     parse_tree,
 )
+from treedensity.counting import caterpillar_counts_of_code
 from treedensity.search import enumerate_trees
 
 
@@ -202,6 +203,27 @@ def test_is_d_ary_examples():
     mixed = node([leaf(), leaf(), node([leaf(), leaf()])])
     assert is_d_ary(mixed, 3) and not is_strictly_d_ary(mixed, 3)
     assert not is_d_ary(mixed, 2)
+
+
+def test_arity_predicates_match_enumeration_and_the_code_reader():
+    # is_strictly_d_ary picks out exactly the strict enumeration, and is_d_ary
+    # agrees with the largest outdegree the code reader finds
+    hosts = [make_complete(3, 12)]
+    for d in (2, 3, 4):
+        for n in range(1, 10):
+            level = list(enumerate_trees(n, d))
+            strict = set(enumerate_trees(n, d, strict=True)) if (n - 1) % (d - 1) == 0 else set()
+            assert {t for t in level if is_strictly_d_ary(t, d)} == strict
+            hosts.extend(level)
+    memo: dict = {}
+    widest = [(t, caterpillar_counts_of_code(t.code, 3, memo)[1]) for t in hosts]
+    # the code reader is quadratic in depth (about 10 s here), so the deep
+    # caterpillar's outdegree is the one it is built with
+    widest.append((make_caterpillar(3, 2 * 10**4 + 1), 3))
+    for t, top in widest:
+        for e in range(2, 6):
+            assert is_d_ary(t, e) == (top <= e), (t.leaf_count, e)
+    assert is_strictly_d_ary(hosts[0], 3) and is_strictly_d_ary(widest[-1][0], 3)
 
 
 def test_is_d_ary_validates_degree():
