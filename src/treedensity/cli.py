@@ -18,6 +18,12 @@ that builds the subcommand's report (``count_report``, ``limits_report``,
 ``search_min_report`` and so on). It then renders the report and maps the
 outcome to an exit code.
 
+A call builds only the arguments of the subcommand it runs: the top-level
+parser lists every subcommand with its help line, but ``-h`` and the flags go
+only to the subparser that ``argv[0]`` names. An argv that names no
+subcommand (help, an unknown command, none at all) gets every subparser in
+full, so help and usage errors read the same either way.
+
 Exit codes: 0 success, 1 a verification found a counterexample or an
 internal consistency check failed, 2 invalid input (parse or precondition
 failures), 3 refused resource budget, 4 I/O failure. Reports are rendered
@@ -156,86 +162,124 @@ _SIMPLEX_MODES = {
     "muirhead": lambda a: simplex_muirhead_report(a.d, a.k, samples=a.samples, seed=a.seed),
 }
 
+_METHODS = ("auto", "exhaustive", "pareto")
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treedensity",
-        description="Exact counting and extremal search for leaf-induced subtree densities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, *required: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
-        for flag in required:
-            p.add_argument(f"--{flag}", type=int, required=True)
-        return p
+def _count_args(p):
+    _add_tree_args(p, "pattern")
+    _add_tree_args(p, "tree")
+    p.add_argument("--brute", action="store_true", help="use the subset-enumeration oracle")
+    p.add_argument("--force", action="store_true", help="override the brute-force budget")
 
-    def finish(p: argparse.ArgumentParser, build) -> None:
-        p.add_argument("--output", metavar="PATH", help="write the report to a file")
-        p.add_argument("--format", choices=FORMATS, default="pretty")
-        p.set_defaults(build=build)
 
-    for name in ("count", "density"):
-        p = command(name, f"{name} of a pattern inside a host tree")
-        _add_tree_args(p, "pattern")
-        _add_tree_args(p, "tree")
-        p.add_argument("--brute", action="store_true", help="use the subset-enumeration oracle")
-        p.add_argument("--force", action="store_true", help="override the brute-force budget")
-        finish(p, _count)
-
-    p = command("enumerate", "all d-ary trees with n leaves", "n", "d")
+def _enumerate_args(p):
     p.add_argument("--strict", action="store_true", help="only outdegree exactly d")
     p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
-    finish(p, lambda a: enumerate_report(a.n, a.d, a.strict, max_trees=a.max_trees))
 
-    p = command("limits", "closed-form limiting caterpillar densities", "d", "k")
-    p.add_argument("--r", type=int, default=2, help="caterpillar arity (default binary)")
-    finish(p, lambda a: limits_report(a.d, a.k, a.r))
 
-    p = command("search-min", "minimum caterpillar count per leaf count", "d", "k")
+def _search_min_args(p):
     p.add_argument("--n", type=int, help="single leaf count")
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--method", choices=("auto", "exhaustive", "pareto"), default="auto")
+    p.add_argument("--method", choices=_METHODS, default="auto")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
     p.add_argument("--cache-dir")
     p.add_argument(
         "--general-d", action="store_true", help="accepted and ignored: pareto runs for every d"
     )
-    finish(p, _search_min)
 
-    p = command("conjecture", "even-split tree vs exact minimum count", "k", "n-max")
-    p.add_argument("--cache-dir")
-    finish(p, lambda a: verify_even_conjecture(a.k, a.n_max, cache_dir=_resolve_cache_dir(a)))
 
-    p = command("monotone", "minimum density nondecreasing and bounded", "d", "k", "n-max")
-    p.add_argument("--method", choices=("auto", "exhaustive", "pareto"), default="auto")
+def _monotone_args(p):
+    p.add_argument("--method", choices=_METHODS, default="auto")
     p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
     p.add_argument("--cache-dir")
-    finish(p, lambda a: verify_monotone_min(
-        a.d, a.k, a.n_max, method=a.method, max_trees=a.max_trees, cache_dir=_resolve_cache_dir(a)
-    ))
 
-    p = command("simplex", "simplex functional: bounds, minimum, majorization", "d", "k")
+
+def _simplex_args(p):
     p.add_argument("--mode", choices=tuple(_SIMPLEX_MODES), default="min")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--eps-steps", type=int, default=20)
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--budget", type=int, default=100_000)
-    finish(p, lambda a: _SIMPLEX_MODES[a.mode](a))
 
-    p = command("cache", "inspect or clear persisted frontier files")
-    p.add_argument("--cache-dir", dest="cache_dir")
+
+def _cache_args(p):
+    p.add_argument("--cache-dir")
     p.add_argument("--clear", action="store_true")
-    finish(p, lambda a: cache_report(_resolve_cache_dir(a, default_to_cwd=True), clear=a.clear))
 
+
+# name -> (help line, required integer flags, other arguments, report builder),
+# in the order the top-level help lists them
+_COMMANDS = {
+    "count": ("count of a pattern inside a host tree", (), _count_args, _count),
+    "density": ("density of a pattern inside a host tree", (), _count_args, _count),
+    "enumerate": (
+        "all d-ary trees with n leaves", ("n", "d"), _enumerate_args,
+        lambda a: enumerate_report(a.n, a.d, a.strict, max_trees=a.max_trees),
+    ),
+    "limits": (
+        "closed-form limiting caterpillar densities", ("d", "k"),
+        lambda p: p.add_argument(
+            "--r", type=int, default=2, help="caterpillar arity (default binary)"
+        ),
+        lambda a: limits_report(a.d, a.k, a.r),
+    ),
+    "search-min": (
+        "minimum caterpillar count per leaf count", ("d", "k"), _search_min_args, _search_min,
+    ),
+    "conjecture": (
+        "even-split tree vs exact minimum count", ("k", "n-max"),
+        lambda p: p.add_argument("--cache-dir"),
+        lambda a: verify_even_conjecture(a.k, a.n_max, cache_dir=_resolve_cache_dir(a)),
+    ),
+    "monotone": (
+        "minimum density nondecreasing and bounded", ("d", "k", "n-max"), _monotone_args,
+        lambda a: verify_monotone_min(
+            a.d, a.k, a.n_max, method=a.method, max_trees=a.max_trees,
+            cache_dir=_resolve_cache_dir(a),
+        ),
+    ),
+    "simplex": (
+        "simplex functional: bounds, minimum, majorization", ("d", "k"), _simplex_args,
+        lambda a: _SIMPLEX_MODES[a.mode](a),
+    ),
+    "cache": (
+        "inspect or clear persisted frontier files", (), _cache_args,
+        lambda a: cache_report(_resolve_cache_dir(a, default_to_cwd=True), clear=a.clear),
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``treedensity`` parser. It lists every subcommand with its help
+    line, but only ``command``'s subparser gets ``-h`` and its arguments, or
+    every subparser when ``command`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="treedensity",
+        description="Exact counting and extremal search for leaf-induced subtree densities.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, required, add_args, build) in _COMMANDS.items():
+        chosen = command is None or command == name
+        p = sub.add_parser(name, help=summary, add_help=chosen)
+        if not chosen:
+            continue
+        for flag in required:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        add_args(p)
+        p.add_argument("--output", metavar="PATH", help="write the report to a file")
+        p.add_argument("--format", choices=FORMATS, default="pretty")
+        p.set_defaults(build=build)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its subcommand first builds only that subparser; any
+    # other argv (help, an unknown command, none) gets the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

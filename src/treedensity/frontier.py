@@ -334,8 +334,12 @@ class ParetoDP:
 
 def cache_report(cache_dir: str | os.PathLike, *, clear: bool = False) -> SearchReport:
     """Number and total bytes of the frontier cache files in ``cache_dir``,
-    after deleting every one of them when ``clear`` is set."""
+    after deleting every one of them when ``clear`` is set. A missing
+    directory holds no files; a path that is not a directory raises
+    CacheError."""
     cache_dir = Path(cache_dir)
+    if cache_dir.exists() and not cache_dir.is_dir():
+        raise CacheError(f"cache path {cache_dir} is not a directory")
     files = sorted(cache_dir.glob(_CACHE_GLOB)) if cache_dir.is_dir() else []
     if clear:
         for f in files:

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import mpmath
 
-from .errors import PreconditionError, SingularityError
+from .errors import PreconditionError, SingularityError, require_int
 from .reporting import SearchReport, decimal_str
 
 __all__ = [
@@ -208,6 +208,7 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     The verdict holds at k = 3 when every value equals 1/3 exactly, and at
     k >= 4 when the values stay below 1/k and increase strictly.
     """
+    require_int(d, 2, "arity bound")
     _require_bound_k("sup", k)
     _require_positive(eps_steps, "--eps-steps")
     schedule = [Fraction(1, 2**t) for t in range(1, eps_steps + 1)]
@@ -534,6 +535,9 @@ def simplex_muirhead_report(
 ) -> SearchReport:
     """:func:`muirhead_check` at ``samples`` seeded pairs, each drawn before
     its d positive rational values."""
+    # below these no composition of k into d parts lacks a part equal to k
+    require_int(d, 2, "arity bound")
+    require_int(k, 2, "caterpillar size")
     _require_positive(samples, "--samples")
     rng = random.Random(seed)
     rows = []

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -18,6 +19,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _checkout_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(treedensity.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +306,36 @@ def test_simplex_bound_sample(capsys):
     assert len(rows) == 40 and all(r.endswith(",true") for r in rows)
 
 
+@pytest.mark.parametrize(
+    "mode, d, k, wrong",
+    [
+        ("muirhead", "1", "3", "arity bound"),
+        ("muirhead", "0", "3", "arity bound"),
+        ("muirhead", "3", "1", "caterpillar size"),
+        ("muirhead", "3", "0", "caterpillar size"),
+        ("muirhead", "3", "-1", "caterpillar size"),
+        ("sup", "1", "4", "arity bound"),
+    ],
+)
+def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
+    # a child process, so that a sampler that never finds a pair fails the
+    # test by its timeout instead of hanging the suite
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "treedensity.cli",
+            "simplex", "--mode", mode, "--d", d, "--k", k, "--samples", "3",
+        ],
+        capture_output=True,
+        text=True,
+        env=_checkout_env(),
+        timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    value = d if wrong == "arity bound" else k
+    assert proc.stderr == f"error: {wrong} must be an integer >= 2, got {value}\n"
+
+
 def test_simplex_muirhead(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -335,6 +374,21 @@ def test_cache_inspect_and_clear(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[1].rsplit(",", 2)[1] == "0"
     assert list(tmp_path.glob("frontier_*.jsonl")) == []
+
+
+@pytest.mark.parametrize("clear", [[], ["--clear"]])
+def test_cache_on_a_regular_file_is_an_io_error(capsys, tmp_path, clear):
+    path = tmp_path / "not-a-dir"
+    path.write_text("keep")
+    code, out, err = run_cli(capsys, "cache", "--cache-dir", str(path), *clear)
+    assert code == 4
+    assert out == ""
+    assert err == f"i/o error: cache path {path} is not a directory\n"
+    assert path.read_text() == "keep"
+    # a directory that does not exist yet holds no files
+    code, out, _ = run_cli(capsys, "cache", "--cache-dir", str(path) + "-new", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].endswith(",0,0")
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
@@ -434,9 +488,6 @@ def test_console_script_entry_point():
     with pyproject.open("rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["treedensity"]
     module, attr = target.split(":")
-    src = str(Path(treedensity.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -446,7 +497,7 @@ def test_console_script_entry_point():
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1] == "3,3,2,3/4,0.75"
@@ -457,3 +508,25 @@ def test_default_format_is_pretty(capsys):
     assert code == 0
     assert out.startswith("mode: limits\n")
     assert "4/7" in out
+
+
+# ---------------------------------------------------------------------------
+# parser construction
+
+
+def test_a_call_builds_only_its_subcommands_arguments(capsys, monkeypatch):
+    # arguments of the subcommands a call does not run were most of a small
+    # call's time; only the top level's -h and the chosen subparser's remain
+    add_argument = argparse._ActionsContainer.add_argument
+    received = []
+
+    def spy(container, *args, **kwargs):
+        received.append((getattr(container, "prog", None), args))
+        return add_argument(container, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    code, out, _ = run_cli(capsys, "limits", "--d", "2", "--k", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2,3,")
+    assert [args for prog, args in received if prog == "treedensity"] == [("-h", "--help")]
+    assert {prog for prog, _ in received} == {"treedensity", "treedensity limits"}
