@@ -535,7 +535,8 @@ def simplex_muirhead_report(
 ) -> SearchReport:
     """:func:`muirhead_check` at ``samples`` seeded pairs, each drawn before
     its d positive rational values."""
-    # below these no composition of k into d parts lacks a part equal to k
+    # with d < 2 or k < 2 every composition of k has a part equal to k, so
+    # random_majorization_pair would never find one to use
     require_int(d, 2, "arity bound")
     require_int(k, 2, "caterpillar size")
     _require_positive(samples, "--samples")

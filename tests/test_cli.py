@@ -515,8 +515,8 @@ def test_default_format_is_pretty(capsys):
 
 
 def test_a_call_builds_only_its_subcommands_arguments(capsys, monkeypatch):
-    # arguments of the subcommands a call does not run were most of a small
-    # call's time; only the top level's -h and the chosen subparser's remain
+    # arguments of the subcommands a call does not run were a large share of a
+    # small call's time; only the top level's -h and the chosen subparser's remain
     add_argument = argparse._ActionsContainer.add_argument
     received = []
 
