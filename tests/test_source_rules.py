@@ -121,6 +121,29 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
+# The package's public names. A name joins or leaves this list only on purpose.
+PUBLIC_NAMES = [
+    "BudgetError", "CacheError", "ConsistencyError", "CopyEngine", "CountVector",
+    "MinimizeResult", "ParetoDP", "ParseError", "PreconditionError", "SearchReport",
+    "SimplexPoint", "SingularityError", "StructureError", "Tree", "TreeDensityError",
+    "__version__", "bk_coefficient", "bk_lower_bound", "brute_copy_profile",
+    "cache_report", "caterpillar_copies_complete", "caterpillar_counts",
+    "combine_caterpillar_counts", "count_copies", "count_copies_brute", "count_report",
+    "count_trees", "density", "enumerate_report", "enumerate_trees", "eval_F",
+    "induced_subtree", "is_d_ary", "is_strictly_d_ary", "leaf", "liminf_density",
+    "limit_density_complete", "limits_report", "majorization_pair", "make_caterpillar",
+    "make_complete", "make_even_binary", "minimize_F", "muirhead_check", "node",
+    "parse_tree", "render_report", "search_min_report", "simplex_bound_sample_report",
+    "simplex_min_report", "simplex_muirhead_report", "simplex_point", "simplex_sup_report",
+    "star_copies", "sup_boundary_scan", "uniform_min_value", "verify_even_conjecture",
+    "verify_monotone_min",
+]
+
+
+def test_the_public_names_are_pinned():
+    assert sorted(treedensity.__all__) == PUBLIC_NAMES
+
+
 def _module_state():
     """Size of every module-level dict, list and set in the package."""
     return {
