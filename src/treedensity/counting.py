@@ -21,40 +21,36 @@ the distinct ways to assign D's branch isomorphism classes to them
 ``CopyEngine`` and ``caterpillar_counts`` share one bottom-up walk over a
 host's distinct subtrees, fewest leaves first, so no count recurses over the
 host's depth. No memo lives at module level: an engine owns its rows
-(``count_copies`` and ``density`` build one per call), and the caller owns
+(``count_copies`` builds one per call), and the caller owns
 ``caterpillar_counts``'s. ``caterpillar_counts_of_code`` runs the caterpillar
-combine straight off a bracket code, which is how witnesses are recounted.
+combine straight off a bracket code, and ``check_witness`` recounts a reported
+witness with it, for the searches and the DP cache alike.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, compress, count
 from math import comb
 from operator import not_
 from typing import Iterable, Iterator, NoReturn, Sequence
 
-from .errors import BudgetError, ConsistencyError, PreconditionError
+from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
 from .reporting import SearchReport, decimal_str
-from .trees import Tree, join_codes, leaf, node, parse_tree
+from .trees import Tree, internal_subtrees, join_codes, leaf, node, parse_tree
 
 __all__ = [
     "induced_subtree",
     "count_copies_brute",
     "brute_copy_profile",
-    "branch_pattern",
     "CopyEngine",
     "count_copies",
     "density",
     "count_report",
-    "CountVector",
     "caterpillar_counts",
     "combine_caterpillar_counts",
-    "caterpillar_counts_of_code",
-    "DEFAULT_SUBSET_CAP",
 ]
 
 DEFAULT_SUBSET_CAP = 10**8
@@ -215,8 +211,7 @@ def brute_copy_profile(
     One pass shared by every pattern of size k; the counts sum to C(n, k).
     """
     n = t.leaf_count
-    if k < 1:
-        raise PreconditionError(f"subset size must be >= 1, got {k}")
+    require_int(k, 1, "subset size")
     if k > n:
         return {}
     _check_subset_budget(n, k, max_subsets, force)
@@ -260,20 +255,6 @@ def branch_pattern(d_pattern: Tree) -> tuple[tuple[Tree, ...], ...]:
     return tuple(tuple(reps[ci] for ci in idx_seq) for idx_seq in _distinct_sequences(mults))
 
 
-def _internal_subtrees(t: Tree, known) -> list[Tree]:
-    """The distinct internal subtrees of ``t`` whose codes ``known`` lacks,
-    fewest leaves first. Memos are filled in this order, so the walk need
-    not descend below a known code."""
-    found: dict[str, Tree] = {}
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u.children and u.code not in known and u.code not in found:
-            found[u.code] = u
-            stack.extend(u.children)
-    return sorted(found.values(), key=lambda u: u.leaf_count)
-
-
 class CopyEngine:
     """Copy counter that fills one row of counts per host subtree.
 
@@ -294,7 +275,7 @@ class CopyEngine:
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
         if d_pattern.code not in self._memo:
-            shapes = _internal_subtrees(d_pattern, ())
+            shapes = internal_subtrees(d_pattern)
             index = {s.code: i for i, s in enumerate(shapes)} | {"*": -1}
             plan = [
                 (s.leaf_count, s.outdegree,
@@ -303,7 +284,7 @@ class CopyEngine:
             ]
             self._memo[d_pattern.code] = (plan, {"*": [0] * len(shapes) + [1]})
         plan, rows = self._memo[d_pattern.code]
-        for u in _internal_subtrees(t, rows):
+        for u in internal_subtrees(t, rows):
             kids = [rows[c.code] for c in u.children]
             row = [sum(col) for col in zip(*kids)]
             for i, (size, r, assignments) in enumerate(plan):
@@ -324,24 +305,23 @@ class CopyEngine:
         # shapes, so either way its number is len(plan) - 1
         return rows[t.code][len(plan) - 1]
 
-    def density(self, d_pattern: Tree, t: Tree) -> Fraction:
-        k = d_pattern.leaf_count
-        n = t.leaf_count
-        if n < k:
-            raise PreconditionError(
-                f"density needs at least as many tree leaves ({n}) as pattern leaves ({k})"
-            )
-        return Fraction(self.count(d_pattern, t), comb(n, k))
-
 
 def count_copies(d_pattern: Tree, t: Tree) -> int:
     """c(D, T) via the branch decomposition, in a fresh engine."""
     return CopyEngine().count(d_pattern, t)
 
 
+def _require_host(k: int, n: int) -> None:
+    # C(n, k) is 0 below k leaves, so no density is defined there
+    if n < k:
+        raise PreconditionError(f"density needs a host with at least {k} leaves, got {n}")
+
+
 def density(d_pattern: Tree, t: Tree) -> Fraction:
     """c(D, T) / C(|T|, |D|) as an exact fraction. Requires |T| >= |D|."""
-    return CopyEngine().density(d_pattern, t)
+    k, n = d_pattern.leaf_count, t.leaf_count
+    _require_host(k, n)
+    return Fraction(count_copies(d_pattern, t), comb(n, k))
 
 
 def count_report(
@@ -353,10 +333,10 @@ def count_report(
     the density is formed from it. ``mode`` "density" refuses hosts with
     fewer leaves than the pattern; "count" leaves their density cells blank.
     """
-    c = count_copies_brute(d_pattern, t, force=force) if brute else count_copies(d_pattern, t)
     k, n = d_pattern.leaf_count, t.leaf_count
-    if mode == "density" and n < k:
-        raise PreconditionError(f"density needs a host with at least {k} leaves, got {n}")
+    if mode == "density":
+        _require_host(k, n)
+    c = count_copies_brute(d_pattern, t, force=force) if brute else count_copies(d_pattern, t)
     dens: tuple = ("", "", "")
     if n >= k:
         q = Fraction(c, comb(n, k))
@@ -369,24 +349,6 @@ def count_report(
                  "density_num", "density_den", "density_decimal"),
         rows=[(d_pattern.code, t.code, k, n, c, *dens)],
     )
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Copies of every binary caterpillar size 2..k in one n-leaf tree.
-
-    ``counts[j - 2]`` is the number of j-leaf binary caterpillar copies;
-    indexing the object with j does the shift for you.
-    """
-
-    n: int
-    k: int
-    counts: tuple[int, ...]
-
-    def __getitem__(self, j: int) -> int:
-        if not 2 <= j <= self.k:
-            raise IndexError(f"caterpillar size must be in [2, {self.k}], got {j}")
-        return self.counts[j - 2]
 
 
 def combine_caterpillar_counts(
@@ -405,8 +367,7 @@ def combine_caterpillar_counts(
     minimum-count DP build each level from the minimal vectors of the smaller
     ones.
     """
-    if k < 2:
-        raise PreconditionError(f"need k >= 2, got {k}")
+    require_int(k, 2, "caterpillar size")
     if len(parts) < 2:
         raise PreconditionError("a combine needs at least two branches")
     n = sum(ni for ni, _ in parts)
@@ -421,8 +382,9 @@ def combine_caterpillar_counts(
     return tuple(out)
 
 
-def caterpillar_counts(t: Tree, k: int, memo: dict | None = None) -> CountVector:
-    """CountVector of binary caterpillar copies in ``t`` for sizes 2..k.
+def caterpillar_counts(t: Tree, k: int, memo: dict | None = None) -> tuple[int, ...]:
+    """(c_2, ..., c_k): the copies in ``t`` of the binary caterpillar with
+    j leaves, for j = 2..k, so c_j sits at index j - 2.
 
     Runs the engine's bottom-up walk, combining each subtree's vector from
     its children's. ``memo`` maps subtree codes to (c_2, ..., c_k) for this
@@ -430,15 +392,14 @@ def caterpillar_counts(t: Tree, k: int, memo: dict | None = None) -> CountVector
     must not share it between values of k or with
     :func:`caterpillar_counts_of_code`. Without one a fresh dict is used.
     """
-    if k < 2:
-        raise PreconditionError(f"need k >= 2, got {k}")
+    require_int(k, 2, "caterpillar size")
     if memo is None:
         memo = {}
     memo.setdefault("*", (0,) * (k - 1))
-    for u in _internal_subtrees(t, memo):
+    for u in internal_subtrees(t, memo):
         parts = [(c.leaf_count, memo[c.code]) for c in u.children]
         memo[u.code] = combine_caterpillar_counts(parts, k)
-    return CountVector(t.leaf_count, k, memo[t.code])
+    return memo[t.code]
 
 
 _DEPTH_STEP = {"(": 1, "*": 0, ")": -1}
@@ -464,8 +425,7 @@ def caterpillar_counts_of_code(
     it. Malformed text raises ParseError or StructureError with the offset
     :func:`parse_tree` reports.
     """
-    if k < 2:
-        raise PreconditionError(f"need k >= 2, got {k}")
+    require_int(k, 2, "caterpillar size")
     memo.setdefault("*", (1, 0, (0,) * (k - 1)))
     pending: dict[str, list[str]] = {}
     stack = [code]
@@ -501,3 +461,25 @@ def caterpillar_counts_of_code(
             combine_caterpillar_counts([(p[0], p[2]) for p in parts], k),
         )
     return memo[code]
+
+
+def check_witness(
+    code: str, n: int, d: int, k: int, memo: dict, fault=ConsistencyError
+) -> tuple[int, ...]:
+    """(c_2, ..., c_k) of a reported witness, recounted from its own
+    characters by :func:`caterpillar_counts_of_code` (sharing ``memo``).
+
+    The code must be well formed, with n leaves and no outdegree above d;
+    a failed check raises ``fault(message)``. Comparing the counts with the
+    reported ones is left to the caller.
+    """
+    what = f"{k}-caterpillar count of witness {code}"
+    try:
+        leaves, outdegree, counts = caterpillar_counts_of_code(code, k, memo)
+    except ParseError as err:
+        raise fault(f"{what}: malformed code, {err}") from None
+    if leaves != n:
+        raise fault(f"{what}: the witness has {leaves} leaves, not {n}")
+    if outdegree > d:
+        raise fault(f"{what}: the witness has outdegree {outdegree} > d = {d}")
+    return counts

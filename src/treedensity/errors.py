@@ -8,6 +8,17 @@ exit codes (1 for a failed internal consistency check, 2 for bad input,
 
 from __future__ import annotations
 
+__all__ = [
+    "TreeDensityError",
+    "ParseError",
+    "StructureError",
+    "PreconditionError",
+    "BudgetError",
+    "SingularityError",
+    "CacheError",
+    "ConsistencyError",
+]
+
 
 class TreeDensityError(Exception):
     """Base class for all errors raised by treedensity."""

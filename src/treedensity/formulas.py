@@ -16,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import ConsistencyError, PreconditionError, require_int
+from .errors import ConsistencyError, require_int
 from .reporting import SearchReport, decimal_str
+from .trees import caterpillar_spine
 
 __all__ = [
     "star_copies",
@@ -33,16 +34,6 @@ __all__ = [
 def _check_r_d(r: int, d: int) -> None:
     require_int(r, 2, "pattern arity")
     require_int(d, r, "host arity")
-
-
-def _check_caterpillar_size(r: int, k: int) -> int:
-    """Validate that an r-ary caterpillar with k leaves exists; return its
-    internal path length (k - 1) / (r - 1)."""
-    if not isinstance(k, int) or k < r or (k - 1) % (r - 1) != 0:
-        raise PreconditionError(
-            f"no {r}-ary caterpillar with {k!r} leaves (need k >= {r}, k % {r - 1} == 1)"
-        )
-    return (k - 1) // (r - 1)
 
 
 def _exact_int(value: Fraction, what: str) -> int:
@@ -79,7 +70,7 @@ def caterpillar_copies_complete(r: int, k: int, d: int, h: int) -> int:
     host the spine the product vanishes, so the count is 0.
     """
     _check_r_d(r, d)
-    q = _check_caterpillar_size(r, k)
+    q = caterpillar_spine(r, k)
     require_int(h, 1, "height")
     s = r - 1
     value = Fraction(comb(d, r)) ** q * Fraction(r, d) ** (q - 1) * d ** (h - 1)
@@ -95,7 +86,7 @@ def limit_density_complete(r: int, k: int, d: int) -> Fraction:
         (k! / d) * C(d, r)^q * (r / d)^(q - 1) * prod_{j = 1..q} 1 / (d^(j (r - 1)) - 1).
     """
     _check_r_d(r, d)
-    q = _check_caterpillar_size(r, k)
+    q = caterpillar_spine(r, k)
     s = r - 1
     value = Fraction(factorial(k), d) * Fraction(comb(d, r)) ** q * Fraction(r, d) ** (q - 1)
     for j in range(1, q + 1):

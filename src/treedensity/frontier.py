@@ -35,18 +35,14 @@ from operator import add, mul
 from pathlib import Path
 from typing import Sequence
 
-from .counting import caterpillar_counts_of_code, combine_caterpillar_counts
-from .errors import (
-    BudgetError, CacheError, ConsistencyError, ParseError, PreconditionError, require_int,
-)
+from .counting import check_witness, combine_caterpillar_counts
+from .errors import BudgetError, CacheError, ConsistencyError, PreconditionError, require_int
 from .reporting import SearchReport
 from .trees import join_codes
 
 __all__ = [
     "ParetoDP",
-    "pareto_minimal",
     "cache_report",
-    "DEFAULT_CANDIDATE_CAP",
 ]
 
 DEFAULT_CANDIDATE_CAP = 5 * 10**6
@@ -194,9 +190,9 @@ class ParetoDP:
     def _load_level(self, n: int, memo: dict) -> tuple[tuple[int, ...], str] | None:
         """Level n from its cache file, or None if there is none.
 
-        The witness is recounted with :func:`caterpillar_counts_of_code`
-        (sharing ``memo``), and any disagreement with n, d or the stored
-        vector raises CacheError naming the file.
+        The witness is recounted by :func:`check_witness` (sharing ``memo``),
+        and any disagreement with n, d or the stored vector raises CacheError
+        naming the file.
         """
         if self.cache_dir is None:
             return None
@@ -217,15 +213,9 @@ class ParetoDP:
             raise CacheError(f"corrupt frontier cache file {path}: {err}") from err
         if not isinstance(witness, str):
             raise CacheError(f"cache file {path} holds witness {witness!r}, not a code")
-        try:
-            leaves, outdegree, counts = caterpillar_counts_of_code(witness, self.k, memo)
-        except ParseError as err:
-            raise CacheError(f"cache file {path} holds a malformed witness: {err}") from None
-        if leaves != n or outdegree > self.d:
-            raise CacheError(
-                f"cache file {path} holds witness {witness!r} with {leaves} leaves and "
-                f"outdegree {outdegree}, not a {self.d}-ary tree with {n} leaves"
-            )
+        counts = check_witness(
+            witness, n, self.d, self.k, memo, lambda msg: CacheError(f"cache file {path}: {msg}")
+        )
         if counts[1:] != vec:
             raise CacheError(
                 f"cache file {path} stores vector {vec}, but its witness recounts to {counts[1:]}"

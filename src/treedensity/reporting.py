@@ -19,17 +19,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any
 
-__all__ = [
-    "SearchReport",
-    "fraction_str",
-    "decimal_str",
-    "render_cell",
-    "render_csv",
-    "render_jsonl",
-    "render_pretty",
-    "render_report",
-    "FORMATS",
-]
+__all__ = ["SearchReport", "render_report"]
 
 FORMATS = ("csv", "jsonl", "pretty")
 

@@ -24,8 +24,8 @@ from math import comb
 from typing import Iterator
 
 from . import frontier as frontier_mod
-from .counting import caterpillar_counts, caterpillar_counts_of_code, combine_caterpillar_counts
-from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
+from .counting import caterpillar_counts, check_witness, combine_caterpillar_counts
+from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
 from .reporting import SearchReport
 from .trees import Tree, leaf, node
@@ -37,7 +37,6 @@ __all__ = [
     "search_min_report",
     "verify_even_conjecture",
     "verify_monotone_min",
-    "DEFAULT_TREE_CAP",
 ]
 
 DEFAULT_TREE_CAP = 10**6
@@ -159,20 +158,13 @@ def enumerate_report(
 
 
 def _check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict) -> None:
-    """Recount a reported witness from its own characters: it must have n
-    leaves, no outdegree above d, and ``expected`` k-caterpillar copies.
-    ``memo`` is passed to :func:`caterpillar_counts_of_code`."""
-    what = f"{k}-caterpillar count of witness {code}"
-    try:
-        leaves, outdegree, counts = caterpillar_counts_of_code(code, k, memo)
-    except ParseError as err:
-        raise ConsistencyError(f"{what}: malformed code, {err}") from None
-    if leaves != n:
-        raise ConsistencyError(f"{what}: the witness has {leaves} leaves, not {n}")
-    if outdegree > d:
-        raise ConsistencyError(f"{what}: the witness has outdegree {outdegree} > d = {d}")
-    if counts[-1] != expected:
-        raise ConsistencyError(f"{what}: reported {expected}, recounted {counts[-1]}")
+    """:func:`check_witness`, and the recount must give ``expected``
+    k-caterpillar copies."""
+    recount = check_witness(code, n, d, k, memo)[-1]
+    if recount != expected:
+        raise ConsistencyError(
+            f"{k}-caterpillar count of witness {code}: reported {expected}, recounted {recount}"
+        )
 
 
 def _min_record(
@@ -184,7 +176,7 @@ def _min_record(
     best: int | None = None
     codes: list[str] = []
     for t in level:
-        c = caterpillar_counts(t, k, memo)[k]
+        c = caterpillar_counts(t, k, memo)[-1]
         if best is None or c < best:
             best, codes = c, [t.code]
         elif c == best and len(codes) < 4:

@@ -36,28 +36,19 @@ from typing import Iterable, Sequence
 
 import mpmath
 
-from .errors import PreconditionError, SingularityError, require_int
+from .errors import BudgetError, PreconditionError, SingularityError, require_int
 from .reporting import SearchReport, decimal_str
 
 __all__ = [
     "SimplexPoint",
     "simplex_point",
-    "random_interior_point",
     "eval_F",
     "MinimizeResult",
     "minimize_F",
-    "tangent_stationarity",
     "sup_boundary_scan",
     "uniform_min_value",
-    "MajorizationPair",
     "majorization_pair",
-    "random_majorization_pair",
-    "symmetrized_power_sum",
     "muirhead_check",
-    "exponent_compositions",
-    "exponent_compositions_core",
-    "multinomial",
-    "verify_power_sum_decomposition",
     "simplex_min_report",
     "simplex_sup_report",
     "simplex_bound_sample_report",
@@ -65,6 +56,9 @@ __all__ = [
 ]
 
 _EXACT_TYPES = (int, Fraction)
+# eps = 2^-t gives exact values of about k t digits, so a scan's time and
+# report size grow as the square of its steps
+EPS_STEP_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -107,11 +101,11 @@ def simplex_point(coords: Iterable) -> SimplexPoint:
     return SimplexPoint(xs, exact)
 
 
-def random_interior_point(d: int, rng: random.Random, scale: int = 10**6) -> SimplexPoint:
-    """Exact interior point with coordinates a_i / sum(a), a_i uniform in 1..scale."""
-    if d < 2:
-        raise PreconditionError(f"need d >= 2, got {d}")
-    weights = [rng.randint(1, scale) for _ in range(d)]
+def random_interior_point(d: int, rng: random.Random) -> SimplexPoint:
+    """Exact interior point with coordinates a_i / sum(a), a_i uniform in
+    1..10^6."""
+    require_int(d, 2, "arity bound")
+    weights = [rng.randint(1, 10**6) for _ in range(d)]
     total = sum(weights)
     return SimplexPoint(tuple(Fraction(w, total) for w in weights), True)
 
@@ -130,8 +124,7 @@ def eval_F(d: int, k: int, point):
     Raises SingularityError when the denominator 1 - sum x_i^k vanishes,
     which happens exactly at the simplex corners.
     """
-    if not isinstance(k, int) or k < 2:
-        raise PreconditionError(f"need k >= 2, got {k!r}")
+    require_int(k, 2, "caterpillar size")
     sp = _coerce_point(d, point)
     xs = sp.coords
     if sp.exact:
@@ -167,8 +160,8 @@ def _F_terms_mp(k: int, xs):
 
 def uniform_min_value(d: int, k: int) -> Fraction:
     """Value of F at the uniform point: (d - 1) / (d^(k-1) - 1)."""
-    if not isinstance(d, int) or d < 2 or not isinstance(k, int) or k < 2:
-        raise PreconditionError(f"need integers d >= 2 and k >= 2, got d={d!r}, k={k!r}")
+    require_int(d, 2, "arity bound")
+    require_int(k, 2, "caterpillar size")
     return Fraction(d - 1, d ** (k - 1) - 1)
 
 
@@ -206,11 +199,14 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     """F along (0, ..., 0, eps, 1 - eps) for eps = 1/2, 1/4, ..., 2^-eps_steps.
 
     The verdict holds at k = 3 when every value equals 1/3 exactly, and at
-    k >= 4 when the values stay below 1/k and increase strictly.
+    k >= 4 when the values stay below 1/k and increase strictly. More than
+    :data:`EPS_STEP_CAP` steps are refused with BudgetError.
     """
     require_int(d, 2, "arity bound")
     _require_bound_k("sup", k)
     _require_positive(eps_steps, "--eps-steps")
+    if eps_steps > EPS_STEP_CAP:
+        raise BudgetError(f"--eps-steps {eps_steps} exceeds the cap of {EPS_STEP_CAP} steps")
     schedule = [Fraction(1, 2**t) for t in range(1, eps_steps + 1)]
     values = sup_boundary_scan(d, k, schedule)
     bound = Fraction(1, k)
@@ -354,15 +350,16 @@ def _barrier_objective(k, mu):
     return f
 
 
-def tangent_stationarity(d: int, k: int, point, h=1e-5):
+def tangent_stationarity(d: int, k: int, point):
     """Max |directional derivative| of F along (e_i - e_j)/sqrt(2) directions,
-    by central differences with step ``h``, in mpmath arithmetic."""
+    by central differences with step 1e-5, in mpmath arithmetic at the
+    caller's working precision."""
     sp = _coerce_point(d, point)
     xs = [
         mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
         for c in sp.coords
     ]
-    hh = mpmath.mpf(h)
+    hh = mpmath.mpf("1e-5")
     u = 1 / mpmath.sqrt(2)
     worst = mpmath.mpf(0)
     obj = _barrier_objective(k, 0)
@@ -385,7 +382,6 @@ def minimize_F(
     starts: int = 8,
     budget: int = 100_000,
     seed: int = 0,
-    prec: int = 128,
 ) -> MinimizeResult:
     """Seeded multi-start Nelder-Mead minimization of F over the open simplex.
 
@@ -395,12 +391,12 @@ def minimize_F(
     and running out of budget is reported as ``converged=False`` with the
     best point so far.
     """
-    if not isinstance(d, int) or d < 2 or not isinstance(k, int) or k < 3:
-        raise PreconditionError(f"need integers d >= 2 and k >= 3, got d={d!r}, k={k!r}")
+    require_int(d, 2, "arity bound")
+    require_int(k, 3, "caterpillar size")
     if starts < 1 or budget < (d + 1) * (starts + 1):
         raise PreconditionError("budget too small for the requested number of starts")
     rng = random.Random(seed)
-    with mpmath.workprec(prec):
+    with mpmath.workprec(128):
         mu = mpmath.mpf("1e-6")
         rough = _barrier_objective(k, mu)
         polish = _barrier_objective(k, 0)
@@ -427,7 +423,7 @@ def minimize_F(
         evals_total += evals
         point = simplex_point(_full_point(y))
         value = polish(y)
-        resid = tangent_stationarity(d, k, point, h=mpmath.mpf("1e-5"))
+        resid = tangent_stationarity(d, k, point)
     return MinimizeResult(point, value, resid, evals_total, converged)
 
 
@@ -569,8 +565,8 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
 def exponent_compositions(d: int, k: int) -> list[tuple[int, ...]]:
     """All d-tuples of nonnegative integers summing to k with no entry equal
     to k (no corner terms), in lexicographic order."""
-    if d < 2 or k < 1:
-        raise PreconditionError(f"need d >= 2 and k >= 1, got d={d!r}, k={k!r}")
+    require_int(d, 2, "arity bound")
+    require_int(k, 1, "exponent sum")
     # the d - 1 cut points of 0..k into d consecutive gaps, in lexicographic
     # order, give the gap vectors in lexicographic order
     out = []

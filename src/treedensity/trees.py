@@ -36,16 +36,14 @@ __all__ = [
     "leaf",
     "node",
     "parse_tree",
-    "join_codes",
     "is_d_ary",
     "is_strictly_d_ary",
     "make_caterpillar",
     "make_complete",
     "make_even_binary",
-    "DEFAULT_LEAF_CAP",
 ]
 
-DEFAULT_LEAF_CAP = 10**7
+LEAF_CAP = 10**7  # the most leaves make_complete builds
 _LEAF_COUNT = attrgetter("leaf_count")
 
 
@@ -194,31 +192,43 @@ def join_codes(codes: list[str]) -> str:
     return "(" + "".join(codes) + ")"
 
 
-def _outdegrees(t: Tree) -> set[int]:
-    """The outdegrees of ``t``'s internal vertices. Each distinct subtree is
-    walked once, so a tree of shared shapes costs its shapes, not its size."""
-    seen: set[str] = set()
-    found: set[int] = set()
+def internal_subtrees(t: Tree, known=()) -> list[Tree]:
+    """The distinct internal subtrees of ``t`` whose codes ``known`` lacks,
+    fewest leaves first. Each is walked once, so a tree of shared shapes
+    costs its shapes, not its size; memos filled in this order need not be
+    walked below a known code."""
+    found: dict[str, Tree] = {}
     stack = [t]
     while stack:
         u = stack.pop()
-        if u.children and u.code not in seen:
-            seen.add(u.code)
-            found.add(len(u.children))
+        if u.children and u.code not in known and u.code not in found:
+            found[u.code] = u
             stack.extend(u.children)
-    return found
+    return sorted(found.values(), key=_LEAF_COUNT)
 
 
 def is_d_ary(t: Tree, d: int) -> bool:
     """True when every internal vertex of ``t`` has outdegree between 2 and d."""
     require_int(d, 2, "arity bound")
-    return max(_outdegrees(t), default=0) <= d
+    return all(u.outdegree <= d for u in internal_subtrees(t))
 
 
 def is_strictly_d_ary(t: Tree, d: int) -> bool:
     """True when every internal vertex of ``t`` has outdegree exactly d."""
     require_int(d, 2, "arity bound")
-    return _outdegrees(t) <= {d}
+    return all(u.outdegree == d for u in internal_subtrees(t))
+
+
+def caterpillar_spine(r: int, k: int) -> int:
+    """The number (k - 1) / (r - 1) of internal vertices of the r-ary
+    caterpillar with k leaves. It exists exactly when k >= r and r - 1
+    divides k - 1; anything else raises PreconditionError."""
+    if not isinstance(k, int) or k < r or (k - 1) % (r - 1) != 0:
+        raise PreconditionError(
+            f"no {r}-ary caterpillar with {k!r} leaves "
+            f"(need k >= {r} and (k - 1) % {r - 1} == 0)"
+        )
+    return (k - 1) // (r - 1)
 
 
 def make_caterpillar(r: int, k: int) -> Tree:
@@ -226,40 +236,31 @@ def make_caterpillar(r: int, k: int) -> Tree:
 
     Starting from a single vertex with r leaf children, each growth step
     replaces one leaf of the deepest vertex with another r-leaf vertex, so
-    internal vertices form a path. Such a tree exists exactly when k == 1 or
-    k >= r with k congruent to 1 modulo r - 1; anything else raises
-    PreconditionError.
+    internal vertices form a path. k == 1 gives the single leaf; otherwise
+    :func:`caterpillar_spine` states which k exist.
     """
     require_int(r, 2, "arity bound")
     if k == 1:
         return _LEAF
-    if k < r or (k - 1) % (r - 1) != 0:
-        raise PreconditionError(
-            f"no {r}-ary caterpillar with {k} leaves: k must be 1 or satisfy "
-            f"k >= {r} and k % {r - 1} == 1"
-        )
     built: dict = {}
     item = _LEAF_ITEM
-    for _ in range((k - 1) // (r - 1)):
+    for _ in range(caterpillar_spine(r, k)):
         item = _vertex([item] + [_LEAF_ITEM] * (r - 1), built)
     return item[2]
 
 
-def make_complete(d: int, h: int, leaf_cap: int = DEFAULT_LEAF_CAP) -> Tree:
+def make_complete(d: int, h: int) -> Tree:
     """The complete d-ary tree of height h (d**h leaves, all at depth h).
 
-    Refuses with BudgetError when d**h exceeds ``leaf_cap``; children at each
-    level share one Tree object, so the cap bounds leaf count as seen by
+    Refuses with BudgetError when d**h exceeds :data:`LEAF_CAP`; children at
+    each level share one Tree object, so the cap bounds leaf count as seen by
     counting routines, not memory.
     """
     require_int(d, 2, "arity bound")
-    if h < 0:
-        raise PreconditionError(f"height must be >= 0, got {h}")
+    require_int(h, 0, "height")
     n = d**h
-    if n > leaf_cap:
-        raise BudgetError(
-            f"complete tree would have {n} leaves, above the cap of {leaf_cap}"
-        )
+    if n > LEAF_CAP:
+        raise BudgetError(f"complete tree would have {n} leaves, above the cap of {LEAF_CAP}")
     built: dict = {}
     item = _LEAF_ITEM
     for _ in range(h):

@@ -184,7 +184,7 @@ def _criterion_4() -> SearchReport:
         for k in (3, 4, 5):
             violations = 0
             for n, vec in counted:
-                if Fraction(vec[k]) < bk_lower_bound(d, k, n):
+                if Fraction(vec[k - 2]) < bk_lower_bound(d, k, n):
                     violations += 1
             all_ok = all_ok and violations == 0
             rows.append((d, k, len(counted), violations))
@@ -245,7 +245,7 @@ def _criterion_6() -> SearchReport:
         best4 = best5 = None
         for t in enumerate_trees(n, 2):
             vec = caterpillar_counts(t, 5)
-            c4, c5 = vec[4], vec[5]
+            c4, c5 = vec[2], vec[3]
             best4 = c4 if best4 is None else min(best4, c4)
             best5 = c5 if best5 is None else min(best5, c5)
         exhaustive[4][n], exhaustive[5][n] = best4, best5

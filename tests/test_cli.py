@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import treedensity
-from treedensity import ConsistencyError, formulas, search
+from treedensity import ConsistencyError, counting, formulas
 from treedensity.cli import main
 
 
@@ -166,13 +166,13 @@ def test_search_min_range_jsonl(capsys):
 
 
 def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
-    real = search.caterpillar_counts_of_code
+    real = counting.caterpillar_counts_of_code
 
     def one_too_many(code, k, memo):
         leaves, outdegree, counts = real(code, k, memo)
         return leaves, outdegree, counts[:-1] + (counts[-1] + 1,)
 
-    monkeypatch.setattr(search, "caterpillar_counts_of_code", one_too_many)
+    monkeypatch.setattr(counting, "caterpillar_counts_of_code", one_too_many)
     code, out, err = run_cli(
         capsys, "search-min", "--d", "2", "--k", "4", "--n", "8", "--method", "pareto"
     )
@@ -284,6 +284,16 @@ def test_simplex_refuses_zero_checks(capsys, mode, flag):
     assert f"{flag} must be >= 1, got 0" in err
 
 
+def test_simplex_sup_refuses_steps_over_its_cap(capsys):
+    # each step adds about k digits to every later value, so the scan's cost
+    # grows as the square of its steps
+    code, out, err = run_cli(
+        capsys, "simplex", "--d", "2", "--k", "3", "--mode", "sup", "--eps-steps", "1001"
+    )
+    assert (code, out) == (3, "")
+    assert err == "refused: --eps-steps 1001 exceeds the cap of 1000 steps\n"
+
+
 @pytest.mark.parametrize("mode", ["sup", "bound-sample"])
 def test_simplex_bounds_refuse_k2(capsys, mode):
     code, out, err = run_cli(capsys, "simplex", "--d", "3", "--k", "2", "--mode", mode)
@@ -315,6 +325,8 @@ def test_simplex_bound_sample(capsys):
         ("muirhead", "3", "0", "caterpillar size"),
         ("muirhead", "3", "-1", "caterpillar size"),
         ("sup", "1", "4", "arity bound"),
+        ("min", "1", "3", "arity bound"),
+        ("bound-sample", "1", "3", "arity bound"),
     ],
 )
 def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from treedensity import (
     BudgetError,
     CopyEngine,
-    CountVector,
     ParseError,
     PreconditionError,
     brute_copy_profile,
@@ -21,6 +20,7 @@ from treedensity import (
     combine_caterpillar_counts,
     count_copies,
     count_copies_brute,
+    count_report,
     density,
     induced_subtree,
     leaf,
@@ -249,8 +249,11 @@ def test_density_values_and_errors():
     f23 = make_caterpillar(2, 3)
     assert density(f23, make_complete(3, 2)) == Fraction(9, 14)
     assert density(f23, make_complete(2, 3)) == 1
-    with pytest.raises(PreconditionError):
+    message = "^density needs a host with at least 4 leaves, got 3$"
+    with pytest.raises(PreconditionError, match=message):
         density(make_caterpillar(2, 4), f23)
+    with pytest.raises(PreconditionError, match=message):
+        count_report(make_caterpillar(2, 4), f23, mode="density")
 
 
 def test_normalization_over_all_patterns():
@@ -297,7 +300,7 @@ def test_counters_on_deep_caterpillar_hosts(deep_caterpillar, k):
     found = {
         CopyEngine().count(pattern, host),
         count_copies(pattern, host),
-        caterpillar_counts(host, k)[k],
+        caterpillar_counts(host, k)[-1],
     }
     assert found == {counts[k - 2]}
     if k == 3:
@@ -319,23 +322,13 @@ def test_pattern_as_wide_as_three_recursion_limits():
 # caterpillar count vectors
 
 
-def test_count_vector_indexing():
-    v = CountVector(4, 4, (6, 4, 1))
-    assert v[2] == 6 and v[3] == 4 and v[4] == 1
-    for j in (1, 5):
-        with pytest.raises(IndexError):
-            v[j]
-
-
 def test_caterpillar_counts_examples():
     # the sole 4-subset of the complete tree induces the complete tree, not
     # the caterpillar, so the k=4 entry is zero
-    v = caterpillar_counts(make_complete(2, 2), 4)
-    assert v.counts == (6, 4, 0)
-    v = caterpillar_counts(make_complete(3, 2), 3)
-    assert v.counts == (36, 54)
+    assert caterpillar_counts(make_complete(2, 2), 4) == (6, 4, 0)
+    assert caterpillar_counts(make_complete(3, 2), 3) == (36, 54)
     for k in range(2, 8):
-        assert caterpillar_counts(make_caterpillar(2, k), k)[k] == 1
+        assert caterpillar_counts(make_caterpillar(2, k), k)[-1] == 1
 
 
 def test_caterpillar_counts_match_general_recursion():
@@ -346,8 +339,8 @@ def test_caterpillar_counts_match_general_recursion():
             for t in enumerate_trees(n, d):
                 v = caterpillar_counts(t, 5)
                 for j in range(2, 6):
-                    assert v[j] == engine.count(pats[j], t), (t.code, j)
-                    assert 0 <= v[j] <= comb(n, j)
+                    assert v[j - 2] == engine.count(pats[j], t), (t.code, j)
+                    assert 0 <= v[j - 2] <= comb(n, j)
 
 
 def test_combine_requires_two_branches():
@@ -386,9 +379,9 @@ def test_combine_agrees_with_direct_computation():
         t = parse_tree(code)
         k = min(t.leaf_count, 5)
         parts = [
-            (c.leaf_count, caterpillar_counts(c, k).counts) for c in t.children
+            (c.leaf_count, caterpillar_counts(c, k)) for c in t.children
         ]
-        assert combine_caterpillar_counts(parts, k) == caterpillar_counts(t, k).counts
+        assert combine_caterpillar_counts(parts, k) == caterpillar_counts(t, k)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +417,13 @@ def test_counts_of_code_match_the_tree(rnd, d, n, k):
     )
     assert leaves == t.leaf_count == n
     assert outdegree == max(u.outdegree for u in t.subtrees())
-    assert counts == caterpillar_counts(t, k).counts
+    assert counts == caterpillar_counts(t, k)
 
 
 def test_counts_of_code_have_no_depth_limit():
     t = make_caterpillar(2, 1500)
     assert caterpillar_counts_of_code(t.code, 5, {}) == (
-        1500, 2, caterpillar_counts(t, 5).counts
+        1500, 2, caterpillar_counts(t, 5)
     )
 
 

@@ -1,23 +1,36 @@
 """Precondition messages: one call per integer check, text pinned."""
 
+import random
+
 import pytest
 
 from treedensity import (
     ParetoDP,
     PreconditionError,
     bk_lower_bound,
+    brute_copy_profile,
     caterpillar_copies_complete,
+    caterpillar_counts,
+    combine_caterpillar_counts,
     count_trees,
+    eval_F,
     is_d_ary,
     leaf,
+    limit_density_complete,
     liminf_density,
+    make_caterpillar,
+    make_complete,
     make_even_binary,
+    minimize_F,
     search_min_report,
     star_copies,
+    uniform_min_value,
     verify_even_conjecture,
     verify_monotone_min,
 )
+from treedensity.counting import caterpillar_counts_of_code
 from treedensity.errors import require_int
+from treedensity.simplex import exponent_compositions, random_interior_point
 
 
 def _case(site, call, message):
@@ -58,6 +71,42 @@ _INTEGER_CHECKS = [
           "arity bound must be an integer >= 2, got 1"),
     _case("make_even_binary-n", lambda: make_even_binary(0),
           "leaf count must be an integer >= 1, got 0"),
+    _case("make_complete-h", lambda: make_complete(2, -1),
+          "height must be an integer >= 0, got -1"),
+    _case("caterpillar_counts-k", lambda: caterpillar_counts(leaf(), 1),
+          "caterpillar size must be an integer >= 2, got 1"),
+    _case("combine_caterpillar_counts-k",
+          lambda: combine_caterpillar_counts([(1, ()), (1, ())], 1),
+          "caterpillar size must be an integer >= 2, got 1"),
+    _case("caterpillar_counts_of_code-k", lambda: caterpillar_counts_of_code("*", "3", {}),
+          "caterpillar size must be an integer >= 2, got '3'"),
+    _case("brute_copy_profile-k", lambda: brute_copy_profile(leaf(), 0),
+          "subset size must be an integer >= 1, got 0"),
+    _case("random_interior_point-d", lambda: random_interior_point(1, random.Random(0)),
+          "arity bound must be an integer >= 2, got 1"),
+    _case("eval_F-k", lambda: eval_F(2, 1.5, (1, 0)),
+          "caterpillar size must be an integer >= 2, got 1.5"),
+    _case("uniform_min_value-d", lambda: uniform_min_value(1, 3),
+          "arity bound must be an integer >= 2, got 1"),
+    _case("uniform_min_value-k", lambda: uniform_min_value(2, 1),
+          "caterpillar size must be an integer >= 2, got 1"),
+    _case("minimize_F-d", lambda: minimize_F(1, 3),
+          "arity bound must be an integer >= 2, got 1"),
+    _case("minimize_F-k", lambda: minimize_F(2, 2),
+          "caterpillar size must be an integer >= 3, got 2"),
+    _case("exponent_compositions-d", lambda: exponent_compositions(1, 3),
+          "arity bound must be an integer >= 2, got 1"),
+    _case("exponent_compositions-k", lambda: exponent_compositions(2, 0),
+          "exponent sum must be an integer >= 1, got 0"),
+    # one rule, in trees.caterpillar_spine, says which caterpillar sizes exist
+    _case("make_caterpillar-r2", lambda: make_caterpillar(2, 0),
+          "no 2-ary caterpillar with 0 leaves (need k >= 2 and (k - 1) % 1 == 0)"),
+    _case("make_caterpillar-r3", lambda: make_caterpillar(3, 4),
+          "no 3-ary caterpillar with 4 leaves (need k >= 3 and (k - 1) % 2 == 0)"),
+    _case("limit_density_complete-r2", lambda: limit_density_complete(2, 1, 2),
+          "no 2-ary caterpillar with 1 leaves (need k >= 2 and (k - 1) % 1 == 0)"),
+    _case("caterpillar_copies_complete-r3", lambda: caterpillar_copies_complete(3, 6, 3, 2),
+          "no 3-ary caterpillar with 6 leaves (need k >= 3 and (k - 1) % 2 == 0)"),
 ]
 
 

@@ -18,7 +18,7 @@ from treedensity import (
     enumerate_trees,
     parse_tree,
 )
-from treedensity import frontier
+from treedensity import counting, frontier
 from treedensity.cli import main as cli_main
 from treedensity.frontier import _partitions_into_parts, pareto_minimal
 
@@ -85,7 +85,7 @@ def test_partitions_into_parts():
 
 
 def _exhaustive_min(n, d, k):
-    return min(caterpillar_counts(t, k)[k] for t in enumerate_trees(n, d))
+    return min(caterpillar_counts(t, k)[-1] for t in enumerate_trees(n, d))
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -106,7 +106,7 @@ def test_dp_frontier_vectors_are_real_trees():
     dp = ParetoDP(5).run(10)
     for n in range(1, 11):
         attained = {
-            caterpillar_counts(t, 5).counts[1:] for t in enumerate_trees(n, 2)
+            caterpillar_counts(t, 5)[1:] for t in enumerate_trees(n, 2)
         }
         vec = dp.vector(n)
         assert vec in attained, (n, vec)
@@ -121,7 +121,7 @@ def test_dp_witnesses_recount():
         assert witness is not None
         t = parse_tree(witness)
         assert t.leaf_count == n
-        assert caterpillar_counts(t, 4)[4] == dp.vector(n)[-1] == dp.min_count(n)
+        assert caterpillar_counts(t, 4)[-1] == dp.vector(n)[-1] == dp.min_count(n)
 
 
 def test_dp_argument_errors():
@@ -217,13 +217,13 @@ def test_dp_vectors_are_exhaustive_componentwise_minima(d, n_max):
     for k in range(3, 7):
         dp = ParetoDP(k, d).run(n_max)
         for n in range(1, n_max + 1):
-            attained = [caterpillar_counts(t, k).counts[1:] for t in enumerate_trees(n, d)]
+            attained = [caterpillar_counts(t, k)[1:] for t in enumerate_trees(n, d)]
             minima = tuple(map(min, zip(*attained)))
             assert dp.vector(n) == minima, (k, n)
             assert dp.min_count(n) == minima[-1]
             witness = parse_tree(dp.witness(n))
             assert witness.code == dp.witness(n)
-            assert caterpillar_counts(witness, k).counts[1:] == minima
+            assert caterpillar_counts(witness, k)[1:] == minima
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def test_cache_roundtrip_and_resume(tmp_path):
     assert second.min_count(12) == _exhaustive_min(12, 2, 4)
 
     # cached witnesses survive the round trip
-    assert caterpillar_counts(parse_tree(second.witness(8)), 4)[4] == second.vector(8)[-1]
+    assert caterpillar_counts(parse_tree(second.witness(8)), 4)[-1] == second.vector(8)[-1]
 
 
 def test_cache_files_are_byte_deterministic(tmp_path):
@@ -369,6 +369,30 @@ def test_cache_file_must_hold_one_entry_with_a_witness(tmp_path, lines, capsys):
     argv = ["search-min", "--d", "2", "--k", "4", "--n", "5", "--cache-dir", str(tmp_path)]
     assert cli_main(argv) == 4
     assert str(target) in capsys.readouterr().err
+
+
+def test_cache_error_names_the_file_and_the_witness_fault(tmp_path):
+    ParetoDP(4, 2, cache_dir=tmp_path).run(5)
+    target = tmp_path / "frontier_d2_k4_n5.jsonl"
+    target.write_text('{"n":5,"vector":[10,2],"witness":"(*(**))"}\n')
+    with pytest.raises(CacheError) as exc:
+        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
+    assert str(exc.value) == (
+        f"cache file {target}: 4-caterpillar count of witness (*(**)): "
+        "the witness has 3 leaves, not 5"
+    )
+
+
+def test_a_code_reader_fault_on_a_cached_witness_exits_1(tmp_path, monkeypatch, capsys):
+    # the reader refusing a code that parse_tree accepts is a bug in the
+    # package, not a bad cache file, so it stays a consistency failure
+    ParetoDP(4, 2, cache_dir=tmp_path).run(5)
+    target = tmp_path / "frontier_d2_k4_n5.jsonl"
+    target.write_text('{"n":5,"vector":[10,2],"witness":"((**)(*(**))"}\n')
+    monkeypatch.setattr(counting, "parse_tree", lambda code: None)
+    argv = ["search-min", "--d", "2", "--k", "4", "--n", "5", "--cache-dir", str(tmp_path)]
+    assert cli_main(argv) == 1
+    assert "which the code reader refused" in capsys.readouterr().err
 
 
 def test_frontier_sizes_stay_small_for_binary():
