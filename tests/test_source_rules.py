@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -142,6 +143,56 @@ PUBLIC_NAMES = [
 
 def test_the_public_names_are_pinned():
     assert sorted(treedensity.__all__) == PUBLIC_NAMES
+
+
+# Every defaulted parameter of a public callable (functions, and each class's
+# __init__ and public methods), with its default. An option joins or leaves
+# this list only on purpose.
+PUBLIC_OPTIONS = [
+    "ParetoDP.__init__(d=2, candidate_cap=5000000, cache_dir=None)",
+    "SearchReport.__init__(all_ok=None)",
+    "brute_copy_profile(max_subsets=100000000, force=False)",
+    "cache_report(clear=False)",
+    "caterpillar_counts(memo=None)",
+    "count_copies_brute(max_subsets=100000000, force=False)",
+    "count_report(mode='count', brute=False, force=False)",
+    "count_trees(strict=False)",
+    "enumerate_report(strict=False, max_trees=1000000)",
+    "enumerate_trees(strict=False, max_trees=1000000)",
+    "limits_report(r=2)",
+    "minimize_F(starts=8, budget=100000, seed=0)",
+    "search_min_report(method='auto', strict=False, max_trees=1000000, cache_dir=None)",
+    "simplex_bound_sample_report(samples=1000, seed=0)",
+    "simplex_min_report(starts=8, budget=100000, seed=0)",
+    "simplex_muirhead_report(samples=1000, seed=0)",
+    "simplex_sup_report(eps_steps=20)",
+    "verify_even_conjecture(cache_dir=None)",
+    "verify_monotone_min(method='auto', max_trees=1000000, cache_dir=None)",
+]
+
+
+def _public_callables():
+    for name in treedensity.__all__:
+        obj = getattr(treedensity, name)
+        if inspect.isclass(obj):
+            for attr, fn in vars(obj).items():
+                if inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_")):
+                    yield f"{name}.{attr}", fn
+        elif callable(obj):
+            yield name, obj
+
+
+def test_the_options_are_pinned():
+    found = []
+    for name, fn in _public_callables():
+        options = [
+            f"{p.name}={p.default!r}"
+            for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty
+        ]
+        if options:
+            found.append(f"{name}({', '.join(options)})")
+    assert sorted(found) == PUBLIC_OPTIONS
 
 
 def test_each_public_name_is_listed_once():
