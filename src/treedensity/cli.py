@@ -79,49 +79,36 @@ def _int_pair(text: str, what: str) -> tuple[int, int]:
     raise PreconditionError(f"{what} expects two comma-separated integers, got {text!r}")
 
 
+# The forms of a tree flag: (suffix, metavar, help, argparse type, builder).
+# A builder takes the value and the flag's name, and looks its library
+# function up when it runs, so a replaced module attribute is the one called.
+_TREE_FLAGS = (
+    ("", "CODE", "{} as bracket code", str, lambda code, flag: parse_tree(code)),
+    ("-complete", "D,H", "complete d-ary tree as {}", str,
+     lambda spec, flag: make_complete(*_int_pair(spec, flag))),
+    ("-caterpillar", "R,K", "r-ary caterpillar as {}", str,
+     lambda spec, flag: make_caterpillar(*_int_pair(spec, flag))),
+    ("-even", "N", "even-split binary tree as {}", int, lambda n, flag: make_even_binary(n)),
+)
+
+
 def _add_tree_args(parser: argparse.ArgumentParser, role: str) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(f"--{role}", metavar="CODE", help=f"{role} as bracket code")
-    group.add_argument(
-        f"--{role}-complete", metavar="D,H", help=f"complete d-ary tree as {role}"
-    )
-    group.add_argument(
-        f"--{role}-caterpillar", metavar="R,K", help=f"r-ary caterpillar as {role}"
-    )
-    group.add_argument(
-        f"--{role}-even", metavar="N", type=int, help=f"even-split binary tree as {role}"
-    )
+    for suffix, metavar, text, kind, _build in _TREE_FLAGS:
+        group.add_argument(f"--{role}{suffix}", metavar=metavar, type=kind, help=text.format(role))
 
 
 def _build_tree(args, role: str) -> Tree:
-    key = role.replace("-", "_")
-    code = getattr(args, key)
-    if code is not None:
-        return parse_tree(code)
-    spec = getattr(args, f"{key}_complete")
-    if spec is not None:
-        d, h = _int_pair(spec, f"--{role}-complete")
-        return make_complete(d, h)
-    spec = getattr(args, f"{key}_caterpillar")
-    if spec is not None:
-        r, k = _int_pair(spec, f"--{role}-caterpillar")
-        return make_caterpillar(r, k)
-    n = getattr(args, f"{key}_even")
-    if n is None:
-        raise PreconditionError(f"no {role} tree given")
-    return make_even_binary(n)
+    for suffix, _metavar, _text, _kind, build in _TREE_FLAGS:
+        value = getattr(args, f"{role}{suffix}".replace("-", "_"))
+        if value is not None:
+            return build(value, f"--{role}{suffix}")
+    raise PreconditionError(f"no {role} tree given")
 
 
-def _resolve_cache_dir(args, *, default_to_cwd: bool = False):
-    explicit = getattr(args, "cache_dir", None)
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    if default_to_cwd:
-        return Path(".treedensity-cache")
-    return None
+def _resolve_cache_dir(args):
+    where = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR)
+    return Path(where) if where else None
 
 
 def _emit(report, args) -> None:
@@ -247,7 +234,9 @@ _COMMANDS = {
     ),
     "cache": (
         "inspect or clear persisted frontier files", (), _cache_args,
-        lambda a: cache_report(_resolve_cache_dir(a, default_to_cwd=True), clear=a.clear),
+        lambda a: cache_report(
+            _resolve_cache_dir(a) or Path(".treedensity-cache"), clear=a.clear
+        ),
     ),
 }
 

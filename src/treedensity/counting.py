@@ -53,7 +53,7 @@ __all__ = [
     "combine_caterpillar_counts",
 ]
 
-DEFAULT_SUBSET_CAP = 10**8
+SUBSET_CAP = 10**8  # the most leaf subsets the oracle walks unforced
 
 
 def induced_subtree(t: Tree, leaves: Iterable[int]) -> Tree:
@@ -95,15 +95,6 @@ def induced_subtree(t: Tree, leaves: Iterable[int]) -> Tree:
     if len(done) != 1:
         raise ConsistencyError(f"{len(sel)} leaves of a {t.leaf_count}-leaf tree induced no tree")
     return done[0]
-
-
-def _check_subset_budget(n: int, k: int, max_subsets: int, force: bool) -> None:
-    total = comb(n, k)
-    if total > max_subsets and not force:
-        raise BudgetError(
-            f"brute-force enumeration of C({n},{k}) = {total} subsets exceeds "
-            f"the cap of {max_subsets}; pass force=True to run anyway"
-        )
 
 
 def _adjacent_lca_depths(t: Tree) -> list[int]:
@@ -178,44 +169,30 @@ def _induced_codes(t: Tree, k: int) -> Iterator[str]:
         yield cur
 
 
-def count_copies_brute(
-    d_pattern: Tree,
-    t: Tree,
-    *,
-    max_subsets: int = DEFAULT_SUBSET_CAP,
-    force: bool = False,
-) -> int:
-    """c(D, T) by enumerating every |D|-subset of T's leaves.
-
-    Exponential and intended as an oracle at small sizes only; refuses with
-    BudgetError when C(|T|, |D|) exceeds ``max_subsets`` unless forced.
-    """
-    k = d_pattern.leaf_count
-    n = t.leaf_count
-    if k > n:
-        return 0
-    _check_subset_budget(n, k, max_subsets, force)
-    target = d_pattern.code
-    return sum(1 for code in _induced_codes(t, k) if code == target)
-
-
-def brute_copy_profile(
-    t: Tree,
-    k: int,
-    *,
-    max_subsets: int = DEFAULT_SUBSET_CAP,
-    force: bool = False,
-) -> dict[str, int]:
+def brute_copy_profile(t: Tree, k: int, *, force: bool = False) -> dict[str, int]:
     """Tally {pattern code: copies} over all k-subsets of T's leaves.
 
     One pass shared by every pattern of size k; the counts sum to C(n, k).
+    Exponential and intended as an oracle at small sizes only; refuses with
+    BudgetError when C(n, k) exceeds :data:`SUBSET_CAP` unless forced.
     """
     n = t.leaf_count
     require_int(k, 1, "subset size")
     if k > n:
         return {}
-    _check_subset_budget(n, k, max_subsets, force)
+    total = comb(n, k)
+    if total > SUBSET_CAP and not force:
+        raise BudgetError(
+            f"brute-force enumeration of C({n},{k}) = {total} subsets exceeds "
+            f"the cap of {SUBSET_CAP}; pass force=True to run anyway"
+        )
     return dict(Counter(_induced_codes(t, k)))
+
+
+def count_copies_brute(d_pattern: Tree, t: Tree, *, force: bool = False) -> int:
+    """c(D, T) by enumerating every |D|-subset of T's leaves: D's entry in
+    :func:`brute_copy_profile`, under the same budget."""
+    return brute_copy_profile(t, d_pattern.leaf_count, force=force).get(d_pattern.code, 0)
 
 
 def _distinct_sequences(mults: Sequence[int]):

@@ -29,8 +29,8 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_str(x, digits: int = 12) -> str:
-    """Deterministic decimal rendering with ``digits`` significant digits.
+def decimal_str(x) -> str:
+    """Deterministic decimal rendering with 12 significant digits.
 
     Fractions and ints go through the decimal module so the result does not
     depend on binary float rounding; floats (and mpmath values) are formatted
@@ -40,10 +40,10 @@ def decimal_str(x, digits: int = 12) -> str:
         return str(x)
     if isinstance(x, Fraction):
         with localcontext() as ctx:
-            ctx.prec = digits
+            ctx.prec = 12
             d = Decimal(x.numerator) / Decimal(x.denominator)
         return format(d.normalize(), "f")
-    return f"{float(x):.{digits}g}"
+    return f"{float(x):.12g}"
 
 
 def render_cell(value) -> str:

@@ -19,7 +19,7 @@ The two verification sweeps wrap the searches into reports:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, count, islice, product
+from itertools import combinations_with_replacement, count, groupby, islice, product
 from math import comb
 from typing import Iterator
 
@@ -47,17 +47,11 @@ SEARCH_COLUMNS = ("n", "min_count", "min_density_num", "min_density_den", "argmi
 def _root_splits(size: int, d: int, strict: bool):
     """The branch sizes of a root with ``size`` leaves: every partition of
     size into 2..d parts (exactly d if ``strict``), in partition order, as
-    [part, multiplicity] runs."""
+    (part, multiplicity) runs."""
     arities = (d,) if strict else range(2, min(d, size) + 1)
     for m in arities:
         for parts in frontier_mod._partitions_into_parts(size, m):
-            runs: list[list[int]] = []
-            for part in parts:
-                if runs and runs[-1][0] == part:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([part, 1])
-            yield runs
+            yield [(part, len(list(same))) for part, same in groupby(parts)]
 
 
 def _count_sequence(d: int, strict: bool) -> Iterator[int]:
@@ -213,8 +207,7 @@ def search_min_report(
     require_int(k, 2, "caterpillar size")
     require_int(n_max, 1, "leaf count")
     require_int(d, 2, "arity bound")
-    if n_min < k:
-        raise PreconditionError(f"need n_min >= k, got {n_min} < {k}")
+    require_int(n_min, k, "n_min")
     if n_min > n_max:
         raise PreconditionError(f"need n_min <= n_max, got {n_min} > {n_max}")
     if method == "auto":
@@ -278,8 +271,7 @@ def verify_even_conjecture(
     verdict is true only if they agree at every n.
     """
     require_int(k, 3, "caterpillar size")
-    if not isinstance(n_max, int) or n_max < k:
-        raise PreconditionError(f"need n_max >= k, got {n_max!r}")
+    require_int(n_max, k, "n_max")
     dp = frontier_mod.ParetoDP(k, 2, cache_dir=cache_dir).run(n_max)
     even = _even_split_counts(k, n_max)
     rows = []
@@ -311,8 +303,7 @@ def verify_monotone_min(
     """Check that the minimum k-caterpillar density over d-ary trees is
     nondecreasing in n and stays at or below its closed-form limit."""
     require_int(k, 3, "caterpillar size")
-    if not isinstance(n_max, int) or n_max < k:
-        raise PreconditionError(f"need n_max >= k, got {n_max!r}")
+    require_int(n_max, k, "n_max")
     base = search_min_report(
         d,
         k,

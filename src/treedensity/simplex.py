@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial, lcm
+from math import factorial, lcm, perm
 from operator import lt, sub
 from typing import Iterable, Sequence
 
@@ -59,6 +59,8 @@ _EXACT_TYPES = (int, Fraction)
 # eps = 2^-t gives exact values of about k t digits, so a scan's time and
 # report size grow as the square of its steps
 EPS_STEP_CAP = 1000
+# the most power-sum terms a muirhead run evaluates
+MUIRHEAD_TERM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,6 @@ class SimplexPoint:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def is_interior(self) -> bool:
-        return all(c > 0 for c in self.coords)
 
 
 def simplex_point(coords: Iterable) -> SimplexPoint:
@@ -476,18 +475,22 @@ def symmetrized_power_sum(exponents: Sequence[int], values: Sequence):
     """sum over all permutations sigma of prod_i values[sigma(i)]^exponents[i].
 
     The full symmetric group is used (repeated exponents are not collapsed),
-    matching the classical majorization inequality setting.
+    matching the classical majorization inequality setting. A factor whose
+    exponent is 0 is 1, so with m nonzero exponents among n the sum is
+    (n - m)! times the sum over the n! / (n - m)! placements of the nonzero
+    ones onto distinct values.
     """
     n = len(exponents)
     if n != len(values):
         raise PreconditionError("need as many values as exponents")
+    nonzero = [e for e in exponents if e]
     total = 0
-    for perm in permutations(range(n)):
+    for placed in permutations(values, len(nonzero)):
         prod = 1
-        for e, idx in zip(exponents, perm):
-            prod *= values[idx] ** e
+        for e, v in zip(nonzero, placed):
+            prod *= v**e
         total += prod
-    return total
+    return factorial(n - len(nonzero)) * total
 
 
 def muirhead_check(pair: MajorizationPair, values: Sequence) -> bool:
@@ -530,12 +533,25 @@ def simplex_muirhead_report(
     d: int, k: int, *, samples: int = 1000, seed: int = 0
 ) -> SearchReport:
     """:func:`muirhead_check` at ``samples`` seeded pairs, each drawn before
-    its d positive rational values."""
+    its d positive rational values.
+
+    A pair has at most min(d, k) nonzero exponents, so its two power sums
+    take at most 2 perm(d, min(d, k)) terms. When ``samples`` times that
+    exceeds :data:`MUIRHEAD_TERM_CAP`, nothing is drawn and BudgetError is
+    raised. The cap is 10^6 terms: a term took 1.5 to 12 microseconds at
+    d <= 9 and k <= 8, so a run within it takes at most about 12 s.
+    """
     # with d < 2 or k < 2 every composition of k has a part equal to k, so
     # random_majorization_pair would never find one to use
     require_int(d, 2, "arity bound")
     require_int(k, 2, "caterpillar size")
     _require_positive(samples, "--samples")
+    terms = samples * 2 * perm(d, min(d, k))
+    if terms > MUIRHEAD_TERM_CAP:
+        raise BudgetError(
+            f"--samples {samples} at d={d}, k={k} needs up to {terms} power-sum terms "
+            f"(samples * 2 * perm(d, min(d, k))), above the cap of {MUIRHEAD_TERM_CAP}"
+        )
     rng = random.Random(seed)
     rows = []
     for i in range(samples):

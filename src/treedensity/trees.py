@@ -27,7 +27,7 @@ recursively even-split binary tree (make_even_binary).
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BudgetError, ParseError, PreconditionError, StructureError, require_int
 
@@ -43,7 +43,7 @@ __all__ = [
     "make_even_binary",
 ]
 
-LEAF_CAP = 10**7  # the most leaves make_complete builds
+LEAF_CAP = 10**7  # the most leaves make_complete and make_even_binary build
 _LEAF_COUNT = attrgetter("leaf_count")
 
 
@@ -71,14 +71,6 @@ class Tree:
     @property
     def outdegree(self) -> int:
         return len(self.children)
-
-    def subtrees(self) -> Iterator["Tree"]:
-        """Yield every vertex of the tree (as a subtree), root first."""
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            yield t
-            stack.extend(reversed(t.children))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -273,9 +265,12 @@ def make_even_binary(n: int) -> Tree:
 
     The root separates the leaves into ceil(n/2) and floor(n/2), and both
     branches are themselves even-split trees. For n a power of two this is
-    the complete binary tree.
+    the complete binary tree. Refuses with BudgetError when n exceeds
+    :data:`LEAF_CAP`; its codes take about 9 bytes per leaf.
     """
     require_int(n, 1, "leaf count")
+    if n > LEAF_CAP:
+        raise BudgetError(f"even-split tree would have {n} leaves, above the cap of {LEAF_CAP}")
     # halving n yields at most two sizes per level, so 2 log2(n) in all
     sizes = set()
     level = {n}

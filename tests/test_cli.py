@@ -348,6 +348,23 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
     assert proc.stderr == f"error: {wrong} must be an integer >= 2, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a sample's two power sums take up to 2 * 12! terms at d = k = 12
+        (("simplex", "--mode", "muirhead", "--d", "12", "--k", "12"),
+         "--samples 1000 at d=12, k=12 needs up to 958003200000 power-sum terms "
+         "(samples * 2 * perm(d, min(d, k))), above the cap of 1000000"),
+        (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
+         "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
+    ],
+    ids=["muirhead-terms", "tree-even-leaves"],
+)
+def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"refused: {message}\n")
+
+
 def test_simplex_muirhead(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -29,8 +29,10 @@ from treedensity import (
     make_even_binary,
     parse_tree,
 )
+from treedensity import counting
 from treedensity.counting import branch_pattern, caterpillar_counts_of_code
 from treedensity.search import enumerate_trees
+from treedensity.trees import internal_subtrees
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +98,19 @@ def test_brute_small_examples():
     assert count_copies_brute(make_caterpillar(2, 4), f23) == 0
 
 
-def test_brute_budget_and_force():
+def test_brute_budget_and_force(monkeypatch):
+    monkeypatch.setattr(counting, "SUBSET_CAP", 100)
     t = make_even_binary(30)
     f23 = make_caterpillar(2, 3)
     with pytest.raises(BudgetError) as exc:
-        count_copies_brute(f23, t, max_subsets=100)
-    assert "4060" in str(exc.value)  # C(30, 3), the quantity that tripped
-    assert count_copies_brute(f23, t, max_subsets=100, force=True) > 0
+        count_copies_brute(f23, t)
+    assert str(exc.value) == (  # C(30, 3), the quantity that tripped
+        "brute-force enumeration of C(30,3) = 4060 subsets exceeds the cap of 100; "
+        "pass force=True to run anyway"
+    )
+    with pytest.raises(BudgetError, match="4060"):
+        brute_copy_profile(t, 3)
+    assert count_copies_brute(f23, t, force=True) > 0
 
 
 def _reference_profile(t, k):
@@ -275,7 +283,8 @@ def test_engine_reuses_rows_for_a_host_and_its_branches():
     patterns = [p for k in range(1, 6) for p in enumerate_trees(k, 3)]
     host = parse_tree(_random_code(rnd, 40, 3))
     engine = CopyEngine()
-    for t in [host, *host.subtrees()]:
+    # the host first, then its distinct branches, largest first
+    for t in [*reversed(internal_subtrees(host)), leaf()]:
         for p in patterns:
             assert engine.count(p, t) == CopyEngine().count(p, t), (p.code, t.code)
 
@@ -416,7 +425,7 @@ def test_counts_of_code_match_the_tree(rnd, d, n, k):
         code, k, _CODE_MEMOS.setdefault(k, {})
     )
     assert leaves == t.leaf_count == n
-    assert outdegree == max(u.outdegree for u in t.subtrees())
+    assert outdegree == max((u.outdegree for u in internal_subtrees(t)), default=0)
     assert counts == caterpillar_counts(t, k)
 
 

@@ -63,10 +63,20 @@ _INTEGER_CHECKS = [
           "arity bound must be an integer >= 2, got None"),
     _case("search_min_report-k", lambda: search_min_report(2, 1, 2, 3),
           "caterpillar size must be an integer >= 2, got 1"),
+    _case("search_min_report-n_min", lambda: search_min_report(2, 4, 3, 10),
+          "n_min must be an integer >= 4, got 3"),
+    _case("search_min_report-n_min-float", lambda: search_min_report(2, 4, 4.5, 10),
+          "n_min must be an integer >= 4, got 4.5"),
     _case("verify_even_conjecture-k", lambda: verify_even_conjecture(2, 5),
           "caterpillar size must be an integer >= 3, got 2"),
+    _case("verify_even_conjecture-n_max", lambda: verify_even_conjecture(4, 3),
+          "n_max must be an integer >= 4, got 3"),
+    _case("verify_even_conjecture-n_max-float", lambda: verify_even_conjecture(4, 9.0),
+          "n_max must be an integer >= 4, got 9.0"),
     _case("verify_monotone_min-k", lambda: verify_monotone_min(2, 2.5, 5),
           "caterpillar size must be an integer >= 3, got 2.5"),
+    _case("verify_monotone_min-n_max", lambda: verify_monotone_min(2, 5, None),
+          "n_max must be an integer >= 5, got None"),
     _case("is_d_ary-d", lambda: is_d_ary(leaf(), 1),
           "arity bound must be an integer >= 2, got 1"),
     _case("make_even_binary-n", lambda: make_even_binary(0),

@@ -32,7 +32,7 @@ def test_decimal_str():
     assert decimal_str(Fraction(2, 3)) == "0.666666666667"
     assert decimal_str(Fraction(9, 14)) == "0.642857142857"
     assert decimal_str(Fraction(1, 1)) == "1"
-    assert decimal_str(Fraction(1, 3), digits=4) == "0.3333"
+    assert decimal_str(Fraction(1, 3)) == "0.333333333333"
     assert decimal_str(0.5) == "0.5"
     assert decimal_str(1e-7) == "1e-07"
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath
 import pytest
@@ -37,11 +38,11 @@ from treedensity.simplex import (
 
 def test_simplex_point_modes():
     p = simplex_point((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-    assert p.exact and p.dim == 3 and p.is_interior()
+    assert p.exact and p.dim == 3 and all(c > 0 for c in p.coords)
     q = simplex_point((0.25, 0.25, 0.5))
     assert not q.exact and all(isinstance(c, mpmath.mpf) for c in q.coords)
     r = simplex_point((Fraction(1, 2), Fraction(1, 2), 0))
-    assert r.exact and not r.is_interior()
+    assert r.exact and not all(c > 0 for c in r.coords)
 
 
 def test_simplex_point_validation():
@@ -60,7 +61,7 @@ def test_simplex_point_validation():
 def test_random_interior_point_is_reproducible():
     a = random_interior_point(4, random.Random(11))
     b = random_interior_point(4, random.Random(11))
-    assert a == b and a.exact and a.is_interior() and sum(a.coords) == 1
+    assert a == b and a.exact and all(c > 0 for c in a.coords) and sum(a.coords) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,27 @@ def test_symmetrized_power_sum_uses_the_full_group():
     assert symmetrized_power_sum((1, 1), (x, y)) == 2 * x * y
     # three repeated exponents still sum over all 3! permutations
     assert symmetrized_power_sum((1, 1, 1), (x, y, y)) == 6 * x * y * y
+
+
+def _power_sum_over_the_group(exponents, values):
+    """The symmetrized power sum written out over all d! permutations."""
+    total = 0
+    for order in permutations(values):
+        term = 1
+        for e, v in zip(exponents, order):
+            term *= v**e
+        total += term
+    return total
+
+
+def test_symmetrized_power_sum_matches_the_full_enumeration():
+    rng = random.Random(5)
+    for _ in range(150):
+        d = rng.randint(1, 6)
+        exponents = [rng.choice([0, 0, 1, 2, rng.randint(0, 7)]) for _ in range(d)]
+        values = [Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(d)]
+        expected = _power_sum_over_the_group(exponents, values)
+        assert symmetrized_power_sum(exponents, values) == expected, (exponents, values)
 
 
 def test_muirhead_basic_and_equality_cases():

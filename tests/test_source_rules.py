@@ -151,10 +151,10 @@ def test_the_public_names_are_pinned():
 PUBLIC_OPTIONS = [
     "ParetoDP.__init__(d=2, candidate_cap=5000000, cache_dir=None)",
     "SearchReport.__init__(all_ok=None)",
-    "brute_copy_profile(max_subsets=100000000, force=False)",
+    "brute_copy_profile(force=False)",
     "cache_report(clear=False)",
     "caterpillar_counts(memo=None)",
-    "count_copies_brute(max_subsets=100000000, force=False)",
+    "count_copies_brute(force=False)",
     "count_report(mode='count', brute=False, force=False)",
     "count_trees(strict=False)",
     "enumerate_report(strict=False, max_trees=1000000)",

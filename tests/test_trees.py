@@ -21,6 +21,8 @@ from treedensity import (
 )
 from treedensity.counting import caterpillar_counts_of_code
 from treedensity.search import enumerate_trees
+from treedensity import trees
+from treedensity.trees import internal_subtrees
 
 
 def test_parse_leaf():
@@ -142,14 +144,23 @@ def test_parse_matches_the_string_reference_on_a_deep_caterpillar():
     assert is_d_ary(t, 3) and not is_d_ary(t, 2) and not is_strictly_d_ary(t, 3)
 
 
+def _vertices(t):
+    """Every vertex of ``t``, repeated shapes included."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        stack.extend(u.children)
+
+
 def test_equal_subtrees_of_one_parse_are_one_object():
     rng = random.Random(4)
     for text in [_shuffled_text(make_complete(3, 4), rng), _random_text(rng, 400, 3)]:
         t = parse_tree(text)
         first = {}
-        for u in t.subtrees():
+        for u in _vertices(t):
             assert first.setdefault(u.code, u) is u
-        assert len(first) < sum(1 for _ in t.subtrees())
+        assert len(first) < sum(1 for _ in _vertices(t))
     # interning is per call; equality stays by code across calls
     a, b = parse_tree("((**)(**))"), parse_tree("((**)(**))")
     assert a == b and hash(a) == hash(b) and a is not b
@@ -276,6 +287,20 @@ def test_make_complete():
         make_complete(2, -1)
 
 
+def test_make_even_binary_refuses_over_the_leaf_cap(monkeypatch):
+    # the cap is checked before any vertex is built
+    def no_vertex(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(trees, "_vertex", no_vertex)
+    with pytest.raises(BudgetError) as info:
+        make_even_binary(trees.LEAF_CAP + 1)
+    assert str(info.value) == (
+        f"even-split tree would have {trees.LEAF_CAP + 1} leaves, "
+        f"above the cap of {trees.LEAF_CAP}"
+    )
+
+
 def test_make_even_binary():
     assert make_even_binary(1) == leaf()
     assert make_even_binary(4) == make_complete(2, 2)
@@ -288,13 +313,6 @@ def test_even_binary_balance_up_to_200():
     for n in range(1, 201):
         t = make_even_binary(n)
         assert t.leaf_count == n
-        for u in t.subtrees():
-            if not u.is_leaf:
-                a, b = (c.leaf_count for c in u.children)
-                assert abs(a - b) <= 1
-
-
-def test_subtrees_iteration():
-    t = parse_tree("(*(**))")
-    codes = [u.code for u in t.subtrees()]
-    assert codes == ["(*(**))", "*", "(**)", "*", "*"]
+        for u in internal_subtrees(t):
+            a, b = (c.leaf_count for c in u.children)
+            assert abs(a - b) <= 1
