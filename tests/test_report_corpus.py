@@ -43,6 +43,10 @@ CORPUS = [
      "72e70767dbfc0a0278f21c0e7ec1efbcd042f7b900493f7bd76201c27cb5690c"),
     ("simplex --d 2 --k 4 --mode bound-sample --samples 20 --seed 3 --format jsonl",
      "eb4aeb6e3c14f8f63e7fdc299ec705150d4b0303380b78ac609c7411b5f318b6"),
+    ("simplex --d 3 --k 5 --mode min --starts 4 --budget 4000 --seed 7 --format csv",
+     "ac9847a2611407b284de4bb3e89606981ba44adab3f976f5f3159c8d71eb5832"),
+    ("simplex --d 4 --k 3 --mode min --starts 2 --budget 3000 --seed 2 --format jsonl",
+     "066d7fe0f8cd33cbb3bc9fface24c9503b386cef5fb623689d46c7a6a9d64495"),
     ("cache --cache-dir cache",
      "b108b0427571d45b9f643f358df0677b51248b63a39584607c581d3bd3a80be9"),
 ]

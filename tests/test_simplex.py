@@ -1,5 +1,6 @@
 """The pair-term simplex functional: exact bounds, optimization, Muirhead."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -258,6 +259,68 @@ def test_minimize_argument_errors():
         minimize_F(1, 4)
     with pytest.raises(PreconditionError):
         minimize_F(3, 4, starts=8, budget=10)
+
+
+def _raw(x):
+    """An mpf's (sign, mantissa, exponent, bitcount) with a plain int
+    mantissa, so the digest does not depend on mpmath's backend."""
+    sign, man, exp, bc = x._mpf_
+    return (sign, int(man), exp, bc)
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# (d, k, keywords) -> SHA-256 of the repr of (point, value, stationarity as
+# raw mpf tuples, evaluations, converged), recorded before the minimizer
+# moved to raw libmp arithmetic
+MINIMIZE_PINS = [
+    (3, 3, dict(starts=4, budget=4000, seed=11),
+     "9e29f0e218f9230f315937506925a56f0543de9a8197ef552c701ca88da8f65a"),
+    (3, 4, dict(starts=4, budget=4000, seed=12),
+     "c3ab89de1d347e0266d6802c7401b79be88c195fb6b0b3f21ac617511684cff6"),
+    (3, 5, dict(starts=4, budget=4000, seed=13),
+     "9cd917b0dcf796f5711876f5ff25fc44ca8c9ecbd9307755b2043ccb6f8e1c6c"),
+    (3, 6, dict(starts=4, budget=4000, seed=14),
+     "942fb609a45d320bbf1f3540aafae60cba84778cffb29380e7e2f9b75a0ca4f3"),
+    (2, 5, dict(starts=3, budget=3000, seed=5),
+     "a2ed949524ea05a30ce9ef43136c051e6a3a9a501ab3585969a732cca2fa9f46"),
+    (5, 4, dict(starts=2, budget=6000, seed=6),
+     "8f7b54658f99406061c4296e82c49f83053f85533c0f8607e4ce60abec80fe79"),
+    # from k = 9 mpf_pow_int no longer rounds once at 128 bits
+    (3, 9, dict(starts=2, budget=3000, seed=9),
+     "0e0a39e2723e2448df78874cefd35ca68c9750022f1771129b86585d84ec0db5"),
+    # runs out of budget: converged is False
+    (4, 5, dict(starts=2, budget=60, seed=3),
+     "ef9ec58cd92cda46811ac004d749a2831e4a0e3e70b0fb8ed901bafbcd0833d2"),
+    (3, 4, dict(),
+     "a5a2120e02a24ebd7c9debb1c137da23a4cd75a8fe34184be400d58a16fe29a5"),
+]
+
+
+def test_minimize_F_is_pinned():
+    got = []
+    for d, k, kwargs, _ in MINIMIZE_PINS:
+        res = minimize_F(d, k, **kwargs)
+        key = (tuple(map(_raw, res.point.coords)), _raw(res.value), _raw(res.stationarity),
+               res.evaluations, res.converged)
+        got.append((d, k, kwargs, _sha(key)))
+    assert got == MINIMIZE_PINS
+
+
+def test_eval_F_real_mode_is_pinned():
+    # one point at the working precision, and one built finer than the
+    # precision it is evaluated at, where every rounding step counts
+    with mpmath.workprec(53):
+        p53 = (mpmath.mpf(1) / 7, mpmath.mpf(2) / 7, mpmath.mpf(4) / 7)
+    with mpmath.workprec(200):
+        p200 = (mpmath.mpf(1) / 3, mpmath.mpf(1) / 5, mpmath.mpf(7) / 15)
+    with mpmath.workprec(53):
+        got = [_raw(eval_F(3, 5, p53)), _raw(eval_F(3, 5, p200))]
+    with mpmath.workprec(128):
+        got.append(_raw(eval_F(3, 5, p200)))
+    assert _sha(got) == "bd20dca3b02afab10c4c5682e2fc073f529031c437f56db9ca221ae4e78b523d"
 
 
 def test_stationarity_vanishes_at_the_uniform_point():
