@@ -19,7 +19,8 @@ Evaluation is exact over the rationals whenever the input coordinates are
 ints or Fractions; otherwise it runs in mpmath arithmetic at the caller's
 working precision. ``minimize_F`` uses a seeded multi-start Nelder-Mead at
 128-bit precision (a log barrier keeps iterates interior, then a barrier-free
-polish removes its bias). Muirhead-style majorization comparisons and the
+polish removes its bias). The minimizer and real-mode F compute on raw mpmath
+values with libmp's own calls, so they round exactly as mpf arithmetic would. Muirhead-style majorization comparisons and the
 power-sum decomposition used to bound F live here too, as do the functions
 that build the reports of the ``simplex`` command's four modes.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm, perm
@@ -35,6 +37,25 @@ from operator import lt, sub
 from typing import Iterable, Sequence
 
 import mpmath
+from mpmath.libmp import (
+    finf,
+    fone,
+    fzero,
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_eq,
+    mpf_le,
+    mpf_log,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import BudgetError, PreconditionError, SingularityError, require_int
 from .reporting import SearchReport, decimal_str
@@ -138,23 +159,44 @@ def eval_F(d: int, k: int, point):
         if den == 0:
             raise SingularityError("denominator vanishes at a simplex corner")
         return Fraction(sum(p * (scale - ai) for p, ai in zip(powers, a)), den)
-    num, den = _F_terms_mp(k, xs)
-    if den == 0:
+    prec = mpmath.mp.prec
+    num, den = _F_terms_mp(k, [x._mpf_ for x in xs], prec)
+    if mpf_eq(den, fzero):
         raise SingularityError("denominator vanishes at a simplex corner")
-    return num / den
+    return mpmath.mp.make_mpf(mpf_div(num, den, prec, round_nearest))
 
 
-def _F_terms_mp(k: int, xs):
-    """(numerator, denominator) of F at real ``xs``: powers, then 1 - sum p x,
+# The real-mode arithmetic below runs on raw mpf tuples (``x._mpf_``). Each
+# step is the libmp call that mpf's own operator makes, with the same operands
+# in the same order and at the working precision, so the values are those of
+# the plain mpf expressions in the comments, bit for bit, without the cost of
+# building an mpf object per step.
+
+
+def _sum(terms: list, prec: int):
+    """sum(terms): Python's sum adds 0 + terms[0] first, and that add rounds."""
+    acc = mpf_add(terms[0], fzero, prec, round_nearest)
+    for i in range(1, len(terms)):
+        acc = mpf_add(acc, terms[i], prec, round_nearest)
+    return acc
+
+
+def _F_terms_mp(k: int, xs, prec: int):
+    """(numerator, denominator) of F at raw ``xs``: powers, then 1 - sum p x,
     then the i < j pairs, one fixed order so every mpmath F rounds alike."""
     d = len(xs)
-    powers = [x ** (k - 1) for x in xs]
-    den = 1 - sum(p * x for p, x in zip(powers, xs))
-    num = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            num += xs[i] * powers[j] + xs[j] * powers[i]
-    return num, den
+    rnd = round_nearest
+    # powers = [x ** (k - 1) for x in xs]
+    powers = [mpf_pow_int(x, k - 1, prec, rnd) for x in xs]
+    # den = 1 - sum(p * x for p, x in zip(powers, xs))
+    den = mpf_sub(fone, _sum([mpf_mul(p, x, prec, rnd) for p, x in zip(powers, xs)], prec), prec, rnd)
+    # num = 0, then num += xs[i] * powers[j] + xs[j] * powers[i] for i < j
+    pairs = [
+        mpf_add(mpf_mul(xs[i], powers[j], prec, rnd), mpf_mul(xs[j], powers[i], prec, rnd), prec, rnd)
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
+    return _sum(pairs, prec), den
 
 
 def uniform_min_value(d: int, k: int) -> Fraction:
@@ -271,79 +313,104 @@ class MinimizeResult:
 
 
 def _nelder_mead(f, x0, step, xtol, ftol, max_evals):
-    """Plain Nelder-Mead over mpf vectors; returns (x, fx, evals, converged)."""
+    """Plain Nelder-Mead over raw mpf vectors at the working precision;
+    returns (x, fx, evals, converged)."""
+    prec = mpmath.mp.prec
+
+    def move(base, t, a, b):
+        # base + t * (a - b), every move of the simplex
+        diff = mpf_sub(a, b, prec, round_nearest)
+        return mpf_add(base, mpf_mul(t, diff, prec, round_nearest), prec, round_nearest)
+
+    # objective values are never NaN, so mpf_cmp orders them as mpf's < does
+    by_value = cmp_to_key(mpf_cmp)
     dim = len(x0)
-    one = mpmath.mpf(1)
-    alpha, gamma, rho, sigma = one, 2 * one, one / 2, one / 2
+    # one = mpf(1); alpha, gamma, rho, sigma = one, 2 * one, one / 2, one / 2
+    half = mpf_div(fone, from_int(2), prec, round_nearest)
+    alpha, gamma, rho, sigma = fone, mpf_mul_int(fone, 2, prec, round_nearest), half, half
     simplex = [list(x0)]
     for i in range(dim):
         v = list(x0)
-        v[i] = v[i] + step
+        v[i] = mpf_add(v[i], step, prec, round_nearest)
         simplex.append(v)
     fvals = [f(v) for v in simplex]
     evals = len(simplex)
     converged = False
     while evals < max_evals:
-        order = sorted(range(dim + 1), key=lambda i: fvals[i])
+        order = sorted(range(dim + 1), key=lambda i: by_value(fvals[i]))
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
-        spread_x = max(
-            abs(simplex[i][j] - simplex[0][j]) for i in range(1, dim + 1) for j in range(dim)
-        )
-        if spread_x < xtol and abs(fvals[-1] - fvals[0]) < ftol:
+        # max(|v_j - best_j|) < xtol and |f_worst - f_best| < ftol; no value
+        # is NaN, so the max is below xtol exactly when every term is
+        best = simplex[0]
+        if all(
+            mpf_lt(mpf_abs(mpf_sub(v[j], best[j], prec, round_nearest), prec, round_nearest), xtol)
+            for v in simplex[1:]
+            for j in range(dim)
+        ) and mpf_lt(mpf_abs(mpf_sub(fvals[-1], fvals[0], prec, round_nearest), prec, round_nearest), ftol):
             converged = True
             break
-        centroid = [sum(simplex[i][j] for i in range(dim)) / dim for j in range(dim)]
+        centroid = [
+            mpf_div(_sum([simplex[i][j] for i in range(dim)], prec), from_int(dim), prec, round_nearest)
+            for j in range(dim)
+        ]
         worst = simplex[-1]
-        refl = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        refl = [move(c, alpha, c, w) for c, w in zip(centroid, worst)]
         f_refl = f(refl)
         evals += 1
-        if fvals[0] <= f_refl < fvals[-2]:
+        if mpf_le(fvals[0], f_refl) and mpf_lt(f_refl, fvals[-2]):
             simplex[-1], fvals[-1] = refl, f_refl
             continue
-        if f_refl < fvals[0]:
-            expa = [c + gamma * (c - w) for c, w in zip(centroid, worst)]
+        if mpf_lt(f_refl, fvals[0]):
+            expa = [move(c, gamma, c, w) for c, w in zip(centroid, worst)]
             f_expa = f(expa)
             evals += 1
-            if f_expa < f_refl:
+            if mpf_lt(f_expa, f_refl):
                 simplex[-1], fvals[-1] = expa, f_expa
             else:
                 simplex[-1], fvals[-1] = refl, f_refl
             continue
-        contr = [c + rho * (w - c) for c, w in zip(centroid, worst)]
+        contr = [move(c, rho, w, c) for c, w in zip(centroid, worst)]
         f_contr = f(contr)
         evals += 1
-        if f_contr < fvals[-1]:
+        if mpf_lt(f_contr, fvals[-1]):
             simplex[-1], fvals[-1] = contr, f_contr
             continue
-        best = simplex[0]
         for i in range(1, dim + 1):
-            simplex[i] = [b + sigma * (v - b) for b, v in zip(best, simplex[i])]
+            simplex[i] = [move(b, sigma, v, b) for b, v in zip(best, simplex[i])]
             fvals[i] = f(simplex[i])
         evals += dim
-    best_i = min(range(dim + 1), key=lambda i: fvals[i])
+    best_i = min(range(dim + 1), key=lambda i: by_value(fvals[i]))
     return simplex[best_i], fvals[best_i], evals, converged
 
 
-def _full_point(y):
-    x = list(y)
-    x.append(1 - sum(x))
-    return x
+def _raw_mpfs(*texts):
+    return [mpmath.mpf(text)._mpf_ for text in texts]
+
+
+def _full_point(y, prec: int):
+    # y + [1 - sum(y)]
+    return [*y, mpf_sub(fone, _sum(y, prec), prec, round_nearest)]
 
 
 def _barrier_objective(k, mu):
-    inf = mpmath.inf
+    """F - mu * sum(log x_i) at the raw point whose first d - 1 coordinates
+    are y, +inf off the open simplex; ``mu`` is a raw mpf, or None for F."""
 
     def f(y):
-        x = _full_point(y)
-        if any(c <= 0 for c in x):
-            return inf
-        num, den = _F_terms_mp(k, x)
-        if den <= 0:
-            return inf
-        val = num / den
-        if mu:
-            val -= mu * sum(mpmath.log(c) for c in x)
+        prec = mpmath.mp.prec
+        x = _full_point(y, prec)
+        for c in x:
+            if mpf_le(c, fzero):
+                return finf
+        num, den = _F_terms_mp(k, x, prec)
+        if mpf_le(den, fzero):
+            return finf
+        val = mpf_div(num, den, prec, round_nearest)
+        if mu is not None:
+            # val - mu * sum(log(c))
+            logs = _sum([mpf_log(c, prec, round_nearest) for c in x], prec)
+            val = mpf_sub(val, mpf_mul(mu, logs, prec, round_nearest), prec, round_nearest)
         return val
 
     return f
@@ -361,7 +428,11 @@ def tangent_stationarity(d: int, k: int, point):
     hh = mpmath.mpf("1e-5")
     u = 1 / mpmath.sqrt(2)
     worst = mpmath.mpf(0)
-    obj = _barrier_objective(k, 0)
+    obj = _barrier_objective(k, None)
+
+    def value_at(v):
+        return mpmath.mp.make_mpf(obj([c._mpf_ for c in v[:-1]]))
+
     for i, j in combinations(range(d), 2):
         plus = list(xs)
         minus = list(xs)
@@ -369,7 +440,7 @@ def tangent_stationarity(d: int, k: int, point):
         plus[j] -= hh * u
         minus[i] -= hh * u
         minus[j] += hh * u
-        deriv = (obj(plus[:-1]) - obj(minus[:-1])) / (2 * hh)
+        deriv = (value_at(plus) - value_at(minus)) / (2 * hh)
         worst = max(worst, abs(deriv))
     return worst
 
@@ -396,32 +467,29 @@ def minimize_F(
         raise PreconditionError("budget too small for the requested number of starts")
     rng = random.Random(seed)
     with mpmath.workprec(128):
-        mu = mpmath.mpf("1e-6")
-        rough = _barrier_objective(k, mu)
-        polish = _barrier_objective(k, 0)
+        rough = _barrier_objective(k, mpmath.mpf("1e-6")._mpf_)
+        polish = _barrier_objective(k, None)
         stage1_budget = budget // (2 * starts)
         evals_total = 0
         best_y = None
-        best_f = mpmath.inf
+        best_f = finf
         for _ in range(starts):
             weights = [mpmath.mpf(rng.random()) + mpmath.mpf("0.05") for _ in range(d)]
             total = sum(weights)
-            y0 = [w / total for w in weights][: d - 1]
+            y0 = [(w / total)._mpf_ for w in weights][: d - 1]
             y, fy, evals, _ = _nelder_mead(
-                rough, y0, mpmath.mpf("0.05"), mpmath.mpf("1e-10"), mpmath.mpf("1e-14"),
-                stage1_budget,
+                rough, y0, *_raw_mpfs("0.05", "1e-10", "1e-14"), stage1_budget
             )
             evals_total += evals
-            if fy < best_f:
+            if mpf_lt(fy, best_f):
                 best_f, best_y = fy, y
         remaining = max(budget - evals_total, (d + 1) * 4)
         y, fy, evals, converged = _nelder_mead(
-            polish, best_y, mpmath.mpf("1e-7"), mpmath.mpf("1e-16"), mpmath.mpf("1e-28"),
-            remaining,
+            polish, best_y, *_raw_mpfs("1e-7", "1e-16", "1e-28"), remaining
         )
         evals_total += evals
-        point = simplex_point(_full_point(y))
-        value = polish(y)
+        point = simplex_point(map(mpmath.mp.make_mpf, _full_point(y, mpmath.mp.prec)))
+        value = mpmath.mp.make_mpf(polish(y))
         resid = tangent_stationarity(d, k, point)
     return MinimizeResult(point, value, resid, evals_total, converged)
 
