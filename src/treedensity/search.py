@@ -86,18 +86,28 @@ def count_trees(n: int, d: int, strict: bool = False) -> int:
 def _tree_levels(sizes: range, d: int, strict: bool, max_trees: int) -> list[list[Tree]]:
     """``levels[s]`` for s = 0..max(sizes): every d-ary tree with s leaves,
     sorted by code, each level built from the ones below it and checked
-    against :func:`_count_sequence`. The sizes are counted first, and the
-    first of ``sizes`` with more than ``max_trees`` trees is refused with
-    BudgetError naming its count. The caller owns the levels."""
+    against :func:`_count_sequence`. The caller owns the levels.
+
+    The sizes are counted first. Counts never fall as the size grows over
+    the sizes the family allows, so the first counted size with more than
+    ``max_trees`` trees refuses every size of ``sizes`` from there on, and
+    counting stops. BudgetError names the first refused size n of ``sizes``
+    and, when the counted size differs from n, that size and its count."""
     top = sizes[-1] if sizes else 0
+    kind = f"{'strictly ' if strict else ''}{d}-ary"
     counts = [0]
-    for n, c in zip(range(1, top + 1), _count_sequence(d, strict)):
-        counts.append(c)
-        if n in sizes and c > max_trees:
+    for size, c in zip(range(1, top + 1), _count_sequence(d, strict)):
+        if c > max_trees:
+            n = next(m for m in sizes if m >= size)
+            if n == size:
+                raise BudgetError(
+                    f"enumerating {c} {kind} trees with {n} leaves exceeds the cap of {max_trees}"
+                )
             raise BudgetError(
-                f"enumerating {c} {'strictly ' if strict else ''}{d}-ary trees "
-                f"with {n} leaves exceeds the cap of {max_trees}"
+                f"enumerating {kind} trees with {n} leaves exceeds the cap of {max_trees}: "
+                f"there are already {c} with {size} leaves"
             )
+        counts.append(c)
     levels: list[list[Tree]] = [[], [leaf()]]
     for size in range(2, top + 1):
         level = []
@@ -122,8 +132,9 @@ def enumerate_trees(
     """Every d-ary tree with n leaves, one representative per isomorphism
     type, in a fixed (code-sorted) order.
 
-    Refuses with BudgetError, naming the count, when more than ``max_trees``
-    trees have n leaves; no smaller size has more. Otherwise every level
+    Refuses with BudgetError when more than ``max_trees`` trees have n
+    leaves, as soon as a size up to n has that many; no smaller size has
+    more. Otherwise every level
     1..n is built afresh, smallest first, from the levels below it. Strictly
     d-ary trees exist only for n = 1 mod (d - 1); asking for other sizes in
     strict mode is an error.

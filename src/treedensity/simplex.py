@@ -82,6 +82,9 @@ _EXACT_TYPES = (int, Fraction)
 EPS_STEP_CAP = 1000
 # the most power-sum terms a muirhead run evaluates
 MUIRHEAD_TERM_CAP = 10**6
+# the most power-sum work a muirhead run does, counted as terms times k^2:
+# a term multiplies powers whose exponents sum to k
+MUIRHEAD_WORK_CAP = 3 * 10**9
 
 
 @dataclass(frozen=True)
@@ -605,9 +608,11 @@ def simplex_muirhead_report(
 
     A pair has at most min(d, k) nonzero exponents, so its two power sums
     take at most 2 perm(d, min(d, k)) terms. When ``samples`` times that
-    exceeds :data:`MUIRHEAD_TERM_CAP`, nothing is drawn and BudgetError is
-    raised. The cap is 10^6 terms: a term took 1.5 to 12 microseconds at
-    d <= 9 and k <= 8, so a run within it takes at most about 12 s.
+    exceeds :data:`MUIRHEAD_TERM_CAP`, or that times k^2 exceeds
+    :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and BudgetError is raised.
+    The term cap is 10^6 terms: a term took 1.5 to 12 microseconds at d <= 9
+    and k <= 8. The work cap is 3 * 10^9: a unit took 0.14 to 3.3 ns at
+    d <= 8 and k from 170 to 31,622, so a run at it takes up to about 10 s.
     """
     # with d < 2 or k < 2 every composition of k has a part equal to k, so
     # random_majorization_pair would never find one to use
@@ -619,6 +624,12 @@ def simplex_muirhead_report(
         raise BudgetError(
             f"--samples {samples} at d={d}, k={k} needs up to {terms} power-sum terms "
             f"(samples * 2 * perm(d, min(d, k))), above the cap of {MUIRHEAD_TERM_CAP}"
+        )
+    work = terms * k * k
+    if work > MUIRHEAD_WORK_CAP:
+        raise BudgetError(
+            f"--samples {samples} at d={d}, k={k} needs up to {work} power-sum work units "
+            f"(samples * 2 * perm(d, min(d, k)) * k^2), above the cap of {MUIRHEAD_WORK_CAP}"
         )
     rng = random.Random(seed)
     rows = []

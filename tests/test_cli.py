@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -355,10 +356,14 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("simplex", "--mode", "muirhead", "--d", "12", "--k", "12"),
          "--samples 1000 at d=12, k=12 needs up to 958003200000 power-sum terms "
          "(samples * 2 * perm(d, min(d, k))), above the cap of 1000000"),
+        # 40 terms, but each multiplies powers whose exponents sum to 10^5
+        (("simplex", "--mode", "muirhead", "--d", "2", "--k", "100000", "--samples", "10"),
+         "--samples 10 at d=2, k=100000 needs up to 400000000000 power-sum work units "
+         "(samples * 2 * perm(d, min(d, k)) * k^2), above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
     ],
-    ids=["muirhead-terms", "tree-even-leaves"],
+    ids=["muirhead-terms", "muirhead-work", "tree-even-leaves"],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -449,7 +454,10 @@ def test_exit_code_for_budget_refusal(capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "--n", "18", "--d", "2", "--max-trees", "100"
     )
-    assert code == 3 and err.startswith("refused:") and "56011" in err
+    assert code == 3 and err == (
+        "refused: enumerating 2-ary trees with 18 leaves exceeds the cap of 100: "
+        "there are already 207 with 11 leaves\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -461,6 +469,15 @@ def test_budget_refusal_of_a_deep_size(capsys, argv):
     # counting the trees of a large size must not recurse once per leaf
     code, _, err = run_cli(capsys, *argv)
     assert code == 3 and err.startswith("refused:")
+
+
+@pytest.mark.parametrize("n, d", [(400, 3), (1500, 2)])
+def test_enumerate_refuses_a_large_size_at_once(capsys, n, d):
+    # counting stops at the first size over --max-trees, far below n
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "enumerate", "--n", str(n), "--d", str(d))
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and err.startswith(f"refused: enumerating {d}-ary trees with {n} leaves")
 
 
 def test_exit_code_for_unwritable_output(capsys, tmp_path):

@@ -122,8 +122,15 @@ def test_enumeration_strict_mode():
 
 def test_enumeration_budget_names_the_count():
     with pytest.raises(BudgetError) as exc:
+        list(enumerate_trees(14, 2, max_trees=1000))
+    assert str(exc.value) == "enumerating 2179 2-ary trees with 14 leaves exceeds the cap of 1000"
+    # counting stops at the first size over the cap, and names it
+    with pytest.raises(BudgetError) as exc:
         list(enumerate_trees(18, 2, max_trees=1000))
-    assert "56011" in str(exc.value)
+    assert str(exc.value) == (
+        "enumerating 2-ary trees with 18 leaves exceeds the cap of 1000: "
+        "there are already 2179 with 14 leaves"
+    )
 
 
 def test_enumeration_domain_errors():
