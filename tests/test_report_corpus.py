@@ -7,11 +7,19 @@ stderr must equal the digest recorded when the corpus was added, and so must
 the digest of the cache files the corpus leaves behind. A refactor that
 claims to keep every report byte-identical is thereby checked, not trusted.
 Every subcommand and every output format appears at least once, and each
-command takes well under half a second.
+command takes well under half a second. The corpus is also run in two child
+interpreters, one under another hash seed and one under ``python -O``, since
+a rerun in this interpreter cannot see a dependence on either.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import treedensity
 from treedensity.cli import ENV_CACHE_DIR, main
 
 CORPUS = [
@@ -59,6 +67,14 @@ def _digest(code: int, out: str, err: str) -> str:
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
 
 
+def _cache_files(directory: Path) -> tuple[int, str]:
+    files = sorted(directory.iterdir())
+    cached = hashlib.sha256()
+    for path in files:
+        cached.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return len(files), cached.hexdigest()
+
+
 def test_report_bytes_match_the_recorded_corpus(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
     monkeypatch.chdir(tmp_path)
@@ -68,8 +84,43 @@ def test_report_bytes_match_the_recorded_corpus(capsys, monkeypatch, tmp_path):
         captured = capsys.readouterr()
         got.append((line, _digest(code, captured.out, captured.err)))
     assert got == CORPUS
-    files = sorted((tmp_path / "cache").iterdir())
-    cached = hashlib.sha256()
-    for path in files:
-        cached.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    assert (len(files), cached.hexdigest()) == CACHE_FILES
+    assert _cache_files(tmp_path / "cache") == CACHE_FILES
+
+
+# The corpus loop of the test above, for a child interpreter: argv holds the
+# package's parent directory, this file's directory and the working directory.
+# It prints its digests as JSON and asserts nothing, so -O cannot strip a check.
+_CHILD = """
+import contextlib, io, json, os, sys
+sys.path[:0] = sys.argv[1:3]
+import test_report_corpus as corpus
+os.environ.pop(corpus.ENV_CACHE_DIR, None)
+os.chdir(sys.argv[3])
+got = []
+for line, _ in corpus.CORPUS:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = corpus.main(line.split())
+    got.append([line, corpus._digest(code, out.getvalue(), err.getvalue())])
+print(json.dumps([got, corpus._cache_files(corpus.Path("cache"))]))
+"""
+
+
+def test_the_corpus_is_the_same_under_other_hash_seeds_and_under_O(tmp_path):
+    package_parent = str(Path(treedensity.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    children = []
+    for flags, seed in [((), "1"), (("-O",), "987654")]:
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        # no inherited PYTHON* setting, such as PYTHONOPTIMIZE, may blur the two runs
+        env = {key: v for key, v in os.environ.items() if not key.startswith("PYTHON")}
+        env.update(PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, *flags, "-c", _CHILD, package_parent, here, str(cwd)]
+        children.append(subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True))
+    for child in children:
+        out, _ = child.communicate(timeout=60)
+        assert child.returncode == 0
+        got, cache = json.loads(out)
+        assert [tuple(pair) for pair in got] == CORPUS
+        assert tuple(cache) == CACHE_FILES
