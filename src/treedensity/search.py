@@ -134,10 +134,9 @@ def enumerate_trees(
 
     Refuses with BudgetError when more than ``max_trees`` trees have n
     leaves, as soon as a size up to n has that many; no smaller size has
-    more. Otherwise every level
-    1..n is built afresh, smallest first, from the levels below it. Strictly
-    d-ary trees exist only for n = 1 mod (d - 1); asking for other sizes in
-    strict mode is an error.
+    more. Otherwise every level 1..n is built afresh, smallest first, from
+    the levels below it. Strictly d-ary trees exist only for n = 1 mod
+    (d - 1); asking for other sizes in strict mode is an error.
     """
     require_int(n, 1, "leaf count")
     require_int(d, 2, "arity bound")

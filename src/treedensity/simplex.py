@@ -20,17 +20,18 @@ ints or Fractions; otherwise it runs in mpmath arithmetic at the caller's
 working precision. ``minimize_F`` uses a seeded multi-start Nelder-Mead at
 128-bit precision (a log barrier keeps iterates interior, then a barrier-free
 polish removes its bias). The minimizer and real-mode F compute on raw mpmath
-values with libmp's own calls, so they round exactly as mpf arithmetic would. Muirhead-style majorization comparisons and the
-power-sum decomposition used to bound F live here too, as do the functions
-that build the reports of the ``simplex`` command's four modes.
+values with libmp's own calls, so they round exactly as mpf arithmetic would.
+Muirhead-style majorization comparisons and the power-sum decomposition used
+to bound F live here too, as do the functions that build the reports of the
+``simplex`` command's four modes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cmp_to_key
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm, perm
 from operator import lt, sub
@@ -192,10 +193,13 @@ def _F_terms_mp(k: int, xs, prec: int):
     # powers = [x ** (k - 1) for x in xs]
     powers = [mpf_pow_int(x, k - 1, prec, rnd) for x in xs]
     # den = 1 - sum(p * x for p, x in zip(powers, xs))
-    den = mpf_sub(fone, _sum([mpf_mul(p, x, prec, rnd) for p, x in zip(powers, xs)], prec), prec, rnd)
+    weighted = [mpf_mul(p, x, prec, rnd) for p, x in zip(powers, xs)]
+    den = mpf_sub(fone, _sum(weighted, prec), prec, rnd)
     # num = 0, then num += xs[i] * powers[j] + xs[j] * powers[i] for i < j
     pairs = [
-        mpf_add(mpf_mul(xs[i], powers[j], prec, rnd), mpf_mul(xs[j], powers[i], prec, rnd), prec, rnd)
+        mpf_add(
+            mpf_mul(xs[i], powers[j], prec, rnd), mpf_mul(xs[j], powers[i], prec, rnd), prec, rnd
+        )
         for i in range(d)
         for j in range(i + 1, d)
     ]
@@ -318,23 +322,26 @@ class MinimizeResult:
 def _nelder_mead(f, x0, step, xtol, ftol, max_evals):
     """Plain Nelder-Mead over raw mpf vectors at the working precision;
     returns (x, fx, evals, converged)."""
-    prec = mpmath.mp.prec
+    prec, rnd = mpmath.mp.prec, round_nearest
+
+    def gap(a, b):
+        # abs(a - b)
+        return mpf_abs(mpf_sub(a, b, prec, rnd), prec, rnd)
 
     def move(base, t, a, b):
         # base + t * (a - b), every move of the simplex
-        diff = mpf_sub(a, b, prec, round_nearest)
-        return mpf_add(base, mpf_mul(t, diff, prec, round_nearest), prec, round_nearest)
+        return mpf_add(base, mpf_mul(t, mpf_sub(a, b, prec, rnd), prec, rnd), prec, rnd)
 
     # objective values are never NaN, so mpf_cmp orders them as mpf's < does
     by_value = cmp_to_key(mpf_cmp)
     dim = len(x0)
     # one = mpf(1); alpha, gamma, rho, sigma = one, 2 * one, one / 2, one / 2
-    half = mpf_div(fone, from_int(2), prec, round_nearest)
-    alpha, gamma, rho, sigma = fone, mpf_mul_int(fone, 2, prec, round_nearest), half, half
+    half = mpf_div(fone, from_int(2), prec, rnd)
+    alpha, gamma, rho, sigma = fone, mpf_mul_int(fone, 2, prec, rnd), half, half
     simplex = [list(x0)]
     for i in range(dim):
         v = list(x0)
-        v[i] = mpf_add(v[i], step, prec, round_nearest)
+        v[i] = mpf_add(v[i], step, prec, rnd)
         simplex.append(v)
     fvals = [f(v) for v in simplex]
     evals = len(simplex)
@@ -347,14 +354,13 @@ def _nelder_mead(f, x0, step, xtol, ftol, max_evals):
         # is NaN, so the max is below xtol exactly when every term is
         best = simplex[0]
         if all(
-            mpf_lt(mpf_abs(mpf_sub(v[j], best[j], prec, round_nearest), prec, round_nearest), xtol)
-            for v in simplex[1:]
-            for j in range(dim)
-        ) and mpf_lt(mpf_abs(mpf_sub(fvals[-1], fvals[0], prec, round_nearest), prec, round_nearest), ftol):
+            mpf_lt(gap(v[j], best[j]), xtol) for v in simplex[1:] for j in range(dim)
+        ) and mpf_lt(gap(fvals[-1], fvals[0]), ftol):
             converged = True
             break
+        # sum(simplex[i][j] for i in range(dim)) / dim
         centroid = [
-            mpf_div(_sum([simplex[i][j] for i in range(dim)], prec), from_int(dim), prec, round_nearest)
+            mpf_div(_sum([v[j] for v in simplex[:-1]], prec), from_int(dim), prec, rnd)
             for j in range(dim)
         ]
         worst = simplex[-1]
