@@ -16,6 +16,7 @@ from treedensity import (
     caterpillar_copies_complete,
     caterpillar_counts,
     enumerate_trees,
+    make_caterpillar,
     parse_tree,
 )
 from treedensity import counting, frontier
@@ -280,6 +281,25 @@ def test_recombine_mismatch_is_a_consistency_error(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # persistence
+
+
+def test_a_poisoned_cache_level_is_not_reported(tmp_path, monkeypatch, capsys):
+    # Level 10 of (d, k) = (2, 4) overwritten with the 10-leaf caterpillar's
+    # own vector and code: consistent, since its witness recounts to it, but
+    # not minimal (the minimum c_4 is 104, the caterpillar's 210).
+    monkeypatch.delenv("TREEDENSITY_CACHE_DIR", raising=False)
+    conjecture = ["conjecture", "--k", "4", "--n-max", "21"]
+    uncached = cli_main(conjecture), capsys.readouterr().out
+    ParetoDP(4, 2, cache_dir=tmp_path).run(20)
+    level = {"n": 10, "vector": [120, 210], "witness": make_caterpillar(2, 10).code}
+    (tmp_path / "frontier_d2_k4_n10.jsonl").write_text(
+        json.dumps(level, separators=(",", ":")) + "\n"
+    )
+    monkeypatch.setenv("TREEDENSITY_CACHE_DIR", str(tmp_path))
+    assert cli_main(["search-min", "--d", "2", "--k", "4", "--n", "10", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "104"
+    assert (cli_main(conjecture), capsys.readouterr().out) == uncached
+    assert uncached[0] == 0
 
 
 def test_cache_roundtrip_and_resume(tmp_path):
