@@ -10,11 +10,10 @@ One executable, ``treedensity``, with a subcommand per task:
 * ``monotone``: minimum density nondecreasing and below its limit.
 * ``simplex``: bounds, minimization and majorization checks for the
   simplex functional.
-* ``cache``: inspect or clear persisted frontier files.
 
 This module only wires arguments: it builds the trees named by the tree
-flags, resolves the cache directory, and passes both to the library function
-that builds the subcommand's report (``count_report``, ``limits_report``,
+flags and passes them and the other arguments to the library function that
+builds the subcommand's report (``count_report``, ``limits_report``,
 ``search_min_report`` and so on). It then renders the report and maps the
 outcome to an exit code.
 
@@ -26,22 +25,19 @@ full, so help and usage errors read the same either way.
 
 Exit codes: 0 success, 1 a verification found a counterexample or an
 internal consistency check failed, 2 invalid input (parse or precondition
-failures), 3 refused resource budget, 4 I/O failure. Reports are rendered
-deterministically, so rerunning a command with the same arguments produces
-byte-identical output files.
+failures), 3 refused resource budget, 4 I/O failure (unwritable output).
+Reports are rendered deterministically, so rerunning a command with the same
+arguments produces byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from .counting import count_report
 from .errors import (
     BudgetError,
-    CacheError,
     ConsistencyError,
     ParseError,
     PreconditionError,
@@ -49,7 +45,6 @@ from .errors import (
     TreeDensityError,
 )
 from .formulas import limits_report
-from .frontier import cache_report
 from .reporting import FORMATS, render_report
 from .search import (
     DEFAULT_TREE_CAP,
@@ -65,8 +60,6 @@ from .simplex import (
     simplex_sup_report,
 )
 from .trees import Tree, make_caterpillar, make_complete, make_even_binary, parse_tree
-
-ENV_CACHE_DIR = "TREEDENSITY_CACHE_DIR"
 
 
 def _int_pair(text: str, what: str) -> tuple[int, int]:
@@ -106,11 +99,6 @@ def _build_tree(args, role: str) -> Tree:
     raise PreconditionError(f"no {role} tree given")
 
 
-def _resolve_cache_dir(args):
-    where = getattr(args, "cache_dir", None) or os.environ.get(ENV_CACHE_DIR)
-    return Path(where) if where else None
-
-
 def _emit(report, args) -> None:
     text = render_report(report, args.format)
     if args.output is None:
@@ -137,8 +125,7 @@ def _search_min(a):
         n_min = a.n_min if a.n_min is not None else a.k
         n_max = a.n_max
     return search_min_report(
-        a.d, a.k, n_min, n_max, method=a.method, strict=a.strict, max_trees=a.max_trees,
-        cache_dir=_resolve_cache_dir(a),
+        a.d, a.k, n_min, n_max, method=a.method, strict=a.strict, max_trees=a.max_trees
     )
 
 
@@ -171,7 +158,6 @@ def _search_min_args(p):
     p.add_argument("--method", choices=_METHODS, default="auto")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
-    p.add_argument("--cache-dir")
     p.add_argument(
         "--general-d", action="store_true", help="accepted and ignored: pareto runs for every d"
     )
@@ -180,7 +166,6 @@ def _search_min_args(p):
 def _monotone_args(p):
     p.add_argument("--method", choices=_METHODS, default="auto")
     p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
-    p.add_argument("--cache-dir")
 
 
 def _simplex_args(p):
@@ -190,11 +175,6 @@ def _simplex_args(p):
     p.add_argument("--eps-steps", type=int, default=20)
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--budget", type=int, default=100_000)
-
-
-def _cache_args(p):
-    p.add_argument("--cache-dir")
-    p.add_argument("--clear", action="store_true")
 
 
 # name -> (help line, required integer flags, other arguments, report builder),
@@ -218,25 +198,18 @@ _COMMANDS = {
     ),
     "conjecture": (
         "even-split tree vs exact minimum count", ("k", "n-max"),
-        lambda p: p.add_argument("--cache-dir"),
-        lambda a: verify_even_conjecture(a.k, a.n_max, cache_dir=_resolve_cache_dir(a)),
+        lambda p: None,
+        lambda a: verify_even_conjecture(a.k, a.n_max),
     ),
     "monotone": (
         "minimum density nondecreasing and bounded", ("d", "k", "n-max"), _monotone_args,
         lambda a: verify_monotone_min(
-            a.d, a.k, a.n_max, method=a.method, max_trees=a.max_trees,
-            cache_dir=_resolve_cache_dir(a),
+            a.d, a.k, a.n_max, method=a.method, max_trees=a.max_trees
         ),
     ),
     "simplex": (
         "simplex functional: bounds, minimum, majorization", ("d", "k"), _simplex_args,
         lambda a: _SIMPLEX_MODES[a.mode](a),
-    ),
-    "cache": (
-        "inspect or clear persisted frontier files", (), _cache_args,
-        lambda a: cache_report(
-            _resolve_cache_dir(a) or Path(".treedensity-cache"), clear=a.clear
-        ),
     ),
 }
 
@@ -286,7 +259,7 @@ def main(argv=None) -> int:
     except ConsistencyError as err:
         print(f"error: consistency check failed: {err}", file=sys.stderr)
         return 1
-    except (OSError, CacheError) as err:
+    except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4
     except TreeDensityError as err:  # safety net for future subclasses

@@ -23,8 +23,8 @@ host's distinct subtrees, fewest leaves first, so no count recurses over the
 host's depth. No memo lives at module level: an engine owns its rows
 (``count_copies`` builds one per call), and the caller owns
 ``caterpillar_counts``'s. ``caterpillar_counts_of_code`` runs the caterpillar
-combine straight off a bracket code, and ``check_witness`` recounts a reported
-witness with it, for the searches and the DP cache alike.
+combine straight off a bracket code, and ``check_witness`` recounts a
+reported search witness with it.
 """
 
 from __future__ import annotations
@@ -440,23 +440,21 @@ def caterpillar_counts_of_code(
     return memo[code]
 
 
-def check_witness(
-    code: str, n: int, d: int, k: int, memo: dict, fault=ConsistencyError
-) -> tuple[int, ...]:
+def check_witness(code: str, n: int, d: int, k: int, memo: dict) -> tuple[int, ...]:
     """(c_2, ..., c_k) of a reported witness, recounted from its own
     characters by :func:`caterpillar_counts_of_code` (sharing ``memo``).
 
     The code must be well formed, with n leaves and no outdegree above d;
-    a failed check raises ``fault(message)``. Comparing the counts with the
+    a failed check raises ConsistencyError. Comparing the counts with the
     reported ones is left to the caller.
     """
     what = f"{k}-caterpillar count of witness {code}"
     try:
         leaves, outdegree, counts = caterpillar_counts_of_code(code, k, memo)
     except ParseError as err:
-        raise fault(f"{what}: malformed code, {err}") from None
+        raise ConsistencyError(f"{what}: malformed code, {err}") from None
     if leaves != n:
-        raise fault(f"{what}: the witness has {leaves} leaves, not {n}")
+        raise ConsistencyError(f"{what}: the witness has {leaves} leaves, not {n}")
     if outdegree > d:
-        raise fault(f"{what}: the witness has outdegree {outdegree} > d = {d}")
+        raise ConsistencyError(f"{what}: the witness has outdegree {outdegree} > d = {d}")
     return counts

@@ -3,7 +3,7 @@
 Every error raised deliberately by this library derives from TreeDensityError,
 so callers can catch one base class. The CLI maps the subclasses onto its
 exit codes (1 for a failed internal consistency check, 2 for bad input,
-3 for refused budgets, 4 for I/O trouble).
+3 for refused budgets). Its exit 4, for I/O failures, comes from OSError.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ __all__ = [
     "PreconditionError",
     "BudgetError",
     "SingularityError",
-    "CacheError",
     "ConsistencyError",
 ]
 
@@ -56,10 +55,6 @@ class BudgetError(TreeDensityError, RuntimeError):
 
 class SingularityError(TreeDensityError, ZeroDivisionError):
     """A simplex functional was evaluated at a pole of its denominator."""
-
-
-class CacheError(TreeDensityError, RuntimeError):
-    """A persisted frontier cache file could not be read back consistently."""
 
 
 class ConsistencyError(TreeDensityError, RuntimeError):

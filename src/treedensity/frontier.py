@@ -18,35 +18,27 @@ frontier over all d-ary trees holds one vector at every level built. The
 candidates are evaluated a column (one c_j) at a time, and the DP keeps the
 first, in generation order, that attains every column minimum.
 
-Levels can be persisted as JSON lines, one file per (d, k, n) holding the
-vector and one witness tree, which makes long sweeps resumable and their
-outputs byte-reproducible. A loaded level is trusted only after its witness
-is recounted from its characters and matches the stored vector.
-``cache_report`` lists or clears those files.
+Every level is computed: a stored level could be checked for being attained
+by its witness, but proving it minimal takes the very recomputation that
+storing it would save.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from itertools import chain, groupby, islice
 from math import comb
 from operator import add, mul
-from pathlib import Path
 from typing import Sequence
 
-from .counting import check_witness, combine_caterpillar_counts
-from .errors import BudgetError, CacheError, ConsistencyError, PreconditionError, require_int
-from .reporting import SearchReport
+from .counting import combine_caterpillar_counts
+from .errors import BudgetError, ConsistencyError, require_int
 from .trees import join_codes
 
 __all__ = [
     "ParetoDP",
-    "cache_report",
 ]
 
 DEFAULT_CANDIDATE_CAP = 5 * 10**6
-_CACHE_GLOB = "frontier_*.jsonl"  # every name ParetoDP._cache_file makes
 
 
 def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
@@ -101,29 +93,19 @@ class ParetoDP:
 
     ``run(n_max)`` fills levels 1..n_max, may be called repeatedly with
     growing bounds (existing levels are reused) and returns the DP itself;
-    ``min_count``, ``vector`` and ``witness`` then read any level built. With
-    a ``cache_dir`` the levels are read from and written to JSON-lines files
-    keyed by (d, k, n), so an interrupted sweep resumes where it stopped.
+    ``min_count``, ``vector`` and ``witness`` then read any level built.
 
     Levels are stored column-wise by leaf count s (index 0 unused): ``_c2[s]``
     is C(s, 2), ``_cols[j - 3][s]`` is c_j, and ``_split[s]`` the root branch
-    sizes of the witness (None where the code is known: s = 1 or cached).
+    sizes of the witness (None at s = 1, whose code is known).
     """
 
-    def __init__(
-        self,
-        k: int,
-        d: int = 2,
-        *,
-        candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-        cache_dir: str | os.PathLike | None = None,
-    ):
+    def __init__(self, k: int, d: int = 2, *, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
         require_int(k, 3, "caterpillar size")
         require_int(d, 2, "arity bound")
         self.k = k
         self.d = d
         self.candidate_cap = candidate_cap
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._c2 = [0]
         self._cols: list[list[int]] = [[0] for _ in range(k - 2)]
         self._split: list[tuple[int, ...] | None] = [None]
@@ -180,62 +162,13 @@ class ParetoDP:
             memo[s] = join_codes([memo[p] for p in self._split[s]])
         return memo[n]
 
-    # -- cache helpers -----------------------------------------------------
-
-    def _cache_file(self, n: int) -> Path:
-        if self.cache_dir is None:
-            raise PreconditionError("this DP has no cache directory")
-        return self.cache_dir / f"frontier_d{self.d}_k{self.k}_n{n}.jsonl"
-
-    def _load_level(self, n: int, memo: dict) -> tuple[tuple[int, ...], str] | None:
-        """Level n from its cache file, or None if there is none.
-
-        The witness is recounted by :func:`check_witness` (sharing ``memo``),
-        and any disagreement with n, d or the stored vector raises CacheError
-        naming the file.
-        """
-        if self.cache_dir is None:
-            return None
-        path = self._cache_file(n)
-        if not path.exists():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                objs = [json.loads(line) for line in fh if line.strip()]
-            if len(objs) != 1:
-                raise CacheError(f"frontier cache file {path} holds {len(objs)} entries, not 1")
-            obj = objs[0]
-            vec = tuple(int(x) for x in obj["vector"])
-            witness = obj.get("witness")
-            if obj["n"] != n or len(vec) != self.k - 2:
-                raise CacheError(f"cache file {path} does not match (k={self.k}, n={n})")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-            raise CacheError(f"corrupt frontier cache file {path}: {err}") from err
-        if not isinstance(witness, str):
-            raise CacheError(f"cache file {path} holds witness {witness!r}, not a code")
-        counts = check_witness(
-            witness, n, self.d, self.k, memo, lambda msg: CacheError(f"cache file {path}: {msg}")
-        )
-        if counts[1:] != vec:
-            raise CacheError(
-                f"cache file {path} stores vector {vec}, but its witness recounts to {counts[1:]}"
-            )
-        return vec, witness
+    # No-ops that nothing in the package calls: the benchmark's tracer,
+    # ``perfbench/spans.py``, wraps them by name.
+    def _load_level(self, n: int, memo: dict) -> None:
+        pass
 
     def _store_level(self, n: int) -> None:
-        if self.cache_dir is None:
-            return
-        line = json.dumps(
-            {"n": n, "vector": list(self.vector(n)), "witness": self.witness(n)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._cache_file(n)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-        os.replace(tmp, path)
+        pass
 
     # -- the DP proper ------------------------------------------------------
 
@@ -300,44 +233,11 @@ class ParetoDP:
             )
         return mins, split
 
-    def _build_level(self, n: int, memo: dict) -> None:
-        if n <= self.max_n():
-            return
-        loaded = self._load_level(n, memo)
-        if loaded is not None:
-            vector, witness = loaded
-            self._append(vector, witness=witness)
-            return
-        if n == 1:
-            self._append((0,) * (self.k - 2), witness="*")
-        else:
-            self._append(*self._select(n))
-        self._store_level(n)
-
     def run(self, n_max: int) -> ParetoDP:
         require_int(n_max, 1, "n_max")
-        memo: dict = {}  # witness recounts of the cached levels share subtrees
-        for n in range(1, n_max + 1):
-            self._build_level(n, memo)
+        if self.max_n() == 0:
+            self._append((0,) * (self.k - 2), witness="*")
+        for n in range(self.max_n() + 1, n_max + 1):
+            self._append(*self._select(n))
         return self
 
-
-def cache_report(cache_dir: str | os.PathLike, *, clear: bool = False) -> SearchReport:
-    """Number and total bytes of the frontier cache files in ``cache_dir``,
-    after deleting every one of them when ``clear`` is set. A missing
-    directory holds no files; a path that is not a directory raises
-    CacheError."""
-    cache_dir = Path(cache_dir)
-    if cache_dir.exists() and not cache_dir.is_dir():
-        raise CacheError(f"cache path {cache_dir} is not a directory")
-    files = sorted(cache_dir.glob(_CACHE_GLOB)) if cache_dir.is_dir() else []
-    if clear:
-        for f in files:
-            f.unlink()
-        files = []
-    return SearchReport(
-        mode="cache",
-        params={"cleared": clear},
-        columns=("path", "files", "bytes"),
-        rows=[(str(cache_dir), len(files), sum(f.stat().st_size for f in files))],
-    )

@@ -206,7 +206,6 @@ def search_min_report(
     method: str = "auto",
     strict: bool = False,
     max_trees: int = DEFAULT_TREE_CAP,
-    cache_dir=None,
 ) -> SearchReport:
     """Minimum count/density per leaf count over n_min..n_max.
 
@@ -231,7 +230,7 @@ def search_min_report(
                 "the pareto method covers the non-strict family; use exhaustive "
                 "for strictly d-ary hosts with d > 2"
             )
-        dp = frontier_mod.ParetoDP(k, d, cache_dir=cache_dir).run(n_max)
+        dp = frontier_mod.ParetoDP(k, d).run(n_max)
         memo: dict = {}  # rows share the recounts of identical subtree codes
         for n in range(n_min, n_max + 1):
             minimum, code = dp.min_count(n), dp.witness(n)
@@ -270,9 +269,7 @@ def _even_split_counts(k: int, n_max: int) -> list[tuple[int, ...]]:
     return even
 
 
-def verify_even_conjecture(
-    k: int, n_max: int, *, cache_dir=None
-) -> SearchReport:
+def verify_even_conjecture(k: int, n_max: int) -> SearchReport:
     """Check, for every n up to n_max, that the even-split binary tree attains
     the exact minimum k-caterpillar count among binary trees with n leaves.
 
@@ -282,7 +279,7 @@ def verify_even_conjecture(
     """
     require_int(k, 3, "caterpillar size")
     require_int(n_max, k, "n_max")
-    dp = frontier_mod.ParetoDP(k, 2, cache_dir=cache_dir).run(n_max)
+    dp = frontier_mod.ParetoDP(k, 2).run(n_max)
     even = _even_split_counts(k, n_max)
     rows = []
     all_ok = True
@@ -308,21 +305,12 @@ def verify_monotone_min(
     *,
     method: str = "auto",
     max_trees: int = DEFAULT_TREE_CAP,
-    cache_dir=None,
 ) -> SearchReport:
     """Check that the minimum k-caterpillar density over d-ary trees is
     nondecreasing in n and stays at or below its closed-form limit."""
     require_int(k, 3, "caterpillar size")
     require_int(n_max, k, "n_max")
-    base = search_min_report(
-        d,
-        k,
-        k,
-        n_max,
-        method=method,
-        max_trees=max_trees,
-        cache_dir=cache_dir,
-    )
+    base = search_min_report(d, k, k, n_max, method=method, max_trees=max_trees)
     limit = liminf_density(d, k)
     rows = []
     all_ok = True

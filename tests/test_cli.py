@@ -139,12 +139,10 @@ def test_limits_cross_check_failure_exits_1(capsys, monkeypatch):
 # searches and verification sweeps
 
 
-def test_search_min_methods_agree(capsys, tmp_path):
+def test_search_min_methods_agree(capsys):
     base = ("search-min", "--d", "2", "--k", "4", "--n", "9", "--format", "csv")
     code_a, out_a, _ = run_cli(capsys, *base, "--method", "exhaustive")
-    code_b, out_b, _ = run_cli(
-        capsys, *base, "--method", "pareto", "--cache-dir", str(tmp_path)
-    )
+    code_b, out_b, _ = run_cli(capsys, *base, "--method", "pareto")
     assert code_a == code_b == 0
     row_a = out_a.splitlines()[1].split(",")
     row_b = out_b.splitlines()[1].split(",")
@@ -199,14 +197,9 @@ def test_search_min_general_d_gate(capsys):
     assert out.splitlines()[1].split(",")[1] == "0"
 
 
-def test_conjecture_and_monotone_exit_clean(capsys, tmp_path):
+def test_conjecture_and_monotone_exit_clean(capsys):
     code, out, _ = run_cli(
-        capsys,
-        "conjecture",
-        "--k", "4",
-        "--n-max", "12",
-        "--cache-dir", str(tmp_path),
-        "--format", "pretty",
+        capsys, "conjecture", "--k", "4", "--n-max", "12", "--format", "pretty"
     )
     assert code == 0
     assert out.splitlines()[-1] == "verdict: all checks passed"
@@ -381,57 +374,6 @@ def test_simplex_muirhead(capsys):
     )
     assert code == 0
     assert all(line.endswith(",true") for line in out.splitlines()[1:])
-
-
-# ---------------------------------------------------------------------------
-# cache administration
-
-
-def test_cache_inspect_and_clear(capsys, tmp_path):
-    run_cli(
-        capsys,
-        "search-min",
-        "--d", "2", "--k", "4", "--n", "8",
-        "--method", "pareto",
-        "--cache-dir", str(tmp_path),
-    )
-    assert len(list(tmp_path.glob("frontier_*.jsonl"))) == 8
-
-    code, out, _ = run_cli(capsys, "cache", "--cache-dir", str(tmp_path), "--format", "csv")
-    assert code == 0
-    _, files, size = out.splitlines()[1].rsplit(",", 2)
-    assert int(files) == 8 and int(size) > 0
-
-    code, out, _ = run_cli(
-        capsys, "cache", "--cache-dir", str(tmp_path), "--clear", "--format", "csv"
-    )
-    assert code == 0
-    assert out.splitlines()[1].rsplit(",", 2)[1] == "0"
-    assert list(tmp_path.glob("frontier_*.jsonl")) == []
-
-
-@pytest.mark.parametrize("clear", [[], ["--clear"]])
-def test_cache_on_a_regular_file_is_an_io_error(capsys, tmp_path, clear):
-    path = tmp_path / "not-a-dir"
-    path.write_text("keep")
-    code, out, err = run_cli(capsys, "cache", "--cache-dir", str(path), *clear)
-    assert code == 4
-    assert out == ""
-    assert err == f"i/o error: cache path {path} is not a directory\n"
-    assert path.read_text() == "keep"
-    # a directory that does not exist yet holds no files
-    code, out, _ = run_cli(capsys, "cache", "--cache-dir", str(path) + "-new", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[1].endswith(",0,0")
-
-
-def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("TREEDENSITY_CACHE_DIR", str(tmp_path / "envcache"))
-    run_cli(
-        capsys,
-        "search-min", "--d", "2", "--k", "4", "--n", "6", "--method", "pareto",
-    )
-    assert len(list((tmp_path / "envcache").glob("frontier_*.jsonl"))) == 6
 
 
 # ---------------------------------------------------------------------------

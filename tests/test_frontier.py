@@ -1,5 +1,5 @@
-"""Minimum-count DP: pruning soundness, closed-form anchors, caching and
-budget refusals."""
+"""Minimum-count DP: pruning soundness, closed-form anchors and budget
+refusals."""
 
 import json
 from itertools import combinations_with_replacement
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from treedensity import (
     BudgetError,
-    CacheError,
     ConsistencyError,
     ParetoDP,
     PreconditionError,
@@ -19,7 +18,7 @@ from treedensity import (
     make_caterpillar,
     parse_tree,
 )
-from treedensity import counting, frontier
+from treedensity import counting, frontier, search
 from treedensity.cli import main as cli_main
 from treedensity.frontier import _partitions_into_parts, pareto_minimal
 
@@ -280,17 +279,17 @@ def test_recombine_mismatch_is_a_consistency_error(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# nothing is read back from disk
 
 
 def test_a_poisoned_cache_level_is_not_reported(tmp_path, monkeypatch, capsys):
-    # Level 10 of (d, k) = (2, 4) overwritten with the 10-leaf caterpillar's
-    # own vector and code: consistent, since its witness recounts to it, but
-    # not minimal (the minimum c_4 is 104, the caterpillar's 210).
+    # Level 10 of (d, k) = (2, 4) in the file format of the deleted frontier
+    # cache, holding the 10-leaf caterpillar's own vector and code: consistent,
+    # since its witness recounts to it, but not minimal (the minimum c_4 is
+    # 104, the caterpillar's 210). A cache that trusted it reported 210.
     monkeypatch.delenv("TREEDENSITY_CACHE_DIR", raising=False)
     conjecture = ["conjecture", "--k", "4", "--n-max", "21"]
     uncached = cli_main(conjecture), capsys.readouterr().out
-    ParetoDP(4, 2, cache_dir=tmp_path).run(20)
     level = {"n": 10, "vector": [120, 210], "witness": make_caterpillar(2, 10).code}
     (tmp_path / "frontier_d2_k4_n10.jsonl").write_text(
         json.dumps(level, separators=(",", ":")) + "\n"
@@ -302,116 +301,16 @@ def test_a_poisoned_cache_level_is_not_reported(tmp_path, monkeypatch, capsys):
     assert uncached[0] == 0
 
 
-def test_cache_roundtrip_and_resume(tmp_path):
-    first = ParetoDP(4, 2, cache_dir=tmp_path).run(10)
-    files = sorted(p.name for p in tmp_path.glob("frontier_*.jsonl"))
-    assert files == [f"frontier_d2_k4_n{n}.jsonl" for n in sorted(range(1, 11), key=str)]
-
-    # a fresh DP over the same directory reloads rather than recomputes,
-    # and extends the sweep past the cached range
-    second = ParetoDP(4, 2, cache_dir=tmp_path).run(12)
-    for n in range(1, 11):
-        assert second.vector(n) == first.vector(n)
-        assert second.witness(n) == first.witness(n)
-    assert second.min_count(12) == _exhaustive_min(12, 2, 4)
-
-    # cached witnesses survive the round trip
-    assert caterpillar_counts(parse_tree(second.witness(8)), 4)[-1] == second.vector(8)[-1]
-
-
-def test_cache_files_are_byte_deterministic(tmp_path):
-    a_dir = tmp_path / "a"
-    b_dir = tmp_path / "b"
-    ParetoDP(4, 2, cache_dir=a_dir).run(9)
-    ParetoDP(4, 2, cache_dir=b_dir).run(9)
-    for n in range(1, 10):
-        name = f"frontier_d2_k4_n{n}.jsonl"
-        assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
-
-
-def test_cache_content_shape(tmp_path):
-    ParetoDP(4, 2, cache_dir=tmp_path).run(6)
-    lines = (tmp_path / "frontier_d2_k4_n6.jsonl").read_text().splitlines()
-    for line in lines:
-        obj = json.loads(line)
-        assert obj["n"] == 6 and len(obj["vector"]) == 2
-
-
-def test_cache_corruption_is_reported(tmp_path):
-    ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-    target = tmp_path / "frontier_d2_k4_n5.jsonl"
-
-    target.write_text("not json\n")
-    with pytest.raises(CacheError):
-        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-
-    # wrong leaf count inside the file
-    target.write_text('{"n": 4, "vector": [0, 0], "witness": null}\n')
-    with pytest.raises(CacheError):
-        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-
-    # wrong vector width (written by a different k)
-    target.write_text('{"n": 5, "vector": [0, 0, 0], "witness": null}\n')
-    with pytest.raises(CacheError):
-        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-
-    target.write_text("")
-    with pytest.raises(CacheError):
-        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-
-
-@pytest.mark.parametrize(
-    "lines",
-    [
-        # more than one entry
-        ['{"n":5,"vector":[10,2],"witness":"((**)(*(**)))"}'] * 2,
-        # witness not a string
-        ['{"n":5,"vector":[10,2],"witness":null}'],
-        ['{"n":5,"vector":[10,2],"witness":5}'],
-        # witness with the wrong leaf count
-        ['{"n":5,"vector":[10,2],"witness":"(*(**))"}'],
-        # a vector the witness does not recount to
-        ['{"n":5,"vector":[10,3],"witness":"((**)(*(**)))"}'],
-        # a ternary witness at d = 2, stored with its own counts
-        ['{"n":5,"vector":[9,0],"witness":"((***)(**))"}'],
-        # a malformed witness with 5 leaves
-        ['{"n":5,"vector":[10,2],"witness":"((**)(*(**))"}'],
-    ],
-)
-def test_cache_file_must_hold_one_entry_with_a_witness(tmp_path, lines, capsys):
-    ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-    target = tmp_path / "frontier_d2_k4_n5.jsonl"
-    assert target.read_text() == '{"n":5,"vector":[10,2],"witness":"((**)(*(**)))"}\n'
-    target.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(CacheError) as exc:
-        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-    assert str(target) in str(exc.value)
-    argv = ["search-min", "--d", "2", "--k", "4", "--n", "5", "--cache-dir", str(tmp_path)]
-    assert cli_main(argv) == 4
-    assert str(target) in capsys.readouterr().err
-
-
-def test_cache_error_names_the_file_and_the_witness_fault(tmp_path):
-    ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-    target = tmp_path / "frontier_d2_k4_n5.jsonl"
-    target.write_text('{"n":5,"vector":[10,2],"witness":"(*(**))"}\n')
-    with pytest.raises(CacheError) as exc:
-        ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-    assert str(exc.value) == (
-        f"cache file {target}: 4-caterpillar count of witness (*(**)): "
-        "the witness has 3 leaves, not 5"
-    )
-
-
-def test_a_code_reader_fault_on_a_cached_witness_exits_1(tmp_path, monkeypatch, capsys):
+def test_a_code_reader_fault_on_a_witness_exits_1(monkeypatch, capsys):
     # the reader refusing a code that parse_tree accepts is a bug in the
-    # package, not a bad cache file, so it stays a consistency failure
-    ParetoDP(4, 2, cache_dir=tmp_path).run(5)
-    target = tmp_path / "frontier_d2_k4_n5.jsonl"
-    target.write_text('{"n":5,"vector":[10,2],"witness":"((**)(*(**))"}\n')
+    # package, not a bad witness, so it is a consistency failure
+    malformed = "((**)(*(**))"
     monkeypatch.setattr(counting, "parse_tree", lambda code: None)
-    argv = ["search-min", "--d", "2", "--k", "4", "--n", "5", "--cache-dir", str(tmp_path)]
-    assert cli_main(argv) == 1
+    with pytest.raises(ConsistencyError) as exc:
+        search._check_witness(malformed, 5, 2, 4, 2, {})
+    assert "which the code reader refused" in str(exc.value)
+    monkeypatch.setattr(ParetoDP, "witness", lambda self, n: malformed)
+    assert cli_main(["search-min", "--d", "2", "--k", "4", "--n", "5"]) == 1
     assert "which the code reader refused" in capsys.readouterr().err
 
 

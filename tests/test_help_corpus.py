@@ -7,8 +7,7 @@ recorded when the corpus was added. The corpus covers the top-level parser
 (``--help``, ``-h``, an empty argv, an unknown command, ``--``) and, for every
 subcommand, its ``--help``, no flags, an unknown flag, a non-integer ``--d``
 and a trailing argument after a valid command, which the top-level parser
-reports. Only the bare ``cache`` runs a command: it reports the default
-cache directory, which does not exist, and creates nothing.
+reports. No argv runs a command, and none writes a file.
 
 argparse's wording and wrapping change between Python minor versions, so the
 digests hold for the version they were recorded under and the test skips on
@@ -20,7 +19,7 @@ import sys
 
 import pytest
 
-from treedensity.cli import ENV_CACHE_DIR, main
+from treedensity.cli import main
 
 RECORDED_UNDER = (3, 11)
 
@@ -34,7 +33,6 @@ VALID = {
     "conjecture": "conjecture --k 3 --n-max 5",
     "monotone": "monotone --d 2 --k 3 --n-max 5",
     "simplex": "simplex --d 2 --k 3",
-    "cache": "cache --cache-dir cache",
 }
 
 ARGV = [
@@ -48,15 +46,15 @@ ARGV = [
 
 DIGESTS = {
     "--help":
-        "e6453735d038ac5aa1aa40ac6e313925aaa0043dc26e8aa79fa7543c14c87f6e",
+        "45bba8c3eb35de5b03220e73e2a80716739583c75c4687c62cacf0a5892df77d",
     "-h":
-        "e6453735d038ac5aa1aa40ac6e313925aaa0043dc26e8aa79fa7543c14c87f6e",
+        "45bba8c3eb35de5b03220e73e2a80716739583c75c4687c62cacf0a5892df77d",
     "":
-        "629461123f6a70e79c7b792d9a86b229ef8a7aa85541c07ad8f78d05126a01f4",
+        "18102a067a0b112ae0d3ceedcddd55ee7846bbaa26bbcb62eadea30efdac810a",
     "frobnicate":
-        "9e4567954319b93931b67dbd6672c82dd958a76fad9c8e5dd4749afb5d983361",
+        "ad742dfc9708b0686206633ef65e903e6a40099cae05cca9d37a23a5145e86aa",
     "-- count":
-        "064bb445e4b05356edd8fe06282145d4f5d90b996049799edff976a7f7463ffd",
+        "e7b59914bfc33b11cef104dacd4708bc985a1372788b3087458833aa57eb6439",
     "count --help":
         "3c4bcaa9836bcd495f779a7874c972aa3de0ca8866dfaa24b71631c46d76f353",
     "count":
@@ -66,7 +64,7 @@ DIGESTS = {
     "count --d two":
         "767a763426553b40daca4203ac255161808c3589ba11a21946221bc0d66bd909",
     "count --pattern-caterpillar 2,3 --tree-even 8 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "density --help":
         "ad3d35966204f2727504d082cd6fbb0e8be19cf997849b675304ac57d837b314",
     "density":
@@ -76,7 +74,7 @@ DIGESTS = {
     "density --d two":
         "191ee959af38af6bc97d4e226c3b7f624c9a0a97174dec322a16d33c865aa01b",
     "density --pattern-caterpillar 2,3 --tree-even 8 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "enumerate --help":
         "94f3c37716ce3b764e165b0718db5e7e51864cd80f39f9b49a65dd9b7ae29032",
     "enumerate":
@@ -86,7 +84,7 @@ DIGESTS = {
     "enumerate --d two":
         "d59e5fa0994eeb2d13fbfdb34b6ed2e190829f09b2c4a0e123ef4251b300bc09",
     "enumerate --n 4 --d 2 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "limits --help":
         "9fe74c4e75b8c44cf0e82cada52ecd8a6e231bb9efe7b539b12d2ef181faf7cd",
     "limits":
@@ -96,37 +94,37 @@ DIGESTS = {
     "limits --d two":
         "e7ad026391b35880ce242a9a1fa129ae60e74b1aa6418370ecf9ea5b77bd39fe",
     "limits --d 2 --k 3 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "search-min --help":
-        "981bfb3eb7c9ba56745181ba1623c5a8f8207f6538756870de976b5d72c085e7",
+        "c93cd31386aa98f5f725c87d16cca992233facc10b5a116a3bfad74f31996b23",
     "search-min":
-        "c26fe20cf3a4758d2540a65e66f8b5d794bf621254edfa5bbd24ef9b3965909f",
+        "427db3193f26adf6365a8b7dd9f4a3b72b62572a5a763af9ca9cc77f0b58572c",
     "search-min --bogus":
-        "c26fe20cf3a4758d2540a65e66f8b5d794bf621254edfa5bbd24ef9b3965909f",
+        "427db3193f26adf6365a8b7dd9f4a3b72b62572a5a763af9ca9cc77f0b58572c",
     "search-min --d two":
-        "41a990a62b62ac92a14853129c67f9815f9c0a470ffb9edaabc989776d592e12",
+        "a39a4098e12d591429c6e7d957aee7f79db086874d28ae193148e7cdcafbdf74",
     "search-min --d 2 --k 3 --n 5 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "conjecture --help":
-        "d307d77b6bfe8172393e7047c30f1d8f9ddd8d9b18eb093e176e124911fa5a6d",
+        "099fd18c6e39a20fc9c0638dfe28c1974c668722200b5be21bb107c3c7ed4810",
     "conjecture":
-        "d922431ca148f646a637e1cf3b2532249af68dd03816792883e5f9baa007d174",
+        "1d14952c1398e60265b81e3417a0bfe6052e67032998fe989fd8fd3255b58466",
     "conjecture --bogus":
-        "d922431ca148f646a637e1cf3b2532249af68dd03816792883e5f9baa007d174",
+        "1d14952c1398e60265b81e3417a0bfe6052e67032998fe989fd8fd3255b58466",
     "conjecture --d two":
-        "d922431ca148f646a637e1cf3b2532249af68dd03816792883e5f9baa007d174",
+        "1d14952c1398e60265b81e3417a0bfe6052e67032998fe989fd8fd3255b58466",
     "conjecture --k 3 --n-max 5 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "monotone --help":
-        "60d20eb8c39fdf7326e1dc073ceba68c2faec1f32635062a5e0824ff5e6dd1a1",
+        "9c00fcc975fa0dca096b60e93ad751ac67c59624f9471d39a11048027c9369d0",
     "monotone":
-        "bede730cf616e01571ee82f349282f99431e112545c5c61d09505a1065d52e36",
+        "7f56a6316d2d921712e217cd18c5026d1793edda2734f8797465a345fc129951",
     "monotone --bogus":
-        "bede730cf616e01571ee82f349282f99431e112545c5c61d09505a1065d52e36",
+        "7f56a6316d2d921712e217cd18c5026d1793edda2734f8797465a345fc129951",
     "monotone --d two":
-        "8e4729e35119fc0386e6d4cca28793c151178e8aa026384b5ed319fe66e9528f",
+        "dc24b5997aa4f7ed660b861f635622883480037bd114b0a830f072b929041904",
     "monotone --d 2 --k 3 --n-max 5 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "simplex --help":
         "45ce56c5b72fa089fb096cb7f1a00edc78cf2684c44a6a65eb971e3287ef8315",
     "simplex":
@@ -136,17 +134,7 @@ DIGESTS = {
     "simplex --d two":
         "739b51a444892b521cce39f1a515b7572449d8577b2c5de886b007b2f5aebc73",
     "simplex --d 2 --k 3 extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
-    "cache --help":
-        "11db5a1527776fe4811095ea32ebdb84d0598d1ac1c3d83f9a994993de14f96b",
-    "cache":
-        "286aeb18dbbd0576b06f9ae13661330b40d3836b0289ad8325fed1f5eae09f9c",
-    "cache --bogus":
-        "8d15d14dd0951c6ae094a54537bcca38aabf08f2cf745d2f7a82e53594081f9b",
-    "cache --d two":
-        "edbe0c079385f749cf5c10ee48ee66ad3cda05bb9df728dde95222370db701e6",
-    "cache --cache-dir cache extra":
-        "d0d84bc07741c0bebaa14b13e850fa9bec6383e41f502757a37f340afbd22854",
+        "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
 }
 
 
@@ -168,7 +156,6 @@ def _run_corpus(capsys) -> dict[str, str]:
 )
 def test_help_and_usage_bytes_match_the_recorded_corpus(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
     monkeypatch.chdir(tmp_path)
     assert _run_corpus(capsys) == DIGESTS
     assert list(tmp_path.iterdir()) == []

@@ -1,11 +1,10 @@
 """Report bytes pinned for a fixed command corpus.
 
 Each command runs in-process through ``cli.main``, in order, in one fresh
-working directory: the later ``cache`` rows read what the ``--cache-dir
-cache`` rows stored. The SHA-256 of each command's exit code, stdout and
-stderr must equal the digest recorded when the corpus was added, and so must
-the digest of the cache files the corpus leaves behind. A refactor that
-claims to keep every report byte-identical is thereby checked, not trusted.
+working directory, which must stay empty. The SHA-256 of each command's exit
+code, stdout and stderr must equal the digest recorded when the corpus was
+added. A refactor that claims to keep every report byte-identical is thereby
+checked, not trusted.
 Every subcommand and every output format appears at least once, and each
 command takes well under half a second. The corpus is also run in two child
 interpreters, one under another hash seed and one under ``python -O``, since
@@ -20,7 +19,7 @@ import sys
 from pathlib import Path
 
 import treedensity
-from treedensity.cli import ENV_CACHE_DIR, main
+from treedensity.cli import main
 
 CORPUS = [
     ("count --pattern-caterpillar 2,3 --tree-complete 3,3 --format csv",
@@ -35,13 +34,13 @@ CORPUS = [
      "a968b0f012c24e68e08d3fbd8156abc3b203959fc0283f55e078e930683c46be"),
     ("search-min --d 2 --k 5 --n-max 40 --format csv",
      "4a3d5a8b88ce4b17e505c10da34195569d8b02970dfd24742585a80a90ac2f85"),
-    ("search-min --d 3 --k 4 --n-max 30 --method pareto --general-d --format csv --cache-dir cache",
+    ("search-min --d 3 --k 4 --n-max 30 --method pareto --general-d --format csv",
      "e9c053dec886040c7833e06db1013a802c9d7e68a59747f78c11d7a3a0147ad2"),
     ("search-min --d 3 --k 4 --n-min 4 --n-max 9 --method exhaustive --format jsonl",
      "a8ebc1f36456d3edaa4d06d0a57945bf32033fef4e4415a3ed46f264d1f85e08"),
-    ("conjecture --k 5 --n-max 60 --cache-dir cache",
+    ("conjecture --k 5 --n-max 60",
      "a0d5afbbd12eca3414b853383442248fb10dfee90232d55ae5855551bc985e76"),
-    ("conjecture --k 5 --n-max 70 --cache-dir cache --format csv",
+    ("conjecture --k 5 --n-max 70 --format csv",
      "f1ef6ce0c4d8edc187d5175f054a55029646c78f74a65aa6939cdf9a782c3a28"),
     ("monotone --d 4 --k 4 --n-max 26 --method pareto --format csv",
      "a6801b1ea9d67bd7bfe1f4df09122b5d42994834b719fd21af2d09f998f4ef3b"),
@@ -55,28 +54,14 @@ CORPUS = [
      "ac9847a2611407b284de4bb3e89606981ba44adab3f976f5f3159c8d71eb5832"),
     ("simplex --d 4 --k 3 --mode min --starts 2 --budget 3000 --seed 2 --format jsonl",
      "066d7fe0f8cd33cbb3bc9fface24c9503b386cef5fb623689d46c7a6a9d64495"),
-    ("cache --cache-dir cache",
-     "b108b0427571d45b9f643f358df0677b51248b63a39584607c581d3bd3a80be9"),
 ]
-
-# 100 files: levels 1..30 of (d, k) = (3, 4) and 1..70 of (2, 5)
-CACHE_FILES = (100, "4f49d1e2dee2a463eb856beeb41f4a141894df328b8b69d4fb3cacfafd62b03a")
 
 
 def _digest(code: int, out: str, err: str) -> str:
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
 
 
-def _cache_files(directory: Path) -> tuple[int, str]:
-    files = sorted(directory.iterdir())
-    cached = hashlib.sha256()
-    for path in files:
-        cached.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return len(files), cached.hexdigest()
-
-
 def test_report_bytes_match_the_recorded_corpus(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
     monkeypatch.chdir(tmp_path)
     got = []
     for line, _ in CORPUS:
@@ -84,7 +69,7 @@ def test_report_bytes_match_the_recorded_corpus(capsys, monkeypatch, tmp_path):
         captured = capsys.readouterr()
         got.append((line, _digest(code, captured.out, captured.err)))
     assert got == CORPUS
-    assert _cache_files(tmp_path / "cache") == CACHE_FILES
+    assert list(tmp_path.iterdir()) == []
 
 
 # The corpus loop of the test above, for a child interpreter: argv holds the
@@ -94,7 +79,6 @@ _CHILD = """
 import contextlib, io, json, os, sys
 sys.path[:0] = sys.argv[1:3]
 import test_report_corpus as corpus
-os.environ.pop(corpus.ENV_CACHE_DIR, None)
 os.chdir(sys.argv[3])
 got = []
 for line, _ in corpus.CORPUS:
@@ -102,7 +86,7 @@ for line, _ in corpus.CORPUS:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = corpus.main(line.split())
     got.append([line, corpus._digest(code, out.getvalue(), err.getvalue())])
-print(json.dumps([got, corpus._cache_files(corpus.Path("cache"))]))
+print(json.dumps([got, os.listdir()]))
 """
 
 
@@ -121,6 +105,6 @@ def test_the_corpus_is_the_same_under_other_hash_seeds_and_under_O(tmp_path):
     for child in children:
         out, _ = child.communicate(timeout=60)
         assert child.returncode == 0
-        got, cache = json.loads(out)
+        got, written = json.loads(out)
         assert [tuple(pair) for pair in got] == CORPUS
-        assert tuple(cache) == CACHE_FILES
+        assert written == []

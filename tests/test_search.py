@@ -246,9 +246,9 @@ def test_strict_exhaustive_range_without_a_size_is_empty():
 # report sweeps
 
 
-def test_search_min_report_pareto_agrees_with_exhaustive(tmp_path):
+def test_search_min_report_pareto_agrees_with_exhaustive():
     ex = search_min_report(2, 4, 4, 12, method="exhaustive")
-    pa = search_min_report(2, 4, 4, 12, method="pareto", cache_dir=tmp_path)
+    pa = search_min_report(2, 4, 4, 12, method="pareto")
     assert ex.params["method"] == "exhaustive" and pa.params["method"] == "pareto"
     assert [r[:4] for r in ex.rows] == [r[:4] for r in pa.rows]
     for n, c, _num, _den, code in pa.rows:
@@ -278,8 +278,8 @@ def test_search_min_report_argument_errors():
         search_min_report(3, 4, 4, 10, method="pareto", strict=True)
 
 
-def test_verify_even_conjecture_small_range(tmp_path):
-    rep = verify_even_conjecture(4, 20, cache_dir=tmp_path)
+def test_verify_even_conjecture_small_range():
+    rep = verify_even_conjecture(4, 20)
     assert rep.all_ok is True
     assert rep.columns == ("n", "min_count", "even_count", "verdict")
     assert [r[0] for r in rep.rows] == list(range(4, 21))
@@ -318,8 +318,8 @@ def test_witness_check_rejects(code, fault):
     assert str(exc.value) == f"4-caterpillar count of witness {code}: {fault}"
 
 
-def test_verify_monotone_min_binary(tmp_path):
-    rep = verify_monotone_min(2, 4, 14, cache_dir=tmp_path)
+def test_verify_monotone_min_binary():
+    rep = verify_monotone_min(2, 4, 14)
     assert rep.all_ok is True
     dens = [Fraction(r[2], r[3]) for r in rep.rows]
     assert dens == sorted(dens)

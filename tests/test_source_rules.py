@@ -124,11 +124,11 @@ def test_every_exported_name_resolves():
 
 # The package's public names. A name joins or leaves this list only on purpose.
 PUBLIC_NAMES = [
-    "BudgetError", "CacheError", "ConsistencyError", "CopyEngine", "MinimizeResult",
+    "BudgetError", "ConsistencyError", "CopyEngine", "MinimizeResult",
     "ParetoDP", "ParseError", "PreconditionError", "SearchReport",
     "SimplexPoint", "SingularityError", "StructureError", "Tree", "TreeDensityError",
     "__version__", "bk_coefficient", "bk_lower_bound", "brute_copy_profile",
-    "cache_report", "caterpillar_copies_complete", "caterpillar_counts",
+    "caterpillar_copies_complete", "caterpillar_counts",
     "combine_caterpillar_counts", "count_copies", "count_copies_brute", "count_report",
     "count_trees", "density", "enumerate_report", "enumerate_trees", "eval_F",
     "induced_subtree", "is_d_ary", "is_strictly_d_ary", "leaf", "liminf_density",
@@ -149,10 +149,9 @@ def test_the_public_names_are_pinned():
 # __init__ and public methods), with its default. An option joins or leaves
 # this list only on purpose.
 PUBLIC_OPTIONS = [
-    "ParetoDP.__init__(d=2, candidate_cap=5000000, cache_dir=None)",
+    "ParetoDP.__init__(d=2, candidate_cap=5000000)",
     "SearchReport.__init__(all_ok=None)",
     "brute_copy_profile(force=False)",
-    "cache_report(clear=False)",
     "caterpillar_counts(memo=None)",
     "count_copies_brute(force=False)",
     "count_report(mode='count', brute=False, force=False)",
@@ -161,13 +160,12 @@ PUBLIC_OPTIONS = [
     "enumerate_trees(strict=False, max_trees=1000000)",
     "limits_report(r=2)",
     "minimize_F(starts=8, budget=100000, seed=0)",
-    "search_min_report(method='auto', strict=False, max_trees=1000000, cache_dir=None)",
+    "search_min_report(method='auto', strict=False, max_trees=1000000)",
     "simplex_bound_sample_report(samples=1000, seed=0)",
     "simplex_min_report(starts=8, budget=100000, seed=0)",
     "simplex_muirhead_report(samples=1000, seed=0)",
     "simplex_sup_report(eps_steps=20)",
-    "verify_even_conjecture(cache_dir=None)",
-    "verify_monotone_min(method='auto', max_trees=1000000, cache_dir=None)",
+    "verify_monotone_min(method='auto', max_trees=1000000)",
 ]
 
 
