@@ -209,9 +209,10 @@ def search_min_report(
 ) -> SearchReport:
     """Minimum count/density per leaf count over n_min..n_max.
 
-    ``method`` is "exhaustive", "pareto", or "auto" (pareto for binary hosts,
-    exhaustive otherwise). The pareto route runs ``frontier.ParetoDP`` for any d;
-    it scales to large n but covers the non-strict family only.
+    ``method`` is "exhaustive", "pareto", or "auto": pareto wherever it
+    applies (k >= 3, and not the strictly d-ary family with d > 2),
+    exhaustive otherwise. The pareto route runs ``frontier.ParetoDP`` for
+    any d; it scales to large n but covers the non-strict family only.
     """
     require_int(k, 2, "caterpillar size")
     require_int(n_max, 1, "leaf count")
@@ -220,7 +221,7 @@ def search_min_report(
     if n_min > n_max:
         raise PreconditionError(f"need n_min <= n_max, got {n_min} > {n_max}")
     if method == "auto":
-        method = "pareto" if d == 2 and k >= 3 else "exhaustive"
+        method = "pareto" if k >= 3 and not (strict and d > 2) else "exhaustive"
     if method not in ("pareto", "exhaustive"):
         raise PreconditionError(f"unknown search method {method!r}")
     minima: list[tuple[int, int, str]] = []  # (n, minimum count, witness)

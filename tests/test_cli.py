@@ -197,6 +197,19 @@ def test_search_min_general_d_gate(capsys):
     assert out.splitlines()[1].split(",")[1] == "0"
 
 
+def test_auto_method_runs_the_dp_for_every_d(capsys):
+    # the exhaustive scan would refuse 3-ary trees with 17 leaves and more
+    code, out, err = run_cli(capsys, "search-min", "--d", "3", "--k", "4", "--n-max", "30")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "params: d=3, k=4, method=pareto, n_max=30, n_min=4"
+    assert len(out.splitlines()) == 4 + 27
+    # monotone's report carries no method, so auto and exhaustive give the same bytes
+    argv = ("monotone", "--d", "3", "--k", "4", "--n-max", "12", "--format", "csv")
+    exhaustive = run_cli(capsys, *argv, "--method", "exhaustive")
+    assert exhaustive[0] == 0
+    assert run_cli(capsys, *argv) == exhaustive
+
+
 def test_conjecture_and_monotone_exit_clean(capsys):
     code, out, _ = run_cli(
         capsys, "conjecture", "--k", "4", "--n-max", "12", "--format", "pretty"

@@ -262,6 +262,13 @@ def test_search_min_report_auto_routes_to_pareto_for_binary():
     assert [(r[0], r[1]) for r in rep.rows] == sorted(MIN_C5.items())
 
 
+def test_search_min_report_auto_routes_to_exhaustive_where_pareto_does_not_apply():
+    assert search_min_report(3, 4, 4, 8).params["method"] == "pareto"
+    assert search_min_report(3, 3, 3, 7, strict=True).params["method"] == "exhaustive"
+    assert search_min_report(2, 3, 3, 7, strict=True).params["method"] == "pareto"
+    assert search_min_report(3, 2, 2, 5).params["method"] == "exhaustive"
+
+
 def test_search_min_report_strict_skips_impossible_sizes():
     rep = search_min_report(3, 3, 3, 8, method="exhaustive", strict=True)
     assert [r[0] for r in rep.rows] == [3, 5, 7]
