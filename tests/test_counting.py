@@ -436,6 +436,24 @@ def test_counts_of_code_have_no_depth_limit():
     )
 
 
+def test_deep_caterpillar_counts_are_binomials():
+    # every leaf subset of a binary caterpillar induces a caterpillar, so the
+    # 6001-leaf one holds C(6001, 5) copies of the 5-leaf one, and its
+    # even-indexed leaves induce the 3001-leaf one
+    host = make_caterpillar(2, 6001)
+    assert count_copies(make_caterpillar(2, 5), host) == comb(6001, 5)
+    assert caterpillar_counts(host, 5)[-1] == comb(6001, 5)
+    assert induced_subtree(host, range(0, 6001, 2)) == make_caterpillar(2, 3001)
+
+
+def test_deep_caterpillar_code_counts_are_binomials():
+    # the code reader is quadratic in depth, so this tree is shallower
+    code = make_caterpillar(2, 1501).code
+    assert caterpillar_counts_of_code(code, 5, {}) == (
+        1501, 2, tuple(comb(1501, j) for j in range(2, 6))
+    )
+
+
 @pytest.mark.parametrize(
     "code",
     ["", "*)", "**", "(*", "(()", "()", "(*)", "(**)*", "(**))", "(*x*)", "((**)(*)*)",
