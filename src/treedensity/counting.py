@@ -440,14 +440,11 @@ def caterpillar_counts_of_code(
     return memo[code]
 
 
-def check_witness(code: str, n: int, d: int, k: int, memo: dict) -> tuple[int, ...]:
-    """(c_2, ..., c_k) of a reported witness, recounted from its own
-    characters by :func:`caterpillar_counts_of_code` (sharing ``memo``).
-
-    The code must be well formed, with n leaves and no outdegree above d;
-    a failed check raises ConsistencyError. Comparing the counts with the
-    reported ones is left to the caller.
-    """
+def check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict) -> None:
+    """Recount a reported witness from its own characters with
+    :func:`caterpillar_counts_of_code` (sharing ``memo``). The code must be
+    well formed, with n leaves, no outdegree above d and ``expected``
+    k-caterpillar copies; a failed check raises ConsistencyError."""
     what = f"{k}-caterpillar count of witness {code}"
     try:
         leaves, outdegree, counts = caterpillar_counts_of_code(code, k, memo)
@@ -457,4 +454,5 @@ def check_witness(code: str, n: int, d: int, k: int, memo: dict) -> tuple[int, .
         raise ConsistencyError(f"{what}: the witness has {leaves} leaves, not {n}")
     if outdegree > d:
         raise ConsistencyError(f"{what}: the witness has outdegree {outdegree} > d = {d}")
-    return counts
+    if counts[-1] != expected:
+        raise ConsistencyError(f"{what}: reported {expected}, recounted {counts[-1]}")

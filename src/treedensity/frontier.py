@@ -38,7 +38,7 @@ __all__ = [
     "ParetoDP",
 ]
 
-DEFAULT_CANDIDATE_CAP = 5 * 10**6
+CANDIDATE_CAP = 5 * 10**6  # the most candidate vectors one level may produce
 
 
 def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
@@ -100,12 +100,11 @@ class ParetoDP:
     sizes of the witness (None at s = 1, whose code is known).
     """
 
-    def __init__(self, k: int, d: int = 2, *, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
+    def __init__(self, k: int, d: int = 2):
         require_int(k, 3, "caterpillar size")
         require_int(d, 2, "arity bound")
         self.k = k
         self.d = d
-        self.candidate_cap = candidate_cap
         self._c2 = [0]
         self._cols: list[list[int]] = [[0] for _ in range(k - 2)]
         self._split: list[tuple[int, ...] | None] = [None]
@@ -149,6 +148,8 @@ class ParetoDP:
     def witness(self, n: int) -> str:
         """Code of a d-ary tree with n leaves whose counts are ``vector(n)``,
         built from the root splits and memoized per level."""
+        if not 1 <= n <= self.max_n():
+            raise KeyError(n)
         memo = self._witnesses
         todo: set[int] = set()
         stack = [n]
@@ -180,13 +181,13 @@ class ParetoDP:
         n, m = 3..d, in ``_partitions_into_parts`` order.
         """
         h = n // 2
-        room = max(0, self.candidate_cap + 1 - h)
+        room = max(0, CANDIDATE_CAP + 1 - h)
         parts = (_partitions_into_parts(n, m) for m in range(3, min(self.d, n) + 1))
         multi = list(islice(chain.from_iterable(parts), room))
-        if h + len(multi) > self.candidate_cap:
+        if h + len(multi) > CANDIDATE_CAP:
             raise BudgetError(
-                f"level n={n} produced more than {self.candidate_cap} "
-                f"candidate vectors; raise candidate_cap to continue"
+                f"level n={n} produced more than {CANDIDATE_CAP} candidate vectors, "
+                f"the cap of frontier.CANDIDATE_CAP"
             )
         weights = range(n, 0, -1)  # n - s for s = 0..n-1
         # terms[j - 3][s] = c_j(s) + (n - s) c_{j-1}(s): branch s's share of c_j

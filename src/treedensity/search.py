@@ -161,21 +161,9 @@ def enumerate_report(
     )
 
 
-def _check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict) -> None:
-    """:func:`check_witness`, and the recount must give ``expected``
-    k-caterpillar copies."""
-    recount = check_witness(code, n, d, k, memo)[-1]
-    if recount != expected:
-        raise ConsistencyError(
-            f"{k}-caterpillar count of witness {code}: reported {expected}, recounted {recount}"
-        )
-
-
-def _min_record(
-    level: list[Tree], n: int, d: int, k: int, strict: bool, memo: dict
-) -> tuple[int, str]:
-    """The minimum k-caterpillar count over one level, and the code of the
-    first tree in enumeration order that attains it. ``memo`` is
+def _min_record(level: list[Tree], n: int, d: int, k: int, memo: dict) -> tuple[int, str]:
+    """The minimum k-caterpillar count over one nonempty level, and the code
+    of the first tree in enumeration order that attains it. ``memo`` is
     :func:`caterpillar_counts`'s, shared by the levels of one report."""
     best: int | None = None
     codes: list[str] = []
@@ -185,15 +173,11 @@ def _min_record(
             best, codes = c, [t.code]
         elif c == best and len(codes) < 4:
             codes.append(t.code)
-    if best is None:
-        raise PreconditionError(
-            f"no {'strictly ' if strict else ''}{d}-ary tree with {n} leaves exists"
-        )
     # Witness sanity: re-counting the first tied codes must reproduce the
     # count, from their own characters and a memo of their own.
     recount_memo: dict = {}
     for code in codes:
-        _check_witness(code, n, d, k, best, recount_memo)
+        check_witness(code, n, d, k, best, recount_memo)
     return best, codes[0]
 
 
@@ -235,7 +219,7 @@ def search_min_report(
         memo: dict = {}  # rows share the recounts of identical subtree codes
         for n in range(n_min, n_max + 1):
             minimum, code = dp.min_count(n), dp.witness(n)
-            _check_witness(code, n, d, k, minimum, memo)
+            check_witness(code, n, d, k, minimum, memo)
             minima.append((n, minimum, code))
     else:
         # Sizes with no strictly d-ary tree (n != 1 mod d - 1) are skipped.
@@ -246,7 +230,7 @@ def search_min_report(
         levels = _tree_levels(sizes, d, strict, max_trees)
         level_memo: dict = {}  # smaller levels' trees are subtrees of larger ones
         for n in sizes:
-            minima.append((n, *_min_record(levels[n], n, d, k, strict, level_memo)))
+            minima.append((n, *_min_record(levels[n], n, d, k, level_memo)))
     rows = []
     for n, c, code in minima:
         q = Fraction(c, comb(n, k))

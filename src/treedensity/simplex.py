@@ -21,9 +21,8 @@ working precision. ``minimize_F`` uses a seeded multi-start Nelder-Mead at
 128-bit precision (a log barrier keeps iterates interior, then a barrier-free
 polish removes its bias). The minimizer and real-mode F compute on raw mpmath
 values with libmp's own calls, so they round exactly as mpf arithmetic would.
-Muirhead-style majorization comparisons and the power-sum decomposition used
-to bound F live here too, as do the functions that build the reports of the
-``simplex`` command's four modes.
+Muirhead-style majorization comparisons live here too, as do the functions
+that build the reports of the ``simplex`` command's four modes.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from math import factorial, lcm, perm
 from operator import lt, sub
 from typing import Iterable, Sequence
@@ -100,6 +99,11 @@ class SimplexPoint:
         return len(self.coords)
 
 
+def _mpf(c) -> mpmath.mpf:
+    """c as an mpf; a Fraction, which mpmath cannot convert, is divided out."""
+    return mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
+
+
 def simplex_point(coords: Iterable) -> SimplexPoint:
     """Validate and classify a coordinate tuple.
 
@@ -117,7 +121,7 @@ def simplex_point(coords: Iterable) -> SimplexPoint:
         if sum(xs) != 1:
             raise PreconditionError(f"exact coordinates must sum to 1, got {sum(xs)}")
     else:
-        xs = tuple(c if isinstance(c, mpmath.mpf) else mpmath.mpf(c) for c in xs)
+        xs = tuple(c if isinstance(c, mpmath.mpf) else _mpf(c) for c in xs)
         if any(c < 0 for c in xs):
             raise PreconditionError("simplex coordinates must be nonnegative")
         if abs(sum(xs) - 1) > mpmath.mpf("1e-14"):
@@ -430,10 +434,7 @@ def tangent_stationarity(d: int, k: int, point):
     by central differences with step 1e-5, in mpmath arithmetic at the
     caller's working precision."""
     sp = _coerce_point(d, point)
-    xs = [
-        mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
-        for c in sp.coords
-    ]
+    xs = [_mpf(c) for c in sp.coords]
     hh = mpmath.mpf("1e-5")
     u = 1 / mpmath.sqrt(2)
     worst = mpmath.mpf(0)
@@ -519,7 +520,7 @@ def simplex_min_report(
     )
 
 
-# -- majorization and power-sum identities ------------------------------------
+# -- majorization -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -651,72 +652,3 @@ def simplex_muirhead_report(
         rows=rows,
         all_ok=all(row[-1] for row in rows),
     )
-
-
-def multinomial(k: int, parts: Sequence[int]) -> int:
-    """k! / prod(parts!) for nonnegative parts summing to k."""
-    if any(p < 0 for p in parts) or sum(parts) != k:
-        raise PreconditionError(f"parts must be nonnegative and sum to {k}, got {parts!r}")
-    out = factorial(k)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def exponent_compositions(d: int, k: int) -> list[tuple[int, ...]]:
-    """All d-tuples of nonnegative integers summing to k with no entry equal
-    to k (no corner terms), in lexicographic order."""
-    require_int(d, 2, "arity bound")
-    require_int(k, 1, "exponent sum")
-    # the d - 1 cut points of 0..k into d consecutive gaps, in lexicographic
-    # order, give the gap vectors in lexicographic order
-    out = []
-    for cuts in combinations_with_replacement(range(k + 1), d - 1):
-        v = tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
-        if k not in v:
-            out.append(v)
-    return out
-
-
-def exponent_compositions_core(d: int, k: int) -> list[tuple[int, ...]]:
-    """The compositions of :func:`exponent_compositions` minus the pair terms,
-    i.e. minus every rearrangement of (k-1, 1, 0, ..., 0)."""
-    pair_shape = tuple(sorted((k - 1, 1) + (0,) * (d - 2), reverse=True))
-    return [
-        v
-        for v in exponent_compositions(d, k)
-        if tuple(sorted(v, reverse=True)) != pair_shape
-    ]
-
-
-def verify_power_sum_decomposition(coords: Sequence, k: int) -> bool:
-    """Exact identity splitting the denominator of F into core and pair terms:
-
-        1 - sum_i x_i^k
-            = sum_{v in core} multinomial(k, v) prod_i x_i^(v_i)
-              + k * sum_{i<j} (x_i x_j^(k-1) + x_j x_i^(k-1))
-
-    for any exact simplex point. The pair terms carry coefficient
-    multinomial(k, (k-1, 1)) = k, which is where the factor k in the global
-    bound F <= 1/k comes from.
-    """
-    sp = simplex_point(coords)
-    if not sp.exact:
-        raise PreconditionError("the decomposition check needs exact coordinates")
-    xs = sp.coords
-    d = len(xs)
-    lhs = 1 - sum(x**k for x in xs)
-    rhs = Fraction(0)
-    for v in exponent_compositions_core(d, k):
-        term = Fraction(multinomial(k, v))
-        for x, e in zip(xs, v):
-            if e:
-                term *= x**e
-        rhs += term
-    pair_sum = sum(
-        xs[i] * xs[j] ** (k - 1) + xs[j] * xs[i] ** (k - 1)
-        for i in range(d)
-        for j in range(i + 1, d)
-    )
-    rhs += k * pair_sum
-    return lhs == rhs

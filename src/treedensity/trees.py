@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 LEAF_CAP = 10**7  # the most leaves make_complete and make_even_binary build
+# the most code characters make_caterpillar builds; r = 2, k = 12,001 needs 2.16 * 10^8
+CATERPILLAR_CODE_CAP = 25 * 10**7
 _LEAF_COUNT = attrgetter("leaf_count")
 
 
@@ -230,13 +232,24 @@ def make_caterpillar(r: int, k: int) -> Tree:
     replaces one leaf of the deepest vertex with another r-leaf vertex, so
     internal vertices form a path. k == 1 gives the single leaf; otherwise
     :func:`caterpillar_spine` states which k exist.
+
+    Each spine vertex keeps its own code, so a spine of q vertices holds
+    q (r + 2) + (r + 1) q (q - 1) / 2 characters; above
+    :data:`CATERPILLAR_CODE_CAP` this refuses with BudgetError before building.
     """
     require_int(r, 2, "arity bound")
     if k == 1:
         return _LEAF
+    q = caterpillar_spine(r, k)
+    chars = q * (r + 2) + (r + 1) * q * (q - 1) // 2
+    if chars > CATERPILLAR_CODE_CAP:
+        raise BudgetError(
+            f"{r}-ary caterpillar with {k} leaves would hold {chars} code characters, "
+            f"above the cap of {CATERPILLAR_CODE_CAP}"
+        )
     built: dict = {}
     item = _LEAF_ITEM
-    for _ in range(caterpillar_spine(r, k)):
+    for _ in range(q):
         item = _vertex([item] + [_LEAF_ITEM] * (r - 1), built)
     return item[2]
 

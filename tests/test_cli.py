@@ -368,8 +368,12 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "(samples * 2 * perm(d, min(d, k)) * k^2), above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
+        # each spine vertex keeps its own code, so their length is quadratic
+        (("count", "--pattern", "(**)", "--tree-caterpillar", "2,100001"),
+         "2-ary caterpillar with 100001 leaves would hold 15000250000 code characters, "
+         "above the cap of 250000000"),
     ],
-    ids=["muirhead-terms", "muirhead-work", "tree-even-leaves"],
+    ids=["muirhead-terms", "muirhead-work", "tree-even-leaves", "tree-caterpillar-code"],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

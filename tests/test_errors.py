@@ -30,7 +30,7 @@ from treedensity import (
 )
 from treedensity.counting import caterpillar_counts_of_code
 from treedensity.errors import require_int
-from treedensity.simplex import exponent_compositions, random_interior_point
+from treedensity.simplex import random_interior_point
 
 
 def _case(site, call, message):
@@ -104,10 +104,6 @@ _INTEGER_CHECKS = [
           "arity bound must be an integer >= 2, got 1"),
     _case("minimize_F-k", lambda: minimize_F(2, 2),
           "caterpillar size must be an integer >= 3, got 2"),
-    _case("exponent_compositions-d", lambda: exponent_compositions(1, 3),
-          "arity bound must be an integer >= 2, got 1"),
-    _case("exponent_compositions-k", lambda: exponent_compositions(2, 0),
-          "exponent sum must be an integer >= 1, got 0"),
     # one rule, in trees.caterpillar_spine, says which caterpillar sizes exist
     _case("make_caterpillar-r2", lambda: make_caterpillar(2, 0),
           "no 2-ary caterpillar with 0 leaves (need k >= 2 and (k - 1) % 1 == 0)"),

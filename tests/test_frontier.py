@@ -18,7 +18,7 @@ from treedensity import (
     make_caterpillar,
     parse_tree,
 )
-from treedensity import counting, frontier, search
+from treedensity import counting, frontier
 from treedensity.cli import main as cli_main
 from treedensity.frontier import _partitions_into_parts, pareto_minimal
 
@@ -132,9 +132,20 @@ def test_dp_argument_errors():
         ParetoDP(4, 2).run(0)
 
 
-def test_dp_budget_refusals():
+def test_levels_outside_those_built_are_refused():
+    # a level below 1 or above max_n has no vector, so no witness either
+    dp = ParetoDP(4).run(10)
+    for n in (-1, 0, 11):
+        for read in (dp.min_count, dp.vector, dp.witness):
+            with pytest.raises(KeyError) as exc:
+                read(n)
+            assert exc.value.args == (n,)
+
+
+def test_dp_budget_refusals(monkeypatch):
+    monkeypatch.setattr(frontier, "CANDIDATE_CAP", 3)
     with pytest.raises(BudgetError) as exc:
-        ParetoDP(5, 2, candidate_cap=3).run(8)
+        ParetoDP(5, 2).run(8)
     assert "candidate" in str(exc.value)
 
 
@@ -307,7 +318,7 @@ def test_a_code_reader_fault_on_a_witness_exits_1(monkeypatch, capsys):
     malformed = "((**)(*(**))"
     monkeypatch.setattr(counting, "parse_tree", lambda code: None)
     with pytest.raises(ConsistencyError) as exc:
-        search._check_witness(malformed, 5, 2, 4, 2, {})
+        counting.check_witness(malformed, 5, 2, 4, 2, {})
     assert "which the code reader refused" in str(exc.value)
     monkeypatch.setattr(ParetoDP, "witness", lambda self, n: malformed)
     assert cli_main(["search-min", "--d", "2", "--k", "4", "--n", "5"]) == 1

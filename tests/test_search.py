@@ -24,7 +24,8 @@ from treedensity import (
     verify_monotone_min,
 )
 from treedensity import search
-from treedensity.search import _check_witness, _even_split_counts
+from treedensity.counting import check_witness
+from treedensity.search import _even_split_counts
 
 # minimum k-caterpillar counts among binary hosts, from an independent
 # brute-force prototype over full enumerations
@@ -191,13 +192,13 @@ def test_exhaustive_search_recounts_four_tied_witnesses_per_size(monkeypatch):
     # with k = 3 every binary tree ties, so each size recounts the first
     # min(4, count) trees of its level, in enumeration order
     checked = []
-    real = search._check_witness
+    real = search.check_witness
 
     def spy(code, n, *args):
         checked.append((n, code))
         return real(code, n, *args)
 
-    monkeypatch.setattr(search, "_check_witness", spy)
+    monkeypatch.setattr(search, "check_witness", spy)
     rep = search_min_report(2, 3, 3, 8, method="exhaustive")
     assert [r[1] for r in rep.rows] == [comb(n, 3) for n in range(3, 9)]
     assert checked == [
@@ -319,9 +320,9 @@ def test_even_split_recurrence_matches_the_even_tree():
     ],
 )
 def test_witness_check_rejects(code, fault):
-    _check_witness("((**)(*(**)))", 5, 2, 4, 2, {})
+    check_witness("((**)(*(**)))", 5, 2, 4, 2, {})
     with pytest.raises(ConsistencyError) as exc:
-        _check_witness(code, 5, 2, 4, 3, {})
+        check_witness(code, 5, 2, 4, 3, {})
     assert str(exc.value) == f"4-caterpillar count of witness {code}: {fault}"
 
 

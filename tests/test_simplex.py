@@ -3,7 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import mpmath
 import pytest
@@ -23,13 +23,9 @@ from treedensity import (
 )
 from treedensity import simplex
 from treedensity.simplex import (
-    exponent_compositions,
-    exponent_compositions_core,
-    multinomial,
     random_interior_point,
     symmetrized_power_sum,
     tangent_stationarity,
-    verify_power_sum_decomposition,
 )
 
 
@@ -57,6 +53,16 @@ def test_simplex_point_validation():
         simplex_point((0.6, 0.6))
     # float inputs may miss the exact sum by rounding noise
     simplex_point((0.1, 0.2, 0.7))
+
+
+def test_a_fraction_among_real_coordinates_is_converted():
+    # the point is real-valued, and its Fraction becomes the mpf of the same
+    # value, so it gives the same bits as the all-float point
+    mixed, real = (Fraction(1, 2), 0.5), (0.5, 0.5)
+    assert not simplex_point(mixed).exact
+    assert simplex_point(mixed) == simplex_point(real)
+    for k in (3, 4):
+        assert eval_F(2, k, mixed)._mpf_ == eval_F(2, k, real)._mpf_
 
 
 def test_random_interior_point_is_reproducible():
@@ -392,7 +398,8 @@ def test_muirhead_against_every_composition():
     for d, k in [(2, 4), (3, 3), (3, 5)]:
         top = (k - 1, 1) + (0,) * (d - 2)
         values = tuple(Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(d))
-        for comp in exponent_compositions(d, k):
+        comps = [c for c in product(range(k), repeat=d) if sum(c) == k]
+        for comp in comps:
             pair = majorization_pair(top, comp)
             assert muirhead_check(pair, values)
 
@@ -440,42 +447,3 @@ def test_muirhead_holds_along_random_transfer_chains(data):
         Fraction(data.draw(st.integers(min_value=1, max_value=40)), 7) for _ in range(d)
     )
     assert muirhead_check(pair, values)
-
-
-# ---------------------------------------------------------------------------
-# power-sum decomposition
-
-
-def test_multinomial_values_and_domain():
-    assert multinomial(4, (2, 1, 1)) == 12
-    assert multinomial(3, (3,)) == 1
-    assert multinomial(5, (4, 1)) == 5
-    with pytest.raises(PreconditionError):
-        multinomial(4, (2, 1))
-    with pytest.raises(PreconditionError):
-        multinomial(4, (5, -1))
-
-
-def test_exponent_composition_sets():
-    assert exponent_compositions(2, 3) == [(1, 2), (2, 1)]
-    assert exponent_compositions_core(2, 3) == []
-    comps = exponent_compositions(3, 3)
-    assert len(comps) == 7 and comps == sorted(comps)
-    assert exponent_compositions_core(3, 3) == [(1, 1, 1)]
-    # total weight of the corner-free compositions is d^k - d
-    for d in (2, 3, 4):
-        for k in (3, 4, 5, 6):
-            total = sum(multinomial(k, v) for v in exponent_compositions(d, k))
-            assert total == d**k - d
-
-
-def test_power_sum_decomposition_identity():
-    rng = random.Random(321)
-    for d in (2, 3, 4):
-        for k in (3, 4, 5, 6):
-            for _ in range(5):
-                point = random_interior_point(d, rng)
-                assert verify_power_sum_decomposition(point.coords, k)
-    assert verify_power_sum_decomposition((Fraction(1, 3),) * 3, 4)
-    with pytest.raises(PreconditionError):
-        verify_power_sum_decomposition((0.5, 0.5), 3)

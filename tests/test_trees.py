@@ -253,6 +253,22 @@ def test_make_caterpillar_shapes():
             make_caterpillar(r, k)
 
 
+def test_caterpillar_code_budget_is_the_built_code_length(monkeypatch):
+    # q (r + 2) + (r + 1) q (q - 1) / 2, over a spine of q vertices, is the
+    # total length of their codes, and make_caterpillar builds exactly when
+    # it is at most the cap
+    for r in range(2, 5):
+        for k in range(r, 41, r - 1):
+            q = (k - 1) // (r - 1)
+            chars = q * (r + 2) + (r + 1) * q * (q - 1) // 2
+            monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars)
+            t = make_caterpillar(r, k)
+            assert sum(len(u.code) for u in internal_subtrees(t)) == chars
+            monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars - 1)
+            with pytest.raises(BudgetError):
+                make_caterpillar(r, k)
+
+
 def test_caterpillar_internal_path():
     # Internal vertices form a path: at most one internal child anywhere,
     # and exactly k leaves.
