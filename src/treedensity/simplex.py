@@ -17,12 +17,19 @@ there; for d = 2 the functional is identically 1/3. For k >= 4 the supremum
 
 Evaluation is exact over the rationals whenever the input coordinates are
 ints or Fractions; otherwise it runs in mpmath arithmetic at the caller's
-working precision. ``minimize_F`` uses a seeded multi-start Nelder-Mead at
-128-bit precision (a log barrier keeps iterates interior, then a barrier-free
-polish removes its bias). The minimizer and real-mode F compute on raw mpmath
-values with libmp's own calls, so they round exactly as mpf arithmetic would.
-Muirhead-style majorization comparisons live here too, as do the functions
-that build the reports of the ``simplex`` command's four modes.
+working precision. The exact checks run on integers. F is homogeneous of
+degree 0, so a point scaled by a common denominator gives the same value,
+and ``_F_int`` computes F's numerator and denominator at integer weights:
+``bound-sample`` evaluates its integer draws that way and checks the bounds
+by cross-multiplying, building one Fraction per sample, for its value. A
+Muirhead comparison of rational values scales them to integers, since its
+two sides are homogeneous of one degree. ``minimize_F`` uses a seeded
+multi-start Nelder-Mead at 128-bit precision (a log barrier keeps iterates
+interior, then a barrier-free polish removes its bias). The minimizer and
+real-mode F compute on raw mpmath values with libmp's own calls, so they
+round exactly as mpf arithmetic would. Muirhead-style majorization
+comparisons live here too, as do the functions that build the reports of the
+``simplex`` command's four modes.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, permutations
-from math import factorial, lcm, perm
-from operator import lt, sub
+from itertools import combinations, permutations, repeat
+from math import factorial, gcd, lcm, perm
+from operator import lt, mul, sub
 from typing import Iterable, Sequence
 
 import mpmath
@@ -82,8 +89,9 @@ _EXACT_TYPES = (int, Fraction)
 EPS_STEP_CAP = 1000
 # the most power-sum terms a muirhead run evaluates
 MUIRHEAD_TERM_CAP = 10**6
-# the most power-sum work a muirhead run does, counted as terms times k^2:
-# a term multiplies powers whose exponents sum to k
+# the most power-sum work a muirhead run does, counted as terms times
+# k^2 min(d, k): a term multiplies up to min(d, k) powers whose exponents sum
+# to k, of integers whose size grows with d
 MUIRHEAD_WORK_CAP = 3 * 10**9
 
 
@@ -129,15 +137,6 @@ def simplex_point(coords: Iterable) -> SimplexPoint:
     return SimplexPoint(xs, exact)
 
 
-def random_interior_point(d: int, rng: random.Random) -> SimplexPoint:
-    """Exact interior point with coordinates a_i / sum(a), a_i uniform in
-    1..10^6."""
-    require_int(d, 2, "arity bound")
-    weights = [rng.randint(1, 10**6) for _ in range(d)]
-    total = sum(weights)
-    return SimplexPoint(tuple(Fraction(w, total) for w in weights), True)
-
-
 def _coerce_point(d: int, point) -> SimplexPoint:
     sp = point if isinstance(point, SimplexPoint) else simplex_point(point)
     if sp.dim != d:
@@ -156,22 +155,31 @@ def eval_F(d: int, k: int, point):
     sp = _coerce_point(d, point)
     xs = sp.coords
     if sp.exact:
-        # Clear denominators: with L the lcm of the coordinate denominators,
-        # a_i = x_i L are integers summing to L, and since
-        # sum_{i != j} x_j x_i^(k-1) = sum_i x_i^(k-1) (1 - x_i),
-        # F = sum_i a_i^(k-1) (L - a_i) / (L^k - sum_i a_i^k).
+        # with L the lcm of the coordinate denominators, a_i = x_i L are
+        # integers summing to L
         scale = lcm(*(x.denominator for x in xs))
-        a = [x.numerator * (scale // x.denominator) for x in xs]
-        powers = [ai ** (k - 1) for ai in a]
-        den = scale**k - sum(p * ai for p, ai in zip(powers, a))
+        num, den = _F_int([x.numerator * (scale // x.denominator) for x in xs], scale, k)
         if den == 0:
             raise SingularityError("denominator vanishes at a simplex corner")
-        return Fraction(sum(p * (scale - ai) for p, ai in zip(powers, a)), den)
+        return Fraction(num, den)
     prec = mpmath.mp.prec
     num, den = _F_terms_mp(k, [x._mpf_ for x in xs], prec)
     if mpf_eq(den, fzero):
         raise SingularityError("denominator vanishes at a simplex corner")
     return mpmath.mp.make_mpf(mpf_div(num, den, prec, round_nearest))
+
+
+def _F_int(a: Sequence[int], scale: int, k: int) -> tuple[int, int]:
+    """(numerator, denominator) of F at the point (a_i / scale), where the
+    nonnegative ints a_i sum to ``scale``; the denominator is 0 at a corner.
+
+    Since sum_{i != j} x_j x_i^(k-1) = sum_i x_i^(k-1) (1 - x_i), multiplying
+    both parts of F by scale^k gives, with S = sum_i a_i^k,
+    F = (scale sum_i a_i^(k-1) - S) / (scale^k - S).
+    """
+    powers = [ai ** (k - 1) for ai in a]
+    top = sum(map(mul, powers, a))
+    return scale * sum(powers) - top, scale**k - top
 
 
 # The real-mode arithmetic below runs on raw mpf tuples (``x._mpf_``). Each
@@ -282,16 +290,30 @@ def simplex_bound_sample_report(
     d: int, k: int, *, samples: int = 1000, seed: int = 0
 ) -> SearchReport:
     """Check uniform_min_value(d, k) <= F <= 1/k exactly at ``samples``
-    seeded random interior points, each drawn and then evaluated in turn."""
+    seeded random interior points, each drawn and then evaluated in turn.
+
+    A point is (a_1, ..., a_d) / sum(a) with each a_i uniform in 1..10^6.
+    F is evaluated on the integer weights with scale sum(a), and the bounds
+    are checked by cross-multiplying, so the only Fraction a row builds is
+    its value.
+    """
     _require_bound_k("bound-sample", k)
     _require_positive(samples, "--samples")
     rng = random.Random(seed)
     lower, upper = uniform_min_value(d, k), Fraction(1, k)
+    lo_num, lo_den = lower.numerator, lower.denominator
     rows = []
     for i in range(samples):
-        pt = random_interior_point(d, rng)
-        v = eval_F(d, k, pt)
-        rows.append((i, ";".join(map(str, pt.coords)), v, lower <= v <= upper))
+        a = [rng.randint(1, 10**6) for _ in range(d)]
+        total = sum(a)
+        num, den = _F_int(a, total, k)
+        # every a_i is positive, so den > 0 and each a_i / total is below 1:
+        # its cell is str(Fraction(a_i, total))
+        point = ";".join(
+            f"{ai // g}/{total // g}" for ai, g in zip(a, map(gcd, a, repeat(total)))
+        )
+        ok = lo_num * den <= num * lo_den and k * num <= den
+        rows.append((i, point, Fraction(num, den), ok))
     return SearchReport(
         mode="simplex-bound-sample",
         params={"d": d, "k": k, "seed": seed, "samples": samples,
@@ -573,12 +595,24 @@ def symmetrized_power_sum(exponents: Sequence[int], values: Sequence):
 
 def muirhead_check(pair: MajorizationPair, values: Sequence) -> bool:
     """True when the symmetrized power sum for pair.a dominates that of pair.b
-    at the given positive values. Exact for rational input."""
+    at the given positive values. Exact for rational input.
+
+    Rational values (all ints or Fractions) are compared on integers: with L
+    the lcm of their denominators, the sum for exponents e at the values is
+    its sum at the integers v L divided by L^sum(e), so each side is
+    multiplied by the other's power of L. For a majorization pair both
+    powers are L^k.
+    """
     if len(values) != len(pair.a):
         raise PreconditionError("need as many values as exponent entries")
     if any(v <= 0 for v in values):
         raise PreconditionError("majorization comparison needs positive values")
-    return symmetrized_power_sum(pair.a, values) >= symmetrized_power_sum(pair.b, values)
+    if not all(isinstance(v, _EXACT_TYPES) for v in values):
+        return symmetrized_power_sum(pair.a, values) >= symmetrized_power_sum(pair.b, values)
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    return (symmetrized_power_sum(pair.a, ints) * scale ** sum(pair.b)
+            >= symmetrized_power_sum(pair.b, ints) * scale ** sum(pair.a))
 
 
 def random_majorization_pair(rng: random.Random, d: int, k: int) -> MajorizationPair:
@@ -614,12 +648,16 @@ def simplex_muirhead_report(
     its d positive rational values.
 
     A pair has at most min(d, k) nonzero exponents, so its two power sums
-    take at most 2 perm(d, min(d, k)) terms. When ``samples`` times that
-    exceeds :data:`MUIRHEAD_TERM_CAP`, or that times k^2 exceeds
+    take at most 2 perm(d, min(d, k)) terms, each a product of up to
+    min(d, k) powers. When ``samples`` times that term count exceeds
+    :data:`MUIRHEAD_TERM_CAP`, or that times k^2 min(d, k) exceeds
     :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and BudgetError is raised.
-    The term cap is 10^6 terms: a term took 1.5 to 12 microseconds at d <= 9
-    and k <= 8. The work cap is 3 * 10^9: a unit took 0.14 to 3.3 ns at
-    d <= 8 and k from 170 to 31,622, so a run at it takes up to about 10 s.
+    The term cap is 10^6 terms: a term, with its share of drawing its
+    sample, took 0.09 to 16 microseconds at d <= 9 and k <= 20, the most at
+    d = 2. The work cap is 3 * 10^9: a unit took 0.03 to 1.1 ns at
+    3 <= d <= 9 and k from 55 to 10,000, so a run at it takes up to about
+    3 s; at d = 2, where drawing a sample costs more than its four terms,
+    up to about 8 s.
     """
     # with d < 2 or k < 2 every composition of k has a part equal to k, so
     # random_majorization_pair would never find one to use
@@ -632,11 +670,12 @@ def simplex_muirhead_report(
             f"--samples {samples} at d={d}, k={k} needs up to {terms} power-sum terms "
             f"(samples * 2 * perm(d, min(d, k))), above the cap of {MUIRHEAD_TERM_CAP}"
         )
-    work = terms * k * k
+    work = terms * k * k * min(d, k)
     if work > MUIRHEAD_WORK_CAP:
         raise BudgetError(
             f"--samples {samples} at d={d}, k={k} needs up to {work} power-sum work units "
-            f"(samples * 2 * perm(d, min(d, k)) * k^2), above the cap of {MUIRHEAD_WORK_CAP}"
+            f"(samples * 2 * perm(d, min(d, k)) * k^2 * min(d, k)), "
+            f"above the cap of {MUIRHEAD_WORK_CAP}"
         )
     rng = random.Random(seed)
     rows = []

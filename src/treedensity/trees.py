@@ -43,8 +43,10 @@ __all__ = [
     "make_even_binary",
 ]
 
-LEAF_CAP = 10**7  # the most leaves make_complete and make_even_binary build
-# the most code characters make_caterpillar builds; r = 2, k = 12,001 needs 2.16 * 10^8
+# the most leaves make_complete, make_even_binary and make_caterpillar build
+LEAF_CAP = 10**7
+# the most code characters make_caterpillar builds (r = 2, k = 12,001 needs
+# 2.16 * 10^8) and the most parse_tree builds for a text's vertices
 CATERPILLAR_CODE_CAP = 25 * 10**7
 _LEAF_COUNT = attrgetter("leaf_count")
 
@@ -140,21 +142,36 @@ def parse_tree(text: str) -> Tree:
     its item, so a repeated shape is built once. Nothing outlives the call,
     and trees from different calls are still equal exactly when their codes
     are.
+
+    Each vertex's code is a string of its own, so every character of the
+    text is held once by each vertex open around it, and the codes together
+    grow as the square of the depth. The pass adds up those counts as it
+    reads and refuses with BudgetError, before closing the next vertex, once
+    the sum exceeds :data:`CATERPILLAR_CODE_CAP`.
     """
     built: dict[str, tuple[int, str, Tree]] = {}
     stack: list[list[tuple[int, str, Tree]]] = []
     root = None
+    chars = 0
     for i, ch in enumerate(text):
         if ch == "*":
             if not stack:
                 root = _LEAF_ITEM
                 break
             stack[-1].append(_LEAF_ITEM)
+            chars += len(stack)
         elif ch == "(":
             stack.append([])
+            # this bracket and its match sit in the code of every open vertex
+            chars += 2 * len(stack)
         elif ch == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", i)
+            if chars > CATERPILLAR_CODE_CAP:
+                raise BudgetError(
+                    f"tree text would hold at least {chars} code characters (by offset {i}), "
+                    f"above the cap of {CATERPILLAR_CODE_CAP}"
+                )
             items = stack.pop()
             if len(items) < 2:
                 if items:
@@ -235,12 +252,18 @@ def make_caterpillar(r: int, k: int) -> Tree:
 
     Each spine vertex keeps its own code, so a spine of q vertices holds
     q (r + 2) + (r + 1) q (q - 1) / 2 characters; above
-    :data:`CATERPILLAR_CODE_CAP` this refuses with BudgetError before building.
+    :data:`CATERPILLAR_CODE_CAP` this refuses with BudgetError before building,
+    as it does above :data:`LEAF_CAP` leaves, since the build holds a list
+    item per leaf.
     """
     require_int(r, 2, "arity bound")
     if k == 1:
         return _LEAF
     q = caterpillar_spine(r, k)
+    if k > LEAF_CAP:
+        raise BudgetError(
+            f"{r}-ary caterpillar would have {k} leaves, above the cap of {LEAF_CAP}"
+        )
     chars = q * (r + 2) + (r + 1) * q * (q - 1) // 2
     if chars > CATERPILLAR_CODE_CAP:
         raise BudgetError(

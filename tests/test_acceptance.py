@@ -17,6 +17,7 @@ import pytest
 from treedensity import (
     CopyEngine,
     ParetoDP,
+    SimplexPoint,
     bk_lower_bound,
     caterpillar_copies_complete,
     caterpillar_counts,
@@ -34,7 +35,7 @@ from treedensity import (
     verify_even_conjecture,
 )
 from treedensity.reporting import SearchReport, decimal_str, render_report
-from treedensity.simplex import eval_F, random_interior_point
+from treedensity.simplex import eval_F
 
 _GENERATED: dict[int, str] = {}
 
@@ -280,6 +281,13 @@ def test_criterion_6_conjecture_reproduction(report_dir, capsys):
 # criterion 7: simplex functional bounds, minimum, boundary supremum
 
 
+def _interior_point(d, rng):
+    """Exact interior point a / sum(a), each a_i uniform in 1..10^6."""
+    weights = [rng.randint(1, 10**6) for _ in range(d)]
+    total = sum(weights)
+    return SimplexPoint(tuple(Fraction(w, total) for w in weights), True)
+
+
 def _criterion_7() -> SearchReport:
     rows = []
     all_ok = True
@@ -289,7 +297,7 @@ def _criterion_7() -> SearchReport:
             lo, hi = uniform_min_value(d, k), Fraction(1, k)
             violations = 0
             for _ in range(10**4):
-                v = eval_F(d, k, random_interior_point(d, rng))
+                v = eval_F(d, k, _interior_point(d, rng))
                 if not lo <= v <= hi:
                     violations += 1
             all_ok = all_ok and violations == 0

@@ -364,19 +364,37 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "(samples * 2 * perm(d, min(d, k))), above the cap of 1000000"),
         # 40 terms, but each multiplies powers whose exponents sum to 10^5
         (("simplex", "--mode", "muirhead", "--d", "2", "--k", "100000", "--samples", "10"),
-         "--samples 10 at d=2, k=100000 needs up to 400000000000 power-sum work units "
-         "(samples * 2 * perm(d, min(d, k)) * k^2), above the cap of 3000000000"),
+         "--samples 10 at d=2, k=100000 needs up to 800000000000 power-sum work units "
+         "(samples * 2 * perm(d, min(d, k)) * k^2 * min(d, k)), above the cap of 3000000000"),
+        # 725,760 terms, under the term cap, but each multiplies 9 powers
+        (("simplex", "--mode", "muirhead", "--d", "9", "--k", "55", "--samples", "1"),
+         "--samples 1 at d=9, k=55 needs up to 19758816000 power-sum work units "
+         "(samples * 2 * perm(d, min(d, k)) * k^2 * min(d, k)), above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
         # each spine vertex keeps its own code, so their length is quadratic
         (("count", "--pattern", "(**)", "--tree-caterpillar", "2,100001"),
          "2-ary caterpillar with 100001 leaves would hold 15000250000 code characters, "
          "above the cap of 250000000"),
+        # a star: one spine vertex, but a list item per leaf
+        (("count", "--pattern", "(**)", "--tree-caterpillar", "200000000,200000000"),
+         "200000000-ary caterpillar would have 200000000 leaves, above the cap of 10000000"),
+        # the 2-ary caterpillar with 60,001 leaves as text, refused at its
+        # first ')', where every '(' and '*' has been read
+        (("count", "--pattern", "(**)", "--tree", "(*" * 59999 + "(**)" + ")" * 59999),
+         "tree text would hold at least 5400150000 code characters (by offset 120001), "
+         "above the cap of 250000000"),
     ],
-    ids=["muirhead-terms", "muirhead-work", "tree-even-leaves", "tree-caterpillar-code"],
+    ids=[
+        "muirhead-terms", "muirhead-work", "muirhead-factors", "tree-even-leaves",
+        "tree-caterpillar-code", "tree-caterpillar-leaves", "tree-text-depth",
+    ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    # each of these would run for seconds or take gigabytes if it started
+    assert time.perf_counter() - start < 1
     assert (code, out, err) == (3, "", f"refused: {message}\n")
 
 

@@ -1,7 +1,5 @@
 """Precondition messages: one call per integer check, text pinned."""
 
-import random
-
 import pytest
 
 from treedensity import (
@@ -30,7 +28,6 @@ from treedensity import (
 )
 from treedensity.counting import caterpillar_counts_of_code
 from treedensity.errors import require_int
-from treedensity.simplex import random_interior_point
 
 
 def _case(site, call, message):
@@ -92,8 +89,6 @@ _INTEGER_CHECKS = [
           "caterpillar size must be an integer >= 2, got '3'"),
     _case("brute_copy_profile-k", lambda: brute_copy_profile(leaf(), 0),
           "subset size must be an integer >= 1, got 0"),
-    _case("random_interior_point-d", lambda: random_interior_point(1, random.Random(0)),
-          "arity bound must be an integer >= 2, got 1"),
     _case("eval_F-k", lambda: eval_F(2, 1.5, (1, 0)),
           "caterpillar size must be an integer >= 2, got 1.5"),
     _case("uniform_min_value-d", lambda: uniform_min_value(1, 3),

@@ -22,8 +22,11 @@ from treedensity import (
     uniform_min_value,
 )
 from treedensity import simplex
+from treedensity.reporting import FORMATS, SearchReport, render_report
 from treedensity.simplex import (
-    random_interior_point,
+    MajorizationPair,
+    SimplexPoint,
+    simplex_bound_sample_report,
     symmetrized_power_sum,
     tangent_stationarity,
 )
@@ -65,10 +68,12 @@ def test_a_fraction_among_real_coordinates_is_converted():
         assert eval_F(2, k, mixed)._mpf_ == eval_F(2, k, real)._mpf_
 
 
-def test_random_interior_point_is_reproducible():
-    a = random_interior_point(4, random.Random(11))
-    b = random_interior_point(4, random.Random(11))
-    assert a == b and a.exact and all(c > 0 for c in a.coords) and sum(a.coords) == 1
+def _interior_point(d, rng):
+    """Exact interior point a / sum(a), each a_i uniform in 1..10^6: the
+    draws simplex_bound_sample_report makes."""
+    weights = [rng.randint(1, 10**6) for _ in range(d)]
+    total = sum(weights)
+    return SimplexPoint(tuple(Fraction(w, total) for w in weights), True)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +128,7 @@ def test_eval_F_bounds_on_sampled_points():
         lo = uniform_min_value(d, k)
         hi = Fraction(1, k)
         for _ in range(200):
-            v = eval_F(d, k, random_interior_point(d, rng))
+            v = eval_F(d, k, _interior_point(d, rng))
             assert lo <= v <= hi
 
 
@@ -156,6 +161,24 @@ def test_eval_F_matches_the_pairwise_formula(k, weights):
     else:
         v = eval_F(len(xs), k, xs)
         assert isinstance(v, Fraction) and v == _reference_F(k, xs)
+
+
+@pytest.mark.parametrize("k, a", [
+    (3, (1, 1)),
+    (4, (1, 2, 3)),
+    (5, (0, 1, 2)),  # a boundary zero
+    (6, (0, 0, 3, 7)),  # two of them
+    (4, (2, 4, 6)),  # not in lowest terms
+    (7, (10**6, 1, 999_999, 500_000)),
+    (3, (5, 5, 5, 5, 5)),  # the uniform point
+])
+def test_integer_core_matches_the_pairwise_formula(k, a):
+    num, den = simplex._F_int(a, sum(a), k)
+    assert Fraction(num, den) == _reference_F(k, [Fraction(x, sum(a)) for x in a])
+
+
+def test_integer_core_denominator_vanishes_at_a_corner():
+    assert simplex._F_int((0, 5, 0), 5, 4)[1] == 0
 
 
 def test_eval_F_is_singular_at_every_corner():
@@ -228,6 +251,55 @@ def test_sup_report_refusals():
         simplex_sup_report(3, 2)
     with pytest.raises(PreconditionError, match="--eps-steps must be >= 1"):
         simplex_sup_report(3, 4, 0)
+
+
+# ---------------------------------------------------------------------------
+# bound sampling
+
+
+def _bound_sample_by_fractions(d, k, samples, seed):
+    """simplex_bound_sample_report by the Fraction route: the same draws,
+    eval_F at each point and the bounds compared as Fractions."""
+    rng = random.Random(seed)
+    lower, upper = uniform_min_value(d, k), Fraction(1, k)
+    rows = []
+    for i in range(samples):
+        point = _interior_point(d, rng)
+        v = eval_F(d, k, point)
+        rows.append((i, ";".join(map(str, point.coords)), v, lower <= v <= upper))
+    return SearchReport(
+        mode="simplex-bound-sample",
+        params={"d": d, "k": k, "seed": seed, "samples": samples,
+                "lower": str(lower), "upper": str(upper)},
+        columns=("index", "point", "value", "within_bounds"),
+        rows=rows,
+        all_ok=all(row[-1] for row in rows),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_bound_sample_report_matches_the_fraction_route(d, k):
+    for seed in (0, 7, 1000 * d + k):
+        got = simplex_bound_sample_report(d, k, samples=25, seed=seed)
+        want = _bound_sample_by_fractions(d, k, 25, seed)
+        for fmt in FORMATS:
+            assert render_report(got, fmt) == render_report(want, fmt), (seed, fmt)
+
+
+@pytest.mark.parametrize("num, den, within", [
+    (1, 4, True),  # on the upper bound 1/k
+    (2, 7, False),  # above it
+    (1, 13, True),  # on the lower bound (d - 1) / (d^(k-1) - 1) = 1/13
+    (1, 14, False),  # below it
+])
+def test_bound_sample_verdict_at_the_bounds(monkeypatch, num, den, within):
+    # F from the integer core is replaced, so the cross-multiplied
+    # comparison meets values on and just off each bound
+    monkeypatch.setattr(simplex, "_F_int", lambda a, scale, k: (num, den))
+    rep = simplex_bound_sample_report(3, 4, samples=1)
+    assert rep.rows[0][2:] == (Fraction(num, den), within)
+    assert rep.all_ok is within
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +474,27 @@ def test_muirhead_against_every_composition():
         for comp in comps:
             pair = majorization_pair(top, comp)
             assert muirhead_check(pair, values)
+
+
+def test_muirhead_check_matches_the_plain_comparison():
+    # reversed pairs, which need not hold, and pairs of unequal degree keep
+    # both outcomes in play
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(200):
+        d, k = rng.randint(2, 5), rng.randint(2, 7)
+        pair = simplex.random_majorization_pair(rng, d, k)
+        shifted = (pair.a[0] + rng.randint(-1, 1),) + pair.a[1:]
+        for a, b in [(pair.a, pair.b), (pair.b, pair.a), (shifted, pair.b)]:
+            ints = [rng.randint(1, 50) for _ in range(d)]
+            fractions = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(d)]
+            mixed = [x if i % 2 else q for i, (x, q) in enumerate(zip(ints, fractions))]
+            reals = [float(q) for q in fractions]
+            for values in (ints, fractions, mixed, reals):
+                want = symmetrized_power_sum(a, values) >= symmetrized_power_sum(b, values)
+                assert muirhead_check(MajorizationPair(a, b), values) == want, (a, b, values)
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_muirhead_argument_errors():

@@ -269,6 +269,42 @@ def test_caterpillar_code_budget_is_the_built_code_length(monkeypatch):
                 make_caterpillar(r, k)
 
 
+def test_parse_budget_is_the_code_length_of_every_vertex(monkeypatch):
+    # each internal vertex's code holds every character inside it, so the
+    # count over a whole text is the summed code length of its internal
+    # vertices, repeated shapes included, and the text parses exactly when
+    # that is at most the cap
+    texts = ["(**)", "((**)*)", "((**)(**))", "(*(**)(*(**))**)",
+             make_caterpillar(3, 9).code, make_complete(3, 3).code]
+    for text, tree in [(text, parse_tree(text)) for text in texts]:
+        chars, stack = 0, [tree]
+        while stack:
+            u = stack.pop()
+            if u.children:
+                chars += len(u.code)
+                stack.extend(u.children)
+        monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars)
+        parse_tree(text)
+        monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars - 1)
+        with pytest.raises(BudgetError):
+            parse_tree(text)
+
+
+def test_parse_refuses_a_deep_text_before_closing_a_vertex(monkeypatch):
+    def no_vertex(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(trees, "_vertex", no_vertex)
+    monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", 33)
+    # four nested vertices: 2 (1 + 2 + 3 + 4) for their brackets and
+    # 1 + 2 + 3 + 4 + 4 for their leaves
+    with pytest.raises(BudgetError) as info:
+        parse_tree("(*(*(*(**))))")
+    assert str(info.value) == (
+        "tree text would hold at least 34 code characters (by offset 9), above the cap of 33"
+    )
+
+
 def test_caterpillar_internal_path():
     # Internal vertices form a path: at most one internal child anywhere,
     # and exactly k leaves.
@@ -314,6 +350,20 @@ def test_make_even_binary_refuses_over_the_leaf_cap(monkeypatch):
     assert str(info.value) == (
         f"even-split tree would have {trees.LEAF_CAP + 1} leaves, "
         f"above the cap of {trees.LEAF_CAP}"
+    )
+
+
+def test_make_caterpillar_refuses_over_the_leaf_cap(monkeypatch):
+    # a star has one spine vertex, so only the leaf count can refuse it
+    def no_vertex(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(trees, "_vertex", no_vertex)
+    n = trees.LEAF_CAP + 1
+    with pytest.raises(BudgetError) as info:
+        make_caterpillar(n, n)
+    assert str(info.value) == (
+        f"{n}-ary caterpillar would have {n} leaves, above the cap of {trees.LEAF_CAP}"
     )
 
 
