@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import ConsistencyError, require_int
+from .errors import BudgetError, ConsistencyError, require_int
 from .reporting import SearchReport, decimal_str
 from .trees import caterpillar_spine
 
@@ -29,6 +29,12 @@ __all__ = [
     "bk_lower_bound",
     "limits_report",
 ]
+
+
+# the most bits limits_report lets the denominator of its limit take, counted
+# as sum_{j <= q} j (r - 1) ceil(log2 d): at the cap, d = 2, k = 2121 took
+# 20 s and d = 4, k = 1500 took 22 s, since the time grows as its square
+LIMIT_BITS_CAP = 2_250_000
 
 
 def _check_r_d(r: int, d: int) -> None:
@@ -132,8 +138,18 @@ def limits_report(d: int, k: int, r: int = 2) -> SearchReport:
 
     For binary caterpillars (r = 2) the value is also computed by
     :func:`liminf_density`, an independent closed form, and any
-    disagreement raises ConsistencyError with both values.
+    disagreement raises ConsistencyError with both values. A denominator
+    prod_{j <= q} (d^(j (r - 1)) - 1) of more than :data:`LIMIT_BITS_CAP`
+    bits is refused with BudgetError.
     """
+    _check_r_d(r, d)
+    q = caterpillar_spine(r, k)
+    bits = q * (q + 1) // 2 * (r - 1) * (d - 1).bit_length()
+    if bits > LIMIT_BITS_CAP:
+        raise BudgetError(
+            f"the limit at d={d}, k={k}, r={r} has a denominator of up to {bits} bits, "
+            f"above the cap of {LIMIT_BITS_CAP}"
+        )
     value = limit_density_complete(r, k, d)
     if r == 2:
         liminf = liminf_density(d, k)

@@ -17,16 +17,24 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any
 
 __all__ = ["SearchReport", "render_report"]
 
 FORMATS = ("csv", "jsonl", "pretty")
 
 
+def int_str(n: int) -> str:
+    """str(n) at any size: str() refuses an int of more digits than
+    sys.get_int_max_str_digits(), 4300 by default, and Decimal does not."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def fraction_str(q: Fraction) -> str:
     """``num/den`` in lowest terms, always with an explicit denominator."""
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 def decimal_str(x) -> str:
@@ -37,7 +45,7 @@ def decimal_str(x) -> str:
     with a fixed significant-digit count.
     """
     if isinstance(x, int):
-        return str(x)
+        return int_str(x)
     if isinstance(x, Fraction):
         with localcontext() as ctx:
             ctx.prec = 12
@@ -50,7 +58,7 @@ def render_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return int_str(value)
     if isinstance(value, Fraction):
         return fraction_str(value)
     if isinstance(value, float):
@@ -85,18 +93,21 @@ def render_csv(report: SearchReport) -> str:
     return buf.getvalue()
 
 
-def _jsonable(value) -> Any:
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    return render_cell(value)
+def _jsonable(value) -> str:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int_str(value)
+    plain = isinstance(value, (bool, str)) or value is None
+    return json.dumps(value if plain else render_cell(value))
 
 
 def render_jsonl(report: SearchReport) -> str:
-    lines = []
-    for row in report.rows:
-        obj = {col: _jsonable(v) for col, v in zip(report.columns, row)}
-        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+    # each row's keys sorted, its cells written one by one: json.dumps would
+    # write an int with str()
+    order = sorted(zip(report.columns, range(len(report.columns))))
+    keys = [(json.dumps(c) + ":", i) for c, i in order]
+    return "".join(
+        "{" + ",".join(key + _jsonable(row[i]) for key, i in keys) + "}\n" for row in report.rows
+    )
 
 
 def render_pretty(report: SearchReport) -> str:

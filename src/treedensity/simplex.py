@@ -25,11 +25,14 @@ by cross-multiplying, building one Fraction per sample, for its value. A
 Muirhead comparison of rational values scales them to integers, since its
 two sides are homogeneous of one degree. ``minimize_F`` uses a seeded
 multi-start Nelder-Mead at 128-bit precision (a log barrier keeps iterates
-interior, then a barrier-free polish removes its bias). The minimizer and
-real-mode F compute on raw mpmath values with libmp's own calls, so they
-round exactly as mpf arithmetic would. Muirhead-style majorization
-comparisons live here too, as do the functions that build the reports of the
-``simplex`` command's four modes.
+interior, then a barrier-free polish removes its bias). Muirhead-style
+majorization comparisons live here too, as do the functions that build the
+reports of the ``simplex`` command's four modes.
+
+mpmath is loaded only by ``simplex --mode min`` and by real-valued
+``simplex_point``, ``eval_F`` and ``tangent_stationarity``: their real-mode
+bodies live in the private module ``_realmode``, imported on first use, so
+the exact modes run without it.
 """
 
 from __future__ import annotations
@@ -37,35 +40,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations, permutations, repeat
-from math import factorial, gcd, lcm, perm
+from itertools import permutations, repeat
+from math import comb, factorial, gcd, lcm, perm
 from operator import lt, mul, sub
 from typing import Iterable, Sequence
 
-import mpmath
-from mpmath.libmp import (
-    finf,
-    fone,
-    fzero,
-    from_int,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_eq,
-    mpf_le,
-    mpf_log,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pow_int,
-    mpf_sub,
-    round_nearest,
-)
-
 from .errors import BudgetError, PreconditionError, SingularityError, require_int
-from .reporting import SearchReport, decimal_str
+from .reporting import SearchReport, decimal_str, fraction_str
 
 __all__ = [
     "SimplexPoint",
@@ -87,7 +68,16 @@ _EXACT_TYPES = (int, Fraction)
 # eps = 2^-t gives exact values of about k t digits, so a scan's time and
 # report size grow as the square of its steps
 EPS_STEP_CAP = 1000
-# the most power-sum terms a muirhead run evaluates
+# the most coordinates a sup or bound-sample run evaluates F at, summed over
+# its points: at the cap, bound-sample took 2.7 s at d = 2 and 0.6 s at
+# d = 2 * 10^5, and sup 0.9 s at d = 2 * 10^5
+COORDINATE_CAP = 2 * 10**5
+# the most terms a minimize_F run could evaluate, C(d, 2) pairs and d powers
+# an evaluation: the default budget at d = 10, 5.5 * 10^6 terms, took 6.9 s;
+# a run at the cap that spent its budget on 10^5 starts at d = 2 took 63 s
+MIN_WORK_CAP = 6 * 10**6
+# the most power-sum terms a muirhead run evaluates, a sample's draw and row
+# counting as 10 d terms
 MUIRHEAD_TERM_CAP = 10**6
 # the most power-sum work a muirhead run does, counted as terms times
 # k^2 min(d, k): a term multiplies up to min(d, k) powers whose exponents sum
@@ -107,11 +97,6 @@ class SimplexPoint:
         return len(self.coords)
 
 
-def _mpf(c) -> mpmath.mpf:
-    """c as an mpf; a Fraction, which mpmath cannot convert, is divided out."""
-    return mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
-
-
 def simplex_point(coords: Iterable) -> SimplexPoint:
     """Validate and classify a coordinate tuple.
 
@@ -121,20 +106,15 @@ def simplex_point(coords: Iterable) -> SimplexPoint:
     xs = tuple(coords)
     if len(xs) < 2:
         raise PreconditionError("a simplex point needs at least two coordinates")
-    exact = all(isinstance(c, _EXACT_TYPES) for c in xs)
-    if exact:
-        xs = tuple(Fraction(c) for c in xs)
-        if any(c < 0 for c in xs):
-            raise PreconditionError("simplex coordinates must be nonnegative")
-        if sum(xs) != 1:
-            raise PreconditionError(f"exact coordinates must sum to 1, got {sum(xs)}")
-    else:
-        xs = tuple(c if isinstance(c, mpmath.mpf) else _mpf(c) for c in xs)
-        if any(c < 0 for c in xs):
-            raise PreconditionError("simplex coordinates must be nonnegative")
-        if abs(sum(xs) - 1) > mpmath.mpf("1e-14"):
-            raise PreconditionError(f"coordinates must sum to 1 within 1e-14, got {sum(xs)}")
-    return SimplexPoint(xs, exact)
+    if not all(isinstance(c, _EXACT_TYPES) for c in xs):
+        from . import _realmode
+        return SimplexPoint(_realmode.point_coords(xs), False)
+    xs = tuple(Fraction(c) for c in xs)
+    if any(c < 0 for c in xs):
+        raise PreconditionError("simplex coordinates must be nonnegative")
+    if sum(xs) != 1:
+        raise PreconditionError(f"exact coordinates must sum to 1, got {sum(xs)}")
+    return SimplexPoint(xs, True)
 
 
 def _coerce_point(d: int, point) -> SimplexPoint:
@@ -162,11 +142,8 @@ def eval_F(d: int, k: int, point):
         if den == 0:
             raise SingularityError("denominator vanishes at a simplex corner")
         return Fraction(num, den)
-    prec = mpmath.mp.prec
-    num, den = _F_terms_mp(k, [x._mpf_ for x in xs], prec)
-    if mpf_eq(den, fzero):
-        raise SingularityError("denominator vanishes at a simplex corner")
-    return mpmath.mp.make_mpf(mpf_div(num, den, prec, round_nearest))
+    from . import _realmode
+    return _realmode.F_value(k, xs)
 
 
 def _F_int(a: Sequence[int], scale: int, k: int) -> tuple[int, int]:
@@ -180,42 +157,6 @@ def _F_int(a: Sequence[int], scale: int, k: int) -> tuple[int, int]:
     powers = [ai ** (k - 1) for ai in a]
     top = sum(map(mul, powers, a))
     return scale * sum(powers) - top, scale**k - top
-
-
-# The real-mode arithmetic below runs on raw mpf tuples (``x._mpf_``). Each
-# step is the libmp call that mpf's own operator makes, with the same operands
-# in the same order and at the working precision, so the values are those of
-# the plain mpf expressions in the comments, bit for bit, without the cost of
-# building an mpf object per step.
-
-
-def _sum(terms: list, prec: int):
-    """sum(terms): Python's sum adds 0 + terms[0] first, and that add rounds."""
-    acc = mpf_add(terms[0], fzero, prec, round_nearest)
-    for i in range(1, len(terms)):
-        acc = mpf_add(acc, terms[i], prec, round_nearest)
-    return acc
-
-
-def _F_terms_mp(k: int, xs, prec: int):
-    """(numerator, denominator) of F at raw ``xs``: powers, then 1 - sum p x,
-    then the i < j pairs, one fixed order so every mpmath F rounds alike."""
-    d = len(xs)
-    rnd = round_nearest
-    # powers = [x ** (k - 1) for x in xs]
-    powers = [mpf_pow_int(x, k - 1, prec, rnd) for x in xs]
-    # den = 1 - sum(p * x for p, x in zip(powers, xs))
-    weighted = [mpf_mul(p, x, prec, rnd) for p, x in zip(powers, xs)]
-    den = mpf_sub(fone, _sum(weighted, prec), prec, rnd)
-    # num = 0, then num += xs[i] * powers[j] + xs[j] * powers[i] for i < j
-    pairs = [
-        mpf_add(
-            mpf_mul(xs[i], powers[j], prec, rnd), mpf_mul(xs[j], powers[i], prec, rnd), prec, rnd
-        )
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    return _sum(pairs, prec), den
 
 
 def uniform_min_value(d: int, k: int) -> Fraction:
@@ -255,18 +196,29 @@ def _require_positive(value: int, flag: str) -> None:
         raise PreconditionError(f"{flag} must be >= 1, got {value}")
 
 
+def _require_coordinates(points: int, d: int, flag: str) -> None:
+    # a point's evaluation handles each of its d coordinates
+    if points * d > COORDINATE_CAP:
+        raise BudgetError(
+            f"{flag} {points} at d={d} needs {points * d} coordinates ({flag[2:]} * d), "
+            f"above the cap of {COORDINATE_CAP}"
+        )
+
+
 def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     """F along (0, ..., 0, eps, 1 - eps) for eps = 1/2, 1/4, ..., 2^-eps_steps.
 
     The verdict holds at k = 3 when every value equals 1/3 exactly, and at
     k >= 4 when the values stay below 1/k and increase strictly. More than
-    :data:`EPS_STEP_CAP` steps are refused with BudgetError.
+    :data:`EPS_STEP_CAP` steps, or more than :data:`COORDINATE_CAP` steps
+    times d, are refused with BudgetError.
     """
     require_int(d, 2, "arity bound")
     _require_bound_k("sup", k)
     _require_positive(eps_steps, "--eps-steps")
     if eps_steps > EPS_STEP_CAP:
         raise BudgetError(f"--eps-steps {eps_steps} exceeds the cap of {EPS_STEP_CAP} steps")
+    _require_coordinates(eps_steps, d, "--eps-steps")
     schedule = [Fraction(1, 2**t) for t in range(1, eps_steps + 1)]
     values = sup_boundary_scan(d, k, schedule)
     bound = Fraction(1, k)
@@ -295,10 +247,12 @@ def simplex_bound_sample_report(
     A point is (a_1, ..., a_d) / sum(a) with each a_i uniform in 1..10^6.
     F is evaluated on the integer weights with scale sum(a), and the bounds
     are checked by cross-multiplying, so the only Fraction a row builds is
-    its value.
+    its value. More than :data:`COORDINATE_CAP` samples times d are refused
+    with BudgetError.
     """
     _require_bound_k("bound-sample", k)
     _require_positive(samples, "--samples")
+    _require_coordinates(samples, d, "--samples")
     rng = random.Random(seed)
     lower, upper = uniform_min_value(d, k), Fraction(1, k)
     lo_num, lo_den = lower.numerator, lower.denominator
@@ -317,7 +271,7 @@ def simplex_bound_sample_report(
     return SearchReport(
         mode="simplex-bound-sample",
         params={"d": d, "k": k, "seed": seed, "samples": samples,
-                "lower": str(lower), "upper": str(upper)},
+                "lower": fraction_str(lower), "upper": fraction_str(upper)},
         columns=("index", "point", "value", "within_bounds"),
         rows=rows,
         all_ok=all(row[-1] for row in rows),
@@ -345,136 +299,12 @@ class MinimizeResult:
     converged: bool
 
 
-def _nelder_mead(f, x0, step, xtol, ftol, max_evals):
-    """Plain Nelder-Mead over raw mpf vectors at the working precision;
-    returns (x, fx, evals, converged)."""
-    prec, rnd = mpmath.mp.prec, round_nearest
-
-    def gap(a, b):
-        # abs(a - b)
-        return mpf_abs(mpf_sub(a, b, prec, rnd), prec, rnd)
-
-    def move(base, t, a, b):
-        # base + t * (a - b), every move of the simplex
-        return mpf_add(base, mpf_mul(t, mpf_sub(a, b, prec, rnd), prec, rnd), prec, rnd)
-
-    # objective values are never NaN, so mpf_cmp orders them as mpf's < does
-    by_value = cmp_to_key(mpf_cmp)
-    dim = len(x0)
-    # one = mpf(1); alpha, gamma, rho, sigma = one, 2 * one, one / 2, one / 2
-    half = mpf_div(fone, from_int(2), prec, rnd)
-    alpha, gamma, rho, sigma = fone, mpf_mul_int(fone, 2, prec, rnd), half, half
-    simplex = [list(x0)]
-    for i in range(dim):
-        v = list(x0)
-        v[i] = mpf_add(v[i], step, prec, rnd)
-        simplex.append(v)
-    fvals = [f(v) for v in simplex]
-    evals = len(simplex)
-    converged = False
-    while evals < max_evals:
-        order = sorted(range(dim + 1), key=lambda i: by_value(fvals[i]))
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        # max(|v_j - best_j|) < xtol and |f_worst - f_best| < ftol; no value
-        # is NaN, so the max is below xtol exactly when every term is
-        best = simplex[0]
-        if all(
-            mpf_lt(gap(v[j], best[j]), xtol) for v in simplex[1:] for j in range(dim)
-        ) and mpf_lt(gap(fvals[-1], fvals[0]), ftol):
-            converged = True
-            break
-        # sum(simplex[i][j] for i in range(dim)) / dim
-        centroid = [
-            mpf_div(_sum([v[j] for v in simplex[:-1]], prec), from_int(dim), prec, rnd)
-            for j in range(dim)
-        ]
-        worst = simplex[-1]
-        refl = [move(c, alpha, c, w) for c, w in zip(centroid, worst)]
-        f_refl = f(refl)
-        evals += 1
-        if mpf_le(fvals[0], f_refl) and mpf_lt(f_refl, fvals[-2]):
-            simplex[-1], fvals[-1] = refl, f_refl
-            continue
-        if mpf_lt(f_refl, fvals[0]):
-            expa = [move(c, gamma, c, w) for c, w in zip(centroid, worst)]
-            f_expa = f(expa)
-            evals += 1
-            if mpf_lt(f_expa, f_refl):
-                simplex[-1], fvals[-1] = expa, f_expa
-            else:
-                simplex[-1], fvals[-1] = refl, f_refl
-            continue
-        contr = [move(c, rho, w, c) for c, w in zip(centroid, worst)]
-        f_contr = f(contr)
-        evals += 1
-        if mpf_lt(f_contr, fvals[-1]):
-            simplex[-1], fvals[-1] = contr, f_contr
-            continue
-        for i in range(1, dim + 1):
-            simplex[i] = [move(b, sigma, v, b) for b, v in zip(best, simplex[i])]
-            fvals[i] = f(simplex[i])
-        evals += dim
-    best_i = min(range(dim + 1), key=lambda i: by_value(fvals[i]))
-    return simplex[best_i], fvals[best_i], evals, converged
-
-
-def _raw_mpfs(*texts):
-    return [mpmath.mpf(text)._mpf_ for text in texts]
-
-
-def _full_point(y, prec: int):
-    # y + [1 - sum(y)]
-    return [*y, mpf_sub(fone, _sum(y, prec), prec, round_nearest)]
-
-
-def _barrier_objective(k, mu):
-    """F - mu * sum(log x_i) at the raw point whose first d - 1 coordinates
-    are y, +inf off the open simplex; ``mu`` is a raw mpf, or None for F."""
-
-    def f(y):
-        prec = mpmath.mp.prec
-        x = _full_point(y, prec)
-        for c in x:
-            if mpf_le(c, fzero):
-                return finf
-        num, den = _F_terms_mp(k, x, prec)
-        if mpf_le(den, fzero):
-            return finf
-        val = mpf_div(num, den, prec, round_nearest)
-        if mu is not None:
-            # val - mu * sum(log(c))
-            logs = _sum([mpf_log(c, prec, round_nearest) for c in x], prec)
-            val = mpf_sub(val, mpf_mul(mu, logs, prec, round_nearest), prec, round_nearest)
-        return val
-
-    return f
-
-
 def tangent_stationarity(d: int, k: int, point):
     """Max |directional derivative| of F along (e_i - e_j)/sqrt(2) directions,
     by central differences with step 1e-5, in mpmath arithmetic at the
     caller's working precision."""
-    sp = _coerce_point(d, point)
-    xs = [_mpf(c) for c in sp.coords]
-    hh = mpmath.mpf("1e-5")
-    u = 1 / mpmath.sqrt(2)
-    worst = mpmath.mpf(0)
-    obj = _barrier_objective(k, None)
-
-    def value_at(v):
-        return mpmath.mp.make_mpf(obj([c._mpf_ for c in v[:-1]]))
-
-    for i, j in combinations(range(d), 2):
-        plus = list(xs)
-        minus = list(xs)
-        plus[i] += hh * u
-        plus[j] -= hh * u
-        minus[i] -= hh * u
-        minus[j] += hh * u
-        deriv = (value_at(plus) - value_at(minus)) / (2 * hh)
-        worst = max(worst, abs(deriv))
-    return worst
+    from . import _realmode
+    return _realmode.stationarity(k, _coerce_point(d, point).coords)
 
 
 def minimize_F(
@@ -491,39 +321,22 @@ def minimize_F(
     candidate is polished barrier-free. Fixed ``seed`` gives a reproducible
     trajectory; ``budget`` caps total objective evaluations across stages,
     and running out of budget is reported as ``converged=False`` with the
-    best point so far.
+    best point so far. The run, with the d (d - 1) evaluations of its
+    stationarity check, is refused with BudgetError when it could evaluate
+    more than :data:`MIN_WORK_CAP` terms.
     """
     require_int(d, 2, "arity bound")
     require_int(k, 3, "caterpillar size")
     if starts < 1 or budget < (d + 1) * (starts + 1):
         raise PreconditionError("budget too small for the requested number of starts")
-    rng = random.Random(seed)
-    with mpmath.workprec(128):
-        rough = _barrier_objective(k, mpmath.mpf("1e-6")._mpf_)
-        polish = _barrier_objective(k, None)
-        stage1_budget = budget // (2 * starts)
-        evals_total = 0
-        best_y = None
-        best_f = finf
-        for _ in range(starts):
-            weights = [mpmath.mpf(rng.random()) + mpmath.mpf("0.05") for _ in range(d)]
-            total = sum(weights)
-            y0 = [(w / total)._mpf_ for w in weights][: d - 1]
-            y, fy, evals, _ = _nelder_mead(
-                rough, y0, *_raw_mpfs("0.05", "1e-10", "1e-14"), stage1_budget
-            )
-            evals_total += evals
-            if mpf_lt(fy, best_f):
-                best_f, best_y = fy, y
-        remaining = max(budget - evals_total, (d + 1) * 4)
-        y, fy, evals, converged = _nelder_mead(
-            polish, best_y, *_raw_mpfs("1e-7", "1e-16", "1e-28"), remaining
+    work = (budget + d * (d - 1)) * comb(d + 1, 2)
+    if work > MIN_WORK_CAP:
+        raise BudgetError(
+            f"--budget {budget} at d={d} needs up to {work} terms "
+            f"((budget + d (d - 1)) * C(d + 1, 2)), above the cap of {MIN_WORK_CAP}"
         )
-        evals_total += evals
-        point = simplex_point(map(mpmath.mp.make_mpf, _full_point(y, mpmath.mp.prec)))
-        value = mpmath.mp.make_mpf(polish(y))
-        resid = tangent_stationarity(d, k, point)
-    return MinimizeResult(point, value, resid, evals_total, converged)
+    from . import _realmode
+    return _realmode.minimize(d, k, starts, budget, seed)
 
 
 def simplex_min_report(
@@ -649,28 +462,28 @@ def simplex_muirhead_report(
 
     A pair has at most min(d, k) nonzero exponents, so its two power sums
     take at most 2 perm(d, min(d, k)) terms, each a product of up to
-    min(d, k) powers. When ``samples`` times that term count exceeds
-    :data:`MUIRHEAD_TERM_CAP`, or that times k^2 min(d, k) exceeds
-    :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and BudgetError is raised.
-    The term cap is 10^6 terms: a term, with its share of drawing its
-    sample, took 0.09 to 16 microseconds at d <= 9 and k <= 20, the most at
-    d = 2. The work cap is 3 * 10^9: a unit took 0.03 to 1.1 ns at
-    3 <= d <= 9 and k from 55 to 10,000, so a run at it takes up to about
-    3 s; at d = 2, where drawing a sample costs more than its four terms,
-    up to about 8 s.
+    min(d, k) powers. Drawing a sample and building its row cost about as
+    much as 10 d terms. When ``samples`` times the terms and the draw exceeds
+    :data:`MUIRHEAD_TERM_CAP`, or ``samples`` times the terms times
+    k^2 min(d, k) exceeds :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and
+    BudgetError is raised. A run at the term cap took 1.2 s at d = 2, k = 3.
+    The work cap is 3 * 10^9: a unit took 0.03 to 1.1 ns at 3 <= d <= 9 and
+    k from 55 to 10,000, so a run at it takes up to about 3 s, and one at
+    d = 2, k = 90 under both caps took 2.5 s.
     """
     # with d < 2 or k < 2 every composition of k has a part equal to k, so
     # random_majorization_pair would never find one to use
     require_int(d, 2, "arity bound")
     require_int(k, 2, "caterpillar size")
     _require_positive(samples, "--samples")
-    terms = samples * 2 * perm(d, min(d, k))
+    powers = samples * 2 * perm(d, min(d, k))
+    terms = powers + samples * 10 * d
     if terms > MUIRHEAD_TERM_CAP:
         raise BudgetError(
-            f"--samples {samples} at d={d}, k={k} needs up to {terms} power-sum terms "
-            f"(samples * 2 * perm(d, min(d, k))), above the cap of {MUIRHEAD_TERM_CAP}"
+            f"--samples {samples} at d={d}, k={k} needs up to {terms} terms "
+            f"(samples * (2 * perm(d, min(d, k)) + 10 * d)), above the cap of {MUIRHEAD_TERM_CAP}"
         )
-    work = terms * k * k * min(d, k)
+    work = powers * k * k * min(d, k)
     if work > MUIRHEAD_WORK_CAP:
         raise BudgetError(
             f"--samples {samples} at d={d}, k={k} needs up to {work} power-sum work units "

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -360,8 +361,12 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
     [
         # a sample's two power sums take up to 2 * 12! terms at d = k = 12
         (("simplex", "--mode", "muirhead", "--d", "12", "--k", "12"),
-         "--samples 1000 at d=12, k=12 needs up to 958003200000 power-sum terms "
-         "(samples * 2 * perm(d, min(d, k))), above the cap of 1000000"),
+         "--samples 1000 at d=12, k=12 needs up to 958003320000 terms "
+         "(samples * (2 * perm(d, min(d, k)) + 10 * d)), above the cap of 1000000"),
+        # 4 terms a sample, but drawing it costs more than they do
+        (("simplex", "--mode", "muirhead", "--d", "2", "--k", "3", "--samples", "250000"),
+         "--samples 250000 at d=2, k=3 needs up to 6000000 terms "
+         "(samples * (2 * perm(d, min(d, k)) + 10 * d)), above the cap of 1000000"),
         # 40 terms, but each multiplies powers whose exponents sum to 10^5
         (("simplex", "--mode", "muirhead", "--d", "2", "--k", "100000", "--samples", "10"),
          "--samples 10 at d=2, k=100000 needs up to 800000000000 power-sum work units "
@@ -384,10 +389,31 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("count", "--pattern", "(**)", "--tree", "(*" * 59999 + "(**)" + ")" * 59999),
          "tree text would hold at least 5400150000 code characters (by offset 120001), "
          "above the cap of 250000000"),
+        # a start costs about 15 ms at d = 3
+        (("simplex", "--mode", "min", "--d", "3", "--k", "4",
+          "--starts", "1000000", "--budget", "1000000000000"),
+         "--budget 1000000000000 at d=3 needs up to 6000000000036 terms "
+         "((budget + d (d - 1)) * C(d + 1, 2)), above the cap of 6000000"),
+        # one evaluation sums C(400, 2) pair terms
+        (("simplex", "--mode", "min", "--d", "400", "--k", "3",
+          "--starts", "1", "--budget", "100000"),
+         "--budget 100000 at d=400 needs up to 20819920000 terms "
+         "((budget + d (d - 1)) * C(d + 1, 2)), above the cap of 6000000"),
+        (("simplex", "--mode", "bound-sample", "--d", "100000000", "--k", "3", "--samples", "1"),
+         "--samples 1 at d=100000000 needs 100000000 coordinates (samples * d), "
+         "above the cap of 200000"),
+        (("simplex", "--mode", "sup", "--d", "100000000", "--k", "3", "--eps-steps", "1"),
+         "--eps-steps 1 at d=100000000 needs 100000000 coordinates (eps-steps * d), "
+         "above the cap of 200000"),
+        (("limits", "--d", "3", "--k", "20000"),
+         "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
+         "above the cap of 2250000"),
     ],
     ids=[
-        "muirhead-terms", "muirhead-work", "muirhead-factors", "tree-even-leaves",
-        "tree-caterpillar-code", "tree-caterpillar-leaves", "tree-text-depth",
+        "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
+        "tree-even-leaves", "tree-caterpillar-code", "tree-caterpillar-leaves",
+        "tree-text-depth", "min-budget", "min-arity", "bound-sample-arity", "sup-arity",
+        "limits-bits",
     ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
@@ -396,6 +422,49 @@ def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
     # each of these would run for seconds or take gigabytes if it started
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (3, "", f"refused: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # str() refuses ints of more than 4300 digits
+    [("simplex", "--mode", "sup", "--d", "3", "--k", "10000", "--eps-steps", "2"),
+     ("simplex", "--mode", "bound-sample", "--d", "3", "--k", "3000", "--samples", "1"),
+     # a denominator of 5,370 digits; k = 1500 gives 535,000 in 15 s
+     ("limits", "--d", "3", "--k", "150")],
+)
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "pretty"])
+def test_values_of_over_4300_digits_are_reported(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert re.search(r"[0-9]{4301}", out)
+
+
+def test_exact_commands_run_without_mpmath():
+    # a child process, since this one has loaded mpmath already: only
+    # simplex --mode min, of all the commands, needs it
+    script = """
+import json, os, sys
+import treedensity, treedensity.cli as cli
+exact = [
+    "count --pattern (**) --tree-complete 2,3", "density --pattern (**) --tree-even 8",
+    "enumerate --n 5 --d 2", "limits --d 3 --k 5", "search-min --d 2 --k 4 --n-max 8",
+    "conjecture --k 4 --n-max 10", "monotone --d 2 --k 4 --n-max 10",
+    "simplex --d 3 --k 4 --mode sup --eps-steps 3",
+    "simplex --d 3 --k 4 --mode bound-sample --samples 5",
+    "simplex --d 3 --k 4 --mode muirhead --samples 5",
+]
+codes = [cli.main(line.split() + ["--output", os.devnull]) for line in exact]
+before = "mpmath" in sys.modules
+line = "simplex --d 3 --k 4 --mode min --starts 2 --budget 400"
+codes.append(cli.main(line.split() + ["--output", os.devnull]))
+print(json.dumps([codes, before, "mpmath" in sys.modules]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 11, False, True]
 
 
 def test_simplex_muirhead(capsys):

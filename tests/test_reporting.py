@@ -74,6 +74,20 @@ def test_render_pretty():
     assert not any(line != line.rstrip() for line in lines)
 
 
+def test_values_past_the_int_string_limit_render_in_every_format():
+    # str() refuses ints of more than 4300 digits; these digits are known
+    # from how the ints are built, not from converting them
+    num, den = 10**5000 + 1, 2**13
+    num_text = "1" + "0" * 4999 + "1"
+    report = SearchReport(
+        mode="big", params={}, columns=("value", "count"), rows=[(Fraction(num, den), num)]
+    )
+    assert render_report(report, "csv") == f"value,count\n{num_text}/8192,{num_text}\n"
+    assert render_report(report, "jsonl") == f'{{"count":{num_text},"value":"{num_text}/8192"}}\n'
+    rows = render_report(report, "pretty").splitlines()[2:]
+    assert rows[-1] == f"{num_text}/8192  {num_text}"
+
+
 def test_unknown_format_is_rejected():
     with pytest.raises(ValueError):
         render_report(_sample_report(), "xml")

@@ -104,6 +104,21 @@ def test_only_the_tree_module_constructs_trees():
     assert found == []
 
 
+def test_only_the_real_mode_module_imports_mpmath():
+    # the exact commands start without mpmath, which takes about 30 ms to
+    # import, so every real-valued computation lives behind _realmode.py
+    root = Path(treedensity.__file__).parent
+    found = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                found.add(path.name)
+    assert found == {"_realmode.py"}
+
+
 def _package_modules():
     return [treedensity] + [
         importlib.import_module(f"treedensity.{info.name}")
