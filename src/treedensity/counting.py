@@ -11,12 +11,11 @@ Two independent routes to c(D, T) live here. ``count_copies_brute`` walks
 every subset and is the ground truth at small sizes; it reads each induced
 code straight off the depths at which consecutive chosen leaves meet, taken
 from a range-minimum table built once per host, and builds no Tree, so it
-shares nothing with the recursion. ``count_copies`` runs a
-branch decomposition: a copy of D either sits inside a single branch of T, or
-its root is the root of T and each branch of D is induced inside a distinct
-branch of T. The cross term enumerates, per choice of |D|-many branches of T,
-the distinct ways to assign D's branch isomorphism classes to them
-(:func:`branch_pattern` precomputes those assignments).
+shares nothing with the recursion. ``count_copies`` runs a branch
+decomposition: a copy of D either sits inside a single branch of T, or its
+root is the root of T and each branch of D is induced inside a distinct
+branch of T. The cross term is one pass over T's branches that tracks how
+many of D's branches of each isomorphism class are placed on them.
 
 ``CopyEngine`` and ``caterpillar_counts`` share one bottom-up walk over a
 host's distinct subtrees, fewest leaves first, so no count recurses over the
@@ -33,8 +32,8 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, compress, count
-from math import comb
-from operator import not_
+from math import comb, prod
+from operator import mul, not_
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
@@ -54,6 +53,9 @@ __all__ = [
 ]
 
 SUBSET_CAP = 10**8  # the most leaf subsets the oracle walks unforced
+# the most steps a count's passes may take: outdegree times steps, summed over
+# new host subtrees and the shapes with no more branches than the subtree
+PASS_STEP_CAP = 10**7
 
 
 def induced_subtree(t: Tree, leaves: Iterable[int]) -> Tree:
@@ -195,51 +197,46 @@ def count_copies_brute(d_pattern: Tree, t: Tree, *, force: bool = False) -> int:
     return brute_copy_profile(t, d_pattern.leaf_count, force=force).get(d_pattern.code, 0)
 
 
-def _distinct_sequences(mults: Sequence[int]):
-    """Every distinct arrangement of ``mults[c]`` copies of each class c, in
-    lexicographic order, by repeated next-permutation of the sorted classes."""
-    seq = [c for c, m in enumerate(mults) for _ in range(m)]
-    while True:
-        yield tuple(seq)
-        i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(seq) - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = reversed(seq[i + 1 :])
+def _pass_steps(classes: Counter) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """A shape's steps (state, next state, class column), most branches placed
+    first, and ends[p], the count of steps from states with p or more placed.
+    Digit c of a state, in radix m_c + 1, counts class-c branches placed."""
+    mults = list(classes.values())
+    strides = list(accumulate((m + 1 for m in mults), mul, initial=1))
+    placed = [sum(st // s % (m + 1) for s, m in zip(strides, mults)) for st in range(strides[-1])]
+    steps, ends = [], [0] * (sum(mults) + 1)
+    for state in sorted(range(strides[-1] - 1), key=placed.__getitem__, reverse=True):
+        steps += [(state, state + s, col) for col, m, s in zip(classes, mults, strides)
+                  if state // s % (m + 1) < m]
+        ends[placed[state]] = len(steps)
+    return steps, ends
 
 
-def branch_pattern(d_pattern: Tree) -> tuple[tuple[Tree, ...], ...]:
-    """The cross term's assignments for a pattern root: every distinct
-    sequence of its r branch shapes, one per position, in lexicographic order
-    with the shapes numbered in canonical child order. :class:`CopyEngine`
-    lays each onto r host branches taken in order. For shape classes of
-    sizes m_1..m_c there are r! / (m_1! ... m_c!) of them."""
-    if d_pattern.is_leaf:
-        raise PreconditionError("a leaf has no branch structure")
-    reps: list[Tree] = []
-    mults: list[int] = []
-    for b in d_pattern.children:  # children arrive sorted, equal codes adjacent
-        if reps and reps[-1].code == b.code:
-            mults[-1] += 1
-        else:
-            reps.append(b)
-            mults.append(1)
-    return tuple(tuple(reps[ci] for ci in idx_seq) for idx_seq in _distinct_sequences(mults))
+def _cross_term(pass_steps: tuple[list, list[int]], last: int, kids: list[list[int]]) -> int:
+    """A shape's cross term: one pass over the children's rows ``kids``. A
+    state's value sums the products of counts over the placements of its
+    branches on the children seen so far. A child runs the steps, most placed
+    first, so it takes at most one branch, and skips the states that the
+    children after it cannot fill up to all r; the last state's value is the term."""
+    steps, ends = pass_steps
+    val = [1] + [0] * last
+    short = len(ends) - 1 - len(kids)  # r - m: the fewest placed worth a step
+    for kid in kids:
+        for state, nxt, col in steps if short <= 0 else steps[: ends[short]]:
+            if val[state] and kid[col]:
+                val[nxt] += val[state] * kid[col]
+        short += 1
+    return val[last]
 
 
 class CopyEngine:
     """Copy counter that fills one row of counts per host subtree.
 
     A pattern's distinct internal shapes are numbered fewest leaves first,
-    and each shape's branch assignments are written as shape numbers, with
-    -1 for a leaf. The row of a host subtree u holds c(S, u) for every shape
-    S, then u's leaf count, the count of the one-leaf pattern. Rows are
-    filled bottom-up: the sum of the children's rows plus the cross term.
+    with -1 for a leaf. The row of a host subtree u holds c(S, u) for every
+    shape S, then u's leaf count, the count of the one-leaf pattern. Rows are
+    filled bottom-up: the sum of the children's rows plus each shape's cross
+    term. Counts above :data:`PASS_STEP_CAP` steps are refused up front.
 
     The memo, one table of rows per pattern code, belongs to the instance and
     only ever grows, so an engine sweeping trees with shared subtrees pays
@@ -247,39 +244,41 @@ class CopyEngine:
     """
 
     def __init__(self):
-        self._memo: dict[str, tuple[list, dict[str, list[int]]]] = {}
+        self._memo: dict[str, tuple[list, dict[int, list], dict[str, list[int]]]] = {}
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
         if d_pattern.code not in self._memo:
             shapes = internal_subtrees(d_pattern)
             index = {s.code: i for i, s in enumerate(shapes)} | {"*": -1}
-            plan = [
-                (s.leaf_count, s.outdegree,
-                 [[index[b.code] for b in a] for a in branch_pattern(s)])
-                for s in shapes
-            ]
-            self._memo[d_pattern.code] = (plan, {"*": [0] * len(shapes) + [1]})
-        plan, rows = self._memo[d_pattern.code]
-        for u in internal_subtrees(t, rows):
+            plan = []
+            for s in shapes:
+                classes = Counter(index[b.code] for b in s.children)
+                states = prod(m + 1 for m in classes.values())
+                steps = sum(states // (m + 1) * m for m in classes.values())
+                plan.append((s.leaf_count, s.outdegree, classes, states - 1, steps))
+            self._memo[d_pattern.code] = (plan, {}, {"*": [0] * len(shapes) + [1]})
+        plan, listed, rows = self._memo[d_pattern.code]
+        todo = internal_subtrees(t, rows)
+        degrees = Counter(u.outdegree for u in todo)
+        work = sum(n * d * p[-1] for p in plan for d, n in degrees.items() if d >= p[1])
+        if work > PASS_STEP_CAP:
+            raise BudgetError(f"counting a {d_pattern.leaf_count}-leaf pattern in a "
+                              f"{t.leaf_count}-leaf tree needs up to {work} steps, "
+                              f"above the cap of {PASS_STEP_CAP}")
+        for u in todo:
             kids = [rows[c.code] for c in u.children]
             row = [sum(col) for col in zip(*kids)]
-            for i, (size, r, assignments) in enumerate(plan):
+            for i, (size, r, classes, last, _) in enumerate(plan):
                 if size > u.leaf_count:
                     break  # this shape and the larger ones stay at 0
                 if r > len(kids):
                     continue
-                for hosts in combinations(kids, r):
-                    for assignment in assignments:
-                        prod = 1
-                        for j, host in zip(assignment, hosts):
-                            prod *= host[j]
-                            if not prod:
-                                break
-                        row[i] += prod
+                if i not in listed:  # listed on first use, after the cap check
+                    listed[i] = _pass_steps(classes)
+                row[i] += _cross_term(listed[i], last, kids)
             rows[u.code] = row
-        # the pattern is its own largest shape, and a one-leaf pattern has no
-        # shapes, so either way its number is len(plan) - 1
+        # the pattern is its own largest shape, or (one leaf) has none: len(plan) - 1
         return rows[t.code][len(plan) - 1]
 
 

@@ -72,10 +72,21 @@ EPS_STEP_CAP = 1000
 # its points: at the cap, bound-sample took 2.7 s at d = 2 and 0.6 s at
 # d = 2 * 10^5, and sup 0.9 s at d = 2 * 10^5
 COORDINATE_CAP = 2 * 10**5
-# the most terms a minimize_F run could evaluate, C(d, 2) pairs and d powers
-# an evaluation: the default budget at d = 10, 5.5 * 10^6 terms, took 6.9 s;
-# a run at the cap that spent its budget on 10^5 starts at d = 2 took 63 s
-MIN_WORK_CAP = 6 * 10**6
+# the most work a sup scan does, k^2 t^2 for its value at step t: that value
+# has about k t bits, and reducing and printing it costs about their square.
+# Near the cap, at d = 3, the command took 0.7-0.9 s for k = 12, 100, 2000
+# and 10000; k = 1000 with 300 steps, 9 * 10^12, ran past 10 s
+SUP_WORK_CAP = 5 * 10**10
+# the most work a bound-sample run does, d k^2 a sample: each of its d powers
+# has about 20 k bits. Near the cap the command took 0.9 s at d = 3, k = 18000
+# and at d = 3, k = 1000 with 333 samples; k = 30000, 2.7 * 10^9, took 2.6 s
+BOUND_SAMPLE_WORK_CAP = 10**9
+# the most work a minimize_F run could do, in terms: C(d, 2) pairs and d
+# powers an evaluation, plus Nelder-Mead bookkeeping worth 8 terms (about
+# 74 us an evaluation, against 9.4 us a term). A run that spends its whole
+# budget at the cap takes about 60 s at any d, but runs usually converge
+# well before: the default budget at d = 10, 6.3 * 10^6, took 6.1 s
+MIN_WORK_CAP = 65 * 10**5
 # the most power-sum terms a muirhead run evaluates, a sample's draw and row
 # counting as 10 d terms
 MUIRHEAD_TERM_CAP = 10**6
@@ -210,8 +221,9 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
 
     The verdict holds at k = 3 when every value equals 1/3 exactly, and at
     k >= 4 when the values stay below 1/k and increase strictly. More than
-    :data:`EPS_STEP_CAP` steps, or more than :data:`COORDINATE_CAP` steps
-    times d, are refused with BudgetError.
+    :data:`EPS_STEP_CAP` steps, more than :data:`COORDINATE_CAP` steps times
+    d, or more than :data:`SUP_WORK_CAP` k^2 t^2 summed over the steps t, are
+    refused with BudgetError.
     """
     require_int(d, 2, "arity bound")
     _require_bound_k("sup", k)
@@ -219,6 +231,12 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     if eps_steps > EPS_STEP_CAP:
         raise BudgetError(f"--eps-steps {eps_steps} exceeds the cap of {EPS_STEP_CAP} steps")
     _require_coordinates(eps_steps, d, "--eps-steps")
+    work = k * k * eps_steps * (eps_steps + 1) * (2 * eps_steps + 1) // 6
+    if work > SUP_WORK_CAP:
+        raise BudgetError(
+            f"--eps-steps {eps_steps} at k={k} needs {work} work units "
+            f"(k^2 * sum of t^2 for t <= eps-steps), above the cap of {SUP_WORK_CAP}"
+        )
     schedule = [Fraction(1, 2**t) for t in range(1, eps_steps + 1)]
     values = sup_boundary_scan(d, k, schedule)
     bound = Fraction(1, k)
@@ -247,12 +265,18 @@ def simplex_bound_sample_report(
     A point is (a_1, ..., a_d) / sum(a) with each a_i uniform in 1..10^6.
     F is evaluated on the integer weights with scale sum(a), and the bounds
     are checked by cross-multiplying, so the only Fraction a row builds is
-    its value. More than :data:`COORDINATE_CAP` samples times d are refused
-    with BudgetError.
+    its value. More than :data:`COORDINATE_CAP` samples times d, or more
+    than :data:`BOUND_SAMPLE_WORK_CAP` samples times d k^2, are refused with
+    BudgetError.
     """
     _require_bound_k("bound-sample", k)
     _require_positive(samples, "--samples")
     _require_coordinates(samples, d, "--samples")
+    if samples * d * k * k > BOUND_SAMPLE_WORK_CAP:
+        raise BudgetError(
+            f"--samples {samples} at d={d}, k={k} needs {samples * d * k * k} work units "
+            f"(samples * d * k^2), above the cap of {BOUND_SAMPLE_WORK_CAP}"
+        )
     rng = random.Random(seed)
     lower, upper = uniform_min_value(d, k), Fraction(1, k)
     lo_num, lo_den = lower.numerator, lower.denominator
@@ -323,17 +347,18 @@ def minimize_F(
     and running out of budget is reported as ``converged=False`` with the
     best point so far. The run, with the d (d - 1) evaluations of its
     stationarity check, is refused with BudgetError when it could evaluate
-    more than :data:`MIN_WORK_CAP` terms.
+    more than :data:`MIN_WORK_CAP` terms, an evaluation's bookkeeping
+    counting as 8.
     """
     require_int(d, 2, "arity bound")
     require_int(k, 3, "caterpillar size")
     if starts < 1 or budget < (d + 1) * (starts + 1):
         raise PreconditionError("budget too small for the requested number of starts")
-    work = (budget + d * (d - 1)) * comb(d + 1, 2)
+    work = (budget + d * (d - 1)) * (comb(d + 1, 2) + 8)
     if work > MIN_WORK_CAP:
         raise BudgetError(
             f"--budget {budget} at d={d} needs up to {work} terms "
-            f"((budget + d (d - 1)) * C(d + 1, 2)), above the cap of {MIN_WORK_CAP}"
+            f"((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of {MIN_WORK_CAP}"
         )
     from . import _realmode
     return _realmode.minimize(d, k, starts, budget, seed)

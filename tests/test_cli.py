@@ -392,19 +392,38 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         # a start costs about 15 ms at d = 3
         (("simplex", "--mode", "min", "--d", "3", "--k", "4",
           "--starts", "1000000", "--budget", "1000000000000"),
-         "--budget 1000000000000 at d=3 needs up to 6000000000036 terms "
-         "((budget + d (d - 1)) * C(d + 1, 2)), above the cap of 6000000"),
+         "--budget 1000000000000 at d=3 needs up to 14000000000084 terms "
+         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
         # one evaluation sums C(400, 2) pair terms
         (("simplex", "--mode", "min", "--d", "400", "--k", "3",
           "--starts", "1", "--budget", "100000"),
-         "--budget 100000 at d=400 needs up to 20819920000 terms "
-         "((budget + d (d - 1)) * C(d + 1, 2)), above the cap of 6000000"),
+         "--budget 100000 at d=400 needs up to 20821996800 terms "
+         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
+        # 3 terms an evaluation, but its bookkeeping costs as much as 8:
+        # 2 * 10^6 evaluations took 63 s
+        (("simplex", "--mode", "min", "--d", "2", "--k", "4",
+          "--starts", "100000", "--budget", "1999998"),
+         "--budget 1999998 at d=2 needs up to 22000000 terms "
+         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
         (("simplex", "--mode", "bound-sample", "--d", "100000000", "--k", "3", "--samples", "1"),
          "--samples 1 at d=100000000 needs 100000000 coordinates (samples * d), "
          "above the cap of 200000"),
         (("simplex", "--mode", "sup", "--d", "100000000", "--k", "3", "--eps-steps", "1"),
          "--eps-steps 1 at d=100000000 needs 100000000 coordinates (eps-steps * d), "
          "above the cap of 200000"),
+        # values of up to 300,000 bits: it ran past 10 s
+        (("simplex", "--mode", "sup", "--d", "3", "--k", "1000", "--eps-steps", "300"),
+         "--eps-steps 300 at k=1000 needs 9045050000000 work units "
+         "(k^2 * sum of t^2 for t <= eps-steps), above the cap of 50000000000"),
+        # powers of about 600,000 bits: one sample took 2.6 s
+        (("simplex", "--mode", "bound-sample", "--d", "3", "--k", "30000", "--samples", "1"),
+         "--samples 1 at d=3, k=30000 needs 2700000000 work units "
+         "(samples * d * k^2), above the cap of 1000000000"),
+        # a 10,000-leaf star in a 20,000-leaf star: 20,000 children, each
+        # stepping through 10,000 states
+        (("count", "--pattern-caterpillar", "10000,10000", "--tree-caterpillar", "20000,20000"),
+         "counting a 10000-leaf pattern in a 20000-leaf tree needs up to 200000000 steps, "
+         "above the cap of 10000000"),
         (("limits", "--d", "3", "--k", "20000"),
          "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
          "above the cap of 2250000"),
@@ -412,8 +431,8 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
         "tree-even-leaves", "tree-caterpillar-code", "tree-caterpillar-leaves",
-        "tree-text-depth", "min-budget", "min-arity", "bound-sample-arity", "sup-arity",
-        "limits-bits",
+        "tree-text-depth", "min-budget", "min-arity", "min-bookkeeping", "bound-sample-arity",
+        "sup-arity", "sup-k", "bound-sample-k", "count-steps", "limits-bits",
     ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial, prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +28,10 @@ from treedensity import (
     make_complete,
     make_even_binary,
     parse_tree,
+    star_copies,
 )
 from treedensity import counting
-from treedensity.counting import branch_pattern, caterpillar_counts_of_code
+from treedensity.counting import caterpillar_counts_of_code
 from treedensity.search import enumerate_trees
 from treedensity.trees import internal_subtrees
 
@@ -183,34 +184,35 @@ def test_brute_profile_at_the_range_table_edges(n):
 
 
 # ---------------------------------------------------------------------------
-# branch patterns
+# cross-term pass
 
 
-def test_branch_pattern_classes():
-    cherry = parse_tree("(**)")
-    assert branch_pattern(parse_tree("((**)(**))")) == ((cherry, cherry),)
-    assert branch_pattern(parse_tree("(*(**))")) == ((leaf(), cherry), (cherry, leaf()))
-
-    with pytest.raises(PreconditionError):
-        branch_pattern(leaf())
-
-
-def test_branch_pattern_assignment_counts():
-    # number of distinct assignments is the multinomial coefficient
+def test_cross_term_pass_matches_placement_enumeration():
+    # the sum the pass replaces: over r-subsets of the host's children and
+    # distinct arrangements of the root's branch classes on them
+    rng = random.Random(23)
     for d in (2, 3):
         for n in range(2, 8):
-            for t in enumerate_trees(n, d):
-                assignments = branch_pattern(t)
-                reps = list(dict.fromkeys(t.children))  # one per shape, canonical order
-                classes = [reps.index(b) for b in t.children]
-                expect = factorial(len(classes)) // prod(
-                    factorial(m) for m in Counter(classes).values()
-                )
-                assert len(assignments) == expect
-                assert len(set(assignments)) == expect
-                # in lexicographic order of the class indices
-                indices = [tuple(map(reps.index, a)) for a in assignments]
-                assert indices == sorted(set(permutations(classes)))
+            for s in enumerate_trees(n, d):
+                reps = list(dict.fromkeys(s.children))  # one per shape, canonical order
+                classes = [reps.index(b) for b in s.children]
+                mults = Counter(classes)
+                pass_steps = counting._pass_steps(mults)
+                last = prod(m + 1 for m in mults.values()) - 1
+                r = len(classes)
+                for m in range(r, r + 3):
+                    kids = [[rng.randrange(4) for _ in reps] for _ in range(m)]
+                    expect = sum(
+                        prod(host[c] for c, host in zip(arrangement, hosts))
+                        for hosts in combinations(kids, r)
+                        for arrangement in set(permutations(classes))
+                    )
+                    assert counting._cross_term(pass_steps, last, kids) == expect, (s.code, kids)
+
+
+def test_count_of_a_30_star_in_a_60_star():
+    # C(60, 30) subsets: listing them per host vertex would never finish
+    assert count_copies(make_complete(30, 1), make_complete(60, 1)) == star_copies(30, 60, 1)
 
 
 # ---------------------------------------------------------------------------
