@@ -25,7 +25,7 @@ storing it would save.
 
 from __future__ import annotations
 
-from itertools import chain, groupby, islice
+from itertools import accumulate, chain, groupby
 from math import comb
 from operator import add, mul
 from typing import Sequence
@@ -38,7 +38,11 @@ __all__ = [
     "ParetoDP",
 ]
 
-CANDIDATE_CAP = 5 * 10**6  # the most candidate vectors one level may produce
+# the most candidate columns one run may evaluate: k - 2 columns for each
+# candidate vector of every level it builds. Near the cap a run took 8-9 s at
+# d = 2, 11 s at d = 3 and 4, and 24 s at d = 6, since a candidate of m parts
+# sums m entries a column
+CANDIDATE_CAP = 2 * 10**7
 
 
 def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
@@ -58,6 +62,28 @@ def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
         kept.append(v)
         kept_idx.append(i)
     return kept_idx
+
+
+def _candidates(d: int, lo: int, hi: int, limit: int) -> int:
+    """Candidate vectors of the levels lo..hi, one for each split of a level
+    n into 2..d parts, counted until they exceed ``limit``.
+
+    The binary splits are in closed form, since the sum of n // 2 over
+    n <= m is m^2 // 4, and settle d = 2. Otherwise ``ways[n]`` counts the
+    partitions of n into parts of at most m, as many as into at most m
+    parts, for m = 2, 3, ... in turn, so the count only grows as m does.
+    """
+    total = hi * hi // 4 - (lo - 1) * (lo - 1) // 4
+    if d < 3 or total > limit:
+        return total
+    ways = [1] * (hi + 1)
+    for m in range(2, min(d, hi) + 1):
+        for r in range(m):
+            ways[r::m] = accumulate(ways[r::m])
+        total = sum(ways[lo:]) - (hi - lo + 1)  # less the one-part split
+        if total > limit:
+            break
+    return total
 
 
 def _partitions_into_parts(n: int, m: int):
@@ -181,14 +207,8 @@ class ParetoDP:
         n, m = 3..d, in ``_partitions_into_parts`` order.
         """
         h = n // 2
-        room = max(0, CANDIDATE_CAP + 1 - h)
         parts = (_partitions_into_parts(n, m) for m in range(3, min(self.d, n) + 1))
-        multi = list(islice(chain.from_iterable(parts), room))
-        if h + len(multi) > CANDIDATE_CAP:
-            raise BudgetError(
-                f"level n={n} produced more than {CANDIDATE_CAP} candidate vectors, "
-                f"the cap of frontier.CANDIDATE_CAP"
-            )
+        multi = list(chain.from_iterable(parts))
         weights = range(n, 0, -1)  # n - s for s = 0..n-1
         # terms[j - 3][s] = c_j(s) + (n - s) c_{j-1}(s): branch s's share of c_j
         terms = []
@@ -235,10 +255,23 @@ class ParetoDP:
         return mins, split
 
     def run(self, n_max: int) -> ParetoDP:
+        """Build levels up to n_max. Before the first new level, the run is
+        refused with BudgetError when its levels' candidate vectors times the
+        k - 2 columns of each exceed :data:`CANDIDATE_CAP`."""
         require_int(n_max, 1, "n_max")
         if self.max_n() == 0:
             self._append((0,) * (self.k - 2), witness="*")
-        for n in range(self.max_n() + 1, n_max + 1):
+        first = self.max_n() + 1
+        if first <= n_max:
+            cols = self.k - 2
+            found = _candidates(self.d, first, n_max, CANDIDATE_CAP // cols)
+            if found * cols > CANDIDATE_CAP:
+                raise BudgetError(
+                    f"levels {first}..{n_max} at d={self.d}, k={self.k} need at least "
+                    f"{found * cols} candidate columns ((k - 2) per candidate vector), "
+                    f"above the cap of {CANDIDATE_CAP}"
+                )
+        for n in range(first, n_max + 1):
             self._append(*self._select(n))
         return self
 

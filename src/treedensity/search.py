@@ -27,7 +27,7 @@ from . import frontier as frontier_mod
 from .counting import caterpillar_counts, check_witness, combine_caterpillar_counts
 from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
-from .reporting import SearchReport
+from .reporting import SearchReport, fraction_str, int_str
 from .trees import Tree, leaf, node
 
 __all__ = [
@@ -140,6 +140,7 @@ def enumerate_trees(
     """
     require_int(n, 1, "leaf count")
     require_int(d, 2, "arity bound")
+    require_int(max_trees, 1, "max_trees")
     if strict and (n - 1) % (d - 1) != 0:
         raise PreconditionError(
             f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
@@ -202,6 +203,7 @@ def search_min_report(
     require_int(n_max, 1, "leaf count")
     require_int(d, 2, "arity bound")
     require_int(n_min, k, "n_min")
+    require_int(max_trees, 1, "max_trees")
     if n_min > n_max:
         raise PreconditionError(f"need n_min <= n_max, got {n_min} > {n_max}")
     if method == "auto":
@@ -307,9 +309,11 @@ def verify_monotone_min(
         all_ok = all_ok and nondecreasing and bounded
         rows.append((n, min_count, num, den, nondecreasing, bounded))
         prev = dens
+    # str(limit)'s form, at any size
+    limit_text = int_str(limit.numerator) if limit.denominator == 1 else fraction_str(limit)
     return SearchReport(
         mode="monotone",
-        params={"d": d, "k": k, "n_min": k, "n_max": n_max, "limit": str(limit)},
+        params={"d": d, "k": k, "n_min": k, "n_max": n_max, "limit": limit_text},
         columns=("n", "min_count", "min_density_num", "min_density_den", "nondecreasing", "le_liminf"),
         rows=rows,
         all_ok=all_ok,

@@ -65,21 +65,16 @@ __all__ = [
 ]
 
 _EXACT_TYPES = (int, Fraction)
-# eps = 2^-t gives exact values of about k t digits, so a scan's time and
-# report size grow as the square of its steps
-EPS_STEP_CAP = 1000
-# the most coordinates a sup or bound-sample run evaluates F at, summed over
-# its points: at the cap, bound-sample took 2.7 s at d = 2 and 0.6 s at
-# d = 2 * 10^5, and sup 0.9 s at d = 2 * 10^5
-COORDINATE_CAP = 2 * 10**5
 # the most work a sup scan does, k^2 t^2 for its value at step t: that value
 # has about k t bits, and reducing and printing it costs about their square.
 # Near the cap, at d = 3, the command took 0.7-0.9 s for k = 12, 100, 2000
-# and 10000; k = 1000 with 300 steps, 9 * 10^12, ran past 10 s
+# and 10000, and 0.26 s for k = 3 with 2550 steps; k = 1000 with 300 steps,
+# 9 * 10^12, ran past 10 s
 SUP_WORK_CAP = 5 * 10**10
-# the most work a bound-sample run does, d k^2 a sample: each of its d powers
-# has about 20 k bits. Near the cap the command took 0.9 s at d = 3, k = 18000
-# and at d = 3, k = 1000 with 333 samples; k = 30000, 2.7 * 10^9, took 2.6 s
+# the most work a bound-sample run does, d (k^2 + 5000) a sample: each of its
+# d powers has about 20 k bits, and drawing a coordinate and writing its cell
+# cost about as much as 5000 units. Near the cap the command took 1.9 s at
+# (d, k) = (2, 3), 1.7 s at (3, 100) and 0.8 s at (3, 18000)
 BOUND_SAMPLE_WORK_CAP = 10**9
 # the most work a minimize_F run could do, in terms: C(d, 2) pairs and d
 # powers an evaluation, plus Nelder-Mead bookkeeping worth 8 terms (about
@@ -87,12 +82,11 @@ BOUND_SAMPLE_WORK_CAP = 10**9
 # budget at the cap takes about 60 s at any d, but runs usually converge
 # well before: the default budget at d = 10, 6.3 * 10^6, took 6.1 s
 MIN_WORK_CAP = 65 * 10**5
-# the most power-sum terms a muirhead run evaluates, a sample's draw and row
-# counting as 10 d terms
-MUIRHEAD_TERM_CAP = 10**6
-# the most power-sum work a muirhead run does, counted as terms times
-# k^2 min(d, k): a term multiplies up to min(d, k) powers whose exponents sum
-# to k, of integers whose size grows with d
+# the most power-sum work a muirhead run does: a term multiplies up to
+# min(d, k) powers whose exponents sum to k, of integers whose size grows with
+# d, and costs k^2 min(d, k) + 3000 units; a sample's draw and row cost as
+# much as 10 d terms of 3000 units. Near the cap the command took 2.2 s at
+# (d, k) = (2, 3), 1.5 s at (2, 90), 1.4 s at (3, 55) and 1.0 s at (5, 10)
 MUIRHEAD_WORK_CAP = 3 * 10**9
 
 
@@ -183,15 +177,17 @@ def sup_boundary_scan(d: int, k: int, eps_schedule: Sequence) -> list[Fraction]:
     Every eps must lie in (0, 1/2]. For k = 3 every value equals 1/3 = 1/k;
     for k >= 4 the values increase towards (but stay below) 1/k as eps
     decreases. This function only evaluates; :func:`simplex_sup_report`
-    turns the values into a verdict by that rule.
+    turns the values into a verdict by that rule. The d - 2 zero coordinates
+    add nothing to either sum of F, so each value is F at (eps, 1 - eps) and
+    the scan costs the same at every d.
     """
+    require_int(d, 2, "arity bound")
     values = []
     for eps in eps_schedule:
         e = Fraction(eps)
         if not 0 < e <= Fraction(1, 2):
             raise PreconditionError(f"eps must lie in (0, 1/2], got {eps!r}")
-        coords = (Fraction(0),) * (d - 2) + (e, 1 - e)
-        values.append(eval_F(d, k, coords))
+        values.append(eval_F(2, k, (e, 1 - e)))
     return values
 
 
@@ -207,30 +203,17 @@ def _require_positive(value: int, flag: str) -> None:
         raise PreconditionError(f"{flag} must be >= 1, got {value}")
 
 
-def _require_coordinates(points: int, d: int, flag: str) -> None:
-    # a point's evaluation handles each of its d coordinates
-    if points * d > COORDINATE_CAP:
-        raise BudgetError(
-            f"{flag} {points} at d={d} needs {points * d} coordinates ({flag[2:]} * d), "
-            f"above the cap of {COORDINATE_CAP}"
-        )
-
-
 def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     """F along (0, ..., 0, eps, 1 - eps) for eps = 1/2, 1/4, ..., 2^-eps_steps.
 
     The verdict holds at k = 3 when every value equals 1/3 exactly, and at
     k >= 4 when the values stay below 1/k and increase strictly. More than
-    :data:`EPS_STEP_CAP` steps, more than :data:`COORDINATE_CAP` steps times
-    d, or more than :data:`SUP_WORK_CAP` k^2 t^2 summed over the steps t, are
-    refused with BudgetError.
+    :data:`SUP_WORK_CAP` k^2 t^2 summed over the steps t is refused with
+    BudgetError.
     """
     require_int(d, 2, "arity bound")
     _require_bound_k("sup", k)
     _require_positive(eps_steps, "--eps-steps")
-    if eps_steps > EPS_STEP_CAP:
-        raise BudgetError(f"--eps-steps {eps_steps} exceeds the cap of {EPS_STEP_CAP} steps")
-    _require_coordinates(eps_steps, d, "--eps-steps")
     work = k * k * eps_steps * (eps_steps + 1) * (2 * eps_steps + 1) // 6
     if work > SUP_WORK_CAP:
         raise BudgetError(
@@ -265,17 +248,16 @@ def simplex_bound_sample_report(
     A point is (a_1, ..., a_d) / sum(a) with each a_i uniform in 1..10^6.
     F is evaluated on the integer weights with scale sum(a), and the bounds
     are checked by cross-multiplying, so the only Fraction a row builds is
-    its value. More than :data:`COORDINATE_CAP` samples times d, or more
-    than :data:`BOUND_SAMPLE_WORK_CAP` samples times d k^2, are refused with
-    BudgetError.
+    its value. More than :data:`BOUND_SAMPLE_WORK_CAP` samples times
+    d (k^2 + 5000) is refused with BudgetError.
     """
     _require_bound_k("bound-sample", k)
     _require_positive(samples, "--samples")
-    _require_coordinates(samples, d, "--samples")
-    if samples * d * k * k > BOUND_SAMPLE_WORK_CAP:
+    work = samples * d * (k * k + 5000)
+    if work > BOUND_SAMPLE_WORK_CAP:
         raise BudgetError(
-            f"--samples {samples} at d={d}, k={k} needs {samples * d * k * k} work units "
-            f"(samples * d * k^2), above the cap of {BOUND_SAMPLE_WORK_CAP}"
+            f"--samples {samples} at d={d}, k={k} needs {work} work units "
+            f"(samples * d * (k^2 + 5000)), above the cap of {BOUND_SAMPLE_WORK_CAP}"
         )
     rng = random.Random(seed)
     lower, upper = uniform_min_value(d, k), Fraction(1, k)
@@ -487,32 +469,21 @@ def simplex_muirhead_report(
 
     A pair has at most min(d, k) nonzero exponents, so its two power sums
     take at most 2 perm(d, min(d, k)) terms, each a product of up to
-    min(d, k) powers. Drawing a sample and building its row cost about as
-    much as 10 d terms. When ``samples`` times the terms and the draw exceeds
-    :data:`MUIRHEAD_TERM_CAP`, or ``samples`` times the terms times
-    k^2 min(d, k) exceeds :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and
-    BudgetError is raised. A run at the term cap took 1.2 s at d = 2, k = 3.
-    The work cap is 3 * 10^9: a unit took 0.03 to 1.1 ns at 3 <= d <= 9 and
-    k from 55 to 10,000, so a run at it takes up to about 3 s, and one at
-    d = 2, k = 90 under both caps took 2.5 s.
+    min(d, k) powers and counted as k^2 min(d, k) + 3000 work units.
+    Drawing a sample and building its row cost about as much as 10 d terms
+    of 3000 units. When ``samples`` times that work exceeds
+    :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and BudgetError is raised.
     """
     # with d < 2 or k < 2 every composition of k has a part equal to k, so
     # random_majorization_pair would never find one to use
     require_int(d, 2, "arity bound")
     require_int(k, 2, "caterpillar size")
     _require_positive(samples, "--samples")
-    powers = samples * 2 * perm(d, min(d, k))
-    terms = powers + samples * 10 * d
-    if terms > MUIRHEAD_TERM_CAP:
-        raise BudgetError(
-            f"--samples {samples} at d={d}, k={k} needs up to {terms} terms "
-            f"(samples * (2 * perm(d, min(d, k)) + 10 * d)), above the cap of {MUIRHEAD_TERM_CAP}"
-        )
-    work = powers * k * k * min(d, k)
+    work = samples * (2 * perm(d, min(d, k)) * (k * k * min(d, k) + 3000) + 10 * d * 3000)
     if work > MUIRHEAD_WORK_CAP:
         raise BudgetError(
-            f"--samples {samples} at d={d}, k={k} needs up to {work} power-sum work units "
-            f"(samples * 2 * perm(d, min(d, k)) * k^2 * min(d, k)), "
+            f"--samples {samples} at d={d}, k={k} needs up to {work} work units "
+            f"(samples * (2 * perm(d, min(d, k)) * (k^2 * min(d, k) + 3000) + 10 * d * 3000)), "
             f"above the cap of {MUIRHEAD_WORK_CAP}"
         )
     rng = random.Random(seed)

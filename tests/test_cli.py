@@ -225,6 +225,28 @@ def test_conjecture_and_monotone_exit_clean(capsys):
     assert all(line.endswith("true,true") for line in out.splitlines()[1:])
 
 
+def test_monotone_prints_a_limit_of_over_4300_digits(capsys):
+    # from about k = 175 at d = 2, the limit's denominator has more digits
+    # than str() renders
+    code, out, err = run_cli(
+        capsys, "monotone", "--d", "2", "--k", "200", "--n-max", "200", "--format", "pretty"
+    )
+    assert (code, err) == (0, "")
+    params = out.splitlines()[1]
+    assert re.fullmatch(r"params: d=2, k=200, limit=[0-9]+/[0-9]{4301,}, n_max=200, n_min=200",
+                        params)
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "pareto"])
+def test_search_min_refuses_a_negative_tree_cap_on_either_route(capsys, method):
+    code, out, err = run_cli(
+        capsys, "search-min", "--d", "2", "--k", "4", "--n-max", "10",
+        "--max-trees", "-1", "--method", method,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: max_trees must be an integer >= 1, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # simplex command
 
@@ -292,14 +314,22 @@ def test_simplex_refuses_zero_checks(capsys, mode, flag):
     assert f"{flag} must be >= 1, got 0" in err
 
 
-def test_simplex_sup_refuses_steps_over_its_cap(capsys):
-    # each step adds about k digits to every later value, so the scan's cost
-    # grows as the square of its steps
-    code, out, err = run_cli(
-        capsys, "simplex", "--d", "2", "--k", "3", "--mode", "sup", "--eps-steps", "1001"
-    )
-    assert (code, out) == (3, "")
-    assert err == "refused: --eps-steps 1001 exceeds the cap of 1000 steps\n"
+def test_simplex_sup_report_is_the_same_at_every_d(capsys):
+    # the d - 2 zero coordinates add nothing to F, so only the params line
+    # names d, and the scan costs the same at d = 10^8 as at d = 2
+    reports = {}
+    for d in ("2", "3", "100000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simplex", "--d", d, "--k", "5", "--mode", "sup", "--eps-steps", "40",
+            "--format", "pretty",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1] == f"params: bound=1/5, d={d}, k=5"
+        reports[d] = lines[:1] + lines[2:]
+    assert reports["2"] == reports["3"] == reports["100000000"]
 
 
 @pytest.mark.parametrize("mode", ["sup", "bound-sample"])
@@ -361,20 +391,24 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
     [
         # a sample's two power sums take up to 2 * 12! terms at d = k = 12
         (("simplex", "--mode", "muirhead", "--d", "12", "--k", "12"),
-         "--samples 1000 at d=12, k=12 needs up to 958003320000 terms "
-         "(samples * (2 * perm(d, min(d, k)) + 10 * d)), above the cap of 1000000"),
+         "--samples 1000 at d=12, k=12 needs up to 4529439489600000 work units "
+         "(samples * (2 * perm(d, min(d, k)) * (k^2 * min(d, k) + 3000) + 10 * d * 3000)), "
+         "above the cap of 3000000000"),
         # 4 terms a sample, but drawing it costs more than they do
         (("simplex", "--mode", "muirhead", "--d", "2", "--k", "3", "--samples", "250000"),
-         "--samples 250000 at d=2, k=3 needs up to 6000000 terms "
-         "(samples * (2 * perm(d, min(d, k)) + 10 * d)), above the cap of 1000000"),
+         "--samples 250000 at d=2, k=3 needs up to 18018000000 work units "
+         "(samples * (2 * perm(d, min(d, k)) * (k^2 * min(d, k) + 3000) + 10 * d * 3000)), "
+         "above the cap of 3000000000"),
         # 40 terms, but each multiplies powers whose exponents sum to 10^5
         (("simplex", "--mode", "muirhead", "--d", "2", "--k", "100000", "--samples", "10"),
-         "--samples 10 at d=2, k=100000 needs up to 800000000000 power-sum work units "
-         "(samples * 2 * perm(d, min(d, k)) * k^2 * min(d, k)), above the cap of 3000000000"),
-        # 725,760 terms, under the term cap, but each multiplies 9 powers
+         "--samples 10 at d=2, k=100000 needs up to 800000720000 work units "
+         "(samples * (2 * perm(d, min(d, k)) * (k^2 * min(d, k) + 3000) + 10 * d * 3000)), "
+         "above the cap of 3000000000"),
+        # 725,760 terms, but each multiplies 9 powers
         (("simplex", "--mode", "muirhead", "--d", "9", "--k", "55", "--samples", "1"),
-         "--samples 1 at d=9, k=55 needs up to 19758816000 power-sum work units "
-         "(samples * 2 * perm(d, min(d, k)) * k^2 * min(d, k)), above the cap of 3000000000"),
+         "--samples 1 at d=9, k=55 needs up to 21936366000 work units "
+         "(samples * (2 * perm(d, min(d, k)) * (k^2 * min(d, k) + 3000) + 10 * d * 3000)), "
+         "above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
         # each spine vertex keeps its own code, so their length is quadratic
@@ -405,20 +439,22 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
           "--starts", "100000", "--budget", "1999998"),
          "--budget 1999998 at d=2 needs up to 22000000 terms "
          "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
+        # each coordinate's draw and cell cost as much as k^2 = 5000 units
         (("simplex", "--mode", "bound-sample", "--d", "100000000", "--k", "3", "--samples", "1"),
-         "--samples 1 at d=100000000 needs 100000000 coordinates (samples * d), "
-         "above the cap of 200000"),
-        (("simplex", "--mode", "sup", "--d", "100000000", "--k", "3", "--eps-steps", "1"),
-         "--eps-steps 1 at d=100000000 needs 100000000 coordinates (eps-steps * d), "
-         "above the cap of 200000"),
+         "--samples 1 at d=100000000, k=3 needs 500900000000 work units "
+         "(samples * d * (k^2 + 5000)), above the cap of 1000000000"),
         # values of up to 300,000 bits: it ran past 10 s
         (("simplex", "--mode", "sup", "--d", "3", "--k", "1000", "--eps-steps", "300"),
          "--eps-steps 300 at k=1000 needs 9045050000000 work units "
          "(k^2 * sum of t^2 for t <= eps-steps), above the cap of 50000000000"),
+        # at k = 3 the work alone bounds the steps: 2,550 pass
+        (("simplex", "--mode", "sup", "--d", "2", "--k", "3", "--eps-steps", "2600"),
+         "--eps-steps 2600 at k=3 needs 52758423900 work units "
+         "(k^2 * sum of t^2 for t <= eps-steps), above the cap of 50000000000"),
         # powers of about 600,000 bits: one sample took 2.6 s
         (("simplex", "--mode", "bound-sample", "--d", "3", "--k", "30000", "--samples", "1"),
-         "--samples 1 at d=3, k=30000 needs 2700000000 work units "
-         "(samples * d * k^2), above the cap of 1000000000"),
+         "--samples 1 at d=3, k=30000 needs 2700015000 work units "
+         "(samples * d * (k^2 + 5000)), above the cap of 1000000000"),
         # a 10,000-leaf star in a 20,000-leaf star: 20,000 children, each
         # stepping through 10,000 states
         (("count", "--pattern-caterpillar", "10000,10000", "--tree-caterpillar", "20000,20000"),
@@ -427,12 +463,27 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("limits", "--d", "3", "--k", "20000"),
          "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
          "above the cap of 2250000"),
+        # the DP's levels cost k - 2 columns a candidate, and a binary level n
+        # has n // 2 candidates: this run would take days
+        (("conjecture", "--k", "4", "--n-max", "1000000"),
+         "levels 2..1000000 at d=2, k=4 need at least 500000000000 candidate columns "
+         "((k - 2) per candidate vector), above the cap of 20000000"),
+        # 160,000 candidates, of 798 columns each: it took 37 s
+        (("search-min", "--d", "2", "--k", "800", "--n-max", "800"),
+         "levels 2..800 at d=2, k=800 need at least 127680000 candidate columns "
+         "((k - 2) per candidate vector), above the cap of 20000000"),
+        # under the cap in binary splits alone, but the 3-part partitions of
+        # a level n number about n^2 / 12
+        (("monotone", "--d", "3", "--k", "4", "--n-max", "2000", "--method", "pareto"),
+         "levels 2..2000 at d=3, k=4 need at least 446777444 candidate columns "
+         "((k - 2) per candidate vector), above the cap of 20000000"),
     ],
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
         "tree-even-leaves", "tree-caterpillar-code", "tree-caterpillar-leaves",
         "tree-text-depth", "min-budget", "min-arity", "min-bookkeeping", "bound-sample-arity",
-        "sup-arity", "sup-k", "bound-sample-k", "count-steps", "limits-bits",
+        "sup-k", "sup-steps", "bound-sample-k", "count-steps", "limits-bits",
+        "conjecture-run", "search-min-run", "monotone-run",
     ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):

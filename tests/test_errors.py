@@ -11,6 +11,7 @@ from treedensity import (
     caterpillar_counts,
     combine_caterpillar_counts,
     count_trees,
+    enumerate_trees,
     eval_F,
     is_d_ary,
     leaf,
@@ -22,6 +23,7 @@ from treedensity import (
     minimize_F,
     search_min_report,
     star_copies,
+    sup_boundary_scan,
     uniform_min_value,
     verify_even_conjecture,
     verify_monotone_min,
@@ -64,6 +66,14 @@ _INTEGER_CHECKS = [
           "n_min must be an integer >= 4, got 3"),
     _case("search_min_report-n_min-float", lambda: search_min_report(2, 4, 4.5, 10),
           "n_min must be an integer >= 4, got 4.5"),
+    _case("search_min_report-max_trees-exhaustive",
+          lambda: search_min_report(2, 4, 4, 10, method="exhaustive", max_trees=-1),
+          "max_trees must be an integer >= 1, got -1"),
+    _case("search_min_report-max_trees-pareto",
+          lambda: search_min_report(2, 4, 4, 10, method="pareto", max_trees=0),
+          "max_trees must be an integer >= 1, got 0"),
+    _case("enumerate_trees-max_trees", lambda: enumerate_trees(5, 2, max_trees=-1),
+          "max_trees must be an integer >= 1, got -1"),
     _case("verify_even_conjecture-k", lambda: verify_even_conjecture(2, 5),
           "caterpillar size must be an integer >= 3, got 2"),
     _case("verify_even_conjecture-n_max", lambda: verify_even_conjecture(4, 3),
@@ -95,6 +105,8 @@ _INTEGER_CHECKS = [
           "arity bound must be an integer >= 2, got 1"),
     _case("uniform_min_value-k", lambda: uniform_min_value(2, 1),
           "caterpillar size must be an integer >= 2, got 1"),
+    _case("sup_boundary_scan-d", lambda: sup_boundary_scan(1, 4, [1]),
+          "arity bound must be an integer >= 2, got 1"),
     _case("minimize_F-d", lambda: minimize_F(1, 3),
           "arity bound must be an integer >= 2, got 1"),
     _case("minimize_F-k", lambda: minimize_F(2, 2),

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import treedensity
@@ -250,6 +251,24 @@ def test_each_public_name_is_listed_once():
     listed = [name for module in modules for name in module.__all__]
     assert treedensity.__all__ == listed + ["__version__"]
     assert len(set(listed)) == len(listed)
+
+
+def test_every_cap_has_a_row_in_the_readme_budgets_table():
+    # a merged or deleted cap must not leave stale docs: the module-level
+    # *_CAP names of the package are exactly the rows of README's table
+    root = Path(treedensity.__file__).parent
+    caps = [
+        f"{path.stem}.{target.id}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_CAP")
+    ]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Budgets\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+\.\w+)` \|", table, re.MULTILINE)
+    assert sorted(rows) == sorted(caps)
 
 
 def _module_state():
