@@ -1,17 +1,17 @@
-"""The real-mode bodies of :mod:`treedensity.simplex`, in mpmath arithmetic.
+"""The body of :func:`treedensity.simplex.minimize_F`, in mpmath arithmetic.
 
-The package's one import of mpmath: ``simplex`` imports this module on first
-real-mode use, so the exact commands run without it. The arithmetic runs on
-raw mpf tuples (``x._mpf_``). Each step is the libmp call that mpf's own
-operator makes, with the same operands in the same order and at the working
-precision, so the values are those of the plain mpf expressions in the
-comments, bit for bit, without the cost of building an mpf object per step.
+The package's one import of mpmath, and a leaf: it imports nothing from the
+package, and ``minimize_F`` imports it on first use, so the exact commands
+run without it. The arithmetic runs on raw mpf tuples (``x._mpf_``). Each
+step is the libmp call that mpf's own operator makes, with the same operands
+in the same order and at the working precision, so the values are those of
+the plain mpf expressions in the comments, bit for bit, without the cost of
+building an mpf object per step.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
@@ -25,7 +25,6 @@ from mpmath.libmp import (
     mpf_add,
     mpf_cmp,
     mpf_div,
-    mpf_eq,
     mpf_le,
     mpf_log,
     mpf_lt,
@@ -35,33 +34,6 @@ from mpmath.libmp import (
     mpf_sub,
     round_nearest,
 )
-
-from .errors import PreconditionError, SingularityError
-from .simplex import MinimizeResult, simplex_point, tangent_stationarity
-
-
-def _mpf(c) -> mpmath.mpf:
-    """c as an mpf; a Fraction, which mpmath cannot convert, is divided out."""
-    return mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
-
-
-def point_coords(xs: tuple) -> tuple:
-    """``simplex_point``'s real-mode coordinates: mpfs, checked."""
-    xs = tuple(c if isinstance(c, mpmath.mpf) else _mpf(c) for c in xs)
-    if any(c < 0 for c in xs):
-        raise PreconditionError("simplex coordinates must be nonnegative")
-    if abs(sum(xs) - 1) > mpmath.mpf("1e-14"):
-        raise PreconditionError(f"coordinates must sum to 1 within 1e-14, got {sum(xs)}")
-    return xs
-
-
-def F_value(k: int, xs: tuple) -> mpmath.mpf:
-    """F at mpf coordinates, at the working precision."""
-    prec = mpmath.mp.prec
-    num, den = _F_terms_mp(k, [x._mpf_ for x in xs], prec)
-    if mpf_eq(den, fzero):
-        raise SingularityError("denominator vanishes at a simplex corner")
-    return mpmath.mp.make_mpf(mpf_div(num, den, prec, round_nearest))
 
 
 def _sum(terms: list, prec: int):
@@ -200,8 +172,10 @@ def _barrier_objective(k, mu):
 
 
 def stationarity(k: int, coords: tuple):
-    """The value of ``tangent_stationarity`` at ``coords``."""
-    xs = [_mpf(c) for c in coords]
+    """Max |directional derivative| of F along (e_i - e_j)/sqrt(2) directions
+    at the mpf ``coords``, by central differences with step 1e-5, at the
+    working precision."""
+    xs = list(coords)
     hh = mpmath.mpf("1e-5")
     u = 1 / mpmath.sqrt(2)
     worst = mpmath.mpf(0)
@@ -222,8 +196,10 @@ def stationarity(k: int, coords: tuple):
     return worst
 
 
-def minimize(d: int, k: int, starts: int, budget: int, seed: int) -> MinimizeResult:
-    """The run of ``minimize_F`` on checked arguments."""
+def minimize(d: int, k: int, starts: int, budget: int, seed: int) -> tuple:
+    """The run of ``minimize_F`` on checked arguments: the point's mpf
+    coordinates, its value, its stationarity, the evaluations made and
+    whether the polish converged."""
     rng = random.Random(seed)
     with mpmath.workprec(128):
         rough = _barrier_objective(k, mpmath.mpf("1e-6")._mpf_)
@@ -247,7 +223,7 @@ def minimize(d: int, k: int, starts: int, budget: int, seed: int) -> MinimizeRes
             polish, best_y, *_raw_mpfs("1e-7", "1e-16", "1e-28"), remaining
         )
         evals_total += evals
-        point = simplex_point(map(mpmath.mp.make_mpf, _full_point(y, mpmath.mp.prec)))
+        coords = tuple(map(mpmath.mp.make_mpf, _full_point(y, mpmath.mp.prec)))
         value = mpmath.mp.make_mpf(polish(y))
-        resid = tangent_stationarity(d, k, point)
-    return MinimizeResult(point, value, resid, evals_total, converged)
+        resid = stationarity(k, coords)
+    return coords, value, resid, evals_total, converged

@@ -38,10 +38,9 @@ __all__ = [
     "ParetoDP",
 ]
 
-# the most candidate columns one run may evaluate: k - 2 columns for each
-# candidate vector of every level it builds. Near the cap a run took 8-9 s at
-# d = 2, 11 s at d = 3 and 4, and 24 s at d = 6, since a candidate of m parts
-# sums m entries a column
+# the most column additions one run may make: k - 2 columns for each
+# candidate vector of every level it builds, a candidate of m parts weighing
+# m - 1, the additions it costs a column, so a binary one weighs 1
 CANDIDATE_CAP = 2 * 10**7
 
 
@@ -66,23 +65,28 @@ def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
 
 def _candidates(d: int, lo: int, hi: int, limit: int) -> int:
     """Candidate vectors of the levels lo..hi, one for each split of a level
-    n into 2..d parts, counted until they exceed ``limit``.
+    n into m parts, 2 <= m <= d, weighted by m - 1 and counted until they
+    exceed ``limit``.
 
     The binary splits are in closed form, since the sum of n // 2 over
     n <= m is m^2 // 4, and settle d = 2. Otherwise ``ways[n]`` counts the
     partitions of n into parts of at most m, as many as into at most m
-    parts, for m = 2, 3, ... in turn, so the count only grows as m does.
+    parts, for m = 2, 3, ... in turn, so each step adds the m-part splits,
+    and the weighted count only grows as m does.
     """
-    total = hi * hi // 4 - (lo - 1) * (lo - 1) // 4
-    if d < 3 or total > limit:
-        return total
+    binary = hi * hi // 4 - (lo - 1) * (lo - 1) // 4
+    if d < 3 or binary > limit:
+        return binary
     ways = [1] * (hi + 1)
+    total, fewer = 0, hi - lo + 1  # fewer: the splits into under m parts
     for m in range(2, min(d, hi) + 1):
         for r in range(m):
             ways[r::m] = accumulate(ways[r::m])
-        total = sum(ways[lo:]) - (hi - lo + 1)  # less the one-part split
+        upto = sum(ways[lo:])
+        total += (m - 1) * (upto - fewer)
         if total > limit:
             break
+        fewer = upto
     return total
 
 
@@ -256,8 +260,9 @@ class ParetoDP:
 
     def run(self, n_max: int) -> ParetoDP:
         """Build levels up to n_max. Before the first new level, the run is
-        refused with BudgetError when its levels' candidate vectors times the
-        k - 2 columns of each exceed :data:`CANDIDATE_CAP`."""
+        refused with BudgetError when its levels' candidate vectors, each
+        weighted by its parts less one, times the k - 2 columns of each
+        exceed :data:`CANDIDATE_CAP`."""
         require_int(n_max, 1, "n_max")
         if self.max_n() == 0:
             self._append((0,) * (self.k - 2), witness="*")

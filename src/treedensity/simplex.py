@@ -15,24 +15,23 @@ point (0, ..., 0, eps, 1 - eps), for every d, so the supremum is attained
 there; for d = 2 the functional is identically 1/3. For k >= 4 the supremum
 1/k is approached, never attained, along those points as eps shrinks.
 
-Evaluation is exact over the rationals whenever the input coordinates are
-ints or Fractions; otherwise it runs in mpmath arithmetic at the caller's
-working precision. The exact checks run on integers. F is homogeneous of
-degree 0, so a point scaled by a common denominator gives the same value,
-and ``_F_int`` computes F's numerator and denominator at integer weights:
-``bound-sample`` evaluates its integer draws that way and checks the bounds
-by cross-multiplying, building one Fraction per sample, for its value. A
-Muirhead comparison of rational values scales them to integers, since its
-two sides are homogeneous of one degree. ``minimize_F`` uses a seeded
-multi-start Nelder-Mead at 128-bit precision (a log barrier keeps iterates
-interior, then a barrier-free polish removes its bias). Muirhead-style
-majorization comparisons live here too, as do the functions that build the
-reports of the ``simplex`` command's four modes.
+Every simplex input is read exactly with ``Fraction(x)``: ints, Fractions
+and floats at their exact values, and a point must sum to exactly 1; a value
+``Fraction`` refuses, such as an mpmath mpf, is refused. The exact checks run
+on integers. F is homogeneous of degree 0, so a point scaled by a common
+denominator gives the same value, and ``_F_int`` computes F's numerator and
+denominator at integer weights: ``bound-sample`` evaluates its integer draws
+that way and checks the bounds by cross-multiplying, building one Fraction
+per sample, for its value. A Muirhead comparison scales its values to
+integers, since its two sides are homogeneous of one degree. ``minimize_F``
+uses a seeded multi-start Nelder-Mead at 128-bit precision (a log barrier
+keeps iterates interior, then a barrier-free polish removes its bias).
+Muirhead-style majorization comparisons live here too, as do the functions
+that build the reports of the ``simplex`` command's four modes.
 
-mpmath is loaded only by ``simplex --mode min`` and by real-valued
-``simplex_point``, ``eval_F`` and ``tangent_stationarity``: their real-mode
-bodies live in the private module ``_realmode``, imported on first use, so
-the exact modes run without it.
+mpmath is loaded only by ``minimize_F`` (``simplex --mode min``): its body
+lives in the private leaf module ``_realmode``, imported on first use, so the
+exact modes run without it.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "simplex_muirhead_report",
 ]
 
-_EXACT_TYPES = (int, Fraction)
 # the most work a sup scan does, k^2 t^2 for its value at step t: that value
 # has about k t bits, and reducing and printing it costs about their square.
 # Near the cap, at d = 3, the command took 0.7-0.9 s for k = 12, 100, 2000
@@ -92,63 +90,68 @@ MUIRHEAD_WORK_CAP = 3 * 10**9
 
 @dataclass(frozen=True)
 class SimplexPoint:
-    """Coordinates on the standard simplex; ``exact`` marks rational mode."""
+    """Coordinates on the standard simplex: Fractions from :func:`simplex_point`,
+    or the mpf coordinates a :func:`minimize_F` run reached."""
 
     coords: tuple
-    exact: bool
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
 
-def simplex_point(coords: Iterable) -> SimplexPoint:
-    """Validate and classify a coordinate tuple.
+def _exact(values: Iterable, what: str) -> tuple[Fraction, ...]:
+    """Each value as ``Fraction(value)``, exact for ints, Fractions and
+    floats; a value that Fraction refuses is a PreconditionError naming it."""
+    out = []
+    for v in values:
+        try:
+            out.append(Fraction(v))
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError(
+                f"{what} are read exactly by Fraction(x), which refuses {v!r}"
+            ) from None
+    return tuple(out)
 
-    All-int/Fraction input must sum to exactly 1; anything else is treated as
-    real-valued and the sum may deviate by at most 1e-14.
-    """
-    xs = tuple(coords)
+
+def simplex_point(coords: Iterable) -> SimplexPoint:
+    """Validate a coordinate tuple, each coordinate read exactly with
+    ``Fraction(x)``: nonnegative, at least two, summing to exactly 1."""
+    xs = _exact(coords, "simplex coordinates")
     if len(xs) < 2:
         raise PreconditionError("a simplex point needs at least two coordinates")
-    if not all(isinstance(c, _EXACT_TYPES) for c in xs):
-        from . import _realmode
-        return SimplexPoint(_realmode.point_coords(xs), False)
-    xs = tuple(Fraction(c) for c in xs)
     if any(c < 0 for c in xs):
         raise PreconditionError("simplex coordinates must be nonnegative")
     if sum(xs) != 1:
-        raise PreconditionError(f"exact coordinates must sum to 1, got {sum(xs)}")
-    return SimplexPoint(xs, True)
+        raise PreconditionError(f"coordinates must sum to exactly 1, got {fraction_str(sum(xs))}")
+    return SimplexPoint(xs)
 
 
 def _coerce_point(d: int, point) -> SimplexPoint:
-    sp = point if isinstance(point, SimplexPoint) else simplex_point(point)
+    # a SimplexPoint's coordinates are read again, so a minimize_F point,
+    # whose coordinates are mpfs, is refused
+    sp = simplex_point(point.coords if isinstance(point, SimplexPoint) else point)
     if sp.dim != d:
         raise PreconditionError(f"point has {sp.dim} coordinates, expected d={d}")
     return sp
 
 
 def eval_F(d: int, k: int, point):
-    """Evaluate F at a simplex point: exact Fraction for rational input,
-    mpmath float otherwise.
+    """Evaluate F exactly, as a Fraction, at a point read by
+    :func:`simplex_point`.
 
     Raises SingularityError when the denominator 1 - sum x_i^k vanishes,
     which happens exactly at the simplex corners.
     """
     require_int(k, 2, "caterpillar size")
-    sp = _coerce_point(d, point)
-    xs = sp.coords
-    if sp.exact:
-        # with L the lcm of the coordinate denominators, a_i = x_i L are
-        # integers summing to L
-        scale = lcm(*(x.denominator for x in xs))
-        num, den = _F_int([x.numerator * (scale // x.denominator) for x in xs], scale, k)
-        if den == 0:
-            raise SingularityError("denominator vanishes at a simplex corner")
-        return Fraction(num, den)
-    from . import _realmode
-    return _realmode.F_value(k, xs)
+    xs = _coerce_point(d, point).coords
+    # with L the lcm of the coordinate denominators, a_i = x_i L are
+    # integers summing to L
+    scale = lcm(*(x.denominator for x in xs))
+    num, den = _F_int([x.numerator * (scale // x.denominator) for x in xs], scale, k)
+    if den == 0:
+        raise SingularityError("denominator vanishes at a simplex corner")
+    return Fraction(num, den)
 
 
 def _F_int(a: Sequence[int], scale: int, k: int) -> tuple[int, int]:
@@ -291,7 +294,8 @@ def simplex_bound_sample_report(
 class MinimizeResult:
     """Outcome of :func:`minimize_F`.
 
-    ``point`` is a real-mode SimplexPoint. ``stationarity`` is the largest
+    ``point`` holds the mpf coordinates reached, at 128 bits; :func:`eval_F`
+    refuses it, since it reads points exactly. ``stationarity`` is the largest
     absolute directional derivative along the tangent directions
     (e_i - e_j)/sqrt(2), estimated by central differences; near an interior
     minimum it should be tiny. ``converged`` is False when the evaluation
@@ -303,14 +307,6 @@ class MinimizeResult:
     stationarity: object
     evaluations: int
     converged: bool
-
-
-def tangent_stationarity(d: int, k: int, point):
-    """Max |directional derivative| of F along (e_i - e_j)/sqrt(2) directions,
-    by central differences with step 1e-5, in mpmath arithmetic at the
-    caller's working precision."""
-    from . import _realmode
-    return _realmode.stationarity(k, _coerce_point(d, point).coords)
 
 
 def minimize_F(
@@ -343,7 +339,8 @@ def minimize_F(
             f"((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of {MIN_WORK_CAP}"
         )
     from . import _realmode
-    return _realmode.minimize(d, k, starts, budget, seed)
+    coords, value, resid, evaluations, converged = _realmode.minimize(d, k, starts, budget, seed)
+    return MinimizeResult(SimplexPoint(coords), value, resid, evaluations, converged)
 
 
 def simplex_min_report(
@@ -415,20 +412,18 @@ def symmetrized_power_sum(exponents: Sequence[int], values: Sequence):
 
 def muirhead_check(pair: MajorizationPair, values: Sequence) -> bool:
     """True when the symmetrized power sum for pair.a dominates that of pair.b
-    at the given positive values. Exact for rational input.
+    at the given positive values, each read exactly with ``Fraction(v)``.
 
-    Rational values (all ints or Fractions) are compared on integers: with L
-    the lcm of their denominators, the sum for exponents e at the values is
-    its sum at the integers v L divided by L^sum(e), so each side is
-    multiplied by the other's power of L. For a majorization pair both
-    powers are L^k.
+    The comparison runs on integers: with L the lcm of the values'
+    denominators, the sum for exponents e at the values is its sum at the
+    integers v L divided by L^sum(e), so each side is multiplied by the
+    other's power of L. For a majorization pair both powers are L^k.
     """
+    values = _exact(values, "majorization values")
     if len(values) != len(pair.a):
         raise PreconditionError("need as many values as exponent entries")
     if any(v <= 0 for v in values):
         raise PreconditionError("majorization comparison needs positive values")
-    if not all(isinstance(v, _EXACT_TYPES) for v in values):
-        return symmetrized_power_sum(pair.a, values) >= symmetrized_power_sum(pair.b, values)
     scale = lcm(*(v.denominator for v in values))
     ints = [v.numerator * (scale // v.denominator) for v in values]
     return (symmetrized_power_sum(pair.a, ints) * scale ** sum(pair.b)

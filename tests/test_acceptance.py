@@ -285,7 +285,7 @@ def _interior_point(d, rng):
     """Exact interior point a / sum(a), each a_i uniform in 1..10^6."""
     weights = [rng.randint(1, 10**6) for _ in range(d)]
     total = sum(weights)
-    return SimplexPoint(tuple(Fraction(w, total) for w in weights), True)
+    return SimplexPoint(tuple(Fraction(w, total) for w in weights))
 
 
 def _criterion_7() -> SearchReport:

@@ -460,6 +460,10 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("count", "--pattern-caterpillar", "10000,10000", "--tree-caterpillar", "20000,20000"),
          "counting a 10000-leaf pattern in a 20000-leaf tree needs up to 200000000 steps, "
          "above the cap of 10000000"),
+        # 9.98 * 10^7 subsets: it took 321 s
+        (("count", "--brute", "--pattern", "(*(**))", "--tree-even", "844"),
+         "brute-force enumeration of C(844,3) = 99846044 subsets exceeds the cap of 1000000; "
+         "pass force=True to run anyway"),
         (("limits", "--d", "3", "--k", "20000"),
          "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
          "above the cap of 2250000"),
@@ -473,16 +477,16 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "levels 2..800 at d=2, k=800 need at least 127680000 candidate columns "
          "((k - 2) per candidate vector), above the cap of 20000000"),
         # under the cap in binary splits alone, but the 3-part partitions of
-        # a level n number about n^2 / 12
+        # a level n number about n^2 / 12, and each costs 2 additions a column
         (("monotone", "--d", "3", "--k", "4", "--n-max", "2000", "--method", "pareto"),
-         "levels 2..2000 at d=3, k=4 need at least 446777444 candidate columns "
+         "levels 2..2000 at d=3, k=4 need at least 891554888 candidate columns "
          "((k - 2) per candidate vector), above the cap of 20000000"),
     ],
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
         "tree-even-leaves", "tree-caterpillar-code", "tree-caterpillar-leaves",
         "tree-text-depth", "min-budget", "min-arity", "min-bookkeeping", "bound-sample-arity",
-        "sup-k", "sup-steps", "bound-sample-k", "count-steps", "limits-bits",
+        "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "limits-bits",
         "conjecture-run", "search-min-run", "monotone-run",
     ],
 )

@@ -21,14 +21,13 @@ from treedensity import (
     sup_boundary_scan,
     uniform_min_value,
 )
-from treedensity import simplex
+from treedensity import _realmode, simplex
 from treedensity.reporting import FORMATS, SearchReport, render_report
 from treedensity.simplex import (
     MajorizationPair,
     SimplexPoint,
     simplex_bound_sample_report,
     symmetrized_power_sum,
-    tangent_stationarity,
 )
 
 
@@ -38,11 +37,13 @@ from treedensity.simplex import (
 
 def test_simplex_point_modes():
     p = simplex_point((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-    assert p.exact and p.dim == 3 and all(c > 0 for c in p.coords)
+    assert p.dim == 3 and all(c > 0 for c in p.coords)
+    # floats and ints are read at their exact values
     q = simplex_point((0.25, 0.25, 0.5))
-    assert not q.exact and all(isinstance(c, mpmath.mpf) for c in q.coords)
+    assert q.coords == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in q.coords)
     r = simplex_point((Fraction(1, 2), Fraction(1, 2), 0))
-    assert r.exact and not all(c > 0 for c in r.coords)
+    assert r.coords == (Fraction(1, 2), Fraction(1, 2), 0)
 
 
 def test_simplex_point_validation():
@@ -54,18 +55,21 @@ def test_simplex_point_validation():
         simplex_point((Fraction(3, 2), Fraction(-1, 2)))
     with pytest.raises(PreconditionError):
         simplex_point((0.6, 0.6))
-    # float inputs may miss the exact sum by rounding noise
-    simplex_point((0.1, 0.2, 0.7))
-
-
-def test_a_fraction_among_real_coordinates_is_converted():
-    # the point is real-valued, and its Fraction becomes the mpf of the same
-    # value, so it gives the same bits as the all-float point
-    mixed, real = (Fraction(1, 2), 0.5), (0.5, 0.5)
-    assert not simplex_point(mixed).exact
-    assert simplex_point(mixed) == simplex_point(real)
-    for k in (3, 4):
-        assert eval_F(2, k, mixed)._mpf_ == eval_F(2, k, real)._mpf_
+    # the three floats sum to exactly 1 - 2^-55, and no tolerance forgives it
+    with pytest.raises(PreconditionError, match="36028797018963967/36028797018963968"):
+        simplex_point((0.1, 0.2, 0.7))
+    # a value that Fraction refuses is named
+    half = mpmath.mpf(1) / 2
+    for read in (lambda: simplex_point((half, half)), lambda: eval_F(2, 3, (0.5, half))):
+        with pytest.raises(PreconditionError, match=r"refuses mpf\('0.5'\)"):
+            read()
+    # a minimize_F point holds mpfs: eval_F reads its coordinates again
+    point = minimize_F(2, 3, starts=1, budget=200).point
+    with pytest.raises(PreconditionError, match="refuses mpf"):
+        eval_F(2, 3, point)
+    for bad in (float("nan"), float("inf"), None):
+        with pytest.raises(PreconditionError, match="refuses"):
+            simplex_point((bad, 0.5))
 
 
 def _interior_point(d, rng):
@@ -73,7 +77,7 @@ def _interior_point(d, rng):
     draws simplex_bound_sample_report makes."""
     weights = [rng.randint(1, 10**6) for _ in range(d)]
     total = sum(weights)
-    return SimplexPoint(tuple(Fraction(w, total) for w in weights), True)
+    return SimplexPoint(tuple(Fraction(w, total) for w in weights))
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +121,12 @@ def test_eval_F_singularities_and_domain():
 
 
 def test_eval_F_real_mode():
-    v = eval_F(2, 3, (0.5, 0.5))
-    assert isinstance(v, mpmath.mpf)
-    assert abs(v - mpmath.mpf(1) / 3) < mpmath.mpf("1e-12")
+    # a float point is read exactly, so it gives its Fraction twin's value
+    assert eval_F(2, 3, (0.5, 0.5)) == Fraction(1, 3)
+    floats = (0.125, 0.375, 0.5)
+    twin = tuple(map(Fraction, floats))
+    for k in (3, 4, 7):
+        assert eval_F(3, k, floats) == eval_F(3, k, twin)
 
 
 def test_eval_F_bounds_on_sampled_points():
@@ -309,7 +316,7 @@ def test_bound_sample_verdict_at_the_bounds(monkeypatch, num, den, within):
 def test_minimize_lands_on_the_uniform_point():
     res = minimize_F(3, 3, starts=4, budget=20000)
     assert res.converged
-    assert res.point.dim == 3 and not res.point.exact
+    assert res.point.dim == 3 and all(isinstance(c, mpmath.mpf) for c in res.point.coords)
     third = mpmath.mpf(1) / 3
     assert all(abs(c - third) < mpmath.mpf("1e-6") for c in res.point.coords)
     assert abs(res.value - mpmath.mpf(1) / 4) < mpmath.mpf("1e-9")
@@ -387,26 +394,12 @@ def test_minimize_F_is_pinned():
     assert got == MINIMIZE_PINS
 
 
-def test_eval_F_real_mode_is_pinned():
-    # one point at the working precision, and one built finer than the
-    # precision it is evaluated at, where every rounding step counts
-    with mpmath.workprec(53):
-        p53 = (mpmath.mpf(1) / 7, mpmath.mpf(2) / 7, mpmath.mpf(4) / 7)
-    with mpmath.workprec(200):
-        p200 = (mpmath.mpf(1) / 3, mpmath.mpf(1) / 5, mpmath.mpf(7) / 15)
-    with mpmath.workprec(53):
-        got = [_raw(eval_F(3, 5, p53)), _raw(eval_F(3, 5, p200))]
-    with mpmath.workprec(128):
-        got.append(_raw(eval_F(3, 5, p200)))
-    assert _sha(got) == "bd20dca3b02afab10c4c5682e2fc073f529031c437f56db9ca221ae4e78b523d"
-
-
 def test_stationarity_vanishes_at_the_uniform_point():
+    one = mpmath.mpf(1)
     for d, k in [(2, 4), (3, 3), (3, 4), (4, 5)]:
-        resid = tangent_stationarity(d, k, (Fraction(1, d),) * d)
-        assert resid < mpmath.mpf("1e-8")
+        assert _realmode.stationarity(k, (one / d,) * d) < mpmath.mpf("1e-8")
     # a lopsided point is far from stationary
-    assert tangent_stationarity(3, 4, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))) > mpmath.mpf("1e-3")
+    assert _realmode.stationarity(4, (one / 2, one / 3, one / 6)) > mpmath.mpf("1e-3")
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +484,9 @@ def test_muirhead_check_matches_the_plain_comparison():
             mixed = [x if i % 2 else q for i, (x, q) in enumerate(zip(ints, fractions))]
             reals = [float(q) for q in fractions]
             for values in (ints, fractions, mixed, reals):
-                want = symmetrized_power_sum(a, values) >= symmetrized_power_sum(b, values)
+                # floats are compared at their exact values
+                exact = list(map(Fraction, values))
+                want = symmetrized_power_sum(a, exact) >= symmetrized_power_sum(b, exact)
                 assert muirhead_check(MajorizationPair(a, b), values) == want, (a, b, values)
                 outcomes.add(want)
     assert outcomes == {True, False}
@@ -505,6 +500,8 @@ def test_muirhead_argument_errors():
         muirhead_check(pair, (Fraction(1), Fraction(-2)))
     with pytest.raises(PreconditionError):
         muirhead_check(pair, (Fraction(1),))
+    with pytest.raises(PreconditionError, match=r"refuses mpf\('2.0'\)"):
+        muirhead_check(pair, (Fraction(1), mpmath.mpf(2)))
     with pytest.raises(PreconditionError):
         symmetrized_power_sum((1, 1), (Fraction(1),))
 

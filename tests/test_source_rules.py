@@ -120,6 +120,37 @@ def test_only_the_real_mode_module_imports_mpmath():
     assert found == {"_realmode.py"}
 
 
+def _imported_modules(node) -> list[str]:
+    """The dotted names an import statement loads, relative ones with their
+    leading dots; ``from . import x`` loads ``.x``."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = "." * node.level + (node.module or "")
+        return [base] if node.module else [base + a.name for a in node.names]
+    return []
+
+
+def test_the_real_mode_module_is_a_leaf_that_only_minimize_F_loads():
+    # every simplex input is read exactly, so mpmath serves the minimizer
+    # alone: _realmode.py imports nothing from the package, and only
+    # simplex.minimize_F imports it
+    root = Path(treedensity.__file__).parent
+    leaf = ast.parse((root / "_realmode.py").read_text(encoding="utf-8"))
+    from_package = [
+        name for node in ast.walk(leaf) for name in _imported_modules(node)
+        if name.startswith(".") or name.split(".")[0] == "treedensity"
+    ]
+    assert from_package == []
+    loaders = {
+        getattr(top, "name", "<module>")
+        for top in ast.parse((root / "simplex.py").read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if any(name.split(".")[-1] == "_realmode" for name in _imported_modules(node))
+    }
+    assert loaders == {"minimize_F"}
+
+
 def _package_modules():
     return [treedensity] + [
         importlib.import_module(f"treedensity.{info.name}")
