@@ -30,6 +30,15 @@ CORPUS = [
      "9c673c03fcb45c3f81efddce2802923a9da727559ffee80771c3f30c2c5c34a9"),
     ("enumerate --n 7 --d 3 --format csv",
      "e0e13c478141a6c3fe453dfa2ed4bae175f09c0b1df3d345212762bc17d79be7"),
+    ("enumerate --n 9 --d 2",
+     "e34b21352726995a3b1a5a33a03a6dcf9eedd802ba1a0e8470426a82906ec80f"),
+    # a spine 2,400 vertices deep
+    ("count --pattern-caterpillar 2,5 --tree-caterpillar 3,4801",
+     "5be6e76bb8aff0ce61ef15f3778aff853c2cc8d9f937dbd9c606634f2b6909f7"),
+    # repeated shapes, written in both orders, and siblings of equal code length
+    ("count --pattern ((**)(**)) --tree (((**)(**))(*(*(**)))(*(**)**(**))((***)*)(*(***))(**)"
+     "(*(**))((**)*)) --format jsonl",
+     "efe61d9568eaae1c3e891df6ff01666164bd6efe24e40f0cfe64dc43564fb651"),
     ("limits --d 3 --k 5 --format jsonl",
      "a968b0f012c24e68e08d3fbd8156abc3b203959fc0283f55e078e930683c46be"),
     ("search-min --d 2 --k 5 --n-max 40 --format csv",
