@@ -231,57 +231,68 @@ def _cross_term(pass_steps: tuple[list, list[int]], last: int, kids: list[list[i
     return val[last]
 
 
+def _two_branch_term(cols: list, sums: list[int], a: int, b: int) -> int:
+    """The cross term of two branches of classes a and b (see CopyEngine)."""
+    pairs = sum(map(mul, cols[a], cols[b]))
+    return sums[a] * sums[b] - pairs if a != b else (sums[a] ** 2 - pairs) // 2
+
+
 class CopyEngine:
     """Copy counter that fills one row of counts per host subtree.
 
     A pattern's distinct internal shapes are numbered fewest leaves first,
     with -1 for a leaf. The row of a host subtree u holds c(S, u) for every
     shape S, then u's leaf count, the count of the one-leaf pattern. Rows are
-    filled bottom-up: the sum of the children's rows plus each shape's cross
-    term. Counts above :data:`PASS_STEP_CAP` steps are refused up front.
-
-    The memo, one table of rows per pattern code, belongs to the instance and
-    only ever grows, so an engine sweeping trees with shared subtrees pays
-    for each once; a fresh engine starts empty.
+    filled bottom-up: the sum S of the children's rows x plus each shape's
+    cross term, for two branches of classes a != b S_a S_b - sum x[a] x[b],
+    for a = b half of S_a^2 - sum x[a]^2. Counts above :data:`PASS_STEP_CAP`
+    steps are refused up front. The memo, one table of rows per pattern,
+    keyed by trees, belongs to the instance and only ever grows, so an
+    engine sweeping trees with shared subtrees pays for each once.
     """
 
     def __init__(self):
-        self._memo: dict[str, tuple[list, dict[int, list], dict[str, list[int]]]] = {}
+        self._memo: dict[Tree, tuple[list, dict[int, tuple], dict[Tree, list[int]]]] = {}
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
-        if d_pattern.code not in self._memo:
+        if d_pattern not in self._memo:
             shapes = internal_subtrees(d_pattern)
-            index = {s.code: i for i, s in enumerate(shapes)} | {"*": -1}
+            index = {s: i for i, s in enumerate(shapes)} | {leaf(): -1}
             plan = []
             for s in shapes:
-                classes = Counter(index[b.code] for b in s.children)
+                classes = Counter(index[b] for b in s.children)
                 states = prod(m + 1 for m in classes.values())
                 steps = sum(states // (m + 1) * m for m in classes.values())
                 plan.append((s.leaf_count, s.outdegree, classes, states - 1, steps))
-            self._memo[d_pattern.code] = (plan, {}, {"*": [0] * len(shapes) + [1]})
-        plan, listed, rows = self._memo[d_pattern.code]
+            self._memo[d_pattern] = (plan, {}, {leaf(): [0] * len(shapes) + [1]})
+        plan, listed, rows = self._memo[d_pattern]
         todo = internal_subtrees(t, rows)
-        degrees = Counter(u.outdegree for u in todo)
+        degrees = Counter(len(u.children) for u in todo)
         work = sum(n * d * p[-1] for p in plan for d, n in degrees.items() if d >= p[1])
         if work > PASS_STEP_CAP:
             raise BudgetError(f"counting a {d_pattern.leaf_count}-leaf pattern in a "
                               f"{t.leaf_count}-leaf tree needs up to {work} steps, "
                               f"above the cap of {PASS_STEP_CAP}")
         for u in todo:
-            kids = [rows[c.code] for c in u.children]
-            row = [sum(col) for col in zip(*kids)]
+            kids = [rows[c] for c in u.children]
+            cols = list(zip(*kids))
+            sums = list(map(sum, cols))
+            row = sums.copy()
             for i, (size, r, classes, last, _) in enumerate(plan):
                 if size > u.leaf_count:
                     break  # this shape and the larger ones stay at 0
                 if r > len(kids):
                     continue
+                if r == 2:
+                    row[i] += _two_branch_term(cols, sums, *classes.elements())
+                    continue
                 if i not in listed:  # listed on first use, after the cap check
                     listed[i] = _pass_steps(classes)
                 row[i] += _cross_term(listed[i], last, kids)
-            rows[u.code] = row
+            rows[u] = row
         # the pattern is its own largest shape, or (one leaf) has none: len(plan) - 1
-        return rows[t.code][len(plan) - 1]
+        return rows[t][len(plan) - 1]
 
 
 def count_copies(d_pattern: Tree, t: Tree) -> int:
@@ -365,19 +376,18 @@ def caterpillar_counts(t: Tree, k: int, memo: dict | None = None) -> tuple[int, 
     j leaves, for j = 2..k, so c_j sits at index j - 2.
 
     Runs the engine's bottom-up walk, combining each subtree's vector from
-    its children's. ``memo`` maps subtree codes to (c_2, ..., c_k) for this
-    k; the caller owns it, passes one to let related trees share shapes, and
-    must not share it between values of k or with
-    :func:`caterpillar_counts_of_code`. Without one a fresh dict is used.
+    its children's. ``memo`` maps subtrees to (c_2, ..., c_k) for this k; the
+    caller owns it, passes one to let related trees share shapes, and must
+    not share it between values of k. Without one a fresh dict is used.
     """
     require_int(k, 2, "caterpillar size")
     if memo is None:
         memo = {}
-    memo.setdefault("*", (0,) * (k - 1))
+    memo.setdefault(leaf(), (0,) * (k - 1))
     for u in internal_subtrees(t, memo):
-        parts = [(c.leaf_count, memo[c.code]) for c in u.children]
-        memo[u.code] = combine_caterpillar_counts(parts, k)
-    return memo[t.code]
+        parts = [(c.leaf_count, memo[c]) for c in u.children]
+        memo[u] = combine_caterpillar_counts(parts, k)
+    return memo[t]
 
 
 _DEPTH_STEP = {"(": 1, "*": 0, ")": -1}

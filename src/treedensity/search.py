@@ -19,8 +19,9 @@ The two verification sweeps wrap the searches into reports:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, count, groupby, islice, product
+from itertools import chain, combinations_with_replacement, count, groupby, islice, product
 from math import comb
+from operator import itemgetter
 from typing import Iterator
 
 from . import frontier as frontier_mod
@@ -28,7 +29,7 @@ from .counting import caterpillar_counts, check_witness, combine_caterpillar_cou
 from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
 from .reporting import SearchReport, fraction_str, int_str
-from .trees import Tree, leaf, node
+from .trees import Tree, _in_order, codes, leaf
 
 __all__ = [
     "count_trees",
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_TREE_CAP = 10**6
+_CODE = itemgetter(1)
+_TREE = itemgetter(2)
 
 SEARCH_COLUMNS = ("n", "min_count", "min_density_num", "min_density_den", "argmin_code")
 
@@ -83,46 +86,50 @@ def count_trees(n: int, d: int, strict: bool = False) -> int:
     return next(islice(_count_sequence(d, strict), n - 1, None))
 
 
-def _tree_levels(sizes: range, d: int, strict: bool, max_trees: int) -> list[list[Tree]]:
-    """``levels[s]`` for s = 0..max(sizes): every d-ary tree with s leaves,
-    sorted by code, each level built from the ones below it and checked
-    against :func:`_count_sequence`. The caller owns the levels.
+def _tree_levels(
+    sizes: range, d: int, strict: bool, max_trees: int
+) -> list[list[tuple[int, str, Tree]]]:
+    """``levels[s]`` for s = 0..max(sizes): the (code length, code, tree) of
+    every d-ary tree with s leaves, sorted, each level built from the ones
+    below it and checked against :func:`_count_sequence`. The caller owns the
+    levels. A vertex joins its children's codes in sorted order, so no tree
+    is compared or written.
 
-    The sizes are counted first. Counts never fall as the size grows over
-    the sizes the family allows, so the first counted size with more than
-    ``max_trees`` trees refuses every size of ``sizes`` from there on, and
-    counting stops. BudgetError names the first refused size n of ``sizes``
-    and, when the counted size differs from n, that size and its count."""
+    The sizes are counted first, and every level kept counts against
+    ``max_trees``: the first size at which levels 1..size hold more trees
+    refuses every size of ``sizes`` from there on, and counting stops.
+    BudgetError names the first refused size n of ``sizes`` and, when the
+    counted size differs from n, that size and the count up to it."""
     top = sizes[-1] if sizes else 0
     kind = f"{'strictly ' if strict else ''}{d}-ary"
     counts = [0]
+    kept = 0
     for size, c in zip(range(1, top + 1), _count_sequence(d, strict)):
-        if c > max_trees:
+        kept += c
+        if kept > max_trees:
             n = next(m for m in sizes if m >= size)
             if n == size:
-                raise BudgetError(
-                    f"enumerating {c} {kind} trees with {n} leaves exceeds the cap of {max_trees}"
-                )
-            raise BudgetError(
-                f"enumerating {kind} trees with {n} leaves exceeds the cap of {max_trees}: "
-                f"there are already {c} with {size} leaves"
-            )
+                raise BudgetError(f"enumerating {kind} trees with {n} leaves keeps {kept} trees "
+                                  f"of 1..{n} leaves, above the cap of {max_trees}")
+            raise BudgetError(f"enumerating {kind} trees with {n} leaves keeps more than the cap "
+                              f"of {max_trees}: there are already {kept} of 1..{size} leaves")
         counts.append(c)
-    levels: list[list[Tree]] = [[], [leaf()]]
+    levels: list[list[tuple[int, str, Tree]]] = [[], [(1, "*", leaf())]]
     for size in range(2, top + 1):
         level = []
         for runs in _root_splits(size, d, strict):
             pools = [combinations_with_replacement(levels[part], cnt) for part, cnt in runs]
             for pick in product(*pools):
-                level.append(node([t for chunk in pick for t in chunk]))
+                kids = sorted(chain.from_iterable(pick))
+                code = "(" + "".join(map(_CODE, kids)) + ")"
+                level.append((len(code), code, _in_order(tuple(map(_TREE, kids)))))
         if len(level) != counts[size]:
             raise ConsistencyError(
                 f"{'strictly ' if strict else ''}{d}-ary trees with {size} leaves: "
                 f"enumerated {len(level)}, counted {counts[size]}"
             )
-        items = [(len(t.code), t.code, t) for t in level]
-        items.sort()
-        levels.append([t for _, _, t in items])
+        level.sort()
+        levels.append(level)
     return levels
 
 
@@ -145,7 +152,7 @@ def enumerate_trees(
         raise PreconditionError(
             f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
         )
-    return iter(_tree_levels(range(n, n + 1), d, strict, max_trees)[n])
+    return iter(list(map(_TREE, _tree_levels(range(n, n + 1), d, strict, max_trees)[n])))
 
 
 def enumerate_report(
@@ -153,7 +160,7 @@ def enumerate_report(
 ) -> SearchReport:
     """The codes of :func:`enumerate_trees`, one indexed row per tree."""
     trees = enumerate_trees(n, d, strict, max_trees=max_trees)
-    rows = [(i, t.code) for i, t in enumerate(trees)]
+    rows = list(enumerate(codes(trees)))
     return SearchReport(
         mode="enumerate",
         params={"n": n, "d": d, "strict": strict},
@@ -162,18 +169,21 @@ def enumerate_report(
     )
 
 
-def _min_record(level: list[Tree], n: int, d: int, k: int, memo: dict) -> tuple[int, str]:
-    """The minimum k-caterpillar count over one nonempty level, and the code
-    of the first tree in enumeration order that attains it. ``memo`` is
-    :func:`caterpillar_counts`'s, shared by the levels of one report."""
+def _min_record(
+    level: list[tuple[int, str, Tree]], n: int, d: int, k: int, memo: dict
+) -> tuple[int, str]:
+    """The minimum k-caterpillar count over one nonempty level of
+    :func:`_tree_levels`, and the code of the first tree in enumeration order
+    that attains it. ``memo`` is :func:`caterpillar_counts`'s, shared by the
+    levels of one report."""
     best: int | None = None
     codes: list[str] = []
-    for t in level:
+    for _, code, t in level:
         c = caterpillar_counts(t, k, memo)[-1]
         if best is None or c < best:
-            best, codes = c, [t.code]
+            best, codes = c, [code]
         elif c == best and len(codes) < 4:
-            codes.append(t.code)
+            codes.append(code)
     # Witness sanity: re-counting the first tied codes must reproduce the
     # count, from their own characters and a memo of their own.
     recount_memo: dict = {}

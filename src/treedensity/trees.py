@@ -11,22 +11,19 @@ Codes use a bracket grammar: a leaf is ``*`` and an internal vertex is
 For example ``(*(**))`` is the three-leaf tree whose root has a leaf child
 and a cherry child.
 
-Every builder closes a vertex the same way: it sorts the children's
-(length, code, tree) items, joins their codes once and hands both to the
-constructor, so no key function runs per child. :func:`join_codes` closes a
-vertex from its children's codes alone, in the same order. A builder keeps
-a dict of the codes it has built, local to the call, and returns the same
-object for a repeated shape; nothing is kept between calls, and equality and
-hashing go by code, so trees from different calls compare as before.
-
-The builders at the bottom construct the recurring families used elsewhere:
-caterpillars (make_caterpillar), complete trees (make_complete) and the
-recursively even-split binary tree (make_even_binary).
+A Tree stores no code, only its children, leaf count, code length and a hash
+built from its children's, so a spine of q vertices takes memory linear in
+q; ``t.code`` writes the code on each access, in time linear in its length.
+Trees compare, hash and order by structure, in code order, so two parses of
+one shape are equal. Builders sort children by (code length, tree), so only
+ties of distinct objects write codes; :func:`parse_tree` returns one object
+for each repeated shape of one call. The builders at the bottom construct
+caterpillars, complete trees and the even-split binary tree.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq as _eq, itemgetter, lt as _lt
 from typing import Iterable
 
 from .errors import BudgetError, ParseError, PreconditionError, StructureError, require_int
@@ -45,28 +42,29 @@ __all__ = [
 
 # the most leaves make_complete, make_even_binary and make_caterpillar build
 LEAF_CAP = 10**7
-# the most code characters make_caterpillar builds (r = 2, k = 12,001 needs
-# 2.16 * 10^8) and the most parse_tree builds for a text's vertices
-CATERPILLAR_CODE_CAP = 25 * 10**7
+# the most internal vertices make_caterpillar builds and parse_tree reads; a
+# count costs about 10 us and 560 bytes a spine vertex (README, Budgets)
+VERTEX_CAP = 4 * 10**5
 _LEAF_COUNT = attrgetter("leaf_count")
+_CODE_LENGTH = attrgetter("code_length")
+_HASH = attrgetter("_hash")
 
 
 class Tree:
     """Immutable rooted tree in canonical child order.
 
-    Instances should be obtained through :func:`leaf`, :func:`node`,
-    :func:`parse_tree` or one of the family builders rather than by calling
-    the class directly; those entry points enforce the structural
-    invariants (no outdegree-one vertices, children sorted) and pass the
-    vertex's code, which the constructor stores unchecked.
+    Obtain instances from :func:`leaf`, :func:`node`, :func:`parse_tree` or a
+    family builder: they enforce the invariants (no outdegree-one vertices,
+    children sorted) and pass the structural hash, stored unchecked.
     """
 
-    __slots__ = ("children", "leaf_count", "code")
+    __slots__ = ("children", "leaf_count", "code_length", "_hash")
 
-    def __init__(self, children: tuple["Tree", ...], code: str):
+    def __init__(self, children: tuple["Tree", ...], hash_: int):
         self.children = children
-        self.code = code
+        self._hash = hash_
         self.leaf_count = sum(map(_LEAF_COUNT, children)) or 1  # 0 only for a leaf
+        self.code_length = sum(map(_CODE_LENGTH, children), 2) if children else 1
 
     @property
     def is_leaf(self) -> bool:
@@ -76,42 +74,84 @@ class Tree:
     def outdegree(self) -> int:
         return len(self.children)
 
+    @property
+    def code(self) -> str:
+        """The canonical code, written afresh by :func:`codes`."""
+        return codes((self,))[0]
+
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.code == other.code
+        return self is other or self._hash == other._hash and _eq(*codes((self, other)))
 
     def __hash__(self) -> int:
-        return hash(self.code)  # a str caches its hash
+        return self._hash
+
+    def __lt__(self, other) -> bool:
+        """Canonical order: the shorter code first, then the smaller code."""
+        if not isinstance(other, Tree):
+            return NotImplemented
+        if self.code_length != other.code_length:
+            return self.code_length < other.code_length
+        return _lt(*codes((self, other)))
 
     def __repr__(self) -> str:
         return f"Tree({self.code!r})"
 
 
-_LEAF = Tree((), "*")
-_LEAF_ITEM = (1, "*", _LEAF)
-_CODE = itemgetter(1)
-_TREE = itemgetter(2)
+def codes(trees: Iterable[Tree]) -> list[str]:
+    """The codes of ``trees``, in one pass over their vertices. An object met
+    again, in one tree or another, is written once, by joining the pieces of
+    its first occurrence, so shared shapes cost joins, not a walk per leaf."""
+    pieces: list[str] = []
+    spans: dict[int, tuple[int, int] | str] = {}  # by id: (start, end) in pieces, or code
+    bounds = []
+    for t in trees:
+        bounds.append(len(pieces))
+        stack: list = [t]
+        while stack:
+            u = stack.pop()
+            if type(u) is tuple:  # (id, start) of a vertex whose children are written
+                pieces.append(")")
+                spans[u[0]] = (u[1], len(pieces))
+            elif not u.children:
+                pieces.append("*")
+            elif id(u) not in spans:
+                stack += [(id(u), len(pieces)), *reversed(u.children)]
+                pieces.append("(")
+            else:
+                span = spans[id(u)]
+                if type(span) is tuple:
+                    span = spans[id(u)] = "".join(pieces[span[0] : span[1]])
+                pieces.append(span)
+    bounds.append(len(pieces))
+    return ["".join(pieces[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _vertex(items: list[tuple[int, str, Tree]], built: dict) -> tuple[int, str, Tree]:
-    """The (len(code), code, tree) item of the internal vertex over the
-    children's items, taken from ``built`` when its code is there already.
+_LEAF = Tree((), hash(()))
+_LEAF_ITEM = (1, _LEAF)
+_TREE = itemgetter(1)
 
-    Sorting the items puts the children in canonical order: shorter codes
-    first, so small subtrees lead whatever the byte values of brackets and
-    stars, ties broken by the code. The sort runs in C with no key function;
-    items with equal codes compare equal, since their trees are one object
-    or equal by code, so Tree needs no ordering.
-    """
+
+def _vertex(items: list[tuple[int, Tree]], built: dict) -> tuple[int, Tree]:
+    """The (code length, tree) item of the vertex over the children's items,
+    sorted in C, so only ties of distinct objects reach the comparator.
+    ``built`` maps the hash of each vertex built to its item; a hit is the
+    same shape when its children are the same objects."""
     items.sort()
-    code = "(" + "".join(map(_CODE, items)) + ")"
-    item = built.get(code)
-    if item is None:
-        item = built[code] = (len(code), code, Tree(tuple(map(_TREE, items)), code))
+    kids = tuple(map(_TREE, items))
+    h = hash(tuple(map(_HASH, kids)))
+    item = built.get(h)
+    if item is None or item[1].children != kids:
+        t = Tree(kids, h)
+        item = (t.code_length, t)
+        built.setdefault(h, item)
     return item
+
+
+def _in_order(children: tuple[Tree, ...]) -> Tree:
+    """The internal vertex over ``children``, already in canonical order."""
+    return Tree(children, hash(tuple(map(_HASH, children))))
 
 
 def leaf() -> Tree:
@@ -121,10 +161,10 @@ def leaf() -> Tree:
 
 def node(children: Iterable[Tree]) -> Tree:
     """Internal vertex over the given children (two or more), canonicalized."""
-    items = [(len(c.code), c.code, c) for c in children]
+    items = [(c.code_length, c) for c in children]
     if len(items) < 2:
         raise PreconditionError("an internal vertex needs at least two children")
-    return _vertex(items, {})[2]
+    return _vertex(items, {})[1]
 
 
 def parse_tree(text: str) -> Tree:
@@ -134,44 +174,30 @@ def parse_tree(text: str) -> Tree:
     so ``parse_tree("((**)*)").code == "(*(**))"``. Raises ParseError for
     malformed text and StructureError for well-bracketed text that describes
     an invalid vertex (no children or a single child); both carry the byte
-    offset of the offending character.
+    offset of the offending character. Text with more than
+    :data:`VERTEX_CAP` ``(`` is refused with BudgetError before it is read.
 
-    One pass over the text closes each vertex by sorting its children's
-    (length, code, tree) items and joining their codes once. Within one call
-    equal subtrees are one object: a dict local to the call maps each code to
-    its item, so a repeated shape is built once. Nothing outlives the call,
-    and trees from different calls are still equal exactly when their codes
-    are.
-
-    Each vertex's code is a string of its own, so every character of the
-    text is held once by each vertex open around it, and the codes together
-    grow as the square of the depth. The pass adds up those counts as it
-    reads and refuses with BudgetError, before closing the next vertex, once
-    the sum exceeds :data:`CATERPILLAR_CODE_CAP`.
+    One pass over the text closes each vertex with :func:`_vertex`. Within
+    one call equal subtrees are one object, built once; nothing outlives the
+    call, and trees from different calls are equal when their codes are.
     """
-    built: dict[str, tuple[int, str, Tree]] = {}
-    stack: list[list[tuple[int, str, Tree]]] = []
+    if text.count("(") > VERTEX_CAP:
+        raise BudgetError(f"tree text would have {text.count('(')} internal vertices, "
+                          f"above the cap of {VERTEX_CAP}")
+    built: dict[int, tuple[int, Tree]] = {}
+    stack: list[list[tuple[int, Tree]]] = []
     root = None
-    chars = 0
     for i, ch in enumerate(text):
         if ch == "*":
             if not stack:
                 root = _LEAF_ITEM
                 break
             stack[-1].append(_LEAF_ITEM)
-            chars += len(stack)
         elif ch == "(":
             stack.append([])
-            # this bracket and its match sit in the code of every open vertex
-            chars += 2 * len(stack)
         elif ch == ")":
             if not stack:
                 raise ParseError("unbalanced ')'", i)
-            if chars > CATERPILLAR_CODE_CAP:
-                raise BudgetError(
-                    f"tree text would hold at least {chars} code characters (by offset {i}), "
-                    f"above the cap of {CATERPILLAR_CODE_CAP}"
-                )
             items = stack.pop()
             if len(items) < 2:
                 if items:
@@ -190,7 +216,7 @@ def parse_tree(text: str) -> Tree:
         raise ParseError("empty input", 0)
     if i + 1 < len(text):
         raise ParseError("trailing input after a complete tree", i + 1)
-    return root[2]
+    return root[1]
 
 
 def join_codes(codes: list[str]) -> str:
@@ -204,16 +230,16 @@ def join_codes(codes: list[str]) -> str:
 
 
 def internal_subtrees(t: Tree, known=()) -> list[Tree]:
-    """The distinct internal subtrees of ``t`` whose codes ``known`` lacks,
-    fewest leaves first. Each is walked once, so a tree of shared shapes
-    costs its shapes, not its size; memos filled in this order need not be
-    walked below a known code."""
-    found: dict[str, Tree] = {}
+    """The distinct internal subtrees of ``t`` that ``known`` lacks, fewest
+    leaves first. Each is walked once, so a tree of shared shapes costs its
+    shapes, not its size; memos filled in this order need not be walked
+    below a known tree."""
+    found: dict[int, Tree] = {}  # by id: one build makes one object of each shape
     stack = [t]
     while stack:
         u = stack.pop()
-        if u.children and u.code not in known and u.code not in found:
-            found[u.code] = u
+        if u.children and id(u) not in found and u not in known:
+            found[id(u)] = u
             stack.extend(u.children)
     return sorted(found.values(), key=_LEAF_COUNT)
 
@@ -250,11 +276,9 @@ def make_caterpillar(r: int, k: int) -> Tree:
     internal vertices form a path. k == 1 gives the single leaf; otherwise
     :func:`caterpillar_spine` states which k exist.
 
-    Each spine vertex keeps its own code, so a spine of q vertices holds
-    q (r + 2) + (r + 1) q (q - 1) / 2 characters; above
-    :data:`CATERPILLAR_CODE_CAP` this refuses with BudgetError before building,
-    as it does above :data:`LEAF_CAP` leaves, since the build holds a list
-    item per leaf.
+    Refuses with BudgetError, before building, above :data:`LEAF_CAP`
+    leaves (the root of a star holds one child per leaf) or :data:`VERTEX_CAP`
+    spine vertices.
     """
     require_int(r, 2, "arity bound")
     if k == 1:
@@ -264,17 +288,15 @@ def make_caterpillar(r: int, k: int) -> Tree:
         raise BudgetError(
             f"{r}-ary caterpillar would have {k} leaves, above the cap of {LEAF_CAP}"
         )
-    chars = q * (r + 2) + (r + 1) * q * (q - 1) // 2
-    if chars > CATERPILLAR_CODE_CAP:
+    if q > VERTEX_CAP:
         raise BudgetError(
-            f"{r}-ary caterpillar with {k} leaves would hold {chars} code characters, "
-            f"above the cap of {CATERPILLAR_CODE_CAP}"
+            f"{r}-ary caterpillar with {k} leaves would have {q} internal vertices, "
+            f"above the cap of {VERTEX_CAP}"
         )
-    built: dict = {}
-    item = _LEAF_ITEM
+    t = _LEAF
     for _ in range(q):
-        item = _vertex([item] + [_LEAF_ITEM] * (r - 1), built)
-    return item[2]
+        t = _in_order((_LEAF,) * (r - 1) + (t,))  # the leaves lead
+    return t
 
 
 def make_complete(d: int, h: int) -> Tree:
@@ -289,11 +311,10 @@ def make_complete(d: int, h: int) -> Tree:
     n = d**h
     if n > LEAF_CAP:
         raise BudgetError(f"complete tree would have {n} leaves, above the cap of {LEAF_CAP}")
-    built: dict = {}
-    item = _LEAF_ITEM
+    t = _LEAF
     for _ in range(h):
-        item = _vertex([item] * d, built)
-    return item[2]
+        t = _in_order((t,) * d)
+    return t
 
 
 def make_even_binary(n: int) -> Tree:
@@ -302,7 +323,7 @@ def make_even_binary(n: int) -> Tree:
     The root separates the leaves into ceil(n/2) and floor(n/2), and both
     branches are themselves even-split trees. For n a power of two this is
     the complete binary tree. Refuses with BudgetError when n exceeds
-    :data:`LEAF_CAP`; its codes take about 9 bytes per leaf.
+    :data:`LEAF_CAP`.
     """
     require_int(n, 1, "leaf count")
     if n > LEAF_CAP:
@@ -313,8 +334,7 @@ def make_even_binary(n: int) -> Tree:
     while level:
         sizes |= level
         level = {h for s in level if s > 1 for h in ((s + 1) // 2, s // 2)}
-    built: dict = {}
-    items = {1: _LEAF_ITEM}
+    built = {1: _LEAF}
     for s in sorted(sizes - {1}):
-        items[s] = _vertex([items[(s + 1) // 2], items[s // 2]], built)
-    return items[n][2]
+        built[s] = _in_order((built[s // 2], built[(s + 1) // 2]))  # the smaller half leads
+    return built[n]

@@ -411,18 +411,17 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
-        # each spine vertex keeps its own code, so their length is quadratic
-        (("count", "--pattern", "(**)", "--tree-caterpillar", "2,100001"),
-         "2-ary caterpillar with 100001 leaves would hold 15000250000 code characters, "
-         "above the cap of 250000000"),
-        # a star: one spine vertex, but a list item per leaf
+        # a spine vertex costs about 10 us and 560 bytes from build to report
+        (("count", "--pattern", "(**)", "--tree-caterpillar", "2,400002"),
+         "2-ary caterpillar with 400002 leaves would have 400001 internal vertices, "
+         "above the cap of 400000"),
+        # a star: one spine vertex, but a child per leaf
         (("count", "--pattern", "(**)", "--tree-caterpillar", "200000000,200000000"),
          "200000000-ary caterpillar would have 200000000 leaves, above the cap of 10000000"),
-        # the 2-ary caterpillar with 60,001 leaves as text, refused at its
-        # first ')', where every '(' and '*' has been read
-        (("count", "--pattern", "(**)", "--tree", "(*" * 59999 + "(**)" + ")" * 59999),
-         "tree text would hold at least 5400150000 code characters (by offset 120001), "
-         "above the cap of 250000000"),
+        # the 2-ary caterpillar with 400,002 leaves as text, refused before
+        # it is read
+        (("count", "--pattern", "(**)", "--tree", "(*" * 400000 + "(**)" + ")" * 400000),
+         "tree text would have 400001 internal vertices, above the cap of 400000"),
         # a start costs about 15 ms at d = 3
         (("simplex", "--mode", "min", "--d", "3", "--k", "4",
           "--starts", "1000000", "--budget", "1000000000000"),
@@ -470,21 +469,21 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         # the DP's levels cost k - 2 columns a candidate, and a binary level n
         # has n // 2 candidates: this run would take days
         (("conjecture", "--k", "4", "--n-max", "1000000"),
-         "levels 2..1000000 at d=2, k=4 need at least 500000000000 candidate columns "
-         "((k - 2) per candidate vector), above the cap of 20000000"),
+         "levels 2..1000000 at d=2, k=4 need at least 500000000000 column additions "
+         "(k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
         # 160,000 candidates, of 798 columns each: it took 37 s
         (("search-min", "--d", "2", "--k", "800", "--n-max", "800"),
-         "levels 2..800 at d=2, k=800 need at least 127680000 candidate columns "
-         "((k - 2) per candidate vector), above the cap of 20000000"),
+         "levels 2..800 at d=2, k=800 need at least 127680000 column additions "
+         "(k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
         # under the cap in binary splits alone, but the 3-part partitions of
         # a level n number about n^2 / 12, and each costs 2 additions a column
         (("monotone", "--d", "3", "--k", "4", "--n-max", "2000", "--method", "pareto"),
-         "levels 2..2000 at d=3, k=4 need at least 891554888 candidate columns "
-         "((k - 2) per candidate vector), above the cap of 20000000"),
+         "levels 2..2000 at d=3, k=4 need at least 891554888 column additions "
+         "(k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
     ],
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
-        "tree-even-leaves", "tree-caterpillar-code", "tree-caterpillar-leaves",
+        "tree-even-leaves", "tree-caterpillar-spine", "tree-caterpillar-leaves",
         "tree-text-depth", "min-budget", "min-arity", "min-bookkeeping", "bound-sample-arity",
         "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "limits-bits",
         "conjecture-run", "search-min-run", "monotone-run",
@@ -575,8 +574,8 @@ def test_exit_code_for_budget_refusal(capsys):
         capsys, "enumerate", "--n", "18", "--d", "2", "--max-trees", "100"
     )
     assert code == 3 and err == (
-        "refused: enumerating 2-ary trees with 18 leaves exceeds the cap of 100: "
-        "there are already 207 with 11 leaves\n"
+        "refused: enumerating 2-ary trees with 18 leaves keeps more than the cap of 100: "
+        "there are already 192 of 1..10 leaves\n"
     )
 
 

@@ -210,6 +210,49 @@ def test_cross_term_pass_matches_placement_enumeration():
                     assert counting._cross_term(pass_steps, last, kids) == expect, (s.code, kids)
 
 
+def test_two_branch_term_matches_the_pass():
+    # S_a S_b - sum x[a] x[b] (a != b), or half of S_a^2 - sum x[a]^2, on
+    # random rows: the sums are taken before any cross term enters a row
+    rng = random.Random(29)
+    for a, b in [(0, 1), (1, 0), (0, 0), (-1, 0), (-1, -1), (2, -1)]:
+        classes = Counter([a, b])
+        pass_steps = counting._pass_steps(classes)
+        last = prod(m + 1 for m in classes.values()) - 1
+        for m in range(2, 8):
+            kids = [[rng.randrange(50) for _ in range(4)] for _ in range(m)]
+            cols = list(zip(*kids))
+            sums = list(map(sum, cols))
+            expect = counting._cross_term(pass_steps, last, kids)
+            assert counting._two_branch_term(cols, sums, a, b) == expect, (a, b, kids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0), st.integers(min_value=2, max_value=7),
+       st.integers(min_value=6, max_value=13), st.integers(min_value=2, max_value=4))
+def test_count_matches_brute_on_random_binary_patterns(seed, k, n, d):
+    rnd = random.Random(seed)
+    pattern = parse_tree(_random_code(rnd, k, 2))
+    host = parse_tree(_random_code(rnd, n, d))
+    assert count_copies(pattern, host) == count_copies_brute(pattern, host)
+
+
+def test_engine_shares_rows_across_separate_parses(monkeypatch):
+    # rows are keyed by trees, which compare by structure, so a second parse
+    # of a counted host, or of one of its branches, adds no row
+    text = _random_code(random.Random(31), 200, 3)
+    pattern = parse_tree("((**)(**)(*(**)))")
+    engine = CopyEngine()
+    first = engine.count(pattern, parse_tree(text))
+    branches = [(b.code, count_copies(pattern, b)) for b in parse_tree(text).children]
+    calls = []
+    for name in ("_two_branch_term", "_cross_term"):
+        real = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *a, real=real: calls.append(a) or real(*a))
+    assert engine.count(pattern, parse_tree(text)) == first
+    assert [(code, engine.count(pattern, parse_tree(code))) for code, _ in branches] == branches
+    assert calls == []
+
+
 def test_count_of_a_30_star_in_a_60_star():
     # C(60, 30) subsets: listing them per host vertex would never finish
     assert count_copies(make_complete(30, 1), make_complete(60, 1)) == star_copies(30, 60, 1)

@@ -122,15 +122,34 @@ def test_enumeration_strict_mode():
 
 
 def test_enumeration_budget_names_the_count():
+    # every level built is kept, so the trees of sizes 1..n count: 850 up to
+    # 12 leaves, and 983 more with 13
     with pytest.raises(BudgetError) as exc:
-        list(enumerate_trees(14, 2, max_trees=1000))
-    assert str(exc.value) == "enumerating 2179 2-ary trees with 14 leaves exceeds the cap of 1000"
+        list(enumerate_trees(13, 2, max_trees=1000))
+    assert str(exc.value) == (
+        "enumerating 2-ary trees with 13 leaves keeps 1833 trees of 1..13 leaves, "
+        "above the cap of 1000"
+    )
+    assert len(list(enumerate_trees(12, 2, max_trees=850))) == 451
     # counting stops at the first size over the cap, and names it
     with pytest.raises(BudgetError) as exc:
         list(enumerate_trees(18, 2, max_trees=1000))
     assert str(exc.value) == (
-        "enumerating 2-ary trees with 18 leaves exceeds the cap of 1000: "
-        "there are already 2179 with 14 leaves"
+        "enumerating 2-ary trees with 18 leaves keeps more than the cap of 1000: "
+        "there are already 1833 of 1..13 leaves"
+    )
+
+
+def test_the_default_tree_cap_counts_every_level_kept():
+    # enumerate --n 21 --d 2 kept 1,198,025 trees (15.4 s, 487 MiB) while
+    # its last level alone, 676,157, passed the cap
+    kept = [sum(count_trees(s, 2) for s in range(1, n + 1)) for n in (20, 21)]
+    assert kept == [521868, 1198025]
+    with pytest.raises(BudgetError) as exc:
+        enumerate_trees(21, 2)
+    assert str(exc.value) == (
+        "enumerating 2-ary trees with 21 leaves keeps 1198025 trees of 1..21 leaves, "
+        "above the cap of 1000000"
     )
 
 
@@ -223,7 +242,7 @@ def test_exhaustive_range_matches_its_sizes_one_by_one(d, k, n_min, n_max, stric
 
 @pytest.mark.parametrize("d, k, n_min, n_max, strict, cap, first", [
     (3, 4, 4, 400, False, 3000, 11),
-    (3, 4, 5, 41, True, 50, 17),
+    (3, 4, 5, 41, True, 50, 15),
     (2, 4, 13, 14, False, 500, 13),
 ])
 def test_exhaustive_range_refuses_at_its_first_size_over_the_cap(

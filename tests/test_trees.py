@@ -1,6 +1,11 @@
 """Canonical tree representation: parsing, serialization, builders."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +171,37 @@ def test_equal_subtrees_of_one_parse_are_one_object():
     assert a == b and hash(a) == hash(b) and a is not b
 
 
+def _shortlex(code):
+    return (len(code), code)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=2, max_value=4),
+       st.integers(min_value=0), st.integers(min_value=0))
+def test_equality_hash_and_order_agree_with_the_codes_across_builds(n, d, seed_a, seed_b):
+    # two parses are two builds, so equal shapes are distinct objects; two
+    # binary trees of one size have codes of one length, so order ties are
+    # broken by the comparator, not by the length
+    a = parse_tree(_random_text(random.Random(seed_a), n, d))
+    b = parse_tree(_random_text(random.Random(seed_b), n, d))
+    again = parse_tree(_shuffled_text(b, random.Random(seed_a)))
+    assert again == b and hash(again) == hash(b) and again.code == b.code
+    assert (a == b) == (a.code == b.code)
+    assert (a.code == b.code) <= (hash(a) == hash(b))
+    assert (a < b) == (_shortlex(a.code) < _shortlex(b.code))
+    assert (b < a) == (_shortlex(b.code) < _shortlex(a.code))
+    for u in [*_vertices(a), *_vertices(b)]:
+        codes = [c.code for c in u.children]
+        assert codes == sorted(codes, key=_shortlex)
+        assert u.code_length == len(u.code)
+    # a vertex over children of both builds sorts them like their codes
+    if a.children and b.children:
+        mixed = node([*a.children, *b.children])
+        assert [c.code for c in mixed.children] == sorted(
+            [c.code for c in (*a.children, *b.children)], key=_shortlex
+        )
+
+
 def test_node_rejects_single_child():
     with pytest.raises(PreconditionError):
         node([leaf()])
@@ -253,39 +289,28 @@ def test_make_caterpillar_shapes():
             make_caterpillar(r, k)
 
 
-def test_caterpillar_code_budget_is_the_built_code_length(monkeypatch):
-    # q (r + 2) + (r + 1) q (q - 1) / 2, over a spine of q vertices, is the
-    # total length of their codes, and make_caterpillar builds exactly when
-    # it is at most the cap
+def test_caterpillar_vertex_budget_is_the_spine_length(monkeypatch):
+    # make_caterpillar builds exactly when its q = (k - 1) / (r - 1) spine
+    # vertices are at most the cap
     for r in range(2, 5):
         for k in range(r, 41, r - 1):
             q = (k - 1) // (r - 1)
-            chars = q * (r + 2) + (r + 1) * q * (q - 1) // 2
-            monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars)
-            t = make_caterpillar(r, k)
-            assert sum(len(u.code) for u in internal_subtrees(t)) == chars
-            monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars - 1)
+            monkeypatch.setattr(trees, "VERTEX_CAP", q)
+            assert len(internal_subtrees(make_caterpillar(r, k))) == q
+            monkeypatch.setattr(trees, "VERTEX_CAP", q - 1)
             with pytest.raises(BudgetError):
                 make_caterpillar(r, k)
 
 
-def test_parse_budget_is_the_code_length_of_every_vertex(monkeypatch):
-    # each internal vertex's code holds every character inside it, so the
-    # count over a whole text is the summed code length of its internal
-    # vertices, repeated shapes included, and the text parses exactly when
-    # that is at most the cap
+def test_parse_budget_counts_every_open_bracket(monkeypatch):
+    # repeated shapes are built once but read as often as they are written,
+    # and the text parses exactly when its '(' are at most the cap
     texts = ["(**)", "((**)*)", "((**)(**))", "(*(**)(*(**))**)",
              make_caterpillar(3, 9).code, make_complete(3, 3).code]
-    for text, tree in [(text, parse_tree(text)) for text in texts]:
-        chars, stack = 0, [tree]
-        while stack:
-            u = stack.pop()
-            if u.children:
-                chars += len(u.code)
-                stack.extend(u.children)
-        monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars)
+    for text in texts:
+        monkeypatch.setattr(trees, "VERTEX_CAP", text.count("("))
         parse_tree(text)
-        monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", chars - 1)
+        monkeypatch.setattr(trees, "VERTEX_CAP", text.count("(") - 1)
         with pytest.raises(BudgetError):
             parse_tree(text)
 
@@ -294,15 +319,41 @@ def test_parse_refuses_a_deep_text_before_closing_a_vertex(monkeypatch):
     def no_vertex(*args):
         raise AssertionError("a vertex was built")
 
-    monkeypatch.setattr(trees, "_vertex", no_vertex)
-    monkeypatch.setattr(trees, "CATERPILLAR_CODE_CAP", 33)
-    # four nested vertices: 2 (1 + 2 + 3 + 4) for their brackets and
-    # 1 + 2 + 3 + 4 + 4 for their leaves
+    monkeypatch.setattr(trees, "Tree", no_vertex)
+    monkeypatch.setattr(trees, "VERTEX_CAP", 3)
     with pytest.raises(BudgetError) as info:
         parse_tree("(*(*(*(**))))")
-    assert str(info.value) == (
-        "tree text would hold at least 34 code characters (by offset 9), above the cap of 33"
+    assert str(info.value) == "tree text would have 4 internal vertices, above the cap of 3"
+
+
+def test_deep_caterpillar_builds_and_parses_in_linear_memory():
+    # a child process, so that its peak memory is its own: a spine of 10^5
+    # vertices whose codes, stored per vertex, would hold 1.5 * 10^10
+    # characters
+    script = """
+import json, resource, sys, time
+from treedensity.trees import make_caterpillar, parse_tree
+out = []
+start = time.perf_counter()
+t = make_caterpillar(2, 100001)
+out.append(time.perf_counter() - start)
+code = t.code
+del t
+start = time.perf_counter()
+t = parse_tree(code)
+out.append(time.perf_counter() - start)
+out.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+out.append(t.leaf_count == 100001 and len(code) == 300001)
+print(json.dumps(out))
+"""
+    src = str(Path(trees.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
+    assert proc.returncode == 0, proc.stderr
+    build_s, parse_s, peak_mib, ok = json.loads(proc.stdout)
+    assert ok and build_s < 1 and parse_s < 1 and peak_mib < 100, (build_s, parse_s, peak_mib)
 
 
 def test_caterpillar_internal_path():
@@ -344,7 +395,7 @@ def test_make_even_binary_refuses_over_the_leaf_cap(monkeypatch):
     def no_vertex(*args):
         raise AssertionError("a vertex was built")
 
-    monkeypatch.setattr(trees, "_vertex", no_vertex)
+    monkeypatch.setattr(trees, "Tree", no_vertex)
     with pytest.raises(BudgetError) as info:
         make_even_binary(trees.LEAF_CAP + 1)
     assert str(info.value) == (
@@ -358,7 +409,7 @@ def test_make_caterpillar_refuses_over_the_leaf_cap(monkeypatch):
     def no_vertex(*args):
         raise AssertionError("a vertex was built")
 
-    monkeypatch.setattr(trees, "_vertex", no_vertex)
+    monkeypatch.setattr(trees, "Tree", no_vertex)
     n = trees.LEAF_CAP + 1
     with pytest.raises(BudgetError) as info:
         make_caterpillar(n, n)
