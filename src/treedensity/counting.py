@@ -261,15 +261,16 @@ class CopyEngine:
             index = {s: i for i, s in enumerate(shapes)} | {leaf(): -1}
             plan = []
             for s in shapes:
-                classes = Counter(index[b] for b in s.children)
+                branches = [index[b] for b in s.children]
+                classes = Counter(branches)
                 states = prod(m + 1 for m in classes.values())
                 steps = sum(states // (m + 1) * m for m in classes.values())
-                plan.append((s.leaf_count, s.outdegree, classes, states - 1, steps))
+                plan.append((s.leaf_count, branches, classes, states - 1, steps))
             self._memo[d_pattern] = (plan, {}, {leaf(): [0] * len(shapes) + [1]})
         plan, listed, rows = self._memo[d_pattern]
         todo = internal_subtrees(t, rows)
         degrees = Counter(len(u.children) for u in todo)
-        work = sum(n * d * p[-1] for p in plan for d, n in degrees.items() if d >= p[1])
+        work = sum(n * d * p[-1] for p in plan for d, n in degrees.items() if d >= len(p[1]))
         if work > PASS_STEP_CAP:
             raise BudgetError(f"counting a {d_pattern.leaf_count}-leaf pattern in a "
                               f"{t.leaf_count}-leaf tree needs up to {work} steps, "
@@ -279,13 +280,13 @@ class CopyEngine:
             cols = list(zip(*kids))
             sums = list(map(sum, cols))
             row = sums.copy()
-            for i, (size, r, classes, last, _) in enumerate(plan):
+            for i, (size, branches, classes, last, _) in enumerate(plan):
                 if size > u.leaf_count:
                     break  # this shape and the larger ones stay at 0
-                if r > len(kids):
+                if len(branches) > len(kids):
                     continue
-                if r == 2:
-                    row[i] += _two_branch_term(cols, sums, *classes.elements())
+                if len(branches) == 2:
+                    row[i] += _two_branch_term(cols, sums, *branches)
                     continue
                 if i not in listed:  # listed on first use, after the cap check
                     listed[i] = _pass_steps(classes)
