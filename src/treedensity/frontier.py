@@ -273,7 +273,8 @@ class ParetoDP:
             if found * cols > CANDIDATE_CAP:
                 raise BudgetError(
                     f"levels {first}..{n_max} at d={self.d}, k={self.k} need at least "
-                    f"{found * cols} column additions (k - 2 per candidate of m parts, times m - 1), "
+                    f"{found * cols} column additions "
+                    f"(k - 2 per candidate of m parts, times m - 1), "
                     f"above the cap of {CANDIDATE_CAP}"
                 )
         for n in range(first, n_max + 1):

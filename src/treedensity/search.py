@@ -177,19 +177,19 @@ def _min_record(
     that attains it. ``memo`` is :func:`caterpillar_counts`'s, shared by the
     levels of one report."""
     best: int | None = None
-    codes: list[str] = []
+    tied: list[str] = []
     for _, code, t in level:
         c = caterpillar_counts(t, k, memo)[-1]
         if best is None or c < best:
-            best, codes = c, [code]
-        elif c == best and len(codes) < 4:
-            codes.append(code)
+            best, tied = c, [code]
+        elif c == best and len(tied) < 4:
+            tied.append(code)
     # Witness sanity: re-counting the first tied codes must reproduce the
     # count, from their own characters and a memo of their own.
     recount_memo: dict = {}
-    for code in codes:
+    for code in tied:
         check_witness(code, n, d, k, best, recount_memo)
-    return best, codes[0]
+    return best, tied[0]
 
 
 def search_min_report(
