@@ -177,9 +177,8 @@ def parse_tree(text: str) -> Tree:
     offset of the offending character. Text with more than
     :data:`VERTEX_CAP` ``(`` is refused with BudgetError before it is read.
 
-    One pass over the text closes each vertex with :func:`_vertex`. Within
-    one call equal subtrees are one object, built once; nothing outlives the
-    call, and trees from different calls are equal when their codes are.
+    Within one call equal subtrees are one object, built once by
+    :func:`_vertex`; trees from different calls are equal when codes are.
     """
     if text.count("(") > VERTEX_CAP:
         raise BudgetError(f"tree text would have {text.count('(')} internal vertices, "
