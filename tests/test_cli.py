@@ -411,17 +411,17 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
-        # a spine vertex costs about 10 us and 560 bytes from build to report
-        (("count", "--pattern", "(**)", "--tree-caterpillar", "2,400002"),
-         "2-ary caterpillar with 400002 leaves would have 400001 internal vertices, "
-         "above the cap of 400000"),
+        # a spine vertex costs about 15 us and 600 bytes from build to report
+        (("count", "--pattern", "(**)", "--tree-caterpillar", "2,250002"),
+         "2-ary caterpillar with 250002 leaves would have 250001 internal vertices, "
+         "above the cap of 250000"),
         # a star: one spine vertex, but a child per leaf
         (("count", "--pattern", "(**)", "--tree-caterpillar", "200000000,200000000"),
          "200000000-ary caterpillar would have 200000000 leaves, above the cap of 10000000"),
-        # the 2-ary caterpillar with 400,002 leaves as text, refused before
+        # the 2-ary caterpillar with 250,002 leaves as text, refused before
         # it is read
-        (("count", "--pattern", "(**)", "--tree", "(*" * 400000 + "(**)" + ")" * 400000),
-         "tree text would have 400001 internal vertices, above the cap of 400000"),
+        (("count", "--pattern", "(**)", "--tree", "(*" * 250000 + "(**)" + ")" * 250000),
+         "tree text would have 250001 internal vertices, above the cap of 250000"),
         # a start costs about 15 ms at d = 3
         (("simplex", "--mode", "min", "--d", "3", "--k", "4",
           "--starts", "1000000", "--budget", "1000000000000"),
