@@ -180,8 +180,8 @@ def _shortlex(code):
        st.integers(min_value=0), st.integers(min_value=0))
 def test_equality_hash_and_order_agree_with_the_codes_across_builds(n, d, seed_a, seed_b):
     # two parses are two builds, so equal shapes are distinct objects; two
-    # binary trees of one size have codes of one length, so order ties are
-    # broken by the comparator, not by the length
+    # binary trees of one size have codes of one length, so their order is
+    # decided by the codes, not by the length
     a = parse_tree(_random_text(random.Random(seed_a), n, d))
     b = parse_tree(_random_text(random.Random(seed_b), n, d))
     again = parse_tree(_shuffled_text(b, random.Random(seed_a)))
