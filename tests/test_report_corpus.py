@@ -39,6 +39,16 @@ CORPUS = [
     ("count --pattern ((**)(**)) --tree (((**)(**))(*(*(**)))(*(**)**(**))((***)*)(*(***))(**)"
      "(*(**))((**)*)) --format jsonl",
      "efe61d9568eaae1c3e891df6ff01666164bd6efe24e40f0cfe64dc43564fb651"),
+    # the oracle on a 4-ary host: 6-subsets whose leaves meet at one depth
+    # three and four times over
+    ("count --pattern (*(**)(***)) --tree ((**)(*(**)*(**))(**(**))(***)) --brute",
+     "0f05d00e4f54d6cef4bb21b308181d7648c86fd21d51cb6f39bdaf5a4713431d"),
+    # a two-branch shape with equal classes at vertices of 3 to 5 children
+    ("count --pattern ((**)(**)) --tree ((**)(**)(*(**)(**)**)(***)(**(**))) --format csv",
+     "6f30f9116f271aa1ae2561058ee31248da20dfc5e7c2f59f3e8caccda6152be1"),
+    # a ternary spine 600 vertices deep under a six-leaf binary caterpillar
+    ("density --pattern-caterpillar 2,6 --tree-caterpillar 3,1201 --format jsonl",
+     "343d06e12b4dc5d3e1c7f444cb1f3ff966e7fa17e2d16c6d04c77e2a6543a28d"),
     ("limits --d 3 --k 5 --format jsonl",
      "a968b0f012c24e68e08d3fbd8156abc3b203959fc0283f55e078e930683c46be"),
     ("search-min --d 2 --k 5 --n-max 40 --format csv",
