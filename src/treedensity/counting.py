@@ -8,22 +8,21 @@ induced tree is isomorphic to D; the density of D in T divides c(D, T) by the
 number of subsets of that size, so it always lands in [0, 1].
 
 Two independent routes to c(D, T) live here. ``count_copies_brute`` walks
-every subset and is the ground truth at small sizes; it reads each induced
-code straight off the depths at which consecutive chosen leaves meet, taken
-from a range-minimum table built once per host, and builds no Tree, so it
+every subset and is the ground truth at small sizes. It tallies the subsets
+by the depths at which consecutive chosen leaves meet, read off a range-min
+table, and writes each distinct tally's code once, so it builds no Tree and
 shares nothing with the recursion. ``count_copies`` runs a branch
 decomposition: a copy of D either sits inside a single branch of T, or its
 root is the root of T and each branch of D is induced inside a distinct
-branch of T. The cross term is one pass over T's branches that tracks how
-many of D's branches of each isomorphism class are placed on them.
+branch of T. One pass over T's branches sums their rows and adds each
+two-branch shape's cross term; wider shapes have a pass of their own.
 
 ``CopyEngine`` and ``caterpillar_counts`` share one bottom-up walk over a
 host's distinct subtrees, fewest leaves first, so no count recurses over the
 host's depth. No memo lives at module level: an engine owns its rows
 (``count_copies`` builds one per call), and the caller owns
-``caterpillar_counts``'s. ``caterpillar_counts_of_code`` runs the caterpillar
-combine straight off a bracket code, and ``check_witness`` recounts a
-reported search witness with it.
+``caterpillar_counts``'s. ``caterpillar_counts_of_code`` runs their combine
+off a bracket code, and ``check_witness`` recounts search witnesses with it.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, compress, count
 from math import comb, prod
-from operator import mul, not_
-from typing import Iterable, Iterator, NoReturn, Sequence
+from operator import add, mul, not_
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
 from .reporting import SearchReport, decimal_str
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 # the most leaf subsets the oracle walks unforced: near the cap, `count
-# --brute` took 3.3 s on C(182, 3) subsets and 2.1 s on C(1414, 2)
+# --brute` took 1.2 s on C(182, 3) subsets and 1.0 s on C(1414, 2)
 SUBSET_CAP = 10**6
 # the most steps a count's passes may take: outdegree times steps, summed over
 # new host subtrees and the shapes with no more branches than the subtree
@@ -136,49 +135,33 @@ def _range_minima(values: list[int]) -> list[tuple[list[int], int]]:
             for L in range(1, len(values) + 1)]
 
 
-def _induced_codes(t: Tree, k: int) -> Iterator[str]:
-    """Canonical code of the tree induced by each k-subset of t's leaves, in
-    ``itertools.combinations`` order, without building Tree objects.
-
-    Consecutive chosen leaves a < b meet at depth min(adj[a:b]), read off a
-    sparse table built once per host. The induced tree's internal vertices
-    are exactly those meeting points, so a stack of open vertices (depths
-    strictly increasing) assembles it left to right.
-    """
-    spans = _range_minima(_adjacent_lca_depths(t))
-    for subset in combinations(range(t.leaf_count), k):
-        depths: list[int] = []
-        kids: list[list[str]] = []
+def _code_of_meets(sig: tuple[int, ...]) -> str:
+    """Code of the tree induced by leaves that meet, in order, at the depths
+    ``sig``. Its internal vertices are those meeting points, so a stack of open
+    vertices (depths strictly increasing) assembles it without any Tree."""
+    stack: list[tuple[int, list[str]]] = []  # open vertices: (depth, finished children)
+    cur = "*"
+    for h in sig:
+        while stack and stack[-1][0] > h:
+            cur = join_codes([*stack.pop()[1], cur])
+        if stack and stack[-1][0] == h:
+            stack[-1][1].append(cur)
+        else:
+            stack.append((h, [cur]))
         cur = "*"
-        for a, b in zip(subset, subset[1:]):
-            row, w = spans[b - a - 1]
-            h = row[a]
-            if row[b - w] < h:
-                h = row[b - w]
-            while depths and depths[-1] > h:
-                depths.pop()
-                group = kids.pop()
-                group.append(cur)
-                cur = join_codes(group)
-            if depths and depths[-1] == h:
-                kids[-1].append(cur)
-            else:
-                depths.append(h)
-                kids.append([cur])
-            cur = "*"
-        while kids:
-            group = kids.pop()
-            group.append(cur)
-            cur = join_codes(group)
-        yield cur
+    while stack:
+        cur = join_codes([*stack.pop()[1], cur])
+    return cur
 
 
 def brute_copy_profile(t: Tree, k: int, *, force: bool = False) -> dict[str, int]:
     """Tally {pattern code: copies} over all k-subsets of T's leaves.
 
     One pass shared by every pattern of size k; the counts sum to C(n, k).
-    Exponential and intended as an oracle at small sizes only; refuses with
-    BudgetError when C(n, k) exceeds :data:`SUBSET_CAP` unless forced.
+    A subset's signature holds the depths at which its consecutive leaves
+    a < b meet, min(adj[a:b]) from a sparse table built once per host; each
+    distinct signature's code is written once. An oracle for small sizes:
+    refuses with BudgetError when C(n, k) exceeds :data:`SUBSET_CAP` unless forced.
     """
     n = t.leaf_count
     require_int(k, 1, "subset size")
@@ -190,7 +173,20 @@ def brute_copy_profile(t: Tree, k: int, *, force: bool = False) -> dict[str, int
             f"brute-force enumeration of C({n},{k}) = {total} subsets exceeds "
             f"the cap of {SUBSET_CAP}; pass force=True to run anyway"
         )
-    return dict(Counter(_induced_codes(t, k)))
+    spans = _range_minima(_adjacent_lca_depths(t))
+    tally: Counter = Counter()
+    for subset in combinations(range(n), k):
+        sig, a = [], subset[0]
+        for b in subset[1:]:
+            row, w = spans[b - a - 1]
+            h, g = row[a], row[b - w]
+            sig.append(h if h < g else g)
+            a = b
+        tally[tuple(sig)] += 1
+    profile: Counter = Counter()
+    for sig, copies in tally.items():
+        profile[_code_of_meets(sig)] += copies
+    return dict(profile)
 
 
 def count_copies_brute(d_pattern: Tree, t: Tree, *, force: bool = False) -> int:
@@ -231,10 +227,20 @@ def _cross_term(pass_steps: tuple[list, list[int]], last: int, kids: list[list[i
     return val[last]
 
 
-def _two_branch_term(cols: list, sums: list[int], a: int, b: int) -> int:
-    """The cross term of two branches of classes a and b (see CopyEngine)."""
-    pairs = sum(map(mul, cols[a], cols[b]))
-    return sums[a] * sums[b] - pairs if a != b else (sums[a] ** 2 - pairs) // 2
+def _pair_pass(pairs: list[tuple], size: int, kids: list[list[int]]) -> list[int]:
+    """A ``size``-leaf vertex's row from its children's rows ``kids``, in one
+    pass that keeps P, the sum of the rows seen so far: each child x after the
+    first adds P[a] x[b] + P[b] x[a], or P[a] x[a] when a = b, to the cross
+    term of each shape (leaves, column, a, b) in ``pairs`` that fits."""
+    acc, *rest = kids
+    cross = [0] * len(acc)
+    for x in rest:
+        for least, i, a, b in pairs:
+            if least > size:
+                break  # this shape and the larger ones stay at 0
+            cross[i] += acc[a] * x[b] + acc[b] * x[a] if a != b else acc[a] * x[a]
+        acc = list(map(add, acc, x))
+    return list(map(add, acc, cross))
 
 
 class CopyEngine:
@@ -243,57 +249,51 @@ class CopyEngine:
     A pattern's distinct internal shapes are numbered fewest leaves first,
     with -1 for a leaf. The row of a host subtree u holds c(S, u) for every
     shape S, then u's leaf count, the count of the one-leaf pattern. Rows are
-    filled bottom-up: the sum S of the children's rows x plus each shape's
-    cross term, for two branches of classes a != b S_a S_b - sum x[a] x[b],
-    for a = b half of S_a^2 - sum x[a]^2. Counts above :data:`PASS_STEP_CAP`
-    steps are refused up front. The memo, one table of rows per pattern,
-    keyed by trees, belongs to the instance and only ever grows, so an
-    engine sweeping trees with shared subtrees pays for each once.
+    filled bottom-up by :func:`_pair_pass`; a vertex of three or more children
+    adds the wider shapes' cross terms by :func:`_cross_term`. Counts above
+    :data:`PASS_STEP_CAP` steps are refused up front. The memo, one table of
+    rows per pattern, keyed by trees, belongs to the instance and only ever
+    grows, so an engine sweeping trees with shared subtrees pays for each once.
     """
 
     def __init__(self):
-        self._memo: dict[Tree, tuple[list, dict[int, tuple], dict[Tree, list[int]]]] = {}
+        self._memo: dict[Tree, tuple[list, list, Counter, dict, dict[Tree, list[int]]]] = {}
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
         if d_pattern not in self._memo:
             shapes = internal_subtrees(d_pattern)
             index = {s: i for i, s in enumerate(shapes)} | {leaf(): -1}
-            plan = []
-            for s in shapes:
+            pairs, wider, steps = [], [], Counter()  # steps: a pass's steps by branch count
+            for i, s in enumerate(shapes):
                 branches = [index[b] for b in s.children]
                 classes = Counter(branches)
                 states = prod(m + 1 for m in classes.values())
-                steps = sum(states // (m + 1) * m for m in classes.values())
-                plan.append((s.leaf_count, branches, classes, states - 1, steps))
-            self._memo[d_pattern] = (plan, {}, {leaf(): [0] * len(shapes) + [1]})
-        plan, listed, rows = self._memo[d_pattern]
+                steps[len(branches)] += sum(states // (m + 1) * m for m in classes.values())
+                if len(branches) == 2:
+                    pairs.append((s.leaf_count, i, *branches))
+                else:
+                    wider.append((s.leaf_count, i, len(branches), classes, states - 1))
+            self._memo[d_pattern] = (pairs, wider, steps, {}, {leaf(): [0] * len(shapes) + [1]})
+        pairs, wider, steps, listed, rows = self._memo[d_pattern]
         todo = internal_subtrees(t, rows)
         degrees = Counter(len(u.children) for u in todo)
-        work = sum(n * d * p[-1] for p in plan for d, n in degrees.items() if d >= len(p[1]))
+        work = sum(n * d * s for r, s in steps.items() for d, n in degrees.items() if d >= r)
         if work > PASS_STEP_CAP:
             raise BudgetError(f"counting a {d_pattern.leaf_count}-leaf pattern in a "
                               f"{t.leaf_count}-leaf tree needs up to {work} steps, "
                               f"above the cap of {PASS_STEP_CAP}")
         for u in todo:
             kids = [rows[c] for c in u.children]
-            cols = list(zip(*kids))
-            sums = list(map(sum, cols))
-            row = sums.copy()
-            for i, (size, branches, classes, last, _) in enumerate(plan):
-                if size > u.leaf_count:
+            rows[u] = row = _pair_pass(pairs, u.leaf_count, kids)
+            for least, i, r, classes, last in wider if len(kids) > 2 else ():
+                if least > u.leaf_count:
                     break  # this shape and the larger ones stay at 0
-                if len(branches) > len(kids):
-                    continue
-                if len(branches) == 2:
-                    row[i] += _two_branch_term(cols, sums, *branches)
-                    continue
-                if i not in listed:  # listed on first use, after the cap check
-                    listed[i] = _pass_steps(classes)
-                row[i] += _cross_term(listed[i], last, kids)
-            rows[u] = row
-        # the pattern is its own largest shape, or (one leaf) has none: len(plan) - 1
-        return rows[t][len(plan) - 1]
+                if r <= len(kids):
+                    if i not in listed:  # listed on first use, after the cap check
+                        listed[i] = _pass_steps(classes)
+                    row[i] += _cross_term(listed[i], last, kids)
+        return rows[t][len(rows[t]) - 2]  # the pattern's own column, or its leaf count
 
 
 def count_copies(d_pattern: Tree, t: Tree) -> int:
@@ -311,7 +311,8 @@ def density(d_pattern: Tree, t: Tree) -> Fraction:
     """c(D, T) / C(|T|, |D|) as an exact fraction. Requires |T| >= |D|."""
     k, n = d_pattern.leaf_count, t.leaf_count
     _require_host(k, n)
-    return Fraction(count_copies(d_pattern, t), comb(n, k))
+    c = count_copies(d_pattern, t)
+    return Fraction(c, comb(n, k)) if c else Fraction(0)  # C(n, k) may take seconds
 
 
 def count_report(
@@ -329,7 +330,7 @@ def count_report(
     c = count_copies_brute(d_pattern, t, force=force) if brute else count_copies(d_pattern, t)
     dens: tuple = ("", "", "")
     if n >= k:
-        q = Fraction(c, comb(n, k))
+        q = Fraction(c, comb(n, k)) if c else Fraction(0)
         dens = (q.numerator, q.denominator, decimal_str(q))
     return SearchReport(
         mode=mode,
@@ -363,8 +364,7 @@ def combine_caterpillar_counts(
     n = sum(ni for ni, _ in parts)
     out = [0] * (k - 1)
     out[0] = comb(n, 2)
-    for j in range(3, k + 1):
-        idx = j - 2
+    for idx in range(1, k - 1):  # c_j sits at j - 2
         acc = 0
         for ni, vec in parts:
             acc += vec[idx] + (n - ni) * vec[idx - 1]

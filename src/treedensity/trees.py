@@ -43,7 +43,7 @@ __all__ = [
 # the most leaves make_complete, make_even_binary and make_caterpillar build
 LEAF_CAP = 10**7
 # the most internal vertices make_caterpillar builds and parse_tree reads; a
-# count costs about 15 us a spine vertex as host, 20 us as pattern (README)
+# count costs about 13 us a spine vertex as host, 16 us as pattern (README)
 VERTEX_CAP = 25 * 10**4
 _LEAF_COUNT = attrgetter("leaf_count")
 _CODE_LENGTH = attrgetter("code_length")

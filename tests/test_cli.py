@@ -411,7 +411,7 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
-        # a spine vertex costs about 15 us and 600 bytes from build to report
+        # a spine vertex costs about 13 us and 600 bytes from build to report
         (("count", "--pattern", "(**)", "--tree-caterpillar", "2,250002"),
          "2-ary caterpillar with 250002 leaves would have 250001 internal vertices, "
          "above the cap of 250000"),

@@ -211,25 +211,30 @@ def test_cross_term_pass_matches_placement_enumeration():
 
 
 def test_two_branch_term_matches_the_pass():
-    # S_a S_b - sum x[a] x[b] (a != b), or half of S_a^2 - sum x[a]^2, on
-    # random rows: the sums are taken before any cross term enters a row
+    # the one pass over the children's rows adds P[a] x[b] + P[b] x[a] (or
+    # P[a] x[a]) per child, with P the rows before it: on random rows, its
+    # column 3 is the column sum plus the cross term that _cross_term finds
     rng = random.Random(29)
     for a, b in [(0, 1), (1, 0), (0, 0), (-1, 0), (-1, -1), (2, -1)]:
         classes = Counter([a, b])
         pass_steps = counting._pass_steps(classes)
         last = prod(m + 1 for m in classes.values()) - 1
         for m in range(2, 8):
-            kids = [[rng.randrange(50) for _ in range(4)] for _ in range(m)]
-            cols = list(zip(*kids))
-            sums = list(map(sum, cols))
-            expect = counting._cross_term(pass_steps, last, kids)
-            assert counting._two_branch_term(cols, sums, a, b) == expect, (a, b, kids)
+            kids = [[rng.randrange(50) for _ in range(5)] for _ in range(m)]
+            sums = [sum(col) for col in zip(*kids)]
+            row = counting._pair_pass([(2, 3, a, b)], 2, kids)
+            cross = counting._cross_term(pass_steps, last, kids)
+            assert row == sums[:3] + [sums[3] + cross, sums[4]], (a, b, kids)
+            # a shape with more leaves than the vertex adds nothing
+            assert counting._pair_pass([(3, 3, a, b)], 2, kids) == sums, (a, b, kids)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0), st.integers(min_value=2, max_value=7),
-       st.integers(min_value=6, max_value=13), st.integers(min_value=2, max_value=4))
+       st.integers(min_value=6, max_value=13), st.integers(min_value=2, max_value=5))
 def test_count_matches_brute_on_random_binary_patterns(seed, k, n, d):
+    # hosts up to 5-ary: vertices of 3 or more children meet two-branch
+    # shapes with equal classes, such as the two cherries of ((**)(**))
     rnd = random.Random(seed)
     pattern = parse_tree(_random_code(rnd, k, 2))
     host = parse_tree(_random_code(rnd, n, d))
@@ -238,19 +243,21 @@ def test_count_matches_brute_on_random_binary_patterns(seed, k, n, d):
 
 def test_engine_shares_rows_across_separate_parses(monkeypatch):
     # rows are keyed by trees, which compare by structure, so a second parse
-    # of a counted host, or of one of its branches, adds no row
+    # of a counted host, or of one of its branches, adds no row and runs no pass
     text = _random_code(random.Random(31), 200, 3)
     pattern = parse_tree("((**)(**)(*(**)))")
     engine = CopyEngine()
     first = engine.count(pattern, parse_tree(text))
     branches = [(b.code, count_copies(pattern, b)) for b in parse_tree(text).children]
+    rows = engine._memo[pattern][-1]
+    known = dict(rows)
     calls = []
-    for name in ("_two_branch_term", "_cross_term"):
+    for name in ("_pair_pass", "_cross_term"):
         real = getattr(counting, name)
         monkeypatch.setattr(counting, name, lambda *a, real=real: calls.append(a) or real(*a))
     assert engine.count(pattern, parse_tree(text)) == first
     assert [(code, engine.count(pattern, parse_tree(code))) for code, _ in branches] == branches
-    assert calls == []
+    assert rows == known and calls == []
 
 
 def test_count_of_a_30_star_in_a_60_star():
@@ -307,6 +314,24 @@ def test_density_values_and_errors():
         density(make_caterpillar(2, 4), f23)
     with pytest.raises(PreconditionError, match=message):
         count_report(make_caterpillar(2, 4), f23, mode="density")
+
+
+def test_a_count_of_0_needs_no_binomial(monkeypatch):
+    # a 3-caterpillar cannot fit a star: the density is 0/1, as Fraction(0, C)
+    # would read, and C(n, k) is never taken
+    pattern, star = make_caterpillar(2, 3), make_complete(5, 1)
+    expect = count_report(pattern, star, mode="density").rows
+    calls = []
+    monkeypatch.setattr(counting, "comb", lambda *a: calls.append(a) or comb(*a))
+    assert density(pattern, star) == Fraction(0, comb(5, 3))
+    for mode in ("count", "density"):
+        for brute in (False, True):
+            report = count_report(pattern, star, mode=mode, brute=brute)
+            assert report.rows == expect == [(pattern.code, star.code, 3, 5, 0, 0, 1, "0")]
+    assert calls == [(5, 3), (5, 3)]  # the oracle's budget check, once per brute report
+    calls.clear()
+    assert count_report(make_caterpillar(2, 30), make_complete(60, 1)).rows[0][4:7] == (0, 0, 1)
+    assert calls == []
 
 
 def test_normalization_over_all_patterns():
