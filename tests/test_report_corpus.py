@@ -32,6 +32,8 @@ CORPUS = [
      "e0e13c478141a6c3fe453dfa2ed4bae175f09c0b1df3d345212762bc17d79be7"),
     ("enumerate --n 9 --d 2",
      "e34b21352726995a3b1a5a33a03a6dcf9eedd802ba1a0e8470426a82906ec80f"),
+    ("enumerate --n 7 --d 3 --strict --format jsonl",
+     "ee226ed93e4fdafa7a0ca38b19b08b58ee8ccda9e9a315850c2446d609ed5191"),
     # a spine 2,400 vertices deep
     ("count --pattern-caterpillar 2,5 --tree-caterpillar 3,4801",
      "5be6e76bb8aff0ce61ef15f3778aff853c2cc8d9f937dbd9c606634f2b6909f7"),
@@ -69,6 +71,8 @@ CORPUS = [
      "72e70767dbfc0a0278f21c0e7ec1efbcd042f7b900493f7bd76201c27cb5690c"),
     ("simplex --d 2 --k 4 --mode bound-sample --samples 20 --seed 3 --format jsonl",
      "eb4aeb6e3c14f8f63e7fdc299ec705150d4b0303380b78ac609c7411b5f318b6"),
+    ("simplex --d 3 --k 4 --mode muirhead --samples 40 --seed 5 --format csv",
+     "703434cce7581dc0bfe35de94086bf18c56c5f16a23d7a323607352468fb4b98"),
     ("simplex --d 3 --k 5 --mode min --starts 4 --budget 4000 --seed 7 --format csv",
      "ac9847a2611407b284de4bb3e89606981ba44adab3f976f5f3159c8d71eb5832"),
     ("simplex --d 4 --k 3 --mode min --starts 2 --budget 3000 --seed 2 --format jsonl",
