@@ -29,7 +29,7 @@ from .counting import caterpillar_counts, check_witness, combine_caterpillar_cou
 from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
 from .reporting import SearchReport, fraction_str, int_str
-from .trees import Tree, _in_order, codes, leaf
+from .trees import Tree, _in_order, leaf
 
 __all__ = [
     "count_trees",
@@ -133,6 +133,19 @@ def _tree_levels(
     return levels
 
 
+def _level(n: int, d: int, strict: bool, max_trees: int) -> list[tuple[int, str, Tree]]:
+    """Level n of :func:`_tree_levels`, after checking the arguments that
+    :func:`enumerate_trees` and :func:`enumerate_report` share."""
+    require_int(n, 1, "leaf count")
+    require_int(d, 2, "arity bound")
+    require_int(max_trees, 1, "max_trees")
+    if strict and (n - 1) % (d - 1) != 0:
+        raise PreconditionError(
+            f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
+        )
+    return _tree_levels(range(n, n + 1), d, strict, max_trees)[n]
+
+
 def enumerate_trees(
     n: int, d: int, strict: bool = False, *, max_trees: int = DEFAULT_TREE_CAP
 ) -> Iterator[Tree]:
@@ -145,22 +158,15 @@ def enumerate_trees(
     the levels below it. Strictly d-ary trees exist only for n = 1 mod
     (d - 1); asking for other sizes in strict mode is an error.
     """
-    require_int(n, 1, "leaf count")
-    require_int(d, 2, "arity bound")
-    require_int(max_trees, 1, "max_trees")
-    if strict and (n - 1) % (d - 1) != 0:
-        raise PreconditionError(
-            f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
-        )
-    return iter(list(map(_TREE, _tree_levels(range(n, n + 1), d, strict, max_trees)[n])))
+    return iter(list(map(_TREE, _level(n, d, strict, max_trees))))
 
 
 def enumerate_report(
     n: int, d: int, strict: bool = False, *, max_trees: int = DEFAULT_TREE_CAP
 ) -> SearchReport:
-    """The codes of :func:`enumerate_trees`, one indexed row per tree."""
-    trees = enumerate_trees(n, d, strict, max_trees=max_trees)
-    rows = list(enumerate(codes(trees)))
+    """The codes of :func:`enumerate_trees`, one indexed row per tree, taken
+    from the level that built them, so no code is written again."""
+    rows = list(enumerate(map(_CODE, _level(n, d, strict, max_trees))))
     return SearchReport(
         mode="enumerate",
         params={"n": n, "d": d, "strict": strict},

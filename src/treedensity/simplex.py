@@ -17,7 +17,9 @@ there; for d = 2 the functional is identically 1/3. For k >= 4 the supremum
 
 Every simplex input is read exactly with ``Fraction(x)``: ints, Fractions
 and floats at their exact values, and a point must sum to exactly 1; a value
-``Fraction`` refuses, such as an mpmath mpf, is refused. The exact checks run
+``Fraction`` refuses, such as an mpmath mpf, is refused. Values are plain
+tuples: a point is a tuple of Fractions, ``minimize_F``'s point a tuple of
+mpfs, and a majorization pair the exponent vectors (a, b). The exact checks run
 on integers. F is homogeneous of degree 0, so a point scaled by a common
 denominator gives the same value, and ``_F_int`` computes F's numerator and
 denominator at integer weights: ``bound-sample`` evaluates its integer draws
@@ -48,7 +50,6 @@ from .errors import BudgetError, PreconditionError, SingularityError, require_in
 from .reporting import SearchReport, decimal_str, fraction_str
 
 __all__ = [
-    "SimplexPoint",
     "simplex_point",
     "eval_F",
     "MinimizeResult",
@@ -88,18 +89,6 @@ MIN_WORK_CAP = 65 * 10**5
 MUIRHEAD_WORK_CAP = 3 * 10**9
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Coordinates on the standard simplex: Fractions from :func:`simplex_point`,
-    or the mpf coordinates a :func:`minimize_F` run reached."""
-
-    coords: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
 def _exact(values: Iterable, what: str) -> tuple[Fraction, ...]:
     """Each value as ``Fraction(value)``, exact for ints, Fractions and
     floats; a value that Fraction refuses is a PreconditionError naming it."""
@@ -114,8 +103,8 @@ def _exact(values: Iterable, what: str) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def simplex_point(coords: Iterable) -> SimplexPoint:
-    """Validate a coordinate tuple, each coordinate read exactly with
+def simplex_point(coords: Iterable) -> tuple[Fraction, ...]:
+    """The coordinates as a tuple of Fractions, each read exactly with
     ``Fraction(x)``: nonnegative, at least two, summing to exactly 1."""
     xs = _exact(coords, "simplex coordinates")
     if len(xs) < 2:
@@ -124,16 +113,7 @@ def simplex_point(coords: Iterable) -> SimplexPoint:
         raise PreconditionError("simplex coordinates must be nonnegative")
     if sum(xs) != 1:
         raise PreconditionError(f"coordinates must sum to exactly 1, got {fraction_str(sum(xs))}")
-    return SimplexPoint(xs)
-
-
-def _coerce_point(d: int, point) -> SimplexPoint:
-    # a SimplexPoint's coordinates are read again, so a minimize_F point,
-    # whose coordinates are mpfs, is refused
-    sp = simplex_point(point.coords if isinstance(point, SimplexPoint) else point)
-    if sp.dim != d:
-        raise PreconditionError(f"point has {sp.dim} coordinates, expected d={d}")
-    return sp
+    return xs
 
 
 def eval_F(d: int, k: int, point):
@@ -144,7 +124,9 @@ def eval_F(d: int, k: int, point):
     which happens exactly at the simplex corners.
     """
     require_int(k, 2, "caterpillar size")
-    xs = _coerce_point(d, point).coords
+    xs = simplex_point(point)
+    if len(xs) != d:
+        raise PreconditionError(f"point has {len(xs)} coordinates, expected d={d}")
     # with L the lcm of the coordinate denominators, a_i = x_i L are
     # integers summing to L
     scale = lcm(*(x.denominator for x in xs))
@@ -294,15 +276,15 @@ def simplex_bound_sample_report(
 class MinimizeResult:
     """Outcome of :func:`minimize_F`.
 
-    ``point`` holds the mpf coordinates reached, at 128 bits; :func:`eval_F`
-    refuses it, since it reads points exactly. ``stationarity`` is the largest
-    absolute directional derivative along the tangent directions
-    (e_i - e_j)/sqrt(2), estimated by central differences; near an interior
-    minimum it should be tiny. ``converged`` is False when the evaluation
+    ``point`` is the tuple of mpf coordinates reached, at 128 bits;
+    :func:`eval_F` refuses it, since it reads points exactly.
+    ``stationarity`` is the largest absolute directional derivative along the
+    tangent directions (e_i - e_j)/sqrt(2), estimated by central differences;
+    near an interior minimum it should be tiny. ``converged`` is False when the evaluation
     budget ran out before the polish stage settled.
     """
 
-    point: SimplexPoint
+    point: tuple
     value: object
     stationarity: object
     evaluations: int
@@ -340,7 +322,7 @@ def minimize_F(
         )
     from . import _realmode
     coords, value, resid, evaluations, converged = _realmode.minimize(d, k, starts, budget, seed)
-    return MinimizeResult(SimplexPoint(coords), value, resid, evaluations, converged)
+    return MinimizeResult(coords, value, resid, evaluations, converged)
 
 
 def simplex_min_report(
@@ -348,7 +330,7 @@ def simplex_min_report(
 ) -> SearchReport:
     """:func:`minimize_F` as a one-row report; the verdict is ``converged``."""
     res = minimize_F(d, k, starts=starts, budget=budget, seed=seed)
-    point = ";".join(decimal_str(float(c)) for c in res.point.coords)
+    point = ";".join(decimal_str(float(c)) for c in res.point)
     value, resid = decimal_str(float(res.value)), f"{float(res.stationarity):.3e}"
     return SearchReport(
         mode="simplex-min",
@@ -362,17 +344,10 @@ def simplex_min_report(
 # -- majorization -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MajorizationPair:
-    """Exponent vectors a, b (sorted descending) with a majorizing b."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-
-def majorization_pair(a: Iterable[int], b: Iterable[int]) -> MajorizationPair:
-    """Validate that a majorizes b: equal lengths and sums, and every prefix
-    sum of the descending a dominates that of b."""
+def majorization_pair(a: Iterable[int], b: Iterable[int]) -> tuple[tuple, tuple]:
+    """The exponent vectors (a, b), each sorted descending, after checking
+    that a majorizes b: equal lengths and sums, and every prefix sum of a
+    dominates that of b."""
     ta = tuple(sorted(a, reverse=True))
     tb = tuple(sorted(b, reverse=True))
     if len(ta) != len(tb) or not ta:
@@ -385,7 +360,7 @@ def majorization_pair(a: Iterable[int], b: Iterable[int]) -> MajorizationPair:
         pb += vb
         if pa < pb:
             raise PreconditionError(f"{ta} does not majorize {tb}")
-    return MajorizationPair(ta, tb)
+    return ta, tb
 
 
 def symmetrized_power_sum(exponents: Sequence[int], values: Sequence):
@@ -410,28 +385,31 @@ def symmetrized_power_sum(exponents: Sequence[int], values: Sequence):
     return factorial(n - len(nonzero)) * total
 
 
-def muirhead_check(pair: MajorizationPair, values: Sequence) -> bool:
-    """True when the symmetrized power sum for pair.a dominates that of pair.b
-    at the given positive values, each read exactly with ``Fraction(v)``.
+def muirhead_check(pair: tuple[Sequence[int], Sequence[int]], values: Sequence) -> bool:
+    """True when, for the exponent vectors (a, b) of ``pair``, the
+    symmetrized power sum for a dominates that of b at the given positive
+    values, each read exactly with ``Fraction(v)``.
 
     The comparison runs on integers: with L the lcm of the values'
     denominators, the sum for exponents e at the values is its sum at the
     integers v L divided by L^sum(e), so each side is multiplied by the
     other's power of L. For a majorization pair both powers are L^k.
     """
+    a, b = pair
     values = _exact(values, "majorization values")
-    if len(values) != len(pair.a):
+    if len(values) != len(a):
         raise PreconditionError("need as many values as exponent entries")
     if any(v <= 0 for v in values):
         raise PreconditionError("majorization comparison needs positive values")
     scale = lcm(*(v.denominator for v in values))
     ints = [v.numerator * (scale // v.denominator) for v in values]
-    return (symmetrized_power_sum(pair.a, ints) * scale ** sum(pair.b)
-            >= symmetrized_power_sum(pair.b, ints) * scale ** sum(pair.a))
+    return (symmetrized_power_sum(a, ints) * scale ** sum(b)
+            >= symmetrized_power_sum(b, ints) * scale ** sum(a))
 
 
-def random_majorization_pair(rng: random.Random, d: int, k: int) -> MajorizationPair:
-    """A seeded pair of d-part exponent vectors summing to k, a majorizing b.
+def random_majorization_pair(rng: random.Random, d: int, k: int) -> tuple[tuple, tuple]:
+    """A seeded pair (a, b) of d-part exponent vectors summing to k, a
+    majorizing b.
 
     b is a random composition of k, sorted, with no part equal to k. a is b
     after up to three moves of one unit onto an earlier part at least as
@@ -486,7 +464,7 @@ def simplex_muirhead_report(
     for i in range(samples):
         pair = random_majorization_pair(rng, d, k)
         values = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(d)]
-        cells = (";".join(map(str, seq)) for seq in (pair.a, pair.b, values))
+        cells = (";".join(map(str, seq)) for seq in (*pair, values))
         rows.append((i, *cells, muirhead_check(pair, values)))
     return SearchReport(
         mode="simplex-muirhead",

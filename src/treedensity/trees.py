@@ -13,17 +13,19 @@ and a cherry child.
 
 A Tree stores no code, only its children, leaf count, code length and a hash
 built from its children's, so a spine of q vertices takes memory linear in
-q; ``t.code`` writes the code on each access, in time linear in its length.
-Trees compare, hash and order by structure, in code order, so two parses of
-one shape are equal. Builders sort children by (code length, tree), so only
-ties of distinct objects write codes; :func:`parse_tree` returns one object
-for each repeated shape of one call. The builders at the bottom construct
-caterpillars, complete trees and the even-split binary tree.
+q; ``t.code`` writes the code on each access, in time linear in its length,
+by the private one-tree writer :func:`_code`. Trees compare, hash and order
+by structure, in code order, so two parses of one shape are equal; a
+comparison that needs codes writes each tree's code once. Builders sort
+children by (code length, tree), so only ties of distinct objects write
+codes; :func:`parse_tree` returns one object for each repeated shape of one
+call. The builders at the bottom construct caterpillars, complete trees and
+the even-split binary tree.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, eq as _eq, itemgetter, lt as _lt
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .errors import BudgetError, ParseError, PreconditionError, StructureError, require_int
@@ -76,13 +78,13 @@ class Tree:
 
     @property
     def code(self) -> str:
-        """The canonical code, written afresh by :func:`codes`."""
-        return codes((self,))[0]
+        """The canonical code, written afresh by :func:`_code`."""
+        return _code(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self is other or self._hash == other._hash and _eq(*codes((self, other)))
+        return self is other or self._hash == other._hash and _code(self) == _code(other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -93,39 +95,35 @@ class Tree:
             return NotImplemented
         if self.code_length != other.code_length:
             return self.code_length < other.code_length
-        return _lt(*codes((self, other)))
+        return _code(self) < _code(other)
 
     def __repr__(self) -> str:
         return f"Tree({self.code!r})"
 
 
-def codes(trees: Iterable[Tree]) -> list[str]:
-    """The codes of ``trees``, in one pass over their vertices. An object met
-    again, in one tree or another, is written once, by joining the pieces of
-    its first occurrence, so shared shapes cost joins, not a walk per leaf."""
+def _code(t: Tree) -> str:
+    """The code of ``t``, in one pass over its vertices. An object met again
+    is written once, by joining the pieces of its first occurrence, so shared
+    shapes cost joins, not a walk per leaf."""
     pieces: list[str] = []
     spans: dict[int, tuple[int, int] | str] = {}  # by id: (start, end) in pieces, or code
-    bounds = []
-    for t in trees:
-        bounds.append(len(pieces))
-        stack: list = [t]
-        while stack:
-            u = stack.pop()
-            if type(u) is tuple:  # (id, start) of a vertex whose children are written
-                pieces.append(")")
-                spans[u[0]] = (u[1], len(pieces))
-            elif not u.children:
-                pieces.append("*")
-            elif id(u) not in spans:
-                stack += [(id(u), len(pieces)), *reversed(u.children)]
-                pieces.append("(")
-            else:
-                span = spans[id(u)]
-                if type(span) is tuple:
-                    span = spans[id(u)] = "".join(pieces[span[0] : span[1]])
-                pieces.append(span)
-    bounds.append(len(pieces))
-    return ["".join(pieces[a:b]) for a, b in zip(bounds, bounds[1:])]
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is tuple:  # (id, start) of a vertex whose children are written
+            pieces.append(")")
+            spans[u[0]] = (u[1], len(pieces))
+        elif not u.children:
+            pieces.append("*")
+        elif id(u) not in spans:
+            stack += [(id(u), len(pieces)), *reversed(u.children)]
+            pieces.append("(")
+        else:
+            span = spans[id(u)]
+            if type(span) is tuple:
+                span = spans[id(u)] = "".join(pieces[span[0] : span[1]])
+            pieces.append(span)
+    return "".join(pieces)
 
 
 _LEAF = Tree((), hash(()))

@@ -17,7 +17,6 @@ import pytest
 from treedensity import (
     CopyEngine,
     ParetoDP,
-    SimplexPoint,
     bk_lower_bound,
     caterpillar_copies_complete,
     caterpillar_counts,
@@ -285,7 +284,7 @@ def _interior_point(d, rng):
     """Exact interior point a / sum(a), each a_i uniform in 1..10^6."""
     weights = [rng.randint(1, 10**6) for _ in range(d)]
     total = sum(weights)
-    return SimplexPoint(tuple(Fraction(w, total) for w in weights))
+    return tuple(Fraction(w, total) for w in weights)
 
 
 def _criterion_7() -> SearchReport:
@@ -304,7 +303,7 @@ def _criterion_7() -> SearchReport:
             rows.append(("bounds", d, k, 10**4, violations, True))
     for d, k in [(2, 4), (3, 3), (3, 4), (4, 5)]:
         res = minimize_F(d, k)
-        coord_err = max(abs(c - mpmath.mpf(1) / d) for c in res.point.coords)
+        coord_err = max(abs(c - mpmath.mpf(1) / d) for c in res.point)
         value_err = abs(res.value - uniform_min_value(d, k))
         ok = float(coord_err) < 1e-6 and float(value_err) < 1e-9
         all_ok = all_ok and ok

@@ -23,7 +23,7 @@ from treedensity import (
     verify_even_conjecture,
     verify_monotone_min,
 )
-from treedensity import search
+from treedensity import search, trees
 from treedensity.counting import check_witness
 from treedensity.search import _even_split_counts
 
@@ -119,6 +119,23 @@ def test_enumeration_strict_mode():
     with pytest.raises(PreconditionError) as exc:
         enumerate_trees(4, 3, strict=True)
     assert "n = 1 mod 2" in str(exc.value)
+
+
+def test_enumerate_report_writes_no_code(monkeypatch):
+    # the rows are the codes that the level joined while building it
+    level = search._tree_levels(range(9, 10), 2, False, search.DEFAULT_TREE_CAP)[9]
+
+    def refuse(t):
+        raise AssertionError("a tree code was written")
+
+    monkeypatch.setattr(trees, "_code", refuse)
+    rep = search.enumerate_report(9, 2)
+    monkeypatch.undo()
+    assert rep.rows == list(enumerate(code for _, code, _ in level))
+    assert [code for _, code in rep.rows] == [t.code for t in enumerate_trees(9, 2)]
+    # the report checks its arguments as enumerate_trees does
+    with pytest.raises(PreconditionError, match="n = 1 mod 2"):
+        search.enumerate_report(4, 3, strict=True)
 
 
 def test_enumeration_budget_names_the_count():

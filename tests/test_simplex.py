@@ -23,12 +23,7 @@ from treedensity import (
 )
 from treedensity import _realmode, simplex
 from treedensity.reporting import FORMATS, SearchReport, render_report
-from treedensity.simplex import (
-    MajorizationPair,
-    SimplexPoint,
-    simplex_bound_sample_report,
-    symmetrized_power_sum,
-)
+from treedensity.simplex import simplex_bound_sample_report, symmetrized_power_sum
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +32,13 @@ from treedensity.simplex import (
 
 def test_simplex_point_modes():
     p = simplex_point((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-    assert p.dim == 3 and all(c > 0 for c in p.coords)
+    assert len(p) == 3 and all(c > 0 for c in p)
     # floats and ints are read at their exact values
     q = simplex_point((0.25, 0.25, 0.5))
-    assert q.coords == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    assert all(type(c) is Fraction for c in q.coords)
+    assert q == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in q)
     r = simplex_point((Fraction(1, 2), Fraction(1, 2), 0))
-    assert r.coords == (Fraction(1, 2), Fraction(1, 2), 0)
+    assert r == (Fraction(1, 2), Fraction(1, 2), 0)
 
 
 def test_simplex_point_validation():
@@ -77,7 +72,7 @@ def _interior_point(d, rng):
     draws simplex_bound_sample_report makes."""
     weights = [rng.randint(1, 10**6) for _ in range(d)]
     total = sum(weights)
-    return SimplexPoint(tuple(Fraction(w, total) for w in weights))
+    return tuple(Fraction(w, total) for w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +268,7 @@ def _bound_sample_by_fractions(d, k, samples, seed):
     for i in range(samples):
         point = _interior_point(d, rng)
         v = eval_F(d, k, point)
-        rows.append((i, ";".join(map(str, point.coords)), v, lower <= v <= upper))
+        rows.append((i, ";".join(map(str, point)), v, lower <= v <= upper))
     return SearchReport(
         mode="simplex-bound-sample",
         params={"d": d, "k": k, "seed": seed, "samples": samples,
@@ -316,9 +311,9 @@ def test_bound_sample_verdict_at_the_bounds(monkeypatch, num, den, within):
 def test_minimize_lands_on_the_uniform_point():
     res = minimize_F(3, 3, starts=4, budget=20000)
     assert res.converged
-    assert res.point.dim == 3 and all(isinstance(c, mpmath.mpf) for c in res.point.coords)
+    assert len(res.point) == 3 and all(isinstance(c, mpmath.mpf) for c in res.point)
     third = mpmath.mpf(1) / 3
-    assert all(abs(c - third) < mpmath.mpf("1e-6") for c in res.point.coords)
+    assert all(abs(c - third) < mpmath.mpf("1e-6") for c in res.point)
     assert abs(res.value - mpmath.mpf(1) / 4) < mpmath.mpf("1e-9")
     assert res.stationarity < mpmath.mpf("1e-8")
     assert res.evaluations <= 20000 + 16  # polish may finish a shrink step
@@ -333,7 +328,7 @@ def test_minimize_flat_case_reports_the_constant():
 def test_minimize_is_deterministic_for_a_fixed_seed():
     a = minimize_F(3, 4, starts=2, budget=8000, seed=5)
     b = minimize_F(3, 4, starts=2, budget=8000, seed=5)
-    assert a.point.coords == b.point.coords
+    assert a.point == b.point
     assert a.value == b.value and a.evaluations == b.evaluations
 
 
@@ -388,7 +383,7 @@ def test_minimize_F_is_pinned():
     got = []
     for d, k, kwargs, _ in MINIMIZE_PINS:
         res = minimize_F(d, k, **kwargs)
-        key = (tuple(map(_raw, res.point.coords)), _raw(res.value), _raw(res.stationarity),
+        key = (tuple(map(_raw, res.point)), _raw(res.value), _raw(res.stationarity),
                res.evaluations, res.converged)
         got.append((d, k, kwargs, _sha(key)))
     assert got == MINIMIZE_PINS
@@ -407,8 +402,7 @@ def test_stationarity_vanishes_at_the_uniform_point():
 
 
 def test_majorization_pair_validation():
-    pair = majorization_pair((0, 2), (1, 1))
-    assert pair.a == (2, 0) and pair.b == (1, 1)
+    assert majorization_pair((0, 2), (1, 1)) == ((2, 0), (1, 1))
     majorization_pair((2, 2), (2, 2))
     for a, b in [((1, 1), (2, 0)), ((2, 1), (1, 1)), ((2,), (1, 1)), ((), ())]:
         with pytest.raises(PreconditionError):
@@ -445,16 +439,16 @@ def test_symmetrized_power_sum_matches_the_full_enumeration():
 
 
 def test_muirhead_basic_and_equality_cases():
-    pair = majorization_pair((2, 0), (1, 1))
+    pair = a, b = majorization_pair((2, 0), (1, 1))
     assert muirhead_check(pair, (Fraction(3), Fraction(7)))
     # equality when all values coincide
     v = (Fraction(4), Fraction(4))
-    assert symmetrized_power_sum(pair.a, v) == symmetrized_power_sum(pair.b, v)
+    assert symmetrized_power_sum(a, v) == symmetrized_power_sum(b, v)
     # strict inequality at distinct values and distinct exponent vectors
     w = (Fraction(1), Fraction(2))
-    assert symmetrized_power_sum(pair.a, w) > symmetrized_power_sum(pair.b, w)
-    same = majorization_pair((3, 1), (3, 1))
-    assert symmetrized_power_sum(same.a, w) == symmetrized_power_sum(same.b, w)
+    assert symmetrized_power_sum(a, w) > symmetrized_power_sum(b, w)
+    same_a, same_b = majorization_pair((3, 1), (3, 1))
+    assert symmetrized_power_sum(same_a, w) == symmetrized_power_sum(same_b, w)
 
 
 def test_muirhead_against_every_composition():
@@ -476,9 +470,9 @@ def test_muirhead_check_matches_the_plain_comparison():
     outcomes = set()
     for _ in range(200):
         d, k = rng.randint(2, 5), rng.randint(2, 7)
-        pair = simplex.random_majorization_pair(rng, d, k)
-        shifted = (pair.a[0] + rng.randint(-1, 1),) + pair.a[1:]
-        for a, b in [(pair.a, pair.b), (pair.b, pair.a), (shifted, pair.b)]:
+        top, low = simplex.random_majorization_pair(rng, d, k)
+        shifted = (top[0] + rng.randint(-1, 1),) + top[1:]
+        for a, b in [(top, low), (low, top), (shifted, low)]:
             ints = [rng.randint(1, 50) for _ in range(d)]
             fractions = [Fraction(rng.randint(1, 1000), rng.randint(1, 1000)) for _ in range(d)]
             mixed = [x if i % 2 else q for i, (x, q) in enumerate(zip(ints, fractions))]
@@ -487,7 +481,7 @@ def test_muirhead_check_matches_the_plain_comparison():
                 # floats are compared at their exact values
                 exact = list(map(Fraction, values))
                 want = symmetrized_power_sum(a, exact) >= symmetrized_power_sum(b, exact)
-                assert muirhead_check(MajorizationPair(a, b), values) == want, (a, b, values)
+                assert muirhead_check((a, b), values) == want, (a, b, values)
                 outcomes.add(want)
     assert outcomes == {True, False}
 

@@ -208,7 +208,7 @@ def test_every_top_level_definition_is_reached():
 PUBLIC_NAMES = [
     "BudgetError", "ConsistencyError", "CopyEngine", "MinimizeResult",
     "ParetoDP", "ParseError", "PreconditionError", "SearchReport",
-    "SimplexPoint", "SingularityError", "StructureError", "Tree", "TreeDensityError",
+    "SingularityError", "StructureError", "Tree", "TreeDensityError",
     "__version__", "bk_coefficient", "bk_lower_bound", "brute_copy_profile",
     "caterpillar_copies_complete", "caterpillar_counts",
     "combine_caterpillar_counts", "count_copies", "count_copies_brute", "count_report",
