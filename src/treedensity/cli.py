@@ -24,8 +24,9 @@ subcommand (help, an unknown command, none at all) gets every subparser in
 full, so help and usage errors read the same either way.
 
 Exit codes: 0 success, 1 a verification found a counterexample or an
-internal consistency check failed, 2 invalid input (parse or precondition
-failures), 3 refused resource budget, 4 I/O failure (unwritable output).
+internal consistency check failed (ConsistencyError), 2 invalid input
+(PreconditionError, ParseError among them), 3 refused resource budget
+(BudgetError; no flag switches one off), 4 I/O failure (unwritable output).
 Reports are rendered deterministically, so rerunning a command with the same
 arguments produces byte-identical output files.
 """
@@ -36,14 +37,7 @@ import argparse
 import sys
 
 from .counting import count_report
-from .errors import (
-    BudgetError,
-    ConsistencyError,
-    ParseError,
-    PreconditionError,
-    SingularityError,
-    TreeDensityError,
-)
+from .errors import BudgetError, ConsistencyError, PreconditionError
 from .formulas import limits_report
 from .reporting import FORMATS, render_report
 from .search import (
@@ -113,11 +107,13 @@ def _emit(report, args) -> None:
 
 def _count(a):
     pattern, tree = _build_tree(a, "pattern"), _build_tree(a, "tree")
-    return count_report(pattern, tree, mode=a.command, brute=a.brute, force=a.force)
+    return count_report(pattern, tree, mode=a.command, brute=a.brute)
 
 
 def _search_min(a):
     if a.n is not None:
+        if a.n_min is not None or a.n_max is not None:
+            raise PreconditionError("--n cannot be combined with --n-min or --n-max")
         n_min = n_max = a.n
     elif a.n_max is None:
         raise PreconditionError("provide --n or --n-max")
@@ -143,7 +139,6 @@ def _count_args(p):
     _add_tree_args(p, "pattern")
     _add_tree_args(p, "tree")
     p.add_argument("--brute", action="store_true", help="use the subset-enumeration oracle")
-    p.add_argument("--force", action="store_true", help="override the brute-force budget")
 
 
 def _enumerate_args(p):
@@ -250,7 +245,7 @@ def main(argv=None) -> int:
         report = args.build(args)
         _emit(report, args)
         return 1 if report.all_ok is False else 0
-    except (ParseError, PreconditionError, SingularityError) as err:
+    except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BudgetError as err:
@@ -262,9 +257,6 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4
-    except TreeDensityError as err:  # safety net for future subclasses
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

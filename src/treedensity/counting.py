@@ -51,7 +51,7 @@ __all__ = [
     "combine_caterpillar_counts",
 ]
 
-# the most leaf subsets the oracle walks unforced: near the cap, `count
+# the most leaf subsets the oracle walks: near the cap, `count
 # --brute` took 1.2 s on C(182, 3) subsets and 1.0 s on C(1414, 2)
 SUBSET_CAP = 10**6
 # the most steps a count's passes may take: outdegree times steps, summed over
@@ -154,24 +154,24 @@ def _code_of_meets(sig: tuple[int, ...]) -> str:
     return cur
 
 
-def brute_copy_profile(t: Tree, k: int, *, force: bool = False) -> dict[str, int]:
+def brute_copy_profile(t: Tree, k: int) -> dict[str, int]:
     """Tally {pattern code: copies} over all k-subsets of T's leaves.
 
     One pass shared by every pattern of size k; the counts sum to C(n, k).
     A subset's signature holds the depths at which its consecutive leaves
     a < b meet, min(adj[a:b]) from a sparse table built once per host; each
     distinct signature's code is written once. An oracle for small sizes:
-    refuses with BudgetError when C(n, k) exceeds :data:`SUBSET_CAP` unless forced.
+    refuses with BudgetError when C(n, k) exceeds :data:`SUBSET_CAP`.
     """
     n = t.leaf_count
     require_int(k, 1, "subset size")
     if k > n:
         return {}
     total = comb(n, k)
-    if total > SUBSET_CAP and not force:
+    if total > SUBSET_CAP:
         raise BudgetError(
             f"brute-force enumeration of C({n},{k}) = {total} subsets exceeds "
-            f"the cap of {SUBSET_CAP}; pass force=True to run anyway"
+            f"the cap of {SUBSET_CAP}"
         )
     spans = _range_minima(_adjacent_lca_depths(t))
     tally: Counter = Counter()
@@ -189,10 +189,10 @@ def brute_copy_profile(t: Tree, k: int, *, force: bool = False) -> dict[str, int
     return dict(profile)
 
 
-def count_copies_brute(d_pattern: Tree, t: Tree, *, force: bool = False) -> int:
+def count_copies_brute(d_pattern: Tree, t: Tree) -> int:
     """c(D, T) by enumerating every |D|-subset of T's leaves: D's entry in
     :func:`brute_copy_profile`, under the same budget."""
-    return brute_copy_profile(t, d_pattern.leaf_count, force=force).get(d_pattern.code, 0)
+    return brute_copy_profile(t, d_pattern.leaf_count).get(d_pattern.code, 0)
 
 
 def _pass_steps(classes: Counter) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -316,7 +316,7 @@ def density(d_pattern: Tree, t: Tree) -> Fraction:
 
 
 def count_report(
-    d_pattern: Tree, t: Tree, *, mode: str = "count", brute: bool = False, force: bool = False
+    d_pattern: Tree, t: Tree, *, mode: str = "count", brute: bool = False
 ) -> SearchReport:
     """One-row report of c(D, T) and, when |T| >= |D|, its density.
 
@@ -327,7 +327,7 @@ def count_report(
     k, n = d_pattern.leaf_count, t.leaf_count
     if mode == "density":
         _require_host(k, n)
-    c = count_copies_brute(d_pattern, t, force=force) if brute else count_copies(d_pattern, t)
+    c = count_copies_brute(d_pattern, t) if brute else count_copies(d_pattern, t)
     dens: tuple = ("", "", "")
     if n >= k:
         q = Fraction(c, comb(n, k)) if c else Fraction(0)
@@ -411,8 +411,8 @@ def caterpillar_counts_of_code(
     so the depth of the tree is unbounded. ``memo`` maps exact code strings
     (as written, not canonicalized) to results for this k; the caller owns it
     and must not share one between values of k. Only well-formed codes enter
-    it. Malformed text raises ParseError or StructureError with the offset
-    :func:`parse_tree` reports.
+    it. Malformed text raises ParseError with the offset :func:`parse_tree`
+    reports.
     """
     require_int(k, 2, "caterpillar size")
     memo.setdefault("*", (1, 0, (0,) * (k - 1)))

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Every error raised deliberately by this library derives from TreeDensityError,
-so callers can catch one base class. The CLI maps the subclasses onto its
-exit codes (1 for a failed internal consistency check, 2 for bad input,
-3 for refused budgets). Its exit 4, for I/O failures, comes from OSError.
+so callers can catch one base class. The CLI maps each exit code onto one
+class: 1 for ConsistencyError (a failed internal consistency check), 2 for
+PreconditionError (bad input; a ParseError is one), 3 for BudgetError (a
+refused budget). Its exit 4, for I/O failures, comes from OSError.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ from __future__ import annotations
 __all__ = [
     "TreeDensityError",
     "ParseError",
-    "StructureError",
     "PreconditionError",
     "BudgetError",
-    "SingularityError",
     "ConsistencyError",
 ]
 
@@ -23,20 +22,16 @@ class TreeDensityError(Exception):
     """Base class for all errors raised by treedensity."""
 
 
-class ParseError(TreeDensityError, ValueError):
+class PreconditionError(TreeDensityError, ValueError):
+    """An argument violated a documented precondition."""
+
+
+class ParseError(PreconditionError):
     """Malformed tree text. Carries the byte offset of the first bad character."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-
-
-class StructureError(ParseError):
-    """Text parsed but described an invalid tree (e.g. a one-child vertex)."""
-
-
-class PreconditionError(TreeDensityError, ValueError):
-    """An argument violated a documented precondition."""
 
 
 def require_int(value, minimum: int, what: str) -> None:
@@ -51,10 +46,6 @@ class BudgetError(TreeDensityError, RuntimeError):
     The message always names the quantity that tripped the cap so the caller
     can decide whether to raise the cap and retry.
     """
-
-
-class SingularityError(TreeDensityError, ZeroDivisionError):
-    """A simplex functional was evaluated at a pole of its denominator."""
 
 
 class ConsistencyError(TreeDensityError, RuntimeError):

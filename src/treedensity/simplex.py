@@ -46,7 +46,7 @@ from math import comb, factorial, gcd, lcm, perm
 from operator import lt, mul, sub
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, PreconditionError, SingularityError, require_int
+from .errors import BudgetError, PreconditionError, require_int
 from .reporting import SearchReport, decimal_str, fraction_str
 
 __all__ = [
@@ -120,7 +120,7 @@ def eval_F(d: int, k: int, point):
     """Evaluate F exactly, as a Fraction, at a point read by
     :func:`simplex_point`.
 
-    Raises SingularityError when the denominator 1 - sum x_i^k vanishes,
+    Raises PreconditionError when the denominator 1 - sum x_i^k vanishes,
     which happens exactly at the simplex corners.
     """
     require_int(k, 2, "caterpillar size")
@@ -132,7 +132,7 @@ def eval_F(d: int, k: int, point):
     scale = lcm(*(x.denominator for x in xs))
     num, den = _F_int([x.numerator * (scale // x.denominator) for x in xs], scale, k)
     if den == 0:
-        raise SingularityError("denominator vanishes at a simplex corner")
+        raise PreconditionError("denominator vanishes at a simplex corner")
     return Fraction(num, den)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
-from .errors import BudgetError, ParseError, PreconditionError, StructureError, require_int
+from .errors import BudgetError, ParseError, PreconditionError, require_int
 
 __all__ = [
     "Tree",
@@ -170,9 +170,9 @@ def parse_tree(text: str) -> Tree:
 
     The input may list children in any order; the result is canonicalized,
     so ``parse_tree("((**)*)").code == "(*(**))"``. Raises ParseError for
-    malformed text and StructureError for well-bracketed text that describes
-    an invalid vertex (no children or a single child); both carry the byte
-    offset of the offending character. Text with more than
+    malformed text, including well-bracketed text that describes an invalid
+    vertex (no children or a single child), with the byte offset of the
+    offending character. Text with more than
     :data:`VERTEX_CAP` ``(`` is refused with BudgetError before it is read.
 
     Within one call equal subtrees are one object, built once by
@@ -198,8 +198,8 @@ def parse_tree(text: str) -> Tree:
             items = stack.pop()
             if len(items) < 2:
                 if items:
-                    raise StructureError("internal vertex with exactly one child", i)
-                raise StructureError("internal vertex with no children", i)
+                    raise ParseError("internal vertex with exactly one child", i)
+                raise ParseError("internal vertex with no children", i)
             item = _vertex(items, built)
             if not stack:
                 root = item

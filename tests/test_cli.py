@@ -75,6 +75,18 @@ def test_count_brute_agrees_with_recursion(capsys):
     assert count_col == out_brute.splitlines()[1].split(",")[4]
 
 
+@pytest.mark.parametrize("command", ["count", "density"])
+def test_no_argv_switches_the_subset_cap_off(capsys, monkeypatch, command):
+    monkeypatch.setattr(counting, "SUBSET_CAP", 100)
+    args = (command, "--brute", "--pattern-caterpillar", "2,3", "--tree-even", "30")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: brute-force enumeration of C(30,3) = 4060 subsets")
+    code, out, err = run_cli(capsys, *args, "--force")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --force" in err
+
+
 def test_density_small_host_is_an_input_error(capsys):
     code, _, err = run_cli(
         capsys, "density", "--pattern-caterpillar", "2,4", "--tree", "(*(**))"
@@ -185,6 +197,16 @@ def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
 def test_search_min_requires_a_range(capsys):
     code, _, err = run_cli(capsys, "search-min", "--d", "2", "--k", "4")
     assert code == 2 and "--n" in err
+
+
+@pytest.mark.parametrize("flag", ["--n-min", "--n-max"])
+def test_search_min_refuses_n_with_a_range_flag(capsys, flag):
+    # --n used to win silently: --n 6 --n-min 9 printed the row for n = 6
+    code, out, err = run_cli(
+        capsys, "search-min", "--d", "2", "--k", "4", "--n", "6", flag, "9", "--format", "csv"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --n cannot be combined with --n-min or --n-max\n"
 
 
 def test_search_min_general_d_gate(capsys):
@@ -461,8 +483,7 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "above the cap of 10000000"),
         # 9.98 * 10^7 subsets: it took 321 s
         (("count", "--brute", "--pattern", "(*(**))", "--tree-even", "844"),
-         "brute-force enumeration of C(844,3) = 99846044 subsets exceeds the cap of 1000000; "
-         "pass force=True to run anyway"),
+         "brute-force enumeration of C(844,3) = 99846044 subsets exceeds the cap of 1000000"),
         (("limits", "--d", "3", "--k", "20000"),
          "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
          "above the cap of 2250000"),

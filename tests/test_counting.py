@@ -99,19 +99,17 @@ def test_brute_small_examples():
     assert count_copies_brute(make_caterpillar(2, 4), f23) == 0
 
 
-def test_brute_budget_and_force(monkeypatch):
+def test_brute_budget_refuses_over_the_cap(monkeypatch):
     monkeypatch.setattr(counting, "SUBSET_CAP", 100)
     t = make_even_binary(30)
     f23 = make_caterpillar(2, 3)
     with pytest.raises(BudgetError) as exc:
         count_copies_brute(f23, t)
     assert str(exc.value) == (  # C(30, 3), the quantity that tripped
-        "brute-force enumeration of C(30,3) = 4060 subsets exceeds the cap of 100; "
-        "pass force=True to run anyway"
+        "brute-force enumeration of C(30,3) = 4060 subsets exceeds the cap of 100"
     )
     with pytest.raises(BudgetError, match="4060"):
         brute_copy_profile(t, 3)
-    assert count_copies_brute(f23, t, force=True) > 0
 
 
 def _reference_profile(t, k):

@@ -29,6 +29,7 @@ from treedensity import (
     verify_monotone_min,
 )
 from treedensity.counting import caterpillar_counts_of_code
+from treedensity import errors
 from treedensity.errors import require_int
 
 
@@ -135,3 +136,14 @@ def test_require_int_passes_values_at_or_above_the_minimum():
     require_int(10**30, 0, "x")
     with pytest.raises(PreconditionError, match=r"^x must be an integer >= 3, got 3\.0$"):
         require_int(3.0, 3, "x")
+
+
+def test_each_error_class_falls_under_one_exit_code():
+    # cli.main catches ConsistencyError for exit 1, PreconditionError for 2
+    # and BudgetError for 3, so every error class of the package must derive
+    # from exactly one of them
+    exits = (errors.ConsistencyError, errors.PreconditionError, errors.BudgetError)
+    classes = [getattr(errors, name) for name in errors.__all__]
+    for cls in classes:
+        if cls is not errors.TreeDensityError:
+            assert sum(issubclass(cls, e) for e in exits) == 1, cls.__name__

@@ -56,23 +56,23 @@ DIGESTS = {
     "-- count":
         "e7b59914bfc33b11cef104dacd4708bc985a1372788b3087458833aa57eb6439",
     "count --help":
-        "3c4bcaa9836bcd495f779a7874c972aa3de0ca8866dfaa24b71631c46d76f353",
+        "fa45d9d18ce53ee6e30a4485635c28b303009d4faecd958f742a4aed898dd7bf",
     "count":
-        "767a763426553b40daca4203ac255161808c3589ba11a21946221bc0d66bd909",
+        "a608a03b6427873a5c53923fa36cf685699e3a4768c7f7049b4bee24883c68aa",
     "count --bogus":
-        "767a763426553b40daca4203ac255161808c3589ba11a21946221bc0d66bd909",
+        "a608a03b6427873a5c53923fa36cf685699e3a4768c7f7049b4bee24883c68aa",
     "count --d two":
-        "767a763426553b40daca4203ac255161808c3589ba11a21946221bc0d66bd909",
+        "a608a03b6427873a5c53923fa36cf685699e3a4768c7f7049b4bee24883c68aa",
     "count --pattern-caterpillar 2,3 --tree-even 8 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "density --help":
-        "ad3d35966204f2727504d082cd6fbb0e8be19cf997849b675304ac57d837b314",
+        "9540e355d195de136a3c0610631a05540e9dacf3c16603989efc465481b1c83b",
     "density":
-        "191ee959af38af6bc97d4e226c3b7f624c9a0a97174dec322a16d33c865aa01b",
+        "1048a9631197c26450dec9e647e2ef656ff43b70b1fc334966c0803c4adaee75",
     "density --bogus":
-        "191ee959af38af6bc97d4e226c3b7f624c9a0a97174dec322a16d33c865aa01b",
+        "1048a9631197c26450dec9e647e2ef656ff43b70b1fc334966c0803c4adaee75",
     "density --d two":
-        "191ee959af38af6bc97d4e226c3b7f624c9a0a97174dec322a16d33c865aa01b",
+        "1048a9631197c26450dec9e647e2ef656ff43b70b1fc334966c0803c4adaee75",
     "density --pattern-caterpillar 2,3 --tree-even 8 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "enumerate --help":

@@ -14,7 +14,6 @@ from treedensity import (
     BudgetError,
     ParseError,
     PreconditionError,
-    StructureError,
     is_d_ary,
     is_strictly_d_ary,
     leaf,
@@ -59,12 +58,12 @@ DEEP = "(*" * 2999 + "(**)" + ")" * 2999  # the 3000-leaf binary caterpillar
         ("(**)*", ParseError, 4),
         ("(a*)", ParseError, 1),
         ("**", ParseError, 1),
-        ("(*)", StructureError, 2),
-        ("()", StructureError, 1),
-        ("((*)*)", StructureError, 3),
+        ("(*)", ParseError, 2),
+        ("()", ParseError, 1),
+        ("((*)*)", ParseError, 3),
         pytest.param(DEEP[:-1], ParseError, len(DEEP) - 1, id="deep-tree-missing-its-last-close"),
         pytest.param("(" * 3000 + "**", ParseError, 3002, id="deep-open-run"),
-        pytest.param("(*" * 3000 + "(*)" + ")" * 3000, StructureError, 6002,
+        pytest.param("(*" * 3000 + "(*)" + ")" * 3000, ParseError, 6002,
                      id="single-child-under-a-deep-spine"),
         pytest.param(DEEP + "*", ParseError, len(DEEP), id="leaf-after-a-deep-tree"),
         pytest.param(DEEP + ")", ParseError, len(DEEP), id="close-after-a-deep-tree"),
@@ -76,6 +75,18 @@ def test_parse_errors_carry_offsets(text, err, offset):
     with pytest.raises(err) as exc:
         parse_tree(text)
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(*)", "internal vertex with exactly one child (offset 2)"),
+    ("()", "internal vertex with no children (offset 1)"),
+])
+def test_an_invalid_vertex_is_a_parse_error_and_an_input_error(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_tree(text)
+    assert str(exc.value) == message
+    # one class per CLI exit code: exit 2 catches PreconditionError alone
+    assert isinstance(exc.value, PreconditionError)
 
 
 def _reference(text):
