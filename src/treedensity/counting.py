@@ -51,8 +51,8 @@ __all__ = [
     "combine_caterpillar_counts",
 ]
 
-# the most leaf subsets the oracle walks: near the cap, `count
-# --brute` took 1.2 s on C(182, 3) subsets and 1.0 s on C(1414, 2)
+# the most leaf subsets the oracle walks: near the cap, `count --brute` took
+# 1.2 s on C(182, 3) subsets and 1.0 s on C(1414, 2)
 SUBSET_CAP = 10**6
 # the most steps a count's passes may take: outdegree times steps, summed over
 # new host subtrees and the shapes with no more branches than the subtree

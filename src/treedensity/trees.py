@@ -172,8 +172,8 @@ def parse_tree(text: str) -> Tree:
     so ``parse_tree("((**)*)").code == "(*(**))"``. Raises ParseError for
     malformed text, including well-bracketed text that describes an invalid
     vertex (no children or a single child), with the byte offset of the
-    offending character. Text with more than
-    :data:`VERTEX_CAP` ``(`` is refused with BudgetError before it is read.
+    offending character. Text with more than :data:`VERTEX_CAP` ``(`` is
+    refused with BudgetError before it is read.
 
     Within one call equal subtrees are one object, built once by
     :func:`_vertex`; trees from different calls are equal when codes are.
