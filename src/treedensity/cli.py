@@ -25,7 +25,8 @@ full, so help and usage errors read the same either way.
 
 Exit codes: 0 success, 1 a verification found a counterexample or an
 internal consistency check failed (ConsistencyError), 2 invalid input
-(PreconditionError, ParseError among them), 3 refused resource budget
+(an argparse usage error, such as a malformed D,H or R,K spec, or
+PreconditionError, ParseError among them), 3 refused resource budget
 (BudgetError; no flag switches one off), 4 I/O failure (unwritable output).
 Reports are rendered deterministically, so rerunning a command with the same
 arguments produces byte-identical output files.
@@ -56,26 +57,25 @@ from .simplex import (
 from .trees import Tree, make_caterpillar, make_complete, make_even_binary, parse_tree
 
 
-def _int_pair(text: str, what: str) -> tuple[int, int]:
+def _int_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     try:
         if len(parts) == 2:
             return int(parts[0]), int(parts[1])
     except ValueError:
         pass
-    raise PreconditionError(f"{what} expects two comma-separated integers, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expects two comma-separated integers, got {text!r}")
 
 
 # The forms of a tree flag: (suffix, metavar, help, argparse type, builder).
-# A builder takes the value and the flag's name, and looks its library
-# function up when it runs, so a replaced module attribute is the one called.
+# A builder takes the parsed value, and looks its library function up when it
+# runs, so a replaced module attribute is the one called.
 _TREE_FLAGS = (
-    ("", "CODE", "{} as bracket code", str, lambda code, flag: parse_tree(code)),
-    ("-complete", "D,H", "complete d-ary tree as {}", str,
-     lambda spec, flag: make_complete(*_int_pair(spec, flag))),
-    ("-caterpillar", "R,K", "r-ary caterpillar as {}", str,
-     lambda spec, flag: make_caterpillar(*_int_pair(spec, flag))),
-    ("-even", "N", "even-split binary tree as {}", int, lambda n, flag: make_even_binary(n)),
+    ("", "CODE", "{} as bracket code", str, lambda code: parse_tree(code)),
+    ("-complete", "D,H", "complete d-ary tree as {}", _int_pair, lambda dh: make_complete(*dh)),
+    ("-caterpillar", "R,K", "r-ary caterpillar as {}", _int_pair,
+     lambda rk: make_caterpillar(*rk)),
+    ("-even", "N", "even-split binary tree as {}", int, lambda n: make_even_binary(n)),
 )
 
 
@@ -86,11 +86,11 @@ def _add_tree_args(parser: argparse.ArgumentParser, role: str) -> None:
 
 
 def _build_tree(args, role: str) -> Tree:
+    # the group is required, so argparse has set exactly one of the flags
     for suffix, _metavar, _text, _kind, build in _TREE_FLAGS:
         value = getattr(args, f"{role}{suffix}".replace("-", "_"))
         if value is not None:
-            return build(value, f"--{role}{suffix}")
-    raise PreconditionError(f"no {role} tree given")
+            return build(value)
 
 
 def _emit(report, args) -> None:
@@ -108,21 +108,6 @@ def _emit(report, args) -> None:
 def _count(a):
     pattern, tree = _build_tree(a, "pattern"), _build_tree(a, "tree")
     return count_report(pattern, tree, mode=a.command, brute=a.brute)
-
-
-def _search_min(a):
-    if a.n is not None:
-        if a.n_min is not None or a.n_max is not None:
-            raise PreconditionError("--n cannot be combined with --n-min or --n-max")
-        n_min = n_max = a.n
-    elif a.n_max is None:
-        raise PreconditionError("provide --n or --n-max")
-    else:
-        n_min = a.n_min if a.n_min is not None else a.k
-        n_max = a.n_max
-    return search_min_report(
-        a.d, a.k, n_min, n_max, method=a.method, strict=a.strict, max_trees=a.max_trees
-    )
 
 
 _SIMPLEX_MODES = {
@@ -147,9 +132,7 @@ def _enumerate_args(p):
 
 
 def _search_min_args(p):
-    p.add_argument("--n", type=int, help="single leaf count")
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-min", type=int, help="smallest leaf count (default k)")
     p.add_argument("--method", choices=_METHODS, default="auto")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
@@ -189,7 +172,11 @@ _COMMANDS = {
         lambda a: limits_report(a.d, a.k, a.r),
     ),
     "search-min": (
-        "minimum caterpillar count per leaf count", ("d", "k"), _search_min_args, _search_min,
+        "minimum caterpillar count per leaf count", ("d", "k", "n-max"), _search_min_args,
+        lambda a: search_min_report(
+            a.d, a.k, a.k if a.n_min is None else a.n_min, a.n_max,
+            method=a.method, strict=a.strict, max_trees=a.max_trees,
+        ),
     ),
     "conjecture": (
         "even-split tree vs exact minimum count", ("k", "n-max"),

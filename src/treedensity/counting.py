@@ -36,7 +36,7 @@ from operator import add, mul, not_
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
-from .reporting import SearchReport, decimal_str
+from .reporting import SearchReport, decimal_str, int_str
 from .trees import Tree, internal_subtrees, join_codes, leaf, node, parse_tree
 
 __all__ = [
@@ -167,10 +167,13 @@ def brute_copy_profile(t: Tree, k: int) -> dict[str, int]:
     require_int(k, 1, "subset size")
     if k > n:
         return {}
-    total = comb(n, k)
-    if total > SUBSET_CAP:
+    # C(n, k) >= C(2j, j) > 10^37 for j = min(k, n - k) > 64: such a C(n, k)
+    # is refused without being built
+    total = comb(n, k) if min(k, n - k) <= 64 else None
+    if total is None or total > SUBSET_CAP:
+        size = "> 10^37" if total is None else f"= {int_str(total)}"
         raise BudgetError(
-            f"brute-force enumeration of C({n},{k}) = {total} subsets exceeds "
+            f"brute-force enumeration of C({n},{k}) {size} subsets exceeds "
             f"the cap of {SUBSET_CAP}"
         )
     spans = _range_minima(_adjacent_lca_depths(t))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import BudgetError, ConsistencyError, require_int
-from .reporting import SearchReport, decimal_str
+from .reporting import SearchReport, decimal_str, int_str
 from .trees import caterpillar_spine
 
 __all__ = [
@@ -147,7 +147,7 @@ def limits_report(d: int, k: int, r: int = 2) -> SearchReport:
     bits = q * (q + 1) // 2 * (r - 1) * (d - 1).bit_length()
     if bits > LIMIT_BITS_CAP:
         raise BudgetError(
-            f"the limit at d={d}, k={k}, r={r} has a denominator of up to {bits} bits, "
+            f"the limit at d={d}, k={k}, r={r} has a denominator of up to {int_str(bits)} bits, "
             f"above the cap of {LIMIT_BITS_CAP}"
         )
     value = limit_density_complete(r, k, d)

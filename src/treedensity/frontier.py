@@ -32,6 +32,7 @@ from typing import Sequence
 
 from .counting import combine_caterpillar_counts
 from .errors import BudgetError, ConsistencyError, require_int
+from .reporting import int_str
 from .trees import join_codes
 
 __all__ = [
@@ -136,7 +137,7 @@ class ParetoDP:
         self.k = k
         self.d = d
         self._c2 = [0]
-        self._cols: list[list[int]] = [[0] for _ in range(k - 2)]
+        self._cols: list[list[int]] = []  # built with level 1, after run's budget check
         self._split: list[tuple[int, ...] | None] = [None]
         self._witnesses: dict[int, str] = {}
 
@@ -264,19 +265,20 @@ class ParetoDP:
         weighted by its parts less one, times the k - 2 columns of each
         exceed :data:`CANDIDATE_CAP`."""
         require_int(n_max, 1, "n_max")
-        if self.max_n() == 0:
-            self._append((0,) * (self.k - 2), witness="*")
-        first = self.max_n() + 1
+        first = max(self.max_n(), 1) + 1  # level 1 has no candidates
         if first <= n_max:
             cols = self.k - 2
             found = _candidates(self.d, first, n_max, CANDIDATE_CAP // cols)
             if found * cols > CANDIDATE_CAP:
                 raise BudgetError(
                     f"levels {first}..{n_max} at d={self.d}, k={self.k} need at least "
-                    f"{found * cols} column additions "
+                    f"{int_str(found * cols)} column additions "
                     f"(k - 2 per candidate of m parts, times m - 1), "
                     f"above the cap of {CANDIDATE_CAP}"
                 )
+        if self.max_n() == 0:
+            self._cols = [[0] for _ in range(self.k - 2)]
+            self._append((0,) * (self.k - 2), witness="*")
         for n in range(first, n_max + 1):
             self._append(*self._select(n))
         return self

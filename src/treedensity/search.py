@@ -40,6 +40,7 @@ __all__ = [
     "verify_monotone_min",
 ]
 
+# the most trees a search keeps; ``max_trees`` can lower it, not raise it
 DEFAULT_TREE_CAP = 10**6
 _CODE = itemgetter(1)
 _TREE = itemgetter(2)
@@ -96,23 +97,25 @@ def _tree_levels(
     is compared or written.
 
     The sizes are counted first, and every level kept counts against
-    ``max_trees``: the first size at which levels 1..size hold more trees
-    refuses every size of ``sizes`` from there on, and counting stops.
-    BudgetError names the first refused size n of ``sizes`` and, when the
-    counted size differs from n, that size and the count up to it."""
+    ``max_trees`` or :data:`DEFAULT_TREE_CAP`, whichever is smaller: the
+    first size at which levels 1..size hold more trees refuses every size of
+    ``sizes`` from there on, and counting stops. BudgetError names the first
+    refused size n of ``sizes`` and, when the counted size differs from n,
+    that size and the count up to it."""
+    cap = min(max_trees, DEFAULT_TREE_CAP)
     top = sizes[-1] if sizes else 0
     kind = f"{'strictly ' if strict else ''}{d}-ary"
     counts = [0]
     kept = 0
     for size, c in zip(range(1, top + 1), _count_sequence(d, strict)):
         kept += c
-        if kept > max_trees:
+        if kept > cap:
             n = next(m for m in sizes if m >= size)
             if n == size:
                 raise BudgetError(f"enumerating {kind} trees with {n} leaves keeps {kept} trees "
-                                  f"of 1..{n} leaves, above the cap of {max_trees}")
+                                  f"of 1..{n} leaves, above the cap of {cap}")
             raise BudgetError(f"enumerating {kind} trees with {n} leaves keeps more than the cap "
-                              f"of {max_trees}: there are already {kept} of 1..{size} leaves")
+                              f"of {cap}: there are already {kept} of 1..{size} leaves")
         counts.append(c)
     levels: list[list[tuple[int, str, Tree]]] = [[], [(1, "*", leaf())]]
     for size in range(2, top + 1):
@@ -152,10 +155,10 @@ def enumerate_trees(
     """Every d-ary tree with n leaves, one representative per isomorphism
     type, in a fixed (code-sorted) order.
 
-    Refuses with BudgetError when more than ``max_trees`` trees have n
-    leaves, as soon as a size up to n has that many; no smaller size has
-    more. Otherwise every level 1..n is built afresh, smallest first, from
-    the levels below it. Strictly d-ary trees exist only for n = 1 mod
+    Refuses with BudgetError when levels 1..n hold more than ``max_trees``
+    trees, or more than :data:`DEFAULT_TREE_CAP`, which ``max_trees`` can
+    only lower. Otherwise every level 1..n is built afresh, smallest first,
+    from the levels below it. Strictly d-ary trees exist only for n = 1 mod
     (d - 1); asking for other sizes in strict mode is an error.
     """
     return iter(list(map(_TREE, _level(n, d, strict, max_trees))))

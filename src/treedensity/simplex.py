@@ -47,7 +47,7 @@ from operator import lt, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, PreconditionError, require_int
-from .reporting import SearchReport, decimal_str, fraction_str
+from .reporting import SearchReport, decimal_str, fraction_str, int_str
 
 __all__ = [
     "simplex_point",
@@ -202,7 +202,7 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     work = k * k * eps_steps * (eps_steps + 1) * (2 * eps_steps + 1) // 6
     if work > SUP_WORK_CAP:
         raise BudgetError(
-            f"--eps-steps {eps_steps} at k={k} needs {work} work units "
+            f"--eps-steps {eps_steps} at k={k} needs {int_str(work)} work units "
             f"(k^2 * sum of t^2 for t <= eps-steps), above the cap of {SUP_WORK_CAP}"
         )
     schedule = [Fraction(1, 2**t) for t in range(1, eps_steps + 1)]
@@ -241,7 +241,7 @@ def simplex_bound_sample_report(
     work = samples * d * (k * k + 5000)
     if work > BOUND_SAMPLE_WORK_CAP:
         raise BudgetError(
-            f"--samples {samples} at d={d}, k={k} needs {work} work units "
+            f"--samples {samples} at d={d}, k={k} needs {int_str(work)} work units "
             f"(samples * d * (k^2 + 5000)), above the cap of {BOUND_SAMPLE_WORK_CAP}"
         )
     rng = random.Random(seed)
@@ -317,7 +317,7 @@ def minimize_F(
     work = (budget + d * (d - 1)) * (comb(d + 1, 2) + 8)
     if work > MIN_WORK_CAP:
         raise BudgetError(
-            f"--budget {budget} at d={d} needs up to {work} terms "
+            f"--budget {budget} at d={d} needs up to {int_str(work)} terms "
             f"((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of {MIN_WORK_CAP}"
         )
     from . import _realmode
@@ -445,17 +445,23 @@ def simplex_muirhead_report(
     min(d, k) powers and counted as k^2 min(d, k) + 3000 work units.
     Drawing a sample and building its row cost about as much as 10 d terms
     of 3000 units. When ``samples`` times that work exceeds
-    :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and BudgetError is raised.
+    :data:`MUIRHEAD_WORK_CAP`, nothing is drawn and BudgetError is raised;
+    past 16 factors the bound perm(d, min(d, k)) >= min(d, k)! settles that
+    without building the perm.
     """
     # with d < 2 or k < 2 every composition of k has a part equal to k, so
     # random_majorization_pair would never find one to use
     require_int(d, 2, "arity bound")
     require_int(k, 2, "caterpillar size")
     _require_positive(samples, "--samples")
-    work = samples * (2 * perm(d, min(d, k)) * (k * k * min(d, k) + 3000) + 10 * d * 3000)
-    if work > MUIRHEAD_WORK_CAP:
+    m = min(d, k)
+    # perm(d, m) >= m!, and 2 * 10! * 3000 is over the cap already, so a
+    # perm of more than 16 factors is not built
+    work = samples * (2 * perm(d, m) * (k * k * m + 3000) + 10 * d * 3000) if m <= 16 else None
+    if work is None or work > MUIRHEAD_WORK_CAP:
+        amount = f"more than {m}!" if work is None else f"up to {int_str(work)}"
         raise BudgetError(
-            f"--samples {samples} at d={d}, k={k} needs up to {work} work units "
+            f"--samples {samples} at d={d}, k={k} needs {amount} work units "
             f"(samples * (2 * perm(d, min(d, k)) * (k^2 * min(d, k) + 3000) + 10 * d * 3000)), "
             f"above the cap of {MUIRHEAD_WORK_CAP}"
         )

@@ -29,6 +29,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .errors import BudgetError, ParseError, PreconditionError, require_int
+from .reporting import int_str
 
 __all__ = [
     "Tree",
@@ -301,13 +302,16 @@ def make_complete(d: int, h: int) -> Tree:
 
     Refuses with BudgetError when d**h exceeds :data:`LEAF_CAP`; children at
     each level share one Tree object, so the cap bounds leaf count as seen by
-    counting routines, not memory.
+    counting routines, not memory. d**h is built only when it is small.
     """
     require_int(d, 2, "arity bound")
     require_int(h, 0, "height")
-    n = d**h
-    if n > LEAF_CAP:
-        raise BudgetError(f"complete tree would have {n} leaves, above the cap of {LEAF_CAP}")
+    # d >= 2, so any h >= 24 has at least 2**24 > LEAF_CAP leaves
+    if h >= 24 or h and d > LEAF_CAP or d**h > LEAF_CAP:
+        raise BudgetError(
+            f"complete tree would have {int_str(d)}^{int_str(h)} leaves, "
+            f"above the cap of {LEAF_CAP}"
+        )
     t = _LEAF
     for _ in range(h):
         t = _in_order((t,) * d)

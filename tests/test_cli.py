@@ -153,7 +153,8 @@ def test_limits_cross_check_failure_exits_1(capsys, monkeypatch):
 
 
 def test_search_min_methods_agree(capsys):
-    base = ("search-min", "--d", "2", "--k", "4", "--n", "9", "--format", "csv")
+    base = ("search-min", "--d", "2", "--k", "4", "--n-min", "9", "--n-max", "9",
+            "--format", "csv")
     code_a, out_a, _ = run_cli(capsys, *base, "--method", "exhaustive")
     code_b, out_b, _ = run_cli(capsys, *base, "--method", "pareto")
     assert code_a == code_b == 0
@@ -186,7 +187,8 @@ def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(counting, "caterpillar_counts_of_code", one_too_many)
     code, out, err = run_cli(
-        capsys, "search-min", "--d", "2", "--k", "4", "--n", "8", "--method", "pareto"
+        capsys, "search-min", "--d", "2", "--k", "4", "--n-min", "8", "--n-max", "8",
+        "--method", "pareto",
     )
     assert code == 1
     assert out == ""
@@ -195,23 +197,40 @@ def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_search_min_requires_a_range(capsys):
-    code, _, err = run_cli(capsys, "search-min", "--d", "2", "--k", "4")
-    assert code == 2 and "--n" in err
-
-
-@pytest.mark.parametrize("flag", ["--n-min", "--n-max"])
-def test_search_min_refuses_n_with_a_range_flag(capsys, flag):
-    # --n used to win silently: --n 6 --n-min 9 printed the row for n = 6
-    code, out, err = run_cli(
-        capsys, "search-min", "--d", "2", "--k", "4", "--n", "6", flag, "9", "--format", "csv"
-    )
+    code, out, err = run_cli(capsys, "search-min", "--d", "2", "--k", "4")
     assert (code, out) == (2, "")
-    assert err == "error: --n cannot be combined with --n-min or --n-max\n"
+    assert err.endswith("error: the following arguments are required: --n-max\n")
+
+
+def test_a_one_size_range_prints_what_the_n_flag_printed(capsys):
+    # the bytes of the former `search-min --d 2 --k 4 --n 9 --format csv`
+    code, out, err = run_cli(
+        capsys, "search-min", "--d", "2", "--k", "4", "--n-min", "9", "--n-max", "9",
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "n,min_count,min_density_num,min_density_den,argmin_code\n"
+        "9,62,31,63,(((**)(**))((**)(*(**))))\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag", ["--n-min", "--n-max", None], ids=["--n-min", "--n-max", "alone"]
+)
+def test_search_min_refuses_n_with_a_range_flag(capsys, flag):
+    # --n is gone: argparse reads it as an abbreviation of both range flags
+    argv = ("search-min", "--d", "2", "--k", "4", "--n", "6") + ((flag, "9") if flag else ())
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: treedensity search-min ")
+    assert err.endswith("error: ambiguous option: --n could match --n-max, --n-min\n")
 
 
 def test_search_min_general_d_gate(capsys):
     # --general-d is accepted and changes nothing: pareto runs for every d
-    args = ("search-min", "--d", "3", "--k", "4", "--n", "8", "--method", "pareto")
+    args = ("search-min", "--d", "3", "--k", "4", "--n-min", "8", "--n-max", "8",
+            "--method", "pareto")
     without = run_cli(capsys, *args, "--format", "csv")
     assert without == run_cli(capsys, *args, "--general-d", "--format", "csv")
     code, out, err = without
@@ -501,13 +520,37 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("monotone", "--d", "3", "--k", "4", "--n-max", "2000", "--method", "pareto"),
          "levels 2..2000 at d=3, k=4 need at least 891554888 column additions "
          "(k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
+        # d**h took 0.87 s to build here, and 2,10000000000 ran past 30 s
+        (("count", "--pattern", "(**)", "--tree-complete", "2,100000000"),
+         "complete tree would have 2^100000000 leaves, above the cap of 10000000"),
+        (("count", "--pattern", "(**)", "--tree-complete", "2,10000000000"),
+         "complete tree would have 2^10000000000 leaves, above the cap of 10000000"),
+        (("count", "--pattern", "(**)", "--tree-complete", "10000001,1"),
+         "complete tree would have 10000001^1 leaves, above the cap of 10000000"),
+        (("count", "--pattern", "(**)", "--tree-complete", "2,24"),
+         "complete tree would have 2^24 leaves, above the cap of 10000000"),
+        # C(2000000, 65536) took 0.42 s to build
+        (("count", "--brute", "--pattern-complete", "2,16", "--tree-even", "2000000"),
+         "brute-force enumeration of C(2000000,65536) > 10^37 subsets exceeds the cap of "
+         "1000000"),
+        # perm(100000, 100000) has 456,574 digits
+        (("simplex", "--mode", "muirhead", "--d", "100000", "--k", "100000"),
+         "--samples 1000 at d=100000, k=100000 needs more than 100000! work units "
+         "(samples * (2 * perm(d, min(d, k)) * (k^2 * min(d, k) + 3000) + 10 * d * 3000)), "
+         "above the cap of 3000000000"),
+        # the k - 2 columns of the DP took 155 MiB before this refusal
+        (("conjecture", "--k", "1000000", "--n-max", "1000000"),
+         "levels 2..1000000 at d=2, k=1000000 need at least 249999500000000000 column "
+         "additions (k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
     ],
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
         "tree-even-leaves", "tree-caterpillar-spine", "tree-caterpillar-leaves",
         "tree-text-depth", "min-budget", "min-arity", "min-bookkeeping", "bound-sample-arity",
         "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "limits-bits",
-        "conjecture-run", "search-min-run", "monotone-run",
+        "conjecture-run", "search-min-run", "monotone-run", "complete-height",
+        "complete-height-10", "complete-arity", "complete-24", "brute-unbuilt",
+        "muirhead-unbuilt", "dp-columns",
     ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
@@ -516,6 +559,45 @@ def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
     # each of these would run for seconds or take gigabytes if it started
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (3, "", f"refused: {message}\n")
+
+
+def _zeros(n):
+    return "1" + "0" * n
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # each refusal names an amount of more than 4300 digits, which str()
+    # refuses to write
+    [("search-min", "--d", "2", "--k", "4", "--n-max", _zeros(4000)),
+     ("monotone", "--d", "2", "--k", "4", "--n-max", _zeros(4000)),
+     ("limits", "--d", "2", "--k", _zeros(2200)),
+     ("simplex", "--d", "2", "--k", _zeros(2200), "--mode", "sup"),
+     ("simplex", "--d", "3", "--k", _zeros(2200), "--mode", "bound-sample", "--samples", "1"),
+     ("simplex", "--d", "3", "--k", "4", "--mode", "min", "--budget", "9" * 4300),
+     ("simplex", "--d", _zeros(1500), "--k", "4", "--mode", "muirhead", "--samples", "1"),
+     ("count", "--pattern", "(**)", "--tree-complete", "2,20000"),
+     ("count", "--brute", "--pattern-complete", "2,12", "--tree-even", "100000")],
+    ids=["search-min", "monotone", "limits", "sup", "bound-sample", "min", "muirhead",
+         "complete", "brute"],
+)
+def test_a_refusal_of_a_huge_amount_does_not_raise(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["2", "2,3,4", "a,3", "2,", ""])
+@pytest.mark.parametrize("flag", ["--tree-complete", "--tree-caterpillar"])
+def test_a_malformed_tree_spec_is_a_usage_error(capsys, flag, spec):
+    code, out, err = run_cli(capsys, "count", "--pattern", "(**)", flag, spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: treedensity count ")
+    assert err.endswith(
+        f"error: argument {flag}: expects two comma-separated integers, got {spec!r}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -603,7 +685,8 @@ def test_exit_code_for_budget_refusal(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["enumerate", "--n", "1500", "--d", "2"],
-     ["search-min", "--d", "2", "--k", "4", "--n", "1200", "--method", "exhaustive"],
+     ["search-min", "--d", "2", "--k", "4", "--n-min", "1200", "--n-max", "1200",
+      "--method", "exhaustive"],
      ["enumerate", "--n", "400", "--d", "3"]],
 )
 def test_budget_refusal_of_a_deep_size(capsys, argv):

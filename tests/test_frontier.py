@@ -2,6 +2,7 @@
 refusals."""
 
 import json
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -320,7 +321,9 @@ def test_a_poisoned_cache_level_is_not_reported(tmp_path, monkeypatch, capsys):
         json.dumps(level, separators=(",", ":")) + "\n"
     )
     monkeypatch.setenv("TREEDENSITY_CACHE_DIR", str(tmp_path))
-    assert cli_main(["search-min", "--d", "2", "--k", "4", "--n", "10", "--format", "csv"]) == 0
+    argv = ["search-min", "--d", "2", "--k", "4", "--n-min", "10", "--n-max", "10",
+            "--format", "csv"]
+    assert cli_main(argv) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "104"
     assert (cli_main(conjecture), capsys.readouterr().out) == uncached
     assert uncached[0] == 0
@@ -335,7 +338,7 @@ def test_a_code_reader_fault_on_a_witness_exits_1(monkeypatch, capsys):
         counting.check_witness(malformed, 5, 2, 4, 2, {})
     assert "which the code reader refused" in str(exc.value)
     monkeypatch.setattr(ParetoDP, "witness", lambda self, n: malformed)
-    assert cli_main(["search-min", "--d", "2", "--k", "4", "--n", "5"]) == 1
+    assert cli_main(["search-min", "--d", "2", "--k", "4", "--n-min", "5", "--n-max", "5"]) == 1
     assert "which the code reader refused" in capsys.readouterr().err
 
 
@@ -349,3 +352,17 @@ def test_frontier_sizes_stay_small_for_binary():
 def test_larger_sweep_spot_value():
     dp = ParetoDP(5).run(40)
     assert dp.min_count(40) == 108560
+
+
+def test_a_dp_builds_its_columns_after_the_budget_check():
+    # k - 2 columns took 69 MiB at k = 10^6 when the constructor built them
+    tracemalloc.start()
+    try:
+        dp = ParetoDP(10**6)
+        with pytest.raises(BudgetError):
+            dp.run(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert dp.max_n() == 0

@@ -29,7 +29,7 @@ VALID = {
     "density": "density --pattern-caterpillar 2,3 --tree-even 8",
     "enumerate": "enumerate --n 4 --d 2",
     "limits": "limits --d 2 --k 3",
-    "search-min": "search-min --d 2 --k 3 --n 5",
+    "search-min": "search-min --d 2 --k 3 --n-max 5",
     "conjecture": "conjecture --k 3 --n-max 5",
     "monotone": "monotone --d 2 --k 3 --n-max 5",
     "simplex": "simplex --d 2 --k 3",
@@ -96,14 +96,14 @@ DIGESTS = {
     "limits --d 2 --k 3 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "search-min --help":
-        "c93cd31386aa98f5f725c87d16cca992233facc10b5a116a3bfad74f31996b23",
+        "43a74091898539133109e11d73807b949c9973fea90a6c7623eb58430aa53b54",
     "search-min":
-        "427db3193f26adf6365a8b7dd9f4a3b72b62572a5a763af9ca9cc77f0b58572c",
+        "412a420a7ae902bcccbf4da647ec8de31f5701c303fa1f6141d4a52987bed0f2",
     "search-min --bogus":
-        "427db3193f26adf6365a8b7dd9f4a3b72b62572a5a763af9ca9cc77f0b58572c",
+        "412a420a7ae902bcccbf4da647ec8de31f5701c303fa1f6141d4a52987bed0f2",
     "search-min --d two":
-        "a39a4098e12d591429c6e7d957aee7f79db086874d28ae193148e7cdcafbdf74",
-    "search-min --d 2 --k 3 --n 5 extra":
+        "fe0d6da12808a9486eb1fde2833e7296bbd85b392b570869550eac203860fba2",
+    "search-min --d 2 --k 3 --n-max 5 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "conjecture --help":
         "099fd18c6e39a20fc9c0638dfe28c1974c668722200b5be21bb107c3c7ed4810",

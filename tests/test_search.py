@@ -157,6 +157,17 @@ def test_enumeration_budget_names_the_count():
     )
 
 
+def test_max_trees_can_only_lower_the_default_cap(monkeypatch):
+    # the cap is read when the call runs, and a larger max_trees leaves it
+    monkeypatch.setattr(search, "DEFAULT_TREE_CAP", 100)
+    with pytest.raises(BudgetError) as exc:
+        enumerate_trees(12, 2, max_trees=10**6)
+    assert str(exc.value) == (
+        "enumerating 2-ary trees with 12 leaves keeps more than the cap of 100: "
+        "there are already 192 of 1..10 leaves"
+    )
+
+
 def test_the_default_tree_cap_counts_every_level_kept():
     # enumerate --n 21 --d 2 kept 1,198,025 trees (15.4 s, 487 MiB) while
     # its last level alone, 676,157, passed the cap

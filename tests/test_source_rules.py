@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import treedensity
+from treedensity import errors
 from treedensity import (
     brute_copy_profile,
     caterpillar_counts,
@@ -75,7 +76,9 @@ def test_no_recursion_over_input_size_in_the_package():
 
 def test_cli_only_wires_arguments():
     # every report is built by a library function, so the command line
-    # neither constructs one nor needs the modules that do report arithmetic
+    # neither constructs one nor needs the modules that do report arithmetic;
+    # and the library decides what it refuses, so the command line raises
+    # none of the package's errors (argparse reports a malformed argument)
     path = Path(treedensity.__file__).parent / "cli.py"
     nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))))
     builds = [
@@ -84,9 +87,17 @@ def test_cli_only_wires_arguments():
         if isinstance(node, ast.Call)
         and "SearchReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
+    raises = [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.Raise)
+        and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+        & set(errors.__all__)
+    ]
     imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
     assert builds == []
+    assert raises == []
     assert imported & {"fractions", "math", "random", "time"} == set()
 
 
