@@ -307,7 +307,7 @@ def make_complete(d: int, h: int) -> Tree:
     require_int(d, 2, "arity bound")
     require_int(h, 0, "height")
     # d >= 2, so any h >= 24 has at least 2**24 > LEAF_CAP leaves
-    if h >= 24 or h and d > LEAF_CAP or d**h > LEAF_CAP:
+    if h >= 24 or (h and d > LEAF_CAP) or d**h > LEAF_CAP:
         raise BudgetError(
             f"complete tree would have {int_str(d)}^{int_str(h)} leaves, "
             f"above the cap of {LEAF_CAP}"
