@@ -17,11 +17,8 @@ builds the subcommand's report (``count_report``, ``limits_report``,
 ``search_min_report`` and so on). It then renders the report and maps the
 outcome to an exit code.
 
-A call builds only the arguments of the subcommand it runs: the top-level
-parser lists every subcommand with its help line, but ``-h`` and the flags go
-only to the subparser that ``argv[0]`` names. An argv that names no
-subcommand (help, an unknown command, none at all) gets every subparser in
-full, so help and usage errors read the same either way.
+``main`` builds the parser on its first call, and every later call in the
+process reuses it. No flag is read by a prefix of its name.
 
 Exit codes: 0 success, 1 a verification found a counterexample or an
 internal consistency check failed (ConsistencyError), 2 invalid input
@@ -35,6 +32,7 @@ arguments produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .counting import count_report
@@ -196,20 +194,17 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``treedensity`` parser. It lists every subcommand with its help
-    line, but only ``command``'s subparser gets ``-h`` and its arguments, or
-    every subparser when ``command`` is None."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``treedensity`` parser, with every subcommand, built on first use."""
     parser = argparse.ArgumentParser(
         prog="treedensity",
         description="Exact counting and extremal search for leaf-induced subtree densities.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, required, add_args, build) in _COMMANDS.items():
-        chosen = command is None or command == name
-        p = sub.add_parser(name, help=summary, add_help=chosen)
-        if not chosen:
-            continue
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in required:
             p.add_argument(f"--{flag}", type=int, required=True)
         add_args(p)
@@ -220,12 +215,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a call that names its subcommand first builds only that subparser; any
-    # other argv (help, an unknown command, none) gets the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,11 +1,12 @@
 """Enumeration of d-ary trees and extremal searches over them.
 
-``enumerate_trees`` streams every isomorphism type of d-ary tree with a given
-leaf count exactly once. It and the exhaustive branch of
-``search_min_report`` share one path: count the sizes, refuse the first one
-over the tree cap, then build every level up to the largest, bottom-up, and
-keep nothing after the call. ``count_trees`` runs the same count without
-building anything, and the count cross-checks every level built.
+``enumerate_trees`` returns every isomorphism type of d-ary tree with a given
+leaf count exactly once, as an iterator over the level it built in full. It
+and the exhaustive branch of ``search_min_report`` share one path: count the
+sizes, refuse the first one over the tree cap, then build every level up to
+the largest, bottom-up, and keep nothing after the call. ``count_trees`` runs
+the same count without building anything, and the count cross-checks every
+level built.
 
 The two verification sweeps wrap the searches into reports:
 

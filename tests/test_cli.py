@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import treedensity
-from treedensity import ConsistencyError, counting, formulas
+from treedensity import ConsistencyError, cli, counting, formulas
 from treedensity.cli import main
 
 
@@ -216,15 +216,38 @@ def test_a_one_size_range_prints_what_the_n_flag_printed(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--n-min", "--n-max", None], ids=["--n-min", "--n-max", "alone"]
+    "flag, usage, message",
+    [
+        ("--n-min", "treedensity search-min", "the following arguments are required: --n-max"),
+        ("--n-max", "treedensity", "unrecognized arguments: --n 6"),
+        (None, "treedensity search-min", "the following arguments are required: --n-max"),
+    ],
+    ids=["--n-min", "--n-max", "alone"],
 )
-def test_search_min_refuses_n_with_a_range_flag(capsys, flag):
-    # --n is gone: argparse reads it as an abbreviation of both range flags
+def test_search_min_refuses_n_with_a_range_flag(capsys, flag, usage, message):
+    # --n is gone, and no flag is read by a prefix of its name
     argv = ("search-min", "--d", "2", "--k", "4", "--n", "6") + ((flag, "9") if flag else ())
     code, out, err = run_cli(capsys, *argv, "--format", "csv")
     assert (code, out) == (2, "")
-    assert err.startswith("usage: treedensity search-min ")
-    assert err.endswith("error: ambiguous option: --n could match --n-max, --n-min\n")
+    assert err.startswith(f"usage: {usage} [-h]")
+    assert err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("monotone", "--d", "2", "--k", "4", "--n", "6", "--format", "csv"),
+         "the following arguments are required: --n-max"),
+        (("enumerate", "--n", "5", "--d", "2", "--max", "2"),
+         "unrecognized arguments: --max 2"),
+    ],
+    ids=["monotone --n", "enumerate --max"],
+)
+def test_no_flag_is_read_by_a_prefix_of_its_name(capsys, argv, message):
+    # with prefix matching, --n ran as --n-max 6 and --max as --max-trees 2
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
 
 
 def test_search_min_general_d_gate(capsys):
@@ -778,9 +801,10 @@ def test_default_format_is_pretty(capsys):
 # parser construction
 
 
-def test_a_call_builds_only_its_subcommands_arguments(capsys, monkeypatch):
-    # arguments of the subcommands a call does not run were a large share of a
-    # small call's time; only the top level's -h and the chosen subparser's remain
+def test_the_parser_is_built_once_and_keeps_no_call_state(capsys, monkeypatch):
+    # the first call builds every subcommand's arguments, and later calls
+    # reuse that parser without adding to it
+    cli.build_parser.cache_clear()
     add_argument = argparse._ActionsContainer.add_argument
     received = []
 
@@ -789,8 +813,21 @@ def test_a_call_builds_only_its_subcommands_arguments(capsys, monkeypatch):
         return add_argument(container, *args, **kwargs)
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    brute = ("count", "--brute", "--pattern-caterpillar", "2,3", "--tree-even", "6")
+    code, out, _ = run_cli(capsys, *brute, "--format", "csv")
+    assert code == 0 and out
+    # the tree flags' mutually exclusive groups have no prog
+    assert {prog for prog, _ in received} - {None} == {"treedensity"} | {
+        f"treedensity {name}" for name in cli._COMMANDS
+    }
+    assert ("--brute",) in [args for prog, args in received if prog == "treedensity density"]
+    received.clear()
     code, out, _ = run_cli(capsys, "limits", "--d", "2", "--k", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1].startswith("2,3,")
-    assert [args for prog, args in received if prog == "treedensity"] == [("-h", "--help")]
-    assert {prog for prog, _ in received} == {"treedensity", "treedensity limits"}
+    assert received == []
+    parser = cli.build_parser()
+    assert parser.parse_args([*brute, "--format", "csv"]).brute is True
+    args = parser.parse_args(["limits", "--d", "2", "--k", "3"])
+    assert not hasattr(args, "brute")
+    assert (args.command, args.d, args.k, args.r) == ("limits", 2, 3, 2)
