@@ -24,7 +24,8 @@ Exit codes: 0 success, 1 a verification found a counterexample or an
 internal consistency check failed (ConsistencyError), 2 invalid input
 (an argparse usage error, such as a malformed D,H or R,K spec, or
 PreconditionError, ParseError among them), 3 refused resource budget
-(BudgetError; no flag switches one off), 4 I/O failure (unwritable output).
+(BudgetError; no flag switches one off), 4 I/O failure (an unreadable tree
+file or unwritable output).
 Reports are rendered deterministically, so rerunning a command with the same
 arguments produces byte-identical output files.
 """
@@ -52,7 +53,7 @@ from .simplex import (
     simplex_muirhead_report,
     simplex_sup_report,
 )
-from .trees import Tree, make_caterpillar, make_complete, make_even_binary, parse_tree
+from .trees import Tree, make_caterpillar, make_complete, make_even_binary, parse_tree, read_tree
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -74,6 +75,8 @@ _TREE_FLAGS = (
     ("-caterpillar", "R,K", "r-ary caterpillar as {}", _int_pair,
      lambda rk: make_caterpillar(*rk)),
     ("-even", "N", "even-split binary tree as {}", int, lambda n: make_even_binary(n)),
+    ("-file", "PATH", "{} as bracket code in a file (- for stdin)", str,
+     lambda path: read_tree(path)),
 )
 
 

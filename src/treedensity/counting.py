@@ -17,12 +17,16 @@ root is the root of T and each branch of D is induced inside a distinct
 branch of T. One pass over T's branches sums their rows and adds each
 two-branch shape's cross term; wider shapes have a pass of their own.
 
-``CopyEngine`` and ``caterpillar_counts`` share one bottom-up walk over a
-host's distinct subtrees, fewest leaves first, so no count recurses over the
-host's depth. No memo lives at module level: an engine owns its rows
-(``count_copies`` builds one per call), and the caller owns
-``caterpillar_counts``'s. ``caterpillar_counts_of_code`` runs their combine
-off a bracket code, and ``check_witness`` recounts search witnesses with it.
+``CopyEngine``, ``caterpillar_counts``, ``induced_subtree`` and the oracle
+read a host through its table of shapes (:mod:`treedensity.trees`): the
+engine and ``caterpillar_counts`` fill one list of results per shape id, in
+id order, so children come first and no count recurses over the host's
+depth. No memo lives at module level: an engine owns its rows
+(``count_copies`` builds one per call), and a tree's table owns
+``caterpillar_counts``'s vectors. ``count`` and ``density`` price the
+density before counting. ``caterpillar_counts_of_code`` runs the combine
+off a bracket code's own characters, and ``check_witness`` recounts search
+witnesses with it.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from operator import add, mul, not_
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
+from .formulas import LIMIT_BITS_CAP
 from .reporting import SearchReport, decimal_str, int_str
-from .trees import Tree, internal_subtrees, join_codes, leaf, node, parse_tree
+from .trees import Tree, _Shapes, join_codes, parse_tree
 
 __all__ = [
     "induced_subtree",
@@ -74,37 +79,41 @@ def induced_subtree(t: Tree, leaves: Iterable[int]) -> Tree:
             f"leaf indices must lie in [0, {t.leaf_count - 1}], got {sel[0]}..{sel[-1]}"
         )
 
-    # Depth-first with an explicit stack. An int on the stack closes a vertex
-    # from that many finished children; a vertex with one child holding
-    # chosen leaves is suppressed, and that child's tree stands in for it.
-    done: list[Tree] = []
-    stack: list = [(t, 0)]
+    # Depth-first with an explicit stack, into a table of its own. An int on
+    # the stack closes a vertex from that many finished children; a vertex
+    # with one child holding chosen leaves is suppressed, and that child's
+    # shape stands in for it.
+    kids, leaves = t._table.kids, t._table.leaves
+    table = _Shapes()
+    done: list[int] = []
+    stack: list = [(t._id, 0)]
     while stack:
         top = stack.pop()
         if isinstance(top, int):
-            done[-top:] = [node(done[-top:])]
-        elif top[0].is_leaf:
-            done.append(leaf())
+            done[-top:] = [table.vertex(done[-top:])]
+        elif not top[0]:
+            done.append(0)
         else:
             u, base = top
             live = []
-            for c in u.children:
-                if bisect_left(sel, base) < bisect_left(sel, base + c.leaf_count):
+            for c in kids[u]:
+                if bisect_left(sel, base) < bisect_left(sel, base + leaves[c]):
                     live.append((c, base))
-                base += c.leaf_count
+                base += leaves[c]
             if len(live) > 1:
                 stack.append(len(live))
             stack.extend(reversed(live))
     if len(done) != 1:
         raise ConsistencyError(f"{len(sel)} leaves of a {t.leaf_count}-leaf tree induced no tree")
-    return done[0]
+    return table.tree(done[0])
 
 
 def _adjacent_lca_depths(t: Tree) -> list[int]:
     """Depth of LCA(leaf l, leaf l + 1) for l = 0..n-2, leaves in the
     depth-first order of :func:`induced_subtree`."""
+    kids = t._table.kids
     depths: list[int] = []
-    stack = [(t, 0)]
+    stack = [(t._id, 0)]
     after_leaf = False
     while stack:
         u, depth = stack.pop()
@@ -112,10 +121,10 @@ def _adjacent_lca_depths(t: Tree) -> list[int]:
             # the first vertex entered after leaf l is a child of LCA(l, l + 1)
             depths.append(depth - 1)
             after_leaf = False
-        if u.is_leaf:
+        if not u:
             after_leaf = True
         else:
-            stack.extend((c, depth + 1) for c in reversed(u.children))
+            stack.extend((c, depth + 1) for c in reversed(kids[u]))
     return depths
 
 
@@ -247,56 +256,79 @@ def _pair_pass(pairs: list[tuple], size: int, kids: list[list[int]]) -> list[int
 
 
 class CopyEngine:
-    """Copy counter that fills one row of counts per host subtree.
+    """Copy counter that fills one row of counts per host shape.
 
     A pattern's distinct internal shapes are numbered fewest leaves first,
-    with -1 for a leaf. The row of a host subtree u holds c(S, u) for every
+    with -1 for a leaf. The row of a host shape u holds c(S, u) for every
     shape S, then u's leaf count, the count of the one-leaf pattern. Rows are
     filled bottom-up by :func:`_pair_pass`; a vertex of three or more children
     adds the wider shapes' cross terms by :func:`_cross_term`. Counts above
-    :data:`PASS_STEP_CAP` steps are refused up front. The memo, one table of
-    rows per pattern, keyed by trees, belongs to the instance and only ever
-    grows, so an engine sweeping trees with shared subtrees pays for each once.
+    :data:`PASS_STEP_CAP` steps are refused up front.
+
+    Hosts are read by shape id. The engine reads the first host's table as
+    it is and copies it before a host of another table is interned into it,
+    so equal shapes of separate parses share one id. Each pattern, keyed by
+    its code, has a list of rows by id, filled in id order; both only ever
+    grow, so an engine sweeping trees with shared subtrees pays for each once.
     """
 
     def __init__(self):
-        self._memo: dict[Tree, tuple[list, list, Counter, dict, dict[Tree, list[int]]]] = {}
+        self._plans: dict[str, tuple[list, list, Counter, dict, list[list[int]]]] = {}
+        self._first: _Shapes | None = None  # the first host's table
+        self._shapes: _Shapes | None = None  # it, or the engine's copy of it
+
+    def _host(self, t: Tree) -> int:
+        """``t``'s id in the engine's table."""
+        if self._first is None:
+            self._first = self._shapes = t._table
+        if t._table is self._first:
+            return t._id
+        if self._shapes is self._first:
+            self._shapes = self._first.copy()
+        return self._shapes.take(t)
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
-        if d_pattern not in self._memo:
-            shapes = internal_subtrees(d_pattern)
-            index = {s: i for i, s in enumerate(shapes)} | {leaf(): -1}
+        plan = self._plans.get(key := d_pattern.code)
+        if plan is None:
+            table = d_pattern._table
+            shapes = [u for u in table.below(d_pattern._id) if u]
+            shapes.sort(key=table.leaves.__getitem__)
+            index = {s: i for i, s in enumerate(shapes)} | {0: -1}
             pairs, wider, steps = [], [], Counter()  # steps: a pass's steps by branch count
             for i, s in enumerate(shapes):
-                branches = [index[b] for b in s.children]
+                branches = [index[b] for b in table.kids[s]]
                 classes = Counter(branches)
                 states = prod(m + 1 for m in classes.values())
                 steps[len(branches)] += sum(states // (m + 1) * m for m in classes.values())
                 if len(branches) == 2:
-                    pairs.append((s.leaf_count, i, *branches))
+                    pairs.append((table.leaves[s], i, *branches))
                 else:
-                    wider.append((s.leaf_count, i, len(branches), classes, states - 1))
-            self._memo[d_pattern] = (pairs, wider, steps, {}, {leaf(): [0] * len(shapes) + [1]})
-        pairs, wider, steps, listed, rows = self._memo[d_pattern]
-        todo = internal_subtrees(t, rows)
-        degrees = Counter(len(u.children) for u in todo)
+                    wider.append((table.leaves[s], i, len(branches), classes, states - 1))
+            plan = self._plans[key] = (pairs, wider, steps, {}, [[0] * len(shapes) + [1]])
+        pairs, wider, steps, listed, rows = plan
+        host = self._host(t)
+        kids, leaves = self._shapes.kids, self._shapes.leaves
+        todo = range(len(rows), host + 1)
+        degrees = Counter(len(kids[u]) for u in todo)
         work = sum(n * d * s for r, s in steps.items() for d, n in degrees.items() if d >= r)
         if work > PASS_STEP_CAP:
             raise BudgetError(f"counting a {d_pattern.leaf_count}-leaf pattern in a "
                               f"{t.leaf_count}-leaf tree needs up to {work} steps, "
                               f"above the cap of {PASS_STEP_CAP}")
         for u in todo:
-            kids = [rows[c] for c in u.children]
-            rows[u] = row = _pair_pass(pairs, u.leaf_count, kids)
-            for least, i, r, classes, last in wider if len(kids) > 2 else ():
-                if least > u.leaf_count:
+            below = [rows[c] for c in kids[u]]
+            size = leaves[u]
+            row = _pair_pass(pairs, size, below)
+            for least, i, r, classes, last in wider if len(below) > 2 else ():
+                if least > size:
                     break  # this shape and the larger ones stay at 0
-                if r <= len(kids):
+                if r <= len(below):
                     if i not in listed:  # listed on first use, after the cap check
                         listed[i] = _pass_steps(classes)
-                    row[i] += _cross_term(listed[i], last, kids)
-        return rows[t][len(rows[t]) - 2]  # the pattern's own column, or its leaf count
+                    row[i] += _cross_term(listed[i], last, below)
+            rows.append(row)
+        return rows[host][len(rows[host]) - 2]  # the pattern's own column, or its leaf count
 
 
 def count_copies(d_pattern: Tree, t: Tree) -> int:
@@ -310,10 +342,24 @@ def _require_host(k: int, n: int) -> None:
         raise PreconditionError(f"density needs a host with at least {k} leaves, got {n}")
 
 
+def _price_density(k: int, n: int) -> None:
+    """Refuse, before counting, a density too large to build: for n >= k,
+    C(n, k) and every count of a k-leaf pattern in an n-leaf tree are at
+    most 2^(min(k, n - k) * bit_length(n))."""
+    bits = min(k, n - k) * n.bit_length()
+    if bits > LIMIT_BITS_CAP:
+        raise BudgetError(
+            f"the density of a {int_str(k)}-leaf pattern in a {int_str(n)}-leaf tree needs up "
+            f"to {int_str(bits)} bits (min(k, n - k) * bit_length(n)), "
+            f"above the cap of {int_str(LIMIT_BITS_CAP)}"
+        )
+
+
 def density(d_pattern: Tree, t: Tree) -> Fraction:
     """c(D, T) / C(|T|, |D|) as an exact fraction. Requires |T| >= |D|."""
     k, n = d_pattern.leaf_count, t.leaf_count
     _require_host(k, n)
+    _price_density(k, n)
     c = count_copies(d_pattern, t)
     return Fraction(c, comb(n, k)) if c else Fraction(0)  # C(n, k) may take seconds
 
@@ -324,24 +370,27 @@ def count_report(
     """One-row report of c(D, T) and, when |T| >= |D|, its density.
 
     The count is taken once, by the recursion or (``brute``) the oracle, and
-    the density is formed from it. ``mode`` "density" refuses hosts with
-    fewer leaves than the pattern; "count" leaves their density cells blank.
+    the density is formed from it, and priced before the count is taken.
+    ``mode`` "density" refuses hosts with fewer leaves than the pattern;
+    "count" leaves their density cells blank.
     """
     k, n = d_pattern.leaf_count, t.leaf_count
     if mode == "density":
         _require_host(k, n)
+    if n >= k:
+        _price_density(k, n)
     c = count_copies_brute(d_pattern, t) if brute else count_copies(d_pattern, t)
     dens: tuple = ("", "", "")
     if n >= k:
         q = Fraction(c, comb(n, k)) if c else Fraction(0)
         dens = (q.numerator, q.denominator, decimal_str(q))
+    code = d_pattern.code
     return SearchReport(
         mode=mode,
-        params={"pattern": d_pattern.code, "tree_leaves": n,
-                "method": "brute" if brute else "recursion"},
+        params={"pattern": code, "tree_leaves": n, "method": "brute" if brute else "recursion"},
         columns=("pattern_code", "tree_code", "pattern_leaves", "tree_leaves", "count",
                  "density_num", "density_den", "density_decimal"),
-        rows=[(d_pattern.code, t.code, k, n, c, *dens)],
+        rows=[(code, t.code, k, n, c, *dens)],
     )
 
 
@@ -375,23 +424,22 @@ def combine_caterpillar_counts(
     return tuple(out)
 
 
-def caterpillar_counts(t: Tree, k: int, memo: dict | None = None) -> tuple[int, ...]:
+def caterpillar_counts(t: Tree, k: int) -> tuple[int, ...]:
     """(c_2, ..., c_k): the copies in ``t`` of the binary caterpillar with
     j leaves, for j = 2..k, so c_j sits at index j - 2.
 
-    Runs the engine's bottom-up walk, combining each subtree's vector from
-    its children's. ``memo`` maps subtrees to (c_2, ..., c_k) for this k; the
-    caller owns it, passes one to let related trees share shapes, and must
-    not share it between values of k. Without one a fresh dict is used.
+    Combines each shape's vector from its children's, in id order. ``t``'s
+    table keeps the vectors for this k, so trees of one table share them.
     """
     require_int(k, 2, "caterpillar size")
-    if memo is None:
-        memo = {}
-    memo.setdefault(leaf(), (0,) * (k - 1))
-    for u in internal_subtrees(t, memo):
-        parts = [(c.leaf_count, memo[c]) for c in u.children]
-        memo[u] = combine_caterpillar_counts(parts, k)
-    return memo[t]
+    table, i = t._table, t._id
+    if not i:
+        return (0,) * (k - 1)
+    vectors = table.vectors.setdefault(k, [(0,) * (k - 1)])
+    kids, leaves = table.kids, table.leaves
+    for u in range(len(vectors), i + 1):
+        vectors.append(combine_caterpillar_counts([(leaves[c], vectors[c]) for c in kids[u]], k))
+    return vectors[i]
 
 
 _DEPTH_STEP = {"(": 1, "*": 0, ")": -1}

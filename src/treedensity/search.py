@@ -30,7 +30,7 @@ from .counting import caterpillar_counts, check_witness, combine_caterpillar_cou
 from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
 from .reporting import SearchReport, fraction_str, int_str
-from .trees import Tree, _in_order, leaf
+from .trees import Tree, _Shapes
 
 __all__ = [
     "count_trees",
@@ -44,7 +44,7 @@ __all__ = [
 # the most trees a search keeps; ``max_trees`` can lower it, not raise it
 DEFAULT_TREE_CAP = 10**6
 _CODE = itemgetter(1)
-_TREE = itemgetter(2)
+_ID = itemgetter(2)
 
 SEARCH_COLUMNS = ("n", "min_count", "min_density_num", "min_density_den", "argmin_code")
 
@@ -90,12 +90,13 @@ def count_trees(n: int, d: int, strict: bool = False) -> int:
 
 def _tree_levels(
     sizes: range, d: int, strict: bool, max_trees: int
-) -> list[list[tuple[int, str, Tree]]]:
-    """``levels[s]`` for s = 0..max(sizes): the (code length, code, tree) of
-    every d-ary tree with s leaves, sorted, each level built from the ones
-    below it and checked against :func:`_count_sequence`. The caller owns the
-    levels. A vertex joins its children's codes in sorted order, so no tree
-    is compared or written.
+) -> tuple[_Shapes, list[list[tuple[int, str, int]]]]:
+    """A table of every d-ary tree with up to max(sizes) leaves and
+    ``levels[s]`` for s = 0..max(sizes): the (code length, code, id) of every
+    such tree with s leaves, sorted, each level built from the ones below it
+    and checked against :func:`_count_sequence`. The caller owns both. A
+    vertex joins its children's codes in sorted order, and its children's
+    ids come in that order, so no tree is compared or written.
 
     The sizes are counted first, and every level kept counts against
     ``max_trees`` or :data:`DEFAULT_TREE_CAP`, whichever is smaller: the
@@ -118,7 +119,8 @@ def _tree_levels(
             raise BudgetError(f"enumerating {kind} trees with {n} leaves keeps more than the cap "
                               f"of {cap}: there are already {kept} of 1..{size} leaves")
         counts.append(c)
-    levels: list[list[tuple[int, str, Tree]]] = [[], [(1, "*", leaf())]]
+    table = _Shapes()
+    levels: list[list[tuple[int, str, int]]] = [[], [(1, "*", 0)]]
     for size in range(2, top + 1):
         level = []
         for runs in _root_splits(size, d, strict):
@@ -126,7 +128,7 @@ def _tree_levels(
             for pick in product(*pools):
                 kids = sorted(chain.from_iterable(pick))
                 code = "(" + "".join(map(_CODE, kids)) + ")"
-                level.append((len(code), code, _in_order(tuple(map(_TREE, kids)))))
+                level.append((len(code), code, table.add(tuple(map(_ID, kids)))))
         if len(level) != counts[size]:
             raise ConsistencyError(
                 f"{'strictly ' if strict else ''}{d}-ary trees with {size} leaves: "
@@ -134,11 +136,11 @@ def _tree_levels(
             )
         level.sort()
         levels.append(level)
-    return levels
+    return table, levels
 
 
-def _level(n: int, d: int, strict: bool, max_trees: int) -> list[tuple[int, str, Tree]]:
-    """Level n of :func:`_tree_levels`, after checking the arguments that
+def _level(n: int, d: int, strict: bool, max_trees: int) -> tuple[_Shapes, list]:
+    """The table and level n of :func:`_tree_levels`, after checking the arguments that
     :func:`enumerate_trees` and :func:`enumerate_report` share."""
     require_int(n, 1, "leaf count")
     require_int(d, 2, "arity bound")
@@ -147,7 +149,8 @@ def _level(n: int, d: int, strict: bool, max_trees: int) -> list[tuple[int, str,
         raise PreconditionError(
             f"no strictly {d}-ary tree has {n} leaves (need n = 1 mod {d - 1})"
         )
-    return _tree_levels(range(n, n + 1), d, strict, max_trees)[n]
+    table, levels = _tree_levels(range(n, n + 1), d, strict, max_trees)
+    return table, levels[n]
 
 
 def enumerate_trees(
@@ -162,7 +165,8 @@ def enumerate_trees(
     from the levels below it. Strictly d-ary trees exist only for n = 1 mod
     (d - 1); asking for other sizes in strict mode is an error.
     """
-    return iter(list(map(_TREE, _level(n, d, strict, max_trees))))
+    table, level = _level(n, d, strict, max_trees)
+    return iter(list(map(table.tree, map(_ID, level))))
 
 
 def enumerate_report(
@@ -170,7 +174,7 @@ def enumerate_report(
 ) -> SearchReport:
     """The codes of :func:`enumerate_trees`, one indexed row per tree, taken
     from the level that built them, so no code is written again."""
-    rows = list(enumerate(map(_CODE, _level(n, d, strict, max_trees))))
+    rows = list(enumerate(map(_CODE, _level(n, d, strict, max_trees)[1])))
     return SearchReport(
         mode="enumerate",
         params={"n": n, "d": d, "strict": strict},
@@ -180,16 +184,16 @@ def enumerate_report(
 
 
 def _min_record(
-    level: list[tuple[int, str, Tree]], n: int, d: int, k: int, memo: dict
+    table: _Shapes, level: list[tuple[int, str, int]], n: int, d: int, k: int
 ) -> tuple[int, str]:
     """The minimum k-caterpillar count over one nonempty level of
     :func:`_tree_levels`, and the code of the first tree in enumeration order
-    that attains it. ``memo`` is :func:`caterpillar_counts`'s, shared by the
-    levels of one report."""
+    that attains it. The table keeps :func:`caterpillar_counts`'s vectors,
+    so the levels of one report share them."""
     best: int | None = None
     tied: list[str] = []
-    for _, code, t in level:
-        c = caterpillar_counts(t, k, memo)[-1]
+    for _, code, i in level:
+        c = caterpillar_counts(table.tree(i), k)[-1]
         if best is None or c < best:
             best, tied = c, [code]
         elif c == best and len(tied) < 4:
@@ -249,10 +253,9 @@ def search_min_report(
         # every row.
         step = d - 1 if strict else 1
         sizes = range(n_min + (1 - n_min) % step, n_max + 1, step)
-        levels = _tree_levels(sizes, d, strict, max_trees)
-        level_memo: dict = {}  # smaller levels' trees are subtrees of larger ones
+        table, levels = _tree_levels(sizes, d, strict, max_trees)
         for n in sizes:
-            minima.append((n, *_min_record(levels[n], n, d, k, level_memo)))
+            minima.append((n, *_min_record(table, levels[n], n, d, k)))
     rows = []
     for n, c, code in minima:
         q = Fraction(c, comb(n, k))

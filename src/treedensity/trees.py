@@ -1,34 +1,44 @@
-"""Rooted trees with unordered children, kept in a canonical form.
+"""Rooted trees with unordered children, interned by shape.
 
 A tree here is either a single leaf or an internal vertex with at least two
-children; vertices of outdegree one never occur. Children are stored sorted
-by their canonical code (shorter codes first, ties broken lexicographically),
-which makes the code of a tree a complete isomorphism invariant: two Tree
-objects describe isomorphic rooted trees exactly when their codes are equal.
+children; vertices of outdegree one never occur. Children are kept sorted by
+their canonical code (shorter codes first, ties broken lexicographically),
+which makes the code of a tree a complete isomorphism invariant: two trees
+are isomorphic exactly when their codes are equal.
 
 Codes use a bracket grammar: a leaf is ``*`` and an internal vertex is
 ``(`` followed by the codes of its children in canonical order and ``)``.
 For example ``(*(**))`` is the three-leaf tree whose root has a leaf child
 and a cherry child.
 
-A Tree stores no code, only its children, leaf count, code length and a hash
-built from its children's, so a spine of q vertices takes memory linear in
-q; ``t.code`` writes the code on each access, in time linear in its length,
-by the private one-tree writer :func:`_code`. Trees compare, hash and order
-by structure, in code order, so two parses of one shape are equal; a
-comparison that needs codes writes each tree's code once. Builders sort
-children by (code length, tree), so only ties of distinct objects write
-codes; :func:`parse_tree` returns one object for each repeated shape of one
-call. The builders at the bottom construct caterpillars, complete trees and
-the even-split binary tree.
+Shapes live in a table, one per parse or build, and are numbered by int ids
+in the manner of the Aho-Hopcroft-Ullman labelling: id 0 is the leaf, and a
+vertex gets the id of its children's ids in canonical order, a new one the
+first time that tuple is met, so equal shapes share one id. The table stores
+each shape's children, leaf count and code length, and fills structural
+hashes on demand. Ids are issued children first, so a list indexed by id is
+filled in id order; the counting routines keep their per-shape results in
+such lists, owned by the table or by the engine that fills them. Only the
+call that builds a table appends to it.
+
+A :class:`Tree` is a (table, id) handle. Trees compare, hash and order by
+structure, in code order, across tables too; in one table equal trees have
+one id. Code-length ties between distinct siblings are broken by their
+codes, written once per table and cached there; ``t.code`` is written afresh
+on each access, in time linear in its length. :func:`parse_tree` reads its
+text once and memoizes each vertex's children as written, so a repeated
+vertex is not sorted again. The builders at the bottom append caterpillars,
+complete trees and the even-split binary tree in canonical order.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
-from typing import Iterable
+import sys
+from contextlib import nullcontext
+from typing import Iterable, NoReturn
+from weakref import WeakValueDictionary
 
-from .errors import BudgetError, ParseError, PreconditionError, require_int
+from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
 from .reporting import int_str
 
 __all__ = [
@@ -36,6 +46,7 @@ __all__ = [
     "leaf",
     "node",
     "parse_tree",
+    "read_tree",
     "is_d_ary",
     "is_strictly_d_ary",
     "make_caterpillar",
@@ -46,49 +57,209 @@ __all__ = [
 # the most leaves make_complete, make_even_binary and make_caterpillar build
 LEAF_CAP = 10**7
 # the most internal vertices make_caterpillar builds and parse_tree reads; a
-# count costs about 13 us a spine vertex as host, 16 us as pattern (README)
+# count costs about 5 us a spine vertex as host, 11 us as pattern (README)
 VERTEX_CAP = 25 * 10**4
-_LEAF_COUNT = attrgetter("leaf_count")
-_CODE_LENGTH = attrgetter("code_length")
-_HASH = attrgetter("_hash")
+# the most characters parse_tree reads: a tree within both caps above has
+# at most 2 VERTEX_CAP + LEAF_CAP
+TEXT_CAP = 2 * VERTEX_CAP + LEAF_CAP
+
+
+class _Shapes:
+    """An append-only table of tree shapes, numbered children first.
+
+    Id 0 is the leaf. ``kids[i]`` holds the ids of shape i's children in
+    canonical order, ``leaves[i]`` and ``lengths[i]`` its leaf count and code
+    length, and ``ids`` maps a children tuple to its id. ``hashes`` is filled
+    in id order on demand, ``codes`` holds the codes written to break ties,
+    and ``vectors`` the caterpillar counts per k, by id.
+    """
+
+    __slots__ = ("kids", "leaves", "lengths", "ids", "hashes", "codes", "vectors", "handles")
+
+    def __init__(self):
+        self.kids: list[tuple[int, ...]] = [()]
+        self.leaves = [1]
+        self.lengths = [1]
+        self.ids = {(): 0}
+        self.hashes = [hash(())]
+        self.codes: dict[int, str] = {}
+        self.vectors: dict[int, list[tuple[int, ...]]] = {}
+        self.handles = None  # children's Tree objects, one per id, made on first use
+
+    def add(self, kids: tuple[int, ...]) -> int:
+        """The id of the vertex over ``kids``, already in canonical order."""
+        ids = self.ids
+        i = ids.get(kids)
+        if i is None:
+            i = ids[kids] = len(ids)
+            self.kids.append(kids)
+            leaves, lengths = self.leaves, self.lengths
+            if len(kids) == 2:
+                a, b = kids
+                leaves.append(leaves[a] + leaves[b])
+                lengths.append(lengths[a] + lengths[b] + 2)
+            else:
+                leaves.append(sum(map(leaves.__getitem__, kids)))
+                lengths.append(sum(map(lengths.__getitem__, kids), 2))
+        return i
+
+    def vertex(self, kids: list[int]) -> int:
+        """The id of the vertex over ``kids``, in any order: sorted by code
+        length in place, and by code where distinct children tie on it."""
+        lengths = self.lengths
+        if len(kids) == 2:  # most vertices: one comparison and no sort
+            a, b = kids
+            if lengths[a] > lengths[b] or (
+                lengths[a] == lengths[b] and a != b and self._shortlex(a) > self._shortlex(b)
+            ):
+                kids.reverse()
+        else:
+            kids.sort(key=lengths.__getitem__)
+            if len(set(map(lengths.__getitem__, kids))) < len(set(kids)):
+                kids.sort(key=self._shortlex)
+        return self.add(tuple(kids))
+
+    def _shortlex(self, i: int) -> tuple[int, str]:
+        code = self.codes.get(i)
+        if code is None:
+            code = self.codes[i] = self.code(i)
+        return self.lengths[i], code
+
+    def code(self, i: int) -> str:
+        """The code of shape i, in one pass over its vertices. A shape met
+        again is written once, by joining the pieces of its first occurrence,
+        and a cached code is copied, so shared shapes cost joins."""
+        if not i:
+            return "*"
+        kids, codes = self.kids, self.codes
+        pieces: list[str] = []
+        spans: dict[int, tuple[int, int] | str] = {}  # (start, end) in pieces, or code
+        stack: list = [i]
+        while stack:
+            u = stack.pop()
+            if type(u) is tuple:  # (id, start) of a vertex whose children are written
+                pieces.append(")")
+                spans[u[0]] = (u[1], len(pieces))
+            elif u in spans:
+                span = spans[u]
+                if type(span) is tuple:
+                    span = spans[u] = "".join(pieces[span[0] : span[1]])
+                pieces.append(span)
+            elif u in codes:
+                pieces.append(codes[u])
+            else:
+                # the leaves lead, being the shortest children: write them here
+                below = kids[u]
+                leaves = below.count(0)
+                stack.append((u, len(pieces)))
+                stack += reversed(below[leaves:])
+                pieces.append("(" + "*" * leaves)
+        return "".join(pieces)
+
+    def hash(self, i: int) -> int:
+        """Shape i's structural hash: a leaf's is hash(()), a vertex's the
+        hash of the tuple of its children's, so it agrees across tables."""
+        hashes = self.hashes
+        for u in range(len(hashes), i + 1):
+            hashes.append(hash(tuple(map(hashes.__getitem__, self.kids[u]))))
+        return hashes[i]
+
+    def below(self, i: int) -> list[int]:
+        """The ids of shape i and of every shape under it, ascending, so
+        each after its children."""
+        kids = self.kids
+        seen = {i}
+        stack = [i]
+        while stack:
+            for c in kids[stack.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return sorted(seen)
+
+    def take(self, t: Tree) -> int:
+        """The id in this table of ``t``'s shape, adding the shapes under it
+        that the table lacks."""
+        if t._table is self:
+            return t._id
+        src = t._table.kids
+        new: dict[int, int] = {}
+        for u in t._table.below(t._id):
+            new[u] = self.add(tuple(map(new.__getitem__, src[u])))
+        return new[t._id]
+
+    def copy(self) -> _Shapes:
+        """A table with the same ids, for a caller that appends to it."""
+        new = _Shapes()
+        new.kids, new.leaves, new.lengths = self.kids[:], self.leaves[:], self.lengths[:]
+        new.ids = dict(self.ids)
+        return new
+
+    def tree(self, i: int) -> Tree:
+        """A handle on shape i."""
+        return Tree(self, i)
+
+    def handle(self, i: int) -> Tree:
+        """The one handle on shape i that children lists share. The table
+        holds it weakly, so handles and table form no cycle."""
+        if self.handles is None:
+            self.handles = WeakValueDictionary()
+        t = self.handles.get(i)
+        if t is None:
+            t = self.handles[i] = Tree(self, i)
+        return t
 
 
 class Tree:
-    """Immutable rooted tree in canonical child order.
+    """Immutable rooted tree in canonical child order: shape ``_id`` of the
+    table ``_table``.
 
     Obtain instances from :func:`leaf`, :func:`node`, :func:`parse_tree` or a
-    family builder: they enforce the invariants (no outdegree-one vertices,
-    children sorted) and pass the structural hash, stored unchecked.
+    family builder, which enforce the invariants (no outdegree-one vertices,
+    children sorted).
     """
 
-    __slots__ = ("children", "leaf_count", "code_length", "_hash")
+    __slots__ = ("_table", "_id", "__weakref__")
 
-    def __init__(self, children: tuple["Tree", ...], hash_: int):
-        self.children = children
-        self._hash = hash_
-        self.leaf_count = sum(map(_LEAF_COUNT, children)) or 1  # 0 only for a leaf
-        self.code_length = sum(map(_CODE_LENGTH, children), 2) if children else 1
+    def __init__(self, table: _Shapes, id_: int):
+        self._table = table
+        self._id = id_
+
+    @property
+    def children(self) -> tuple[Tree, ...]:
+        return tuple(map(self._table.handle, self._table.kids[self._id]))
+
+    @property
+    def leaf_count(self) -> int:
+        return self._table.leaves[self._id]
+
+    @property
+    def code_length(self) -> int:
+        return self._table.lengths[self._id]
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return not self._id
 
     @property
     def outdegree(self) -> int:
-        return len(self.children)
+        return len(self._table.kids[self._id])
 
     @property
     def code(self) -> str:
-        """The canonical code, written afresh by :func:`_code`."""
-        return _code(self)
+        """The canonical code, written afresh."""
+        return self._table.code(self._id)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
             return NotImplemented
-        return self is other or self._hash == other._hash and _code(self) == _code(other)
+        if self._table is other._table:
+            return self._id == other._id
+        return (self.code_length == other.code_length and hash(self) == hash(other)
+                and self.code == other.code)
 
     def __hash__(self) -> int:
-        return self._hash
+        return self._table.hash(self._id)
 
     def __lt__(self, other) -> bool:
         """Canonical order: the shorter code first, then the smaller code."""
@@ -96,61 +267,15 @@ class Tree:
             return NotImplemented
         if self.code_length != other.code_length:
             return self.code_length < other.code_length
-        return _code(self) < _code(other)
+        if self._table is other._table and self._id == other._id:
+            return False
+        return self.code < other.code
 
     def __repr__(self) -> str:
         return f"Tree({self.code!r})"
 
 
-def _code(t: Tree) -> str:
-    """The code of ``t``, in one pass over its vertices. An object met again
-    is written once, by joining the pieces of its first occurrence, so shared
-    shapes cost joins, not a walk per leaf."""
-    pieces: list[str] = []
-    spans: dict[int, tuple[int, int] | str] = {}  # by id: (start, end) in pieces, or code
-    stack: list = [t]
-    while stack:
-        u = stack.pop()
-        if type(u) is tuple:  # (id, start) of a vertex whose children are written
-            pieces.append(")")
-            spans[u[0]] = (u[1], len(pieces))
-        elif not u.children:
-            pieces.append("*")
-        elif id(u) not in spans:
-            stack += [(id(u), len(pieces)), *reversed(u.children)]
-            pieces.append("(")
-        else:
-            span = spans[id(u)]
-            if type(span) is tuple:
-                span = spans[id(u)] = "".join(pieces[span[0] : span[1]])
-            pieces.append(span)
-    return "".join(pieces)
-
-
-_LEAF = Tree((), hash(()))
-_LEAF_ITEM = (1, _LEAF)
-_TREE = itemgetter(1)
-
-
-def _vertex(items: list[tuple[int, Tree]], built: dict) -> tuple[int, Tree]:
-    """The (code length, tree) item of the vertex over the children's items,
-    sorted in C, so only ties of distinct objects reach the comparator.
-    ``built`` maps the hash of each vertex built to its item; a hit is the
-    same shape when its children are the same objects."""
-    items.sort()
-    kids = tuple(map(_TREE, items))
-    h = hash(tuple(map(_HASH, kids)))
-    item = built.get(h)
-    if item is None or item[1].children != kids:
-        t = Tree(kids, h)
-        item = (t.code_length, t)
-        built.setdefault(h, item)
-    return item
-
-
-def _in_order(children: tuple[Tree, ...]) -> Tree:
-    """The internal vertex over ``children``, already in canonical order."""
-    return Tree(children, hash(tuple(map(_HASH, children))))
+_LEAF = Tree(_Shapes(), 0)  # its table is never appended to
 
 
 def leaf() -> Tree:
@@ -159,11 +284,13 @@ def leaf() -> Tree:
 
 
 def node(children: Iterable[Tree]) -> Tree:
-    """Internal vertex over the given children (two or more), canonicalized."""
-    items = [(c.code_length, c) for c in children]
-    if len(items) < 2:
+    """Internal vertex over the given children (two or more), canonicalized,
+    in a table of its own."""
+    children = list(children)
+    if len(children) < 2:
         raise PreconditionError("an internal vertex needs at least two children")
-    return _vertex(items, {})[1]
+    table = _Shapes()
+    return Tree(table, table.vertex([table.take(c) for c in children]))
 
 
 def parse_tree(text: str) -> Tree:
@@ -173,48 +300,83 @@ def parse_tree(text: str) -> Tree:
     so ``parse_tree("((**)*)").code == "(*(**))"``. Raises ParseError for
     malformed text, including well-bracketed text that describes an invalid
     vertex (no children or a single child), with the byte offset of the
-    offending character. Text with more than :data:`VERTEX_CAP` ``(`` is
-    refused with BudgetError before it is read.
+    offending character. Text longer than :data:`TEXT_CAP` characters, or
+    with more than :data:`VERTEX_CAP` ``(``, is refused with BudgetError
+    before it is read.
 
-    Within one call equal subtrees are one object, built once by
-    :func:`_vertex`; trees from different calls are equal when codes are.
+    The text is read once into a table of its own. Children written alike
+    are sorted once: each vertex's children ids as written map to its id.
     """
+    if len(text) > TEXT_CAP:
+        raise BudgetError(f"tree text is longer than the cap of {TEXT_CAP} characters")
     if text.count("(") > VERTEX_CAP:
         raise BudgetError(f"tree text would have {text.count('(')} internal vertices, "
                           f"above the cap of {VERTEX_CAP}")
-    built: dict[int, tuple[int, Tree]] = {}
-    stack: list[list[tuple[int, Tree]]] = []
-    root = None
-    for i, ch in enumerate(text):
-        if ch == "*":
-            if not stack:
-                root = _LEAF_ITEM
+    table = _Shapes()
+    written: dict[tuple[int, ...], int] = {}
+    top: list[int] = []  # the children of no vertex: the root, when the text is well formed
+    stack = [top]
+    try:
+        for ch in text:
+            if ch == "*":
+                stack[-1].append(0)
+            elif ch == "(":
+                stack.append([])
+            elif ch == ")":
+                kids = stack.pop()
+                u = written.get(key := tuple(kids))
+                if u is None:
+                    if len(kids) < 2:
+                        break
+                    u = written[key] = table.vertex(kids)
+                stack[-1].append(u)  # IndexError when this ')' closed ``top``
+            else:
                 break
-            stack[-1].append(_LEAF_ITEM)
-        elif ch == "(":
-            stack.append([])
-        elif ch == ")":
-            if not stack:
+        else:
+            if len(stack) == 1 and len(top) == 1:
+                return Tree(table, top[0])
+    except IndexError:
+        pass
+    _parse_error(text)
+
+
+def _parse_error(text: str) -> NoReturn:
+    """Raise the ParseError of the first fault in ``text``, read left to
+    right, with its offset."""
+    counts: list[int] = []  # the children so far of each open vertex
+    for i, ch in enumerate(text):
+        if ch == "(":
+            counts.append(0)
+            continue
+        if ch == ")":
+            if not counts:
                 raise ParseError("unbalanced ')'", i)
-            items = stack.pop()
-            if len(items) < 2:
-                if items:
+            if counts[-1] < 2:
+                if counts[-1]:
                     raise ParseError("internal vertex with exactly one child", i)
                 raise ParseError("internal vertex with no children", i)
-            item = _vertex(items, built)
-            if not stack:
-                root = item
-                break
-            stack[-1].append(item)
-        else:
+            counts.pop()
+        elif ch != "*":
             raise ParseError(f"unexpected character {ch!r}", i)
-    if root is None:
-        if stack:
-            raise ParseError("unbalanced '(': input ended inside a group", len(text))
-        raise ParseError("empty input", 0)
-    if i + 1 < len(text):
-        raise ParseError("trailing input after a complete tree", i + 1)
-    return root[1]
+        if not counts:  # a leaf or a closed vertex completes the tree
+            if i + 1 < len(text):
+                raise ParseError("trailing input after a complete tree", i + 1)
+            raise ConsistencyError("parse_tree refused a text that reads as one tree")
+        counts[-1] += 1
+    if counts:
+        raise ParseError("unbalanced '(': input ended inside a group", len(text))
+    raise ParseError("empty input", 0)
+
+
+def read_tree(path: str) -> Tree:
+    """:func:`parse_tree` of the text in the file ``path``, or on standard
+    input for ``-``, without surrounding whitespace. Bytes are read as
+    Latin-1, so a ParseError offset is a byte offset into the stripped text.
+    At most :data:`TEXT_CAP` + 1 bytes are read: a longer file is refused
+    without being held whole."""
+    with open(path, "rb") if path != "-" else nullcontext(sys.stdin.buffer) as fh:
+        data = fh.read(TEXT_CAP + 1)
+    return parse_tree((data if len(data) > TEXT_CAP else data.strip()).decode("latin-1"))
 
 
 def join_codes(codes: list[str]) -> str:
@@ -227,31 +389,21 @@ def join_codes(codes: list[str]) -> str:
     return "(" + "".join(codes) + ")"
 
 
-def internal_subtrees(t: Tree, known=()) -> list[Tree]:
-    """The distinct internal subtrees of ``t`` that ``known`` lacks, fewest
-    leaves first. Each is walked once, so a tree of shared shapes costs its
-    shapes, not its size; memos filled in this order need not be walked
-    below a known tree."""
-    found: dict[int, Tree] = {}  # by id: one build makes one object of each shape
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u.children and id(u) not in found and u not in known:
-            found[id(u)] = u
-            stack.extend(u.children)
-    return sorted(found.values(), key=_LEAF_COUNT)
+def _outdegrees(t: Tree) -> set[int]:
+    kids = t._table.kids
+    return {len(kids[u]) for u in t._table.below(t._id) if u}
 
 
 def is_d_ary(t: Tree, d: int) -> bool:
     """True when every internal vertex of ``t`` has outdegree between 2 and d."""
     require_int(d, 2, "arity bound")
-    return all(u.outdegree <= d for u in internal_subtrees(t))
+    return max(_outdegrees(t), default=0) <= d
 
 
 def is_strictly_d_ary(t: Tree, d: int) -> bool:
     """True when every internal vertex of ``t`` has outdegree exactly d."""
     require_int(d, 2, "arity bound")
-    return all(u.outdegree == d for u in internal_subtrees(t))
+    return _outdegrees(t) <= {d}
 
 
 def caterpillar_spine(r: int, k: int) -> int:
@@ -291,18 +443,19 @@ def make_caterpillar(r: int, k: int) -> Tree:
             f"{r}-ary caterpillar with {k} leaves would have {q} internal vertices, "
             f"above the cap of {VERTEX_CAP}"
         )
-    t = _LEAF
+    table = _Shapes()
+    u = 0
     for _ in range(q):
-        t = _in_order((_LEAF,) * (r - 1) + (t,))  # the leaves lead
-    return t
+        u = table.add((0,) * (r - 1) + (u,))  # the leaves lead
+    return Tree(table, u)
 
 
 def make_complete(d: int, h: int) -> Tree:
     """The complete d-ary tree of height h (d**h leaves, all at depth h).
 
-    Refuses with BudgetError when d**h exceeds :data:`LEAF_CAP`; children at
-    each level share one Tree object, so the cap bounds leaf count as seen by
-    counting routines, not memory. d**h is built only when it is small.
+    Refuses with BudgetError when d**h exceeds :data:`LEAF_CAP`; each level
+    is one shape, so the cap bounds leaf count as seen by counting routines,
+    not memory. d**h is built only when it is small.
     """
     require_int(d, 2, "arity bound")
     require_int(h, 0, "height")
@@ -312,10 +465,11 @@ def make_complete(d: int, h: int) -> Tree:
             f"complete tree would have {int_str(d)}^{int_str(h)} leaves, "
             f"above the cap of {LEAF_CAP}"
         )
-    t = _LEAF
+    table = _Shapes()
+    u = 0
     for _ in range(h):
-        t = _in_order((t,) * d)
-    return t
+        u = table.add((u,) * d)
+    return Tree(table, u)
 
 
 def make_even_binary(n: int) -> Tree:
@@ -335,7 +489,8 @@ def make_even_binary(n: int) -> Tree:
     while level:
         sizes |= level
         level = {h for s in level if s > 1 for h in ((s + 1) // 2, s // 2)}
-    built = {1: _LEAF}
+    table = _Shapes()
+    built = {1: 0}
     for s in sorted(sizes - {1}):
-        built[s] = _in_order((built[s // 2], built[(s + 1) // 2]))  # the smaller half leads
-    return built[n]
+        built[s] = table.add((built[s // 2], built[(s + 1) // 2]))  # the smaller half leads
+    return Tree(table, built[n])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import treedensity
-from treedensity import ConsistencyError, cli, counting, formulas
+from treedensity import ConsistencyError, cli, counting, formulas, make_caterpillar, trees
 from treedensity.cli import main
 
 
@@ -475,7 +475,7 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
          "above the cap of 3000000000"),
         (("count", "--pattern", "(**)", "--tree-even", "1000000000"),
          "even-split tree would have 1000000000 leaves, above the cap of 10000000"),
-        # a spine vertex costs about 13 us and 600 bytes from build to report
+        # a spine vertex costs about 5 us and 600 bytes from build to report
         (("count", "--pattern", "(**)", "--tree-caterpillar", "2,250002"),
          "2-ary caterpillar with 250002 leaves would have 250001 internal vertices, "
          "above the cap of 250000"),
@@ -565,6 +565,10 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("conjecture", "--k", "1000000", "--n-max", "1000000"),
          "levels 2..1000000 at d=2, k=1000000 need at least 249999500000000000 column "
          "additions (k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
+        # it ran 94 s at 333 MiB, 18 s of it building C(8388608, 524288)
+        (("count", "--pattern-complete", "2,19", "--tree-complete", "2,23"),
+         "the density of a 524288-leaf pattern in a 8388608-leaf tree needs up to 12582912 "
+         "bits (min(k, n - k) * bit_length(n)), above the cap of 2250000"),
     ],
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
@@ -573,7 +577,7 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "limits-bits",
         "conjecture-run", "search-min-run", "monotone-run", "complete-height",
         "complete-height-10", "complete-arity", "complete-24", "brute-unbuilt",
-        "muirhead-unbuilt", "dp-columns",
+        "muirhead-unbuilt", "dp-columns", "density-bits",
     ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
@@ -728,6 +732,72 @@ def test_exit_code_for_unwritable_output(capsys, tmp_path):
         "--output", str(tmp_path / "missing" / "out.csv"),
     )
     assert code == 4 and err.startswith("i/o error:")
+
+
+def test_a_deep_tree_from_stdin_prints_the_bytes_of_the_family_flag():
+    # 400,001 vertices: a text of 600,001 characters, past what one argv
+    # string can hold; child processes, so that this one's memory stays small
+    def count(*argv, text=None):
+        return subprocess.run(
+            [sys.executable, "-m", "treedensity.cli", "count", "--pattern-caterpillar", "2,4",
+             *argv], input=text, capture_output=True, text=True, env=_checkout_env(), timeout=60,
+        )
+
+    # make_caterpillar(2, 200001).code, written without building it here
+    text = "(*" * 199999 + "(**)" + ")" * 199999
+    assert make_caterpillar(2, 5).code == "(*" * 3 + "(**)" + ")" * 3
+    piped = count("--tree-file", "-", text=text + "\n")
+    built = count("--tree-caterpillar", "2,200001")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, built.stdout, "")
+    assert built.returncode == 0
+
+
+def test_a_tree_file_is_stripped_and_parsed_like_its_text(capsys, tmp_path):
+    path = tmp_path / "pattern.txt"
+    path.write_text("\n  ((**)*(***))\t\n", encoding="ascii")
+    for fmt in ("csv", "pretty"):
+        got = run_cli(capsys, "density", "--pattern-file", str(path), "--tree-complete", "3,3",
+                      "--format", fmt)
+        assert got == run_cli(capsys, "density", "--pattern", "(*(**)(***))",
+                              "--tree-complete", "3,3", "--format", fmt)
+        assert got[0] == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    (" (*x*) ", "unexpected character 'x' (offset 2)"),
+    ("(*\xe9*)", "unexpected character '\xc3' (offset 2)"),  # the first byte of its UTF-8
+    ("(**)\n(**)", "trailing input after a complete tree (offset 4)"),
+    ("", "empty input (offset 0)"),
+])
+def test_a_tree_file_parse_error_names_the_byte_offset(capsys, tmp_path, text, message):
+    path = tmp_path / "tree.txt"
+    path.write_bytes(text.encode())
+    code, out, err = run_cli(capsys, "count", "--pattern", "(**)", "--tree-file", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_unreadable_tree_file_is_an_io_error(capsys, tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run_cli(capsys, "count", "--pattern-file", str(path), "--tree", "(**)")
+        assert (code, out) == (4, "")
+        assert err.startswith("i/o error:") and "Traceback" not in err
+
+
+def test_a_tree_file_over_the_text_cap_is_refused_unread(capsys, monkeypatch, tmp_path):
+    # read_tree reads one byte past the cap, so a longer file is never held
+    # whole; the cap and the text within it are checked before parsing
+    monkeypatch.setattr(trees, "TEXT_CAP", 12)
+    path = tmp_path / "tree.txt"
+    path.write_text("(*(*(*(**))))", encoding="ascii")  # 13 characters
+    code, out, err = run_cli(capsys, "count", "--pattern", "(**)", "--tree-file", str(path))
+    assert (code, out, err) == (
+        3, "", "refused: tree text is longer than the cap of 12 characters\n"
+    )
+    path.write_text("  (*(*(**)))  \n", encoding="ascii")  # 15 bytes, 10 once stripped
+    code, out, err = run_cli(capsys, "count", "--pattern", "(**)", "--tree-file", str(path))
+    assert (code, out) == (3, "")
+    path.write_text(" (*(*(**))) ", encoding="ascii")  # 12 bytes
+    assert run_cli(capsys, "count", "--pattern", "(**)", "--tree-file", str(path))[0] == 0
 
 
 def test_argparse_failures_return_their_exit_code(capsys):

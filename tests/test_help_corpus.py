@@ -56,23 +56,23 @@ DIGESTS = {
     "-- count":
         "e7b59914bfc33b11cef104dacd4708bc985a1372788b3087458833aa57eb6439",
     "count --help":
-        "fa45d9d18ce53ee6e30a4485635c28b303009d4faecd958f742a4aed898dd7bf",
+        "5942e8c29b38514f635d18bdc9ae6e7bc4a31f21a0938f550e63fbbf7051ebf9",
     "count":
-        "a608a03b6427873a5c53923fa36cf685699e3a4768c7f7049b4bee24883c68aa",
+        "0bb6fcca425bf5b3448ef4e2cfe20794df3fca8776d54a2474621eac2b6f632a",
     "count --bogus":
-        "a608a03b6427873a5c53923fa36cf685699e3a4768c7f7049b4bee24883c68aa",
+        "0bb6fcca425bf5b3448ef4e2cfe20794df3fca8776d54a2474621eac2b6f632a",
     "count --d two":
-        "a608a03b6427873a5c53923fa36cf685699e3a4768c7f7049b4bee24883c68aa",
+        "0bb6fcca425bf5b3448ef4e2cfe20794df3fca8776d54a2474621eac2b6f632a",
     "count --pattern-caterpillar 2,3 --tree-even 8 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "density --help":
-        "9540e355d195de136a3c0610631a05540e9dacf3c16603989efc465481b1c83b",
+        "e231fece18d50ce1370076b6439441c946824f5ffff868a49ec37bfcffccbfc1",
     "density":
-        "1048a9631197c26450dec9e647e2ef656ff43b70b1fc334966c0803c4adaee75",
+        "5edf49a30876a1122e16bb0ca38561321b705c137be65079378b1d8ce23a211d",
     "density --bogus":
-        "1048a9631197c26450dec9e647e2ef656ff43b70b1fc334966c0803c4adaee75",
+        "5edf49a30876a1122e16bb0ca38561321b705c137be65079378b1d8ce23a211d",
     "density --d two":
-        "1048a9631197c26450dec9e647e2ef656ff43b70b1fc334966c0803c4adaee75",
+        "5edf49a30876a1122e16bb0ca38561321b705c137be65079378b1d8ce23a211d",
     "density --pattern-caterpillar 2,3 --tree-even 8 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "enumerate --help":

@@ -123,12 +123,12 @@ def test_enumeration_strict_mode():
 
 def test_enumerate_report_writes_no_code(monkeypatch):
     # the rows are the codes that the level joined while building it
-    level = search._tree_levels(range(9, 10), 2, False, search.DEFAULT_TREE_CAP)[9]
+    level = search._tree_levels(range(9, 10), 2, False, search.DEFAULT_TREE_CAP)[1][9]
 
-    def refuse(t):
+    def refuse(*args):
         raise AssertionError("a tree code was written")
 
-    monkeypatch.setattr(trees, "_code", refuse)
+    monkeypatch.setattr(trees._Shapes, "code", refuse)
     rep = search.enumerate_report(9, 2)
     monkeypatch.undo()
     assert rep.rows == list(enumerate(code for _, code, _ in level))

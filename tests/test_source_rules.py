@@ -226,8 +226,9 @@ PUBLIC_NAMES = [
     "induced_subtree", "is_d_ary", "is_strictly_d_ary", "leaf", "liminf_density",
     "limit_density_complete", "limits_report", "majorization_pair", "make_caterpillar",
     "make_complete", "make_even_binary", "minimize_F", "muirhead_check", "node",
-    "parse_tree", "render_report", "search_min_report", "simplex_bound_sample_report",
-    "simplex_min_report", "simplex_muirhead_report", "simplex_point", "simplex_sup_report",
+    "parse_tree", "read_tree", "render_report", "search_min_report",
+    "simplex_bound_sample_report", "simplex_min_report", "simplex_muirhead_report",
+    "simplex_point", "simplex_sup_report",
     "star_copies", "sup_boundary_scan", "uniform_min_value", "verify_even_conjecture",
     "verify_monotone_min",
 ]
@@ -243,7 +244,6 @@ def test_the_public_names_are_pinned():
 PUBLIC_OPTIONS = [
     "ParetoDP.__init__(d=2)",
     "SearchReport.__init__(all_ok=None)",
-    "caterpillar_counts(memo=None)",
     "count_report(mode='count', brute=False)",
     "count_trees(strict=False)",
     "enumerate_report(strict=False, max_trees=1000000)",

@@ -1,10 +1,12 @@
 """Canonical tree representation: parsing, serialization, builders."""
 
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,6 @@ from treedensity import (
 from treedensity.counting import caterpillar_counts_of_code
 from treedensity.search import enumerate_trees
 from treedensity import trees
-from treedensity.trees import internal_subtrees
 
 
 def test_parse_leaf():
@@ -169,6 +170,11 @@ def _vertices(t):
         stack.extend(u.children)
 
 
+def _internal_shapes(t):
+    """The distinct internal subtrees of ``t``."""
+    return {u for u in _vertices(t) if not u.is_leaf}
+
+
 def test_equal_subtrees_of_one_parse_are_one_object():
     rng = random.Random(4)
     for text in [_shuffled_text(make_complete(3, 4), rng), _random_text(rng, 400, 3)]:
@@ -211,6 +217,61 @@ def test_equality_hash_and_order_agree_with_the_codes_across_builds(n, d, seed_a
         assert [c.code for c in mixed.children] == sorted(
             [c.code for c in (*a.children, *b.children)], key=_shortlex
         )
+
+
+def test_trees_of_two_tables_compare_like_their_codes():
+    # the 3-ary trees with 7 leaves share one table; their reparses each have
+    # a table of their own; many of them tie on code length
+    level = list(enumerate_trees(7, 3))
+    again = [parse_tree(_shuffled_text(t, random.Random(i))) for i, t in enumerate(level)]
+    assert len({t.code_length for t in level}) < len(level)
+    for a in level + again[::7]:
+        for b in level + again[::5]:
+            assert (a == b) == (a.code == b.code)
+            assert (a.code == b.code) <= (hash(a) == hash(b))
+            assert (a < b) == (_shortlex(a.code) < _shortlex(b.code))
+    assert sorted(again) == sorted(level) == sorted(level, key=lambda t: _shortlex(t.code))
+    # a vertex over children of two tables sorts them like their codes
+    kids = [*level[3].children, *again[40].children, level[9], again[9], again[2]]
+    mixed = node(kids)
+    assert [c.code for c in mixed.children] == sorted((c.code for c in kids), key=_shortlex)
+    assert mixed == parse_tree("(" + "".join(c.code for c in reversed(kids)) + ")")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_parse_matches_the_string_reference_at_the_benchmark_size(d):
+    # 3,000-3,600 leaves: many siblings tie on code length, so their order
+    # is decided by codes written to break the tie
+    rng = random.Random(100 + d)
+    for n in (3000, 3600):
+        t = _check_against_reference(_random_text(rng, n, d))
+        assert t._table.codes
+
+
+def test_parsed_trees_leave_no_memory_behind():
+    # a tree holds its table, and the table holds its handles weakly, so
+    # dropping the tree frees the table without the cycle collector
+    # 200 distinct hosts of 3,000 leaves, each ten branches out of twenty
+    rng = random.Random(12)
+    branches = [_random_text(rng, 300, 2 + i % 4) for i in range(20)]
+    texts = ["(" + "".join(rng.sample(branches, 10)) + ")" for _ in range(200)]
+    assert len(set(texts)) == 200
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            t = parse_tree(text)
+            assert t.leaf_count == 3000
+            assert len(t.code) == t.code_length and hash(t) == hash(t)
+            assert all(u.children[-1].leaf_count for u in t.children if not u.is_leaf)
+            del t
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 2**20, grown
 
 
 def test_node_rejects_single_child():
@@ -307,7 +368,7 @@ def test_caterpillar_vertex_budget_is_the_spine_length(monkeypatch):
         for k in range(r, 41, r - 1):
             q = (k - 1) // (r - 1)
             monkeypatch.setattr(trees, "VERTEX_CAP", q)
-            assert len(internal_subtrees(make_caterpillar(r, k))) == q
+            assert len(_internal_shapes(make_caterpillar(r, k))) == q
             monkeypatch.setattr(trees, "VERTEX_CAP", q - 1)
             with pytest.raises(BudgetError):
                 make_caterpillar(r, k)
@@ -330,7 +391,7 @@ def test_parse_refuses_a_deep_text_before_closing_a_vertex(monkeypatch):
     def no_vertex(*args):
         raise AssertionError("a vertex was built")
 
-    monkeypatch.setattr(trees, "Tree", no_vertex)
+    monkeypatch.setattr(trees._Shapes, "add", no_vertex)
     monkeypatch.setattr(trees, "VERTEX_CAP", 3)
     with pytest.raises(BudgetError) as info:
         parse_tree("(*(*(*(**))))")
@@ -407,7 +468,7 @@ def test_make_even_binary_refuses_over_the_leaf_cap(monkeypatch):
     def no_vertex(*args):
         raise AssertionError("a vertex was built")
 
-    monkeypatch.setattr(trees, "Tree", no_vertex)
+    monkeypatch.setattr(trees._Shapes, "add", no_vertex)
     with pytest.raises(BudgetError) as info:
         make_even_binary(trees.LEAF_CAP + 1)
     assert str(info.value) == (
@@ -421,7 +482,7 @@ def test_make_caterpillar_refuses_over_the_leaf_cap(monkeypatch):
     def no_vertex(*args):
         raise AssertionError("a vertex was built")
 
-    monkeypatch.setattr(trees, "Tree", no_vertex)
+    monkeypatch.setattr(trees._Shapes, "add", no_vertex)
     n = trees.LEAF_CAP + 1
     with pytest.raises(BudgetError) as info:
         make_caterpillar(n, n)
@@ -442,6 +503,6 @@ def test_even_binary_balance_up_to_200():
     for n in range(1, 201):
         t = make_even_binary(n)
         assert t.leaf_count == n
-        for u in internal_subtrees(t):
+        for u in _internal_shapes(t):
             a, b = (c.leaf_count for c in u.children)
             assert abs(a - b) <= 1
