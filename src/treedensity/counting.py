@@ -265,27 +265,16 @@ class CopyEngine:
     adds the wider shapes' cross terms by :func:`_cross_term`. Counts above
     :data:`PASS_STEP_CAP` steps are refused up front.
 
-    Hosts are read by shape id. The engine reads the first host's table as
-    it is and copies it before a host of another table is interned into it,
-    so equal shapes of separate parses share one id. Each pattern, keyed by
-    its code, has a list of rows by id, filled in id order; both only ever
-    grow, so an engine sweeping trees with shared subtrees pays for each once.
+    Hosts are read by shape id, in a table of the engine's own into which
+    each host's shapes are taken, so equal shapes of separate parses share
+    one id. Each pattern, keyed by its code, has a list of rows by id, filled
+    in id order; both only ever grow, so an engine sweeping trees with shared
+    subtrees pays for each once.
     """
 
     def __init__(self):
         self._plans: dict[str, tuple[list, list, Counter, dict, list[list[int]]]] = {}
-        self._first: _Shapes | None = None  # the first host's table
-        self._shapes: _Shapes | None = None  # it, or the engine's copy of it
-
-    def _host(self, t: Tree) -> int:
-        """``t``'s id in the engine's table."""
-        if self._first is None:
-            self._first = self._shapes = t._table
-        if t._table is self._first:
-            return t._id
-        if self._shapes is self._first:
-            self._shapes = self._first.copy()
-        return self._shapes.take(t)
+        self._shapes = _Shapes()
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
@@ -307,7 +296,7 @@ class CopyEngine:
                     wider.append((table.leaves[s], i, len(branches), classes, states - 1))
             plan = self._plans[key] = (pairs, wider, steps, {}, [[0] * len(shapes) + [1]])
         pairs, wider, steps, listed, rows = plan
-        host = self._host(t)
+        host = self._shapes.take(t)
         kids, leaves = self._shapes.kids, self._shapes.leaves
         todo = range(len(rows), host + 1)
         degrees = Counter(len(kids[u]) for u in todo)

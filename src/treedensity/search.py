@@ -140,8 +140,9 @@ def _tree_levels(
 
 
 def _level(n: int, d: int, strict: bool, max_trees: int) -> tuple[_Shapes, list]:
-    """The table and level n of :func:`_tree_levels`, after checking the arguments that
-    :func:`enumerate_trees` and :func:`enumerate_report` share."""
+    """The table and level n of :func:`_tree_levels`, after checking the
+    arguments that :func:`enumerate_trees` and :func:`enumerate_report`
+    share."""
     require_int(n, 1, "leaf count")
     require_int(d, 2, "arity bound")
     require_int(max_trees, 1, "max_trees")

@@ -179,21 +179,19 @@ class _Shapes:
 
     def take(self, t: Tree) -> int:
         """The id in this table of ``t``'s shape, adding the shapes under it
-        that the table lacks."""
-        if t._table is self:
+        that the table lacks. A table that holds only the leaf copies all of
+        ``t``'s table, ids and all."""
+        src = t._table
+        if src is self:
             return t._id
-        src = t._table.kids
+        if len(self.kids) == 1:
+            self.kids, self.leaves, self.lengths = src.kids[:], src.leaves[:], src.lengths[:]
+            self.ids = dict(src.ids)
+            return t._id
         new: dict[int, int] = {}
-        for u in t._table.below(t._id):
-            new[u] = self.add(tuple(map(new.__getitem__, src[u])))
+        for u in src.below(t._id):
+            new[u] = self.add(tuple(map(new.__getitem__, src.kids[u])))
         return new[t._id]
-
-    def copy(self) -> _Shapes:
-        """A table with the same ids, for a caller that appends to it."""
-        new = _Shapes()
-        new.kids, new.leaves, new.lengths = self.kids[:], self.leaves[:], self.lengths[:]
-        new.ids = dict(self.ids)
-        return new
 
     def tree(self, i: int) -> Tree:
         """A handle on shape i."""
@@ -219,23 +217,17 @@ class Tree:
     children sorted).
     """
 
-    __slots__ = ("_table", "_id", "__weakref__")
+    __slots__ = ("_table", "_id", "leaf_count", "code_length", "__weakref__")
 
     def __init__(self, table: _Shapes, id_: int):
         self._table = table
         self._id = id_
+        self.leaf_count = table.leaves[id_]
+        self.code_length = table.lengths[id_]
 
     @property
     def children(self) -> tuple[Tree, ...]:
         return tuple(map(self._table.handle, self._table.kids[self._id]))
-
-    @property
-    def leaf_count(self) -> int:
-        return self._table.leaves[self._id]
-
-    @property
-    def code_length(self) -> int:
-        return self._table.lengths[self._id]
 
     @property
     def is_leaf(self) -> bool:
@@ -267,8 +259,6 @@ class Tree:
             return NotImplemented
         if self.code_length != other.code_length:
             return self.code_length < other.code_length
-        if self._table is other._table and self._id == other._id:
-            return False
         return self.code < other.code
 
     def __repr__(self) -> str:
