@@ -267,13 +267,13 @@ class CopyEngine:
 
     Hosts are read by shape id, in a table of the engine's own into which
     each host's shapes are taken, so equal shapes of separate parses share
-    one id. Each pattern, keyed by its code, has a list of rows by id, filled
-    in id order; both only ever grow, so an engine sweeping trees with shared
-    subtrees pays for each once.
+    one id. Each pattern, keyed by its code, has its rows by id, filled
+    children first for the shapes under each host; both only ever grow, so
+    an engine sweeping trees with shared subtrees pays for each once.
     """
 
     def __init__(self):
-        self._plans: dict[str, tuple[list, list, Counter, dict, list[list[int]]]] = {}
+        self._plans: dict[str, tuple[list, list, Counter, dict, dict[int, list[int]]]] = {}
         self._shapes = _Shapes()
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
@@ -294,11 +294,15 @@ class CopyEngine:
                     pairs.append((table.leaves[s], i, *branches))
                 else:
                     wider.append((table.leaves[s], i, len(branches), classes, states - 1))
-            plan = self._plans[key] = (pairs, wider, steps, {}, [[0] * len(shapes) + [1]])
+            plan = self._plans[key] = (pairs, wider, steps, {}, {0: [0] * len(shapes) + [1]})
         pairs, wider, steps, listed, rows = plan
+        before = len(self._shapes.kids)
         host = self._shapes.take(t)
         kids, leaves = self._shapes.kids, self._shapes.leaves
-        todo = range(len(rows), host + 1)
+        if len(rows) == before:  # rows cover the older shapes, and the new ones are under t
+            todo = range(before, host + 1)
+        else:
+            todo = [u for u in self._shapes.below(host) if u not in rows]
         degrees = Counter(len(kids[u]) for u in todo)
         work = sum(n * d * s for r, s in steps.items() for d, n in degrees.items() if d >= r)
         if work > PASS_STEP_CAP:
@@ -316,7 +320,7 @@ class CopyEngine:
                     if i not in listed:  # listed on first use, after the cap check
                         listed[i] = _pass_steps(classes)
                     row[i] += _cross_term(listed[i], last, below)
-            rows.append(row)
+            rows[u] = row
         return rows[host][len(rows[host]) - 2]  # the pattern's own column, or its leaf count
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import nullcontext
+from itertools import chain
 from typing import Iterable, NoReturn
 from weakref import WeakValueDictionary
 
@@ -179,12 +180,15 @@ class _Shapes:
 
     def take(self, t: Tree) -> int:
         """The id in this table of ``t``'s shape, adding the shapes under it
-        that the table lacks. A table that holds only the leaf copies all of
-        ``t``'s table, ids and all."""
+        that the table lacks. A table that holds only the leaf copies the
+        whole table of a ``t`` that is the root of all of it: the last id, of
+        which every other id is a child."""
         src = t._table
         if src is self:
             return t._id
-        if len(self.kids) == 1:
+        if len(self.kids) == 1 == len(src.kids) - t._id and (
+            len(set(chain.from_iterable(src.kids))) == t._id
+        ):
             self.kids, self.leaves, self.lengths = src.kids[:], src.leaves[:], src.lengths[:]
             self.ids = dict(src.ids)
             return t._id

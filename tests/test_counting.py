@@ -266,6 +266,18 @@ def test_engine_shares_rows_across_separate_parses(monkeypatch):
     assert calls == []
 
 
+def test_a_refused_host_leaves_the_engine_counting_other_hosts(monkeypatch):
+    # the engine keeps the refused host's shapes, but prices and fills only
+    # the shapes under each later host
+    monkeypatch.setattr(counting, "PASS_STEP_CAP", 200)
+    engine, pattern = CopyEngine(), make_caterpillar(2, 4)
+    with pytest.raises(BudgetError):
+        engine.count(pattern, make_caterpillar(2, 300))
+    host = parse_tree("((**)(*(**))(*(*(**))))")
+    for t in (host.children[2], host, make_caterpillar(2, 8)):
+        assert engine.count(pattern, t) == count_copies_brute(pattern, t)
+
+
 def test_count_of_a_30_star_in_a_60_star():
     # C(60, 30) subsets: listing them per host vertex would never finish
     assert count_copies(make_complete(30, 1), make_complete(60, 1)) == star_copies(30, 60, 1)
