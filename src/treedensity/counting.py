@@ -20,7 +20,8 @@ two-branch shape's cross term; wider shapes have a pass of their own.
 ``CopyEngine``, ``caterpillar_counts``, ``induced_subtree`` and the oracle
 read a host through its table of shapes (:mod:`treedensity.trees`): the
 engine and ``caterpillar_counts`` keep one result per shape id, filled in id
-order, so children come first and no count recurses over the host's depth. No memo lives at module level: an engine owns its rows
+order, so children come first and no count recurses over the host's depth.
+No memo lives at module level: an engine owns its rows
 (``count_copies`` builds one per call), and a tree's table owns
 ``caterpillar_counts``'s vectors. ``count`` and ``density`` price the
 density before counting. ``caterpillar_counts_of_code`` runs the combine
