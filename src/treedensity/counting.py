@@ -20,13 +20,13 @@ two-branch shape's cross term; wider shapes have a pass of their own.
 ``CopyEngine``, ``caterpillar_counts``, ``induced_subtree`` and the oracle
 read a host through its table of shapes (:mod:`treedensity.trees`): the
 engine and ``caterpillar_counts`` keep one result per shape id, filled in id
-order, so children come first and no count recurses over the host's depth.
-No memo lives at module level: an engine owns its rows
-(``count_copies`` builds one per call), and a tree's table owns
-``caterpillar_counts``'s vectors. ``count`` and ``density`` price the
-density before counting. ``caterpillar_counts_of_code`` runs the combine
-off a bracket code's own characters, and ``check_witness`` recounts search
-witnesses with it.
+order for the shapes under each tree they are asked about, so children
+come first and no count recurses over the host's depth. No memo lives at
+module level: an engine owns its rows (``count_copies`` builds one per
+call), and a tree's table owns ``caterpillar_counts``'s vectors. ``count``
+and ``density`` price the density before counting.
+``caterpillar_counts_of_code`` runs the combine off a bracket code's own
+characters, and ``check_witness`` recounts search witnesses with it.
 """
 
 from __future__ import annotations
@@ -296,13 +296,9 @@ class CopyEngine:
                     wider.append((table.leaves[s], i, len(branches), classes, states - 1))
             plan = self._plans[key] = (pairs, wider, steps, {}, {0: [0] * len(shapes) + [1]})
         pairs, wider, steps, listed, rows = plan
-        before = len(self._shapes.kids)
         host = self._shapes.take(t)
+        todo = self._shapes.below(host, rows)
         kids, leaves = self._shapes.kids, self._shapes.leaves
-        if len(rows) == before:  # rows cover the older shapes, and the new ones are under t
-            todo = range(before, host + 1)
-        else:
-            todo = [u for u in self._shapes.below(host) if u not in rows]
         degrees = Counter(len(kids[u]) for u in todo)
         work = sum(n * d * s for r, s in steps.items() for d, n in degrees.items() if d >= r)
         if work > PASS_STEP_CAP:
@@ -421,18 +417,17 @@ def caterpillar_counts(t: Tree, k: int) -> tuple[int, ...]:
     """(c_2, ..., c_k): the copies in ``t`` of the binary caterpillar with
     j leaves, for j = 2..k, so c_j sits at index j - 2.
 
-    Combines each shape's vector from its children's, in id order. ``t``'s
-    table keeps the vectors for this k, so trees of one table share them.
+    Combines each shape's vector from its children's, in id order, for the
+    shapes under ``t`` that lack one. ``t``'s table keeps the vectors for
+    this k, so trees of one table share them.
     """
     require_int(k, 2, "caterpillar size")
-    table, i = t._table, t._id
-    if not i:
-        return (0,) * (k - 1)
-    vectors = table.vectors.setdefault(k, [(0,) * (k - 1)])
-    kids, leaves = table.kids, table.leaves
-    for u in range(len(vectors), i + 1):
-        vectors.append(combine_caterpillar_counts([(leaves[c], vectors[c]) for c in kids[u]], k))
-    return vectors[i]
+    table = t._table
+    vectors = table.vectors.setdefault(k, {0: (0,) * (k - 1)})
+    for u in table.below(t._id, vectors):
+        parts = [(table.leaves[c], vectors[c]) for c in table.kids[u]]
+        vectors[u] = combine_caterpillar_counts(parts, k)
+    return vectors[t._id]
 
 
 _DEPTH_STEP = {"(": 1, "*": 0, ")": -1}

@@ -165,6 +165,13 @@ def enumerate_trees(
     only lower. Otherwise every level 1..n is built afresh, smallest first,
     from the levels below it. Strictly d-ary trees exist only for n = 1 mod
     (d - 1); asking for other sizes in strict mode is an error.
+
+    The trees share the one table of shapes that every level was built in,
+    so a tree kept from the result keeps that table alive, levels 1..n and
+    all: one kept binary tree of 16 leaves holds about 2.6 MiB. Handing each
+    tree its own table would cost a copy of its shapes per tree, and the
+    shared one lets :func:`~treedensity.counting.caterpillar_counts` reuse
+    each subtree's vectors across the trees.
     """
     table, level = _level(n, d, strict, max_trees)
     return iter(list(map(table.tree, map(_ID, level))))

@@ -16,10 +16,11 @@ in the manner of the Aho-Hopcroft-Ullman labelling: id 0 is the leaf, and a
 vertex gets the id of its children's ids in canonical order, a new one the
 first time that tuple is met, so equal shapes share one id. The table stores
 each shape's children, leaf count and code length, and fills structural
-hashes on demand. Ids are issued children first, so a list indexed by id is
-filled in id order; the counting routines keep their per-shape results in
-such lists, owned by the table or by the engine that fills them. Only the
-call that builds a table appends to it.
+hashes on demand. Ids are issued children first, so results kept by id
+can be filled in ascending order; the counting routines fill theirs so
+for the shapes under each tree they are asked about, and keep them in the
+table or in the engine that fills them. Only the call that builds a table
+appends to it.
 
 A :class:`Tree` is a (table, id) handle. Trees compare, hash and order by
 structure, in code order, across tables too; in one table equal trees have
@@ -36,10 +37,10 @@ from __future__ import annotations
 import sys
 from contextlib import nullcontext
 from itertools import chain
-from typing import Iterable, NoReturn
+from typing import Iterable
 from weakref import WeakValueDictionary
 
-from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
+from .errors import BudgetError, ParseError, PreconditionError, require_int
 from .reporting import int_str
 
 __all__ = [
@@ -84,8 +85,8 @@ class _Shapes:
         self.ids = {(): 0}
         self.hashes = [hash(())]
         self.codes: dict[int, str] = {}
-        self.vectors: dict[int, list[tuple[int, ...]]] = {}
-        self.handles = None  # children's Tree objects, one per id, made on first use
+        self.vectors: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.handles = WeakValueDictionary()  # the Tree objects of children, one per id
 
     def add(self, kids: tuple[int, ...]) -> int:
         """The id of the vertex over ``kids``, already in canonical order."""
@@ -95,7 +96,7 @@ class _Shapes:
             i = ids[kids] = len(ids)
             self.kids.append(kids)
             leaves, lengths = self.leaves, self.lengths
-            if len(kids) == 2:
+            if len(kids) == 2:  # most vertices: two lookups, not a map
                 a, b = kids
                 leaves.append(leaves[a] + leaves[b])
                 lengths.append(lengths[a] + lengths[b] + 2)
@@ -165,27 +166,26 @@ class _Shapes:
             hashes.append(hash(tuple(map(hashes.__getitem__, self.kids[u]))))
         return hashes[i]
 
-    def below(self, i: int) -> list[int]:
-        """The ids of shape i and of every shape under it, ascending, so
-        each after its children."""
+    def below(self, i: int, known=()) -> list[int]:
+        """The ids of shape i and of every shape under it that ``known``
+        lacks, ascending, so each after its children. The walk stops at a
+        known shape, so memos filled in this order cost only new shapes."""
         kids = self.kids
-        seen = {i}
+        seen: set[int] = set()
         stack = [i]
         while stack:
-            for c in kids[stack.pop()]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
+            u = stack.pop()
+            if u not in seen and u not in known:
+                seen.add(u)
+                stack += kids[u]
         return sorted(seen)
 
     def take(self, t: Tree) -> int:
         """The id in this table of ``t``'s shape, adding the shapes under it
         that the table lacks. A table that holds only the leaf copies the
-        whole table of a ``t`` that is the root of all of it: the last id, of
-        which every other id is a child."""
+        lists of a ``t`` whose table holds nothing but t and its subtrees,
+        keeping their ids, rather than interning its shapes one by one."""
         src = t._table
-        if src is self:
-            return t._id
         if len(self.kids) == 1 == len(src.kids) - t._id and (
             len(set(chain.from_iterable(src.kids))) == t._id
         ):
@@ -204,8 +204,6 @@ class _Shapes:
     def handle(self, i: int) -> Tree:
         """The one handle on shape i that children lists share. The table
         holds it weakly, so handles and table form no cycle."""
-        if self.handles is None:
-            self.handles = WeakValueDictionary()
         t = self.handles.get(i)
         if t is None:
             t = self.handles[i] = Tree(self, i)
@@ -308,58 +306,40 @@ def parse_tree(text: str) -> Tree:
                           f"above the cap of {VERTEX_CAP}")
     table = _Shapes()
     written: dict[tuple[int, ...], int] = {}
-    top: list[int] = []  # the children of no vertex: the root, when the text is well formed
-    stack = [top]
-    try:
-        for ch in text:
-            if ch == "*":
-                stack[-1].append(0)
-            elif ch == "(":
-                stack.append([])
-            elif ch == ")":
-                kids = stack.pop()
-                u = written.get(key := tuple(kids))
-                if u is None:
-                    if len(kids) < 2:
-                        break
-                    u = written[key] = table.vertex(kids)
-                stack[-1].append(u)  # IndexError when this ')' closed ``top``
-            else:
-                break
-        else:
-            if len(stack) == 1 and len(top) == 1:
-                return Tree(table, top[0])
-    except IndexError:
-        pass
-    _parse_error(text)
-
-
-def _parse_error(text: str) -> NoReturn:
-    """Raise the ParseError of the first fault in ``text``, read left to
-    right, with its offset."""
-    counts: list[int] = []  # the children so far of each open vertex
+    stack: list[list[int]] = []
+    root = None
     for i, ch in enumerate(text):
-        if ch == "(":
-            counts.append(0)
-            continue
-        if ch == ")":
-            if not counts:
+        if ch == "*":
+            if not stack:
+                root = 0
+                break
+            stack[-1].append(0)
+        elif ch == "(":
+            stack.append([])
+        elif ch == ")":
+            if not stack:
                 raise ParseError("unbalanced ')'", i)
-            if counts[-1] < 2:
-                if counts[-1]:
-                    raise ParseError("internal vertex with exactly one child", i)
-                raise ParseError("internal vertex with no children", i)
-            counts.pop()
-        elif ch != "*":
+            kids = stack.pop()
+            u = written.get(key := tuple(kids))
+            if u is None:
+                if len(kids) < 2:
+                    if kids:
+                        raise ParseError("internal vertex with exactly one child", i)
+                    raise ParseError("internal vertex with no children", i)
+                u = written[key] = table.vertex(kids)
+            if not stack:
+                root = u
+                break
+            stack[-1].append(u)
+        else:
             raise ParseError(f"unexpected character {ch!r}", i)
-        if not counts:  # a leaf or a closed vertex completes the tree
-            if i + 1 < len(text):
-                raise ParseError("trailing input after a complete tree", i + 1)
-            raise ConsistencyError("parse_tree refused a text that reads as one tree")
-        counts[-1] += 1
-    if counts:
-        raise ParseError("unbalanced '(': input ended inside a group", len(text))
-    raise ParseError("empty input", 0)
+    if root is None:
+        if stack:
+            raise ParseError("unbalanced '(': input ended inside a group", len(text))
+        raise ParseError("empty input", 0)
+    if i + 1 < len(text):
+        raise ParseError("trailing input after a complete tree", i + 1)
+    return Tree(table, root)
 
 
 def read_tree(path: str) -> Tree:

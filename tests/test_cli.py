@@ -569,6 +569,11 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("count", "--pattern-complete", "2,19", "--tree-complete", "2,23"),
          "the density of a 524288-leaf pattern in a 8388608-leaf tree needs up to 12582912 "
          "bits (min(k, n - k) * bit_length(n)), above the cap of 2250000"),
+        # a star has no copy in a binary tree, but the bound is priced before
+        # the count, so a count of 0 over the cap is refused as well
+        (("count", "--pattern-caterpillar", "800001,800001", "--tree-complete", "2,23"),
+         "the density of a 800001-leaf pattern in a 8388608-leaf tree needs up to 19200024 "
+         "bits (min(k, n - k) * bit_length(n)), above the cap of 2250000"),
     ],
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
@@ -577,7 +582,7 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "limits-bits",
         "conjecture-run", "search-min-run", "monotone-run", "complete-height",
         "complete-height-10", "complete-arity", "complete-24", "brute-unbuilt",
-        "muirhead-unbuilt", "dp-columns", "density-bits",
+        "muirhead-unbuilt", "dp-columns", "density-bits", "density-bits-zero-count",
     ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):

@@ -440,6 +440,21 @@ def test_caterpillar_counts_match_general_recursion():
                     assert 0 <= v[j - 2] <= comb(n, j)
 
 
+def test_caterpillar_counts_of_an_enumerated_tree_combine_only_its_shapes(monkeypatch):
+    # the trees of one enumeration share a table of shapes, but a count fills
+    # vectors only for the shapes under the tree it is asked for, once each
+    trees = list(enumerate_trees(12, 2))
+    t = trees[len(trees) // 2]
+    calls = []
+    real = counting.combine_caterpillar_counts
+    monkeypatch.setattr(counting, "combine_caterpillar_counts",
+                        lambda parts, k: calls.append(k) or real(parts, k))
+    expected = tuple(count_copies(make_caterpillar(2, j), t) for j in (2, 3, 4))
+    assert caterpillar_counts(t, 4) == expected
+    assert len(calls) == len(_internal_shapes(t))
+    assert caterpillar_counts(t, 4) == expected and len(calls) == len(_internal_shapes(t))
+
+
 def test_combine_requires_two_branches():
     with pytest.raises(PreconditionError):
         combine_caterpillar_counts([(3, (3, 1, 0))], 4)
