@@ -16,11 +16,11 @@ in the manner of the Aho-Hopcroft-Ullman labelling: id 0 is the leaf, and a
 vertex gets the id of its children's ids in canonical order, a new one the
 first time that tuple is met, so equal shapes share one id. The table stores
 each shape's children, leaf count and code length, and fills structural
-hashes on demand. Ids are issued children first, so results kept by id
-can be filled in ascending order; the counting routines fill theirs so
-for the shapes under each tree they are asked about, and keep them in the
-table or in the engine that fills them. Only the call that builds a table
-appends to it.
+hashes on demand. Ids are issued children first, so per-shape results
+kept by id can be filled in ascending id order; the counting routines fill
+theirs only for the shapes under the tree they are asked about, and keep
+them in the table or in the engine that fills them. Only the call that
+builds a table appends to it.
 
 A :class:`Tree` is a (table, id) handle. Trees compare, hash and order by
 structure, in code order, across tables too; in one table equal trees have
