@@ -71,9 +71,9 @@ class _Shapes:
 
     Id 0 is the leaf. ``kids[i]`` holds the ids of shape i's children in
     canonical order, ``leaves[i]`` and ``lengths[i]`` its leaf count and code
-    length, and ``ids`` maps a children tuple to its id. ``hashes`` is filled
-    in id order on demand, ``codes`` holds the codes written to break ties,
-    and ``vectors`` the caterpillar counts per k, by id.
+    length, and ``ids`` maps a children tuple to its id. ``hashes`` holds the
+    structural hashes filled on demand, ``codes`` the codes written to break
+    ties, and ``vectors`` the caterpillar counts per k, all by id.
     """
 
     __slots__ = ("kids", "leaves", "lengths", "ids", "hashes", "codes", "vectors", "handles")
@@ -83,7 +83,7 @@ class _Shapes:
         self.leaves = [1]
         self.lengths = [1]
         self.ids = {(): 0}
-        self.hashes = [hash(())]
+        self.hashes = {0: hash(())}
         self.codes: dict[int, str] = {}
         self.vectors: dict[int, dict[int, tuple[int, ...]]] = {}
         self.handles = WeakValueDictionary()  # the Tree objects of children, one per id
@@ -162,8 +162,8 @@ class _Shapes:
         """Shape i's structural hash: a leaf's is hash(()), a vertex's the
         hash of the tuple of its children's, so it agrees across tables."""
         hashes = self.hashes
-        for u in range(len(hashes), i + 1):
-            hashes.append(hash(tuple(map(hashes.__getitem__, self.kids[u]))))
+        for u in self.below(i, hashes):
+            hashes[u] = hash(tuple(map(hashes.__getitem__, self.kids[u])))
         return hashes[i]
 
     def below(self, i: int, known=()) -> list[int]:
