@@ -10,29 +10,29 @@ The package answers three kinds of questions about rooted d-ary trees:
 * extremal search: which trees minimize caterpillar counts (exhaustive scans
   and a minimum-count dynamic program), and numerical verification of the
   simplex-functional bounds that govern the limiting behavior.
-"""
 
-from . import counting, errors, formulas, frontier, reporting, search, simplex, trees
-from .counting import *
-from .errors import *
-from .formulas import *
-from .frontier import *
-from .reporting import *
-from .search import *
-from .simplex import *
-from .trees import *
+``import treedensity`` runs none of these modules: each module loads when one
+of its names is first used, such as ``treedensity.count_copies``.
+"""
 
 __version__ = "0.1.0"
 
-# each public name is listed once, in its own module's __all__
-__all__ = [
-    *counting.__all__,
-    *errors.__all__,
-    *formulas.__all__,
-    *frontier.__all__,
-    *reporting.__all__,
-    *search.__all__,
-    *simplex.__all__,
-    *trees.__all__,
-    "__version__",
-]
+# each public name is in one module's __all__; __all__ joins them in this order
+_MODULES = ("counting", "errors", "formulas", "frontier", "reporting", "search", "simplex", "trees")
+
+
+def _load(module: str):
+    # __import__, unlike importlib.import_module, is what -X importtime reports
+    return getattr(__import__(f"{__name__}.{module}"), module)
+
+
+def __getattr__(name: str):
+    # PEP 562; nothing is cached, so a replaced module attribute is the one returned
+    if name == "__all__":
+        return [n for m in _MODULES for n in _load(m).__all__] + ["__version__"]
+    if name in _MODULES:
+        return _load(name)
+    for module in map(_load, _MODULES):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,6 +20,10 @@ outcome to an exit code.
 ``main`` builds the parser on its first call, and every later call in the
 process reuses it. No flag is read by a prefix of its name.
 
+Importing this module loads only ``treedensity.errors`` from the package: a
+library module loads when one of its names is first used, so the parser loads
+``reporting`` and each command, when it runs, the modules its report needs.
+
 Exit codes: 0 success, 1 a verification found a counterexample or an
 internal consistency check failed (ConsistencyError), 2 invalid input
 (an argparse usage error, such as a malformed D,H or R,K spec, or
@@ -36,24 +40,8 @@ import argparse
 import functools
 import sys
 
-from .counting import count_report
+from . import _load
 from .errors import BudgetError, ConsistencyError, PreconditionError
-from .formulas import limits_report
-from .reporting import FORMATS, render_report
-from .search import (
-    DEFAULT_TREE_CAP,
-    enumerate_report,
-    search_min_report,
-    verify_even_conjecture,
-    verify_monotone_min,
-)
-from .simplex import (
-    simplex_bound_sample_report,
-    simplex_min_report,
-    simplex_muirhead_report,
-    simplex_sup_report,
-)
-from .trees import Tree, make_caterpillar, make_complete, make_even_binary, parse_tree, read_tree
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -67,16 +55,18 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 
 # The forms of a tree flag: (suffix, metavar, help, argparse type, builder).
-# A builder takes the parsed value, and looks its library function up when it
-# runs, so a replaced module attribute is the one called.
+# A builder takes the trees module and the parsed value (a simplex mode takes
+# the simplex module): modules load when a command runs, so it loads only
+# those it needs, and a replaced module attribute is the one called.
 _TREE_FLAGS = (
-    ("", "CODE", "{} as bracket code", str, lambda code: parse_tree(code)),
-    ("-complete", "D,H", "complete d-ary tree as {}", _int_pair, lambda dh: make_complete(*dh)),
+    ("", "CODE", "{} as bracket code", str, lambda t, code: t.parse_tree(code)),
+    ("-complete", "D,H", "complete d-ary tree as {}", _int_pair,
+     lambda t, dh: t.make_complete(*dh)),
     ("-caterpillar", "R,K", "r-ary caterpillar as {}", _int_pair,
-     lambda rk: make_caterpillar(*rk)),
-    ("-even", "N", "even-split binary tree as {}", int, lambda n: make_even_binary(n)),
+     lambda t, rk: t.make_caterpillar(*rk)),
+    ("-even", "N", "even-split binary tree as {}", int, lambda t, n: t.make_even_binary(n)),
     ("-file", "PATH", "{} as bracket code in a file (- for stdin)", str,
-     lambda path: read_tree(path)),
+     lambda t, path: t.read_tree(path)),
 )
 
 
@@ -86,16 +76,16 @@ def _add_tree_args(parser: argparse.ArgumentParser, role: str) -> None:
         group.add_argument(f"--{role}{suffix}", metavar=metavar, type=kind, help=text.format(role))
 
 
-def _build_tree(args, role: str) -> Tree:
+def _build_tree(args, role: str):
     # the group is required, so argparse has set exactly one of the flags
     for suffix, _metavar, _text, _kind, build in _TREE_FLAGS:
         value = getattr(args, f"{role}{suffix}".replace("-", "_"))
         if value is not None:
-            return build(value)
+            return build(_load("trees"), value)
 
 
 def _emit(report, args) -> None:
-    text = render_report(report, args.format)
+    text = _load("reporting").render_report(report, args.format)
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -108,17 +98,25 @@ def _emit(report, args) -> None:
 
 def _count(a):
     pattern, tree = _build_tree(a, "pattern"), _build_tree(a, "tree")
-    return count_report(pattern, tree, mode=a.command, brute=a.brute)
+    return _load("counting").count_report(pattern, tree, mode=a.command, brute=a.brute)
 
 
 _SIMPLEX_MODES = {
-    "min": lambda a: simplex_min_report(a.d, a.k, starts=a.starts, budget=a.budget, seed=a.seed),
-    "sup": lambda a: simplex_sup_report(a.d, a.k, a.eps_steps),
-    "bound-sample": lambda a: simplex_bound_sample_report(a.d, a.k, samples=a.samples, seed=a.seed),
-    "muirhead": lambda a: simplex_muirhead_report(a.d, a.k, samples=a.samples, seed=a.seed),
+    "min": lambda s, a: s.simplex_min_report(a.d, a.k, starts=a.starts, budget=a.budget,
+                                             seed=a.seed),
+    "sup": lambda s, a: s.simplex_sup_report(a.d, a.k, a.eps_steps),
+    "bound-sample": lambda s, a: s.simplex_bound_sample_report(a.d, a.k, samples=a.samples,
+                                                               seed=a.seed),
+    "muirhead": lambda s, a: s.simplex_muirhead_report(a.d, a.k, samples=a.samples, seed=a.seed),
 }
 
 _METHODS = ("auto", "exhaustive", "pareto")
+
+
+def _cap(a) -> dict:
+    # --max-trees passes through only when given, so the library's own
+    # default applies otherwise and no parser needs the search module
+    return {} if a.max_trees is None else {"max_trees": a.max_trees}
 
 
 def _count_args(p):
@@ -129,14 +127,14 @@ def _count_args(p):
 
 def _enumerate_args(p):
     p.add_argument("--strict", action="store_true", help="only outdegree exactly d")
-    p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--max-trees", type=int)
 
 
 def _search_min_args(p):
     p.add_argument("--n-min", type=int, help="smallest leaf count (default k)")
     p.add_argument("--method", choices=_METHODS, default="auto")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--max-trees", type=int)
     p.add_argument(
         "--general-d", action="store_true", help="accepted and ignored: pareto runs for every d"
     )
@@ -144,7 +142,7 @@ def _search_min_args(p):
 
 def _monotone_args(p):
     p.add_argument("--method", choices=_METHODS, default="auto")
-    p.add_argument("--max-trees", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--max-trees", type=int)
 
 
 def _simplex_args(p):
@@ -163,36 +161,36 @@ _COMMANDS = {
     "density": ("density of a pattern inside a host tree", (), _count_args, _count),
     "enumerate": (
         "all d-ary trees with n leaves", ("n", "d"), _enumerate_args,
-        lambda a: enumerate_report(a.n, a.d, a.strict, max_trees=a.max_trees),
+        lambda a: _load("search").enumerate_report(a.n, a.d, a.strict, **_cap(a)),
     ),
     "limits": (
         "closed-form limiting caterpillar densities", ("d", "k"),
         lambda p: p.add_argument(
             "--r", type=int, default=2, help="caterpillar arity (default binary)"
         ),
-        lambda a: limits_report(a.d, a.k, a.r),
+        lambda a: _load("formulas").limits_report(a.d, a.k, a.r),
     ),
     "search-min": (
         "minimum caterpillar count per leaf count", ("d", "k", "n-max"), _search_min_args,
-        lambda a: search_min_report(
+        lambda a: _load("search").search_min_report(
             a.d, a.k, a.k if a.n_min is None else a.n_min, a.n_max,
-            method=a.method, strict=a.strict, max_trees=a.max_trees,
+            method=a.method, strict=a.strict, **_cap(a),
         ),
     ),
     "conjecture": (
         "even-split tree vs exact minimum count", ("k", "n-max"),
         lambda p: None,
-        lambda a: verify_even_conjecture(a.k, a.n_max),
+        lambda a: _load("search").verify_even_conjecture(a.k, a.n_max),
     ),
     "monotone": (
         "minimum density nondecreasing and bounded", ("d", "k", "n-max"), _monotone_args,
-        lambda a: verify_monotone_min(
-            a.d, a.k, a.n_max, method=a.method, max_trees=a.max_trees
+        lambda a: _load("search").verify_monotone_min(
+            a.d, a.k, a.n_max, method=a.method, **_cap(a)
         ),
     ),
     "simplex": (
         "simplex functional: bounds, minimum, majorization", ("d", "k"), _simplex_args,
-        lambda a: _SIMPLEX_MODES[a.mode](a),
+        lambda a: _SIMPLEX_MODES[a.mode](_load("simplex"), a),
     ),
 }
 
@@ -205,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting and extremal search for leaf-induced subtree densities.",
         allow_abbrev=False,
     )
+    formats = _load("reporting").FORMATS
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, required, add_args, build) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
@@ -212,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", type=int, required=True)
         add_args(p)
         p.add_argument("--output", metavar="PATH", help="write the report to a file")
-        p.add_argument("--format", choices=FORMATS, default="pretty")
+        p.add_argument("--format", choices=formats, default="pretty")
         p.set_defaults(build=build)
     return parser
 

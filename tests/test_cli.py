@@ -649,30 +649,46 @@ def test_values_of_over_4300_digits_are_reported(capsys, argv, fmt):
 
 def test_exact_commands_run_without_mpmath():
     # a child process, since this one has loaded mpmath already: only
-    # simplex --mode min, of all the commands, needs it
+    # simplex --mode min, of all the commands, needs it. The import loads no
+    # library module, and each command adds only the modules its report
+    # needs; in this order each command's additions are exact
     script = """
 import json, os, sys
 import treedensity, treedensity.cli as cli
+loaded = lambda: {name for name in sys.modules if name.split(".")[0] == "treedensity"}
 exact = [
-    "count --pattern (**) --tree-complete 2,3", "density --pattern (**) --tree-even 8",
-    "enumerate --n 5 --d 2", "limits --d 3 --k 5", "search-min --d 2 --k 4 --n-max 8",
+    "simplex --d 3 --k 4 --mode sup --eps-steps 3", "limits --d 3 --k 5",
+    "count --pattern (**) --tree-complete 2,3", "search-min --d 2 --k 4 --n-max 8",
+    "density --pattern (**) --tree-even 8", "enumerate --n 5 --d 2",
     "conjecture --k 4 --n-max 10", "monotone --d 2 --k 4 --n-max 10",
-    "simplex --d 3 --k 4 --mode sup --eps-steps 3",
     "simplex --d 3 --k 4 --mode bound-sample --samples 5",
     "simplex --d 3 --k 4 --mode muirhead --samples 5",
 ]
-codes = [cli.main(line.split() + ["--output", os.devnull]) for line in exact]
+added, codes = [sorted(loaded())], []
+for line in exact:
+    known = loaded()
+    codes.append(cli.main(line.split() + ["--output", os.devnull]))
+    added.append(sorted(loaded() - known))
 before = "mpmath" in sys.modules
 line = "simplex --d 3 --k 4 --mode min --starts 2 --budget 400"
 codes.append(cli.main(line.split() + ["--output", os.devnull]))
-print(json.dumps([codes, before, "mpmath" in sys.modules]))
+print(json.dumps([codes, before, "mpmath" in sys.modules, added]))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * 11, False, True]
+    codes, before, after, added = json.loads(proc.stdout)
+    assert [codes, before, after] == [[0] * 11, False, True]
+    td = "treedensity."
+    assert added == [
+        ["treedensity", td + "cli", td + "errors"],  # import treedensity.cli
+        [td + "reporting", td + "simplex"],  # simplex --mode sup
+        [td + "formulas", td + "trees"],  # limits
+        [td + "counting"],  # count
+        [td + "frontier", td + "search"],  # search-min
+    ] + [[]] * 6
 
 
 def test_simplex_muirhead(capsys):

@@ -191,13 +191,16 @@ def _referenced(node) -> set[str]:
 
 def test_every_top_level_definition_is_reached():
     # code that only tests call is dead weight: from the exported names, the
-    # module-level statements (tables such as cli._COMMANDS) and cli.main,
+    # module-level statements (tables such as cli._COMMANDS), cli.main and the
+    # module-level __getattr__ hook that the interpreter calls (PEP 562),
     # follow the names each reached definition mentions; every top-level def
     # and class must be met. Names are matched across modules, so a shared
     # name can only hide an unreached definition, never flag a reached one.
     root = Path(treedensity.__file__).parent
     defs: dict[str, list[tuple[str, ast.AST]]] = {}
-    todo = ["main"] + [n for m in _package_modules() for n in getattr(m, "__all__", ())]
+    todo = ["main", "__getattr__"] + [
+        n for m in _package_modules() for n in getattr(m, "__all__", ())
+    ]
     for path in sorted(root.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

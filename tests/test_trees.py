@@ -401,7 +401,9 @@ def test_parse_refuses_a_deep_text_before_closing_a_vertex(monkeypatch):
 def test_deep_caterpillar_builds_and_parses_in_linear_memory():
     # a child process, so that its peak memory is its own: a spine of 10^5
     # vertices whose codes, stored per vertex, would hold 1.5 * 10^10
-    # characters
+    # characters. The child reads its VmHWM, which counts only the image
+    # after exec; ru_maxrss, the fallback where /proc is absent, starts on
+    # Linux at the peak of the process the child was forked from
     script = """
 import json, resource, sys, time
 from treedensity.trees import make_caterpillar, parse_tree
@@ -414,7 +416,12 @@ del t
 start = time.perf_counter()
 t = parse_tree(code)
 out.append(time.perf_counter() - start)
-out.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+try:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        peak_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except FileNotFoundError:
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+out.append(peak_kib / 1024)
 out.append(t.leaf_count == 100001 and len(code) == 300001)
 print(json.dumps(out))
 """
