@@ -417,7 +417,7 @@ start = time.perf_counter()
 t = parse_tree(code)
 out.append(time.perf_counter() - start)
 try:
-    with open("/proc/self/status", encoding="ascii") as fh:
+    with open("/proc/self/status", encoding="utf-8") as fh:
         peak_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 except FileNotFoundError:
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
