@@ -17,8 +17,31 @@ of its names is first used, such as ``treedensity.count_copies``.
 
 __version__ = "0.1.0"
 
-# each public name is in one module's __all__; __all__ joins them in this order
-_MODULES = ("counting", "errors", "formulas", "frontier", "reporting", "search", "simplex", "trees")
+# every public name and the library module whose __all__ lists it, in the
+# order of those lists, so a name is found, or refused, without loading any
+# module; tests/test_source_rules.py checks this against the modules' lists
+_HOME = {
+    name: module
+    for module, names in (
+        ("counting", "induced_subtree count_copies_brute brute_copy_profile CopyEngine count_copies"
+                     " density count_report caterpillar_counts combine_caterpillar_counts"),
+        ("errors", "TreeDensityError ParseError PreconditionError BudgetError ConsistencyError"),
+        ("formulas", "star_copies caterpillar_copies_complete limit_density_complete"
+                     " liminf_density bk_coefficient bk_lower_bound limits_report"),
+        ("frontier", "ParetoDP"),
+        ("reporting", "SearchReport render_report"),
+        ("search", "count_trees enumerate_trees enumerate_report search_min_report"
+                   " verify_even_conjecture verify_monotone_min"),
+        ("simplex", "simplex_point eval_F MinimizeResult minimize_F sup_boundary_scan"
+                    " uniform_min_value majorization_pair muirhead_check simplex_min_report"
+                    " simplex_sup_report simplex_bound_sample_report simplex_muirhead_report"),
+        ("trees", "Tree leaf node parse_tree read_tree is_d_ary is_strictly_d_ary"
+                  " make_caterpillar make_complete make_even_binary"),
+    )
+    for name in names.split()
+}
+_MODULES = tuple(dict.fromkeys(_HOME.values()))
+__all__ = [*_HOME, "__version__"]
 
 
 def _load(module: str):
@@ -27,12 +50,11 @@ def _load(module: str):
 
 
 def __getattr__(name: str):
-    # PEP 562; nothing is cached, so a replaced module attribute is the one returned
-    if name == "__all__":
-        return [n for m in _MODULES for n in _load(m).__all__] + ["__version__"]
+    # PEP 562; nothing is cached, so a replaced module attribute is the one
+    # returned. Any other name, such as the submodule cli, is refused at once,
+    # and `from treedensity import cli` then imports that submodule alone.
     if name in _MODULES:
         return _load(name)
-    for module in map(_load, _MODULES):
-        if name in module.__all__:
-            return getattr(module, name)
+    if name in _HOME:
+        return getattr(_load(_HOME[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

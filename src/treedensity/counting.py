@@ -22,9 +22,9 @@ read a host through its table of shapes (:mod:`treedensity.trees`): the
 engine and ``caterpillar_counts`` keep one result per shape id, filled in id
 order for the shapes under each tree they are asked about, so children
 come first and no count recurses over the host's depth. No memo lives at
-module level: an engine owns its rows (``count_copies`` builds one per
-call), and a tree's table owns ``caterpillar_counts``'s vectors. ``count``
-and ``density`` price the density before counting.
+module level: a tree's table owns every per-shape result, the engine's rows
+and ``caterpillar_counts``'s vectors alike, and an engine keeps only its
+plans. ``count`` and ``density`` price the density before counting.
 ``caterpillar_counts_of_code`` runs the combine off a bracket code's own
 characters, and ``check_witness`` recounts search witnesses with it.
 """
@@ -265,24 +265,28 @@ class CopyEngine:
     adds the wider shapes' cross terms by :func:`_cross_term`. Counts above
     :data:`PASS_STEP_CAP` steps are refused up front.
 
-    Hosts are read by shape id, in a table of the engine's own into which
-    each host's shapes are taken, so equal shapes of separate parses share
-    one id. Each pattern, keyed by its code, has its rows by id, filled
-    children first for the shapes under each host; both only ever grow, so
-    an engine sweeping trees with shared subtrees pays for each once.
+    A pattern's plan, keyed by its code, lists its shapes in an order that
+    the code alone fixes. The rows live in the host's table under the same
+    key, by shape id, filled children first for the shapes under each host,
+    so the trees of one table, in any engine, pay for each shape once.
     """
 
     def __init__(self):
-        self._plans: dict[str, tuple[list, list, Counter, dict, dict[int, list[int]]]] = {}
-        self._shapes = _Shapes()
+        self._plans: dict[str, tuple[list, list, Counter, dict]] = {}
 
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
         plan = self._plans.get(key := d_pattern.code)
         if plan is None:
-            table = d_pattern._table
-            shapes = [u for u in table.below(d_pattern._id) if u]
-            shapes.sort(key=table.leaves.__getitem__)
+            # the internal shapes, fewest leaves first, ties in the order that
+            # the code first meets them, so the code alone fixes the columns
+            table, seen, stack = d_pattern._table, {}, [d_pattern._id]
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen[u] = None
+                    stack += reversed(table.kids[u])
+            shapes = sorted(filter(None, seen), key=table.leaves.__getitem__)
             index = {s: i for i, s in enumerate(shapes)} | {0: -1}
             pairs, wider, steps = [], [], Counter()  # steps: a pass's steps by branch count
             for i, s in enumerate(shapes):
@@ -294,11 +298,12 @@ class CopyEngine:
                     pairs.append((table.leaves[s], i, *branches))
                 else:
                     wider.append((table.leaves[s], i, len(branches), classes, states - 1))
-            plan = self._plans[key] = (pairs, wider, steps, {}, {0: [0] * len(shapes) + [1]})
-        pairs, wider, steps, listed, rows = plan
-        host = self._shapes.take(t)
-        todo = self._shapes.below(host, rows)
-        kids, leaves = self._shapes.kids, self._shapes.leaves
+            plan = self._plans[key] = (pairs, wider, steps, {})
+        pairs, wider, steps, listed = plan
+        table = t._table
+        rows = table.results.setdefault(key, {0: [0] * (len(pairs) + len(wider)) + [1]})
+        todo = table.below(t._id, rows)
+        kids, leaves = table.kids, table.leaves
         degrees = Counter(len(kids[u]) for u in todo)
         work = sum(n * d * s for r, s in steps.items() for d, n in degrees.items() if d >= r)
         if work > PASS_STEP_CAP:
@@ -317,7 +322,7 @@ class CopyEngine:
                         listed[i] = _pass_steps(classes)
                     row[i] += _cross_term(listed[i], last, below)
             rows[u] = row
-        return rows[host][len(rows[host]) - 2]  # the pattern's own column, or its leaf count
+        return rows[t._id][len(pairs) + len(wider) - 1]  # the pattern's column, or leaf count
 
 
 def count_copies(d_pattern: Tree, t: Tree) -> int:
@@ -423,7 +428,7 @@ def caterpillar_counts(t: Tree, k: int) -> tuple[int, ...]:
     """
     require_int(k, 2, "caterpillar size")
     table = t._table
-    vectors = table.vectors.setdefault(k, {0: (0,) * (k - 1)})
+    vectors = table.results.setdefault(k, {0: (0,) * (k - 1)})
     for u in table.below(t._id, vectors):
         parts = [(table.leaves[c], vectors[c]) for c in table.kids[u]]
         vectors[u] = combine_caterpillar_counts(parts, k)

@@ -19,6 +19,7 @@ The two verification sweeps wrap the searches into reports:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, count, groupby, islice, product
 from math import comb
@@ -30,7 +31,7 @@ from .counting import caterpillar_counts, check_witness, combine_caterpillar_cou
 from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
 from .reporting import SearchReport, fraction_str, int_str
-from .trees import Tree, _Shapes
+from .trees import LEAF_CAP, Tree, _Shapes
 
 __all__ = [
     "count_trees",
@@ -51,28 +52,36 @@ SEARCH_COLUMNS = ("n", "min_count", "min_density_num", "min_density_den", "argmi
 
 def _root_splits(size: int, d: int, strict: bool):
     """The branch sizes of a root with ``size`` leaves: every partition of
-    size into 2..d parts (exactly d if ``strict``), in partition order, as
-    (part, multiplicity) runs."""
-    arities = (d,) if strict else range(2, min(d, size) + 1)
-    for m in arities:
-        for parts in frontier_mod._partitions_into_parts(size, m):
-            yield [(part, len(list(same))) for part, same in groupby(parts)]
+    size into 2..d parts, in partition order, as (part, multiplicity) runs.
+    If ``strict``, only the partitions into d parts that strictly d-ary
+    branches can fill, whose parts are 1 + (d - 1)(b - 1) leaves for b >= 1:
+    they come from the partitions of the b's sum into d parts, in order."""
+    if not strict:
+        for m in range(2, min(d, size) + 1):
+            for parts in frontier_mod._partitions_into_parts(size, m):
+                yield [(part, len(list(same))) for part, same in groupby(parts)]
+        return
+    units, off = divmod(size - d, d - 1)
+    for parts in () if off else frontier_mod._partitions_into_parts(units + d, d):
+        yield [(1 + (d - 1) * (b - 1), len(list(same))) for b, same in groupby(parts)]
 
 
 def _count_sequence(d: int, strict: bool) -> Iterator[int]:
-    """The number of d-ary trees with s leaves for s = 1, 2, ... in turn.
-    A root's branches form a multiset, so each run of c branches of size s
-    contributes the multiset coefficient C(counts[s] + c - 1, c)."""
-    counts = [0, 1]
+    """The number of d-ary trees with s leaves for s = 1, 2, ... in turn; if
+    ``strict``, only for the sizes s = 1, d, 2d - 1, ... that strictly d-ary
+    trees have. A root's branches form a multiset, so each run of c branches
+    of size s contributes the multiset coefficient C(counts[s] + c - 1, c)."""
+    counts = {1: 1}
     yield 1
-    for size in count(2):
+    step = d - 1 if strict else 1
+    for size in count(1 + step, step):
         total = 0
         for runs in _root_splits(size, d, strict):
             ways = 1
             for part, cnt in runs:
                 ways *= comb(counts[part] + cnt - 1, cnt)
             total += ways
-        counts.append(total)
+        counts[size] = total
         yield total
 
 
@@ -82,46 +91,57 @@ def count_trees(n: int, d: int, strict: bool = False) -> int:
     ``strict`` restricts every internal outdegree to exactly d. The counts of
     sizes 1..n are filled in order without materializing any tree, so this
     matches the length of :func:`enumerate_trees` and n has no depth limit.
+    A size that no strictly d-ary tree has counts 0 at once.
     """
     require_int(n, 1, "leaf count")
     require_int(d, 2, "arity bound")
-    return next(islice(_count_sequence(d, strict), n - 1, None))
+    if strict and (n - 1) % (d - 1):
+        return 0
+    return next(islice(_count_sequence(d, strict), (n - 1) // (d - 1 if strict else 1), None))
 
 
 def _tree_levels(
     sizes: range, d: int, strict: bool, max_trees: int
-) -> tuple[_Shapes, list[list[tuple[int, str, int]]]]:
+) -> tuple[_Shapes, dict[int, list[tuple[int, str, int]]]]:
     """A table of every d-ary tree with up to max(sizes) leaves and
-    ``levels[s]`` for s = 0..max(sizes): the (code length, code, id) of every
-    such tree with s leaves, sorted, each level built from the ones below it
-    and checked against :func:`_count_sequence`. The caller owns both. A
-    vertex joins its children's codes in sorted order, and its children's
-    ids come in that order, so no tree is compared or written.
+    ``levels[s]`` for each size s up to max(sizes) that :func:`_count_sequence`
+    counts: the (code length, code, id) of every such tree with s leaves,
+    sorted, each level built from the ones below it and checked against its
+    count. The caller owns both. A vertex joins its children's codes in
+    sorted order, and its children's ids come in that order, so no tree is
+    compared or written.
 
     The sizes are counted first, and every level kept counts against
     ``max_trees`` or :data:`DEFAULT_TREE_CAP`, whichever is smaller: the
     first size at which levels 1..size hold more trees refuses every size of
     ``sizes`` from there on, and counting stops. BudgetError names the first
     refused size n of ``sizes`` and, when the counted size differs from n,
-    that size and the count up to it."""
+    that size and the count up to it. A size above :data:`trees.LEAF_CAP`,
+    the cap on the star it holds, is refused the same way before it is
+    counted."""
     cap = min(max_trees, DEFAULT_TREE_CAP)
     top = sizes[-1] if sizes else 0
     kind = f"{'strictly ' if strict else ''}{d}-ary"
-    counts = [0]
+    step = d - 1 if strict else 1  # the sizes _count_sequence counts
+    counts = {}
     kept = 0
-    for size, c in zip(range(1, top + 1), _count_sequence(d, strict)):
+    sequence = _count_sequence(d, strict)
+    for size in range(1, top + 1, step):
+        n = sizes[bisect_left(sizes, size)]  # the first size asked for from here on
+        if size > LEAF_CAP:
+            raise BudgetError(f"enumerating {kind} trees with {n} leaves needs trees of "
+                              f"{size} leaves, above the cap of {LEAF_CAP}")
+        counts[size] = c = next(sequence)
         kept += c
         if kept > cap:
-            n = next(m for m in sizes if m >= size)
             if n == size:
                 raise BudgetError(f"enumerating {kind} trees with {n} leaves keeps {kept} trees "
                                   f"of 1..{n} leaves, above the cap of {cap}")
             raise BudgetError(f"enumerating {kind} trees with {n} leaves keeps more than the cap "
                               f"of {cap}: there are already {kept} of 1..{size} leaves")
-        counts.append(c)
     table = _Shapes()
-    levels: list[list[tuple[int, str, int]]] = [[], [(1, "*", 0)]]
-    for size in range(2, top + 1):
+    levels = {1: [(1, "*", 0)]}
+    for size in range(1 + step, top + 1, step):
         level = []
         for runs in _root_splits(size, d, strict):
             pools = [combinations_with_replacement(levels[part], cnt) for part, cnt in runs]
@@ -135,7 +155,7 @@ def _tree_levels(
                 f"enumerated {len(level)}, counted {counts[size]}"
             )
         level.sort()
-        levels.append(level)
+        levels[size] = level
     return table, levels
 
 
@@ -170,8 +190,9 @@ def enumerate_trees(
     so a tree kept from the result keeps that table alive, levels 1..n and
     all: one kept binary tree of 16 leaves holds about 2.6 MiB. Handing each
     tree its own table would cost a copy of its shapes per tree, and the
-    shared one lets :func:`~treedensity.counting.caterpillar_counts` reuse
-    each subtree's vectors across the trees.
+    shared one lets :func:`~treedensity.counting.caterpillar_counts` and
+    every :class:`~treedensity.counting.CopyEngine` reuse each subtree's
+    vectors and rows across the trees.
     """
     table, level = _level(n, d, strict, max_trees)
     return iter(list(map(table.tree, map(_ID, level))))

@@ -15,30 +15,29 @@ Shapes live in a table, one per parse or build, and are numbered by int ids
 in the manner of the Aho-Hopcroft-Ullman labelling: id 0 is the leaf, and a
 vertex gets the id of its children's ids in canonical order, a new one the
 first time that tuple is met, so equal shapes share one id. The table stores
-each shape's children, leaf count and code length, and fills structural
-hashes on demand. Ids are issued children first, so per-shape results
-kept by id can be filled in ascending id order; the counting routines fill
-theirs only for the shapes under the tree they are asked about, and keep
-them in the table or in the engine that fills them. Only the call that
-builds a table appends to it.
+each shape's children, leaf count and code length. Ids are given children
+first, so per-shape results kept by id can be filled in ascending id order;
+the counting routines fill theirs only for the shapes under the tree they
+are asked about, and keep every one of them in that tree's table, so the
+trees of one table share them. Only the call that builds a table appends
+to it.
 
-A :class:`Tree` is a (table, id) handle. Trees compare, hash and order by
-structure, in code order, across tables too; in one table equal trees have
-one id. Code-length ties between distinct siblings are broken by their
-codes, written once per table and cached there; ``t.code`` is written afresh
-on each access, in time linear in its length. :func:`parse_tree` reads its
-text once and memoizes each vertex's children as written, so a repeated
-vertex is not sorted again. The builders at the bottom append caterpillars,
-complete trees and the even-split binary tree in canonical order.
+A :class:`Tree` is a plain (table, id) value: its children are new values
+over the same table. Trees compare, hash and order by code, across tables
+too; in one table equal trees have one id. Code-length ties between
+distinct siblings are broken by their codes, written once per table and
+cached there; ``t.code`` is written afresh on each access, in time linear
+in its length. :func:`parse_tree` reads its text once and memoizes each
+vertex's children as written, so a repeated vertex is not sorted again. The
+builders at the bottom append caterpillars, complete trees and the
+even-split binary tree in canonical order.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import nullcontext
-from itertools import chain
 from typing import Iterable
-from weakref import WeakValueDictionary
 
 from .errors import BudgetError, ParseError, PreconditionError, require_int
 from .reporting import int_str
@@ -71,22 +70,21 @@ class _Shapes:
 
     Id 0 is the leaf. ``kids[i]`` holds the ids of shape i's children in
     canonical order, ``leaves[i]`` and ``lengths[i]`` its leaf count and code
-    length, and ``ids`` maps a children tuple to its id. ``hashes`` holds the
-    structural hashes filled on demand, ``codes`` the codes written to break
-    ties, and ``vectors`` the caterpillar counts per k, all by id.
+    length, and ``ids`` maps a children tuple to its id. ``codes`` holds the
+    codes written to break ties, by id, and ``results`` the counting
+    routines' per-shape results, by id under a key of their own: a k for
+    caterpillar vectors, a pattern's code for copy-count rows.
     """
 
-    __slots__ = ("kids", "leaves", "lengths", "ids", "hashes", "codes", "vectors", "handles")
+    __slots__ = ("kids", "leaves", "lengths", "ids", "codes", "results")
 
     def __init__(self):
         self.kids: list[tuple[int, ...]] = [()]
         self.leaves = [1]
         self.lengths = [1]
         self.ids = {(): 0}
-        self.hashes = {0: hash(())}
         self.codes: dict[int, str] = {}
-        self.vectors: dict[int, dict[int, tuple[int, ...]]] = {}
-        self.handles = WeakValueDictionary()  # the Tree objects of children, one per id
+        self.results: dict[int | str, dict[int, tuple | list]] = {}
 
     def add(self, kids: tuple[int, ...]) -> int:
         """The id of the vertex over ``kids``, already in canonical order."""
@@ -158,14 +156,6 @@ class _Shapes:
                 pieces.append("(" + "*" * leaves)
         return "".join(pieces)
 
-    def hash(self, i: int) -> int:
-        """Shape i's structural hash: a leaf's is hash(()), a vertex's the
-        hash of the tuple of its children's, so it agrees across tables."""
-        hashes = self.hashes
-        for u in self.below(i, hashes):
-            hashes[u] = hash(tuple(map(hashes.__getitem__, self.kids[u])))
-        return hashes[i]
-
     def below(self, i: int, known=()) -> list[int]:
         """The ids of shape i and of every shape under it that ``known``
         lacks, ascending, so each after its children. The walk stops at a
@@ -180,34 +170,9 @@ class _Shapes:
                 stack += kids[u]
         return sorted(seen)
 
-    def take(self, t: Tree) -> int:
-        """The id in this table of ``t``'s shape, adding the shapes under it
-        that the table lacks. A table that holds only the leaf copies the
-        lists of a ``t`` whose table holds nothing but t and its subtrees,
-        keeping their ids, rather than interning its shapes one by one."""
-        src = t._table
-        if len(self.kids) == 1 == len(src.kids) - t._id and (
-            len(set(chain.from_iterable(src.kids))) == t._id
-        ):
-            self.kids, self.leaves, self.lengths = src.kids[:], src.leaves[:], src.lengths[:]
-            self.ids = dict(src.ids)
-            return t._id
-        new: dict[int, int] = {}
-        for u in src.below(t._id):
-            new[u] = self.add(tuple(map(new.__getitem__, src.kids[u])))
-        return new[t._id]
-
     def tree(self, i: int) -> Tree:
-        """A handle on shape i."""
+        """Shape i as a Tree."""
         return Tree(self, i)
-
-    def handle(self, i: int) -> Tree:
-        """The one handle on shape i that children lists share. The table
-        holds it weakly, so handles and table form no cycle."""
-        t = self.handles.get(i)
-        if t is None:
-            t = self.handles[i] = Tree(self, i)
-        return t
 
 
 class Tree:
@@ -219,7 +184,7 @@ class Tree:
     children sorted).
     """
 
-    __slots__ = ("_table", "_id", "leaf_count", "code_length", "__weakref__")
+    __slots__ = ("_table", "_id", "leaf_count", "code_length")
 
     def __init__(self, table: _Shapes, id_: int):
         self._table = table
@@ -229,7 +194,7 @@ class Tree:
 
     @property
     def children(self) -> tuple[Tree, ...]:
-        return tuple(map(self._table.handle, self._table.kids[self._id]))
+        return tuple(map(self._table.tree, self._table.kids[self._id]))
 
     @property
     def is_leaf(self) -> bool:
@@ -249,11 +214,10 @@ class Tree:
             return NotImplemented
         if self._table is other._table:
             return self._id == other._id
-        return (self.code_length == other.code_length and hash(self) == hash(other)
-                and self.code == other.code)
+        return self.code_length == other.code_length and self.code == other.code
 
     def __hash__(self) -> int:
-        return self._table.hash(self._id)
+        return hash(self.code)
 
     def __lt__(self, other) -> bool:
         """Canonical order: the shorter code first, then the smaller code."""
@@ -267,22 +231,25 @@ class Tree:
         return f"Tree({self.code!r})"
 
 
-_LEAF = Tree(_Shapes(), 0)  # its table is never appended to
-
-
 def leaf() -> Tree:
-    """The single-leaf tree."""
-    return _LEAF
+    """The single-leaf tree, in a table of its own, so the results counted
+    for it are dropped with it, as for any other tree."""
+    return Tree(_Shapes(), 0)
 
 
 def node(children: Iterable[Tree]) -> Tree:
     """Internal vertex over the given children (two or more), canonicalized,
-    in a table of its own."""
+    in a table of its own that takes in the shapes under each child."""
     children = list(children)
     if len(children) < 2:
         raise PreconditionError("an internal vertex needs at least two children")
-    table = _Shapes()
-    return Tree(table, table.vertex([table.take(c) for c in children]))
+    table, ids = _Shapes(), []
+    for c in children:
+        src, new = c._table, {}
+        for u in src.below(c._id):
+            new[u] = table.add(tuple(map(new.__getitem__, src.kids[u])))
+        ids.append(new[c._id])
+    return Tree(table, table.vertex(ids))
 
 
 def parse_tree(text: str) -> Tree:
@@ -406,7 +373,7 @@ def make_caterpillar(r: int, k: int) -> Tree:
     """
     require_int(r, 2, "arity bound")
     if k == 1:
-        return _LEAF
+        return leaf()
     q = caterpillar_spine(r, k)
     if k > LEAF_CAP:
         raise BudgetError(

@@ -574,6 +574,15 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         (("count", "--pattern-caterpillar", "800001,800001", "--tree-complete", "2,23"),
          "the density of a 800001-leaf pattern in a 8388608-leaf tree needs up to 19200024 "
          "bits (min(k, n - k) * bit_length(n)), above the cap of 2250000"),
+        # a strictly d-ary tree has 1 mod d - 1 leaves, so the size after 1 is
+        # the d-leaf star: walking every size up to it took 24.8 s and exited 0
+        (("enumerate", "--n", "10000001", "--d", "10000001", "--strict"),
+         "enumerating strictly 10000001-ary trees with 10000001 leaves needs trees of "
+         "10000001 leaves, above the cap of 10000000"),
+        # it had not finished after 40 s
+        (("enumerate", "--n", str(10**18 + 1), "--d", str(10**18 + 1), "--strict"),
+         f"enumerating strictly {10**18 + 1}-ary trees with {10**18 + 1} leaves needs trees "
+         f"of {10**18 + 1} leaves, above the cap of 10000000"),
     ],
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
@@ -583,6 +592,7 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         "conjecture-run", "search-min-run", "monotone-run", "complete-height",
         "complete-height-10", "complete-arity", "complete-24", "brute-unbuilt",
         "muirhead-unbuilt", "dp-columns", "density-bits", "density-bits-zero-count",
+        "strict-star-leaves", "strict-huge-arity",
     ],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
@@ -689,6 +699,29 @@ print(json.dumps([codes, before, "mpmath" in sys.modules, added]))
         [td + "counting"],  # count
         [td + "frontier", td + "search"],  # search-min
     ] + [[]] * 6
+
+
+def test_names_the_package_does_not_export_load_no_library_module():
+    # a child process, since this one has loaded the library: the import
+    # system asks the package for cli before it imports the submodule, and
+    # the package refuses that name, and any other name it does not export,
+    # without importing a module to look for it
+    script = """
+import json, sys
+from treedensity import cli
+import treedensity
+probes = [hasattr(treedensity, name) for name in ("_realmode", "cli", "no_such_name")]
+print(json.dumps([callable(cli.main), probes,
+                  sorted(name for name in sys.modules if name.split(".")[0] == "treedensity")]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        True, [False, True, False], ["treedensity", "treedensity.cli", "treedensity.errors"]
+    ]
 
 
 def test_simplex_muirhead(capsys):

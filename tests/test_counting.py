@@ -249,26 +249,41 @@ def test_count_matches_brute_on_random_binary_patterns(seed, k, n, d):
     assert count_copies(pattern, host) == count_copies_brute(pattern, host)
 
 
-def test_engine_shares_rows_across_separate_parses(monkeypatch):
-    # rows are keyed by trees, which compare by structure, so a second parse
-    # of a counted host, or of one of its branches, adds no row and runs no pass
-    text = _random_code(random.Random(31), 200, 3)
+def test_trees_of_one_table_share_rows_in_every_engine(monkeypatch):
+    # rows live in the host's table, so a fresh engine counting the host's
+    # branches, or the host again, adds no row and runs no pass
+    host = parse_tree(_random_code(random.Random(31), 200, 3))
     pattern = parse_tree("((**)(**)(*(**)))")
-    engine = CopyEngine()
-    first = engine.count(pattern, parse_tree(text))
-    branches = [(b.code, count_copies(pattern, b)) for b in parse_tree(text).children]
+    first = CopyEngine().count(pattern, host)
+    branches = [(b.code, count_copies(pattern, parse_tree(b.code))) for b in host.children]
     calls = []
     for name in ("_pair_pass", "_cross_term"):
         real = getattr(counting, name)
         monkeypatch.setattr(counting, name, lambda *a, real=real: calls.append(a) or real(*a))
-    assert engine.count(pattern, parse_tree(text)) == first
-    assert [(code, engine.count(pattern, parse_tree(code))) for code, _ in branches] == branches
+    engine = CopyEngine()
+    assert [(b.code, engine.count(pattern, b)) for b in host.children] == branches
+    assert CopyEngine().count(pattern, host) == first
     assert calls == []
 
 
+def test_parses_of_one_pattern_written_apart_fill_rows_alike():
+    # the two 4-leaf shapes get their ids in the order each text meets them,
+    # yet rows that one parse leaves in the host's table serve the other's
+    # engine; the root's branches use the two shapes unequally
+    host = parse_tree(_random_code(random.Random(35), 20, 3))
+    texts = ["((*(*(**)))((**)(**))(*(*(**))))", "(((**)(**))(*(*(**)))(*(*(**))))"]
+    a, b = map(parse_tree, texts)
+    assert a == b and a._table.kids != b._table.kids
+    expected = count_copies_brute(a, host)
+    assert expected
+    for branch in host.children:
+        CopyEngine().count(a, branch)
+    assert CopyEngine().count(b, host) == expected
+
+
 def test_a_refused_host_leaves_the_engine_counting_other_hosts(monkeypatch):
-    # the engine keeps the refused host's shapes, but prices and fills only
-    # the shapes under each later host
+    # a refused host fills no row, and the engine prices and fills only the
+    # shapes under each later host
     monkeypatch.setattr(counting, "PASS_STEP_CAP", 200)
     engine, pattern = CopyEngine(), make_caterpillar(2, 4)
     with pytest.raises(BudgetError):

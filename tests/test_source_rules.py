@@ -287,8 +287,8 @@ def test_the_options_are_pinned():
 
 
 def test_each_public_name_is_listed_once():
-    # the package exports exactly its modules' __all__ lists, so a name is
-    # written down in one place, next to its definition
+    # the package exports exactly its modules' __all__ lists, in order: its
+    # own table of where each name lives must list them name for name
     modules = [m for m in _package_modules()[1:] if hasattr(m, "__all__")]
     listed = [name for module in modules for name in module.__all__]
     assert treedensity.__all__ == listed + ["__version__"]

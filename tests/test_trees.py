@@ -175,13 +175,13 @@ def _internal_shapes(t):
     return {u for u in _vertices(t) if not u.is_leaf}
 
 
-def test_equal_subtrees_of_one_parse_are_one_object():
+def test_equal_subtrees_of_one_parse_share_one_id():
     rng = random.Random(4)
     for text in [_shuffled_text(make_complete(3, 4), rng), _random_text(rng, 400, 3)]:
         t = parse_tree(text)
         first = {}
         for u in _vertices(t):
-            assert first.setdefault(u.code, u) is u
+            assert first.setdefault(u.code, (u._table, u._id)) == (t._table, u._id)
         assert len(first) < sum(1 for _ in _vertices(t))
     # interning is per call; equality stays by code across calls
     a, b = parse_tree("((**)(**))"), parse_tree("((**)(**))")
@@ -249,7 +249,7 @@ def test_parse_matches_the_string_reference_at_the_benchmark_size(d):
 
 
 def test_parsed_trees_leave_no_memory_behind():
-    # a tree holds its table, and the table holds its handles weakly, so
+    # a tree holds its table, and the table holds no tree, so
     # dropping the tree frees the table without the cycle collector
     # 200 distinct hosts of 3,000 leaves, each ten branches out of twenty
     rng = random.Random(12)
