@@ -2,7 +2,7 @@
 
 The combiner in :func:`treedensity.counting.combine_caterpillar_counts` is
 monotone: raising any branch count c_j(T_i) can only raise the counts of the
-combined tree. (c_2 is C(n, 2) for every n-leaf tree, so it is not stored.)
+combined tree.
 
 Suppose every leaf count s < n has a count vector (c_3, ..., c_k) that is
 componentwise minimal over the d-ary trees with s leaves. An n-leaf tree
@@ -18,6 +18,17 @@ frontier over all d-ary trees holds one vector at every level built. The
 candidates are evaluated a column (one c_j) at a time, and the DP keeps the
 first, in generation order, that attains every column minimum.
 
+A candidate's c_j is the sum over its branches of their shares
+f_n(s) = c_j(s) + (n - s) c_{j-1}(s). Since f_{n+1}(s) = f_n(s) + c_{j-1}(s),
+the DP keeps one share list per stored column and carries it up a level with
+one addition per entry. A column the family fixes is not stored: c_2 is
+C(n, 2) for every n-leaf tree, and at d = 2 so is c_3 = C(n, 3), since every
+three leaves of a binary tree induce the 3-leaf caterpillar. Every candidate
+attains a constant column's minimum, so it cannot change the chosen split,
+and the recount of each level's split still checks the full (c_3, ..., c_k).
+At d = 2 with k = 3 the c_3 column is stored, so that every level has a
+column to scan.
+
 Every level is computed: a stored level could be checked for being attained
 by its witness, but proving it minimal takes the very recomputation that
 storing it would save.
@@ -27,7 +38,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, groupby
 from math import comb
-from operator import add, mul
+from operator import add
 from typing import Sequence
 
 from .counting import combine_caterpillar_counts
@@ -41,7 +52,9 @@ __all__ = [
 
 # the most column additions one run may make: k - 2 columns for each
 # candidate vector of every level it builds, a candidate of m parts weighing
-# m - 1, the additions it costs a column, so a binary one weighs 1
+# m - 1, the additions it costs a column, so a binary one weighs 1. At d = 2
+# (k > 3) only k - 3 columns are stored, so the count is one column high
+# there: conservative
 CANDIDATE_CAP = 2 * 10**7
 
 
@@ -126,9 +139,12 @@ class ParetoDP:
     growing bounds (existing levels are reused) and returns the DP itself;
     ``min_count``, ``vector`` and ``witness`` then read any level built.
 
-    Levels are stored column-wise by leaf count s (index 0 unused): ``_c2[s]``
-    is C(s, 2), ``_cols[j - 3][s]`` is c_j, and ``_split[s]`` the root branch
-    sizes of the witness (None at s = 1, whose code is known).
+    Levels are stored column-wise by leaf count s (index 0 unused). The
+    columns from j = lo on are stored, lo being 4 at d = 2 (k > 3) and 3
+    otherwise: ``_cols[j - lo][s]`` is c_j, ``_fixed[s]`` is C(s, lo - 1),
+    the fixed column below them, and ``_split[s]`` the root branch sizes of
+    the witness (None at s = 1, whose code is known). ``_shares[j - lo]``
+    holds f_n(s) for s < n, n being the next level to build.
     """
 
     def __init__(self, k: int, d: int = 2):
@@ -136,31 +152,47 @@ class ParetoDP:
         require_int(d, 2, "arity bound")
         self.k = k
         self.d = d
-        self._c2 = [0]
-        self._cols: list[list[int]] = []  # built with level 1, after run's budget check
+        self._lo = 4 if d == 2 and k > 3 else 3
+        self._fixed = [0]
+        # built with level 1, after run's budget check
+        self._cols: list[list[int]] = []
+        self._shares: list[list[int]] = []
         self._split: list[tuple[int, ...] | None] = [None]
         self._witnesses: dict[int, str] = {}
 
     # -- levels --------------------------------------------------------------
 
+    def _fixed_counts(self, n: int) -> tuple[int, ...]:
+        """(c_3, ..., c_{lo - 1}) of every n-leaf tree: (C(n, 3),) at d = 2
+        when k > 3, else ()."""
+        return (comb(n, 3),) if self._lo == 4 else ()
+
     def _append(self, vector, split=None, witness=None) -> None:
-        n = len(self._c2)
-        self._c2.append(comb(n, 2))
-        for col, c in zip(self._cols, vector):
+        """Store level n's (c_3, ..., c_k) and carry each share list up from
+        f_n to f_{n+1}: f_{n+1}(s) = f_n(s) + c_{j-1}(s) for s < n, and
+        f_{n+1}(n) = c_j(n) + c_{j-1}(n)."""
+        n = len(self._split)
+        self._fixed.append(comb(n, self._lo - 1))
+        for col, c in zip(self._cols, vector[self._lo - 3 :]):
             col.append(c)
         self._split.append(split)
         if witness is not None:
             self._witnesses[n] = witness
+        cols = self._cols
+        self._shares = [
+            [*map(add, f, below), col[n] + below[n]]
+            for f, below, col in zip(self._shares, [self._fixed, *cols], cols)
+        ]
 
     def _counts(self, n: int) -> tuple[int, ...]:
         """(c_2, c_3, ..., c_k) of level n."""
         if not 1 <= n <= self.max_n():
             raise KeyError(n)
-        return (self._c2[n], *(col[n] for col in self._cols))
+        return (comb(n, 2), *self._fixed_counts(n), *[col[n] for col in self._cols])
 
     def max_n(self) -> int:
         """The largest leaf count built so far."""
-        return len(self._c2) - 1
+        return len(self._split) - 1
 
     def frontier_size(self, n: int) -> int:
         """Vectors kept at level n: always 1, since the DP raises
@@ -207,24 +239,19 @@ class ParetoDP:
     def _columns(self, n: int):
         """Candidate columns of level n, and its splits into 3..d parts.
 
-        Column j - 3 holds c_j of every candidate in generation order: the
-        binary splits (a, n - a), a = 1..n//2, then the m-part partitions of
-        n, m = 3..d, in ``_partitions_into_parts`` order.
+        Each stored column holds its c_j of every candidate in generation
+        order: the binary splits (a, n - a), a = 1..n//2, then the m-part
+        partitions of n, m = 3..d, in ``_partitions_into_parts`` order. A
+        candidate's c_j is the sum of its branches' shares f_n(s).
         """
         h = n // 2
         parts = (_partitions_into_parts(n, m) for m in range(3, min(self.d, n) + 1))
         multi = list(chain.from_iterable(parts))
-        weights = range(n, 0, -1)  # n - s for s = 0..n-1
-        # terms[j - 3][s] = c_j(s) + (n - s) c_{j-1}(s): branch s's share of c_j
-        terms = []
-        below = self._c2
-        for col in self._cols:
-            terms.append(list(map(add, col[:n], map(mul, weights, below[:n]))))
-            below = col
-        columns = [list(map(add, f[1 : h + 1], reversed(f[n - h :]))) for f in terms]
+        shares = self._shares
+        columns = [list(map(add, f[1 : h + 1], reversed(f[n - h :]))) for f in shares]
         for _, group in groupby(multi, len):
             picks = list(zip(*group))  # picks[i][p]: size of branch i in partition p
-            for column, f in zip(columns, terms):
+            for column, f in zip(columns, shares):
                 acc = map(f.__getitem__, picks[0])
                 for sizes in picks[1:]:
                     acc = map(add, acc, map(f.__getitem__, sizes))
@@ -234,6 +261,7 @@ class ParetoDP:
     def _select(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Level n's minimal vector and the root split of its first candidate."""
         columns, multi = self._columns(n)
+        fixed = self._fixed_counts(n)
         mins = tuple(map(min, columns))
         i = -1
         while True:
@@ -244,20 +272,22 @@ class ParetoDP:
                 a, b = pareto_minimal(vectors)[:2]
                 raise ConsistencyError(
                     f"no candidate at d={self.d}, k={self.k}, n={n} attains every "
-                    f"coordinate minimum; {vectors[a]} and {vectors[b]} are incomparable"
+                    f"coordinate minimum; {fixed + vectors[a]} and {fixed + vectors[b]} "
+                    f"are incomparable"
                 ) from None
             if all(col[i] == m for col, m in zip(columns, mins)):
                 break
         h = n // 2
         split = (i + 1, n - i - 1) if i < h else multi[i - h]
+        vector = fixed + mins
         parts = [(s, self._counts(s)) for s in split]
         recount = combine_caterpillar_counts(parts, self.k)[1:]
-        if recount != mins:
+        if recount != vector:
             raise ConsistencyError(
                 f"counts of split {split} at d={self.d}, k={self.k}, n={n}: "
-                f"columns give {mins}, recombined {recount}"
+                f"columns give {vector}, recombined {recount}"
             )
-        return mins, split
+        return vector, split
 
     def run(self, n_max: int) -> ParetoDP:
         """Build levels up to n_max. Before the first new level, the run is
@@ -277,7 +307,9 @@ class ParetoDP:
                     f"above the cap of {CANDIDATE_CAP}"
                 )
         if self.max_n() == 0:
-            self._cols = [[0] for _ in range(self.k - 2)]
+            stored = range(self._lo, self.k + 1)
+            self._cols = [[0] for _ in stored]
+            self._shares = [[0] for _ in stored]  # f_1
             self._append((0,) * (self.k - 2), witness="*")
         for n in range(first, n_max + 1):
             self._append(*self._select(n))

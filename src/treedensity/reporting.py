@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -66,20 +65,28 @@ def render_cell(value) -> str:
     return str(value)
 
 
-@dataclass
 class SearchReport:
     """Tabular result of a search or verification sweep.
 
     ``rows`` hold raw values (ints, Fractions, bools, strings); conversion to
     text happens at render time. ``all_ok`` is None for modes that have no
-    verdict semantics.
+    verdict semantics. A plain class, not a dataclass: ``dataclasses``
+    imports ``inspect``, about half of this module's import time.
     """
 
-    mode: str
-    params: dict
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    all_ok: bool | None = None
+    def __init__(
+        self,
+        mode: str,
+        params: dict,
+        columns: tuple[str, ...],
+        rows: list[tuple],
+        all_ok: bool | None = None,
+    ):
+        self.mode = mode
+        self.params = params
+        self.columns = columns
+        self.rows = rows
+        self.all_ok = all_ok
 
     def cell_rows(self) -> list[list[str]]:
         return [[render_cell(v) for v in row] for row in self.rows]

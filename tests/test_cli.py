@@ -701,6 +701,30 @@ print(json.dumps([codes, before, "mpmath" in sys.modules, added]))
     ] + [[]] * 6
 
 
+def test_commands_outside_simplex_load_no_dataclasses():
+    # a child process, as this one has loaded both. SearchReport is a plain
+    # class because dataclasses imports inspect, about half of reporting's
+    # import time; only simplex's MinimizeResult still needs it
+    script = """
+import json, os, sys
+import treedensity.cli as cli
+lines = [
+    "limits --d 3 --k 5", "count --pattern (**) --tree-complete 2,3",
+    "density --pattern (**) --tree-even 8", "enumerate --n 5 --d 2",
+    "search-min --d 2 --k 4 --n-max 8", "conjecture --k 4 --n-max 10",
+    "monotone --d 2 --k 4 --n-max 10",
+]
+codes = [cli.main(line.split() + ["--output", os.devnull]) for line in lines]
+print(json.dumps([codes, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 7, []]
+
+
 def test_names_the_package_does_not_export_load_no_library_module():
     # a child process, since this one has loaded the library: the import
     # system asks the package for cli before it imports the submodule, and

@@ -4,6 +4,7 @@ refusals."""
 import json
 import tracemalloc
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +303,41 @@ def test_recombine_mismatch_is_a_consistency_error(monkeypatch, capsys):
     assert "n=2" in str(exc.value)
     assert cli_main(["conjecture", "--k", "4", "--n-max", "6"]) == 1
     assert "consistency check failed" in capsys.readouterr().err
+
+
+def test_a_shifted_c3_recount_is_a_consistency_error(monkeypatch):
+    # at d = 2 the DP stores no c_3 column, since every binary tree's c_3 is
+    # C(n, 3); the recount still compares it
+    real = frontier.combine_caterpillar_counts
+
+    def c3_off_by_one(parts, k):
+        counts = real(parts, k)
+        return (counts[0], counts[1] + 1, *counts[2:])
+
+    monkeypatch.setattr(frontier, "combine_caterpillar_counts", c3_off_by_one)
+    with pytest.raises(ConsistencyError) as exc:
+        ParetoDP(5, 2).run(6)
+    assert "k=5, n=2: columns give (0, 0, 0), recombined (1, 0, 0)" in str(exc.value)
+
+
+@pytest.mark.parametrize("k", range(4, 8))
+def test_binary_c3_is_n_choose_3(k):
+    dp = ParetoDP(k, 2).run(200)
+    assert all(dp.vector(n)[0] == comb(n, 3) for n in range(1, 201))
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 90), (3, 40), (4, 24)])
+def test_a_dp_built_in_pieces_matches_one_run(d, n_max):
+    # the share lists carried from level to level survive a second and a
+    # third run
+    for k in range(3, 8):
+        whole = ParetoDP(k, d).run(n_max)
+        pieces = ParetoDP(k, d)
+        for cut in (n_max // 3, n_max // 2 + 1, n_max):
+            pieces.run(cut)
+        for n in range(1, n_max + 1):
+            for read in ("vector", "min_count", "witness"):
+                assert getattr(pieces, read)(n) == getattr(whole, read)(n), (k, n, read)
 
 
 # ---------------------------------------------------------------------------
