@@ -19,14 +19,11 @@ two-branch shape's cross term; wider shapes have a pass of their own.
 
 ``CopyEngine``, ``caterpillar_counts``, ``induced_subtree`` and the oracle
 read a host through its table of shapes (:mod:`treedensity.trees`): the
-engine and ``caterpillar_counts`` keep one result per shape id, filled in id
-order for the shapes under each tree they are asked about, so children
-come first and no count recurses over the host's depth. No memo lives at
-module level: a tree's table owns every per-shape result, the engine's rows
-and ``caterpillar_counts``'s vectors alike, and an engine keeps only its
-plans. ``count`` and ``density`` price the density before counting.
-``caterpillar_counts_of_code`` runs the combine off a bracket code's own
-characters, and ``check_witness`` recounts search witnesses with it.
+engine and ``caterpillar_counts`` fill one result per shape id, in id order,
+for the shapes under each tree they are asked about, so no count recurses
+over the host's depth. The tree's table keeps those results, and an engine
+only its plans. ``count`` and ``density`` price the density before counting.
+``check_witness`` recounts a search witness from its text, read anew.
 """
 
 from __future__ import annotations
@@ -34,15 +31,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations, compress, count
+from itertools import accumulate, combinations
 from math import comb, prod
-from operator import add, mul, not_
-from typing import Iterable, NoReturn, Sequence
+from operator import add, mul
+from typing import Iterable, Sequence
 
 from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
 from .formulas import LIMIT_BITS_CAP
 from .reporting import SearchReport, decimal_str, int_str
-from .trees import Tree, _Shapes, join_codes, parse_tree
+from .trees import Tree, _Shapes, join_codes
 
 __all__ = [
     "induced_subtree",
@@ -435,80 +432,22 @@ def caterpillar_counts(t: Tree, k: int) -> tuple[int, ...]:
     return vectors[t._id]
 
 
-_DEPTH_STEP = {"(": 1, "*": 0, ")": -1}
-
-
-def _malformed(code: str) -> NoReturn:
-    parse_tree(code)  # raises ParseError naming the offset of the first fault
-    raise ConsistencyError(f"parse_tree accepts {code!r}, which the code reader refused")
-
-
-def caterpillar_counts_of_code(
-    code: str, k: int, memo: dict[str, tuple[int, int, tuple[int, ...]]]
-) -> tuple[int, int, tuple[int, ...]]:
-    """(leaf count, largest outdegree, (c_2, ..., c_k)) of the tree a bracket
-    code describes, read off its characters without building Tree objects.
-
-    Children may appear in any order. Each vertex is split where the depth
-    inside it returns to 0, and its children's vectors are joined by
-    :func:`combine_caterpillar_counts`; an explicit stack replaces recursion,
-    so the depth of the tree is unbounded. ``memo`` maps exact code strings
-    (as written, not canonicalized) to results for this k; the caller owns it
-    and must not share one between values of k. Only well-formed codes enter
-    it. Malformed text raises ParseError with the offset :func:`parse_tree`
-    reports.
-    """
-    require_int(k, 2, "caterpillar size")
-    memo.setdefault("*", (1, 0, (0,) * (k - 1)))
-    pending: dict[str, list[str]] = {}
-    stack = [code]
-    while stack:
-        sub = stack.pop()
-        if sub in memo or sub in pending:
-            continue
-        if not (sub.startswith("(") and sub.endswith(")")):
-            _malformed(code)
-        # Children end where the depth inside sub returns to 0. The piece
-        # between two such points is "*" or a bracketed group, unless the
-        # depth dipped below 0: then the piece starts with ")" and fails the
-        # check above when it comes off the stack.
-        inside = sub[1:-1]
-        ends = compress(count(1), map(not_, accumulate(map(_DEPTH_STEP.__getitem__, inside))))
-        try:
-            cuts = [next(ends, 0)]
-            # a known code after the first child is the only other child
-            cuts.extend([len(inside)] if inside[cuts[0] :] in memo else ends)
-        except KeyError:
-            _malformed(code)
-        if len(cuts) < 2 or cuts[-1] != len(inside):
-            _malformed(code)
-        kids = [inside[a:b] for a, b in zip([0] + cuts, cuts)]
-        pending[sub] = kids
-        stack.extend(kids)
-    # a vertex's code is longer than each of its children's
-    for sub in sorted(pending, key=len):
-        parts = [memo[c] for c in pending[sub]]
-        memo[sub] = (
-            sum(p[0] for p in parts),
-            max(len(parts), *(p[1] for p in parts)),
-            combine_caterpillar_counts([(p[0], p[2]) for p in parts], k),
-        )
-    return memo[code]
-
-
-def check_witness(code: str, n: int, d: int, k: int, expected: int, memo: dict) -> None:
-    """Recount a reported witness from its own characters with
-    :func:`caterpillar_counts_of_code` (sharing ``memo``). The code must be
-    well formed, with n leaves, no outdegree above d and ``expected``
-    k-caterpillar copies; a failed check raises ConsistencyError."""
-    what = f"{k}-caterpillar count of witness {code}"
+def check_witness(code: str, n: int, d: int, k: int, expected: int, table: _Shapes) -> None:
+    """Check a witness's text, read by ``table``, for n leaves, no outdegree
+    above d among the shapes this read adds (earlier witnesses passed d) and
+    ``expected`` k-caterpillar copies; ConsistencyError names the first fault."""
+    before = len(table.kids)
     try:
-        leaves, outdegree, counts = caterpillar_counts_of_code(code, k, memo)
+        i = table.read(code)
     except ParseError as err:
-        raise ConsistencyError(f"{what}: malformed code, {err}") from None
-    if leaves != n:
-        raise ConsistencyError(f"{what}: the witness has {leaves} leaves, not {n}")
-    if outdegree > d:
-        raise ConsistencyError(f"{what}: the witness has outdegree {outdegree} > d = {d}")
-    if counts[-1] != expected:
-        raise ConsistencyError(f"{what}: reported {expected}, recounted {counts[-1]}")
+        fault = f"malformed code, {err}"
+        raise ConsistencyError(f"{k}-caterpillar count of witness {code}: {fault}") from None
+    if table.leaves[i] != n:
+        fault = f"the witness has {table.leaves[i]} leaves, not {n}"
+    elif (outdegree := max(map(len, table.kids[before:]), default=0)) > d:
+        fault = f"the witness has outdegree {outdegree} > d = {d}"
+    elif (recount := caterpillar_counts(table.tree(i), k)[-1]) != expected:
+        fault = f"reported {expected}, recounted {recount}"
+    else:
+        return
+    raise ConsistencyError(f"{k}-caterpillar count of witness {code}: {fault}")

@@ -201,8 +201,11 @@ class ParetoDP:
         return 1
 
     def min_count(self, n: int) -> int:
-        """Exact minimum of c_k over d-ary trees with n leaves."""
-        return self._counts(n)[-1]
+        """Exact minimum of c_k over d-ary trees with n leaves: the last
+        stored column's entry."""
+        if not 1 <= n <= self.max_n():
+            raise KeyError(n)
+        return self._cols[-1][n]
 
     def vector(self, n: int) -> tuple[int, ...]:
         """(c_3, ..., c_k) of level n, each the minimum over its trees."""

@@ -54,16 +54,21 @@ def _root_splits(size: int, d: int, strict: bool):
     """The branch sizes of a root with ``size`` leaves: every partition of
     size into 2..d parts, in partition order, as (part, multiplicity) runs.
     If ``strict``, only the partitions into d parts that strictly d-ary
-    branches can fill, whose parts are 1 + (d - 1)(b - 1) leaves for b >= 1:
-    they come from the partitions of the b's sum into d parts, in order."""
+    branches can fill, whose parts are 1 + (d - 1)q leaves for q >= 0: a run
+    of d - m leaves, then the partitions of the q's sum, ``units``, into m
+    parts, in order, for m = 0 (only when units is 0) up to min(d, units),
+    so the work depends on units, not on d."""
     if not strict:
         for m in range(2, min(d, size) + 1):
             for parts in frontier_mod._partitions_into_parts(size, m):
                 yield [(part, len(list(same))) for part, same in groupby(parts)]
         return
     units, off = divmod(size - d, d - 1)
-    for parts in () if off else frontier_mod._partitions_into_parts(units + d, d):
-        yield [(1 + (d - 1) * (b - 1), len(list(same))) for b, same in groupby(parts)]
+    for m in range(units > 0, min(d, units) + 1) if not off else ():
+        for parts in frontier_mod._partitions_into_parts(units, m) if m else [()]:
+            yield [(1, d - m)] * (m < d) + [
+                (1 + (d - 1) * q, len(list(same))) for q, same in groupby(parts)
+            ]
 
 
 def _count_sequence(d: int, strict: bool) -> Iterator[int]:
@@ -228,10 +233,10 @@ def _min_record(
         elif c == best and len(tied) < 4:
             tied.append(code)
     # Witness sanity: re-counting the first tied codes must reproduce the
-    # count, from their own characters and a memo of their own.
-    recount_memo: dict = {}
+    # count, from their own characters and a table of their own.
+    recount = _Shapes()
     for code in tied:
-        check_witness(code, n, d, k, best, recount_memo)
+        check_witness(code, n, d, k, best, recount)
     return best, tied[0]
 
 
@@ -271,10 +276,10 @@ def search_min_report(
                 "for strictly d-ary hosts with d > 2"
             )
         dp = frontier_mod.ParetoDP(k, d).run(n_max)
-        memo: dict = {}  # rows share the recounts of identical subtree codes
+        recount = _Shapes()  # rows share the recounts of identical subtree texts
         for n in range(n_min, n_max + 1):
             minimum, code = dp.min_count(n), dp.witness(n)
-            check_witness(code, n, d, k, minimum, memo)
+            check_witness(code, n, d, k, minimum, recount)
             minima.append((n, minimum, code))
     else:
         # Sizes with no strictly d-ary tree (n != 1 mod d - 1) are skipped.

@@ -19,27 +19,31 @@ each shape's children, leaf count and code length. Ids are given children
 first, so per-shape results kept by id can be filled in ascending id order;
 the counting routines fill theirs only for the shapes under the tree they
 are asked about, and keep every one of them in that tree's table, so the
-trees of one table share them. Only the call that builds a table appends
-to it.
+trees of one table share them. Only the call that builds a table, or a
+read into it, appends to it.
 
 A :class:`Tree` is a plain (table, id) value: its children are new values
 over the same table. Trees compare, hash and order by code, across tables
 too; in one table equal trees have one id. Code-length ties between
 distinct siblings are broken by their codes, written once per table and
 cached there; ``t.code`` is written afresh on each access, in time linear
-in its length. :func:`parse_tree` reads its text once and memoizes each
-vertex's children as written, so a repeated vertex is not sorted again. The
-builders at the bottom append caterpillars, complete trees and the
-even-split binary tree in canonical order.
+in its length. The builders at the bottom append caterpillars, complete
+trees and the even-split binary tree in canonical order.
+
+A table reads text a character at a time (:meth:`_Shapes.parse`, behind
+:func:`parse_tree`), or keeps in ``texts`` each text it has read and skips
+those in new ones, such as a search's witnesses (:meth:`_Shapes.read`).
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import nullcontext
+from itertools import accumulate
+from operator import indexOf
 from typing import Iterable
 
-from .errors import BudgetError, ParseError, PreconditionError, require_int
+from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
 from .reporting import int_str
 
 __all__ = [
@@ -63,6 +67,10 @@ VERTEX_CAP = 25 * 10**4
 # the most characters parse_tree reads: a tree within both caps above has
 # at most 2 VERTEX_CAP + LEAF_CAP
 TEXT_CAP = 2 * VERTEX_CAP + LEAF_CAP
+# _Shapes.read splits this many times its text's length in characters, then
+# parses; _STEPS holds its depth step of each byte: 1 at "(", -1 at ")", else 0
+_SCAN_MULTIPLE = 4
+_STEPS = bytes(1 if c == 40 else 255 if c == 41 else 0 for c in range(256))
 
 
 class _Shapes:
@@ -73,10 +81,11 @@ class _Shapes:
     length, and ``ids`` maps a children tuple to its id. ``codes`` holds the
     codes written to break ties, by id, and ``results`` the counting
     routines' per-shape results, by id under a key of their own: a k for
-    caterpillar vectors, a pattern's code for copy-count rows.
+    caterpillar vectors, a pattern's code for copy-count rows. ``texts`` maps
+    each text that :meth:`read` has read, exactly as written, to its id.
     """
 
-    __slots__ = ("kids", "leaves", "lengths", "ids", "codes", "results")
+    __slots__ = ("kids", "leaves", "lengths", "ids", "codes", "results", "texts")
 
     def __init__(self):
         self.kids: list[tuple[int, ...]] = [()]
@@ -85,6 +94,7 @@ class _Shapes:
         self.ids = {(): 0}
         self.codes: dict[int, str] = {}
         self.results: dict[int | str, dict[int, tuple | list]] = {}
+        self.texts = {"*": 0}
 
     def add(self, kids: tuple[int, ...]) -> int:
         """The id of the vertex over ``kids``, already in canonical order."""
@@ -118,6 +128,94 @@ class _Shapes:
             if len(set(map(lengths.__getitem__, kids))) < len(set(kids)):
                 kids.sort(key=self._shortlex)
         return self.add(tuple(kids))
+
+    def parse(self, text: str) -> int:
+        """The id of the tree that ``text`` writes, children in any order, read
+        a character at a time; children ids written alike are sorted once.
+        Malformed text raises ParseError with the offset of the fault."""
+        written: dict[tuple[int, ...], int] = {}
+        stack: list[list[int]] = []
+        root = None
+        for i, ch in enumerate(text):
+            if ch == "*":
+                if not stack:
+                    root = 0
+                    break
+                stack[-1].append(0)
+            elif ch == "(":
+                stack.append([])
+            elif ch == ")":
+                if not stack:
+                    raise ParseError("unbalanced ')'", i)
+                kids = stack.pop()
+                u = written.get(key := tuple(kids))
+                if u is None:
+                    if len(kids) < 2:
+                        if kids:
+                            raise ParseError("internal vertex with exactly one child", i)
+                        raise ParseError("internal vertex with no children", i)
+                    u = written[key] = self.vertex(kids)
+                if not stack:
+                    root = u
+                    break
+                stack[-1].append(u)
+            else:
+                raise ParseError(f"unexpected character {ch!r}", i)
+        if root is None:
+            if stack:
+                raise ParseError("unbalanced '(': input ended inside a group", len(text))
+            raise ParseError("empty input", 0)
+        if i + 1 < len(text):
+            raise ParseError("trailing input after a complete tree", i + 1)
+        return root
+
+    def read(self, text: str) -> int:
+        """:meth:`parse`'s id of ``text``, skipping the texts read before: a
+        text is split where its first child ends, and if the rest was read
+        before it is the one other child, else the rest is split where each
+        child ends. Pieces left after :data:`_SCAN_MULTIPLE` times the text's
+        length is split are parsed, so reads are linear. What was read enters
+        ``texts`` once all is; malformed text raises :meth:`parse`'s error."""
+        texts, new, budget = self.texts, {}, _SCAN_MULTIPLE * len(text)
+        if text in texts:
+            return texts[text]
+        steps = memoryview(text.encode("latin-1", "replace").translate(_STEPS)).cast("b")
+        stack: list = [(text, 0)]  # (text, offset), or [text, pieces] of a vertex
+        try:
+            if not (text.startswith("(") and text.endswith(")")):
+                raise ValueError(text)  # each piece split below is a group or a character
+            while stack:
+                sub, a = top = stack.pop()
+                if type(top) is list:  # a vertex whose pieces, a, are read
+                    new[sub] = self.vertex([texts[p] if p in texts else new[p] for p, _ in a])
+                elif sub in texts or sub in new:
+                    continue
+                elif budget <= 0:
+                    new[sub] = self.parse(sub)
+                else:
+                    end, p, piece, pieces = a + len(sub) - 1, a + 1, "*", []
+                    while p < end:
+                        if text.startswith(piece, p, end):  # the piece before, again
+                            q = p + len(piece)
+                        elif text[p] != "(":  # "*", or a fault that its own split meets
+                            piece, q = text[p], p + 1
+                        else:  # a group ends where its steps sum to 0
+                            q = p + 1 + indexOf(accumulate(steps[p:end]), 0)
+                            piece = text[p:q]
+                        budget -= q - p
+                        pieces.append((piece, p))
+                        if p == a + 1 and ((rest := text[q:end]) in texts or rest in new):
+                            pieces.append((rest, q))  # the only other child
+                            break
+                        p = q
+                    if len(pieces) < 2:
+                        raise ValueError(sub)
+                    stack += [[sub, pieces], *pieces]
+        except (ParseError, ValueError):  # indexOf's, where a group stays open
+            self.parse(text)  # raises the ParseError naming the first fault
+            raise ConsistencyError(f"the parser accepts {text!r}, which the code reader refused")
+        texts.update(new)
+        return new[text]
 
     def _shortlex(self, i: int) -> tuple[int, str]:
         code = self.codes.get(i)
@@ -160,14 +258,14 @@ class _Shapes:
         """The ids of shape i and of every shape under it that ``known``
         lacks, ascending, so each after its children. The walk stops at a
         known shape, so memos filled in this order cost only new shapes."""
-        kids = self.kids
-        seen: set[int] = set()
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            if u not in seen and u not in known:
-                seen.add(u)
-                stack += kids[u]
+        if i in known:
+            return []
+        kids, todo, seen = self.kids, [i], {i}
+        for u in todo:
+            for c in kids[u]:
+                if c not in seen and c not in known:
+                    seen.add(c)
+                    todo.append(c)
         return sorted(seen)
 
     def tree(self, i: int) -> Tree:
@@ -261,52 +359,14 @@ def parse_tree(text: str) -> Tree:
     vertex (no children or a single child), with the byte offset of the
     offending character. Text longer than :data:`TEXT_CAP` characters, or
     with more than :data:`VERTEX_CAP` ``(``, is refused with BudgetError
-    before it is read.
-
-    The text is read once into a table of its own. Children written alike
-    are sorted once: each vertex's children ids as written map to its id.
+    before it is read. :meth:`_Shapes.parse` reads it into a table of its own.
     """
     if len(text) > TEXT_CAP:
         raise BudgetError(f"tree text is longer than the cap of {TEXT_CAP} characters")
     if text.count("(") > VERTEX_CAP:
         raise BudgetError(f"tree text would have {text.count('(')} internal vertices, "
                           f"above the cap of {VERTEX_CAP}")
-    table = _Shapes()
-    written: dict[tuple[int, ...], int] = {}
-    stack: list[list[int]] = []
-    root = None
-    for i, ch in enumerate(text):
-        if ch == "*":
-            if not stack:
-                root = 0
-                break
-            stack[-1].append(0)
-        elif ch == "(":
-            stack.append([])
-        elif ch == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", i)
-            kids = stack.pop()
-            u = written.get(key := tuple(kids))
-            if u is None:
-                if len(kids) < 2:
-                    if kids:
-                        raise ParseError("internal vertex with exactly one child", i)
-                    raise ParseError("internal vertex with no children", i)
-                u = written[key] = table.vertex(kids)
-            if not stack:
-                root = u
-                break
-            stack[-1].append(u)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    if root is None:
-        if stack:
-            raise ParseError("unbalanced '(': input ended inside a group", len(text))
-        raise ParseError("empty input", 0)
-    if i + 1 < len(text):
-        raise ParseError("trailing input after a complete tree", i + 1)
-    return Tree(table, root)
+    return (table := _Shapes()).tree(table.parse(text))
 
 
 def read_tree(path: str) -> Tree:

@@ -179,13 +179,13 @@ def test_search_min_range_jsonl(capsys):
 
 
 def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
-    real = counting.caterpillar_counts_of_code
+    real = counting.caterpillar_counts
 
-    def one_too_many(code, k, memo):
-        leaves, outdegree, counts = real(code, k, memo)
-        return leaves, outdegree, counts[:-1] + (counts[-1] + 1,)
+    def one_too_many(t, k):
+        counts = real(t, k)
+        return counts[:-1] + (counts[-1] + 1,)
 
-    monkeypatch.setattr(counting, "caterpillar_counts_of_code", one_too_many)
+    monkeypatch.setattr(counting, "caterpillar_counts", one_too_many)
     code, out, err = run_cli(
         capsys, "search-min", "--d", "2", "--k", "4", "--n-min", "8", "--n-max", "8",
         "--method", "pareto",

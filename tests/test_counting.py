@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -31,8 +32,9 @@ from treedensity import (
     star_copies,
 )
 from treedensity import counting
-from treedensity.counting import caterpillar_counts_of_code
+from treedensity.counting import check_witness
 from treedensity.search import enumerate_trees
+from treedensity.trees import _Shapes
 
 
 def _internal_shapes(t):
@@ -400,7 +402,9 @@ DEEP = 3 * sys.getrecursionlimit()
 def deep_caterpillar(request):
     r = request.param
     host = make_caterpillar(r, DEEP * (r - 1) + 1)
-    _, _, counts = caterpillar_counts_of_code(host.code, 6, {})
+    # the host's code read back into a table of its own
+    table = _Shapes()
+    counts = caterpillar_counts(table.tree(table.read(host.code)), 6)
     return r, host, counts
 
 
@@ -512,7 +516,7 @@ def test_combine_agrees_with_direct_computation():
 
 
 # ---------------------------------------------------------------------------
-# reading counts straight off bracket codes
+# counts of codes read through a table of shapes
 
 
 def _random_code(rnd, n, d):
@@ -526,7 +530,13 @@ def _random_code(rnd, n, d):
     return "(" + "".join(_random_code(rnd, s, d) for s in sizes) + ")"
 
 
-_CODE_MEMOS: dict = {}  # one memo per k, shared across draws
+_CODE_TABLE = _Shapes()  # one table across draws, so reads skip texts read before
+
+
+def _read(table, code):
+    """The id ``table`` reads ``code`` as, and the largest outdegree under it."""
+    i = table.read(code)
+    return i, max((len(table.kids[u]) for u in table.below(i)), default=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -539,19 +549,20 @@ _CODE_MEMOS: dict = {}  # one memo per k, shared across draws
 def test_counts_of_code_match_the_tree(rnd, d, n, k):
     code = _random_code(rnd, n, d)
     t = parse_tree(code)
-    leaves, outdegree, counts = caterpillar_counts_of_code(
-        code, k, _CODE_MEMOS.setdefault(k, {})
-    )
-    assert leaves == t.leaf_count == n
+    i, outdegree = _read(_CODE_TABLE, code)
+    assert _CODE_TABLE.leaves[i] == t.leaf_count == n
+    assert _CODE_TABLE.code(i) == t.code
     assert outdegree == max((u.outdegree for u in _internal_shapes(t)), default=0)
-    assert counts == caterpillar_counts(t, k)
+    assert caterpillar_counts(_CODE_TABLE.tree(i), k) == caterpillar_counts(t, k)
+    check_witness(code, n, d, k, caterpillar_counts(t, k)[-1], _CODE_TABLE)
 
 
 def test_counts_of_code_have_no_depth_limit():
     t = make_caterpillar(2, 1500)
-    assert caterpillar_counts_of_code(t.code, 5, {}) == (
-        1500, 2, caterpillar_counts(t, 5)
-    )
+    table = _Shapes()
+    i, outdegree = _read(table, t.code)
+    assert (table.leaves[i], outdegree) == (1500, 2)
+    assert caterpillar_counts(table.tree(i), 5) == caterpillar_counts(t, 5)
 
 
 def test_deep_caterpillar_counts_are_binomials():
@@ -565,11 +576,21 @@ def test_deep_caterpillar_counts_are_binomials():
 
 
 def test_deep_caterpillar_code_counts_are_binomials():
-    # the code reader is quadratic in depth, so this tree is shallower
-    code = make_caterpillar(2, 1501).code
-    assert caterpillar_counts_of_code(code, 5, {}) == (
-        1501, 2, tuple(comb(1501, j) for j in range(2, 6))
-    )
+    code = make_caterpillar(2, 6001).code
+    table = _Shapes()
+    check_witness(code, 6001, 2, 5, comb(6001, 5), table)
+    counts = caterpillar_counts(table.tree(table.read(code)), 5)
+    assert counts == tuple(comb(6001, j) for j in range(2, 6))
+
+
+def test_witness_check_reads_a_deep_code_in_linear_time():
+    # each vertex of a caterpillar's code holds the rest of it, so a reader
+    # that rescans every vertex's text is quadratic: about 30 minutes here
+    n = 100_001
+    code = make_caterpillar(2, n).code
+    start = time.perf_counter()
+    check_witness(code, n, 2, 4, comb(n, 4), _Shapes())
+    assert time.perf_counter() - start < 30
 
 
 @pytest.mark.parametrize(
@@ -580,11 +601,11 @@ def test_deep_caterpillar_code_counts_are_binomials():
 def test_counts_of_malformed_code_name_the_offset(code):
     with pytest.raises(ParseError) as expected:
         parse_tree(code)
-    memo = {}
+    table = _Shapes()
     with pytest.raises(ParseError) as exc:
-        caterpillar_counts_of_code(code, 4, memo)
+        table.read(code)
     assert type(exc.value) is type(expected.value)
     assert exc.value.offset == expected.value.offset
     assert str(exc.value) == str(expected.value)
-    # nothing from a malformed code enters the memo
-    assert set(memo) == {"*"}
+    # nothing from a malformed code enters the table's texts
+    assert table.texts == {"*": 0}

@@ -28,7 +28,6 @@ from treedensity import (
     verify_even_conjecture,
     verify_monotone_min,
 )
-from treedensity.counting import caterpillar_counts_of_code
 from treedensity import errors
 from treedensity.errors import require_int
 
@@ -96,8 +95,6 @@ _INTEGER_CHECKS = [
     _case("combine_caterpillar_counts-k",
           lambda: combine_caterpillar_counts([(1, ()), (1, ())], 1),
           "caterpillar size must be an integer >= 2, got 1"),
-    _case("caterpillar_counts_of_code-k", lambda: caterpillar_counts_of_code("*", "3", {}),
-          "caterpillar size must be an integer >= 2, got '3'"),
     _case("brute_copy_profile-k", lambda: brute_copy_profile(leaf(), 0),
           "subset size must be an integer >= 1, got 0"),
     _case("eval_F-k", lambda: eval_F(2, 1.5, (1, 0)),

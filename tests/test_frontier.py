@@ -23,6 +23,7 @@ from treedensity import (
 from treedensity import counting, frontier
 from treedensity.cli import main as cli_main
 from treedensity.frontier import _partitions_into_parts, pareto_minimal
+from treedensity.trees import _Shapes
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +370,9 @@ def test_a_code_reader_fault_on_a_witness_exits_1(monkeypatch, capsys):
     # the reader refusing a code that parse_tree accepts is a bug in the
     # package, not a bad witness, so it is a consistency failure
     malformed = "((**)(*(**))"
-    monkeypatch.setattr(counting, "parse_tree", lambda code: None)
+    monkeypatch.setattr(_Shapes, "parse", lambda self, text: 0)
     with pytest.raises(ConsistencyError) as exc:
-        counting.check_witness(malformed, 5, 2, 4, 2, {})
+        counting.check_witness(malformed, 5, 2, 4, 2, _Shapes())
     assert "which the code reader refused" in str(exc.value)
     monkeypatch.setattr(ParetoDP, "witness", lambda self, n: malformed)
     assert cli_main(["search-min", "--d", "2", "--k", "4", "--n-min", "5", "--n-max", "5"]) == 1

@@ -27,6 +27,7 @@ from treedensity import (
 from treedensity import search, trees
 from treedensity.counting import check_witness
 from treedensity.search import _even_split_counts
+from treedensity.trees import _Shapes
 
 # minimum k-caterpillar counts among binary hosts, from an independent
 # brute-force prototype over full enumerations
@@ -98,6 +99,25 @@ def test_strict_counts_walk_only_the_sizes_strict_trees_have():
     assert count_trees(97, 7, strict=True) == _independent_count(97, 7, True) == 233547
     assert count_trees(100, 7, strict=True) == 0
     assert time.perf_counter() - start < 1
+
+
+def test_strict_counts_and_levels_match_independent_ones():
+    for d in range(2, 7):
+        for n in range(1, 60):
+            assert count_trees(n, d, strict=True) == _independent_count(n, d, True), (d, n)
+    for d in (2, 3, 4):
+        for n in range(1, 14, d - 1):
+            strict = [t.code for t in enumerate_trees(n, d) if is_strictly_d_ary(t, d)]
+            assert [t.code for t in enumerate_trees(n, d, strict=True)] == strict, (d, n)
+
+
+def test_a_strict_star_counts_at_once():
+    # a root of d leaves once took lists of d - 2 ones to split: 0.20 s and
+    # 27 MiB at d = 10^6 + 1
+    start = time.perf_counter()
+    assert count_trees(10**6 + 1, 10**6 + 1, strict=True) == 1
+    assert count_trees(10**18 + 1, 10**18 + 1, strict=True) == 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_enumerate_small_levels():
@@ -376,9 +396,9 @@ def test_even_split_recurrence_matches_the_even_tree():
     ],
 )
 def test_witness_check_rejects(code, fault):
-    check_witness("((**)(*(**)))", 5, 2, 4, 2, {})
+    check_witness("((**)(*(**)))", 5, 2, 4, 2, _Shapes())
     with pytest.raises(ConsistencyError) as exc:
-        check_witness(code, 5, 2, 4, 3, {})
+        check_witness(code, 5, 2, 4, 3, _Shapes())
     assert str(exc.value) == f"4-caterpillar count of witness {code}: {fault}"
 
 

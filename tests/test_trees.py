@@ -25,7 +25,6 @@ from treedensity import (
     node,
     parse_tree,
 )
-from treedensity.counting import caterpillar_counts_of_code
 from treedensity.search import enumerate_trees
 from treedensity import trees
 
@@ -334,11 +333,13 @@ def test_arity_predicates_match_enumeration_and_the_code_reader():
             strict = set(enumerate_trees(n, d, strict=True)) if (n - 1) % (d - 1) == 0 else set()
             assert {t for t in level if is_strictly_d_ary(t, d)} == strict
             hosts.extend(level)
-    memo: dict = {}
-    widest = [(t, caterpillar_counts_of_code(t.code, 3, memo)[1]) for t in hosts]
-    # the code reader is quadratic in depth (about 10 s here), so the deep
-    # caterpillar's outdegree is the one it is built with
-    widest.append((make_caterpillar(3, 2 * 10**4 + 1), 3))
+    hosts.append(make_caterpillar(3, 2 * 10**4 + 1))
+    table = trees._Shapes()  # one table, so reads skip the texts read before
+    widest = []
+    for t in hosts:
+        i = table.read(t.code)
+        widest.append((t, max((len(table.kids[u]) for u in table.below(i)), default=0)))
+    assert widest[-1][1] == 3
     for t, top in widest:
         for e in range(2, 6):
             assert is_d_ary(t, e) == (top <= e), (t.leaf_count, e)
