@@ -609,3 +609,28 @@ def test_counts_of_malformed_code_name_the_offset(code):
     assert str(exc.value) == str(expected.value)
     # nothing from a malformed code enters the table's texts
     assert table.texts == {"*": 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=2, max_value=30),
+    st.sampled_from(["(", ")", "*", "x", ""]),
+)
+def test_reads_of_mutated_codes_agree_with_the_parser(rnd, n, ch):
+    # one character of a random code replaced (or dropped, for ""), read in
+    # the shared table, where some of its pieces were read before
+    code = _random_code(rnd, n, 4)
+    j = rnd.randrange(len(code))
+    text = code[:j] + ch + code[j + 1 :]
+    try:
+        expected = parse_tree(text).code
+    except ParseError as err:
+        expected = (str(err), err.offset)
+    before = dict(_CODE_TABLE.texts)
+    try:
+        found = _CODE_TABLE.code(_CODE_TABLE.read(text))
+    except ParseError as err:
+        found = (str(err), err.offset)
+        assert _CODE_TABLE.texts == before
+    assert found == expected
