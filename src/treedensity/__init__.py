@@ -33,8 +33,9 @@ _HOME = {
         ("search", "count_trees enumerate_trees enumerate_report search_min_report"
                    " verify_even_conjecture verify_monotone_min"),
         ("simplex", "simplex_point eval_F MinimizeResult minimize_F sup_boundary_scan"
-                    " uniform_min_value majorization_pair muirhead_check simplex_min_report"
-                    " simplex_sup_report simplex_bound_sample_report simplex_muirhead_report"),
+                    " uniform_min_value majorization_pair muirhead_check bound_certificate"
+                    " simplex_min_report simplex_certify_report simplex_sup_report"
+                    " simplex_bound_sample_report simplex_muirhead_report"),
         ("trees", "Tree leaf node parse_tree read_tree is_d_ary is_strictly_d_ary"
                   " make_caterpillar make_complete make_even_binary"),
     )

@@ -1,8 +1,8 @@
 """The body of :func:`treedensity.simplex.minimize_F`, in mpmath arithmetic.
 
 The package's one import of mpmath, and a leaf: it imports nothing from the
-package, and ``minimize_F`` imports it on first use, so the exact commands
-run without it. The arithmetic runs on raw mpf tuples (``x._mpf_``). Each
+package, and ``minimize_F`` imports it on first use, so every command runs
+without it. The arithmetic runs on raw mpf tuples (``x._mpf_``). Each
 step is the libmp call that mpf's own operator makes, with the same operands
 in the same order and at the working precision, so the values are those of
 the plain mpf expressions in the comments, bit for bit, without the cost of

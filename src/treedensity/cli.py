@@ -8,8 +8,8 @@ One executable, ``treedensity``, with a subcommand per task:
 * ``search-min``: minimum caterpillar count/density per leaf count.
 * ``conjecture``: even-split binary tree vs the exact minimum.
 * ``monotone``: minimum density nondecreasing and below its limit.
-* ``simplex``: bounds, minimization and majorization checks for the
-  simplex functional.
+* ``simplex``: bounds, the exact minimum, its certificate and
+  majorization checks for the simplex functional.
 
 This module only wires arguments: it builds the trees named by the tree
 flags and passes them and the other arguments to the library function that
@@ -102,12 +102,12 @@ def _count(a):
 
 
 _SIMPLEX_MODES = {
-    "min": lambda s, a: s.simplex_min_report(a.d, a.k, starts=a.starts, budget=a.budget,
-                                             seed=a.seed),
+    "min": lambda s, a: s.simplex_min_report(a.d, a.k),
     "sup": lambda s, a: s.simplex_sup_report(a.d, a.k, a.eps_steps),
     "bound-sample": lambda s, a: s.simplex_bound_sample_report(a.d, a.k, samples=a.samples,
                                                                seed=a.seed),
     "muirhead": lambda s, a: s.simplex_muirhead_report(a.d, a.k, samples=a.samples, seed=a.seed),
+    "certify": lambda s, a: s.simplex_certify_report(a.d, a.k),
 }
 
 _METHODS = ("auto", "exhaustive", "pareto")
@@ -150,8 +150,8 @@ def _simplex_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--eps-steps", type=int, default=20)
-    p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--starts", type=int, help="accepted and ignored: min is exact")
+    p.add_argument("--budget", type=int, help="accepted and ignored: min is exact")
 
 
 # name -> (help line, required integer flags, other arguments, report builder),

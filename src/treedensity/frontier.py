@@ -54,7 +54,9 @@ __all__ = [
 # candidate vector of every level it builds, a candidate of m parts weighing
 # m - 1, the additions it costs a column, so a binary one weighs 1. At d = 2
 # (k > 3) only k - 3 columns are stored, so the count is one column high
-# there: conservative
+# there: conservative. A run that builds level 1 is also held to it by the
+# entries of its k - 2 column and share lists, which a run of few levels
+# and a huge k would otherwise allocate unpriced
 CANDIDATE_CAP = 2 * 10**7
 
 
@@ -296,7 +298,9 @@ class ParetoDP:
         """Build levels up to n_max. Before the first new level, the run is
         refused with BudgetError when its levels' candidate vectors, each
         weighted by its parts less one, times the k - 2 columns of each
-        exceed :data:`CANDIDATE_CAP`."""
+        exceed :data:`CANDIDATE_CAP`, and, before level 1 is built, when its
+        k - 2 column lists and k - 2 share lists of up to n_max + 1 entries
+        each do."""
         require_int(n_max, 1, "n_max")
         first = max(self.max_n(), 1) + 1  # level 1 has no candidates
         if first <= n_max:
@@ -310,6 +314,14 @@ class ParetoDP:
                     f"above the cap of {CANDIDATE_CAP}"
                 )
         if self.max_n() == 0:
+            # a run with few levels and a huge k passes the check above
+            entries = 2 * (self.k - 2) * (n_max + 1)
+            if entries > CANDIDATE_CAP:
+                raise BudgetError(
+                    f"levels 1..{n_max} at d={self.d}, k={self.k} store up to "
+                    f"{int_str(entries)} entries (2 (k - 2) lists of n_max + 1), "
+                    f"above the cap of {CANDIDATE_CAP}"
+                )
             stored = range(self._lo, self.k + 1)
             self._cols = [[0] for _ in stored]
             self._shares = [[0] for _ in stored]  # f_1

@@ -7,13 +7,15 @@ the functional of interest is
 
 It is the limiting object behind caterpillar densities: the numerator tracks
 splits that pair one leaf against a (k-1)-block, the denominator renormalizes
-by everything that is not concentrated in a single coordinate. Facts this
-module lets you verify numerically: F never exceeds 1/k on the simplex, and
-the minimum sits at the uniform point with value (d - 1) / (d^(k-1) - 1).
-For k = 3, F equals eps (1 - eps) / (3 eps (1 - eps)) = 1/3 at every boundary
-point (0, ..., 0, eps, 1 - eps), for every d, so the supremum is attained
-there; for d = 2 the functional is identically 1/3. For k >= 4 the supremum
-1/k is approached, never attained, along those points as eps shrinks.
+by everything that is not concentrated in a single coordinate. F never
+exceeds 1/k on the simplex, and its minimum sits at the uniform point with
+value m = (d - 1) / (d^(k-1) - 1): :func:`bound_certificate` proves both
+bounds for one (d, k) exactly, by Muirhead's inequality, and
+``simplex_min_report`` reports that minimum from it. For k = 3, F equals
+eps (1 - eps) / (3 eps (1 - eps)) = 1/3 at every boundary point
+(0, ..., 0, eps, 1 - eps), for every d, so the supremum is attained there;
+for d = 2 the functional is identically 1/3. For k >= 4 the supremum 1/k is
+approached, never attained, along those points as eps shrinks.
 
 Every simplex input is read exactly with ``Fraction(x)``: ints, Fractions
 and floats at their exact values, and a point must sum to exactly 1; a value
@@ -25,15 +27,16 @@ denominator gives the same value, and ``_F_int`` computes F's numerator and
 denominator at integer weights: ``bound-sample`` evaluates its integer draws
 that way and checks the bounds by cross-multiplying, building one Fraction
 per sample, for its value. A Muirhead comparison scales its values to
-integers, since its two sides are homogeneous of one degree. ``minimize_F``
-uses a seeded multi-start Nelder-Mead at 128-bit precision (a log barrier
-keeps iterates interior, then a barrier-free polish removes its bias).
-Muirhead-style majorization comparisons live here too, as do the functions
-that build the reports of the ``simplex`` command's four modes.
+integers, since its two sides are homogeneous of one degree. The library's
+``minimize_F`` is an independent numeric check of the minimum: a seeded
+multi-start Nelder-Mead at 128-bit precision (a log barrier keeps iterates
+interior, then a barrier-free polish removes its bias). Muirhead-style
+majorization comparisons live here too, as do the functions that build the
+reports of the ``simplex`` command's five modes.
 
-mpmath is loaded only by ``minimize_F`` (``simplex --mode min``): its body
-lives in the private leaf module ``_realmode``, imported on first use, so the
-exact modes run without it.
+mpmath is loaded only by ``minimize_F``, which no command calls: its body
+lives in the private leaf module ``_realmode``, imported on first use, so
+every command runs without it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, repeat
+from itertools import groupby, permutations, repeat
 from math import comb, factorial, gcd, lcm, perm
 from operator import lt, mul, sub
 from typing import Iterable, Sequence
@@ -58,7 +61,9 @@ __all__ = [
     "uniform_min_value",
     "majorization_pair",
     "muirhead_check",
+    "bound_certificate",
     "simplex_min_report",
+    "simplex_certify_report",
     "simplex_sup_report",
     "simplex_bound_sample_report",
     "simplex_muirhead_report",
@@ -87,6 +92,14 @@ MIN_WORK_CAP = 65 * 10**5
 # much as 10 d terms of 3000 units. Near the cap the command took 2.2 s at
 # (d, k) = (2, 3), 1.5 s at (2, 90), 1.4 s at (3, 55) and 1.0 s at (5, 10)
 MUIRHEAD_WORK_CAP = 3 * 10**9
+# the most work a certificate does, (rows + d) ((k bit_length(d))^2 / 1000
+# + 4000): a row's multinomial, weight and cells have up to k bit_length(d)
+# bits, and forming and printing them costs about their square; below a few
+# thousand bits a row costs about as much as 4000 units. The d coordinates
+# of the min report's uniform point count as rows. Near the cap the command
+# took 1.9 s at (d, k) = (2, 5000), 1.3 s at (3, 560), 0.9 s at (10, 45),
+# and the min report 0.5 s at (70000, 3)
+CERTIFY_WORK_CAP = 3 * 10**8
 
 
 def _exact(values: Iterable, what: str) -> tuple[Fraction, ...]:
@@ -269,6 +282,190 @@ def simplex_bound_sample_report(
     )
 
 
+# -- the minimum, exactly -----------------------------------------------------
+
+
+def _partitions(k: int, d: int):
+    """The partitions of k into at most d parts, each a list of parts in
+    descending order, in reverse lexicographic order: (k), (k - 1, 1), ...
+    One list is reused from step to step, so a caller copies what it keeps.
+    """
+    parts = [k]
+    while True:
+        yield parts
+        # the rightmost part that can drop by one while the parts from it on,
+        # refilled greedily with parts no larger, still fit in d parts
+        rest, i = 0, len(parts)
+        while i:
+            i -= 1
+            rest += parts[i]
+            top = parts[i] - 1
+            if top and (d - i) * top >= rest:
+                break
+        else:
+            return
+        del parts[i:]
+        q, r = divmod(rest, top)
+        parts.extend([top] * q)
+        if r:
+            parts.append(r)
+
+
+def _require_certificate_budget(d: int, k: int) -> None:
+    """Refuse a certificate whose rows and uniform point would cost more
+    than :data:`CERTIFY_WORK_CAP`, before any partition is formed.
+
+    The rows number at least k // 2 - 1, the partitions into two parts, so
+    a k of thousands of digits is refused on that bound alone. Otherwise the
+    partitions into at most j parts are counted for j = 1, 2, ..., min(d, k),
+    each count a lower bound on the next, and counting stops once one
+    settles the refusal.
+    """
+    unit = (k * d.bit_length()) ** 2 // 1000 + 4000
+    rows = k // 2 - 1
+    if (rows + d) * unit <= CERTIFY_WORK_CAP:
+        # counts[n]: the partitions of n into parts of at most j, which are
+        # as many as those into at most j parts
+        counts = [1] + [0] * k
+        for j in range(1, min(d, k) + 1):
+            for n in range(j, k + 1):
+                counts[n] += counts[n - j]
+            rows = counts[k] - 2
+            if (rows + d) * unit > CERTIFY_WORK_CAP:
+                break
+        else:
+            return
+    raise BudgetError(
+        f"the certificate at d={d}, k={k} needs at least {int_str((rows + d) * unit)} "
+        f"work units ((rows + d) * ((k * bit_length(d))^2 / 1000 + 4000)), above the cap of "
+        f"{CERTIFY_WORK_CAP}"
+    )
+
+
+def _majorizes(a: Sequence[int], b: Sequence[int]) -> bool:
+    try:
+        majorization_pair(a, b)
+    except PreconditionError:
+        return False
+    return True
+
+
+def bound_certificate(d: int, k: int) -> tuple[list[tuple], bool]:
+    """Exact certificate that m <= F <= 1/k on the simplex, m being
+    :func:`uniform_min_value`, and its verdict.
+
+    With p_j the power sums, F = N / D for N = p_1 p_(k-1) - p_k and
+    D = p_1^k - p_k. Expanded in the monomial symmetric polynomials m_mu,
+    N = m_(k-1,1) and D is the sum of multinomial(k, mu) m_mu over the
+    partitions mu != (k) of k into at most d parts. With r_mu the number
+    of terms of m_mu, M_mu = m_mu / r_mu and w_mu = m multinomial(k, mu) r_mu,
+
+        N - m D = sum of w_mu (M_(k-1,1) - M_mu), over mu not (k), (k-1, 1),
+
+    because the weights sum to r_(k-1,1) (1 - k m), which, given that the
+    multinomial(k, mu) r_mu add up to d^k over all mu, is the definition of
+    m. (k - 1, 1) majorizes every such mu, so by Muirhead's inequality each
+    term, and so F - m, is >= 0; D - k N >= 0 holds term by term.
+
+    One row (partition, multinomial(k, mu), r_mu, w_mu, holds) per such mu,
+    in reverse lexicographic order, where holds means w_mu > 0 and
+    :func:`majorization_pair` accepts ((k - 1, 1), mu), zero-padded. A last
+    row for (k - 1, 1) holds r_(k-1,1) (1 - k m) as its weight, and holds
+    when the weights sum to it and the multinomial(k, mu) r_mu sum to d^k,
+    so no verdict rests on zero checks, not even at (2, 3), where no other
+    partition is left. r_mu is C(d, len mu) len(mu)! over the factorials of
+    the parts' multiplicities, and no factorial of d is formed. The
+    argument holds for every d >= 2 and k >= 3, so a false verdict is a
+    fault in this code. More than :data:`CERTIFY_WORK_CAP` work units,
+    (rows + d) ((k bit_length(d))^2 / 1000 + 4000), is refused with
+    BudgetError before any partition is formed.
+    """
+    require_int(d, 2, "arity bound")
+    require_int(k, 3, "caterpillar size")
+    _require_certificate_budget(d, k)
+    m = uniform_min_value(d, k)
+    # total sums multinomial(k, mu) r_mu over every mu, inner over the rows'
+    # mu, so the rows' weights sum to m * inner
+    rows, total, inner = [], 0, 0
+    for mu in _partitions(k, d):
+        multinomial, left = 1, k
+        for part in mu:
+            multinomial *= comb(left, part)
+            left -= part
+        repeats = 1
+        for _, group in groupby(mu):
+            repeats *= factorial(len(list(group)))
+        r = comb(d, len(mu)) * factorial(len(mu)) // repeats
+        total += multinomial * r
+        if mu[0] < k - 1:
+            inner += multinomial * r
+            w = m * (multinomial * r)
+            top = (k - 1, 1, *repeat(0, len(mu) - 2))
+            rows.append((";".join(map(str, mu)), multinomial, r, w, w > 0 and _majorizes(top, mu)))
+    r_top = d * (d - 1)
+    target = r_top * (1 - k * m)
+    rows.append((f"{k - 1};1", k, r_top, target, m * inner == target and total == d**k))
+    return rows, all(row[-1] for row in rows)
+
+
+def simplex_certify_report(d: int, k: int) -> SearchReport:
+    """:func:`bound_certificate` as a report, one row per partition."""
+    rows, holds = bound_certificate(d, k)
+    return SearchReport(
+        mode="simplex-certify",
+        params={"d": d, "k": k, "m": fraction_str(uniform_min_value(d, k))},
+        columns=("partition", "multinomial", "r", "w", "holds"),
+        rows=rows,
+        all_ok=holds,
+    )
+
+
+def _tangent_gap(a: Sequence[int], scale: int, k: int) -> Fraction:
+    """max over i, j of |dF/dx_i - dF/dx_j| at the point (a_i / scale), for
+    nonnegative ints a_i summing to ``scale``, off the corners: F's
+    derivative along the tangent direction e_i - e_j, which vanishes in
+    every such direction exactly at a stationary point of F on the simplex.
+
+    With N = sum_{i != j} x_i x_j^(k-1) and D = 1 - sum x_i^k,
+    dN/dx_i = p_(k-1) + (k - 1) x_i^(k-2) p_1 - k x_i^(k-1) and
+    dD/dx_i = -k x_i^(k-1); at x = a / scale both carry scale^-(k-1), N and
+    D scale^-k, so dF/dx_i = scale (N_i D - N D_i) / D^2 in the integer
+    parts of :func:`_F_int`.
+    """
+    lower = [ai ** (k - 2) for ai in a]
+    powers = list(map(mul, lower, a))
+    num, den = _F_int(a, scale, k)
+    p = sum(powers)
+    g = [(p + (k - 1) * low * scale - k * pw) * den + k * pw * num
+         for low, pw in zip(lower, powers)]
+    return Fraction(scale * (max(g) - min(g)), den * den)
+
+
+def simplex_min_report(d: int, k: int) -> SearchReport:
+    """The minimum of F on the simplex, exactly, as a one-row report.
+
+    The row holds the uniform point, F there, the tangent-derivative gap
+    of :func:`_tangent_gap` at it and the verdict, each number rendered
+    through its float. The verdict holds when :func:`bound_certificate`
+    does, :func:`eval_F` at the uniform point equals
+    ``uniform_min_value(d, k)`` and the gap is 0. The certificate's cap
+    prices the point's d coordinates too.
+    """
+    _, holds = bound_certificate(d, k)
+    m = uniform_min_value(d, k)
+    value = eval_F(d, k, repeat(Fraction(1, d), d))
+    gap = _tangent_gap([1] * d, d, k)
+    ok = holds and value == m and gap == 0
+    point = ";".join(repeat(decimal_str(float(Fraction(1, d))), d))
+    return SearchReport(
+        mode="simplex-min",
+        params={"d": d, "k": k, "m": fraction_str(m)},
+        columns=("d", "k", "point", "value", "stationarity", "converged"),
+        rows=[(d, k, point, decimal_str(float(value)), f"{float(gap):.3e}", ok)],
+        all_ok=ok,
+    )
+
+
 # -- numerical minimization ---------------------------------------------------
 
 
@@ -323,22 +520,6 @@ def minimize_F(
     from . import _realmode
     coords, value, resid, evaluations, converged = _realmode.minimize(d, k, starts, budget, seed)
     return MinimizeResult(coords, value, resid, evaluations, converged)
-
-
-def simplex_min_report(
-    d: int, k: int, *, starts: int = 8, budget: int = 100_000, seed: int = 0
-) -> SearchReport:
-    """:func:`minimize_F` as a one-row report; the verdict is ``converged``."""
-    res = minimize_F(d, k, starts=starts, budget=budget, seed=seed)
-    point = ";".join(decimal_str(float(c)) for c in res.point)
-    value, resid = decimal_str(float(res.value)), f"{float(res.stationarity):.3e}"
-    return SearchReport(
-        mode="simplex-min",
-        params={"d": d, "k": k, "seed": seed, "starts": starts},
-        columns=("d", "k", "point", "value", "stationarity", "converged"),
-        rows=[(d, k, point, value, resid, res.converged)],
-        all_ok=res.converged,
-    )
 
 
 # -- majorization -------------------------------------------------------------

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -428,6 +429,7 @@ def test_simplex_bound_sample(capsys):
         ("muirhead", "3", "-1", "caterpillar size"),
         ("sup", "1", "4", "arity bound"),
         ("min", "1", "3", "arity bound"),
+        ("certify", "1", "3", "arity bound"),
         ("bound-sample", "1", "3", "arity bound"),
     ],
 )
@@ -448,6 +450,10 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
     assert proc.stdout == ""
     value = d if wrong == "arity bound" else k
     assert proc.stderr == f"error: {wrong} must be an integer >= 2, got {value}\n"
+
+
+def _zeros(n):
+    return "1" + "0" * n
 
 
 @pytest.mark.parametrize(
@@ -486,22 +492,23 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
         # it is read
         (("count", "--pattern", "(**)", "--tree", "(*" * 250000 + "(**)" + ")" * 250000),
          "tree text would have 250001 internal vertices, above the cap of 250000"),
-        # a start costs about 15 ms at d = 3
-        (("simplex", "--mode", "min", "--d", "3", "--k", "4",
-          "--starts", "1000000", "--budget", "1000000000000"),
-         "--budget 1000000000000 at d=3 needs up to 14000000000084 terms "
-         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
-        # one evaluation sums C(400, 2) pair terms
-        (("simplex", "--mode", "min", "--d", "400", "--k", "3",
-          "--starts", "1", "--budget", "100000"),
-         "--budget 100000 at d=400 needs up to 20821996800 terms "
-         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
-        # 3 terms an evaluation, but its bookkeeping costs as much as 8:
-        # 2 * 10^6 evaluations took 63 s
-        (("simplex", "--mode", "min", "--d", "2", "--k", "4",
-          "--starts", "100000", "--budget", "1999998"),
-         "--budget 1999998 at d=2 needs up to 22000000 terms "
-         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
+        # about 53,000 partitions of 800 into at most 3 parts, of 1,600 bits each
+        (("simplex", "--mode", "certify", "--d", "3", "--k", "800"),
+         "the certificate at d=3, k=800 needs at least 352501600 work units "
+         "((rows + d) * ((k * bit_length(d))^2 / 1000 + 4000)), above the cap of 300000000"),
+        # 2,999 rows, but each has 12,000 bits
+        (("simplex", "--mode", "certify", "--d", "2", "--k", "6000"),
+         "the certificate at d=2, k=6000 needs at least 444148000 work units "
+         "((rows + d) * ((k * bit_length(d))^2 / 1000 + 4000)), above the cap of 300000000"),
+        # one row, but the uniform point has 10^5 coordinates
+        (("simplex", "--mode", "min", "--d", "100000", "--k", "3"),
+         "the certificate at d=100000, k=3 needs at least 400200000 work units "
+         "((rows + d) * ((k * bit_length(d))^2 / 1000 + 4000)), above the cap of 300000000"),
+        # refused on the rows of two parts, none counted: 10^4400 and more
+        (("simplex", "--mode", "certify", "--d", "3", "--k", _zeros(2200)),
+         f"the certificate at d=3, k={10**2200} needs at least "
+         f"{Decimal((10**2200 // 2 + 2) * ((2 * 10**2200) ** 2 // 1000 + 4000))} work units "
+         "((rows + d) * ((k * bit_length(d))^2 / 1000 + 4000)), above the cap of 300000000"),
         # each coordinate's draw and cell cost as much as k^2 = 5000 units
         (("simplex", "--mode", "bound-sample", "--d", "100000000", "--k", "3", "--samples", "1"),
          "--samples 1 at d=100000000, k=3 needs 500900000000 work units "
@@ -587,7 +594,8 @@ def test_simplex_refuses_too_small_d_or_k(mode, d, k, wrong):
     ids=[
         "muirhead-terms", "muirhead-draws", "muirhead-work", "muirhead-factors",
         "tree-even-leaves", "tree-caterpillar-spine", "tree-caterpillar-leaves",
-        "tree-text-depth", "min-budget", "min-arity", "min-bookkeeping", "bound-sample-arity",
+        "tree-text-depth", "certify-rows", "certify-bits", "min-point", "certify-huge-k",
+        "bound-sample-arity",
         "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "limits-bits",
         "conjecture-run", "search-min-run", "monotone-run", "complete-height",
         "complete-height-10", "complete-arity", "complete-24", "brute-unbuilt",
@@ -603,10 +611,6 @@ def test_work_over_a_cap_is_refused_before_it_starts(capsys, argv, message):
     assert (code, out, err) == (3, "", f"refused: {message}\n")
 
 
-def _zeros(n):
-    return "1" + "0" * n
-
-
 @pytest.mark.parametrize(
     "argv",
     # each refusal names an amount of more than 4300 digits, which str()
@@ -616,12 +620,13 @@ def _zeros(n):
      ("limits", "--d", "2", "--k", _zeros(2200)),
      ("simplex", "--d", "2", "--k", _zeros(2200), "--mode", "sup"),
      ("simplex", "--d", "3", "--k", _zeros(2200), "--mode", "bound-sample", "--samples", "1"),
-     ("simplex", "--d", "3", "--k", "4", "--mode", "min", "--budget", "9" * 4300),
+     ("simplex", "--d", "3", "--k", _zeros(2200), "--mode", "min"),
+     ("simplex", "--d", _zeros(2200), "--k", "3", "--mode", "certify"),
      ("simplex", "--d", _zeros(1500), "--k", "4", "--mode", "muirhead", "--samples", "1"),
      ("count", "--pattern", "(**)", "--tree-complete", "2,20000"),
      ("count", "--brute", "--pattern-complete", "2,12", "--tree-even", "100000")],
-    ids=["search-min", "monotone", "limits", "sup", "bound-sample", "min", "muirhead",
-         "complete", "brute"],
+    ids=["search-min", "monotone", "limits", "sup", "bound-sample", "min-k", "certify-d",
+         "muirhead", "complete", "brute"],
 )
 def test_a_refusal_of_a_huge_amount_does_not_raise(capsys, argv):
     start = time.perf_counter()
@@ -658,9 +663,9 @@ def test_values_of_over_4300_digits_are_reported(capsys, argv, fmt):
 
 
 def test_exact_commands_run_without_mpmath():
-    # a child process, since this one has loaded mpmath already: only
-    # simplex --mode min, of all the commands, needs it. The import loads no
-    # library module, and each command adds only the modules its report
+    # a child process, since this one has loaded mpmath already: no command
+    # needs it, simplex --mode min included, which is exact. The import loads
+    # no library module, and each command adds only the modules its report
     # needs; in this order each command's additions are exact
     script = """
 import json, os, sys
@@ -673,24 +678,23 @@ exact = [
     "conjecture --k 4 --n-max 10", "monotone --d 2 --k 4 --n-max 10",
     "simplex --d 3 --k 4 --mode bound-sample --samples 5",
     "simplex --d 3 --k 4 --mode muirhead --samples 5",
+    "simplex --d 3 --k 4 --mode min --starts 2 --budget 400",
+    "simplex --d 3 --k 4 --mode certify",
 ]
 added, codes = [sorted(loaded())], []
 for line in exact:
     known = loaded()
     codes.append(cli.main(line.split() + ["--output", os.devnull]))
     added.append(sorted(loaded() - known))
-before = "mpmath" in sys.modules
-line = "simplex --d 3 --k 4 --mode min --starts 2 --budget 400"
-codes.append(cli.main(line.split() + ["--output", os.devnull]))
-print(json.dumps([codes, before, "mpmath" in sys.modules, added]))
+print(json.dumps([codes, "mpmath" in sys.modules, added]))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, before, after, added = json.loads(proc.stdout)
-    assert [codes, before, after] == [[0] * 11, False, True]
+    codes, loaded_mpmath, added = json.loads(proc.stdout)
+    assert [codes, loaded_mpmath] == [[0] * 12, False]
     td = "treedensity."
     assert added == [
         ["treedensity", td + "cli", td + "errors"],  # import treedensity.cli
@@ -698,7 +702,7 @@ print(json.dumps([codes, before, "mpmath" in sys.modules, added]))
         [td + "formulas", td + "trees"],  # limits
         [td + "counting"],  # count
         [td + "frontier", td + "search"],  # search-min
-    ] + [[]] * 6
+    ] + [[]] * 8
 
 
 def test_commands_outside_simplex_load_no_dataclasses():

@@ -2,6 +2,7 @@
 refusals."""
 
 import json
+import time
 import tracemalloc
 from itertools import combinations_with_replacement
 from math import comb
@@ -402,4 +403,26 @@ def test_a_dp_builds_its_columns_after_the_budget_check():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert dp.max_n() == 0
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
+    # one candidate at level 2 passes the candidate check at any k, but the
+    # k - 2 column and share lists would take about 7 GB at k = 2 * 10^7
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        dp = ParetoDP(10**7, 2)
+        with pytest.raises(BudgetError) as exc:
+            dp.run(n_max)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2**20
+    assert str(exc.value) == (
+        f"levels 1..{n_max} at d=2, k=10000000 store up to {2 * 9999998 * (n_max + 1)} "
+        "entries (2 (k - 2) lists of n_max + 1), above the cap of 20000000"
+    )
     assert dp.max_n() == 0

@@ -126,13 +126,13 @@ DIGESTS = {
     "monotone --d 2 --k 3 --n-max 5 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
     "simplex --help":
-        "45ce56c5b72fa089fb096cb7f1a00edc78cf2684c44a6a65eb971e3287ef8315",
+        "589dbfe1968f4ffed8095c3752ac9e689ee2f699cb27b8b76ef106e18305f171",
     "simplex":
-        "451db52fc93fc134624e3a0e6027d930a60bd5eb2ed784b24349a799282a40af",
+        "f3c5ada8cbd03a349fe4188c179269a71e2ad23e083bf4ceda515f8a9979de2f",
     "simplex --bogus":
-        "451db52fc93fc134624e3a0e6027d930a60bd5eb2ed784b24349a799282a40af",
+        "f3c5ada8cbd03a349fe4188c179269a71e2ad23e083bf4ceda515f8a9979de2f",
     "simplex --d two":
-        "739b51a444892b521cce39f1a515b7572449d8577b2c5de886b007b2f5aebc73",
+        "c1d7a153098e23ec9a7686f7883d36e2647e1236e2c4ae0e8a2dd9ceeab4f25c",
     "simplex --d 2 --k 3 extra":
         "7b791b12d3174690148ddb56cc37461c776202f58182d36113059bde4ea14ca9",
 }

@@ -74,9 +74,11 @@ CORPUS = [
     ("simplex --d 3 --k 4 --mode muirhead --samples 40 --seed 5 --format csv",
      "703434cce7581dc0bfe35de94086bf18c56c5f16a23d7a323607352468fb4b98"),
     ("simplex --d 3 --k 5 --mode min --starts 4 --budget 4000 --seed 7 --format csv",
-     "ac9847a2611407b284de4bb3e89606981ba44adab3f976f5f3159c8d71eb5832"),
+     "6151ef49f253a9c2ac008143a4600a183cfc77e60f11e2e54a84ed02aa22d748"),
     ("simplex --d 4 --k 3 --mode min --starts 2 --budget 3000 --seed 2 --format jsonl",
-     "066d7fe0f8cd33cbb3bc9fface24c9503b386cef5fb623689d46c7a6a9d64495"),
+     "adb23253bc414fe4757f62a0b749f02629dbc9d20cb1fa9b2a8f9cb89e2c395e"),
+    ("simplex --d 4 --k 6 --mode certify --format jsonl",
+     "d5c0ffd49b5aa85d9802dda7e966d11465fcf92aeb41b163b07d7e37a79f65ab"),
 ]
 
 

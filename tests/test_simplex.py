@@ -2,26 +2,33 @@
 
 import hashlib
 import random
+import time
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treedensity import (
+    BudgetError,
     PreconditionError,
+    bound_certificate,
     eval_F,
     majorization_pair,
     minimize_F,
     muirhead_check,
+    simplex_certify_report,
+    simplex_min_report,
     simplex_point,
     simplex_sup_report,
     sup_boundary_scan,
     uniform_min_value,
 )
 from treedensity import _realmode, simplex
-from treedensity.reporting import FORMATS, SearchReport, render_report
+from treedensity.reporting import FORMATS, SearchReport, decimal_str, render_report
 from treedensity.simplex import simplex_bound_sample_report, symmetrized_power_sum
 
 
@@ -343,6 +350,44 @@ def test_minimize_argument_errors():
         minimize_F(3, 4, starts=8, budget=10)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # a start costs about 15 ms at d = 3
+        ((3, 4, 1000000, 1000000000000),
+         "--budget 1000000000000 at d=3 needs up to 14000000000084 terms "
+         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
+        # one evaluation sums C(400, 2) pair terms
+        ((400, 3, 1, 100000),
+         "--budget 100000 at d=400 needs up to 20821996800 terms "
+         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
+        # 3 terms an evaluation, but its bookkeeping costs as much as 8:
+        # 2 * 10^6 evaluations took 63 s
+        ((2, 4, 100000, 1999998),
+         "--budget 1999998 at d=2 needs up to 22000000 terms "
+         "((budget + d (d - 1)) * (C(d + 1, 2) + 8)), above the cap of 6500000"),
+    ],
+    ids=["min-budget", "min-arity", "min-bookkeeping"],
+)
+def test_minimize_F_refuses_work_over_its_cap(args, message):
+    d, k, starts, budget = args
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        minimize_F(d, k, starts=starts, budget=budget)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == message
+
+
+def test_minimize_F_refuses_a_huge_budget_by_its_full_amount():
+    # the amount has more than 4300 digits, which str() refuses to write
+    budget = int("9" * 4300)
+    start = time.perf_counter()
+    amount = r"^--budget 9{4300} at d=3 needs up to [0-9]{4301,} terms "
+    with pytest.raises(BudgetError, match=amount):
+        minimize_F(3, 4, budget=budget)
+    assert time.perf_counter() - start < 1
+
+
 def _raw(x):
     """An mpf's (sign, mantissa, exponent, bitcount) with a plain int
     mantissa, so the digest does not depend on mpmath's backend."""
@@ -397,6 +442,134 @@ def test_stationarity_vanishes_at_the_uniform_point():
         assert _realmode.stationarity(k, (one / d,) * d) < mpmath.mpf("1e-8")
     # a lopsided point is far from stationary
     assert _realmode.stationarity(4, (one / 2, one / 3, one / 6)) > mpmath.mpf("1e-3")
+
+
+# ---------------------------------------------------------------------------
+# the certificate and the exact minimum
+
+
+def test_partitions_come_in_reverse_lexicographic_order():
+    for k in range(1, 13):
+        every = sorted(
+            {tuple(sorted(c, reverse=True)) for n in range(1, k + 1)
+             for c in product(range(1, k + 1), repeat=n) if sum(c) == k}
+            if k <= 7 else set(), reverse=True,
+        )
+        for d in range(1, k + 2):
+            got = [tuple(mu) for mu in simplex._partitions(k, d)]
+            assert got == sorted(set(got), reverse=True)
+            assert all(sum(mu) == k and len(mu) <= d for mu in got)
+            if k <= 7:
+                assert got == [mu for mu in every if len(mu) <= d]
+    # p(12) = 77 partitions, 58 of them into at most 6 parts
+    assert sum(1 for _ in simplex._partitions(12, 12)) == 77
+    assert sum(1 for _ in simplex._partitions(12, 6)) == 58
+
+
+def _polynomial_of_monomials(d, k, m):
+    """N - m D and, by the shape mu of each exponent vector, its number of
+    vectors r_mu, over the weak compositions of k into d parts: N is
+    sum_{i != j} x_i x_j^(k-1) and D = (x_1 + ... + x_d)^k - sum x_i^k."""
+    poly, shapes = {}, Counter()
+    for bars in combinations(range(k + d - 1), d - 1):
+        cuts = (-1, *bars, k + d - 1)
+        e = tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+        shapes[tuple(sorted((x for x in e if x), reverse=True))] += 1
+        if max(e) < k:
+            poly[e] = poly.get(e, 0) - m * factorial(k) / prod(map(factorial, e))
+        if sorted(e)[-2:] == [1, k - 1]:
+            poly[e] += 1
+    return {e: c for e, c in poly.items() if c}, shapes
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_the_certificate_is_the_monomial_expansion_of_N_minus_m_D(d):
+    for k in range(3, 10):
+        m = uniform_min_value(d, k)
+        expansion, shapes = _polynomial_of_monomials(d, k, m)
+        rows, holds = bound_certificate(d, k)
+        assert holds and all(row[-1] for row in rows)
+        top = (k - 1, 1)
+        # sum of w_mu (M_(k-1,1) - M_mu), with M_mu = m_mu / r_mu
+        combination = {}
+        for cell, multinomial, r, w, _ in rows[:-1]:
+            mu = tuple(map(int, cell.split(";")))
+            assert multinomial == factorial(k) // prod(map(factorial, mu))
+            assert r == shapes[mu] and w == m * multinomial * r > 0
+            for shape, weight in ((top, w / shapes[top]), (mu, -w / r)):
+                for e in set(permutations(shape + (0,) * (d - len(shape)))):
+                    combination[e] = combination.get(e, 0) + weight
+        assert {e: c for e, c in combination.items() if c} == expansion
+        assert rows[-1] == (f"{k - 1};1", k, shapes[top], shapes[top] * (1 - k * m), True)
+        assert sum(r * mult for _, mult, r, _, _ in rows) + d == d**k
+
+
+def test_a_wrong_m_breaks_the_closing_identity(monkeypatch):
+    def nudged(d, k):
+        return Fraction(d - 1, d ** (k - 1) - 1) + Fraction(1, 10**6)
+
+    monkeypatch.setattr(simplex, "uniform_min_value", nudged)
+    for d, k in [(2, 3), (3, 4), (5, 7)]:
+        rows, holds = bound_certificate(d, k)
+        assert not holds
+        assert rows[-1][-1] is False and all(row[-1] for row in rows[:-1])
+        report = simplex_min_report(d, k)
+        assert report.all_ok is False and report.rows[0][-1] is False
+
+
+def test_the_certificate_holds_on_the_whole_grid_in_under_a_second():
+    start = time.perf_counter()
+    verdicts = {(d, k): simplex_certify_report(d, k).all_ok
+                for d in range(2, 11) for k in range(3, 13)}
+    assert time.perf_counter() - start < 1
+    assert set(verdicts.values()) == {True}
+    # at (2, 3) no partition but (k - 1, 1) is left, and its row is checked
+    rows = simplex_certify_report(2, 3).rows
+    assert rows == [("2;1", 3, 2, 0, True)]
+
+
+def test_the_exact_minimum_agrees_with_the_numeric_one():
+    for k in range(3, 7):
+        report = simplex_min_report(3, k)
+        assert report.all_ok
+        d, k_, point, value, stationarity, converged = report.rows[0]
+        assert (d, k_, stationarity, converged) == (3, k, "0.000e+00", True)
+        res = minimize_F(3, k, starts=4, budget=4000)
+        cells = [float(c) for c in point.split(";")]
+        assert max(abs(a - float(b)) for a, b in zip(cells, res.point)) < 1e-12
+        assert abs(float(value) - float(res.value)) < 1e-12
+        assert value == decimal_str(float(uniform_min_value(3, k)))
+
+
+def test_the_tangent_gap_is_the_derivative_along_each_edge():
+    # dF/dx_i - dF/dx_j is F's derivative along e_i - e_j, which a central
+    # difference of exact values matches to O(h^2)
+    h = Fraction(1, 10**8)
+    for k, a in [(3, (1, 2, 3)), (4, (5, 1, 1, 2)), (6, (2, 7))]:
+        scale = sum(a)
+        x = [Fraction(ai, scale) for ai in a]
+        slopes = []
+        for i, j in permutations(range(len(a)), 2):
+            up, down = list(x), list(x)
+            up[i], up[j], down[i], down[j] = x[i] + h, x[j] - h, x[i] - h, x[j] + h
+            slopes.append((eval_F(len(a), k, up) - eval_F(len(a), k, down)) / (2 * h))
+        gap = simplex._tangent_gap(a, scale, k)
+        assert gap > 0 and abs(gap - max(slopes)) < Fraction(1, 10**12)
+        assert simplex._tangent_gap([1] * len(a), len(a), k) == 0
+
+
+def test_the_certificate_is_priced_before_a_partition_is_formed(monkeypatch):
+    def formed(*args):
+        raise AssertionError("a partition was formed")
+
+    monkeypatch.setattr(simplex, "_partitions", formed)
+    for d, k in [(3, 800), (2, 6000), (100000, 3), (3, 10**2200), (10**2200, 3)]:
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="above the cap of 300000000$"):
+            bound_certificate(d, k)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(PreconditionError, match="caterpillar size must be an integer >= 3"):
+        bound_certificate(3, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,8 @@ def test_every_top_level_definition_is_reached():
 PUBLIC_NAMES = [
     "BudgetError", "ConsistencyError", "CopyEngine", "MinimizeResult",
     "ParetoDP", "ParseError", "PreconditionError", "SearchReport", "Tree", "TreeDensityError",
-    "__version__", "bk_coefficient", "bk_lower_bound", "brute_copy_profile",
+    "__version__", "bk_coefficient", "bk_lower_bound", "bound_certificate",
+    "brute_copy_profile",
     "caterpillar_copies_complete", "caterpillar_counts",
     "combine_caterpillar_counts", "count_copies", "count_copies_brute", "count_report",
     "count_trees", "density", "enumerate_report", "enumerate_trees", "eval_F",
@@ -230,7 +231,8 @@ PUBLIC_NAMES = [
     "limit_density_complete", "limits_report", "majorization_pair", "make_caterpillar",
     "make_complete", "make_even_binary", "minimize_F", "muirhead_check", "node",
     "parse_tree", "read_tree", "render_report", "search_min_report",
-    "simplex_bound_sample_report", "simplex_min_report", "simplex_muirhead_report",
+    "simplex_bound_sample_report", "simplex_certify_report", "simplex_min_report",
+    "simplex_muirhead_report",
     "simplex_point", "simplex_sup_report",
     "star_copies", "sup_boundary_scan", "uniform_min_value", "verify_even_conjecture",
     "verify_monotone_min",
@@ -255,7 +257,6 @@ PUBLIC_OPTIONS = [
     "minimize_F(starts=8, budget=100000, seed=0)",
     "search_min_report(method='auto', strict=False, max_trees=1000000)",
     "simplex_bound_sample_report(samples=1000, seed=0)",
-    "simplex_min_report(starts=8, budget=100000, seed=0)",
     "simplex_muirhead_report(samples=1000, seed=0)",
     "simplex_sup_report(eps_steps=20)",
     "verify_monotone_min(method='auto', max_trees=1000000)",
