@@ -5,7 +5,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial, prod
 
 import mpmath
@@ -448,21 +448,28 @@ def test_stationarity_vanishes_at_the_uniform_point():
 # the certificate and the exact minimum
 
 
+def _every_partition(k):
+    """Every partition of k, read off its 2^(k-1) compositions, in reverse
+    lexicographic order."""
+    found = set()
+    for cuts in product((False, True), repeat=k - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+            run = 1 if cut else run + 1
+        found.add(tuple(sorted(parts + [run], reverse=True)))
+    return sorted(found, reverse=True)
+
+
 def test_partitions_come_in_reverse_lexicographic_order():
     for k in range(1, 13):
-        every = sorted(
-            {tuple(sorted(c, reverse=True)) for n in range(1, k + 1)
-             for c in product(range(1, k + 1), repeat=n) if sum(c) == k}
-            if k <= 7 else set(), reverse=True,
-        )
+        every = _every_partition(k)
         for d in range(1, k + 2):
             got = [tuple(mu) for mu in simplex._partitions(k, d)]
-            assert got == sorted(set(got), reverse=True)
-            assert all(sum(mu) == k and len(mu) <= d for mu in got)
-            if k <= 7:
-                assert got == [mu for mu in every if len(mu) <= d]
+            assert got == [mu for mu in every if len(mu) <= d]
     # p(12) = 77 partitions, 58 of them into at most 6 parts
-    assert sum(1 for _ in simplex._partitions(12, 12)) == 77
+    assert len(_every_partition(12)) == 77
     assert sum(1 for _ in simplex._partitions(12, 6)) == 58
 
 
@@ -515,6 +522,28 @@ def test_a_wrong_m_breaks_the_closing_identity(monkeypatch):
         assert rows[-1][-1] is False and all(row[-1] for row in rows[:-1])
         report = simplex_min_report(d, k)
         assert report.all_ok is False and report.rows[0][-1] is False
+
+
+def test_a_missing_partition_or_a_refused_pair_fails_the_verdict(monkeypatch):
+    every = simplex._partitions
+    # without (k), whose multinomial r_mu is d, only the sum to d^k is short
+    monkeypatch.setattr(simplex, "_partitions", lambda k, d: islice(every(k, d), 1, None))
+    rows, holds = bound_certificate(3, 5)
+    assert not holds and rows[-1][-1] is False and all(row[-1] for row in rows[:-1])
+    monkeypatch.setattr(simplex, "_partitions", every)
+    accepts = simplex.majorization_pair
+
+    def refuses_221(a, b):
+        if list(b) == [2, 2, 1]:
+            raise PreconditionError("refused")
+        return accepts(a, b)
+
+    monkeypatch.setattr(simplex, "majorization_pair", refuses_221)
+    rows, holds = bound_certificate(3, 5)
+    assert not holds and [row[0] for row in rows if not row[-1]] == ["2;2;1"]
+    # the uniform point's value and gap still hold, but the verdict does not
+    report = simplex_min_report(3, 5)
+    assert report.rows[0][3:] == ("0.025", "0.000e+00", False) and report.all_ok is False
 
 
 def test_the_certificate_holds_on_the_whole_grid_in_under_a_second():
