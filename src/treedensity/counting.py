@@ -53,9 +53,13 @@ __all__ = [
     "combine_caterpillar_counts",
 ]
 
-# the most leaf subsets the oracle walks: near the cap, `count --brute` took
-# 1.2 s on C(182, 3) subsets and 1.0 s on C(1414, 2)
-SUBSET_CAP = 10**6
+# the most steps the oracle takes, k for each of its C(n, k) subsets: its
+# k - 1 range-minimum steps and its tally. Near the cap, `count --brute` took
+# 1.8-1.9 s on C(1414, 1413) subsets of a caterpillar and 1.1 s on those of
+# an even binary tree, 0.8 s on C(2 * 10^6, 1), and 3.5-4.1 s on the one
+# subset of an even binary tree's 2 * 10^6 leaves, where walking the host
+# and writing the code cost a step a leaf each
+SUBSET_CAP = 2 * 10**6
 # the most steps a count's passes may take: outdegree times steps, summed over
 # new host subtrees and the shapes with no more branches than the subtree
 PASS_STEP_CAP = 10**7
@@ -125,20 +129,21 @@ def _adjacent_lca_depths(t: Tree) -> list[int]:
     return depths
 
 
-def _range_minima(values: list[int]) -> list[tuple[list[int], int]]:
-    """Sparse table of ``values``: entry L - 1, for 1 <= L <= len(values),
-    is (row, w) with w the largest power of two <= L and row[i] =
+def _range_minima(values: list[int], longest: int) -> list[tuple[list[int], int]]:
+    """Sparse table of ``values`` for ranges of up to ``longest`` values,
+    at most len(values): entry L - 1, for 1 <= L <= longest, is (row, w)
+    with w the largest power of two <= L and row[i] =
     min(values[i : i + w]), so min(values[a:b]) with b - a = L is
-    min(row[a], row[b - w]). The rows, one per power of two, hold
-    O(n log n) integers."""
+    min(row[a], row[b - w]). The rows, one per power of two up to
+    ``longest``, hold O(n log longest) integers."""
     rows = [values]
     w = 1
-    while 2 * w <= len(values):
+    while 2 * w <= longest:
         prev = rows[-1]
         rows.append([x if x < y else y for x, y in zip(prev, prev[w:])])
         w *= 2
     return [(rows[L.bit_length() - 1], 1 << (L.bit_length() - 1))
-            for L in range(1, len(values) + 1)]
+            for L in range(1, longest + 1)]
 
 
 def _code_of_meets(sig: tuple[int, ...]) -> str:
@@ -167,7 +172,8 @@ def brute_copy_profile(t: Tree, k: int) -> dict[str, int]:
     A subset's signature holds the depths at which its consecutive leaves
     a < b meet, min(adj[a:b]) from a sparse table built once per host; each
     distinct signature's code is written once. An oracle for small sizes:
-    refuses with BudgetError when C(n, k) exceeds :data:`SUBSET_CAP`.
+    refuses with BudgetError when its C(n, k) k steps, each subset's k - 1
+    range-minimum steps and its tally, exceed :data:`SUBSET_CAP`.
     """
     n = t.leaf_count
     require_int(k, 1, "subset size")
@@ -176,13 +182,16 @@ def brute_copy_profile(t: Tree, k: int) -> dict[str, int]:
     # C(n, k) >= C(2j, j) > 10^37 for j = min(k, n - k) > 64: such a C(n, k)
     # is refused without being built
     total = comb(n, k) if min(k, n - k) <= 64 else None
-    if total is None or total > SUBSET_CAP:
-        size = "> 10^37" if total is None else f"= {int_str(total)}"
+    if total is None or total * k > SUBSET_CAP:
+        size, steps = (("> 10^37", "more than 10^37") if total is None
+                       else (f"= {int_str(total)}", int_str(total * k)))
         raise BudgetError(
-            f"brute-force enumeration of C({n},{k}) {size} subsets exceeds "
-            f"the cap of {SUBSET_CAP}"
+            f"brute-force enumeration of C({n},{k}) {size} subsets needs {steps} steps "
+            f"(C(n, k) * k), above the cap of {SUBSET_CAP}"
         )
-    spans = _range_minima(_adjacent_lca_depths(t))
+    # consecutive leaves of a subset lie at most n - k + 1 apart, and a
+    # one-leaf subset has no two
+    spans = _range_minima(_adjacent_lca_depths(t), n - k + 1) if k > 1 else []
     tally: Counter = Counter()
     for subset in combinations(range(n), k):
         sig, a = [], subset[0]

@@ -2,11 +2,14 @@
 
 A SearchReport is a small table plus context: which mode produced it, the
 parameters, column names, rows, and an overall verdict where one applies.
-Rendering is bit-stable by construction. Cells are converted to text through
-one function (:func:`render_cell`) with fixed formatting rules, fractions are
-printed as ``num/den``, reals through a 12-significant-digit decimal path.
-A report holds no timestamps or timings, so two runs with the same
-configuration produce identical bytes.
+Rendering is bit-stable by construction. Each cell type has one writer in
+one table: bools as ``true``/``false``, ints in full, fractions as
+``num/den`` and floats through a 12-significant-digit decimal path. The csv
+and pretty renderings convert a report a column at a time: a column whose
+cells all have one of the table's exact types goes through its writer in one
+``map``, and any other column cell by cell through :func:`render_cell`, which
+dispatches through the same table. A report holds no timestamps or timings,
+so two runs with the same configuration produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import io
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 __all__ = ["SearchReport", "render_report"]
 
@@ -53,16 +57,29 @@ def decimal_str(x) -> str:
     return f"{float(x):.12g}"
 
 
+def bool_str(b: bool) -> str:
+    return "true" if b else "false"
+
+
+# each cell type's one writer, found by a cell's exact type; render_cell
+# writes a cell of a subclass, such as an IntEnum, by the first type here it
+# is an instance of, and any other cell by str()
+_WRITERS = {bool: bool_str, int: int_str, Fraction: fraction_str, float: decimal_str, str: str}
+
+
 def render_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int_str(value)
-    if isinstance(value, Fraction):
-        return fraction_str(value)
-    if isinstance(value, float):
-        return decimal_str(value)
-    return str(value)
+    write = _WRITERS.get(type(value))
+    if write is None:
+        write = next((w for kind, w in _WRITERS.items() if isinstance(value, kind)), str)
+    return write(value)
+
+
+def _column_cells(column: tuple) -> list[str]:
+    """A column's cells as text: one writer mapped over a column of one
+    exact type in the writer table, render_cell over any other."""
+    kinds = set(map(type, column))
+    write = _WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(write or render_cell, column))
 
 
 class SearchReport:
@@ -88,15 +105,17 @@ class SearchReport:
         self.rows = rows
         self.all_ok = all_ok
 
-    def cell_rows(self) -> list[list[str]]:
-        return [[render_cell(v) for v in row] for row in self.rows]
+    def cell_columns(self) -> list[list[str]]:
+        """Each column's cells as text, columns in order."""
+        columns = zip(*self.rows) if self.rows else repeat((), len(self.columns))
+        return list(map(_column_cells, columns))
 
 
 def render_csv(report: SearchReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.columns)
-    writer.writerows(report.cell_rows())
+    writer.writerows(zip(*report.cell_columns()))
     return buf.getvalue()
 
 
@@ -118,21 +137,20 @@ def render_jsonl(report: SearchReport) -> str:
 
 
 def render_pretty(report: SearchReport) -> str:
-    cells = report.cell_rows()
-    widths = [len(c) for c in report.columns]
-    for row in cells:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    cells = report.cell_columns()
+    widths = [max(max(map(len, column), default=0), len(col))
+              for col, column in zip(report.columns, cells)]
     out = [f"mode: {report.mode}"]
     if report.params:
         out.append(
             "params: " + ", ".join(f"{k}={report.params[k]}" for k in sorted(report.params))
         )
-    header = "  ".join(col.ljust(w) for col, w in zip(report.columns, widths))
-    out.append(header.rstrip())
-    out.append("-" * len(header.rstrip()))
-    for row in cells:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    header = "  ".join(col.ljust(w) for col, w in zip(report.columns, widths)).rstrip()
+    out.append(header)
+    out.append("-" * len(header))
+    # each line is stripped on the right, so the last column needs no padding
+    padded = [map(str.ljust, column, repeat(w)) for column, w in zip(cells[:-1], widths)]
+    out.extend(line.rstrip() for line in map("  ".join, zip(*padded, *cells[-1:])))
     if report.all_ok is not None:
         out.append(f"verdict: {'all checks passed' if report.all_ok else 'CHECK FAILED'}")
     return "".join(line + "\n" for line in out)

@@ -23,11 +23,13 @@ and floats at their exact values, and a point must sum to exactly 1; a value
 tuples: a point is a tuple of Fractions, ``minimize_F``'s point a tuple of
 mpfs, and a majorization pair the exponent vectors (a, b). The exact checks run
 on integers. F is homogeneous of degree 0, so a point scaled by a common
-denominator gives the same value, and ``_F_int`` computes F's numerator and
-denominator at integer weights: ``bound-sample`` evaluates its integer draws
-that way and checks the bounds by cross-multiplying, building one Fraction
-per sample, for its value. A Muirhead comparison scales its values to
-integers, since its two sides are homogeneous of one degree. The library's
+denominator gives the same value, and ``_F_ints`` computes F's numerators and
+denominators at integer weights, a coordinate column at a time for many
+points at once; ``_F_int`` is its one-point case. ``bound-sample`` draws all
+its integer weights first, then evaluates them by column that way and checks
+the bounds by cross-multiplying, building one Fraction per sample, for its
+value. A Muirhead comparison scales its values to integers, since its two
+sides are homogeneous of one degree. The library's
 ``minimize_F`` is an independent numeric check of the minimum: a seeded
 multi-start Nelder-Mead at 128-bit precision (a log barrier keeps iterates
 interior, then a barrier-free polish removes its bias). Muirhead-style
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, permutations, repeat
 from math import comb, factorial, gcd, lcm, perm
-from operator import lt, mul, sub
+from operator import and_, floordiv, le, lt, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, PreconditionError, require_int
@@ -77,8 +79,8 @@ __all__ = [
 SUP_WORK_CAP = 5 * 10**10
 # the most work a bound-sample run does, d (k^2 + 5000) a sample: each of its
 # d powers has about 20 k bits, and drawing a coordinate and writing its cell
-# cost about as much as 5000 units. Near the cap the command took 1.9 s at
-# (d, k) = (2, 3), 1.7 s at (3, 100) and 0.8 s at (3, 18000)
+# cost about as much as 5000 units. Near the cap the command took 0.7-1.1 s
+# at (d, k) = (2, 3), 1.0-1.4 s at (3, 100) and 0.6-0.8 s at (3, 18000)
 BOUND_SAMPLE_WORK_CAP = 10**9
 # the most work a minimize_F run could do, in terms: C(d, 2) pairs and d
 # powers an evaluation, plus Nelder-Mead bookkeeping worth 8 terms (about
@@ -149,17 +151,29 @@ def eval_F(d: int, k: int, point):
     return Fraction(num, den)
 
 
-def _F_int(a: Sequence[int], scale: int, k: int) -> tuple[int, int]:
-    """(numerator, denominator) of F at the point (a_i / scale), where the
-    nonnegative ints a_i sum to ``scale``; the denominator is 0 at a corner.
+def _F_ints(
+    columns: Sequence[Sequence[int]], scales: Sequence[int], k: int
+) -> tuple[list[int], list[int]]:
+    """(numerators, denominators) of F at the points (a_i / scale), one
+    point per entry of ``scales``: column i holds each point's a_i, and a
+    point's nonnegative ints a_i sum to its scale. A denominator is 0 at a
+    corner.
 
     Since sum_{i != j} x_j x_i^(k-1) = sum_i x_i^(k-1) (1 - x_i), multiplying
     both parts of F by scale^k gives, with S = sum_i a_i^k,
     F = (scale sum_i a_i^(k-1) - S) / (scale^k - S).
     """
-    powers = [ai ** (k - 1) for ai in a]
-    top = sum(map(mul, powers, a))
-    return scale * sum(powers) - top, scale**k - top
+    powers = [list(map(pow, column, repeat(k - 1))) for column in columns]
+    lows = list(map(sum, zip(*powers)))
+    tops = list(map(sum, zip(*(map(mul, p, a) for p, a in zip(powers, columns)))))
+    return (list(map(sub, map(mul, scales, lows), tops)),
+            list(map(sub, map(pow, scales, repeat(k)), tops)))
+
+
+def _F_int(a: Sequence[int], scale: int, k: int) -> tuple[int, int]:
+    """:func:`_F_ints` at the one point (a_i / scale)."""
+    (num,), (den,) = _F_ints([[ai] for ai in a], [scale], k)
+    return num, den
 
 
 def uniform_min_value(d: int, k: int) -> Fraction:
@@ -241,12 +255,13 @@ def simplex_bound_sample_report(
     d: int, k: int, *, samples: int = 1000, seed: int = 0
 ) -> SearchReport:
     """Check uniform_min_value(d, k) <= F <= 1/k exactly at ``samples``
-    seeded random interior points, each drawn and then evaluated in turn.
+    seeded random interior points, all drawn before any is evaluated.
 
-    A point is (a_1, ..., a_d) / sum(a) with each a_i uniform in 1..10^6.
-    F is evaluated on the integer weights with scale sum(a), and the bounds
-    are checked by cross-multiplying, so the only Fraction a row builds is
-    its value. More than :data:`BOUND_SAMPLE_WORK_CAP` samples times
+    A point is (a_1, ..., a_d) / sum(a) with each a_i uniform in 1..10^6,
+    drawn point by point. F is evaluated by :func:`_F_ints` on the columns
+    of integer weights, each point with scale sum(a), and the bounds are
+    checked by cross-multiplying, so the only Fraction a row builds is its
+    value. More than :data:`BOUND_SAMPLE_WORK_CAP` samples times
     d (k^2 + 5000) is refused with BudgetError.
     """
     _require_bound_k("bound-sample", k)
@@ -259,26 +274,32 @@ def simplex_bound_sample_report(
         )
     rng = random.Random(seed)
     lower, upper = uniform_min_value(d, k), Fraction(1, k)
-    lo_num, lo_den = lower.numerator, lower.denominator
-    rows = []
-    for i in range(samples):
-        a = [rng.randint(1, 10**6) for _ in range(d)]
-        total = sum(a)
-        num, den = _F_int(a, total, k)
-        # every a_i is positive, so den > 0 and each a_i / total is below 1:
-        # its cell is str(Fraction(a_i, total))
-        point = ";".join(
-            f"{ai // g}/{total // g}" for ai, g in zip(a, map(gcd, a, repeat(total)))
-        )
-        ok = lo_num * den <= num * lo_den and k * num <= den
-        rows.append((i, point, Fraction(num, den), ok))
+    # randrange(1, 10**6 + 1) is randint(1, 10**6), one call shorter: every
+    # coordinate is drawn, sample by sample, before any is evaluated, and
+    # column i holds each sample's a_i
+    draws = [rng.randrange(1, 10**6 + 1) for _ in range(samples * d)]
+    columns = [draws[i::d] for i in range(d)]
+    del draws
+    totals = list(map(sum, zip(*columns)))
+    nums, dens = _F_ints(columns, totals, k)
+    # every a_i is positive, so each den > 0 and each a_i / total is below 1:
+    # its cell is str(Fraction(a_i, total))
+    cells = []
+    for a in columns:
+        g = list(map(gcd, a, totals))
+        cells.append(map("{}/{}".format, map(floordiv, a, g), map(floordiv, totals, g)))
+    ok = list(map(and_,
+                  map(le, map(mul, repeat(lower.numerator), dens),
+                      map(mul, nums, repeat(lower.denominator))),
+                  map(le, map(mul, repeat(k), nums), dens)))
+    rows = list(zip(range(samples), map(";".join, zip(*cells)), map(Fraction, nums, dens), ok))
     return SearchReport(
         mode="simplex-bound-sample",
         params={"d": d, "k": k, "seed": seed, "samples": samples,
                 "lower": fraction_str(lower), "upper": fraction_str(upper)},
         columns=("index", "point", "value", "within_bounds"),
         rows=rows,
-        all_ok=all(row[-1] for row in rows),
+        all_ok=all(ok),
     )
 
 

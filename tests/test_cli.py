@@ -82,7 +82,8 @@ def test_no_argv_switches_the_subset_cap_off(capsys, monkeypatch, command):
     args = (command, "--brute", "--pattern-caterpillar", "2,3", "--tree-even", "30")
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (3, "")
-    assert err.startswith("refused: brute-force enumeration of C(30,3) = 4060 subsets")
+    assert err == ("refused: brute-force enumeration of C(30,3) = 4060 subsets needs 12180 steps "
+                   "(C(n, k) * k), above the cap of 100\n")
     code, out, err = run_cli(capsys, *args, "--force")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --force" in err
@@ -532,7 +533,12 @@ def _zeros(n):
          "above the cap of 10000000"),
         # 9.98 * 10^7 subsets: it took 321 s
         (("count", "--brute", "--pattern", "(*(**))", "--tree-even", "844"),
-         "brute-force enumeration of C(844,3) = 99846044 subsets exceeds the cap of 1000000"),
+         "brute-force enumeration of C(844,3) = 99846044 subsets needs 299538132 steps "
+         "(C(n, k) * k), above the cap of 2000000"),
+        # 6,000 subsets, but each of 5,999 leaves: it took 20.9 s
+        (("count", "--brute", "--pattern-even", "5999", "--tree-even", "6000"),
+         "brute-force enumeration of C(6000,5999) = 6000 subsets needs 35994000 steps "
+         "(C(n, k) * k), above the cap of 2000000"),
         (("limits", "--d", "3", "--k", "20000"),
          "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
          "above the cap of 2250000"),
@@ -561,8 +567,8 @@ def _zeros(n):
          "complete tree would have 2^24 leaves, above the cap of 10000000"),
         # C(2000000, 65536) took 0.42 s to build
         (("count", "--brute", "--pattern-complete", "2,16", "--tree-even", "2000000"),
-         "brute-force enumeration of C(2000000,65536) > 10^37 subsets exceeds the cap of "
-         "1000000"),
+         "brute-force enumeration of C(2000000,65536) > 10^37 subsets needs more than 10^37 "
+         "steps (C(n, k) * k), above the cap of 2000000"),
         # perm(100000, 100000) has 456,574 digits
         (("simplex", "--mode", "muirhead", "--d", "100000", "--k", "100000"),
          "--samples 1000 at d=100000, k=100000 needs more than 100000! work units "
@@ -596,7 +602,8 @@ def _zeros(n):
         "tree-even-leaves", "tree-caterpillar-spine", "tree-caterpillar-leaves",
         "tree-text-depth", "certify-rows", "certify-bits", "min-point", "certify-huge-k",
         "bound-sample-arity",
-        "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "limits-bits",
+        "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "brute-steps",
+        "limits-bits",
         "conjecture-run", "search-min-run", "monotone-run", "complete-height",
         "complete-height-10", "complete-arity", "complete-24", "brute-unbuilt",
         "muirhead-unbuilt", "dp-columns", "density-bits", "density-bits-zero-count",

@@ -118,9 +118,31 @@ def test_brute_budget_refuses_over_the_cap(monkeypatch):
     with pytest.raises(BudgetError) as exc:
         count_copies_brute(f23, t)
     assert str(exc.value) == (  # C(30, 3), the quantity that tripped
-        "brute-force enumeration of C(30,3) = 4060 subsets exceeds the cap of 100"
+        "brute-force enumeration of C(30,3) = 4060 subsets needs 12180 steps (C(n, k) * k), "
+        "above the cap of 100"
     )
     with pytest.raises(BudgetError, match="4060"):
+        brute_copy_profile(t, 3)
+
+
+def test_brute_budget_prices_each_subset_by_its_leaves(monkeypatch):
+    # C(6000, 5999) is only 6000 subsets, but each has 5999 leaves: the run
+    # would take about 20 s
+    host, pattern = make_even_binary(6000), make_even_binary(5999)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as exc:
+        count_copies_brute(pattern, host)
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == (
+        "brute-force enumeration of C(6000,5999) = 6000 subsets needs 35994000 steps "
+        "(C(n, k) * k), above the cap of 2000000"
+    )
+    # C(30, 3) * 3 = 12180 steps: the cap admits exactly that many
+    t = make_even_binary(30)
+    monkeypatch.setattr(counting, "SUBSET_CAP", 12180)
+    assert sum(brute_copy_profile(t, 3).values()) == 4060
+    monkeypatch.setattr(counting, "SUBSET_CAP", 12179)
+    with pytest.raises(BudgetError, match="needs 12180 steps"):
         brute_copy_profile(t, 3)
 
 
@@ -183,11 +205,12 @@ def test_brute_orders_equal_length_siblings_by_code():
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 12])
 def test_brute_profile_at_the_range_table_edges(n):
     # the host has n - 1 adjacent meeting depths, a power of two (n = 5, 9)
-    # or not; k = 2 asks for spans of every length, and k = n for spans one
-    # leaf wide only, read from the table's first row
+    # or not; k = 2 asks for spans of every length, k = n - 1 for spans of
+    # up to two, k = n for spans one leaf wide only, read from the table's
+    # first row, and k = 1 for none
     for t in (make_caterpillar(2, n), make_even_binary(n),
               parse_tree(_random_code(random.Random(n), n, 3))):
-        for k in (2, n - 1, n):
+        for k in (1, 2, n - 1, n):
             assert brute_copy_profile(t, k) == _reference_profile(t, k), (t.code, k)
         assert brute_copy_profile(t, n) == {t.code: 1}
         assert count_copies_brute(t, t) == 1

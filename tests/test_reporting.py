@@ -1,6 +1,9 @@
 """Deterministic report rendering."""
 
+import csv
+import io
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -99,3 +102,98 @@ def test_verdict_line_only_when_a_verdict_exists():
     assert "verdict" not in render_report(rep, "pretty")
     rep.all_ok = True
     assert render_report(rep, "pretty").splitlines()[-1] == "verdict: all checks passed"
+
+
+# ---------------------------------------------------------------------------
+# column conversion against a per-cell oracle
+
+
+def _oracle_cell(value) -> str:
+    """A cell's text by the per-cell rules, one cell at a time."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(Decimal(value))  # str() refuses more than 4300 digits
+    if isinstance(value, Fraction):
+        return f"{_oracle_cell(value.numerator)}/{_oracle_cell(value.denominator)}"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _oracle_csv(report):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.columns)
+    writer.writerows([_oracle_cell(v) for v in row] for row in report.rows)
+    return buf.getvalue()
+
+
+def _oracle_pretty(report):
+    cells = [[_oracle_cell(v) for v in row] for row in report.rows]
+    widths = [len(c) for c in report.columns]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [f"mode: {report.mode}"]
+    if report.params:
+        lines.append("params: " + ", ".join(f"{k}={report.params[k]}" for k in sorted(report.params)))
+    header = "  ".join(c.ljust(w) for c, w in zip(report.columns, widths)).rstrip()
+    lines += [header, "-" * len(header)]
+    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    if report.all_ok is not None:
+        lines.append("verdict: " + ("all checks passed" if report.all_ok else "CHECK FAILED"))
+    return "".join(line + "\n" for line in lines)
+
+
+def _oracle_jsonl(report):
+    def value(v):
+        if isinstance(v, int) and not isinstance(v, bool):
+            return _oracle_cell(v)
+        return json.dumps(v if isinstance(v, (bool, str)) or v is None else _oracle_cell(v))
+    return "".join(
+        "{" + ",".join(f"{json.dumps(c)}:{value(row[i])}"
+                       for c, i in sorted(zip(report.columns, range(len(report.columns)))))
+        + "}\n"
+        for row in report.rows
+    )
+
+
+_BIG = 10**5000 + 1
+
+
+class _Count(int):
+    pass
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize("columns, rows", [
+    # a bool in an int column, before and after the ints
+    (("n", "flag"), [(True, 1), (3, 0), (17, 2)]),
+    (("n", "flag"), [(3, 5), (False, 0), (-2, True)]),
+    # ints and strs mixed in one column, with None and a cell csv quotes
+    (("mixed", "label"), [(1, "a"), ("b,c", 22), (None, 'say "x"'), (4, "")]),
+    (("x", "y"), [(0.5, 1e-7), (2 / 3, -0.0), (1e20, 3.0)]),
+    # past the 4300 digits that str() writes, in columns of several rows
+    (("count", "value"), [(_BIG, Fraction(_BIG, 2**13)), (5, Fraction(-1, 3)),
+                          (-(10**4301), Fraction(7, 10**4400 + 3))]),
+    # the last column's trailing spaces and empty cells are stripped with
+    # the line, and a wide header sets its column's width
+    (("a", "a long header", "last"), [("x", 1, "y  "), ("wide cell", 2, ""), ("", 3, " ")]),
+    # subclasses of the writers' types, alone in their columns
+    (("count", "label"), [(_Count(3), _Label("a")), (_Count(10**4400), _Label("b"))]),
+    (("one", "row"), [(Fraction(3, 4), "only")]),
+    (("no", "rows"), []),
+], ids=["bool-then-int", "int-then-bool", "int-and-str", "floats", "past-4300-digits",
+        "stripped-last-column", "subclasses", "one-row", "zero-rows"])
+@pytest.mark.parametrize("all_ok", [None, True])
+def test_columns_render_as_the_per_cell_oracle(columns, rows, all_ok):
+    report = SearchReport(mode="demo", params={"k": 3}, columns=columns, rows=rows,
+                          all_ok=all_ok)
+    assert render_report(report, "pretty") == _oracle_pretty(report)
+    assert render_report(report, "csv") == _oracle_csv(report)
+    assert render_report(report, "jsonl") == _oracle_jsonl(report)
+

@@ -192,6 +192,15 @@ def test_integer_core_denominator_vanishes_at_a_corner():
     assert simplex._F_int((0, 5, 0), 5, 4)[1] == 0
 
 
+@pytest.mark.parametrize("k", [3, 4, 7])
+def test_column_core_evaluates_each_point_of_its_columns(k):
+    points = [(1, 2, 3), (0, 1, 2), (2, 4, 6), (10**6, 1, 999_999), (5, 5, 5)]
+    nums, dens = simplex._F_ints(list(zip(*points)), [sum(a) for a in points], k)
+    assert list(map(Fraction, nums, dens)) == [
+        _reference_F(k, [Fraction(x, sum(a)) for x in a]) for a in points
+    ]
+
+
 def test_eval_F_is_singular_at_every_corner():
     for d in range(2, 7):
         for k in range(2, 9):
@@ -288,12 +297,19 @@ def _bound_sample_by_fractions(d, k, samples, seed):
     )
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
-def test_bound_sample_report_matches_the_fraction_route(d, k):
+@pytest.mark.parametrize("d, k, samples", [
+    *(pytest.param(d, k, 25, id=f"{k}-{d}") for k in (3, 4, 5, 6) for d in (2, 3, 4, 5)),
+    # one row, so each column holds one cell
+    pytest.param(2, 4, 1, id="one-sample-d2"),
+    pytest.param(7, 5, 1, id="one-sample-d7"),
+    pytest.param(7, 3, 25, id="d7"),
+    # powers of about 40,000 bits, within the cap: 4 * 2 * (1990^2 + 5000)
+    pytest.param(2, 1990, 4, id="k1990"),
+])
+def test_bound_sample_report_matches_the_fraction_route(d, k, samples):
     for seed in (0, 7, 1000 * d + k):
-        got = simplex_bound_sample_report(d, k, samples=25, seed=seed)
-        want = _bound_sample_by_fractions(d, k, 25, seed)
+        got = simplex_bound_sample_report(d, k, samples=samples, seed=seed)
+        want = _bound_sample_by_fractions(d, k, samples, seed)
         for fmt in FORMATS:
             assert render_report(got, fmt) == render_report(want, fmt), (seed, fmt)
 
@@ -305,9 +321,9 @@ def test_bound_sample_report_matches_the_fraction_route(d, k):
     (1, 14, False),  # below it
 ])
 def test_bound_sample_verdict_at_the_bounds(monkeypatch, num, den, within):
-    # F from the integer core is replaced, so the cross-multiplied
+    # F from the column core is replaced, so the cross-multiplied
     # comparison meets values on and just off each bound
-    monkeypatch.setattr(simplex, "_F_int", lambda a, scale, k: (num, den))
+    monkeypatch.setattr(simplex, "_F_ints", lambda columns, scales, k: ([num], [den]))
     rep = simplex_bound_sample_report(3, 4, samples=1)
     assert rep.rows[0][2:] == (Fraction(num, den), within)
     assert rep.all_ok is within
