@@ -10,8 +10,9 @@ number of subsets of that size, so it always lands in [0, 1].
 Two independent routes to c(D, T) live here. ``count_copies_brute`` walks
 every subset and is the ground truth at small sizes. It tallies the subsets
 by the depths at which consecutive chosen leaves meet, read off a range-min
-table, and writes each distinct tally's code once, so it builds no Tree and
-shares nothing with the recursion. ``count_copies`` runs a branch
+table, builds each distinct tally's tree in a shape table of its own and
+writes each distinct shape's code once, so it builds no Tree and shares no
+count with the recursion. ``count_copies`` runs a branch
 decomposition: a copy of D either sits inside a single branch of T, or its
 root is the root of T and each branch of D is induced inside a distinct
 branch of T. One pass over T's branches sums their rows and adds each
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
 from .formulas import LIMIT_BITS_CAP
 from .reporting import SearchReport, decimal_str, int_str
-from .trees import Tree, _Shapes, join_codes
+from .trees import Tree, _Shapes
 
 __all__ = [
     "induced_subtree",
@@ -53,12 +54,13 @@ __all__ = [
     "combine_caterpillar_counts",
 ]
 
-# the most steps the oracle takes, k for each of its C(n, k) subsets: its
-# k - 1 range-minimum steps and its tally. Near the cap, `count --brute` took
-# 1.8-1.9 s on C(1414, 1413) subsets of a caterpillar and 1.1 s on those of
-# an even binary tree, 0.8 s on C(2 * 10^6, 1), and 3.5-4.1 s on the one
-# subset of an even binary tree's 2 * 10^6 leaves, where walking the host
-# and writing the code cost a step a leaf each
+# the most steps the oracle takes: k for each of its C(n, k) subsets, its
+# k - 1 range-minimum steps and its tally, and for k > 1 three a host leaf,
+# since walking the host and building and writing one subset's tree cost
+# 1.3-4.3 us a leaf, against 0.15-0.65 us a range-minimum step. Near the cap
+# `count --brute` took 1.9-2.1 s on C(1413, 1412) subsets of a caterpillar,
+# 0.9 s on C(2 * 10^6, 1) and 1.4 s on the one subset of 500,000 leaves of
+# an even binary tree; the one of a 3-ary caterpillar's 499,999 took 1.9 s
 SUBSET_CAP = 2 * 10**6
 # the most steps a count's passes may take: outdegree times steps, summed over
 # new host subtrees and the shapes with no more branches than the subtree
@@ -146,22 +148,22 @@ def _range_minima(values: list[int], longest: int) -> list[tuple[list[int], int]
             for L in range(1, longest + 1)]
 
 
-def _code_of_meets(sig: tuple[int, ...]) -> str:
-    """Code of the tree induced by leaves that meet, in order, at the depths
-    ``sig``. Its internal vertices are those meeting points, so a stack of open
-    vertices (depths strictly increasing) assembles it without any Tree."""
-    stack: list[tuple[int, list[str]]] = []  # open vertices: (depth, finished children)
-    cur = "*"
+def _shape_of_meets(sig: tuple[int, ...], table: _Shapes) -> int:
+    """Id in ``table`` of the tree induced by leaves that meet, in order, at
+    the depths ``sig``. Its internal vertices are those meeting points, so a
+    stack of open vertices (depths strictly increasing) assembles it."""
+    stack: list[tuple[int, list[int]]] = []  # open vertices: (depth, finished children)
+    cur = 0
     for h in sig:
         while stack and stack[-1][0] > h:
-            cur = join_codes([*stack.pop()[1], cur])
+            cur = table.vertex([*stack.pop()[1], cur])
         if stack and stack[-1][0] == h:
             stack[-1][1].append(cur)
         else:
             stack.append((h, [cur]))
-        cur = "*"
+        cur = 0
     while stack:
-        cur = join_codes([*stack.pop()[1], cur])
+        cur = table.vertex([*stack.pop()[1], cur])
     return cur
 
 
@@ -171,9 +173,11 @@ def brute_copy_profile(t: Tree, k: int) -> dict[str, int]:
     One pass shared by every pattern of size k; the counts sum to C(n, k).
     A subset's signature holds the depths at which its consecutive leaves
     a < b meet, min(adj[a:b]) from a sparse table built once per host; each
-    distinct signature's code is written once. An oracle for small sizes:
-    refuses with BudgetError when its C(n, k) k steps, each subset's k - 1
-    range-minimum steps and its tally, exceed :data:`SUBSET_CAP`.
+    distinct signature's tree is built once, as an id in a table of the
+    call's own, and each distinct shape's code written once. An oracle for
+    small sizes: refuses with BudgetError when its C(n, k) k steps, each
+    subset's k - 1 range-minimum steps and its tally, plus 3 n for the host
+    walk when k > 1, exceed :data:`SUBSET_CAP`.
     """
     n = t.leaf_count
     require_int(k, 1, "subset size")
@@ -182,12 +186,14 @@ def brute_copy_profile(t: Tree, k: int) -> dict[str, int]:
     # C(n, k) >= C(2j, j) > 10^37 for j = min(k, n - k) > 64: such a C(n, k)
     # is refused without being built
     total = comb(n, k) if min(k, n - k) <= 64 else None
-    if total is None or total * k > SUBSET_CAP:
+    # a one-leaf subset needs no host walk
+    walk, price = (0, "C(n, k) * k") if k == 1 else (3 * n, "C(n, k) * k + 3 * n")
+    if total is None or total * k + walk > SUBSET_CAP:
         size, steps = (("> 10^37", "more than 10^37") if total is None
-                       else (f"= {int_str(total)}", int_str(total * k)))
+                       else (f"= {int_str(total)}", int_str(total * k + walk)))
         raise BudgetError(
             f"brute-force enumeration of C({n},{k}) {size} subsets needs {steps} steps "
-            f"(C(n, k) * k), above the cap of {SUBSET_CAP}"
+            f"({price}), above the cap of {SUBSET_CAP}"
         )
     # consecutive leaves of a subset lie at most n - k + 1 apart, and a
     # one-leaf subset has no two
@@ -201,10 +207,10 @@ def brute_copy_profile(t: Tree, k: int) -> dict[str, int]:
             sig.append(h if h < g else g)
             a = b
         tally[tuple(sig)] += 1
-    profile: Counter = Counter()
+    table, shapes = _Shapes(), Counter()
     for sig, copies in tally.items():
-        profile[_code_of_meets(sig)] += copies
-    return dict(profile)
+        shapes[_shape_of_meets(sig, table)] += copies
+    return {table.code(i): copies for i, copies in shapes.items()}
 
 
 def count_copies_brute(d_pattern: Tree, t: Tree) -> int:

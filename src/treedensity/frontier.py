@@ -36,11 +36,12 @@ storing it would save.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 from math import comb
 from operator import add
 from typing import Sequence
 
+from ._partitions import partition_counts, partitions_into_parts
 from .counting import combine_caterpillar_counts
 from .errors import BudgetError, ConsistencyError, require_int
 from .reporting import int_str
@@ -85,53 +86,22 @@ def _candidates(d: int, lo: int, hi: int, limit: int) -> int:
     exceed ``limit``.
 
     The binary splits are in closed form, since the sum of n // 2 over
-    n <= m is m^2 // 4, and settle d = 2. Otherwise ``ways[n]`` counts the
-    partitions of n into parts of at most m, as many as into at most m
-    parts, for m = 2, 3, ... in turn, so each step adds the m-part splits,
-    and the weighted count only grows as m does.
+    n <= m is m^2 // 4, and settle d = 2. Otherwise
+    :func:`partition_counts` counts the partitions of each level into at
+    most m parts for m = 1, 2, ... in turn, so each step adds the m-part
+    splits, and the weighted count only grows as m does.
     """
     binary = hi * hi // 4 - (lo - 1) * (lo - 1) // 4
     if d < 3 or binary > limit:
         return binary
-    ways = [1] * (hi + 1)
-    total, fewer = 0, hi - lo + 1  # fewer: the splits into under m parts
-    for m in range(2, min(d, hi) + 1):
-        for r in range(m):
-            ways[r::m] = accumulate(ways[r::m])
+    total = fewer = 0  # fewer: the splits into under m parts
+    for m, ways in zip(range(1, min(d, hi) + 1), partition_counts(hi)):
         upto = sum(ways[lo:])
         total += (m - 1) * (upto - fewer)
         if total > limit:
             break
         fewer = upto
     return total
-
-
-def _partitions_into_parts(n: int, m: int):
-    """Nondecreasing positive integer m-tuples summing to n, in lexicographic
-    order. For each head (the first m - 2 parts) the last two parts run
-    through every split of what remains; then the rightmost head part that
-    can still grow does, and the head parts after it take its new value."""
-    if n < m:
-        return
-    if m == 1:
-        yield (n,)
-        return
-    head = [1] * (m - 2)
-    while True:
-        rest = n - sum(head)
-        low = head[-1] if head else 1
-        top = rest // 2
-        pairs = zip(range(low, top + 1), range(rest - low, rest - top - 1, -1))
-        yield from map(tuple(head).__add__, pairs)
-        before = sum(head)  # sum(head[:i]) as i moves left
-        for i in range(m - 3, -1, -1):
-            before -= head[i]
-            v = head[i] + 1
-            if v * (m - i) <= n - before:  # room for the two last parts too
-                head[i:] = [v] * (m - 2 - i)
-                break
-        else:
-            return
 
 
 class ParetoDP:
@@ -246,11 +216,11 @@ class ParetoDP:
 
         Each stored column holds its c_j of every candidate in generation
         order: the binary splits (a, n - a), a = 1..n//2, then the m-part
-        partitions of n, m = 3..d, in ``_partitions_into_parts`` order. A
+        partitions of n, m = 3..d, in ``partitions_into_parts`` order. A
         candidate's c_j is the sum of its branches' shares f_n(s).
         """
         h = n // 2
-        parts = (_partitions_into_parts(n, m) for m in range(3, min(self.d, n) + 1))
+        parts = (partitions_into_parts(n, m) for m in range(3, min(self.d, n) + 1))
         multi = list(chain.from_iterable(parts))
         shares = self._shares
         columns = [list(map(add, f[1 : h + 1], reversed(f[n - h :]))) for f in shares]

@@ -27,6 +27,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from . import frontier as frontier_mod
+from ._partitions import partitions_into_parts
 from .counting import caterpillar_counts, check_witness, combine_caterpillar_counts
 from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
@@ -52,20 +53,20 @@ SEARCH_COLUMNS = ("n", "min_count", "min_density_num", "min_density_den", "argmi
 
 def _root_splits(size: int, d: int, strict: bool):
     """The branch sizes of a root with ``size`` leaves: every partition of
-    size into 2..d parts, in partition order, as (part, multiplicity) runs.
-    If ``strict``, only the partitions into d parts that strictly d-ary
-    branches can fill, whose parts are 1 + (d - 1)q leaves for q >= 0: a run
-    of d - m leaves, then the partitions of the q's sum, ``units``, into m
-    parts, in order, for m = 0 (only when units is 0) up to min(d, units),
-    so the work depends on units, not on d."""
+    size into 2..d parts, in ``partitions_into_parts`` order, as (part,
+    multiplicity) runs. If ``strict``, only the partitions into d parts
+    that strictly d-ary branches can fill, whose parts are 1 + (d - 1)q
+    leaves for q >= 0: a run of d - m leaves, then the partitions of the
+    q's sum, ``units``, into m parts, in order, for m = 0 (only when units
+    is 0) up to min(d, units), so the work depends on units, not on d."""
     if not strict:
         for m in range(2, min(d, size) + 1):
-            for parts in frontier_mod._partitions_into_parts(size, m):
+            for parts in partitions_into_parts(size, m):
                 yield [(part, len(list(same))) for part, same in groupby(parts)]
         return
     units, off = divmod(size - d, d - 1)
     for m in range(units > 0, min(d, units) + 1) if not off else ():
-        for parts in frontier_mod._partitions_into_parts(units, m) if m else [()]:
+        for parts in partitions_into_parts(units, m) if m else [()]:
             yield [(1, d - m)] * (m < d) + [
                 (1 + (d - 1) * q, len(list(same))) for q, same in groupby(parts)
             ]

@@ -36,21 +36,23 @@ interior, then a barrier-free polish removes its bias). Muirhead-style
 majorization comparisons live here too, as do the functions that build the
 reports of the ``simplex`` command's five modes.
 
-mpmath is loaded only by ``minimize_F``, which no command calls: its body
-lives in the private leaf module ``_realmode``, imported on first use, so
-every command runs without it.
+mpmath is loaded only by ``minimize_F``, which no command calls: its body,
+in plain mpf arithmetic, lives in the private leaf module ``_realmode``,
+imported on first use, so every command runs without it. The
+certificate's partitions come from the leaf module ``_partitions``, which
+the DP and the tree enumeration share, so this module loads no tree code.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, permutations, repeat
 from math import comb, factorial, gcd, lcm, perm
 from operator import and_, floordiv, le, lt, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from ._partitions import partition_counts, partitions_into_parts
 from .errors import BudgetError, PreconditionError, require_int
 from .reporting import SearchReport, decimal_str, fraction_str, int_str
 
@@ -83,10 +85,11 @@ SUP_WORK_CAP = 5 * 10**10
 # at (d, k) = (2, 3), 1.0-1.4 s at (3, 100) and 0.6-0.8 s at (3, 18000)
 BOUND_SAMPLE_WORK_CAP = 10**9
 # the most work a minimize_F run could do, in terms: C(d, 2) pairs and d
-# powers an evaluation, plus Nelder-Mead bookkeeping worth 8 terms (about
-# 74 us an evaluation, against 9.4 us a term). A run that spends its whole
-# budget at the cap takes about 60 s at any d, but runs usually converge
-# well before: the default budget at d = 10, 6.3 * 10^6, took 6.1 s
+# powers an evaluation, plus Nelder-Mead bookkeeping worth 8 terms. An
+# evaluation, bookkeeping included, took about 115 us at d = 3 and 470 us
+# at d = 10, so a run that spends its whole budget at the cap at d = 10
+# takes 50-80 s, by the host's speed. Most converge well before: the
+# default budget at d = 10, 6.3 * 10^6 terms, took 5.1-5.4 s
 MIN_WORK_CAP = 65 * 10**5
 # the most power-sum work a muirhead run does: a term multiplies up to
 # min(d, k) powers whose exponents sum to k, of integers whose size grows with
@@ -306,30 +309,11 @@ def simplex_bound_sample_report(
 # -- the minimum, exactly -----------------------------------------------------
 
 
-def _partitions(k: int, d: int):
-    """The partitions of k into at most d parts, each a list of parts in
-    descending order, in reverse lexicographic order: (k), (k - 1, 1), ...
-    One list is reused from step to step, so a caller copies what it keeps.
-    """
-    parts = [k]
-    while True:
-        yield parts
-        # the rightmost part that can drop by one while the parts from it on,
-        # refilled greedily with parts no larger, still fit in d parts
-        rest, i = 0, len(parts)
-        while i:
-            i -= 1
-            rest += parts[i]
-            top = parts[i] - 1
-            if top and (d - i) * top >= rest:
-                break
-        else:
-            return
-        del parts[i:]
-        q, r = divmod(rest, top)
-        parts.extend([top] * q)
-        if r:
-            parts.append(r)
+def _partitions(k: int, d: int) -> list[tuple[int, ...]]:
+    """The partitions of k into at most d parts, each a tuple of parts in
+    descending order, in reverse lexicographic order: (k), (k - 1, 1), ..."""
+    parts = (p[::-1] for m in range(1, min(d, k) + 1) for p in partitions_into_parts(k, m))
+    return sorted(parts, reverse=True)
 
 
 def _require_certificate_budget(d: int, k: int) -> None:
@@ -337,20 +321,15 @@ def _require_certificate_budget(d: int, k: int) -> None:
     than :data:`CERTIFY_WORK_CAP`, before any partition is formed.
 
     The rows number at least k // 2 - 1, the partitions into two parts, so
-    a k of thousands of digits is refused on that bound alone. Otherwise the
-    partitions into at most j parts are counted for j = 1, 2, ..., min(d, k),
-    each count a lower bound on the next, and counting stops once one
-    settles the refusal.
+    a k of thousands of digits is refused on that bound alone. Otherwise
+    :func:`partition_counts` counts the partitions into at most j parts for
+    j = 1, 2, ..., min(d, k), each count a lower bound on the next, and
+    counting stops once one settles the refusal.
     """
     unit = (k * d.bit_length()) ** 2 // 1000 + 4000
     rows = k // 2 - 1
     if (rows + d) * unit <= CERTIFY_WORK_CAP:
-        # counts[n]: the partitions of n into parts of at most j, which are
-        # as many as those into at most j parts
-        counts = [1] + [0] * k
-        for j in range(1, min(d, k) + 1):
-            for n in range(j, k + 1):
-                counts[n] += counts[n - j]
+        for _, counts in zip(range(min(d, k)), partition_counts(k)):
             rows = counts[k] - 2
             if (rows + d) * unit > CERTIFY_WORK_CAP:
                 break
@@ -490,8 +469,7 @@ def simplex_min_report(d: int, k: int) -> SearchReport:
 # -- numerical minimization ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Outcome of :func:`minimize_F`.
 
     ``point`` is the tuple of mpf coordinates reached, at 128 bits;

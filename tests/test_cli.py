@@ -82,8 +82,8 @@ def test_no_argv_switches_the_subset_cap_off(capsys, monkeypatch, command):
     args = (command, "--brute", "--pattern-caterpillar", "2,3", "--tree-even", "30")
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (3, "")
-    assert err == ("refused: brute-force enumeration of C(30,3) = 4060 subsets needs 12180 steps "
-                   "(C(n, k) * k), above the cap of 100\n")
+    assert err == ("refused: brute-force enumeration of C(30,3) = 4060 subsets needs 12270 steps "
+                   "(C(n, k) * k + 3 * n), above the cap of 100\n")
     code, out, err = run_cli(capsys, *args, "--force")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --force" in err
@@ -533,12 +533,17 @@ def _zeros(n):
          "above the cap of 10000000"),
         # 9.98 * 10^7 subsets: it took 321 s
         (("count", "--brute", "--pattern", "(*(**))", "--tree-even", "844"),
-         "brute-force enumeration of C(844,3) = 99846044 subsets needs 299538132 steps "
-         "(C(n, k) * k), above the cap of 2000000"),
+         "brute-force enumeration of C(844,3) = 99846044 subsets needs 299540664 steps "
+         "(C(n, k) * k + 3 * n), above the cap of 2000000"),
         # 6,000 subsets, but each of 5,999 leaves: it took 20.9 s
         (("count", "--brute", "--pattern-even", "5999", "--tree-even", "6000"),
-         "brute-force enumeration of C(6000,5999) = 6000 subsets needs 35994000 steps "
-         "(C(n, k) * k), above the cap of 2000000"),
+         "brute-force enumeration of C(6000,5999) = 6000 subsets needs 36012000 steps "
+         "(C(n, k) * k + 3 * n), above the cap of 2000000"),
+        # one subset, but the host walk and the code of 2,000,000 leaves: it
+        # took 3.1-4.1 s
+        (("count", "--brute", "--pattern-even", "2000000", "--tree-even", "2000000"),
+         "brute-force enumeration of C(2000000,2000000) = 1 subsets needs 8000000 steps "
+         "(C(n, k) * k + 3 * n), above the cap of 2000000"),
         (("limits", "--d", "3", "--k", "20000"),
          "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
          "above the cap of 2250000"),
@@ -568,7 +573,7 @@ def _zeros(n):
         # C(2000000, 65536) took 0.42 s to build
         (("count", "--brute", "--pattern-complete", "2,16", "--tree-even", "2000000"),
          "brute-force enumeration of C(2000000,65536) > 10^37 subsets needs more than 10^37 "
-         "steps (C(n, k) * k), above the cap of 2000000"),
+         "steps (C(n, k) * k + 3 * n), above the cap of 2000000"),
         # perm(100000, 100000) has 456,574 digits
         (("simplex", "--mode", "muirhead", "--d", "100000", "--k", "100000"),
          "--samples 1000 at d=100000, k=100000 needs more than 100000! work units "
@@ -603,6 +608,7 @@ def _zeros(n):
         "tree-text-depth", "certify-rows", "certify-bits", "min-point", "certify-huge-k",
         "bound-sample-arity",
         "sup-k", "sup-steps", "bound-sample-k", "count-steps", "brute-subsets", "brute-steps",
+        "brute-walk",
         "limits-bits",
         "conjecture-run", "search-min-run", "monotone-run", "complete-height",
         "complete-height-10", "complete-arity", "complete-24", "brute-unbuilt",
@@ -705,7 +711,7 @@ print(json.dumps([codes, "mpmath" in sys.modules, added]))
     td = "treedensity."
     assert added == [
         ["treedensity", td + "cli", td + "errors"],  # import treedensity.cli
-        [td + "reporting", td + "simplex"],  # simplex --mode sup
+        [td + "_partitions", td + "reporting", td + "simplex"],  # simplex --mode sup
         [td + "formulas", td + "trees"],  # limits
         [td + "counting"],  # count
         [td + "frontier", td + "search"],  # search-min
@@ -715,7 +721,7 @@ print(json.dumps([codes, "mpmath" in sys.modules, added]))
 def test_commands_outside_simplex_load_no_dataclasses():
     # a child process, as this one has loaded both. SearchReport is a plain
     # class because dataclasses imports inspect, about half of reporting's
-    # import time; only simplex's MinimizeResult still needs it
+    # import time
     script = """
 import json, os, sys
 import treedensity.cli as cli
@@ -734,6 +740,28 @@ print(json.dumps([codes, sorted({"dataclasses", "inspect"} & set(sys.modules))])
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0] * 7, []]
+
+
+def test_simplex_commands_load_no_dataclasses():
+    # a child process, as this one has loaded both: simplex's MinimizeResult
+    # is a NamedTuple, so no mode of the command loads them either
+    script = """
+import json, os, sys
+import treedensity.cli as cli
+lines = [
+    "simplex --d 3 --k 4 --mode sup --eps-steps 3", "simplex --d 3 --k 4 --mode min",
+    "simplex --d 3 --k 4 --mode certify", "simplex --d 3 --k 4 --mode bound-sample --samples 5",
+    "simplex --d 3 --k 4 --mode muirhead --samples 5",
+]
+codes = [cli.main(line.split() + ["--output", os.devnull]) for line in lines]
+print(json.dumps([codes, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 5, []]
 
 
 def test_names_the_package_does_not_export_load_no_library_module():

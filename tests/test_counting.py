@@ -118,8 +118,8 @@ def test_brute_budget_refuses_over_the_cap(monkeypatch):
     with pytest.raises(BudgetError) as exc:
         count_copies_brute(f23, t)
     assert str(exc.value) == (  # C(30, 3), the quantity that tripped
-        "brute-force enumeration of C(30,3) = 4060 subsets needs 12180 steps (C(n, k) * k), "
-        "above the cap of 100"
+        "brute-force enumeration of C(30,3) = 4060 subsets needs 12270 steps "
+        "(C(n, k) * k + 3 * n), above the cap of 100"
     )
     with pytest.raises(BudgetError, match="4060"):
         brute_copy_profile(t, 3)
@@ -134,16 +134,26 @@ def test_brute_budget_prices_each_subset_by_its_leaves(monkeypatch):
         count_copies_brute(pattern, host)
     assert time.perf_counter() - start < 0.1
     assert str(exc.value) == (
-        "brute-force enumeration of C(6000,5999) = 6000 subsets needs 35994000 steps "
-        "(C(n, k) * k), above the cap of 2000000"
+        "brute-force enumeration of C(6000,5999) = 6000 subsets needs 36012000 steps "
+        "(C(n, k) * k + 3 * n), above the cap of 2000000"
     )
-    # C(30, 3) * 3 = 12180 steps: the cap admits exactly that many
+    # C(30, 3) * 3 + 3 * 30 = 12270 steps: the cap admits exactly that many
     t = make_even_binary(30)
-    monkeypatch.setattr(counting, "SUBSET_CAP", 12180)
+    monkeypatch.setattr(counting, "SUBSET_CAP", 12270)
     assert sum(brute_copy_profile(t, 3).values()) == 4060
-    monkeypatch.setattr(counting, "SUBSET_CAP", 12179)
-    with pytest.raises(BudgetError, match="needs 12180 steps"):
+    monkeypatch.setattr(counting, "SUBSET_CAP", 12269)
+    with pytest.raises(BudgetError, match="needs 12270 steps"):
         brute_copy_profile(t, 3)
+    # a one-leaf subset walks no host: C(30, 1) * 1 = 30 steps
+    monkeypatch.setattr(counting, "SUBSET_CAP", 30)
+    assert brute_copy_profile(t, 1) == {"*": 30}
+    monkeypatch.setattr(counting, "SUBSET_CAP", 29)
+    with pytest.raises(BudgetError) as exc:
+        brute_copy_profile(t, 1)
+    assert str(exc.value) == (
+        "brute-force enumeration of C(30,1) = 30 subsets needs 30 steps (C(n, k) * k), "
+        "above the cap of 29"
+    )
 
 
 def _reference_profile(t, k):
@@ -214,6 +224,16 @@ def test_brute_profile_at_the_range_table_edges(n):
             assert brute_copy_profile(t, k) == _reference_profile(t, k), (t.code, k)
         assert brute_copy_profile(t, n) == {t.code: 1}
         assert count_copies_brute(t, t) == 1
+
+
+def test_brute_writes_a_deep_induced_code_in_linear_time():
+    # one subset of a caterpillar's 250,001 leaves induces the caterpillar,
+    # and each vertex's code holds the rest of it: joining each level's code
+    # onto the next took about 8.5 s, writing it from a shape table 1.3 s
+    t = make_caterpillar(2, 250_001)
+    start = time.perf_counter()
+    assert brute_copy_profile(t, t.leaf_count) == {t.code: 1}
+    assert time.perf_counter() - start < 4
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from treedensity import (
 )
 from treedensity import counting, frontier
 from treedensity.cli import main as cli_main
-from treedensity.frontier import _partitions_into_parts, pareto_minimal
+from treedensity._partitions import partition_counts, partitions_into_parts
+from treedensity.frontier import pareto_minimal
 from treedensity.trees import _Shapes
 
 
@@ -74,14 +75,20 @@ def test_pareto_minimal_against_direct_filter(vectors):
 
 
 def test_partitions_into_parts():
-    assert list(_partitions_into_parts(5, 2)) == [(1, 4), (2, 3)]
-    assert list(_partitions_into_parts(6, 3)) == [(1, 1, 4), (1, 2, 3), (2, 2, 2)]
-    assert list(_partitions_into_parts(2, 3)) == []
+    assert list(partitions_into_parts(5, 2)) == [(1, 4), (2, 3)]
+    assert list(partitions_into_parts(6, 3)) == [(1, 1, 4), (1, 2, 3), (2, 2, 2)]
+    assert list(partitions_into_parts(2, 3)) == []
     # every partition, in lexicographic order, against a generate-and-filter
     for n in range(1, 21):
         for m in range(1, 6):
             expect = [t for t in combinations_with_replacement(range(1, n + 1), m) if sum(t) == n]
-            assert list(_partitions_into_parts(n, m)) == expect, (n, m)
+            assert list(partitions_into_parts(n, m)) == expect, (n, m)
+    # the counter's list for m counts, at each s, the partitions into at most m parts
+    for m, ways in zip(range(1, 23), partition_counts(20)):
+        assert ways == [
+            sum(len(list(partitions_into_parts(s, j))) for j in range(1, m + 1)) + (s == 0)
+            for s in range(21)
+        ], m
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +165,7 @@ def test_a_candidate_of_m_parts_weighs_m_minus_one():
     for d in (2, 3, 4, 6):
         for lo, hi in [(1, 1), (2, 30), (5, 17), (12, 12)]:
             weighted = sum(
-                (m - 1) * len(list(_partitions_into_parts(n, m)))
+                (m - 1) * len(list(partitions_into_parts(n, m)))
                 for n in range(lo, hi + 1)
                 for m in range(2, d + 1)
             )

@@ -416,8 +416,8 @@ def _sha(value) -> str:
 
 
 # (d, k, keywords) -> SHA-256 of the repr of (point, value, stationarity as
-# raw mpf tuples, evaluations, converged), recorded from plain mpf arithmetic:
-# the raw libmp calls must reproduce every iterate bit for bit
+# raw mpf tuples, evaluations, converged), recorded from plain mpf arithmetic,
+# which every iterate must reproduce bit for bit
 MINIMIZE_PINS = [
     (3, 3, dict(starts=4, budget=4000, seed=11),
      "9e29f0e218f9230f315937506925a56f0543de9a8197ef552c701ca88da8f65a"),
