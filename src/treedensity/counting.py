@@ -22,8 +22,8 @@ two-branch shape's cross term; wider shapes have a pass of their own.
 read a host through its table of shapes (:mod:`treedensity.trees`): the
 engine and ``caterpillar_counts`` fill one result per shape id, in id order,
 for the shapes under each tree they are asked about, so no count recurses
-over the host's depth. The tree's table keeps those results, and an engine
-only its plans. ``count`` and ``density`` price the density before counting.
+over the host's depth. The tree's table keeps those results; an engine
+keeps nothing. ``count`` and ``density`` price the density before counting.
 ``check_witness`` recounts a search witness from its text, read anew.
 """
 
@@ -63,7 +63,9 @@ __all__ = [
 # an even binary tree; the one of a 3-ary caterpillar's 499,999 took 1.9 s
 SUBSET_CAP = 2 * 10**6
 # the most steps a count's passes may take: outdegree times steps, summed over
-# new host subtrees and the shapes with no more branches than the subtree
+# new host subtrees and the shapes with no more branches than the subtree.
+# Priced first at r steps a shape of r branches, its least, a 3-ary 499,999-
+# leaf caterpillar in another is refused in 0.6-0.7 s, not 1.7-2.6 s
 PASS_STEP_CAP = 10**7
 
 
@@ -251,6 +253,17 @@ def _cross_term(pass_steps: tuple[list, list[int]], last: int, kids: list[list[i
     return val[last]
 
 
+def _require_steps(bound: str, steps: dict, degrees: Counter, d_pattern: Tree, t: Tree) -> None:
+    """Refuse a count whose passes need more than :data:`PASS_STEP_CAP`
+    steps: ``steps[r]`` at each of the ``degrees[d]`` host vertices of d >= r
+    children, times d."""
+    work = sum(n * d * s for r, s in steps.items() for d, n in degrees.items() if d >= r)
+    if work > PASS_STEP_CAP:
+        raise BudgetError(f"counting a {d_pattern.leaf_count}-leaf pattern in a "
+                          f"{t.leaf_count}-leaf tree needs {bound} {work} steps, "
+                          f"above the cap of {PASS_STEP_CAP}")
+
+
 def _pair_pass(pairs: list[tuple], size: int, kids: list[list[int]]) -> list[int]:
     """A ``size``-leaf vertex's row from its children's rows ``kids``, in one
     pass that keeps P, the sum of the rows seen so far: each child x after the
@@ -268,60 +281,51 @@ def _pair_pass(pairs: list[tuple], size: int, kids: list[list[int]]) -> list[int
 
 
 class CopyEngine:
-    """Copy counter that fills one row of counts per host shape.
+    """Copy counter that fills one row of counts per host shape, and keeps
+    nothing itself.
 
-    A pattern's distinct internal shapes are numbered fewest leaves first,
-    with -1 for a leaf. The row of a host shape u holds c(S, u) for every
-    shape S, then u's leaf count, the count of the one-leaf pattern. Rows are
-    filled bottom-up by :func:`_pair_pass`; a vertex of three or more children
-    adds the wider shapes' cross terms by :func:`_cross_term`. Counts above
-    :data:`PASS_STEP_CAP` steps are refused up front.
-
-    A pattern's plan, keyed by its code, lists its shapes in an order that
-    the code alone fixes. The rows live in the host's table under the same
-    key, by shape id, filled children first for the shapes under each host,
+    Each count numbers the pattern's distinct internal shapes fewest leaves
+    first, ties in the order that its code first meets them, with -1 for a
+    leaf, so the code alone fixes the columns. The row of a host shape u
+    holds c(S, u) for every shape S, then u's leaf count, the count of the
+    one-leaf pattern. Rows are filled bottom-up by :func:`_pair_pass`; a
+    vertex of three or more children adds the wider shapes' cross terms by
+    :func:`_cross_term`. Counts above :data:`PASS_STEP_CAP` steps are
+    refused up front. The rows live in the host's table under the pattern's
+    code, by shape id, filled children first for the shapes under each host,
     so the trees of one table, in any engine, pay for each shape once.
     """
 
-    def __init__(self):
-        self._plans: dict[str, tuple[list, list, Counter, dict]] = {}
-
     def count(self, d_pattern: Tree, t: Tree) -> int:
         """Number of leaf subsets of ``t`` inducing a copy of ``d_pattern``."""
-        plan = self._plans.get(key := d_pattern.code)
-        if plan is None:
-            # the internal shapes, fewest leaves first, ties in the order that
-            # the code first meets them, so the code alone fixes the columns
-            table, seen, stack = d_pattern._table, {}, [d_pattern._id]
-            while stack:
-                u = stack.pop()
-                if u not in seen:
-                    seen[u] = None
-                    stack += reversed(table.kids[u])
-            shapes = sorted(filter(None, seen), key=table.leaves.__getitem__)
-            index = {s: i for i, s in enumerate(shapes)} | {0: -1}
-            pairs, wider, steps = [], [], Counter()  # steps: a pass's steps by branch count
-            for i, s in enumerate(shapes):
-                branches = [index[b] for b in table.kids[s]]
-                classes = Counter(branches)
-                states = prod(m + 1 for m in classes.values())
-                steps[len(branches)] += sum(states // (m + 1) * m for m in classes.values())
-                if len(branches) == 2:
-                    pairs.append((table.leaves[s], i, *branches))
-                else:
-                    wider.append((table.leaves[s], i, len(branches), classes, states - 1))
-            plan = self._plans[key] = (pairs, wider, steps, {})
-        pairs, wider, steps, listed = plan
+        pattern, seen, stack = d_pattern._table, {}, [d_pattern._id]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen[u] = None
+                stack += reversed(pattern.kids[u])
+        seen.pop(0, None)  # the leaf
         table = t._table
-        rows = table.results.setdefault(key, {0: [0] * (len(pairs) + len(wider)) + [1]})
+        rows = table.results.setdefault(d_pattern.code, {0: [0] * len(seen) + [1]})
         todo = table.below(t._id, rows)
         kids, leaves = table.kids, table.leaves
         degrees = Counter(len(kids[u]) for u in todo)
-        work = sum(n * d * s for r, s in steps.items() for d, n in degrees.items() if d >= r)
-        if work > PASS_STEP_CAP:
-            raise BudgetError(f"counting a {d_pattern.leaf_count}-leaf pattern in a "
-                              f"{t.leaf_count}-leaf tree needs up to {work} steps, "
-                              f"above the cap of {PASS_STEP_CAP}")
+        widths = Counter(len(pattern.kids[s]) for s in seen)
+        # a shape of r branches takes at least r steps: priced before the plan
+        _require_steps("at least", {r: r * c for r, c in widths.items()}, degrees, d_pattern, t)
+        pairs, wider, steps = [], [], Counter()  # steps: a pass's steps by branch count
+        index = {s: i for i, s in enumerate(sorted(seen, key=pattern.leaves.__getitem__))}
+        for s, i in index.items():
+            branches = [index.get(b, -1) for b in pattern.kids[s]]
+            classes = Counter(branches)
+            states = prod(m + 1 for m in classes.values())
+            steps[len(branches)] += sum(states // (m + 1) * m for m in classes.values())
+            if len(branches) == 2:
+                pairs.append((pattern.leaves[s], i, *branches))
+            else:
+                wider.append((pattern.leaves[s], i, len(branches), classes, states - 1))
+        _require_steps("up to", steps, degrees, d_pattern, t)
+        listed = {}  # a wider shape's pass steps, listed on first use
         for u in todo:
             below = [rows[c] for c in kids[u]]
             size = leaves[u]
@@ -330,11 +334,11 @@ class CopyEngine:
                 if least > size:
                     break  # this shape and the larger ones stay at 0
                 if r <= len(below):
-                    if i not in listed:  # listed on first use, after the cap check
+                    if i not in listed:
                         listed[i] = _pass_steps(classes)
                     row[i] += _cross_term(listed[i], last, below)
             rows[u] = row
-        return rows[t._id][len(pairs) + len(wider) - 1]  # the pattern's column, or leaf count
+        return rows[t._id][len(seen) - 1]  # the pattern's column, or leaf count
 
 
 def count_copies(d_pattern: Tree, t: Tree) -> int:

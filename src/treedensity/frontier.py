@@ -107,8 +107,7 @@ def _candidates(d: int, lo: int, hi: int, limit: int) -> int:
 class ParetoDP:
     """Minimal caterpillar-count vectors over d-ary trees, level by level.
 
-    ``run(n_max)`` fills levels 1..n_max, may be called repeatedly with
-    growing bounds (existing levels are reused) and returns the DP itself;
+    ``run(n_max)`` builds levels 1..n_max afresh and returns the DP itself;
     ``min_count``, ``vector`` and ``witness`` then read any level built.
 
     Levels are stored column-wise by leaf count s (index 0 unused). The
@@ -125,12 +124,7 @@ class ParetoDP:
         self.k = k
         self.d = d
         self._lo = 4 if d == 2 and k > 3 else 3
-        self._fixed = [0]
-        # built with level 1, after run's budget check
-        self._cols: list[list[int]] = []
-        self._shares: list[list[int]] = []
-        self._split: list[tuple[int, ...] | None] = [None]
-        self._witnesses: dict[int, str] = {}
+        self._split: list[tuple[int, ...] | None] = [None]  # no level until a run
 
     # -- levels --------------------------------------------------------------
 
@@ -139,7 +133,7 @@ class ParetoDP:
         when k > 3, else ()."""
         return (comb(n, 3),) if self._lo == 4 else ()
 
-    def _append(self, vector, split=None, witness=None) -> None:
+    def _append(self, vector, split=None) -> None:
         """Store level n's (c_3, ..., c_k) and carry each share list up from
         f_n to f_{n+1}: f_{n+1}(s) = f_n(s) + c_{j-1}(s) for s < n, and
         f_{n+1}(n) = c_j(n) + c_{j-1}(n)."""
@@ -148,8 +142,6 @@ class ParetoDP:
         for col, c in zip(self._cols, vector[self._lo - 3 :]):
             col.append(c)
         self._split.append(split)
-        if witness is not None:
-            self._witnesses[n] = witness
         cols = self._cols
         self._shares = [
             [*map(add, f, below), col[n] + below[n]]
@@ -173,11 +165,8 @@ class ParetoDP:
         return 1
 
     def min_count(self, n: int) -> int:
-        """Exact minimum of c_k over d-ary trees with n leaves: the last
-        stored column's entry."""
-        if not 1 <= n <= self.max_n():
-            raise KeyError(n)
-        return self._cols[-1][n]
+        """Exact minimum of c_k over d-ary trees with n leaves."""
+        return self._counts(n)[-1]
 
     def vector(self, n: int) -> tuple[int, ...]:
         """(c_3, ..., c_k) of level n, each the minimum over its trees."""
@@ -265,38 +254,35 @@ class ParetoDP:
         return vector, split
 
     def run(self, n_max: int) -> ParetoDP:
-        """Build levels up to n_max. Before the first new level, the run is
-        refused with BudgetError when its levels' candidate vectors, each
-        weighted by its parts less one, times the k - 2 columns of each
-        exceed :data:`CANDIDATE_CAP`, and, before level 1 is built, when its
-        k - 2 column lists and k - 2 share lists of up to n_max + 1 entries
-        each do."""
+        """Build levels 1..n_max afresh, on every call, and return the DP.
+        The run is refused with BudgetError, keeping the levels built
+        before it, when its levels' candidate vectors, each weighted by its
+        parts less one, times the k - 2 columns of each exceed
+        :data:`CANDIDATE_CAP`, and when its k - 2 column lists and k - 2
+        share lists of up to n_max + 1 entries each do."""
         require_int(n_max, 1, "n_max")
-        first = max(self.max_n(), 1) + 1  # level 1 has no candidates
-        if first <= n_max:
-            cols = self.k - 2
-            found = _candidates(self.d, first, n_max, CANDIDATE_CAP // cols)
-            if found * cols > CANDIDATE_CAP:
-                raise BudgetError(
-                    f"levels {first}..{n_max} at d={self.d}, k={self.k} need at least "
-                    f"{int_str(found * cols)} column additions "
-                    f"(k - 2 per candidate of m parts, times m - 1), "
-                    f"above the cap of {CANDIDATE_CAP}"
-                )
-        if self.max_n() == 0:
-            # a run with few levels and a huge k passes the check above
-            entries = 2 * (self.k - 2) * (n_max + 1)
-            if entries > CANDIDATE_CAP:
-                raise BudgetError(
-                    f"levels 1..{n_max} at d={self.d}, k={self.k} store up to "
-                    f"{int_str(entries)} entries (2 (k - 2) lists of n_max + 1), "
-                    f"above the cap of {CANDIDATE_CAP}"
-                )
-            stored = range(self._lo, self.k + 1)
-            self._cols = [[0] for _ in stored]
-            self._shares = [[0] for _ in stored]  # f_1
-            self._append((0,) * (self.k - 2), witness="*")
-        for n in range(first, n_max + 1):
+        cols = self.k - 2
+        found = _candidates(self.d, 2, n_max, CANDIDATE_CAP // cols)  # level 1 has none
+        if found * cols > CANDIDATE_CAP:
+            raise BudgetError(
+                f"levels 2..{n_max} at d={self.d}, k={self.k} need at least "
+                f"{int_str(found * cols)} column additions "
+                f"(k - 2 per candidate of m parts, times m - 1), "
+                f"above the cap of {CANDIDATE_CAP}"
+            )
+        # a run with few levels and a huge k passes the check above
+        entries = 2 * cols * (n_max + 1)
+        if entries > CANDIDATE_CAP:
+            raise BudgetError(
+                f"levels 1..{n_max} at d={self.d}, k={self.k} store up to "
+                f"{int_str(entries)} entries (2 (k - 2) lists of n_max + 1), "
+                f"above the cap of {CANDIDATE_CAP}"
+            )
+        stored = range(self._lo, self.k + 1)
+        self._fixed, self._split, self._witnesses = [0], [None], {1: "*"}
+        self._cols = [[0] for _ in stored]
+        self._shares = [[0] for _ in stored]  # f_1
+        self._append((0,) * cols)
+        for n in range(2, n_max + 1):
             self._append(*self._select(n))
         return self
-

@@ -141,6 +141,7 @@ def eval_F(d: int, k: int, point):
     Raises PreconditionError when the denominator 1 - sum x_i^k vanishes,
     which happens exactly at the simplex corners.
     """
+    require_int(d, 2, "arity bound")
     require_int(k, 2, "caterpillar size")
     xs = simplex_point(point)
     if len(xs) != d:

@@ -338,6 +338,25 @@ def test_a_refused_host_leaves_the_engine_counting_other_hosts(monkeypatch):
         assert engine.count(pattern, t) == count_copies_brute(pattern, t)
 
 
+def test_a_count_is_priced_before_its_plan_is_built(monkeypatch):
+    # a 3-ary caterpillar of 9 leaves has 4 shapes of 3 branches, and one of
+    # 15 leaves 7 vertices of 3 children: at least 3 * 4 * 7 * 3 = 252 steps.
+    # The exact price counts 3 for (***) and 2 * 2 + 3 for each shape of two
+    # leaves and a smaller shape: 24 * 7 * 3 = 504
+    pattern, host = make_caterpillar(3, 9), make_caterpillar(3, 15)
+    plans = []
+    monkeypatch.setattr(counting, "prod", lambda xs: plans.append(xs) or prod(xs))
+    for cap, price in [(251, "at least 252"), (503, "up to 504")]:
+        monkeypatch.setattr(counting, "PASS_STEP_CAP", cap)
+        with pytest.raises(BudgetError) as exc:
+            CopyEngine().count(pattern, host)
+        assert str(exc.value) == (f"counting a 9-leaf pattern in a 15-leaf tree needs {price} "
+                                  f"steps, above the cap of {cap}")
+        assert len(plans) == (0 if cap == 251 else 4)
+    monkeypatch.setattr(counting, "PASS_STEP_CAP", 504)
+    assert CopyEngine().count(pattern, host) == count_copies_brute(pattern, host) > 0
+
+
 def test_count_of_a_30_star_in_a_60_star():
     # C(60, 30) subsets: listing them per host vertex would never finish
     assert count_copies(make_complete(30, 1), make_complete(60, 1)) == star_copies(30, 60, 1)

@@ -97,6 +97,8 @@ _INTEGER_CHECKS = [
           "caterpillar size must be an integer >= 2, got 1"),
     _case("brute_copy_profile-k", lambda: brute_copy_profile(leaf(), 0),
           "subset size must be an integer >= 1, got 0"),
+    _case("eval_F-d", lambda: eval_F(2.0, 3, (1, 0)),
+          "arity bound must be an integer >= 2, got 2.0"),
     _case("eval_F-k", lambda: eval_F(2, 1.5, (1, 0)),
           "caterpillar size must be an integer >= 2, got 1.5"),
     _case("uniform_min_value-d", lambda: uniform_min_value(1, 3),

@@ -288,9 +288,10 @@ def test_dp_minimum_at_d_to_the_h_is_the_complete_tree_count(d, k, n_max):
 
 def test_incomparable_candidates_are_a_consistency_error(monkeypatch):
     dp = ParetoDP(4, 3)
-    dp.run(5)
-    # two candidates, (1, 2) and (2, 1), neither of which attains both minima
-    monkeypatch.setattr(dp, "_columns", lambda n: ([[1, 2], [2, 1]], []))
+    real = dp._columns
+    # at n = 6 two candidates, (1, 2) and (2, 1), neither of which attains
+    # both minima
+    monkeypatch.setattr(dp, "_columns", lambda n: ([[1, 2], [2, 1]], []) if n == 6 else real(n))
     with pytest.raises(ConsistencyError) as exc:
         dp.run(6)
     message = str(exc.value)
@@ -335,18 +336,25 @@ def test_binary_c3_is_n_choose_3(k):
     assert all(dp.vector(n)[0] == comb(n, 3) for n in range(1, 201))
 
 
+def _levels(dp, n_top):
+    return [(dp.vector(n), dp.min_count(n), dp.witness(n)) for n in range(1, n_top + 1)]
+
+
 @pytest.mark.parametrize("d, n_max", [(2, 90), (3, 40), (4, 24)])
-def test_a_dp_built_in_pieces_matches_one_run(d, n_max):
-    # the share lists carried from level to level survive a second and a
-    # third run
+def test_a_second_run_builds_afresh(d, n_max):
+    # a run to a larger or a smaller n holds a fresh DP's levels, and one
+    # refused by its budget leaves the levels built before it readable
     for k in range(3, 8):
-        whole = ParetoDP(k, d).run(n_max)
-        pieces = ParetoDP(k, d)
-        for cut in (n_max // 3, n_max // 2 + 1, n_max):
-            pieces.run(cut)
-        for n in range(1, n_max + 1):
-            for read in ("vector", "min_count", "witness"):
-                assert getattr(pieces, read)(n) == getattr(whole, read)(n), (k, n, read)
+        dp = ParetoDP(k, d).run(n_max // 2)
+        for n_top in (n_max, n_max // 3):
+            assert dp.run(n_top) is dp and dp.max_n() == n_top
+            assert _levels(dp, n_top) == _levels(ParetoDP(k, d).run(n_top), n_top), k
+        with pytest.raises(KeyError):
+            dp.vector(n_top + 1)
+        with pytest.raises(BudgetError):
+            dp.run(10**6)
+        assert dp.max_n() == n_top
+        assert _levels(dp, n_top) == _levels(ParetoDP(k, d).run(n_top), n_top), k
 
 
 # ---------------------------------------------------------------------------
