@@ -8,7 +8,7 @@ The package answers three kinds of questions about rooted d-ary trees:
 * closed forms: copy counts and limiting densities of stars and caterpillars
   in complete trees, plus the leading coefficient of the minimum count;
 * extremal search: which trees minimize caterpillar counts (exhaustive scans
-  and a minimum-count dynamic program), and numerical verification of the
+  and a minimum-count dynamic program), and exact checks of the
   simplex-functional bounds that govern the limiting behavior.
 
 ``import treedensity`` runs none of these modules: each module loads when one

@@ -80,23 +80,23 @@ def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
     return kept_idx
 
 
-def _candidates(d: int, lo: int, hi: int, limit: int) -> int:
-    """Candidate vectors of the levels lo..hi, one for each split of a level
+def _candidates(d: int, hi: int, limit: int) -> int:
+    """Candidate vectors of the levels 2..hi, one for each split of a level
     n into m parts, 2 <= m <= d, weighted by m - 1 and counted until they
     exceed ``limit``.
 
     The binary splits are in closed form, since the sum of n // 2 over
-    n <= m is m^2 // 4, and settle d = 2. Otherwise
+    n <= hi is hi^2 // 4, and settle d = 2. Otherwise
     :func:`partition_counts` counts the partitions of each level into at
     most m parts for m = 1, 2, ... in turn, so each step adds the m-part
     splits, and the weighted count only grows as m does.
     """
-    binary = hi * hi // 4 - (lo - 1) * (lo - 1) // 4
+    binary = hi * hi // 4
     if d < 3 or binary > limit:
         return binary
     total = fewer = 0  # fewer: the splits into under m parts
     for m, ways in zip(range(1, min(d, hi) + 1), partition_counts(hi)):
-        upto = sum(ways[lo:])
+        upto = sum(ways[2:])
         total += (m - 1) * (upto - fewer)
         if total > limit:
             break
@@ -262,7 +262,7 @@ class ParetoDP:
         share lists of up to n_max + 1 entries each do."""
         require_int(n_max, 1, "n_max")
         cols = self.k - 2
-        found = _candidates(self.d, 2, n_max, CANDIDATE_CAP // cols)  # level 1 has none
+        found = _candidates(self.d, n_max, CANDIDATE_CAP // cols)  # level 1 has none
         if found * cols > CANDIDATE_CAP:
             raise BudgetError(
                 f"levels 2..{n_max} at d={self.d}, k={self.k} need at least "

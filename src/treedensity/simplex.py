@@ -11,11 +11,13 @@ by everything that is not concentrated in a single coordinate. F never
 exceeds 1/k on the simplex, and its minimum sits at the uniform point with
 value m = (d - 1) / (d^(k-1) - 1): :func:`bound_certificate` proves both
 bounds for one (d, k) exactly, by Muirhead's inequality, and
-``simplex_min_report`` reports that minimum from it. For k = 3, F equals
-eps (1 - eps) / (3 eps (1 - eps)) = 1/3 at every boundary point
-(0, ..., 0, eps, 1 - eps), for every d, so the supremum is attained there;
-for d = 2 the functional is identically 1/3. For k >= 4 the supremum 1/k is
-approached, never attained, along those points as eps shrinks.
+``simplex_min_report`` reports that minimum from it and from F at the
+uniform point, where F's tangent derivatives vanish by symmetry and are not
+computed. For k = 3, F equals eps (1 - eps) / (3 eps (1 - eps)) = 1/3 at
+every boundary point (0, ..., 0, eps, 1 - eps), for every d, so the
+supremum is attained there; for d = 2 the functional is identically 1/3.
+For k >= 4 the supremum 1/k is approached, never attained, along those
+points as eps shrinks.
 
 Every simplex input is read exactly with ``Fraction(x)``: ints, Fractions
 and floats at their exact values, and a point must sum to exactly 1; a value
@@ -25,14 +27,14 @@ mpfs, and a majorization pair the exponent vectors (a, b). The exact checks run
 on integers. F is homogeneous of degree 0, so a point scaled by a common
 denominator gives the same value, and ``_F_ints`` computes F's numerators and
 denominators at integer weights, a coordinate column at a time for many
-points at once; ``_F_int`` is its one-point case. ``bound-sample`` draws all
-its integer weights first, then evaluates them by column that way and checks
-the bounds by cross-multiplying, building one Fraction per sample, for its
-value. A Muirhead comparison scales its values to integers, since its two
-sides are homogeneous of one degree. The library's
-``minimize_F`` is an independent numeric check of the minimum: a seeded
-multi-start Nelder-Mead at 128-bit precision (a log barrier keeps iterates
-interior, then a barrier-free polish removes its bias). Muirhead-style
+points at once; ``eval_F`` calls it with one-element columns.
+``bound-sample`` draws all its integer weights first, then evaluates them
+by column that way and checks the bounds by cross-multiplying, building one
+Fraction per sample, for its value. A Muirhead comparison scales its values
+to integers, since its two sides are homogeneous of one degree. The
+library's ``minimize_F`` is an independent numeric check of the minimum: a
+seeded multi-start Nelder-Mead at 128-bit precision (a log barrier keeps
+iterates interior, then a barrier-free polish removes its bias). Muirhead-style
 majorization comparisons live here too, as do the functions that build the
 reports of the ``simplex`` command's five modes.
 
@@ -149,7 +151,7 @@ def eval_F(d: int, k: int, point):
     # with L the lcm of the coordinate denominators, a_i = x_i L are
     # integers summing to L
     scale = lcm(*(x.denominator for x in xs))
-    num, den = _F_int([x.numerator * (scale // x.denominator) for x in xs], scale, k)
+    (num,), (den,) = _F_ints([[x.numerator * (scale // x.denominator)] for x in xs], [scale], k)
     if den == 0:
         raise PreconditionError("denominator vanishes at a simplex corner")
     return Fraction(num, den)
@@ -172,12 +174,6 @@ def _F_ints(
     tops = list(map(sum, zip(*(map(mul, p, a) for p, a in zip(powers, columns)))))
     return (list(map(sub, map(mul, scales, lows), tops)),
             list(map(sub, map(pow, scales, repeat(k)), tops)))
-
-
-def _F_int(a: Sequence[int], scale: int, k: int) -> tuple[int, int]:
-    """:func:`_F_ints` at the one point (a_i / scale)."""
-    (num,), (den,) = _F_ints([[ai] for ai in a], [scale], k)
-    return num, den
 
 
 def uniform_min_value(d: int, k: int) -> Fraction:
@@ -421,48 +417,27 @@ def simplex_certify_report(d: int, k: int) -> SearchReport:
     )
 
 
-def _tangent_gap(a: Sequence[int], scale: int, k: int) -> Fraction:
-    """max over i, j of |dF/dx_i - dF/dx_j| at the point (a_i / scale), for
-    nonnegative ints a_i summing to ``scale``, off the corners: F's
-    derivative along the tangent direction e_i - e_j, which vanishes in
-    every such direction exactly at a stationary point of F on the simplex.
-
-    With N = sum_{i != j} x_i x_j^(k-1) and D = 1 - sum x_i^k,
-    dN/dx_i = p_(k-1) + (k - 1) x_i^(k-2) p_1 - k x_i^(k-1) and
-    dD/dx_i = -k x_i^(k-1); at x = a / scale both carry scale^-(k-1), N and
-    D scale^-k, so dF/dx_i = scale (N_i D - N D_i) / D^2 in the integer
-    parts of :func:`_F_int`.
-    """
-    lower = [ai ** (k - 2) for ai in a]
-    powers = list(map(mul, lower, a))
-    num, den = _F_int(a, scale, k)
-    p = sum(powers)
-    g = [(p + (k - 1) * low * scale - k * pw) * den + k * pw * num
-         for low, pw in zip(lower, powers)]
-    return Fraction(scale * (max(g) - min(g)), den * den)
-
-
 def simplex_min_report(d: int, k: int) -> SearchReport:
     """The minimum of F on the simplex, exactly, as a one-row report.
 
-    The row holds the uniform point, F there, the tangent-derivative gap
-    of :func:`_tangent_gap` at it and the verdict, each number rendered
+    The row holds the uniform point, F there, its stationarity, 0 by
+    symmetry and not computed, and the verdict, each number rendered
     through its float. The verdict holds when :func:`bound_certificate`
-    does, :func:`eval_F` at the uniform point equals
-    ``uniform_min_value(d, k)`` and the gap is 0. The certificate's cap
-    prices the point's d coordinates too.
+    does and :func:`eval_F` at the uniform point equals
+    ``uniform_min_value(d, k)``. The certificate's cap prices the point's
+    d coordinates too.
     """
     _, holds = bound_certificate(d, k)
     m = uniform_min_value(d, k)
     value = eval_F(d, k, repeat(Fraction(1, d), d))
-    gap = _tangent_gap([1] * d, d, k)
-    ok = holds and value == m and gap == 0
+    ok = holds and value == m
     point = ";".join(repeat(decimal_str(float(Fraction(1, d))), d))
     return SearchReport(
         mode="simplex-min",
         params={"d": d, "k": k, "m": fraction_str(m)},
         columns=("d", "k", "point", "value", "stationarity", "converged"),
-        rows=[(d, k, point, decimal_str(float(value)), f"{float(gap):.3e}", ok)],
+        # F is symmetric, so every tangent derivative vanishes at the uniform point
+        rows=[(d, k, point, decimal_str(float(value)), "0.000e+00", ok)],
         all_ok=ok,
     )
 

@@ -184,12 +184,12 @@ def test_eval_F_matches_the_pairwise_formula(k, weights):
     (3, (5, 5, 5, 5, 5)),  # the uniform point
 ])
 def test_integer_core_matches_the_pairwise_formula(k, a):
-    num, den = simplex._F_int(a, sum(a), k)
+    (num,), (den,) = simplex._F_ints([[x] for x in a], [sum(a)], k)
     assert Fraction(num, den) == _reference_F(k, [Fraction(x, sum(a)) for x in a])
 
 
 def test_integer_core_denominator_vanishes_at_a_corner():
-    assert simplex._F_int((0, 5, 0), 5, 4)[1] == 0
+    assert simplex._F_ints([[0], [5], [0]], [5], 4)[1] == [0]
 
 
 @pytest.mark.parametrize("k", [3, 4, 7])
@@ -540,6 +540,16 @@ def test_a_wrong_m_breaks_the_closing_identity(monkeypatch):
         assert report.all_ok is False and report.rows[0][-1] is False
 
 
+def test_a_wrong_value_at_the_uniform_point_fails_the_min_verdict(monkeypatch):
+    # the certificate still holds, and only F at the uniform point is off
+    exact = simplex.eval_F
+    monkeypatch.setattr(simplex, "eval_F", lambda *args: exact(*args) + Fraction(1, 10**6))
+    for d, k in [(2, 3), (3, 4), (5, 7)]:
+        assert bound_certificate(d, k)[1]
+        report = simplex_min_report(d, k)
+        assert report.rows[0][4:] == ("0.000e+00", False) and report.all_ok is False
+
+
 def test_a_missing_partition_or_a_refused_pair_fails_the_verdict(monkeypatch):
     every = simplex._partitions
     # without (k), whose multinomial r_mu is d, only the sum to d^k is short
@@ -557,7 +567,7 @@ def test_a_missing_partition_or_a_refused_pair_fails_the_verdict(monkeypatch):
     monkeypatch.setattr(simplex, "majorization_pair", refuses_221)
     rows, holds = bound_certificate(3, 5)
     assert not holds and [row[0] for row in rows if not row[-1]] == ["2;2;1"]
-    # the uniform point's value and gap still hold, but the verdict does not
+    # the uniform point's value still holds, but the verdict does not
     report = simplex_min_report(3, 5)
     assert report.rows[0][3:] == ("0.025", "0.000e+00", False) and report.all_ok is False
 
@@ -568,6 +578,11 @@ def test_the_certificate_holds_on_the_whole_grid_in_under_a_second():
                 for d in range(2, 11) for k in range(3, 13)}
     assert time.perf_counter() - start < 1
     assert set(verdicts.values()) == {True}
+    # the min report, outside the timing: F at the uniform point is m
+    for d, k in verdicts:
+        report = simplex_min_report(d, k)
+        m = float(uniform_min_value(d, k))
+        assert report.rows[0][3:] == (decimal_str(m), "0.000e+00", True) and report.all_ok
     # at (2, 3) no partition but (k - 1, 1) is left, and its row is checked
     rows = simplex_certify_report(2, 3).rows
     assert rows == [("2;1", 3, 2, 0, True)]
@@ -584,23 +599,6 @@ def test_the_exact_minimum_agrees_with_the_numeric_one():
         assert max(abs(a - float(b)) for a, b in zip(cells, res.point)) < 1e-12
         assert abs(float(value) - float(res.value)) < 1e-12
         assert value == decimal_str(float(uniform_min_value(3, k)))
-
-
-def test_the_tangent_gap_is_the_derivative_along_each_edge():
-    # dF/dx_i - dF/dx_j is F's derivative along e_i - e_j, which a central
-    # difference of exact values matches to O(h^2)
-    h = Fraction(1, 10**8)
-    for k, a in [(3, (1, 2, 3)), (4, (5, 1, 1, 2)), (6, (2, 7))]:
-        scale = sum(a)
-        x = [Fraction(ai, scale) for ai in a]
-        slopes = []
-        for i, j in permutations(range(len(a)), 2):
-            up, down = list(x), list(x)
-            up[i], up[j], down[i], down[j] = x[i] + h, x[j] - h, x[i] - h, x[j] + h
-            slopes.append((eval_F(len(a), k, up) - eval_F(len(a), k, down)) / (2 * h))
-        gap = simplex._tangent_gap(a, scale, k)
-        assert gap > 0 and abs(gap - max(slopes)) < Fraction(1, 10**12)
-        assert simplex._tangent_gap([1] * len(a), len(a), k) == 0
 
 
 def test_the_certificate_is_priced_before_a_partition_is_formed(monkeypatch):
