@@ -24,7 +24,7 @@ engine and ``caterpillar_counts`` fill one result per shape id, in id order,
 for the shapes under each tree they are asked about, so no count recurses
 over the host's depth. The tree's table keeps those results; an engine
 keeps nothing. ``count`` and ``density`` price the density before counting.
-``check_witness`` recounts a search witness from its text, read anew.
+``check_witnesses`` recounts a report's witnesses from their text.
 """
 
 from __future__ import annotations
@@ -382,8 +382,10 @@ def count_report(
     The count is taken once, by the recursion or (``brute``) the oracle, and
     the density is formed from it, and priced before the count is taken.
     ``mode`` "density" refuses hosts with fewer leaves than the pattern;
-    "count" leaves their density cells blank.
+    "count" leaves their density cells blank; any other is refused.
     """
+    if mode not in ("count", "density"):
+        raise PreconditionError(f"unknown count mode {mode!r}, expected 'count' or 'density'")
     k, n = d_pattern.leaf_count, t.leaf_count
     if mode == "density":
         _require_host(k, n)
@@ -451,22 +453,25 @@ def caterpillar_counts(t: Tree, k: int) -> tuple[int, ...]:
     return vectors[t._id]
 
 
-def check_witness(code: str, n: int, d: int, k: int, expected: int, table: _Shapes) -> None:
-    """Check a witness's text, read by ``table``, for n leaves, no outdegree
-    above d among the shapes this read adds (earlier witnesses passed d) and
-    ``expected`` k-caterpillar copies; ConsistencyError names the first fault."""
-    before = len(table.kids)
-    try:
-        i = table.read(code)
-    except ParseError as err:
-        fault = f"malformed code, {err}"
-        raise ConsistencyError(f"{k}-caterpillar count of witness {code}: {fault}") from None
-    if table.leaves[i] != n:
-        fault = f"the witness has {table.leaves[i]} leaves, not {n}"
-    elif (outdegree := max(map(len, table.kids[before:]), default=0)) > d:
-        fault = f"the witness has outdegree {outdegree} > d = {d}"
-    elif (recount := caterpillar_counts(table.tree(i), k)[-1]) != expected:
-        fault = f"reported {expected}, recounted {recount}"
-    else:
-        return
-    raise ConsistencyError(f"{k}-caterpillar count of witness {code}: {fault}")
+def check_witnesses(rows: Iterable[tuple[int, int, str]], d: int, k: int) -> None:
+    """Recount each (n, count, code) row's witness, read in order into one
+    table of the call's own, for n leaves, no outdegree above d among the
+    shapes its read adds (earlier rows passed d) and ``count`` k-caterpillar
+    copies; ConsistencyError names the first fault of the first faulty row."""
+    table = _Shapes()
+    for n, expected, code in rows:
+        before = len(table.kids)
+        try:
+            i = table.read(code)
+        except ParseError as err:
+            fault = f"malformed code, {err}"
+        else:
+            if table.leaves[i] != n:
+                fault = f"the witness has {table.leaves[i]} leaves, not {n}"
+            elif (outdegree := max(map(len, table.kids[before:]), default=0)) > d:
+                fault = f"the witness has outdegree {outdegree} > d = {d}"
+            elif (recount := caterpillar_counts(table.tree(i), k)[-1]) != expected:
+                fault = f"reported {expected}, recounted {recount}"
+            else:
+                continue
+        raise ConsistencyError(f"{k}-caterpillar count of witness {code}: {fault}")

@@ -1,10 +1,13 @@
 """Exception types shared across the package.
 
 Every error raised deliberately by this library derives from TreeDensityError,
-so callers can catch one base class. The CLI maps each exit code onto one
-class: 1 for ConsistencyError (a failed internal consistency check), 2 for
-PreconditionError (bad input; a ParseError is one), 3 for BudgetError (a
-refused budget). Its exit 4, for I/O failures, comes from OSError.
+so callers can catch one base class, with one exception: the readers of a
+``frontier.ParetoDP`` (``min_count``, ``vector`` and ``witness``) raise
+``KeyError(n)`` for a size n outside the levels built, as a mapping does.
+The CLI maps each exit code onto one class: 1 for ConsistencyError (a failed
+internal consistency check), 2 for PreconditionError (bad input; a
+ParseError is one), 3 for BudgetError (a refused budget). Its exit 4, for
+I/O failures, comes from OSError.
 """
 
 from __future__ import annotations

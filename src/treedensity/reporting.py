@@ -21,6 +21,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
 
+from .errors import PreconditionError
+
 __all__ = ["SearchReport", "render_report"]
 
 FORMATS = ("csv", "jsonl", "pretty")
@@ -44,8 +46,8 @@ def decimal_str(x) -> str:
     """Deterministic decimal rendering with 12 significant digits.
 
     Fractions and ints go through the decimal module so the result does not
-    depend on binary float rounding; floats (and mpmath values) are formatted
-    with a fixed significant-digit count.
+    depend on binary float rounding; floats are formatted with a fixed
+    significant-digit count.
     """
     if isinstance(x, int):
         return int_str(x)
@@ -164,5 +166,5 @@ def render_report(report: SearchReport, fmt: str) -> str:
     try:
         renderer = _RENDERERS[fmt]
     except KeyError:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}") from None
+        raise PreconditionError(f"unknown format {fmt!r}, expected one of {FORMATS}") from None
     return renderer(report)

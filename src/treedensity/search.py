@@ -6,7 +6,8 @@ and the exhaustive branch of ``search_min_report`` share one path: count the
 sizes, refuse the first one over the tree cap, then build every level up to
 the largest, bottom-up, and keep nothing after the call. ``count_trees`` runs
 the same count without building anything, and the count cross-checks every
-level built.
+level built. ``search_min_report`` recounts either method's witnesses from
+their text in one call of ``counting.check_witnesses``.
 
 The two verification sweeps wrap the searches into reports:
 
@@ -28,7 +29,7 @@ from typing import Iterator
 
 from . import frontier as frontier_mod
 from ._partitions import partitions_into_parts
-from .counting import caterpillar_counts, check_witness, combine_caterpillar_counts
+from .counting import caterpillar_counts, check_witnesses, combine_caterpillar_counts
 from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
 from .formulas import liminf_density
 from .reporting import SearchReport, fraction_str, int_str
@@ -45,6 +46,7 @@ __all__ = [
 
 # the most trees a search keeps; ``max_trees`` can lower it, not raise it
 DEFAULT_TREE_CAP = 10**6
+_SIZE = itemgetter(0)
 _CODE = itemgetter(1)
 _ID = itemgetter(2)
 
@@ -219,12 +221,12 @@ def enumerate_report(
 
 
 def _min_record(
-    table: _Shapes, level: list[tuple[int, str, int]], n: int, d: int, k: int
-) -> tuple[int, str]:
+    table: _Shapes, level: list[tuple[int, str, int]], k: int
+) -> tuple[int, list[str]]:
     """The minimum k-caterpillar count over one nonempty level of
-    :func:`_tree_levels`, and the code of the first tree in enumeration order
-    that attains it. The table keeps :func:`caterpillar_counts`'s vectors,
-    so the levels of one report share them."""
+    :func:`_tree_levels`, and the codes of the first four or fewer trees that
+    attain it, in enumeration order. The table keeps
+    :func:`caterpillar_counts`'s vectors, so the levels of one report share them."""
     best: int | None = None
     tied: list[str] = []
     for _, code, i in level:
@@ -233,12 +235,7 @@ def _min_record(
             best, tied = c, [code]
         elif c == best and len(tied) < 4:
             tied.append(code)
-    # Witness sanity: re-counting the first tied codes must reproduce the
-    # count, from their own characters and a table of their own.
-    recount = _Shapes()
-    for code in tied:
-        check_witness(code, n, d, k, best, recount)
-    return best, tied[0]
+    return best, tied
 
 
 def search_min_report(
@@ -269,7 +266,6 @@ def search_min_report(
         method = "pareto" if k >= 3 and not (strict and d > 2) else "exhaustive"
     if method not in ("pareto", "exhaustive"):
         raise PreconditionError(f"unknown search method {method!r}")
-    minima: list[tuple[int, int, str]] = []  # (n, minimum count, witness)
     if method == "pareto":
         if strict and d > 2:
             raise PreconditionError(
@@ -277,11 +273,7 @@ def search_min_report(
                 "for strictly d-ary hosts with d > 2"
             )
         dp = frontier_mod.ParetoDP(k, d).run(n_max)
-        recount = _Shapes()  # rows share the recounts of identical subtree texts
-        for n in range(n_min, n_max + 1):
-            minimum, code = dp.min_count(n), dp.witness(n)
-            check_witness(code, n, d, k, minimum, recount)
-            minima.append((n, minimum, code))
+        witnesses = [(n, dp.min_count(n), dp.witness(n)) for n in range(n_min, n_max + 1)]
     else:
         # Sizes with no strictly d-ary tree (n != 1 mod d - 1) are skipped.
         # The levels are built once, up to the largest size, and shared by
@@ -289,10 +281,14 @@ def search_min_report(
         step = d - 1 if strict else 1
         sizes = range(n_min + (1 - n_min) % step, n_max + 1, step)
         table, levels = _tree_levels(sizes, d, strict, max_trees)
-        for n in sizes:
-            minima.append((n, *_min_record(table, levels[n], n, d, k)))
+        records = [(n, *_min_record(table, levels[n], k)) for n in sizes]
+        witnesses = [(n, minimum, code) for n, minimum, tied in records for code in tied]
+    # Witness sanity: recounting each witness from its own characters, apart
+    # from the DP and the levels, must reproduce its size's minimum
+    check_witnesses(witnesses, d, k)
     rows = []
-    for n, c, code in minima:
+    for n, group in groupby(witnesses, _SIZE):
+        _, c, code = next(group)
         q = Fraction(c, comb(n, k))
         rows.append((n, c, q.numerator, q.denominator, code))
     return SearchReport(
@@ -327,19 +323,15 @@ def verify_even_conjecture(k: int, n_max: int) -> SearchReport:
     dp = frontier_mod.ParetoDP(k, 2).run(n_max)
     even = _even_split_counts(k, n_max)
     rows = []
-    all_ok = True
     for n in range(k, n_max + 1):
-        dp_min = dp.min_count(n)
-        even_count = even[n][-1]
-        ok = dp_min == even_count
-        all_ok = all_ok and ok
-        rows.append((n, dp_min, even_count, ok))
+        dp_min, even_count = dp.min_count(n), even[n][-1]
+        rows.append((n, dp_min, even_count, dp_min == even_count))
     return SearchReport(
         mode="conjecture",
         params={"d": 2, "k": k, "n_min": k, "n_max": n_max},
         columns=("n", "min_count", "even_count", "verdict"),
         rows=rows,
-        all_ok=all_ok,
+        all_ok=all(row[-1] for row in rows),
     )
 
 
@@ -358,13 +350,11 @@ def verify_monotone_min(
     base = search_min_report(d, k, k, n_max, method=method, max_trees=max_trees)
     limit = liminf_density(d, k)
     rows = []
-    all_ok = True
     prev: Fraction | None = None
     for n, min_count, num, den, _code in base.rows:
         dens = Fraction(num, den)
         nondecreasing = prev is None or dens >= prev
         bounded = dens <= limit
-        all_ok = all_ok and nondecreasing and bounded
         rows.append((n, min_count, num, den, nondecreasing, bounded))
         prev = dens
     # str(limit)'s form, at any size
@@ -374,5 +364,5 @@ def verify_monotone_min(
         params={"d": d, "k": k, "n_min": k, "n_max": n_max, "limit": limit_text},
         columns=("n", "min_count", "min_density_num", "min_density_den", "nondecreasing", "le_liminf"),
         rows=rows,
-        all_ok=all_ok,
+        all_ok=all(row[4] and row[5] for row in rows),
     )

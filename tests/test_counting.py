@@ -32,7 +32,7 @@ from treedensity import (
     star_copies,
 )
 from treedensity import counting
-from treedensity.counting import check_witness
+from treedensity.counting import check_witnesses
 from treedensity.search import enumerate_trees
 from treedensity.trees import _Shapes
 
@@ -413,6 +413,12 @@ def test_density_values_and_errors():
         count_report(make_caterpillar(2, 4), f23, mode="density")
 
 
+def test_unknown_count_mode_is_rejected():
+    message = "^unknown count mode 'dens', expected 'count' or 'density'$"
+    with pytest.raises(PreconditionError, match=message):
+        count_report(make_caterpillar(2, 3), make_complete(3, 2), mode="dens")
+
+
 def test_a_count_of_0_needs_no_binomial(monkeypatch):
     # a 3-caterpillar cannot fit a star: the density is 0/1, as Fraction(0, C)
     # would read, and C(n, k) is never taken
@@ -616,7 +622,7 @@ def test_counts_of_code_match_the_tree(rnd, d, n, k):
     assert _CODE_TABLE.code(i) == t.code
     assert outdegree == max((u.outdegree for u in _internal_shapes(t)), default=0)
     assert caterpillar_counts(_CODE_TABLE.tree(i), k) == caterpillar_counts(t, k)
-    check_witness(code, n, d, k, caterpillar_counts(t, k)[-1], _CODE_TABLE)
+    check_witnesses([(n, caterpillar_counts(t, k)[-1], code)], d, k)
 
 
 def test_counts_of_code_have_no_depth_limit():
@@ -639,8 +645,8 @@ def test_deep_caterpillar_counts_are_binomials():
 
 def test_deep_caterpillar_code_counts_are_binomials():
     code = make_caterpillar(2, 6001).code
+    check_witnesses([(6001, comb(6001, 5), code)], 2, 5)
     table = _Shapes()
-    check_witness(code, 6001, 2, 5, comb(6001, 5), table)
     counts = caterpillar_counts(table.tree(table.read(code)), 5)
     assert counts == tuple(comb(6001, j) for j in range(2, 6))
 
@@ -651,7 +657,7 @@ def test_witness_check_reads_a_deep_code_in_linear_time():
     n = 100_001
     code = make_caterpillar(2, n).code
     start = time.perf_counter()
-    check_witness(code, n, 2, 4, comb(n, 4), _Shapes())
+    check_witnesses([(n, comb(n, 4), code)], 2, 4)
     assert time.perf_counter() - start < 30
 
 

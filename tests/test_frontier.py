@@ -388,7 +388,7 @@ def test_a_code_reader_fault_on_a_witness_exits_1(monkeypatch, capsys):
     malformed = "((**)(*(**))"
     monkeypatch.setattr(_Shapes, "parse", lambda self, text: 0)
     with pytest.raises(ConsistencyError) as exc:
-        counting.check_witness(malformed, 5, 2, 4, 2, _Shapes())
+        counting.check_witnesses([(5, 2, malformed)], 2, 4)
     assert "which the code reader refused" in str(exc.value)
     monkeypatch.setattr(ParetoDP, "witness", lambda self, n: malformed)
     assert cli_main(["search-min", "--d", "2", "--k", "4", "--n-min", "5", "--n-max", "5"]) == 1

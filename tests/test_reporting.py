@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from treedensity import SearchReport, render_report
+from treedensity import PreconditionError, SearchReport, render_report
 from treedensity.reporting import decimal_str, fraction_str, render_cell
 
 
@@ -92,7 +92,8 @@ def test_values_past_the_int_string_limit_render_in_every_format():
 
 
 def test_unknown_format_is_rejected():
-    with pytest.raises(ValueError):
+    message = r"^unknown format 'xml', expected one of \('csv', 'jsonl', 'pretty'\)$"
+    with pytest.raises(PreconditionError, match=message):
         render_report(_sample_report(), "xml")
 
 

@@ -10,6 +10,7 @@ import pytest
 from treedensity import (
     BudgetError,
     ConsistencyError,
+    ParetoDP,
     PreconditionError,
     caterpillar_counts,
     count_trees,
@@ -25,9 +26,8 @@ from treedensity import (
     verify_monotone_min,
 )
 from treedensity import search, trees
-from treedensity.counting import check_witness
+from treedensity.counting import check_witnesses
 from treedensity.search import _even_split_counts
-from treedensity.trees import _Shapes
 
 # minimum k-caterpillar counts among binary hosts, from an independent
 # brute-force prototype over full enumerations
@@ -268,13 +268,13 @@ def test_exhaustive_search_recounts_four_tied_witnesses_per_size(monkeypatch):
     # with k = 3 every binary tree ties, so each size recounts the first
     # min(4, count) trees of its level, in enumeration order
     checked = []
-    real = search.check_witness
+    real = search.check_witnesses
 
-    def spy(code, n, *args):
-        checked.append((n, code))
-        return real(code, n, *args)
+    def spy(rows, *args):
+        checked.extend((n, code) for n, _, code in rows)
+        return real(rows, *args)
 
-    monkeypatch.setattr(search, "check_witness", spy)
+    monkeypatch.setattr(search, "check_witnesses", spy)
     rep = search_min_report(2, 3, 3, 8, method="exhaustive")
     assert [r[1] for r in rep.rows] == [comb(n, 3) for n in range(3, 9)]
     assert checked == [
@@ -396,10 +396,51 @@ def test_even_split_recurrence_matches_the_even_tree():
     ],
 )
 def test_witness_check_rejects(code, fault):
-    check_witness("((**)(*(**)))", 5, 2, 4, 2, _Shapes())
+    check_witnesses([(5, 2, "((**)(*(**)))")], 2, 4)
     with pytest.raises(ConsistencyError) as exc:
-        check_witness(code, 5, 2, 4, 3, _Shapes())
+        check_witnesses([(5, 3, code)], 2, 4)
     assert str(exc.value) == f"4-caterpillar count of witness {code}: {fault}"
+
+
+def test_witness_check_names_the_first_faulty_row():
+    good = "((**)(*(**)))"
+    rows = [(5, 2, good), (5, 2, "(*(**))"), (5, 3, good)]
+    with pytest.raises(ConsistencyError) as exc:
+        check_witnesses(rows, 2, 4)
+    assert str(exc.value) == "4-caterpillar count of witness (*(**)): the witness has 3 leaves, not 5"
+    # a text read before is recounted too
+    with pytest.raises(ConsistencyError) as exc:
+        check_witnesses(rows[::2], 2, 4)
+    assert str(exc.value) == f"4-caterpillar count of witness {good}: reported 3, recounted 2"
+
+
+@pytest.mark.parametrize("raised", [0, 12, 26])
+def test_witness_check_passes_a_dp_run_and_names_a_raised_count(raised):
+    dp = ParetoDP(4, 3).run(30)
+    rows = [(n, dp.min_count(n), dp.witness(n)) for n in range(4, 31)]
+    check_witnesses(rows, 3, 4)
+    n, c, code = rows[raised]
+    rows[raised] = (n, c + 1, code)
+    with pytest.raises(ConsistencyError) as exc:
+        check_witnesses(rows, 3, 4)
+    assert str(exc.value) == f"4-caterpillar count of witness {code}: reported {c + 1}, recounted {c}"
+
+
+@pytest.mark.parametrize("method", ["pareto", "exhaustive"])
+def test_search_checks_its_witnesses_in_one_call(monkeypatch, method):
+    calls = []
+    real = search.check_witnesses
+
+    def spy(rows, d, k):
+        calls.append(list(rows))
+        return real(rows, d, k)
+
+    monkeypatch.setattr(search, "check_witnesses", spy)
+    rep = search_min_report(3, 4, 4, 9, method=method)
+    [rows] = calls
+    assert [(n, c, code) for n, c, _, _, code in rep.rows] == [
+        next(row for row in rows if row[0] == n) for n in range(4, 10)
+    ]
 
 
 def test_verify_monotone_min_binary():
