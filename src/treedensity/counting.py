@@ -37,9 +37,10 @@ from math import comb, prod
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
+from .errors import (BudgetError, ConsistencyError, ParseError, PreconditionError, int_str,
+                     require_int)
 from .formulas import LIMIT_BITS_CAP
-from .reporting import SearchReport, decimal_str, int_str
+from .reporting import SearchReport, decimal_str
 from .trees import Tree, _Shapes
 
 __all__ = [
@@ -83,6 +84,8 @@ def induced_subtree(t: Tree, leaves: Iterable[int]) -> Tree:
         raise PreconditionError(
             f"leaf indices must lie in [0, {t.leaf_count - 1}], got {sel[0]}..{sel[-1]}"
         )
+    for i in sel:
+        require_int(i, 0, "leaf index")
 
     # Depth-first with an explicit stack, into a table of its own. An int on
     # the stack closes a vertex from that many finished children; a vertex

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two helpers its
+messages use: ``require_int`` for integer arguments and ``int_str``.
 
 Every error raised deliberately by this library derives from TreeDensityError,
 so callers can catch one base class, with one exception: the readers of a
@@ -41,6 +42,17 @@ def require_int(value, minimum: int, what: str) -> None:
     """Raise PreconditionError unless ``value`` is an int >= ``minimum``."""
     if not isinstance(value, int) or value < minimum:
         raise PreconditionError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def int_str(n: int) -> str:
+    """str(n) at any size: str() refuses an int of more digits than
+    sys.get_int_max_str_digits(), 4300 by default, and Decimal does not."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # here, so that importing cli loads no decimal
+
+        return str(Decimal(n))
 
 
 class BudgetError(TreeDensityError, RuntimeError):

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import BudgetError, ConsistencyError, require_int
-from .reporting import SearchReport, decimal_str, int_str
+from .errors import BudgetError, ConsistencyError, int_str, require_int
+from .reporting import SearchReport, decimal_str
 from .trees import caterpillar_spine
 
 __all__ = [

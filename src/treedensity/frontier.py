@@ -20,13 +20,14 @@ first, in generation order, that attains every column minimum.
 
 A candidate's c_j is the sum over its branches of their shares
 f_n(s) = c_j(s) + (n - s) c_{j-1}(s). Since f_{n+1}(s) = f_n(s) + c_{j-1}(s),
-the DP keeps one share list per stored column and carries it up a level with
-one addition per entry. A column the family fixes is not stored: c_2 is
-C(n, 2) for every n-leaf tree, and at d = 2 so is c_3 = C(n, 3), since every
-three leaves of a binary tree induce the 3-leaf caterpillar. Every candidate
-attains a constant column's minimum, so it cannot change the chosen split,
-and the recount of each level's split still checks the full (c_3, ..., c_k).
-At d = 2 with k = 3 the c_3 column is stored, so that every level has a
+the DP carries each share list up a level with one addition per entry.
+Every level keeps its full (c_2, ..., c_k), but only the columns the family
+does not fix are scanned and carry shares: c_2 is C(n, 2) for every n-leaf
+tree, and at d = 2 so is c_3 = C(n, 3), since every three leaves of a binary
+tree induce the 3-leaf caterpillar. Every candidate attains a constant
+column's minimum, so it cannot change the chosen split; the level's vector
+takes those binomials, and the recount of its split checks the whole vector.
+At d = 2 with k = 3 the c_3 column is scanned, so that every level has a
 column to scan.
 
 Every level is computed: a stored level could be checked for being attained
@@ -43,8 +44,7 @@ from typing import Sequence
 
 from ._partitions import partition_counts, partitions_into_parts
 from .counting import combine_caterpillar_counts
-from .errors import BudgetError, ConsistencyError, require_int
-from .reporting import int_str
+from .errors import BudgetError, ConsistencyError, int_str, require_int
 from .trees import join_codes
 
 __all__ = [
@@ -54,10 +54,10 @@ __all__ = [
 # the most column additions one run may make: k - 2 columns for each
 # candidate vector of every level it builds, a candidate of m parts weighing
 # m - 1, the additions it costs a column, so a binary one weighs 1. At d = 2
-# (k > 3) only k - 3 columns are stored, so the count is one column high
+# (k > 3) only k - 3 columns are scanned, so the count is one column high
 # there: conservative. A run that builds level 1 is also held to it by the
-# entries of its k - 2 column and share lists, which a run of few levels
-# and a huge k would otherwise allocate unpriced
+# entries of its column and share lists, priced as 2 (k - 2) lists, which a
+# run of few levels and a huge k would otherwise allocate unpriced
 CANDIDATE_CAP = 2 * 10**7
 
 
@@ -110,12 +110,12 @@ class ParetoDP:
     ``run(n_max)`` builds levels 1..n_max afresh and returns the DP itself;
     ``min_count``, ``vector`` and ``witness`` then read any level built.
 
-    Levels are stored column-wise by leaf count s (index 0 unused). The
-    columns from j = lo on are stored, lo being 4 at d = 2 (k > 3) and 3
-    otherwise: ``_cols[j - lo][s]`` is c_j, ``_fixed[s]`` is C(s, lo - 1),
-    the fixed column below them, and ``_split[s]`` the root branch sizes of
-    the witness (None at s = 1, whose code is known). ``_shares[j - lo]``
-    holds f_n(s) for s < n, n being the next level to build.
+    Levels are stored column-wise by leaf count s (index 0 unused):
+    ``_cols[j - 2][s]`` is c_j, j = 2..k, and ``_split[s]`` the root branch
+    sizes of the witness (None at s = 1, whose code is known). Only the
+    columns the family does not fix, j >= lo (4 at d = 2 with k > 3, else
+    3), are scanned and carry shares: ``_shares[j - lo]`` holds f_n(s) for
+    s < n, n being the next level to build.
     """
 
     def __init__(self, k: int, d: int = 2):
@@ -128,31 +128,26 @@ class ParetoDP:
 
     # -- levels --------------------------------------------------------------
 
-    def _fixed_counts(self, n: int) -> tuple[int, ...]:
-        """(c_3, ..., c_{lo - 1}) of every n-leaf tree: (C(n, 3),) at d = 2
-        when k > 3, else ()."""
-        return (comb(n, 3),) if self._lo == 4 else ()
-
     def _append(self, vector, split=None) -> None:
-        """Store level n's (c_3, ..., c_k) and carry each share list up from
+        """Store level n's (c_2, ..., c_k) and carry each share list up from
         f_n to f_{n+1}: f_{n+1}(s) = f_n(s) + c_{j-1}(s) for s < n, and
         f_{n+1}(n) = c_j(n) + c_{j-1}(n)."""
         n = len(self._split)
-        self._fixed.append(comb(n, self._lo - 1))
-        for col, c in zip(self._cols, vector[self._lo - 3 :]):
+        cols = self._cols
+        for col, c in zip(cols, vector):
             col.append(c)
         self._split.append(split)
-        cols = self._cols
+        lo = self._lo
         self._shares = [
             [*map(add, f, below), col[n] + below[n]]
-            for f, below, col in zip(self._shares, [self._fixed, *cols], cols)
+            for f, below, col in zip(self._shares, cols[lo - 3 :], cols[lo - 2 :])
         ]
 
     def _counts(self, n: int) -> tuple[int, ...]:
         """(c_2, c_3, ..., c_k) of level n."""
         if not 1 <= n <= self.max_n():
             raise KeyError(n)
-        return (comb(n, 2), *self._fixed_counts(n), *[col[n] for col in self._cols])
+        return tuple([col[n] for col in self._cols])
 
     def max_n(self) -> int:
         """The largest leaf count built so far."""
@@ -203,7 +198,7 @@ class ParetoDP:
     def _columns(self, n: int):
         """Candidate columns of level n, and its splits into 3..d parts.
 
-        Each stored column holds its c_j of every candidate in generation
+        Each scanned column holds its c_j of every candidate in generation
         order: the binary splits (a, n - a), a = 1..n//2, then the m-part
         partitions of n, m = 3..d, in ``partitions_into_parts`` order. A
         candidate's c_j is the sum of its branches' shares f_n(s).
@@ -223,9 +218,9 @@ class ParetoDP:
         return columns, multi
 
     def _select(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Level n's minimal vector and the root split of its first candidate."""
+        """Level n's minimal (c_2, ..., c_k) and its first candidate's root split."""
         columns, multi = self._columns(n)
-        fixed = self._fixed_counts(n)
+        fixed = tuple(comb(n, j) for j in range(2, self._lo))
         mins = tuple(map(min, columns))
         i = -1
         while True:
@@ -236,8 +231,8 @@ class ParetoDP:
                 a, b = pareto_minimal(vectors)[:2]
                 raise ConsistencyError(
                     f"no candidate at d={self.d}, k={self.k}, n={n} attains every "
-                    f"coordinate minimum; {fixed + vectors[a]} and {fixed + vectors[b]} "
-                    f"are incomparable"
+                    f"coordinate minimum; {fixed[1:] + vectors[a]} and "
+                    f"{fixed[1:] + vectors[b]} are incomparable"
                 ) from None
             if all(col[i] == m for col, m in zip(columns, mins)):
                 break
@@ -245,21 +240,22 @@ class ParetoDP:
         split = (i + 1, n - i - 1) if i < h else multi[i - h]
         vector = fixed + mins
         parts = [(s, self._counts(s)) for s in split]
-        recount = combine_caterpillar_counts(parts, self.k)[1:]
+        recount = combine_caterpillar_counts(parts, self.k)
         if recount != vector:
             raise ConsistencyError(
                 f"counts of split {split} at d={self.d}, k={self.k}, n={n}: "
-                f"columns give {vector}, recombined {recount}"
+                f"columns give {vector[1:]}, recombined {recount[1:]}"
             )
         return vector, split
 
     def run(self, n_max: int) -> ParetoDP:
         """Build levels 1..n_max afresh, on every call, and return the DP.
-        The run is refused with BudgetError, keeping the levels built
-        before it, when its levels' candidate vectors, each weighted by its
-        parts less one, times the k - 2 columns of each exceed
-        :data:`CANDIDATE_CAP`, and when its k - 2 column lists and k - 2
-        share lists of up to n_max + 1 entries each do."""
+        Each level keeps its (c_2, ..., c_k); only the columns the family
+        does not fix are scanned and carry shares. The run is refused with
+        BudgetError, keeping the levels built before it, when its levels'
+        candidate vectors, each weighted by its parts less one, times the
+        k - 2 columns of each exceed :data:`CANDIDATE_CAP`, and when its
+        lists, priced as 2 (k - 2) of n_max + 1 entries each, do."""
         require_int(n_max, 1, "n_max")
         cols = self.k - 2
         found = _candidates(self.d, n_max, CANDIDATE_CAP // cols)  # level 1 has none
@@ -278,11 +274,10 @@ class ParetoDP:
                 f"{int_str(entries)} entries (2 (k - 2) lists of n_max + 1), "
                 f"above the cap of {CANDIDATE_CAP}"
             )
-        stored = range(self._lo, self.k + 1)
-        self._fixed, self._split, self._witnesses = [0], [None], {1: "*"}
-        self._cols = [[0] for _ in stored]
-        self._shares = [[0] for _ in stored]  # f_1
-        self._append((0,) * cols)
+        self._split, self._witnesses = [None], {1: "*"}
+        self._cols = [[0] for _ in range(cols + 1)]  # c_2..c_k
+        self._shares = [[0] for _ in range(self._lo, self.k + 1)]  # f_1
+        self._append((0,) * (cols + 1))
         for n in range(2, n_max + 1):
             self._append(*self._select(n))
         return self

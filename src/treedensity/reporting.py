@@ -21,20 +21,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import PreconditionError
+from .errors import PreconditionError, int_str
 
 __all__ = ["SearchReport", "render_report"]
 
 FORMATS = ("csv", "jsonl", "pretty")
-
-
-def int_str(n: int) -> str:
-    """str(n) at any size: str() refuses an int of more digits than
-    sys.get_int_max_str_digits(), 4300 by default, and Decimal does not."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
 
 
 def fraction_str(q: Fraction) -> str:

@@ -30,9 +30,9 @@ from typing import Iterator
 from . import frontier as frontier_mod
 from ._partitions import partitions_into_parts
 from .counting import caterpillar_counts, check_witnesses, combine_caterpillar_counts
-from .errors import BudgetError, ConsistencyError, PreconditionError, require_int
+from .errors import BudgetError, ConsistencyError, PreconditionError, int_str, require_int
 from .formulas import liminf_density
-from .reporting import SearchReport, fraction_str, int_str
+from .reporting import SearchReport, fraction_str
 from .trees import LEAF_CAP, Tree, _Shapes
 
 __all__ = [

@@ -55,8 +55,8 @@ from operator import and_, floordiv, le, lt, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from ._partitions import partition_counts, partitions_into_parts
-from .errors import BudgetError, PreconditionError, require_int
-from .reporting import SearchReport, decimal_str, fraction_str, int_str
+from .errors import BudgetError, PreconditionError, int_str, require_int
+from .reporting import SearchReport, decimal_str, fraction_str
 
 __all__ = [
     "simplex_point",
@@ -209,12 +209,6 @@ def _require_bound_k(mode: str, k: int) -> None:
         raise PreconditionError(f"--mode {mode} needs k >= 3, got k={k}")
 
 
-def _require_positive(value: int, flag: str) -> None:
-    # a verdict over zero checks would pass vacuously
-    if value < 1:
-        raise PreconditionError(f"{flag} must be >= 1, got {value}")
-
-
 def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     """F along (0, ..., 0, eps, 1 - eps) for eps = 1/2, 1/4, ..., 2^-eps_steps.
 
@@ -225,7 +219,7 @@ def simplex_sup_report(d: int, k: int, eps_steps: int = 20) -> SearchReport:
     """
     require_int(d, 2, "arity bound")
     _require_bound_k("sup", k)
-    _require_positive(eps_steps, "--eps-steps")
+    require_int(eps_steps, 1, "--eps-steps")  # a verdict over no checks would pass vacuously
     work = k * k * eps_steps * (eps_steps + 1) * (2 * eps_steps + 1) // 6
     if work > SUP_WORK_CAP:
         raise BudgetError(
@@ -265,7 +259,7 @@ def simplex_bound_sample_report(
     d (k^2 + 5000) is refused with BudgetError.
     """
     _require_bound_k("bound-sample", k)
-    _require_positive(samples, "--samples")
+    require_int(samples, 1, "--samples")
     work = samples * d * (k * k + 5000)
     if work > BOUND_SAMPLE_WORK_CAP:
         raise BudgetError(
@@ -484,8 +478,8 @@ def minimize_F(
     """
     require_int(d, 2, "arity bound")
     require_int(k, 3, "caterpillar size")
-    if starts < 1 or budget < (d + 1) * (starts + 1):
-        raise PreconditionError("budget too small for the requested number of starts")
+    require_int(starts, 1, "starts")
+    require_int(budget, (d + 1) * (starts + 1), "budget")
     work = (budget + d * (d - 1)) * (comb(d + 1, 2) + 8)
     if work > MIN_WORK_CAP:
         raise BudgetError(
@@ -503,9 +497,11 @@ def minimize_F(
 def majorization_pair(a: Iterable[int], b: Iterable[int]) -> tuple[tuple, tuple]:
     """The exponent vectors (a, b), each sorted descending, after checking
     that a majorizes b: equal lengths and sums, and every prefix sum of a
-    dominates that of b."""
+    dominates that of b. Every exponent must be an int >= 0."""
     ta = tuple(sorted(a, reverse=True))
     tb = tuple(sorted(b, reverse=True))
+    for e in ta + tb:
+        require_int(e, 0, "exponent")
     if len(ta) != len(tb) or not ta:
         raise PreconditionError("majorization needs two equal-length nonempty vectors")
     if sum(ta) != sum(tb):
@@ -609,7 +605,7 @@ def simplex_muirhead_report(
     # random_majorization_pair would never find one to use
     require_int(d, 2, "arity bound")
     require_int(k, 2, "caterpillar size")
-    _require_positive(samples, "--samples")
+    require_int(samples, 1, "--samples")
     m = min(d, k)
     # perm(d, m) >= m!, and 2 * 10! * 3000 is over the cap already, so a
     # perm of more than 16 factors is not built

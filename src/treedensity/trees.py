@@ -43,8 +43,8 @@ from itertools import accumulate
 from operator import indexOf
 from typing import Iterable
 
-from .errors import BudgetError, ConsistencyError, ParseError, PreconditionError, require_int
-from .reporting import int_str
+from .errors import (BudgetError, ConsistencyError, ParseError, PreconditionError, int_str,
+                     require_int)
 
 __all__ = [
     "Tree",

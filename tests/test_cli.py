@@ -377,7 +377,7 @@ def test_simplex_refuses_zero_checks(capsys, mode, flag):
     )
     assert code == 2
     assert out == ""
-    assert f"{flag} must be >= 1, got 0" in err
+    assert f"{flag} must be an integer >= 1, got 0" in err
 
 
 def test_simplex_sup_report_is_the_same_at_every_d(capsys):
@@ -785,6 +785,26 @@ print(json.dumps([callable(cli.main), probes,
     assert json.loads(proc.stdout) == [
         True, [False, True, False], ["treedensity", "treedensity.cli", "treedensity.errors"]
     ]
+
+
+def test_a_library_module_is_loaded_by_its_name_on_the_package():
+    # a child process, since this one has imported every module, and an
+    # imported submodule is an attribute of the package that hides the
+    # package's __getattr__
+    script = """
+import json, sys
+import treedensity
+before = "treedensity.counting" in sys.modules
+module = treedensity.counting
+print(json.dumps([before, module is sys.modules["treedensity.counting"],
+                  callable(module.count_copies)]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, True]
 
 
 def test_simplex_muirhead(capsys):

@@ -13,15 +13,21 @@ from treedensity import (
     count_trees,
     enumerate_trees,
     eval_F,
+    induced_subtree,
     is_d_ary,
     leaf,
     limit_density_complete,
     liminf_density,
+    majorization_pair,
     make_caterpillar,
     make_complete,
     make_even_binary,
     minimize_F,
+    parse_tree,
     search_min_report,
+    simplex_bound_sample_report,
+    simplex_muirhead_report,
+    simplex_sup_report,
     star_copies,
     sup_boundary_scan,
     uniform_min_value,
@@ -111,6 +117,26 @@ _INTEGER_CHECKS = [
           "arity bound must be an integer >= 2, got 1"),
     _case("minimize_F-k", lambda: minimize_F(2, 2),
           "caterpillar size must be an integer >= 3, got 2"),
+    _case("minimize_F-starts", lambda: minimize_F(3, 4, starts=0),
+          "starts must be an integer >= 1, got 0"),
+    _case("minimize_F-starts-float", lambda: minimize_F(3, 4, starts=2.5),
+          "starts must be an integer >= 1, got 2.5"),
+    _case("minimize_F-budget", lambda: minimize_F(3, 4, starts=8, budget=10),
+          "budget must be an integer >= 36, got 10"),
+    # a verdict over zero checks would pass vacuously
+    _case("simplex_sup_report-eps_steps", lambda: simplex_sup_report(3, 4, 2.5),
+          "--eps-steps must be an integer >= 1, got 2.5"),
+    _case("simplex_bound_sample_report-samples",
+          lambda: simplex_bound_sample_report(3, 4, samples=2.5),
+          "--samples must be an integer >= 1, got 2.5"),
+    _case("simplex_muirhead_report-samples", lambda: simplex_muirhead_report(3, 4, samples=2.5),
+          "--samples must be an integer >= 1, got 2.5"),
+    _case("majorization_pair-negative", lambda: majorization_pair((3, -1), (1, 1)),
+          "exponent must be an integer >= 0, got -1"),
+    _case("majorization_pair-float", lambda: majorization_pair((1.5, 0.5), (1, 1)),
+          "exponent must be an integer >= 0, got 1.5"),
+    _case("induced_subtree-float", lambda: induced_subtree(parse_tree("(*(**))"), [0.5, 2.5]),
+          "leaf index must be an integer >= 0, got 0.5"),
     # one rule, in trees.caterpillar_spine, says which caterpillar sizes exist
     _case("make_caterpillar-r2", lambda: make_caterpillar(2, 0),
           "no 2-ary caterpillar with 0 leaves (need k >= 2 and (k - 1) % 1 == 0)"),

@@ -269,7 +269,7 @@ def test_sup_report_verdict_fails(monkeypatch, k, values):
 def test_sup_report_refusals():
     with pytest.raises(PreconditionError, match="needs k >= 3"):
         simplex_sup_report(3, 2)
-    with pytest.raises(PreconditionError, match="--eps-steps must be >= 1"):
+    with pytest.raises(PreconditionError, match="--eps-steps must be an integer >= 1"):
         simplex_sup_report(3, 4, 0)
 
 

@@ -237,6 +237,38 @@ def test_trees_of_two_tables_compare_like_their_codes():
     assert mixed == parse_tree("(" + "".join(c.code for c in reversed(kids)) + ")")
 
 
+def test_a_tree_is_unequal_and_unordered_against_other_types():
+    t = parse_tree("(**)")
+    assert (t == "(**)") is False and t != "(**)"
+    with pytest.raises(TypeError):
+        t < 1
+    assert repr(parse_tree("(*(**))")) == "Tree('(*(**))')"
+
+
+def _child_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(trees.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_the_tree_module_loads_no_renderer():
+    # a child process, since this one has loaded reporting: trees takes
+    # int_str from errors, so its import leaves out reporting's csv, json
+    # and decimal
+    script = """
+import json, sys
+import treedensity.trees
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "treedensity")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["treedensity", "treedensity.errors", "treedensity.trees"]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_parse_matches_the_string_reference_at_the_benchmark_size(d):
     # 3,000-3,600 leaves: many siblings tie on code length, so their order
@@ -426,11 +458,9 @@ out.append(peak_kib / 1024)
 out.append(t.leaf_count == 100001 and len(code) == 300001)
 print(json.dumps(out))
 """
-    src = str(Path(trees.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(),
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     build_s, parse_s, peak_mib, ok = json.loads(proc.stdout)
