@@ -21,6 +21,12 @@ first, in generation order, that attains every column minimum.
 A candidate's c_j is the sum over its branches of their shares
 f_n(s) = c_j(s) + (n - s) c_{j-1}(s). Since f_{n+1}(s) = f_n(s) + c_{j-1}(s),
 the DP carries each share list up a level with one addition per entry.
+Every candidate is a head, its first m - 2 parts, plus a last pair; the
+pairs (p, rest - p), p = low..top, that complete one head form a block, whose
+entries in a column are two slices of a share list added entrywise plus the
+head's own share sum. The binary splits are the block of the empty head, so
+splits into 2..d parts take one path.
+
 Every level keeps its full (c_2, ..., c_k), but only the columns the family
 does not fix are scanned and carry shares: c_2 is C(n, 2) for every n-leaf
 tree, and at d = 2 so is c_3 = C(n, 3), since every three leaves of a binary
@@ -37,12 +43,11 @@ storing it would save.
 
 from __future__ import annotations
 
-from itertools import chain, groupby
 from math import comb
 from operator import add
 from typing import Sequence
 
-from ._partitions import partition_counts, partitions_into_parts
+from ._partitions import partition_counts, partition_heads
 from .counting import combine_caterpillar_counts
 from .errors import BudgetError, ConsistencyError, int_str, require_int
 from .trees import join_codes
@@ -53,10 +58,13 @@ __all__ = [
 
 # the most column additions one run may make: k - 2 columns for each
 # candidate vector of every level it builds, a candidate of m parts weighing
-# m - 1, the additions it costs a column, so a binary one weighs 1. At d = 2
-# (k > 3) only k - 3 columns are scanned, so the count is one column high
-# there: conservative. A run that builds level 1 is also held to it by the
-# entries of its column and share lists, priced as 2 (k - 2) lists, which a
+# m - 1, so a binary one weighs 1. A candidate of m >= 3 parts costs a column
+# one pair addition and one head addition, plus its part of its head's own
+# share sum (m - 3 additions over a block of at least one candidate), so the
+# weight m - 1 stays an upper bound. At d = 2 (k > 3) only k - 3 columns are
+# scanned, so the count is one column high there: conservative. A run that
+# builds level 1 is also held to it by the entries of its k - 1 column lists
+# and k + 1 - lo share lists (lo = 4 at d = 2 with k > 3, else 3), which a
 # run of few levels and a huge k would otherwise allocate unpriced
 CANDIDATE_CAP = 2 * 10**7
 
@@ -196,30 +204,29 @@ class ParetoDP:
     # -- the DP proper ------------------------------------------------------
 
     def _columns(self, n: int):
-        """Candidate columns of level n, and its splits into 3..d parts.
+        """Candidate columns of level n, and the heads that generate them.
 
         Each scanned column holds its c_j of every candidate in generation
-        order: the binary splits (a, n - a), a = 1..n//2, then the m-part
-        partitions of n, m = 3..d, in ``partitions_into_parts`` order. A
-        candidate's c_j is the sum of its branches' shares f_n(s).
+        order: the partitions of n into m parts, m = 2..d, in
+        ``partition_heads`` order, so the binary splits (a, n - a),
+        a = 1..n//2, come first as the blocks of the empty head. A
+        candidate's c_j is the sum of its branches' shares f_n(s): a head's
+        block adds the shares of each last pair (p, rest - p), p = low..top,
+        two slices of f, and then, if the head has parts, its own share sum.
         """
-        h = n // 2
-        parts = (partitions_into_parts(n, m) for m in range(3, min(self.d, n) + 1))
-        multi = list(chain.from_iterable(parts))
-        shares = self._shares
-        columns = [list(map(add, f[1 : h + 1], reversed(f[n - h :]))) for f in shares]
-        for _, group in groupby(multi, len):
-            picks = list(zip(*group))  # picks[i][p]: size of branch i in partition p
-            for column, f in zip(columns, shares):
-                acc = map(f.__getitem__, picks[0])
-                for sizes in picks[1:]:
-                    acc = map(add, acc, map(f.__getitem__, sizes))
-                column.extend(acc)
-        return columns, multi
+        heads = [h for m in range(2, min(self.d, n) + 1) for h in partition_heads(n, m)]
+        columns = [[] for _ in self._shares]
+        for column, f in zip(columns, self._shares):
+            for head, rest, low, top in heads:
+                block = map(add, f[low : top + 1], reversed(f[rest - top : rest - low + 1]))
+                if head:
+                    block = map(sum(map(f.__getitem__, head)).__add__, block)
+                column.extend(block)
+        return columns, heads
 
     def _select(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Level n's minimal (c_2, ..., c_k) and its first candidate's root split."""
-        columns, multi = self._columns(n)
+        columns, heads = self._columns(n)
         fixed = tuple(comb(n, j) for j in range(2, self._lo))
         mins = tuple(map(min, columns))
         i = -1
@@ -236,8 +243,11 @@ class ParetoDP:
                 ) from None
             if all(col[i] == m for col, m in zip(columns, mins)):
                 break
-        h = n // 2
-        split = (i + 1, n - i - 1) if i < h else multi[i - h]
+        for head, rest, low, top in heads:  # the block that holds candidate i
+            if i <= top - low:
+                break
+            i -= top - low + 1
+        split = head + (low + i, rest - low - i)
         vector = fixed + mins
         parts = [(s, self._counts(s)) for s in split]
         recount = combine_caterpillar_counts(parts, self.k)
@@ -255,7 +265,8 @@ class ParetoDP:
         BudgetError, keeping the levels built before it, when its levels'
         candidate vectors, each weighted by its parts less one, times the
         k - 2 columns of each exceed :data:`CANDIDATE_CAP`, and when its
-        lists, priced as 2 (k - 2) of n_max + 1 entries each, do."""
+        k - 1 column and k + 1 - lo share lists of n_max + 1 entries each
+        do."""
         require_int(n_max, 1, "n_max")
         cols = self.k - 2
         found = _candidates(self.d, n_max, CANDIDATE_CAP // cols)  # level 1 has none
@@ -267,12 +278,12 @@ class ParetoDP:
                 f"above the cap of {CANDIDATE_CAP}"
             )
         # a run with few levels and a huge k passes the check above
-        entries = 2 * cols * (n_max + 1)
+        entries = (2 * self.k - self._lo) * (n_max + 1)
         if entries > CANDIDATE_CAP:
             raise BudgetError(
                 f"levels 1..{n_max} at d={self.d}, k={self.k} store up to "
-                f"{int_str(entries)} entries (2 (k - 2) lists of n_max + 1), "
-                f"above the cap of {CANDIDATE_CAP}"
+                f"{int_str(entries)} entries (k - 1 column and k - {self._lo - 1} share "
+                f"lists of n_max + 1), above the cap of {CANDIDATE_CAP}"
             )
         self._split, self._witnesses = [None], {1: "*"}
         self._cols = [[0] for _ in range(cols + 1)]  # c_2..c_k

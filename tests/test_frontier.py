@@ -23,7 +23,7 @@ from treedensity import (
 )
 from treedensity import counting, frontier
 from treedensity.cli import main as cli_main
-from treedensity._partitions import partition_counts, partitions_into_parts
+from treedensity._partitions import partition_counts, partition_heads, partitions_into_parts
 from treedensity.frontier import pareto_minimal
 from treedensity.trees import _Shapes
 
@@ -80,9 +80,19 @@ def test_partitions_into_parts():
     assert list(partitions_into_parts(2, 3)) == []
     # every partition, in lexicographic order, against a generate-and-filter
     for n in range(1, 21):
-        for m in range(1, 6):
+        for m in range(1, 7):
             expect = [t for t in combinations_with_replacement(range(1, n + 1), m) if sum(t) == n]
             assert list(partitions_into_parts(n, m)) == expect, (n, m)
+            if m < 2:
+                continue
+            # each head stands for the nonempty block of its last pairs
+            blocks = []
+            for head, rest, low, top in partition_heads(n, m):
+                assert len(head) == m - 2 and list(head) == sorted(head)
+                assert low == (head[-1] if head else 1)
+                assert low <= top == rest // 2 and sum(head) + rest == n
+                blocks += [head + (p, rest - p) for p in range(low, top + 1)]
+            assert blocks == expect, (n, m)
     # the counter's list for m counts, at each s, the partitions into at most m parts
     for m, ways in zip(range(1, 23), partition_counts(20)):
         assert ways == [
@@ -175,7 +185,12 @@ def test_a_candidate_of_m_parts_weighs_m_minus_one():
 
 
 # Vectors and witnesses produced by the general Pareto-frontier DP, which kept
-# candidate lists pruned by ``pareto_minimal`` at every level.
+# candidate lists pruned by ``pareto_minimal`` at every level. The (3, 4) rows
+# past n = 16, the (4, 4) rows past n = 14 and the (5, 4) and (6, 4) tables
+# were recorded from the single-vector DP while it still gathered each split
+# into 3..d parts as its own tuple, before candidates were formed a head at a
+# time; there 4-, 5- and 6-part splits compete, so a different split chosen at
+# a head boundary changes a witness.
 GOLDEN = {
     (2, 5): [
         ((0, 0, 0), "*"),
@@ -220,6 +235,20 @@ GOLDEN = {
         ((254, 128), "((**(**))(**(***))(**(***)))"),
         ((318, 180), "((**(***))(**(***))(**(***)))"),
         ((394, 252), "((**(***))(**(***))((**)(**)(**)))"),
+        ((480, 336), "((**(***))((**)(**)(**))((**)(**)(**)))"),
+        ((576, 432), "(((**)(**)(**))((**)(**)(**))((**)(**)(**)))"),
+        ((688, 576), "(((**)(**)(**))((**)(**)(**))((**)(**)(***)))"),
+        ((812, 740), "(((**)(**)(**))((**)(**)(***))((**)(**)(***)))"),
+        ((948, 924), "(((**)(**)(***))((**)(**)(***))((**)(**)(***)))"),
+        ((1102, 1164), "(((**)(**)(***))((**)(**)(***))((**)(***)(***)))"),
+        ((1270, 1432), "(((**)(**)(***))((**)(***)(***))((**)(***)(***)))"),
+        ((1452, 1728), "(((**)(***)(***))((**)(***)(***))((**)(***)(***)))"),
+        ((1654, 2088), "(((**)(***)(***))((**)(***)(***))((***)(***)(***)))"),
+        ((1872, 2484), "(((**)(***)(***))((***)(***)(***))((***)(***)(***)))"),
+        ((2106, 2916), "(((***)(***)(***))((***)(***)(***))((***)(***)(***)))"),
+        ((2366, 3504), "(((***)(***)(***))((***)(***)(***))((***)(***)(**(**))))"),
+        ((2644, 4144), "(((***)(***)(***))((***)(***)(**(**)))((***)(***)(**(**))))"),
+        ((2940, 4836), "(((***)(***)(**(**)))((***)(***)(**(**)))((***)(***)(**(**))))"),
     ],
     (4, 4): [
         ((0, 0), "*"),
@@ -236,6 +265,86 @@ GOLDEN = {
         ((108, 0), "((***)(***)(***)(***))"),
         ((144, 0), "((***)(***)(***)(****))"),
         ((186, 0), "((***)(***)(****)(****))"),
+        ((234, 0), "((***)(****)(****)(****))"),
+        ((288, 0), "((****)(****)(****)(****))"),
+        ((357, 36), "((****)(****)(****)(***(**)))"),
+        ((434, 78), "((****)(****)(***(**))(***(**)))"),
+        ((519, 126), "((****)(***(**))(***(**))(***(**)))"),
+        ((612, 180), "((***(**))(***(**))(***(**))(***(**)))"),
+        ((722, 264), "((***(**))(***(**))(***(**))(**(**)(**)))"),
+        ((842, 358), "((***(**))(***(**))(**(**)(**))(**(**)(**)))"),
+        ((972, 462), "((***(**))(**(**)(**))(**(**)(**))(**(**)(**)))"),
+        ((1112, 576), "((**(**)(**))(**(**)(**))(**(**)(**))(**(**)(**)))"),
+        ((1272, 726), "((**(**)(**))(**(**)(**))(**(**)(**))(*(**)(**)(**)))"),
+        ((1444, 890), "((**(**)(**))(**(**)(**))(*(**)(**)(**))(*(**)(**)(**)))"),
+        ((1628, 1068), "((**(**)(**))(*(**)(**)(**))(*(**)(**)(**))(*(**)(**)(**)))"),
+        ((1824, 1260), "((*(**)(**)(**))(*(**)(**)(**))(*(**)(**)(**))(*(**)(**)(**)))"),
+        ((2043, 1494), "((*(**)(**)(**))(*(**)(**)(**))(*(**)(**)(**))((**)(**)(**)(**)))"),
+        ((2276, 1746), "((*(**)(**)(**))(*(**)(**)(**))((**)(**)(**)(**))((**)(**)(**)(**)))"),
+    ],
+    (5, 4): [
+        ((0, 0), "*"),
+        ((0, 0), "(**)"),
+        ((0, 0), "(***)"),
+        ((0, 0), "(****)"),
+        ((0, 0), "(*****)"),
+        ((4, 0), "(****(**))"),
+        ((10, 0), "(***(**)(**))"),
+        ((18, 0), "(**(**)(**)(**))"),
+        ((28, 0), "(*(**)(**)(**)(**))"),
+        ((40, 0), "((**)(**)(**)(**)(**))"),
+        ((60, 0), "((**)(**)(**)(**)(***))"),
+        ((84, 0), "((**)(**)(**)(***)(***))"),
+        ((112, 0), "((**)(**)(***)(***)(***))"),
+        ((144, 0), "((**)(***)(***)(***)(***))"),
+        ((180, 0), "((***)(***)(***)(***)(***))"),
+        ((228, 0), "((***)(***)(***)(***)(****))"),
+        ((282, 0), "((***)(***)(***)(****)(****))"),
+        ((342, 0), "((***)(***)(****)(****)(****))"),
+        ((408, 0), "((***)(****)(****)(****)(****))"),
+        ((480, 0), "((****)(****)(****)(****)(****))"),
+        ((568, 0), "((****)(****)(****)(****)(*****))"),
+        ((664, 0), "((****)(****)(****)(*****)(*****))"),
+        ((768, 0), "((****)(****)(*****)(*****)(*****))"),
+        ((880, 0), "((****)(*****)(*****)(*****)(*****))"),
+        ((1000, 0), "((*****)(*****)(*****)(*****)(*****))"),
+        ((1144, 80), "((*****)(*****)(*****)(*****)(****(**)))"),
+        ((1298, 168), "((*****)(*****)(*****)(****(**))(****(**)))"),
+        ((1462, 264), "((*****)(*****)(****(**))(****(**))(****(**)))"),
+        ((1636, 368), "((*****)(****(**))(****(**))(****(**))(****(**)))"),
+        ((1820, 480), "((****(**))(****(**))(****(**))(****(**))(****(**)))"),
+    ],
+    (6, 4): [
+        ((0, 0), "*"),
+        ((0, 0), "(**)"),
+        ((0, 0), "(***)"),
+        ((0, 0), "(****)"),
+        ((0, 0), "(*****)"),
+        ((0, 0), "(******)"),
+        ((5, 0), "(*****(**))"),
+        ((12, 0), "(****(**)(**))"),
+        ((21, 0), "(***(**)(**)(**))"),
+        ((32, 0), "(**(**)(**)(**)(**))"),
+        ((45, 0), "(*(**)(**)(**)(**)(**))"),
+        ((60, 0), "((**)(**)(**)(**)(**)(**))"),
+        ((85, 0), "((**)(**)(**)(**)(**)(***))"),
+        ((114, 0), "((**)(**)(**)(**)(***)(***))"),
+        ((147, 0), "((**)(**)(**)(***)(***)(***))"),
+        ((184, 0), "((**)(**)(***)(***)(***)(***))"),
+        ((225, 0), "((**)(***)(***)(***)(***)(***))"),
+        ((270, 0), "((***)(***)(***)(***)(***)(***))"),
+        ((330, 0), "((***)(***)(***)(***)(***)(****))"),
+        ((396, 0), "((***)(***)(***)(***)(****)(****))"),
+        ((468, 0), "((***)(***)(***)(****)(****)(****))"),
+        ((546, 0), "((***)(***)(****)(****)(****)(****))"),
+        ((630, 0), "((***)(****)(****)(****)(****)(****))"),
+        ((720, 0), "((****)(****)(****)(****)(****)(****))"),
+        ((830, 0), "((****)(****)(****)(****)(****)(*****))"),
+        ((948, 0), "((****)(****)(****)(****)(*****)(*****))"),
+        ((1074, 0), "((****)(****)(****)(*****)(*****)(*****))"),
+        ((1208, 0), "((****)(****)(*****)(*****)(*****)(*****))"),
+        ((1350, 0), "((****)(*****)(*****)(*****)(*****)(*****))"),
+        ((1500, 0), "((*****)(*****)(*****)(*****)(*****)(*****))"),
     ],
 }
 
@@ -424,20 +533,23 @@ def test_a_dp_builds_its_columns_after_the_budget_check():
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
     # one candidate at level 2 passes the candidate check at any k, but the
-    # k - 2 column and share lists would take about 7 GB at k = 2 * 10^7
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        dp = ParetoDP(10**7, 2)
-        with pytest.raises(BudgetError) as exc:
-            dp.run(n_max)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 0.1 and peak < 2**20
-    assert str(exc.value) == (
-        f"levels 1..{n_max} at d=2, k=10000000 store up to {2 * 9999998 * (n_max + 1)} "
-        "entries (2 (k - 2) lists of n_max + 1), above the cap of 20000000"
-    )
-    assert dp.max_n() == 0
+    # k - 1 column and k - 3 (d = 2) or k - 2 (d = 3) share lists would take
+    # about 7 GB at k = 10^7
+    for d, lists, shares in [(2, 19999996, "k - 3"), (3, 19999997, "k - 2")]:
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            dp = ParetoDP(10**7, d)
+            with pytest.raises(BudgetError) as exc:
+                dp.run(n_max)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20
+        assert str(exc.value) == (
+            f"levels 1..{n_max} at d={d}, k=10000000 store up to {lists * (n_max + 1)} "
+            f"entries (k - 1 column and {shares} share lists of n_max + 1), "
+            "above the cap of 20000000"
+        )
+        assert dp.max_n() == 0
