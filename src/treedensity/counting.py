@@ -439,6 +439,14 @@ def combine_caterpillar_counts(
     return tuple(out)
 
 
+def _fill_caterpillar_counts(table: _Shapes, ids: Iterable[int], vectors: dict, k: int) -> None:
+    """Combine the vector of each shape in ``ids`` from its children's into
+    ``vectors``; every child's vector is there or comes earlier in ``ids``."""
+    leaves, kids = table.leaves, table.kids
+    for u in ids:
+        vectors[u] = combine_caterpillar_counts([(leaves[c], vectors[c]) for c in kids[u]], k)
+
+
 def caterpillar_counts(t: Tree, k: int) -> tuple[int, ...]:
     """(c_2, ..., c_k): the copies in ``t`` of the binary caterpillar with
     j leaves, for j = 2..k, so c_j sits at index j - 2.
@@ -450,9 +458,7 @@ def caterpillar_counts(t: Tree, k: int) -> tuple[int, ...]:
     require_int(k, 2, "caterpillar size")
     table = t._table
     vectors = table.results.setdefault(k, {0: (0,) * (k - 1)})
-    for u in table.below(t._id, vectors):
-        parts = [(table.leaves[c], vectors[c]) for c in table.kids[u]]
-        vectors[u] = combine_caterpillar_counts(parts, k)
+    _fill_caterpillar_counts(table, table.below(t._id, vectors), vectors, k)
     return vectors[t._id]
 
 
@@ -460,8 +466,13 @@ def check_witnesses(rows: Iterable[tuple[int, int, str]], d: int, k: int) -> Non
     """Recount each (n, count, code) row's witness, read in order into one
     table of the call's own, for n leaves, no outdegree above d among the
     shapes its read adds (earlier rows passed d) and ``count`` k-caterpillar
-    copies; ConsistencyError names the first fault of the first faulty row."""
+    copies; ConsistencyError names the first fault of the first faulty row.
+    A read adds shapes at the end of the table, each after its children, so
+    the vectors of the shapes it adds are filled in id order; a text read
+    before adds none, its vector being filled already."""
+    require_int(k, 2, "caterpillar size")
     table = _Shapes()
+    vectors = {0: (0,) * (k - 1)}
     for n, expected, code in rows:
         before = len(table.kids)
         try:
@@ -473,8 +484,9 @@ def check_witnesses(rows: Iterable[tuple[int, int, str]], d: int, k: int) -> Non
                 fault = f"the witness has {table.leaves[i]} leaves, not {n}"
             elif (outdegree := max(map(len, table.kids[before:]), default=0)) > d:
                 fault = f"the witness has outdegree {outdegree} > d = {d}"
-            elif (recount := caterpillar_counts(table.tree(i), k)[-1]) != expected:
-                fault = f"reported {expected}, recounted {recount}"
             else:
-                continue
+                _fill_caterpillar_counts(table, range(before, len(table.kids)), vectors, k)
+                if (recount := vectors[i][-1]) == expected:
+                    continue
+                fault = f"reported {expected}, recounted {recount}"
         raise ConsistencyError(f"{k}-caterpillar count of witness {code}: {fault}")

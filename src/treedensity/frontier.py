@@ -14,18 +14,33 @@ one candidate attains every coordinate minimum at once, its vector is
 componentwise minimal for n and the induction goes on. The DP checks exactly
 that at each level and raises ``ConsistencyError`` when it fails, so keeping
 one vector and one root split per level is exact, not a heuristic: the Pareto
-frontier over all d-ary trees holds one vector at every level built. The
-candidates are evaluated a column (one c_j) at a time, and the DP keeps the
-first, in generation order, that attains every column minimum.
+frontier over all d-ary trees holds one vector at every level built. The DP
+keeps the first candidate, in generation order, that attains every column
+minimum.
 
 A candidate's c_j is the sum over its branches of their shares
 f_n(s) = c_j(s) + (n - s) c_{j-1}(s). Since f_{n+1}(s) = f_n(s) + c_{j-1}(s),
-the DP carries each share list up a level with one addition per entry.
-Every candidate is a head, its first m - 2 parts, plus a last pair; the
-pairs (p, rest - p), p = low..top, that complete one head form a block, whose
-entries in a column are two slices of a share list added entrywise plus the
-head's own share sum. The binary splits are the block of the empty head, so
-splits into 2..d parts take one path.
+the DP carries each share up a level with one addition. Every candidate is a
+head, its first m - 2 parts, plus a last pair; the pairs (p, rest - p),
+p = low..top, that complete one head form a block, whose entries are two
+slices of the share list added entrywise plus the head's own share sum. The
+binary splits are the block of the empty head, so splits into 2..d parts
+take one path.
+
+The scanned columns c_lo, ..., c_k are packed into one int per branch size,
+field t, of W bits, holding column lo + t, so c_k is the top field. A
+field holds a candidate's c_j or part of its sum, a share f_{n+1}(s) or a
+c_{j-1}(s): each is at most the number of j- or (j-1)-leaf subsets of one
+tree of at most n_max + 1 leaves, so at most C(n_max + 1, j) for some
+j = lo - 1..k, and W is chosen with W - 1 >= the bit length of the largest
+of those binomials, the one at the j nearest (n_max + 1) / 2. No field then
+reaches its top bit, so adding packed ints adds every field at once with no
+carry between fields, and integer order is lexicographic order, c_k first.
+A level is then one pass of additions per block, one ``min`` and one
+``index``, whatever the number of columns. A candidate that attains every
+column minimum is fieldwise at most every other, so it is the least int, and
+the first least candidate is the one the DP keeps exactly when the least
+int's lower fields equal their columns' minima, which one more pass checks.
 
 Every level keeps its full (c_2, ..., c_k), but only the columns the family
 does not fix are scanned and carry shares: c_2 is C(n, 2) for every n-leaf
@@ -43,8 +58,9 @@ storing it would save.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
-from operator import add
+from operator import add, and_
 from typing import Sequence
 
 from ._partitions import partition_counts, partition_heads
@@ -58,14 +74,17 @@ __all__ = [
 
 # the most column additions one run may make: k - 2 columns for each
 # candidate vector of every level it builds, a candidate of m parts weighing
-# m - 1, so a binary one weighs 1. A candidate of m >= 3 parts costs a column
-# one pair addition and one head addition, plus its part of its head's own
-# share sum (m - 3 additions over a block of at least one candidate), so the
-# weight m - 1 stays an upper bound. At d = 2 (k > 3) only k - 3 columns are
-# scanned, so the count is one column high there: conservative. A run that
-# builds level 1 is also held to it by the entries of its k - 1 column lists
-# and k + 1 - lo share lists (lo = 4 at d = 2 with k > 3, else 3), which a
-# run of few levels and a huge k would otherwise allocate unpriced
+# m - 1, so a binary one weighs 1. A candidate of m >= 3 parts costs one pair
+# addition and one head addition, plus its part of its head's own share sum
+# (m - 3 additions over a block of at least one candidate), so the weight
+# m - 1 stays an upper bound. The columns are packed, so an addition adds
+# them all at once, but it still counts as its k - 2 column additions: at
+# d = 2 (k > 3) only k - 3 columns are scanned, and a packed addition costs
+# less than that many, so the count is conservative. A run that builds
+# level 1 is also held to it by the entries of its k - 1 column lists and
+# of its two packed lists, of k + 1 - lo fields an entry (lo = 4 at d = 2
+# with k > 3, else 3), which a run of few levels and a huge k would
+# otherwise allocate unpriced
 CANDIDATE_CAP = 2 * 10**7
 
 
@@ -121,9 +140,10 @@ class ParetoDP:
     Levels are stored column-wise by leaf count s (index 0 unused):
     ``_cols[j - 2][s]`` is c_j, j = 2..k, and ``_split[s]`` the root branch
     sizes of the witness (None at s = 1, whose code is known). Only the
-    columns the family does not fix, j >= lo (4 at d = 2 with k > 3, else
-    3), are scanned and carry shares: ``_shares[j - lo]`` holds f_n(s) for
-    s < n, n being the next level to build.
+    columns the family does not fix, j = lo..k (lo = 4 at d = 2 with k > 3,
+    else 3), are scanned, packed ``_size`` bytes a field, lowest first:
+    ``_f[s]`` holds their shares f_n(s) for s < n, n being the next
+    level to build, and ``_below[s]`` level s's c_{j-1}, j = lo..k.
     """
 
     def __init__(self, k: int, d: int = 2):
@@ -132,24 +152,10 @@ class ParetoDP:
         self.k = k
         self.d = d
         self._lo = 4 if d == 2 and k > 3 else 3
+        self._fields = k + 1 - self._lo  # J, the columns scanned
         self._split: list[tuple[int, ...] | None] = [None]  # no level until a run
 
     # -- levels --------------------------------------------------------------
-
-    def _append(self, vector, split=None) -> None:
-        """Store level n's (c_2, ..., c_k) and carry each share list up from
-        f_n to f_{n+1}: f_{n+1}(s) = f_n(s) + c_{j-1}(s) for s < n, and
-        f_{n+1}(n) = c_j(n) + c_{j-1}(n)."""
-        n = len(self._split)
-        cols = self._cols
-        for col, c in zip(cols, vector):
-            col.append(c)
-        self._split.append(split)
-        lo = self._lo
-        self._shares = [
-            [*map(add, f, below), col[n] + below[n]]
-            for f, below, col in zip(self._shares, cols[lo - 3 :], cols[lo - 2 :])
-        ]
 
     def _counts(self, n: int) -> tuple[int, ...]:
         """(c_2, c_3, ..., c_k) of level n."""
@@ -203,70 +209,117 @@ class ParetoDP:
 
     # -- the DP proper ------------------------------------------------------
 
-    def _columns(self, n: int):
-        """Candidate columns of level n, and the heads that generate them.
+    def _unpack(self, x: int) -> tuple[int, ...]:
+        """The fields of a packed int, lowest first: (c_lo, ..., c_k) of a
+        candidate. Fields above the top nonzero one are 0, so only the bytes
+        up to it are read."""
+        size = self._size
+        used = -(-x.bit_length() // (8 * size))
+        raw = x.to_bytes(used * size, "little")
+        return (
+            *[int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)],
+            *[0] * (self._fields - used),
+        )
 
-        Each scanned column holds its c_j of every candidate in generation
-        order: the partitions of n into m parts, m = 2..d, in
+    def _blocks(self, n: int) -> tuple[list[int], list[tuple]]:
+        """Level n's packed candidates in generation order, and the heads
+        that generate them.
+
+        The candidates are the partitions of n into m parts, m = 2..d, in
         ``partition_heads`` order, so the binary splits (a, n - a),
-        a = 1..n//2, come first as the blocks of the empty head. A
-        candidate's c_j is the sum of its branches' shares f_n(s): a head's
-        block adds the shares of each last pair (p, rest - p), p = low..top,
-        two slices of f, and then, if the head has parts, its own share sum.
+        a = 1..n//2, come first as the block of the empty head. A candidate
+        is the sum of its branches' packed shares f_n(s): a head's block adds
+        the shares of each last pair (p, rest - p), p = low..top, two slices
+        of the share list, and then, if the head has parts, its own share sum.
         """
-        heads = [h for m in range(2, min(self.d, n) + 1) for h in partition_heads(n, m)]
-        columns = [[] for _ in self._shares]
-        for column, f in zip(columns, self._shares):
-            for head, rest, low, top in heads:
-                block = map(add, f[low : top + 1], reversed(f[rest - top : rest - low + 1]))
-                if head:
-                    block = map(sum(map(f.__getitem__, head)).__add__, block)
-                column.extend(block)
-        return columns, heads
+        f = self._f
+        heads = [((), n, 1, n // 2)]  # partition_heads(n, 2): the binary splits
+        for m in range(3, min(self.d, n) + 1):
+            heads += partition_heads(n, m)
+        candidates: list[int] = []
+        for head, rest, low, top in heads:
+            block = map(add, f[low : top + 1], reversed(f[rest - top : rest - low + 1]))
+            if head:
+                block = map(sum(map(f.__getitem__, head)).__add__, block)
+            candidates.extend(block)
+        return candidates, heads
 
-    def _select(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Level n's minimal (c_2, ..., c_k) and its first candidate's root split."""
-        columns, heads = self._columns(n)
-        fixed = tuple(comb(n, j) for j in range(2, self._lo))
-        mins = tuple(map(min, columns))
-        i = -1
-        while True:
-            try:
-                i = columns[-1].index(mins[-1], i + 1)
-            except ValueError:
-                vectors = list(zip(*columns))
-                a, b = pareto_minimal(vectors)[:2]
-                raise ConsistencyError(
-                    f"no candidate at d={self.d}, k={self.k}, n={n} attains every "
-                    f"coordinate minimum; {fixed[1:] + vectors[a]} and "
-                    f"{fixed[1:] + vectors[b]} are incomparable"
-                ) from None
-            if all(col[i] == m for col, m in zip(columns, mins)):
-                break
+    def _level(self, n: int) -> None:
+        """Build level n: its minimal (c_2, ..., c_k), the root split of its
+        first candidate that attains it, and the shares carried up to n + 1.
+
+        The least packed candidate is the lexicographic minimum, c_k first,
+        so it holds the c_k minimum, and the first candidate that attains
+        every column minimum is the first least one exactly when the least
+        one's lower fields are their columns' minima. With one lower field,
+        masking it off and taking the least checks that. With more, adding
+        ``guards - least`` to a candidate, ``guards`` setting the top bit
+        2^(W-1) of each lower field, leaves x_t + 2^(W-1) - least_t in each
+        field t, which is in 1..2^W - 1 since both fields are below 2^(W-1):
+        no field borrows or carries, and field t keeps its guard exactly when
+        x_t >= least_t. The guards stop at the least one's top nonzero lower
+        field, since no field is below a field of 0.
+        """
+        candidates, heads = self._blocks(n)
+        least = min(candidates)
+        fixed = (comb(n, 2), comb(n, 3))[: self._lo - 2]  # the columns fixed
+        lower = self._low
+        if not least & lower:  # no lower field (J = 1), or each is 0
+            attained = True
+        elif self._fields == 2:
+            attained = min(map(lower.__and__, candidates)) == least & lower
+        else:
+            used = -(-(least & lower).bit_length() // (8 * self._size))
+            guards = int.from_bytes(self._guards[: used * self._size], "little")
+            spare = guards - least
+            attained = reduce(and_, map(spare.__add__, candidates), guards) == guards
+        if not attained:
+            vectors = list(map(self._unpack, candidates))
+            a, b = pareto_minimal(vectors)[:2]
+            raise ConsistencyError(
+                f"no candidate at d={self.d}, k={self.k}, n={n} attains every "
+                f"coordinate minimum; {fixed[1:] + vectors[a]} and "
+                f"{fixed[1:] + vectors[b]} are incomparable"
+            )
+        i = candidates.index(least)
         for head, rest, low, top in heads:  # the block that holds candidate i
             if i <= top - low:
                 break
             i -= top - low + 1
         split = head + (low + i, rest - low - i)
-        vector = fixed + mins
-        parts = [(s, self._counts(s)) for s in split]
+        vector = fixed + self._unpack(least)
+        cols = self._cols
+        parts = [(s, tuple([col[s] for col in cols])) for s in split]
         recount = combine_caterpillar_counts(parts, self.k)
         if recount != vector:
             raise ConsistencyError(
                 f"counts of split {split} at d={self.d}, k={self.k}, n={n}: "
                 f"columns give {vector[1:]}, recombined {recount[1:]}"
             )
-        return vector, split
+        self._store(vector, split, least)
+
+    def _store(self, vector, split, packed: int) -> None:
+        """Store level n's (c_2, ..., c_k), whose scanned columns ``packed``
+        holds, and carry the shares up from f_n to f_{n+1}: f_{n+1}(s) =
+        f_n(s) + c_{j-1}(s) for s < n, and f_{n+1}(n) = c_j(n) + c_{j-1}(n).
+        Level n's c_{j-1} for j = lo..k are ``packed``'s fields c_lo..c_{k-1}
+        moved up a field, under c_{lo-1}, a column the family fixes."""
+        for col, c in zip(self._cols, vector):
+            col.append(c)
+        self._split.append(split)
+        below = ((packed & self._low) << (8 * self._size)) + vector[self._lo - 3]
+        self._f = [*map(add, self._f, self._below), packed + below]
+        self._below.append(below)
 
     def run(self, n_max: int) -> ParetoDP:
         """Build levels 1..n_max afresh, on every call, and return the DP.
         Each level keeps its (c_2, ..., c_k); only the columns the family
-        does not fix are scanned and carry shares. The run is refused with
-        BudgetError, keeping the levels built before it, when its levels'
-        candidate vectors, each weighted by its parts less one, times the
-        k - 2 columns of each exceed :data:`CANDIDATE_CAP`, and when its
-        k - 1 column and k + 1 - lo share lists of n_max + 1 entries each
-        do."""
+        does not fix are scanned, packed into one int per branch size. The
+        run is refused with BudgetError, keeping the levels built before it,
+        when its levels' candidate vectors, each weighted by its parts less
+        one, times the k - 2 columns of each exceed :data:`CANDIDATE_CAP`,
+        and when its k - 1 column lists and two packed lists of k + 1 - lo
+        fields, of n_max + 1 entries each, do."""
         require_int(n_max, 1, "n_max")
         cols = self.k - 2
         found = _candidates(self.d, n_max, CANDIDATE_CAP // cols)  # level 1 has none
@@ -278,17 +331,25 @@ class ParetoDP:
                 f"above the cap of {CANDIDATE_CAP}"
             )
         # a run with few levels and a huge k passes the check above
-        entries = (2 * self.k - self._lo) * (n_max + 1)
+        entries = (self.k - 1 + 2 * self._fields) * (n_max + 1)
         if entries > CANDIDATE_CAP:
             raise BudgetError(
                 f"levels 1..{n_max} at d={self.d}, k={self.k} store up to "
-                f"{int_str(entries)} entries (k - 1 column and k - {self._lo - 1} share "
-                f"lists of n_max + 1), above the cap of {CANDIDATE_CAP}"
+                f"{int_str(entries)} entries (k - 1 column lists and two packed lists "
+                f"of k - {self._lo - 1} fields, of n_max + 1 each), above the cap of "
+                f"{CANDIDATE_CAP}"
             )
+        # the field bound of the module docstring, C(n_max + 1, j) at its
+        # peak j, in whole bytes and a spare top bit
+        top = n_max + 1
+        peak = comb(top, min(max(top // 2, self._lo - 1), self.k))
+        self._size = size = peak.bit_length() // 8 + 1
+        self._low = (1 << (8 * size * (self._fields - 1))) - 1
+        self._guards = (bytes(size - 1) + b"\x80") * (self._fields - 1)
         self._split, self._witnesses = [None], {1: "*"}
         self._cols = [[0] for _ in range(cols + 1)]  # c_2..c_k
-        self._shares = [[0] for _ in range(self._lo, self.k + 1)]  # f_1
-        self._append((0,) * (cols + 1))
+        self._f, self._below = [0], [0]
+        self._store((0,) * (cols + 1), None, 0)
         for n in range(2, n_max + 1):
-            self._append(*self._select(n))
+            self._level(n)
         return self

@@ -181,13 +181,15 @@ def test_search_min_range_jsonl(capsys):
 
 
 def test_witness_recount_mismatch_exits_1(capsys, monkeypatch):
-    real = counting.caterpillar_counts
+    # the recount combines each witness shape's counts in counting's own
+    # binding; the DP recounts its splits through frontier's
+    real = counting.combine_caterpillar_counts
 
-    def one_too_many(t, k):
-        counts = real(t, k)
+    def one_too_many(parts, k):
+        counts = real(parts, k)
         return counts[:-1] + (counts[-1] + 1,)
 
-    monkeypatch.setattr(counting, "caterpillar_counts", one_too_many)
+    monkeypatch.setattr(counting, "combine_caterpillar_counts", one_too_many)
     code, out, err = run_cli(
         capsys, "search-min", "--d", "2", "--k", "4", "--n-min", "8", "--n-max", "8",
         "--method", "pareto",

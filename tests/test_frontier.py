@@ -25,7 +25,7 @@ from treedensity import counting, frontier
 from treedensity.cli import main as cli_main
 from treedensity._partitions import partition_counts, partition_heads, partitions_into_parts
 from treedensity.frontier import pareto_minimal
-from treedensity.trees import _Shapes
+from treedensity.trees import _Shapes, join_codes
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +357,69 @@ def test_dp_matches_recorded_frontier_dp(d, k):
         assert (dp.vector(n), dp.witness(n)) == (vector, witness), n
 
 
+def _per_column_levels(k, d, n_max):
+    """(vector, split, witness) of levels 1..n_max, one column at a time: each
+    scanned column c_j holds every candidate's sum of its branches' shares
+    c_j(s) + (n - s) c_{j-1}(s), and the level takes the first candidate, in
+    partition order, that attains every column minimum."""
+    lo = 4 if d == 2 and k > 3 else 3
+    cols = [[0, 0] for _ in range(2, k + 1)]  # c_j at j - 2, of levels 0 and 1
+    splits, codes = [None, None], [None, "*"]
+    for n in range(2, n_max + 1):
+        parts = [p for m in range(2, min(d, n) + 1) for p in partitions_into_parts(n, m)]
+        columns = []
+        for j in range(lo, k + 1):
+            c, below = cols[j - 2], cols[j - 3]
+            f = [c[s] + (n - s) * below[s] for s in range(n)]
+            columns.append([sum(map(f.__getitem__, p)) for p in parts])
+        mins = [min(column) for column in columns]
+        i = next(i for i in range(len(parts)) if all(map(int.__eq__, mins, (c[i] for c in columns))))
+        for col, c in zip(cols, [comb(n, j) for j in range(2, lo)] + mins):
+            col.append(c)
+        splits.append(parts[i])
+        codes.append(join_codes([codes[s] for s in parts[i]]))
+    return [(tuple(col[n] for col in cols[1:]), splits[n], codes[n]) for n in range(1, n_max + 1)]
+
+
+# (k, d, n_max) whose bound on a packed field, C(n_max + 1, j) at its peak j,
+# has that peak among the scanned columns, and a bit length that is a
+# multiple of 8: there a field one bit short of holding the bound and a spare
+# top bit is a whole byte narrower, and the bound reaches its top bit
+WIDE = [(40, 2, 74), (12, 3, 25)]
+
+
+@pytest.mark.parametrize(
+    "d, n_max, ks",
+    [pytest.param(d, n, range(3, 9), id=f"d{d}-k3..8")
+     for d, n in zip(range(2, 7), (300, 90, 50, 40, 34))]
+    + [pytest.param(d, n, [k], id=f"d{d}-k{k}") for k, d, n in WIDE],
+)
+def test_packed_dp_matches_the_per_column_selection(d, n_max, ks):
+    for k in ks:
+        dp = ParetoDP(k, d).run(n_max)
+        packed = [(dp.vector(n), dp._split[n], dp.witness(n)) for n in range(1, n_max + 1)]
+        assert packed == _per_column_levels(k, d, n_max), k
+
+
+@pytest.mark.parametrize("k, d, n_max", WIDE)
+@pytest.mark.parametrize("c4, fault", [(6, "counts of split"), (4, "no candidate")])
+def test_a_field_at_the_bound_keeps_the_check_exact(monkeypatch, k, d, n_max, c4, fault):
+    # the other candidate's c_3 field holds the bound itself, and its c_4
+    # field is one above or below the least one's. Above, the least attains
+    # every column minimum, so the check passes and the recount refuses the
+    # made-up vector; a field with no spare top bit would carry out of c_3
+    # and report a miss. Below, the least misses the c_4 minimum.
+    dp = ParetoDP(k, d)
+    lo = k + 1 - dp._fields
+    bound = max(comb(n_max + 1, j) for j in range(lo - 1, k + 1))
+    pad = (0,) * (k - lo - 1)
+    _fake_level(monkeypatch, dp, n_max, (0, 5, *pad, 0), (bound, c4, *pad, 1))
+    with pytest.raises(ConsistencyError) as exc:
+        dp.run(n_max)
+    assert str(exc.value).startswith(fault)
+    assert f"d={d}, k={k}, n={n_max}" in str(exc.value)
+
+
 @pytest.mark.parametrize("d, n_max", [(2, 12), (3, 10), (4, 10), (5, 10)])
 def test_dp_vectors_are_exhaustive_componentwise_minima(d, n_max):
     for k in range(3, 7):
@@ -395,18 +458,40 @@ def test_dp_minimum_at_d_to_the_h_is_the_complete_tree_count(d, k, n_max):
         assert dp.min_count(d**h) == caterpillar_copies_complete(2, k, d, h), h
 
 
+def _packed(dp, *vectors):
+    """One packed candidate of ``dp``'s run per (c_lo, ..., c_k)."""
+    return [
+        int.from_bytes(b"".join(c.to_bytes(dp._size, "little") for c in vector), "little")
+        for vector in vectors
+    ]
+
+
+def _fake_level(monkeypatch, dp, level, *vectors):
+    """Make ``vectors`` the only candidates of ``dp``'s level ``level``."""
+    real = dp._blocks
+    monkeypatch.setattr(
+        dp, "_blocks", lambda n: (_packed(dp, *vectors), real(n)[1]) if n == level else real(n)
+    )
+
+
 def test_incomparable_candidates_are_a_consistency_error(monkeypatch):
-    dp = ParetoDP(4, 3)
-    real = dp._columns
-    # at n = 6 two candidates, (1, 2) and (2, 1), neither of which attains
-    # both minima
-    monkeypatch.setattr(dp, "_columns", lambda n: ([[1, 2], [2, 1]], []) if n == 6 else real(n))
-    with pytest.raises(ConsistencyError) as exc:
-        dp.run(6)
-    message = str(exc.value)
-    assert "d=3, k=4, n=6" in message
-    assert "(1, 2)" in message and "(2, 1)" in message
-    assert dp.max_n() == 5
+    for k, vectors in [
+        # one lower field: the least candidate, (2, 1), misses the c_3 minimum
+        (4, [(1, 2), (2, 1)]),
+        # two lower fields: the least candidate misses the c_3 minimum only,
+        # then the c_4 minimum only
+        (5, [(1, 5, 3), (2, 4, 3)]),
+        (5, [(1, 5, 3), (1, 6, 2)]),
+    ]:
+        dp = ParetoDP(k, 3)
+        _fake_level(monkeypatch, dp, 6, *vectors)
+        with pytest.raises(ConsistencyError) as exc:
+            dp.run(6)
+        assert str(exc.value) == (
+            f"no candidate at d=3, k={k}, n=6 attains every coordinate minimum; "
+            f"{vectors[0]} and {vectors[1]} are incomparable"
+        )
+        assert dp.max_n() == 5
 
 
 def test_recombine_mismatch_is_a_consistency_error(monkeypatch, capsys):
@@ -533,9 +618,9 @@ def test_a_dp_builds_its_columns_after_the_budget_check():
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
     # one candidate at level 2 passes the candidate check at any k, but the
-    # k - 1 column and k - 3 (d = 2) or k - 2 (d = 3) share lists would take
-    # about 7 GB at k = 10^7
-    for d, lists, shares in [(2, 19999996, "k - 3"), (3, 19999997, "k - 2")]:
+    # k - 1 column lists alone took 185 MiB at k = 10^6 and n_max = 2; the
+    # two packed lists hold k - 3 (d = 2) or k - 2 (d = 3) fields an entry
+    for d, lists, fields in [(2, 29999993, "k - 3"), (3, 29999995, "k - 2")]:
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -549,7 +634,17 @@ def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
         assert elapsed < 0.1 and peak < 2**20
         assert str(exc.value) == (
             f"levels 1..{n_max} at d={d}, k=10000000 store up to {lists * (n_max + 1)} "
-            f"entries (k - 1 column and {shares} share lists of n_max + 1), "
-            "above the cap of 20000000"
+            f"entries (k - 1 column lists and two packed lists of {fields} fields, "
+            "of n_max + 1 each), above the cap of 20000000"
         )
         assert dp.max_n() == 0
+
+
+def test_a_huge_k_packs_and_unpacks_in_linear_time():
+    # 99,997 fields an entry: packing by a loop of shifts into a growing int
+    # is quadratic in them. The bound is the per-column DP's time, 1.0-1.2 s
+    # on a 2-vCPU host, where the packed one took 0.2 s
+    start = time.perf_counter()
+    dp = ParetoDP(10**5, 2).run(5)
+    assert time.perf_counter() - start < 1.2
+    assert dp.vector(5) == (10, 2) + (0,) * (10**5 - 4)
