@@ -59,6 +59,7 @@ storing it would save.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import islice
 from math import comb
 from operator import add, and_
 from typing import Sequence
@@ -72,20 +73,14 @@ __all__ = [
     "ParetoDP",
 ]
 
-# the most column additions one run may make: k - 2 columns for each
-# candidate vector of every level it builds, a candidate of m parts weighing
-# m - 1, so a binary one weighs 1. A candidate of m >= 3 parts costs one pair
-# addition and one head addition, plus its part of its head's own share sum
-# (m - 3 additions over a block of at least one candidate), so the weight
-# m - 1 stays an upper bound. The columns are packed, so an addition adds
-# them all at once, but it still counts as its k - 2 column additions: at
-# d = 2 (k > 3) only k - 3 columns are scanned, and a packed addition costs
-# less than that many, so the count is conservative. A run that builds
-# level 1 is also held to it by the entries of its k - 1 column lists and
-# of its two packed lists, of k + 1 - lo fields an entry (lo = 4 at d = 2
-# with k > 3, else 3), which a run of few levels and a huge k would
-# otherwise allocate unpriced
-CANDIDATE_CAP = 2 * 10**7
+# the most packed steps one run may take, as ParetoDP._price counts them: a
+# candidate of m parts takes m - 1 steps, its additions, and one more for its
+# check when the DP scans more than one column; a carried share takes half a
+# step; each step weighs 1 + B / 256 for the B bytes of a packed int that the
+# run's values can fill; and every level takes 4k steps, for its k - 1
+# column lists, its recount and its unpacking. In-process runs near the cap
+# took 60-110 ns a step on a 2-vCPU host, at k = 3..10^6 and d = 2..8
+CANDIDATE_CAP = 25 * 10**6
 
 
 def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
@@ -107,24 +102,24 @@ def pareto_minimal(vectors: Sequence[tuple[int, ...]]) -> list[int]:
     return kept_idx
 
 
-def _candidates(d: int, hi: int, limit: int) -> int:
+def _candidates(d: int, hi: int, limit: int, check: bool) -> int:
     """Candidate vectors of the levels 2..hi, one for each split of a level
-    n into m parts, 2 <= m <= d, weighted by m - 1 and counted until they
-    exceed ``limit``.
+    n into m parts, 2 <= m <= d, weighted by m - 1 + ``check`` and counted
+    until they exceed ``limit``.
 
     The binary splits are in closed form, since the sum of n // 2 over
     n <= hi is hi^2 // 4, and settle d = 2. Otherwise
     :func:`partition_counts` counts the partitions of each level into at
-    most m parts for m = 1, 2, ... in turn, so each step adds the m-part
-    splits, and the weighted count only grows as m does.
+    most m parts for m = 1, 2, ... in turn, so each step from m = 2 on adds
+    the m-part splits, and the weighted count only grows as m does.
     """
-    binary = hi * hi // 4
+    binary = (1 + check) * (hi * hi // 4)
     if d < 3 or binary > limit:
         return binary
-    total = fewer = 0  # fewer: the splits into under m parts
-    for m, ways in zip(range(1, min(d, hi) + 1), partition_counts(hi)):
+    total, fewer = 0, hi - 1  # fewer: the splits into under m parts
+    for m, ways in zip(range(2, min(d, hi) + 1), islice(partition_counts(hi), 1, None)):
         upto = sum(ways[2:])
-        total += (m - 1) * (upto - fewer)
+        total += (m - 1 + check) * (upto - fewer)
         if total > limit:
             break
         fewer = upto
@@ -311,45 +306,49 @@ class ParetoDP:
         self._f = [*map(add, self._f, self._below), packed + below]
         self._below.append(below)
 
-    def run(self, n_max: int) -> ParetoDP:
-        """Build levels 1..n_max afresh, on every call, and return the DP.
-        Each level keeps its (c_2, ..., c_k); only the columns the family
-        does not fix are scanned, packed into one int per branch size. The
-        run is refused with BudgetError, keeping the levels built before it,
-        when its levels' candidate vectors, each weighted by its parts less
-        one, times the k - 2 columns of each exceed :data:`CANDIDATE_CAP`,
-        and when its k - 1 column lists and two packed lists of k + 1 - lo
-        fields, of n_max + 1 entries each, do."""
-        require_int(n_max, 1, "n_max")
-        cols = self.k - 2
-        found = _candidates(self.d, n_max, CANDIDATE_CAP // cols)  # level 1 has none
-        if found * cols > CANDIDATE_CAP:
-            raise BudgetError(
-                f"levels 2..{n_max} at d={self.d}, k={self.k} need at least "
-                f"{int_str(found * cols)} column additions "
-                f"(k - 2 per candidate of m parts, times m - 1), "
-                f"above the cap of {CANDIDATE_CAP}"
-            )
-        # a run with few levels and a huge k passes the check above
-        entries = (self.k - 1 + 2 * self._fields) * (n_max + 1)
-        if entries > CANDIDATE_CAP:
-            raise BudgetError(
-                f"levels 1..{n_max} at d={self.d}, k={self.k} store up to "
-                f"{int_str(entries)} entries (k - 1 column lists and two packed lists "
-                f"of k - {self._lo - 1} fields, of n_max + 1 each), above the cap of "
-                f"{CANDIDATE_CAP}"
-            )
-        # the field bound of the module docstring, C(n_max + 1, j) at its
-        # peak j, in whole bytes and a spare top bit
+    def _price(self, n_max: int, limit: int) -> tuple[int, int]:
+        """The packed steps of a run to n_max, as :data:`CANDIDATE_CAP` counts
+        them, and W, the bytes of a field. A price above ``limit`` may be a
+        lower bound, with W = 0: W's binomial took 11 s at n_max = 10^6.
+
+        Only ``filled`` fields can be nonzero. A field of a column j >= h + 3,
+        where d^(h-1) < n_max <= d^h, holds c_j(s), c_{j-1}(s) or a share
+        c_j(s) + (n - s) c_{j-1}(s) of levels s <= n_max <= d^(j-3): all 0, as
+        an s-leaf tree of height j - 3 or less has no (j-1)-leaf caterpillar."""
+        levels = 4 * self.k * (n_max + 1)  # column lists, recount, unpacking
+        carries = n_max * (n_max + 1) // 4  # half a step per share carried
+        steps = carries + _candidates(self.d, n_max, limit - levels - carries, self._fields > 1)
+        if levels + steps > limit:
+            return levels + steps, 0
+        # the module docstring's field bound: C(n_max + 1, j) at its peak j
         top = n_max + 1
-        peak = comb(top, min(max(top // 2, self._lo - 1), self.k))
-        self._size = size = peak.bit_length() // 8 + 1
+        size = comb(top, min(max(top // 2, self._lo - 1), self.k)).bit_length() // 8 + 1
+        h = 1
+        while self.d**h < n_max:
+            h += 1
+        filled = min(self._fields, h + 3 - self._lo)
+        return levels + steps * (256 + filled * size) // 256, size
+
+    def run(self, n_max: int) -> ParetoDP:
+        """Build levels 1..n_max afresh, on every call, and return the DP, or
+        refuse with BudgetError, keeping the levels built before, a run whose
+        packed steps (:meth:`_price`) exceed :data:`CANDIDATE_CAP`."""
+        require_int(n_max, 1, "n_max")
+        price, size = self._price(n_max, CANDIDATE_CAP)
+        if price > CANDIDATE_CAP:
+            raise BudgetError(
+                f"levels 1..{n_max} at d={self.d}, k={self.k} need at least {int_str(price)} "
+                f"packed steps (m - 1 a candidate of m parts and 1 more if checked, 1/2 a "
+                f"carried share, each times 1 + packed bytes / 256, and 4k a level), above "
+                f"the cap of {CANDIDATE_CAP}"
+            )
+        self._size = size
         self._low = (1 << (8 * size * (self._fields - 1))) - 1
         self._guards = (bytes(size - 1) + b"\x80") * (self._fields - 1)
         self._split, self._witnesses = [None], {1: "*"}
-        self._cols = [[0] for _ in range(cols + 1)]  # c_2..c_k
+        self._cols = [[0] for _ in range(self.k - 1)]  # c_2..c_k
         self._f, self._below = [0], [0]
-        self._store((0,) * (cols + 1), None, 0)
+        self._store((0,) * (self.k - 1), None, 0)
         for n in range(2, n_max + 1):
             self._level(n)
         return self

@@ -384,8 +384,12 @@ _CRITERIA = {
 
 
 def test_criterion_9_determinism(report_dir, capsys):
-    missing = [n for n in _CRITERIA if n not in _GENERATED]
-    assert not missing, f"criteria {missing} left no first-generation report"
+    # a criterion not run earlier in this session (under -k, --lf or a
+    # reordering plugin) builds its first-generation report here, so the
+    # comparison below is still between two independent builds
+    for number, build in _CRITERIA.items():
+        if number not in _GENERATED:
+            _record(report_dir, capsys, number, "first generation, for criterion 9", build())
     rows = []
     all_ok = True
     rerun_dir = report_dir / "second-generation"

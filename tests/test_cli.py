@@ -459,6 +459,13 @@ def _zeros(n):
     return "1" + "0" * n
 
 
+# the unit and cap of every refused DP run
+_DP_STEPS = (
+    "packed steps (m - 1 a candidate of m parts and 1 more if checked, 1/2 a carried share, "
+    "each times 1 + packed bytes / 256, and 4k a level), above the cap of 25000000"
+)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -549,20 +556,17 @@ def _zeros(n):
         (("limits", "--d", "3", "--k", "20000"),
          "the limit at d=3, k=20000, r=2 has a denominator of up to 399980000 bits, "
          "above the cap of 2250000"),
-        # the DP's levels cost k - 2 columns a candidate, and a binary level n
-        # has n // 2 candidates: this run would take days
+        # a binary level n has n // 2 candidates and carries n shares: this
+        # run would take days
         (("conjecture", "--k", "4", "--n-max", "1000000"),
-         "levels 2..1000000 at d=2, k=4 need at least 500000000000 column additions "
-         "(k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
-        # 160,000 candidates, of 798 columns each: it took 37 s
-        (("search-min", "--d", "2", "--k", "800", "--n-max", "800"),
-         "levels 2..800 at d=2, k=800 need at least 127680000 column additions "
-         "(k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
+         f"levels 1..1000000 at d=2, k=4 need at least 500016250016 {_DP_STEPS}"),
+        # one level past the cap: at n_max = 1685 it took 2.0-2.9 s
+        (("search-min", "--d", "2", "--k", "800", "--n-max", "1686"),
+         f"levels 1..1686 at d=2, k=800 need at least 25022849 {_DP_STEPS}"),
         # under the cap in binary splits alone, but the 3-part partitions of
-        # a level n number about n^2 / 12, and each costs 2 additions a column
+        # a level n number about n^2 / 12, and each costs 2 additions
         (("monotone", "--d", "3", "--k", "4", "--n-max", "2000", "--method", "pareto"),
-         "levels 2..2000 at d=3, k=4 need at least 891554888 column additions "
-         "(k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
+         f"levels 1..2000 at d=3, k=4 need at least 670198682 {_DP_STEPS}"),
         # d**h took 0.87 s to build here, and 2,10000000000 ran past 30 s
         (("count", "--pattern", "(**)", "--tree-complete", "2,100000000"),
          "complete tree would have 2^100000000 leaves, above the cap of 10000000"),
@@ -583,8 +587,7 @@ def _zeros(n):
          "above the cap of 3000000000"),
         # the k - 2 columns of the DP took 155 MiB before this refusal
         (("conjecture", "--k", "1000000", "--n-max", "1000000"),
-         "levels 2..1000000 at d=2, k=1000000 need at least 249999500000000000 column "
-         "additions (k - 2 per candidate of m parts, times m - 1), above the cap of 20000000"),
+         f"levels 1..1000000 at d=2, k=1000000 need at least 4750004250000 {_DP_STEPS}"),
         # it ran 94 s at 333 MiB, 18 s of it building C(8388608, 524288)
         (("count", "--pattern-complete", "2,19", "--tree-complete", "2,23"),
          "the density of a 524288-leaf pattern in a 8388608-leaf tree needs up to 12582912 "

@@ -18,7 +18,9 @@ from treedensity import (
     caterpillar_copies_complete,
     caterpillar_counts,
     enumerate_trees,
+    leaf,
     make_caterpillar,
+    node,
     parse_tree,
 )
 from treedensity import counting, frontier
@@ -171,17 +173,70 @@ def test_dp_budget_refusals(monkeypatch):
 
 
 def test_a_candidate_of_m_parts_weighs_m_minus_one():
-    # the budget counts column additions: a split into m parts costs m - 1
+    # the price counts packed steps: a split into m parts costs m - 1
+    # additions, and one more for its check when the DP scans two columns
     for d in (2, 3, 4, 6):
         for hi in (1, 2, 17, 30):
-            weighted = sum(
-                (m - 1) * len(list(partitions_into_parts(n, m)))
-                for n in range(2, hi + 1)
-                for m in range(2, d + 1)
-            )
-            assert frontier._candidates(d, hi, 10**9) == weighted, (d, hi)
+            for check in (False, True):
+                weighted = sum(
+                    (m - 1 + check) * len(list(partitions_into_parts(n, m)))
+                    for n in range(2, hi + 1)
+                    for m in range(2, d + 1)
+                )
+                assert frontier._candidates(d, hi, 10**9, check) == weighted, (d, hi, check)
     # the count stops at the first m that passes the limit: here m = 3
-    assert frontier._candidates(6, 2000, 10**6) == frontier._candidates(3, 2000, 10**12)
+    for check in (False, True):
+        limit = (1 + check) * 10**6
+        assert frontier._candidates(6, 2000, limit, check) == frontier._candidates(
+            3, 2000, 10**12, check
+        )
+
+
+# README's near-cap runs of the DP, (k, d, n_max)
+NEAR_CAP = [(3, 2, 6990), (4, 2, 6973), (40, 2, 3472), (800, 2, 1685), (4, 3, 657),
+            (5, 4, 236), (5, 5, 140), (5, 6, 103)]
+
+
+@pytest.mark.parametrize("k, d, n_max", NEAR_CAP)
+def test_the_price_admits_a_near_cap_run_and_refuses_a_quarter_more(k, d, n_max):
+    # the price alone, with no level built
+    cap = frontier.CANDIDATE_CAP
+    dp = ParetoDP(k, d)
+    assert dp._price(n_max, cap)[0] <= cap < dp._price(n_max + 1, cap)[0]
+    assert dp._price(n_max * 5 // 4, cap)[0] > cap
+    assert dp.max_n() == 0
+
+
+@pytest.mark.parametrize("k, d, n_max", [(40, 2, 200), (12, 3, 60), (9, 4, 40), (3, 2, 50)])
+def test_a_run_fills_no_field_its_price_leaves_out(k, d, n_max):
+    # the price weighs each packed int by the fields that can be nonzero,
+    # those of columns j <= h + 2 where d^(h-1) < n_max <= d^h
+    dp = ParetoDP(k, d).run(n_max)
+    h = next(h for h in range(1, n_max + 1) if d**h >= n_max)
+    filled = min(dp._fields, h + 3 - dp._lo)
+    assert filled < dp._fields or k == 3
+    widest = max(x.bit_length() for x in dp._f + dp._below)
+    assert (filled - 1) * 8 * dp._size < widest <= filled * 8 * dp._size
+
+
+@pytest.mark.parametrize("d, k", [(d, 4) for d in range(2, 7)] + [(d, 5) for d in range(2, 6)])
+def test_the_minimum_leaves_zero_one_leaf_past_d_to_the_k_minus_2(d, k):
+    # one leaf past the complete tree of height k - 2, whose leaves are the
+    # zero range's last level, a cherry in place of a leaf is minimal: its
+    # copies each take the cherry and one leaf from every other branch on the
+    # way up, (d - 1)^(k - 2) d^((k - 2)(k - 3) / 2) of them
+    def complete(h, cherry):
+        if h == 0:
+            return node([leaf(), leaf()]) if cherry else leaf()
+        return node([complete(h - 1, cherry)] + [complete(h - 1, False)] * (d - 1))
+
+    edge = d ** (k - 2)
+    dp = ParetoDP(k, d).run(edge + 1)
+    tree = complete(k - 2, True)
+    assert tree.leaf_count == edge + 1
+    assert dp.min_count(edge) == 0
+    assert dp.min_count(edge + 1) == (d - 1) ** (k - 2) * d ** ((k - 2) * (k - 3) // 2)
+    assert dp.min_count(edge + 1) == caterpillar_counts(tree, k)[-1]
 
 
 # Vectors and witnesses produced by the general Pareto-frontier DP, which kept
@@ -617,10 +672,12 @@ def test_a_dp_builds_its_columns_after_the_budget_check():
 
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
-    # one candidate at level 2 passes the candidate check at any k, but the
-    # k - 1 column lists alone took 185 MiB at k = 10^6 and n_max = 2; the
-    # two packed lists hold k - 3 (d = 2) or k - 2 (d = 3) fields an entry
-    for d, lists, fields in [(2, 29999993, "k - 3"), (3, 29999995, "k - 2")]:
+    # one candidate at level 2 is cheap at any k, but the k - 1 column lists
+    # alone took 185 MiB at k = 10^6 and n_max = 2: each level costs 4k steps,
+    # and the price stops there, before W's binomial. At n_max = 2
+    # the carried shares and the checked binary candidate add 1 + 2
+    price = 4 * 10**7 * (n_max + 1) + 3 * (n_max - 1)
+    for d in (2, 3):
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -633,9 +690,10 @@ def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
             tracemalloc.stop()
         assert elapsed < 0.1 and peak < 2**20
         assert str(exc.value) == (
-            f"levels 1..{n_max} at d={d}, k=10000000 store up to {lists * (n_max + 1)} "
-            f"entries (k - 1 column lists and two packed lists of {fields} fields, "
-            "of n_max + 1 each), above the cap of 20000000"
+            f"levels 1..{n_max} at d={d}, k=10000000 need at least "
+            f"{price} packed steps (m - 1 a candidate of m parts "
+            "and 1 more if checked, 1/2 a carried share, each times 1 + packed bytes / 256, "
+            "and 4k a level), above the cap of 25000000"
         )
         assert dp.max_n() == 0
 
