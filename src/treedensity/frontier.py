@@ -27,29 +27,36 @@ slices of the share list added entrywise plus the head's own share sum. The
 binary splits are the block of the empty head, so splits into 2..d parts
 take one path.
 
-The scanned columns c_lo, ..., c_k are packed into one int per branch size,
-field t, of W bits, holding column lo + t, so c_k is the top field. A
-field holds a candidate's c_j or part of its sum, a share f_{n+1}(s) or a
-c_{j-1}(s): each is at most the number of j- or (j-1)-leaf subsets of one
-tree of at most n_max + 1 leaves, so at most C(n_max + 1, j) for some
-j = lo - 1..k, and W is chosen with W - 1 >= the bit length of the largest
-of those binomials, the one at the j nearest (n_max + 1) / 2. No field then
-reaches its top bit, so adding packed ints adds every field at once with no
-carry between fields, and integer order is lexicographic order, c_k first.
-A level is then one pass of additions per block, one ``min`` and one
-``index``, whatever the number of columns. A candidate that attains every
-column minimum is fieldwise at most every other, so it is the least int, and
-the first least candidate is the one the DP keeps exactly when the least
-int's lower fields equal their columns' minima, which one more pass checks.
-
-Every level keeps its full (c_2, ..., c_k), but only the columns the family
-does not fix are scanned and carry shares: c_2 is C(n, 2) for every n-leaf
-tree, and at d = 2 so is c_3 = C(n, 3), since every three leaves of a binary
-tree induce the 3-leaf caterpillar. Every candidate attains a constant
-column's minimum, so it cannot change the chosen split; the level's vector
-takes those binomials, and the recount of its split checks the whole vector.
-At d = 2 with k = 3 the c_3 column is scanned, so that every level has a
+A level keeps its full (c_2, ..., c_k), but a run to n_max scans and
+carries shares for only the columns c_lo, ..., c_top that neither the family
+fixes nor its size keeps at 0. Below: c_2 is C(n, 2) for every n-leaf tree,
+and at d = 2 so is c_3 = C(n, 3), since every three leaves of a binary tree
+induce the 3-leaf caterpillar, so lo = 4 at d = 2 with k > 3, else 3.
+Above: top = max(lo, min(k, h + 2)), where d^(h-1) < n_max <= d^h. A level
+s <= n_max <= d^(j-3), for j >= h + 3, has a tree of height j - 3 or less,
+which holds no (j-1)-leaf caterpillar, so its minimal c_{j-1}(s) and c_j(s)
+are 0, and so is every share c_j(s) + (n - s) c_{j-1}(s). Every candidate
+attains a column's minimum that is constant over the candidates, so such a
+column cannot change the chosen split; the level's vector takes its
+binomial or its 0, and the recount of its split checks the whole vector. At
+d = 2 with k = 3 the c_3 column is scanned, so that every level has a
 column to scan.
+
+The columns c_lo, ..., c_top are packed into one int per branch size,
+field t, of W bits, holding column lo + t, so c_top is the top field, and
+J = top + 1 - lo fields are laid out. A field holds a candidate's c_j or
+part of its sum, a share f_{n+1}(s) or a c_{j-1}(s): each is at most the
+number of j- or (j-1)-leaf subsets of one tree of at most n_max + 1 leaves,
+so at most C(n_max + 1, j) for some j = lo - 1..top, and W is chosen with
+W - 1 >= the bit length of the largest of those binomials, the one at the
+j nearest (n_max + 1) / 2. No field then reaches its top bit, so adding
+packed ints adds every field at once with no carry between fields, and
+integer order is lexicographic order, c_top first. A level is then one
+pass of additions per block, one ``min`` and one ``index``, whatever the
+number of columns. A candidate that attains every column minimum is
+fieldwise at most every other, so it is the least int, and the first least
+candidate is the one the DP keeps exactly when the least int's lower fields
+equal their columns' minima, which one more pass checks.
 
 Every level is computed: a stored level could be checked for being attained
 by its witness, but proving it minimal takes the very recomputation that
@@ -76,10 +83,10 @@ __all__ = [
 # the most packed steps one run may take, as ParetoDP._price counts them: a
 # candidate of m parts takes m - 1 steps, its additions, and one more for its
 # check when the DP scans more than one column; a carried share takes half a
-# step; each step weighs 1 + B / 256 for the B bytes of a packed int that the
-# run's values can fill; and every level takes 4k steps, for its k - 1
-# column lists, its recount and its unpacking. In-process runs near the cap
-# took 60-110 ns a step on a 2-vCPU host, at k = 3..10^6 and d = 2..8
+# step; each step weighs 1 + B / 256 for the B = J * W bytes of a packed int
+# as laid out; and every level takes 4k steps, for its vector, its recount
+# and its unpacking. In-process runs near the cap took 76-109 ns a step on
+# a 2-vCPU host, at k = 3..800 and d = 2..6
 CANDIDATE_CAP = 25 * 10**6
 
 
@@ -132,13 +139,13 @@ class ParetoDP:
     ``run(n_max)`` builds levels 1..n_max afresh and returns the DP itself;
     ``min_count``, ``vector`` and ``witness`` then read any level built.
 
-    Levels are stored column-wise by leaf count s (index 0 unused):
-    ``_cols[j - 2][s]`` is c_j, j = 2..k, and ``_split[s]`` the root branch
-    sizes of the witness (None at s = 1, whose code is known). Only the
-    columns the family does not fix, j = lo..k (lo = 4 at d = 2 with k > 3,
-    else 3), are scanned, packed ``_size`` bytes a field, lowest first:
-    ``_f[s]`` holds their shares f_n(s) for s < n, n being the next
-    level to build, and ``_below[s]`` level s's c_{j-1}, j = lo..k.
+    Levels are stored by leaf count s (index 0 unused): ``_vectors[s]`` is
+    (c_2, ..., c_k), and ``_split[s]`` the root branch sizes of the witness
+    (None at s = 1, whose code is known). A run scans the ``_fields``
+    columns j = lo..top of the module docstring, packed ``_size`` bytes a
+    field, lowest first: ``_f[s]`` holds their shares f_n(s) for s < n, n
+    being the next level to build, and ``_below[s]`` level s's c_{j-1},
+    j = lo..top.
     """
 
     def __init__(self, k: int, d: int = 2):
@@ -147,7 +154,6 @@ class ParetoDP:
         self.k = k
         self.d = d
         self._lo = 4 if d == 2 and k > 3 else 3
-        self._fields = k + 1 - self._lo  # J, the columns scanned
         self._split: list[tuple[int, ...] | None] = [None]  # no level until a run
 
     # -- levels --------------------------------------------------------------
@@ -156,7 +162,7 @@ class ParetoDP:
         """(c_2, c_3, ..., c_k) of level n."""
         if not 1 <= n <= self.max_n():
             raise KeyError(n)
-        return tuple([col[n] for col in self._cols])
+        return self._vectors[n]
 
     def max_n(self) -> int:
         """The largest leaf count built so far."""
@@ -205,15 +211,14 @@ class ParetoDP:
     # -- the DP proper ------------------------------------------------------
 
     def _unpack(self, x: int) -> tuple[int, ...]:
-        """The fields of a packed int, lowest first: (c_lo, ..., c_k) of a
-        candidate. Fields above the top nonzero one are 0, so only the bytes
-        up to it are read."""
+        """(c_lo, ..., c_k) of a packed candidate: its fields, lowest first,
+        then a 0 for each column above c_top, which the run does not lay
+        out."""
         size = self._size
-        used = -(-x.bit_length() // (8 * size))
-        raw = x.to_bytes(used * size, "little")
+        raw = x.to_bytes(self._fields * size, "little")
         return (
             *[int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)],
-            *[0] * (self._fields - used),
+            *[0] * (self.k + 1 - self._lo - self._fields),
         )
 
     def _blocks(self, n: int) -> tuple[list[int], list[tuple]]:
@@ -252,8 +257,7 @@ class ParetoDP:
         2^(W-1) of each lower field, leaves x_t + 2^(W-1) - least_t in each
         field t, which is in 1..2^W - 1 since both fields are below 2^(W-1):
         no field borrows or carries, and field t keeps its guard exactly when
-        x_t >= least_t. The guards stop at the least one's top nonzero lower
-        field, since no field is below a field of 0.
+        x_t >= least_t.
         """
         candidates, heads = self._blocks(n)
         least = min(candidates)
@@ -264,8 +268,7 @@ class ParetoDP:
         elif self._fields == 2:
             attained = min(map(lower.__and__, candidates)) == least & lower
         else:
-            used = -(-(least & lower).bit_length() // (8 * self._size))
-            guards = int.from_bytes(self._guards[: used * self._size], "little")
+            guards = self._guards
             spare = guards - least
             attained = reduce(and_, map(spare.__add__, candidates), guards) == guards
         if not attained:
@@ -283,8 +286,7 @@ class ParetoDP:
             i -= top - low + 1
         split = head + (low + i, rest - low - i)
         vector = fixed + self._unpack(least)
-        cols = self._cols
-        parts = [(s, tuple([col[s] for col in cols])) for s in split]
+        parts = [(s, self._vectors[s]) for s in split]
         recount = combine_caterpillar_counts(parts, self.k)
         if recount != vector:
             raise ConsistencyError(
@@ -297,44 +299,39 @@ class ParetoDP:
         """Store level n's (c_2, ..., c_k), whose scanned columns ``packed``
         holds, and carry the shares up from f_n to f_{n+1}: f_{n+1}(s) =
         f_n(s) + c_{j-1}(s) for s < n, and f_{n+1}(n) = c_j(n) + c_{j-1}(n).
-        Level n's c_{j-1} for j = lo..k are ``packed``'s fields c_lo..c_{k-1}
+        Level n's c_{j-1} for j = lo..top are ``packed``'s fields c_lo..c_{top-1}
         moved up a field, under c_{lo-1}, a column the family fixes."""
-        for col, c in zip(self._cols, vector):
-            col.append(c)
+        self._vectors.append(vector)
         self._split.append(split)
         below = ((packed & self._low) << (8 * self._size)) + vector[self._lo - 3]
         self._f = [*map(add, self._f, self._below), packed + below]
         self._below.append(below)
 
-    def _price(self, n_max: int, limit: int) -> tuple[int, int]:
+    def _price(self, n_max: int, limit: int) -> tuple[int, int, int]:
         """The packed steps of a run to n_max, as :data:`CANDIDATE_CAP` counts
-        them, and W, the bytes of a field. A price above ``limit`` may be a
-        lower bound, with W = 0: W's binomial took 11 s at n_max = 10^6.
-
-        Only ``filled`` fields can be nonzero. A field of a column j >= h + 3,
-        where d^(h-1) < n_max <= d^h, holds c_j(s), c_{j-1}(s) or a share
-        c_j(s) + (n - s) c_{j-1}(s) of levels s <= n_max <= d^(j-3): all 0, as
-        an s-leaf tree of height j - 3 or less has no (j-1)-leaf caterpillar."""
-        levels = 4 * self.k * (n_max + 1)  # column lists, recount, unpacking
-        carries = n_max * (n_max + 1) // 4  # half a step per share carried
-        steps = carries + _candidates(self.d, n_max, limit - levels - carries, self._fields > 1)
-        if levels + steps > limit:
-            return levels + steps, 0
-        # the module docstring's field bound: C(n_max + 1, j) at its peak j
-        top = n_max + 1
-        size = comb(top, min(max(top // 2, self._lo - 1), self.k)).bit_length() // 8 + 1
+        them; J, the fields it lays out; and W, the bytes of a field. A price
+        above ``limit`` may be a lower bound, with W = 0: W's binomial took
+        11 s at n_max = 10^6."""
         h = 1
         while self.d**h < n_max:
             h += 1
-        filled = min(self._fields, h + 3 - self._lo)
-        return levels + steps * (256 + filled * size) // 256, size
+        top = max(self._lo, min(self.k, h + 2))
+        fields = top + 1 - self._lo
+        levels = 4 * self.k * (n_max + 1)  # vector, recount, unpacking
+        carries = n_max * (n_max + 1) // 4  # half a step per share carried
+        steps = carries + _candidates(self.d, n_max, limit - levels - carries, fields > 1)
+        if levels + steps > limit:
+            return levels + steps, fields, 0
+        # the module docstring's field bound: C(n_max + 1, j) at its peak j
+        size = comb(n_max + 1, min(max((n_max + 1) // 2, self._lo - 1), top)).bit_length() // 8 + 1
+        return levels + steps * (256 + fields * size) // 256, fields, size
 
     def run(self, n_max: int) -> ParetoDP:
         """Build levels 1..n_max afresh, on every call, and return the DP, or
         refuse with BudgetError, keeping the levels built before, a run whose
         packed steps (:meth:`_price`) exceed :data:`CANDIDATE_CAP`."""
         require_int(n_max, 1, "n_max")
-        price, size = self._price(n_max, CANDIDATE_CAP)
+        price, fields, size = self._price(n_max, CANDIDATE_CAP)
         if price > CANDIDATE_CAP:
             raise BudgetError(
                 f"levels 1..{n_max} at d={self.d}, k={self.k} need at least {int_str(price)} "
@@ -342,11 +339,10 @@ class ParetoDP:
                 f"carried share, each times 1 + packed bytes / 256, and 4k a level), above "
                 f"the cap of {CANDIDATE_CAP}"
             )
-        self._size = size
-        self._low = (1 << (8 * size * (self._fields - 1))) - 1
-        self._guards = (bytes(size - 1) + b"\x80") * (self._fields - 1)
-        self._split, self._witnesses = [None], {1: "*"}
-        self._cols = [[0] for _ in range(self.k - 1)]  # c_2..c_k
+        self._fields, self._size = fields, size
+        self._low = (1 << (8 * size * (fields - 1))) - 1
+        self._guards = int.from_bytes((bytes(size - 1) + b"\x80") * (fields - 1), "little")
+        self._vectors, self._split, self._witnesses = [None], [None], {1: "*"}
         self._f, self._below = [0], [0]
         self._store((0,) * (self.k - 1), None, 0)
         for n in range(2, n_max + 1):

@@ -560,9 +560,9 @@ _DP_STEPS = (
         # run would take days
         (("conjecture", "--k", "4", "--n-max", "1000000"),
          f"levels 1..1000000 at d=2, k=4 need at least 500016250016 {_DP_STEPS}"),
-        # one level past the cap: at n_max = 1685 it took 2.0-2.9 s
-        (("search-min", "--d", "2", "--k", "800", "--n-max", "1686"),
-         f"levels 1..1686 at d=2, k=800 need at least 25022849 {_DP_STEPS}"),
+        # one level past the cap: at n_max = 3325 it took 2.2-2.5 s
+        (("search-min", "--d", "2", "--k", "800", "--n-max", "3326"),
+         f"levels 1..3326 at d=2, k=800 need at least 25005030 {_DP_STEPS}"),
         # under the cap in binary splits alone, but the 3-part partitions of
         # a level n number about n^2 / 12, and each costs 2 additions
         (("monotone", "--d", "3", "--k", "4", "--n-max", "2000", "--method", "pareto"),

@@ -193,7 +193,7 @@ def test_a_candidate_of_m_parts_weighs_m_minus_one():
 
 
 # README's near-cap runs of the DP, (k, d, n_max)
-NEAR_CAP = [(3, 2, 6990), (4, 2, 6973), (40, 2, 3472), (800, 2, 1685), (4, 3, 657),
+NEAR_CAP = [(3, 2, 6990), (4, 2, 6973), (40, 2, 4194), (800, 2, 3325), (4, 3, 657),
             (5, 4, 236), (5, 5, 140), (5, 6, 103)]
 
 
@@ -207,16 +207,36 @@ def test_the_price_admits_a_near_cap_run_and_refuses_a_quarter_more(k, d, n_max)
     assert dp.max_n() == 0
 
 
-@pytest.mark.parametrize("k, d, n_max", [(40, 2, 200), (12, 3, 60), (9, 4, 40), (3, 2, 50)])
+@pytest.mark.parametrize(
+    "k, d, n_max", [(40, 2, 200), (12, 3, 60), (9, 4, 40), (3, 2, 50), (120, 2, 300)]
+)
 def test_a_run_fills_no_field_its_price_leaves_out(k, d, n_max):
-    # the price weighs each packed int by the fields that can be nonzero,
-    # those of columns j <= h + 2 where d^(h-1) < n_max <= d^h
+    # a run lays out, and its price weighs, the columns c_lo..c_top, where
+    # top = min(k, h + 2) and d^(h-1) < n_max <= d^h: the top one holds a
+    # value, every column above it stays 0, and a field W bits wide is at
+    # most about twice as wide as the widest value the run holds in one
     dp = ParetoDP(k, d).run(n_max)
     h = next(h for h in range(1, n_max + 1) if d**h >= n_max)
-    filled = min(dp._fields, h + 3 - dp._lo)
-    assert filled < dp._fields or k == 3
-    widest = max(x.bit_length() for x in dp._f + dp._below)
-    assert (filled - 1) * 8 * dp._size < widest <= filled * 8 * dp._size
+    top = dp._lo + dp._fields - 1
+    assert top == min(k, h + 2)
+    held = [dp._unpack(x) for x in dp._f + dp._below]
+    assert any(fields[top - dp._lo] for fields in held)
+    assert all(dp.vector(n)[top - 2 :] == (0,) * (k - top) for n in range(1, n_max + 1))
+    widest = max(c.bit_length() for fields in held for c in fields)
+    assert 8 * dp._size - 1 <= 2 * widest
+
+
+@pytest.mark.parametrize("d, k, h", [(2, 9, 4), (2, 9, 5), (2, 9, 6), (3, 7, 3), (3, 7, 4),
+                                     (4, 6, 2), (4, 6, 3)])
+def test_a_column_the_layout_leaves_out_changes_no_choice(d, k, h):
+    # one leaf past d^h lays out c_(h+3) as well, and every level up to d^h
+    # keeps the vector, split and witness it had without that column
+    short, longer = ParetoDP(k, d).run(d**h), ParetoDP(k, d).run(d**h + 1)
+    assert longer._fields == short._fields + 1
+    for n in range(1, d**h + 1):
+        assert (short.vector(n), short._split[n], short.witness(n)) == (
+            longer.vector(n), longer._split[n], longer.witness(n)
+        ), n
 
 
 @pytest.mark.parametrize("d, k", [(d, 4) for d in range(2, 7)] + [(d, 5) for d in range(2, 6)])
@@ -440,7 +460,7 @@ def _per_column_levels(k, d, n_max):
 # has that peak among the scanned columns, and a bit length that is a
 # multiple of 8: there a field one bit short of holding the bound and a spare
 # top bit is a whole byte narrower, and the bound reaches its top bit
-WIDE = [(40, 2, 74), (12, 3, 25)]
+WIDE = [(40, 2, 62), (12, 3, 49)]
 
 
 @pytest.mark.parametrize(
@@ -465,9 +485,9 @@ def test_a_field_at_the_bound_keeps_the_check_exact(monkeypatch, k, d, n_max, c4
     # made-up vector; a field with no spare top bit would carry out of c_3
     # and report a miss. Below, the least misses the c_4 minimum.
     dp = ParetoDP(k, d)
-    lo = k + 1 - dp._fields
-    bound = max(comb(n_max + 1, j) for j in range(lo - 1, k + 1))
-    pad = (0,) * (k - lo - 1)
+    fields = dp._price(n_max, frontier.CANDIDATE_CAP)[1]
+    bound = max(comb(n_max + 1, j) for j in range(dp._lo - 1, dp._lo + fields))
+    pad = (0,) * (fields - 3)
     _fake_level(monkeypatch, dp, n_max, (0, 5, *pad, 0), (bound, c4, *pad, 1))
     with pytest.raises(ConsistencyError) as exc:
         dp.run(n_max)
@@ -541,7 +561,7 @@ def test_incomparable_candidates_are_a_consistency_error(monkeypatch):
         dp = ParetoDP(k, 3)
         _fake_level(monkeypatch, dp, 6, *vectors)
         with pytest.raises(ConsistencyError) as exc:
-            dp.run(6)
+            dp.run(10)  # lays out c_3..c_k: at n_max = 6, c_5 is 0 and not laid out
         assert str(exc.value) == (
             f"no candidate at d=3, k={k}, n=6 attains every coordinate minimum; "
             f"{vectors[0]} and {vectors[1]} are incomparable"
@@ -672,11 +692,12 @@ def test_a_dp_builds_its_columns_after_the_budget_check():
 
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
-    # one candidate at level 2 is cheap at any k, but the k - 1 column lists
-    # alone took 185 MiB at k = 10^6 and n_max = 2: each level costs 4k steps,
-    # and the price stops there, before W's binomial. At n_max = 2
-    # the carried shares and the checked binary candidate add 1 + 2
-    price = 4 * 10**7 * (n_max + 1) + 3 * (n_max - 1)
+    # one candidate at level 2 is cheap at any k, but each level's vector
+    # (c_2, ..., c_k) is k - 1 counts: each level costs 4k steps, and the
+    # price stops there, before W's binomial. At n_max = 2 the carried
+    # shares and the binary candidate add 1 + 1: one field is laid out, so
+    # the candidate is not checked
+    price = 4 * 10**7 * (n_max + 1) + 2 * (n_max - 1)
     for d in (2, 3):
         tracemalloc.start()
         try:
@@ -699,10 +720,26 @@ def test_a_dp_of_few_levels_and_a_huge_k_is_refused_before_level_1(n_max):
 
 
 def test_a_huge_k_packs_and_unpacks_in_linear_time():
-    # 99,997 fields an entry: packing by a loop of shifts into a growing int
-    # is quadratic in them. The bound is the per-column DP's time, 1.0-1.2 s
-    # on a 2-vCPU host, where the packed one took 0.2 s
+    # a run to 5 lays out c_4 and c_5, and pads each vector's other 99,995
+    # columns with zeros. The bound is the per-column DP's time, 1.0-1.2 s
+    # on a 2-vCPU host, where the packed one took 0.2 s with every column
+    # laid out
     start = time.perf_counter()
     dp = ParetoDP(10**5, 2).run(5)
     assert time.perf_counter() - start < 1.2
     assert dp.vector(5) == (10, 2) + (0,) * (10**5 - 4)
+
+
+def test_a_huge_k_stores_a_level_as_one_vector():
+    # an admitted run of one level at k = 3.1 * 10^6: k - 1 column lists of
+    # one count each took 1.5 s and 451 MiB, where one vector takes 25 MB
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        dp = ParetoDP(3_100_000, 2).run(1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 64 * 2**20
+    assert dp.max_n() == 1 and not any(dp.vector(1))
